@@ -1,7 +1,6 @@
 """HF power-amplifier toolkit: behavioral PA model, envelope-aware bias
 control, measurement harness, and a CAN-style supply simulator."""
 
-from .kernels import BACKEND as KERNEL_BACKEND
 from .signalgen import IqBlock, Kind, WaveformSpec, envelope, generate
 from .pamodel import (BiasPoint, PaParams, PaStats, am_am,
                       conduction_currents, efficiency_curve, load_params,

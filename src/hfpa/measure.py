@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import windows
 
 from .bands import BANDS
 from .pamodel import (BiasPoint, PaParams, PaStats, saturated_swing,
@@ -112,6 +111,27 @@ def measure_gain(inp: IqBlock, outp: IqBlock) -> float:
     return 10.0 * math.log10(pout / pin)
 
 
+#: Flat-top cosine-sum coefficients (D'Antona & Ferrero, "Digital Signal
+#: Processing for Measurement Systems", Springer 2006, p. 70).
+_FLATTOP = (0.21557895, 0.41663158, 0.277263158, 0.083578947, 0.006947368)
+
+
+def flattop(n: int) -> np.ndarray:
+    """Periodic (DFT-even) flat-top window of length n.
+
+    A symmetric (n + 1)-point cosine sum with its last point dropped,
+    summed term by term in coefficient order; ``tests/test_measure.py``
+    checks it bit for bit against the standard reference implementation.
+    """
+    if n <= 1:
+        return np.ones(n)
+    fac = np.linspace(-np.pi, np.pi, n + 1)
+    w = np.zeros(n + 1)
+    for k, a in enumerate(_FLATTOP):
+        w += a * np.cos(k * fac)
+    return w[:-1]
+
+
 def measure_imd(block: IqBlock, f1: float, f2: float,
                 noise_floor_dbc: float = -120.0) -> ImdResult:
     """Two-tone intermodulation analysis by windowed DFT.
@@ -140,7 +160,7 @@ def measure_imd(block: IqBlock, f1: float, f2: float,
         floor = rms * 10.0 ** (noise_floor_dbc / 20.0)
         x = x + floor * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
 
-    win = windows.flattop(n, sym=False)
+    win = flattop(n)
     spec = np.abs(np.fft.fft(x * win))
 
     def peak_at(freq: float) -> float:

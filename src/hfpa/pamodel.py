@@ -52,12 +52,19 @@ class BiasPoint:
     gate_step: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.vdd) and math.isfinite(self.idq)):
+            raise InvalidBias(f"vdd and idq must be finite, got {self.vdd}, {self.idq}")
         if not 30.0 <= self.vdd <= 58.0:
             raise InvalidBias(f"vdd must be in [30, 58] V, got {self.vdd}")
         if self.idq <= 0:
             raise InvalidBias(f"idq must be > 0, got {self.idq}")
         if self.gate_step not in range(5):
             raise InvalidBias(f"gate_step must be 0..4, got {self.gate_step}")
+
+
+#: PaParams' scalar fields, in config-file order.
+_SCALAR_KEYS = ("g0", "kv", "ki", "rload", "vknee", "smoothness",
+                "shape_beta", "shape_exp", "shape_sat")
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,12 @@ class PaParams:
     ripple: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in _SCALAR_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+        for band, db in self.ripple.items():
+            if not math.isfinite(db):
+                raise ValueError(f"ripple.{band} must be finite, got {db}")
         if self.g0 <= 0:
             raise ValueError(f"g0 must be > 0, got {self.g0}")
         if self.rload <= 0:
@@ -164,18 +177,17 @@ def saturated_swing(bias: BiasPoint, params: PaParams) -> float:
 
 
 def am_am(a_in, bias: BiasPoint, params: PaParams, band: Optional[str] = None):
-    """Envelope transfer: a_out = g*a_in / (1 + (g*a_in/a_sat)^(2s))^(1/(2s)).
+    """Envelope transfer: the Rapp limiter ``kernels.rapp`` applied to g*a_in.
 
     Monotone nondecreasing, slope bounded by g, and a_out < a_sat always.
     Accepts scalars or arrays.
     """
     g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)
     a_sat = saturated_swing(bias, params)
-    s2 = 2.0 * params.smoothness
     u = g * np.asarray(a_in, dtype=np.float64)
     if np.any(u < 0):
         raise ValueError("a_in must be >= 0")
-    out = u / (1.0 + (u / a_sat) ** s2) ** (1.0 / s2)
+    out = kernels.rapp(u, a_sat, params.smoothness)
     return float(out) if np.isscalar(a_in) else out
 
 
@@ -230,10 +242,6 @@ def efficiency_curve(alphas: Sequence[float], swing_ratio: float = 1.0):
 
 
 # --- parameter config file: one `key = value` per line, ripple.<band> keys ---
-
-_SCALAR_KEYS = ("g0", "kv", "ki", "rload", "vknee", "smoothness",
-                "shape_beta", "shape_exp", "shape_sat")
-
 
 def save_params(params: PaParams, path) -> None:
     lines = [f"{k} = {getattr(params, k):.12g}" for k in _SCALAR_KEYS]

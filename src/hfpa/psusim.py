@@ -18,6 +18,8 @@ the fixed 13-byte length.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import socket
 import struct
 from dataclasses import dataclass, field
@@ -41,6 +43,8 @@ NACK_UNKNOWN_REGISTER = 0x03
 VDD_MIN = 30.0
 VDD_MAX = 58.0
 
+U32_MAX = 0xFFFFFFFF
+
 
 class BadLength(ValueError):
     """Wire chunk is not exactly 13 bytes."""
@@ -56,6 +60,10 @@ class UnknownId(ValueError):
 
 class UnknownRegister(ValueError):
     """Register byte not in the register map."""
+
+
+class ValueOutOfRange(ValueError):
+    """Value does not fit the u32 milli-unit field of a payload."""
 
 
 @dataclass(frozen=True)
@@ -118,8 +126,10 @@ Command = Union[SetVoltage, ReadRequest, Reply, Nack]
 def encode(command: Command) -> bytes:
     """Command to its 13-byte wire form."""
     if isinstance(command, SetVoltage):
-        mv = round(command.volts * 1000.0)
-        payload = bytes([REG_VOLTAGE]) + b"\x00\x00\x00" + struct.pack(">I", mv)
+        if not math.isfinite(command.volts):
+            raise ValueOutOfRange(f"voltage {command.volts} V is not finite")
+        payload = (bytes([REG_VOLTAGE]) + b"\x00\x00\x00"
+                   + _u32(round(command.volts * 1000.0), "millivolts"))
         return encode_frame(CanFrame(ID_SET_VOLTAGE, payload))
     if isinstance(command, ReadRequest):
         if command.register not in (REG_VOLTAGE, REG_CURRENT):
@@ -129,11 +139,18 @@ def encode(command: Command) -> bytes:
         if command.register not in (REG_VOLTAGE, REG_CURRENT):
             raise UnknownRegister(f"register {command.register:#x}")
         payload = (bytes([command.register]) + b"\x00\x00\x00"
-                   + struct.pack(">I", command.milli_value))
+                   + _u32(command.milli_value, "milli_value"))
         return encode_frame(CanFrame(ID_REPLY, payload))
     if isinstance(command, Nack):
         return encode_frame(CanFrame(ID_NACK, bytes([command.code])))
     raise TypeError(f"not a protocol command: {command!r}")
+
+
+def _u32(milli, what: str) -> bytes:
+    """Big-endian u32 of an integer milli-unit count, range-checked."""
+    if not (isinstance(milli, numbers.Integral) and 0 <= milli <= U32_MAX):
+        raise ValueOutOfRange(f"{what} {milli!r} is not a u32")
+    return struct.pack(">I", milli)
 
 
 def decode(data: bytes) -> Command:
@@ -269,8 +286,9 @@ def _recv_exact(conn: socket.socket, count: int):
 
 def request(host: str, port: int, command: Command) -> Command:
     """Send one command over a socket and decode the reply."""
+    wire = encode(command)  # before connecting: a bad command never reaches the wire
     with socket.create_connection((host, port), timeout=5.0) as conn:
-        conn.sendall(encode(command))
+        conn.sendall(wire)
         data = _recv_exact(conn, FRAME_LEN)
         if data is None:
             raise ConnectionError("supply closed the connection")

@@ -164,3 +164,32 @@ def test_psu_cli_round_trip(capsys):
                "--register", "voltage"])
     assert rc == 0
     server.join(timeout=5.0)
+
+
+def test_psu_set_out_of_range_exits_1(capsys):
+    from hfpa.psusim import serve
+    host, port = "127.0.0.1", 29253
+    server = threading.Thread(target=serve, args=(host, port),
+                              kwargs={"max_frames": 2}, daemon=True)
+    server.start()
+    import time
+    deadline = time.time() + 5.0
+    rc = 1
+    while time.time() < deadline:
+        rc = main(["psu-set", "--host", host, "--port", str(port),
+                   "--vdd", "48"])
+        if rc == 0:
+            break
+        time.sleep(0.02)
+    assert rc == 0
+    capsys.readouterr()
+    for vdd in ("-5", "inf", "nan"):
+        rc = main(["psu-set", "--host", host, "--port", str(port),
+                   "--vdd", vdd])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+    # the supply is untouched and still serving
+    assert main(["psu-read", "--host", host, "--port", str(port),
+                 "--register", "voltage"]) == 0
+    server.join(timeout=5.0)
+    assert not server.is_alive()

@@ -1,13 +1,18 @@
 """Measurement-harness tests: gain arithmetic, IMD against the trigonometric
 oracle, P1dB search, and the bias/band sweeps."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hfpa
 from hfpa.measure import (CSV_HEADER, LengthMismatch, MeasRow, NoCompression,
                           TargetUnreachable, TonesUnresolvable, UnknownBand,
-                          drive_for_pout, find_p1db, freq_response,
+                          drive_for_pout, find_p1db, flattop, freq_response,
                           measure_gain, measure_imd, simulate_cw, sweep_bias,
                           write_rows_csv)
 from hfpa.pamodel import BiasPoint, PaParams, simulate
@@ -42,6 +47,24 @@ class TestMeasureGain:
         short = IqBlock(b.samples[:-10], FS)
         with pytest.raises(LengthMismatch):
             measure_gain(b, short)
+
+
+class TestFlattop:
+    @pytest.mark.parametrize("n", [1, 64, 1000, 131071, 131072])
+    def test_matches_scipy_bit_for_bit(self, n):
+        signal = pytest.importorskip("scipy.signal")
+        assert np.array_equal(flattop(n),
+                              signal.windows.flattop(n, sym=False))
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(hfpa.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, hfpa; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestMeasureImd:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import romb
 
+from hfpa import kernels
 from hfpa.pamodel import (BiasPoint, InvalidBias, NonPositiveIdq,
                           OutOfRangeAlpha, PaParams, _fourier_clipped, am_am,
                           conduction_currents, efficiency_curve, load_params,
@@ -211,6 +212,17 @@ class TestSimulate:
             simulate(IqBlock(np.ones(8, dtype=complex), 1e6), None, p)
 
 
+def test_pipeline_zero_drive_semantics():
+    env = np.zeros(8)
+    aout = np.empty(8)
+    sum_a2, sum_vi1, sum_idc = kernels.pa_pipeline(
+        env, 40.0, 54.0, 2.0, 0.4, 2.0, 3.0, 8.0, 20.0, aout)
+    assert sum_a2 == 0.0
+    assert sum_vi1 == 0.0
+    assert sum_idc == pytest.approx(8 * 2.0, rel=1e-15)  # quiescent only
+    assert np.all(aout == 0.0)
+
+
 class TestParamsConfig:
     def test_round_trip(self, tmp_path):
         p = make_params(ki=0.3, shape_beta=3.84, shape_exp=8.16,
@@ -240,3 +252,27 @@ class TestParamsConfig:
             BiasPoint(vdd=29.0, idq=2.0)
         with pytest.raises(InvalidBias):
             BiasPoint(vdd=58.0, idq=2.0, gate_step=5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["g0", "kv", "ki", "rload", "vknee",
+                                     "smoothness", "shape_beta", "shape_exp",
+                                     "shape_sat", "ripple.40M"])
+    def test_rejects_non_finite_params(self, tmp_path, key, value):
+        path = tmp_path / "pa.cfg"
+        save_params(make_params(), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_params(path)
+        if key.startswith("ripple."):
+            kwargs = {"ripple": {key[len("ripple."):]: value}}
+        else:
+            kwargs = {key: value}
+        with pytest.raises(ValueError, match="finite"):
+            make_params(**kwargs)
+
+    @pytest.mark.parametrize("vdd, idq", [
+        (48.0, math.nan), (48.0, math.inf), (math.nan, 2.0), (math.inf, 2.0)])
+    def test_bias_rejects_non_finite(self, vdd, idq):
+        with pytest.raises(InvalidBias):
+            BiasPoint(vdd=vdd, idq=idq)

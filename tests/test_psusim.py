@@ -1,5 +1,6 @@
 """Supply-protocol tests: bit-exact codec, round-trip identity, clamp and
 slew dynamics, and the socket transport."""
+import math
 import threading
 
 import pytest
@@ -8,7 +9,8 @@ from hfpa.psusim import (BadDlc, BadLength, CanFrame, DLC, FRAME_LEN,
                          ID_NACK, ID_READ, ID_REPLY, ID_SET_VOLTAGE,
                          NACK_UNKNOWN_REGISTER, Nack, PsuSim, PsuState,
                          ReadRequest, REG_CURRENT, REG_VOLTAGE, Reply,
-                         SetVoltage, UnknownId, UnknownRegister, decode,
+                         SetVoltage, UnknownId, UnknownRegister,
+                         ValueOutOfRange, decode,
                          decode_frame, encode, encode_frame, request, serve)
 
 
@@ -77,6 +79,21 @@ class TestCommandCodec:
             wire = encode(cmd)
             assert len(wire) == FRAME_LEN
             assert decode(wire) == cmd
+
+    @pytest.mark.parametrize("cmd", [
+        SetVoltage(-5.0), SetVoltage(4_294_967.296), SetVoltage(math.inf),
+        SetVoltage(-math.inf), SetVoltage(math.nan),
+        Reply(REG_VOLTAGE, -1), Reply(REG_CURRENT, 2 ** 32),
+        Reply(REG_VOLTAGE, math.inf), Reply(REG_VOLTAGE, math.nan),
+    ])
+    def test_unencodable_values_rejected(self, cmd):
+        with pytest.raises(ValueOutOfRange):
+            encode(cmd)
+
+    def test_u32_edges_encode(self):
+        assert decode(encode(SetVoltage(0.0))) == SetVoltage(0.0)
+        assert decode(encode(SetVoltage(4_294_967.295))) == SetVoltage(4_294_967.295)
+        assert decode(encode(Reply(REG_VOLTAGE, 2 ** 32 - 1))).milli_value == 2 ** 32 - 1
 
     def test_unknown_register_rejected(self):
         wire = bytearray(encode(ReadRequest(REG_VOLTAGE)))

@@ -16,9 +16,9 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .bands import BAND_CENTER_HZ, BANDS
-from .measure import UnknownBand, drive_for_pout, gain_at_drive
-from .pamodel import (BiasPoint, PaParams, _fourier_clipped,
-                      small_signal_gain_db)
+from .measure import UnknownBand, drive_for_pout
+from .pamodel import (SWING_MAX, BiasPoint, PaParams, compression_level,
+                      fundamental_pout, small_signal_gain_db, swing_for_pout)
 from .signalgen import IqBlock, envelope
 
 
@@ -136,42 +136,18 @@ def track_drain(peak_envelope_v: float, margin: float = 0.1,
     return min(max(peak_envelope_v * (1.0 + margin) + vknee, 30.0), 58.0)
 
 
-def predict_peak_envelope(setpoint_w: float, idq: float, params: PaParams,
-                          block: Optional[IqBlock] = None,
-                          bias: Optional[BiasPoint] = None) -> float:
+def predict_peak_envelope(setpoint_w: float, idq: float,
+                          params: PaParams) -> float:
     """Output-envelope peak needed to deliver the setpoint.
 
-    With a block: p99.9 of the simulated output envelope at maximum-headroom
-    bias, rescaled so the simulated output power matches the setpoint (the
-    percentile rides out single-sample outliers). Without one: the CW swing
-    whose fundamental delivers the setpoint, from the conduction model.
+    The CW swing whose fundamental delivers the setpoint, from the
+    conduction model (``pamodel.swing_for_pout``).
     """
     if setpoint_w <= 0:
         raise ValueError("setpoint must be > 0")
-    if block is not None:
-        from .pamodel import simulate
-        bias = bias or BiasPoint(vdd=58.0, idq=idq)
-        level = drive_for_pout(setpoint_w, bias, params)
-        env = np.abs(block.samples)
-        peak_in = float(np.max(env))
-        if peak_in == 0:
-            return 0.0
-        rms_in = math.sqrt(float(np.mean(env ** 2)))
-        drive = block.scaled(level / rms_in)
-        out, _ = simulate(drive, bias, params)
-        return float(np.percentile(np.abs(out.samples), 99.9))
-    lo, hi = 1e-6, 400.0
-    _, _, i1_hi = _fourier_clipped(idq, hi / params.rload)
-    if hi * i1_hi / 2.0 < setpoint_w:
+    if fundamental_pout(SWING_MAX, idq, params.rload) < setpoint_w:
         raise SetpointUnreachable(f"setpoint {setpoint_w} W beyond model range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        _, _, i1 = _fourier_clipped(idq, mid / params.rload)
-        if mid * i1 / 2.0 < setpoint_w:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return swing_for_pout(setpoint_w, idq, params.rload)
 
 
 def command_for_mode(mode: Mode, reason: EnvelopeClass,
@@ -220,24 +196,15 @@ def decide_bias(cls: EnvelopeClass, power_setpoint_w: float, band: str,
 
 def compression_drive(bias: BiasPoint, params: PaParams,
                       depth_db: float = 2.5, band: Optional[str] = None) -> float:
-    """Input level that puts the stage depth_db into gain compression."""
-    if depth_db <= 0:
-        raise ValueError("depth must be > 0 dB")
-    g_ss = small_signal_gain_db(bias, params, band)
-    a_sat = bias.vdd - params.vknee
-    lo, hi = 1e-9 * a_sat, 50.0 * a_sat
-    target = g_ss - depth_db
-    if gain_at_drive(hi, bias, params, band) > target:
+    """Input level that puts the stage depth_db into gain compression.
+
+    The closed-form Rapp inverse ``pamodel.compression_level``; raises
+    ValueError for a depth <= 0 dB or one that needs more than 50*a_sat.
+    """
+    level = compression_level(bias, params, depth_db, band)
+    if level > 50.0 * (bias.vdd - params.vknee):
         raise ValueError(f"stage cannot reach {depth_db} dB compression")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gain_at_drive(mid, bias, params, band) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * a_sat:
-            break
-    return 0.5 * (lo + hi)
+    return level
 
 
 def equalize_gains(params: PaParams, bands: Sequence[str],
@@ -245,9 +212,9 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
                    tol_db: float = 0.1) -> BandTable:
     """Per-band drain voltage that levels small-signal gain at the target.
 
-    Bisection on vdd within [30, 58] using the gain law plus the band's
-    ripple; a band whose target lies outside the reachable range is flagged
-    and pinned at the nearer endpoint.
+    The gain law plus the band's ripple is linear in vdd, so the voltage is
+    solved directly within [30, 58]; a band whose target lies outside the
+    reachable range is flagged and pinned at the nearer endpoint.
     """
     table: BandTable = {}
     for band in bands:
@@ -260,7 +227,7 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
 
         g_lo, g_hi = gain_at(30.0), gain_at(58.0)
         lo_v, hi_v = 30.0, 58.0
-        if g_lo > g_hi:  # gain falls with vdd (kv < 0): swap search direction
+        if g_lo > g_hi:  # gain falls with vdd (kv < 0): swap the endpoints
             g_lo, g_hi = g_hi, g_lo
             lo_v, hi_v = 58.0, 30.0
         if target_gain_db <= g_lo:
@@ -271,16 +238,9 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
             table[band] = BandEntry(BAND_CENTER_HZ[band], hi_v, ripple,
                                     clamped=abs(g_hi - target_gain_db) > tol_db)
             continue
-        lo, hi = lo_v, hi_v
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if gain_at(mid) < target_gain_db:
-                lo = mid
-            else:
-                hi = mid
-            if abs(gain_at(0.5 * (lo + hi)) - target_gain_db) <= 0.5 * tol_db:
-                break
-        table[band] = BandEntry(BAND_CENTER_HZ[band], 0.5 * (lo + hi), ripple)
+        vdd = 58.0 + (target_gain_db - gain_at(58.0)) / params.kv
+        table[band] = BandEntry(BAND_CENTER_HZ[band], min(max(vdd, 30.0), 58.0),
+                                ripple)
     return table
 
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .measure import TargetUnreachable, sweep_bias
-from .pamodel import PaParams, _fourier_clipped
+from .pamodel import PaParams, _fourier_clipped, bisect, swing_for_pout
 
 
 class Diverged(RuntimeError):
@@ -236,17 +236,7 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float,
     power law 1/(A*r^-p + B) is fitted through the three implied deficits.
     Returns (shape_beta, shape_exp, shape_sat, a_out) or None when infeasible.
     """
-    pout = anchors[0].pout_w
-    # output swing that delivers pout through the fundamental
-    lo, hi = 1e-6, 400.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        _, _, i1 = _fourier_clipped(idq, mid / rload)
-        if mid * i1 / 2.0 < pout:
-            lo = mid
-        else:
-            hi = mid
-    a_out = 0.5 * (lo + hi)
+    a_out = swing_for_pout(anchors[0].pout_w, idq, rload)
     _, idc, _ = _fourier_clipped(idq, a_out / rload)
 
     ys, rs = [], []
@@ -271,14 +261,10 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float,
     f_hi = mismatch(p_hi)[0]
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)) or f_lo * f_hi > 0:
         return None
-    for _ in range(100):
-        p_mid = 0.5 * (p_lo + p_hi)
-        f_mid = mismatch(p_mid)[0]
-        if (f_mid < 0) == (f_lo < 0):
-            p_lo, f_lo = p_mid, f_mid
-        else:
-            p_hi = p_mid
-    p = 0.5 * (p_lo + p_hi)
+    # -1 on p_lo's side of the sign change, whichever sign that side has
+    lo_negative = f_lo < 0
+    p = bisect(lambda q: -1.0 if (mismatch(q)[0] < 0) == lo_negative else 1.0,
+               p_lo, p_hi, max_iter=100)
     _, a_coef, b_coef = mismatch(p)
     if a_coef <= 0 or b_coef < 0:
         return None

@@ -14,8 +14,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bands import BANDS
-from .pamodel import (BiasPoint, PaParams, PaStats, saturated_swing,
-                      simulate, small_signal_gain_db)
+from .pamodel import (BiasPoint, PaParams, PaStats, bisect,
+                      compression_level, saturated_swing, simulate,
+                      small_signal_gain_db)
 from .signalgen import IqBlock
 
 
@@ -192,30 +193,18 @@ def gain_at_drive(a_in: float, bias: BiasPoint, params: PaParams,
 
 
 def find_p1db(bias: BiasPoint, params: PaParams,
-              band: Optional[str] = None, tol_db: float = 0.01) -> float:
+              band: Optional[str] = None) -> float:
     """Input envelope level where gain sits 1 dB below small-signal.
 
-    Bisection over the monotone-decreasing gain curve; raises NoCompression
+    The closed-form Rapp inverse ``compression_level``; raises NoCompression
     if the stage never compresses 1 dB within a 10*a_sat input drive.
     """
-    g_ss = small_signal_gain_db(bias, params, band)
-    a_sat = saturated_swing(bias, params)
-    target = g_ss - 1.0
-    a_hi = 10.0 * a_sat
-    if gain_at_drive(a_hi, bias, params, band) > target:
+    level = compression_level(bias, params, 1.0, band)
+    a_hi = 10.0 * saturated_swing(bias, params)
+    if level > a_hi:
         raise NoCompression(
-            f"gain at drive {a_hi:.3g} still above {target:.2f} dB")
-    a_lo = 1e-9 * a_sat
-    for _ in range(200):
-        mid = 0.5 * (a_lo + a_hi)
-        g_mid = gain_at_drive(mid, bias, params, band)
-        if abs(g_mid - target) <= tol_db:
-            return mid
-        if g_mid > target:
-            a_lo = mid
-        else:
-            a_hi = mid
-    return 0.5 * (a_lo + a_hi)
+            f"1 dB compression needs drive {level:.3g} > cap {a_hi:.3g}")
+    return level
 
 
 _SWEEP_FS = 1.0e6
@@ -238,8 +227,9 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
                    max_iter: int = 60) -> float:
     """CW input level that produces the target output power.
 
-    Bisection with a 60-iteration cap; raises TargetUnreachable when output
-    saturates below target (the exception carries the achievable maximum).
+    Bisection (``pamodel.bisect``) to within rel_tol of the target, capped at
+    max_iter steps; raises TargetUnreachable when output saturates below
+    target or the cap is hit (the exception carries the achievable maximum).
     """
     if target_pout_w <= 0:
         raise ValueError("target power must be > 0")
@@ -251,20 +241,14 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
         raise TargetUnreachable(
             f"saturated output {p_hi:.1f} W below target {target_pout_w:.1f} W "
             f"at vdd {bias.vdd} V", max_pout_w=p_hi)
-    lo = 0.0
-    mid = hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        p_mid = simulate_cw(mid, bias, params, band).pout_w
-        if abs(p_mid - target_pout_w) <= rel_tol * target_pout_w:
-            return mid
-        if p_mid < target_pout_w:
-            lo = mid
-        else:
-            hi = mid
-    raise TargetUnreachable(
-        f"bisection failed to reach {target_pout_w} W within {max_iter} steps",
-        max_pout_w=p_hi)
+    level = bisect(
+        lambda a: simulate_cw(a, bias, params, band).pout_w - target_pout_w,
+        0.0, hi, tol=rel_tol * target_pout_w, max_iter=max_iter)
+    if level is None:
+        raise TargetUnreachable(
+            f"bisection failed to reach {target_pout_w} W within {max_iter} steps",
+            max_pout_w=p_hi)
+    return level
 
 
 def sweep_bias(vdd_list: Sequence[float], idq: float, target_pout_w: float,

@@ -159,6 +159,48 @@ def conduction_currents(idq: float, ipk: float):
     return _fourier_clipped(idq, ipk)
 
 
+def bisect(f, lo: float, hi: float, tol: Optional[float] = None,
+           max_iter: int = 200):
+    """Root of ``f`` on a bracket where ``f < 0`` at ``lo`` and not at ``hi``.
+
+    Each step keeps ``lo`` where ``f(mid) < 0`` and moves ``hi`` otherwise;
+    it stops after ``max_iter`` steps or once ``mid`` is no longer strictly
+    inside ``(lo, hi)``, the float fixed point, and returns the final
+    midpoint. With ``tol`` it returns the first midpoint where
+    ``|f(mid)| <= tol`` instead, and None when no step met it.
+    """
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = f(mid)
+        if tol is not None and abs(f_mid) <= tol:
+            return mid
+        if f_mid < 0:
+            lo = mid
+        else:
+            hi = mid
+    return None if tol is not None else 0.5 * (lo + hi)
+
+
+#: Output-swing bracket of ``swing_for_pout``, volts.
+SWING_MIN, SWING_MAX = 1e-6, 400.0
+
+
+def fundamental_pout(a_out: float, idq: float, rload: float) -> float:
+    """CW output power ``a_out * i1 / 2`` at output swing ``a_out``."""
+    return a_out * _fourier_clipped(idq, a_out / rload)[2] / 2.0
+
+
+def swing_for_pout(pout: float, idq: float, rload: float) -> float:
+    """Output swing in ``[SWING_MIN, SWING_MAX]`` whose fundamental delivers pout.
+
+    Converges on ``SWING_MAX`` when even that swing falls short.
+    """
+    return bisect(lambda a: fundamental_pout(a, idq, rload) - pout,
+                  SWING_MIN, SWING_MAX)
+
+
 def small_signal_gain_db(bias: BiasPoint, params: PaParams,
                          band: Optional[str] = None) -> float:
     """Gain law: linear-in-dB vs vdd, vs log(idq), plus per-band ripple."""
@@ -189,6 +231,25 @@ def am_am(a_in, bias: BiasPoint, params: PaParams, band: Optional[str] = None):
         raise ValueError("a_in must be >= 0")
     out = kernels.rapp(u, a_sat, params.smoothness)
     return float(out) if np.isscalar(a_in) else out
+
+
+def compression_level(bias: BiasPoint, params: PaParams, depth_db: float,
+                      band: Optional[str] = None) -> float:
+    """Input envelope level at which CW gain sits depth_db below small-signal.
+
+    The exact inverse of the Rapp law (Rapp 1991):
+    ``(a_sat/g) * (10^(2s*d/20) - 1)^(1/(2s))``. A depth beyond the float
+    range gives ``inf``.
+    """
+    if not depth_db > 0:
+        raise ValueError(f"depth must be > 0 dB, got {depth_db}")
+    g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)
+    s2 = 2.0 * params.smoothness
+    try:
+        excess = math.expm1(s2 * depth_db / 20.0 * math.log(10.0))
+    except OverflowError:
+        return math.inf
+    return saturated_swing(bias, params) / g * excess ** (1.0 / s2)
 
 
 def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,

@@ -45,6 +45,10 @@ VDD_MAX = 58.0
 
 U32_MAX = 0xFFFFFFFF
 
+#: Seconds ``serve`` waits on a connected client's next bytes before it drops
+#: the client and accepts the next one; well inside ``request``'s 5 s.
+CONN_TIMEOUT_S = 1.0
+
 
 class BadLength(ValueError):
     """Wire chunk is not exactly 13 bytes."""
@@ -248,8 +252,9 @@ def serve(host: str, port: int, slew_v_per_s: float = 50.0,
     """Serve the supply protocol on a local TCP socket.
 
     Output voltage slews against wall-clock time between frames. Accepts one
-    client at a time; returns after max_frames (None = run until the client
-    side closes and then keep listening for the next one).
+    client at a time and drops a client that stalls for ``CONN_TIMEOUT_S``
+    or resets the connection; returns after max_frames (None = run until the
+    client side closes and then keep listening for the next one).
     """
     import time
 
@@ -262,16 +267,20 @@ def serve(host: str, port: int, slew_v_per_s: float = 50.0,
         last = time.monotonic()
         while max_frames is None or handled < max_frames:
             conn, _ = srv.accept()
+            conn.settimeout(CONN_TIMEOUT_S)
             with conn:
-                while max_frames is None or handled < max_frames:
-                    data = _recv_exact(conn, FRAME_LEN)
-                    if data is None:
-                        break
-                    now = time.monotonic()
-                    sim.advance(now - last)
-                    last = now
-                    conn.sendall(sim.handle_wire(data))
-                    handled += 1
+                try:
+                    while max_frames is None or handled < max_frames:
+                        data = _recv_exact(conn, FRAME_LEN)
+                        if data is None:
+                            break
+                        now = time.monotonic()
+                        sim.advance(now - last)
+                        last = now
+                        conn.sendall(sim.handle_wire(data))
+                        handled += 1
+                except (TimeoutError, ConnectionError):
+                    pass  # drop a stalled or vanished client
 
 
 def _recv_exact(conn: socket.socket, count: int):

@@ -7,7 +7,9 @@ spec: no RNG state, no dithering, byte-identical output on every call.
 """
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,11 @@ class Kind(enum.Enum):
 CONSTANT_ENVELOPE_KINDS = frozenset({Kind.CW, Kind.FM, Kind.PSK})
 
 
+def _check_sample_rate(sample_rate: float) -> None:
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise InvalidSpec(f"sample_rate must be finite and > 0, got {sample_rate}")
+
+
 @dataclass(frozen=True)
 class IqBlock:
     """A finite block of complex baseband samples at a fixed sample rate."""
@@ -37,11 +44,16 @@ class IqBlock:
     sample_rate: float
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise InvalidSpec(f"sample_rate must be > 0, got {self.sample_rate}")
+        _check_sample_rate(self.sample_rate)
         samples = np.asarray(self.samples, dtype=np.complex128)
         if samples.ndim != 1 or samples.size == 0:
             raise InvalidSpec("samples must be a non-empty 1-D sequence")
+        # sum |x|^2 is finite only if every sample is, and it is cheap; the
+        # per-sample test runs when it is not (a non-finite sample, or finite
+        # samples whose squares overflow)
+        if not (cmath.isfinite(np.vdot(samples, samples))
+                or np.isfinite(samples).all()):
+            raise InvalidSpec("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
@@ -55,12 +67,19 @@ class IqBlock:
         return IqBlock(self.samples * factor, self.sample_rate)
 
 
+#: WaveformSpec's float fields; validate rejects a non-finite value in any.
+_FLOAT_FIELDS = ("amplitude", "duration_s", "tone_hz", "f1_hz", "f2_hz",
+                 "fm_dev_hz", "fm_rate_hz", "am_index", "am_rate_hz",
+                 "psk_rate_hz")
+
+
 @dataclass(frozen=True)
 class WaveformSpec:
     """Generator parameters for one emission kind.
 
     Frequencies are baseband offsets in Hz; amplitude is the peak envelope.
-    Only the fields relevant to ``kind`` are consulted.
+    Only the fields relevant to ``kind`` shape the waveform, but ``validate``
+    requires every float field to be finite.
     """
 
     kind: Kind
@@ -77,8 +96,10 @@ class WaveformSpec:
     psk_order: int = 2              # 2 = BPSK, 4 = QPSK
 
     def validate(self, sample_rate: float) -> None:
-        if sample_rate <= 0:
-            raise InvalidSpec(f"sample_rate must be > 0, got {sample_rate}")
+        _check_sample_rate(sample_rate)
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be finite, got {getattr(self, name)}")
         if self.amplitude <= 0:
             raise InvalidSpec(f"amplitude must be > 0, got {self.amplitude}")
         if self.duration_s <= 0:

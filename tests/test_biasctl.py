@@ -1,7 +1,10 @@
 """Controller tests: envelope classification, bias decisions, drain tracking,
 gate ladder, gain equalization, and switch hysteresis."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfpa.biasctl import (BiasController, EnvKind, EnvelopeClass, Mode,
                           SetpointUnreachable, WindowTooShort,
@@ -11,7 +14,7 @@ from hfpa.biasctl import (BiasController, EnvKind, EnvelopeClass, Mode,
                           track_drain, GATE_STEP_IDQ)
 from hfpa.bands import BANDS
 from hfpa.measure import UnknownBand, simulate_cw
-from hfpa.pamodel import BiasPoint, small_signal_gain_db, with_ripple
+from hfpa.pamodel import BiasPoint, PaParams, small_signal_gain_db, with_ripple
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
 
 FS = 1.0e6
@@ -163,6 +166,14 @@ class TestCompressionDrive:
                 g_ss - depth, abs=0.01)
 
 
+    @pytest.mark.parametrize("depth", [0.0, -2.5, math.nan, 1e4])
+    def test_rejects_unreachable_or_non_positive_depth(self, fitted_params,
+                                                       depth):
+        with pytest.raises(ValueError):
+            compression_drive(BiasPoint(vdd=48.0, idq=0.5), fitted_params,
+                              depth_db=depth)
+
+
 class TestModeBenefit:
     def test_compression_beats_linear_at_same_pout(self, fitted_params):
         # same-output-power comparison (the matched-carrier variant lives in
@@ -219,6 +230,26 @@ class TestEqualizeGains:
         table = equalize_gains(rippled, BANDS, target, idq=2.0)
         assert table["10M"].clamped
         assert table["10M"].eq_vdd in (30.0, 58.0)
+
+
+@settings(deadline=None)
+@given(kv=st.floats(-1.0, 1.0).filter(lambda kv: abs(kv) > 1e-6),
+       g0=st.floats(0.5, 1000.0), idq=st.floats(0.1, 3.0),
+       ripple=st.lists(st.floats(-3.0, 3.0), min_size=len(BANDS),
+                       max_size=len(BANDS)),
+       target_vdd=st.floats(30.0, 58.0))
+def test_unclamped_bands_land_on_target(kv, g0, idq, ripple, target_vdd):
+    params = PaParams(g0=g0, kv=kv, ripple=dict(zip(BANDS, ripple)))
+    target = small_signal_gain_db(BiasPoint(vdd=target_vdd, idq=idq), params)
+    table = equalize_gains(params, BANDS, target, idq=idq)
+    for band in BANDS:
+        g30, g58 = (small_signal_gain_db(BiasPoint(vdd=v, idq=idq), params, band)
+                    for v in (30.0, 58.0))
+        if min(g30, g58) < target < max(g30, g58):
+            assert not table[band].clamped
+            gain = small_signal_gain_db(
+                BiasPoint(vdd=table[band].eq_vdd, idq=idq), params, band)
+            assert gain == pytest.approx(target, abs=1e-9)
 
 
 class TestControllerHysteresis:

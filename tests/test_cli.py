@@ -42,6 +42,15 @@ def test_classify_prints_verdict(capsys, kind, expected):
     assert capsys.readouterr().out.strip() == expected
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--amplitude", "nan"), ("--amplitude", "inf"), ("--duration", "nan"),
+    ("--rate", "nan"), ("--rate", "inf")])
+def test_classify_rejects_non_finite_input(capsys, flag, value):
+    rc = main(["classify", "--kind", "cw", flag, value])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sweep_bias_reproduces_reference_rows(tmp_path, params_file):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep-bias", "--vdd", "58,53,48", "--idq", "2.0",

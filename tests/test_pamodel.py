@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import romb
 
 from hfpa import kernels
+from hfpa.measure import gain_at_drive
 from hfpa.pamodel import (BiasPoint, InvalidBias, NonPositiveIdq,
                           OutOfRangeAlpha, PaParams, _fourier_clipped, am_am,
-                          conduction_currents, efficiency_curve, load_params,
-                          save_params, simulate, small_signal_gain_db)
+                          bisect, compression_level, conduction_currents,
+                          efficiency_curve, load_params, saturated_swing,
+                          save_params, simulate, small_signal_gain_db,
+                          swing_for_pout)
 from hfpa.signalgen import IqBlock
 
 TWO_PI = 2.0 * math.pi
@@ -276,3 +280,85 @@ class TestParamsConfig:
     def test_bias_rejects_non_finite(self, vdd, idq):
         with pytest.raises(InvalidBias):
             BiasPoint(vdd=vdd, idq=idq)
+
+
+# --- closed-form inverses and the shared root helper ------------------------
+
+params_st = st.builds(
+    PaParams, g0=st.floats(0.5, 1000.0), kv=st.floats(-1.0, 1.0),
+    ki=st.floats(-10.0, 10.0), rload=st.floats(0.05, 0.95),
+    vknee=st.floats(0.0, 29.0), smoothness=st.floats(0.5, 20.0),
+    ripple=st.fixed_dictionaries({"40M": st.floats(-3.0, 3.0)}))
+bias_st = st.builds(BiasPoint, vdd=st.floats(30.0, 58.0),
+                    idq=st.floats(0.1, 3.0))
+
+
+@settings(deadline=None)
+@given(params_st, bias_st, st.sampled_from([None, "40M"]),
+       st.floats(0.01, 30.0))
+def test_compression_level_inverts_the_gain_law(params, bias, band, depth):
+    level = compression_level(bias, params, depth, band)
+    g_ss = small_signal_gain_db(bias, params, band)
+    assert gain_at_drive(level, bias, params, band) == pytest.approx(
+        g_ss - depth, abs=1e-9)
+
+
+@pytest.mark.parametrize("depth", [0.0, -1.0, math.nan])
+def test_compression_level_rejects_non_positive_depth(depth):
+    with pytest.raises(ValueError, match="depth"):
+        compression_level(REF_BIAS, make_params(), depth)
+
+
+def test_compression_level_beyond_float_range_is_infinite():
+    assert compression_level(REF_BIAS, make_params(), 1e6) == math.inf
+
+
+@settings(deadline=None)
+@given(params_st, bias_st,
+       st.lists(st.floats(0.0, 1000.0), min_size=2, max_size=64))
+def test_am_am_monotone_and_below_a_sat(params, bias, drives):
+    # drives in units of the input level where g*a_in reaches a_sat; 1000x
+    # keeps (u/a_sat)^(2s) inside the float range for every smoothness
+    a_sat = saturated_swing(bias, params)
+    g = 10.0 ** (small_signal_gain_db(bias, params) / 20.0)
+    drives = np.sort(drives)
+    out = am_am(drives * (a_sat / g), bias, params)
+    # deep in saturation u / (1 + r^(2s))^(1/(2s)) rounds either way by a
+    # few ulp of a_sat
+    tol = 8.0 * np.finfo(np.float64).eps * a_sat
+    assert np.all(np.diff(out) >= -tol)
+    assert np.all(out <= a_sat + tol)
+    assert np.all(out[drives <= 1.0] < a_sat)
+
+
+def reference_swing(pout, idq, rload):
+    """The 200-step loop that ``swing_for_pout`` replaced, kept as its oracle."""
+    lo, hi = 1e-6, 400.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        _, _, i1 = _fourier_clipped(idq, mid / rload)
+        if mid * i1 / 2.0 < pout:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(deadline=None)
+@given(st.floats(1e-15, 1e5), st.floats(0.05, 3.0), st.floats(0.05, 0.95))
+def test_swing_for_pout_matches_the_200_step_loop(pout, idq, rload):
+    assert (swing_for_pout(pout, idq, rload).hex()
+            == reference_swing(pout, idq, rload).hex())
+
+
+def test_bisect_stops_at_the_float_fixed_point():
+    calls = []
+    root = bisect(lambda x: calls.append(x) or x - 0.1, 0.0, 1.0)
+    assert abs(root - 0.1) <= math.ulp(0.1)
+    assert len(calls) < 70
+
+
+def test_bisect_tolerance_exit():
+    # midpoints 0.5 (f = 0.2) then 0.25 (f = -0.05, within tol)
+    assert bisect(lambda x: x - 0.3, 0.0, 1.0, tol=0.1) == 0.25
+    assert bisect(lambda x: x - 0.3, 0.0, 1.0, tol=1e-30, max_iter=5) is None

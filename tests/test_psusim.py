@@ -1,10 +1,13 @@
 """Supply-protocol tests: bit-exact codec, round-trip identity, clamp and
 slew dynamics, and the socket transport."""
 import math
+import socket
 import threading
+import time
 
 import pytest
 
+from hfpa import psusim
 from hfpa.psusim import (BadDlc, BadLength, CanFrame, DLC, FRAME_LEN,
                          ID_NACK, ID_READ, ID_REPLY, ID_SET_VOLTAGE,
                          NACK_UNKNOWN_REGISTER, Nack, PsuSim, PsuState,
@@ -197,5 +200,27 @@ class TestSocketTransport:
         reply = request(host, port, ReadRequest(REG_VOLTAGE))
         assert isinstance(reply, Reply)
         assert reply.register == REG_VOLTAGE
+        server.join(timeout=5.0)
+        assert not server.is_alive()
+
+    def test_stalled_client_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(psusim, "CONN_TIMEOUT_S", 0.2)
+        host, port = "127.0.0.1", 29152
+        server = threading.Thread(target=serve, args=(host, port),
+                                  kwargs={"max_frames": 1}, daemon=True)
+        server.start()
+        deadline = time.time() + 5.0
+        while True:
+            try:
+                stalled = socket.create_connection((host, port), timeout=5.0)
+                break
+            except OSError:
+                if time.time() > deadline:
+                    raise
+                time.sleep(0.02)
+        with stalled:
+            stalled.sendall(encode(SetVoltage(41.0))[:5])  # 5 of 13 bytes
+            reply = request(host, port, SetVoltage(42.0))
+        assert reply == Reply(REG_VOLTAGE, 42000)
         server.join(timeout=5.0)
         assert not server.is_alive()

@@ -133,3 +133,41 @@ class TestValidation:
             IqBlock(np.array([], dtype=complex), FS)
         with pytest.raises(InvalidSpec):
             IqBlock(np.ones(4, dtype=complex), 0.0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       complex(0.0, math.nan)])
+    def test_block_rejects_non_finite_samples(self, value):
+        samples = np.ones(8, dtype=complex)
+        samples[3] = value
+        with pytest.raises(InvalidSpec, match="finite"):
+            IqBlock(samples, FS)
+
+    def test_block_accepts_finite_samples_whose_power_overflows(self):
+        block = IqBlock(np.array([1e200, -1e200j, 1.0]), FS)
+        assert np.all(np.isfinite(block.samples))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_block_rejects_non_finite_rate(self, rate):
+        with pytest.raises(InvalidSpec):
+            IqBlock(np.ones(4, dtype=complex), rate)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind, field", [
+        (Kind.CW, "amplitude"), (Kind.CW, "duration_s"), (Kind.CW, "tone_hz"),
+        (Kind.TWO_TONE, "f1_hz"), (Kind.TWO_TONE, "f2_hz"),
+        (Kind.FM, "fm_dev_hz"), (Kind.FM, "fm_rate_hz"),
+        (Kind.AM, "am_index"), (Kind.AM, "am_rate_hz"),
+        (Kind.PSK, "psk_rate_hz")])
+    def test_spec_rejects_non_finite_fields(self, kind, field, value):
+        spec = WaveformSpec(kind=kind, **{field: value})
+        with pytest.raises(InvalidSpec):
+            spec.validate(FS)
+        with pytest.raises(InvalidSpec):
+            generate(spec, FS)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_spec_rejects_non_finite_sample_rate(self, rate):
+        with pytest.raises(InvalidSpec):
+            generate(WaveformSpec(kind=Kind.CW), rate)

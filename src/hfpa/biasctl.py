@@ -16,7 +16,7 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .bands import BAND_CENTER_HZ, BANDS
-from .measure import UnknownBand, drive_for_pout
+from .measure import TargetUnreachable, UnknownBand, drive_cap
 from .pamodel import (SWING_MAX, BiasPoint, PaParams, compression_level,
                       fundamental_pout, small_signal_gain_db, swing_for_pout)
 from .signalgen import IqBlock, envelope
@@ -40,6 +40,10 @@ class Mode(enum.Enum):
     LINEAR = "Linear"
 
 
+#: Constant envelope runs compressed, varying envelope runs linear.
+MODE_FOR_KIND = {EnvKind.CONSTANT: Mode.COMPRESSION, EnvKind.VARYING: Mode.LINEAR}
+
+
 #: Quiescent-current presets selectable by the 5-step gate bias ladder (A).
 GATE_STEP_IDQ = (0.25, 0.5, 1.0, 1.5, 2.0)
 
@@ -49,6 +53,15 @@ IDQ_LINEAR = 2.0
 #: Classification thresholds: far above numeric noise, far below AM/two-tone.
 RIPPLE_LIMIT = 0.05
 PAPR_LIMIT_DB = 0.5
+
+#: Compression-mode drain headroom above the predicted envelope peak.
+DRAIN_MARGIN = 0.1
+
+#: Consecutive windows a new classification must persist to switch mode.
+HYSTERESIS_WINDOWS = 3
+
+#: An equalized band whose gain misses the target by more is flagged clamped.
+EQ_TOL_DB = 0.1
 
 
 @dataclass(frozen=True)
@@ -78,23 +91,21 @@ class BandEntry:
 BandTable = Dict[str, BandEntry]
 
 
-def default_band_table(eq_vdd: float = 58.0,
-                       ripple: Optional[Mapping[str, float]] = None) -> BandTable:
-    """All ten bands at a common equalization voltage."""
+def default_band_table(ripple: Optional[Mapping[str, float]] = None) -> BandTable:
+    """All ten bands at the full 58 V supply as equalization voltage."""
     ripple = ripple or {}
-    return {b: BandEntry(center_hz=BAND_CENTER_HZ[b], eq_vdd=eq_vdd,
+    return {b: BandEntry(center_hz=BAND_CENTER_HZ[b], eq_vdd=58.0,
                          ripple_db=float(ripple.get(b, 0.0)))
             for b in BANDS}
 
 
-def classify_envelope(block: IqBlock, window_s: float = 0.01,
-                      ripple_limit: float = RIPPLE_LIMIT,
-                      papr_limit_db: float = PAPR_LIMIT_DB) -> EnvelopeClass:
+def classify_envelope(block: IqBlock, window_s: float = 0.01) -> EnvelopeClass:
     """Constant/varying verdict from envelope ripple and PAPR.
 
     ripple_ratio = (p99 - p1)/median of the envelope over the window;
     papr_db = peak-to-average power ratio. Constant iff both sit under their
-    thresholds. Scale-invariant: both metrics are ratios.
+    thresholds, RIPPLE_LIMIT and PAPR_LIMIT_DB. Scale-invariant: both
+    metrics are ratios.
     """
     if block.duration_s < window_s:
         raise WindowTooShort(
@@ -108,7 +119,7 @@ def classify_envelope(block: IqBlock, window_s: float = 0.01,
     ripple_ratio = float((p99 - p1) / med) if med > 0 else math.inf
     mean_sq = float(np.mean(env ** 2))
     papr_db = 10.0 * math.log10(peak ** 2 / mean_sq)
-    constant = ripple_ratio < ripple_limit and papr_db < papr_limit_db
+    constant = ripple_ratio < RIPPLE_LIMIT and papr_db < PAPR_LIMIT_DB
     return EnvelopeClass(EnvKind.CONSTANT if constant else EnvKind.VARYING,
                          papr_db=papr_db, ripple_ratio=ripple_ratio)
 
@@ -126,14 +137,14 @@ def gate_step_for(idq_target: float) -> int:
     return best
 
 
-def track_drain(peak_envelope_v: float, margin: float = 0.1,
-                vknee: float = 0.0) -> float:
-    """Drain voltage just above the output envelope: clamp(peak*(1+margin)+vknee)."""
+def track_drain(peak_envelope_v: float, vknee: float = 0.0) -> float:
+    """Drain voltage just above the output envelope.
+
+    ``peak*(1 + DRAIN_MARGIN) + vknee``, clamped into [30, 58] V.
+    """
     if peak_envelope_v < 0:
         raise ValueError("peak envelope must be >= 0")
-    if not 0.0 <= margin <= 0.5:
-        raise ValueError(f"margin must be in [0, 0.5], got {margin}")
-    return min(max(peak_envelope_v * (1.0 + margin) + vknee, 30.0), 58.0)
+    return min(max(peak_envelope_v * (1.0 + DRAIN_MARGIN) + vknee, 30.0), 58.0)
 
 
 def predict_peak_envelope(setpoint_w: float, idq: float,
@@ -152,46 +163,45 @@ def predict_peak_envelope(setpoint_w: float, idq: float,
 
 def command_for_mode(mode: Mode, reason: EnvelopeClass,
                      power_setpoint_w: float, band: str, params: PaParams,
-                     table: BandTable, margin: float = 0.1) -> BiasCommand:
+                     table: BandTable) -> BiasCommand:
     """Operating point for an already-chosen mode.
 
     Linear: 2 A quiescent at the band's equalization voltage. Compression:
     500 mA quiescent, drain tracked just above the predicted output envelope
-    peak for the setpoint.
+    peak for the setpoint, which must be deliverable at full supply
+    (SetpointUnreachable otherwise).
     """
-    if power_setpoint_w <= 0:
-        raise ValueError("power setpoint must be > 0")
+    if not (math.isfinite(power_setpoint_w) and power_setpoint_w > 0):
+        raise ValueError(
+            f"power setpoint must be finite and > 0, got {power_setpoint_w}")
     if band not in table:
         raise UnknownBand(f"unknown band {band!r}")
     if mode is Mode.LINEAR:
         bias = BiasPoint(vdd=table[band].eq_vdd, idq=IDQ_LINEAR,
                          gate_step=gate_step_for(IDQ_LINEAR))
         return BiasCommand(target=bias, mode=Mode.LINEAR, reason=reason)
-    from .measure import TargetUnreachable
     try:  # the setpoint must be deliverable at full supply before tracking down
-        drive_for_pout(power_setpoint_w,
-                       BiasPoint(vdd=58.0, idq=IDQ_COMPRESSION), params)
+        drive_cap(power_setpoint_w, BiasPoint(vdd=58.0, idq=IDQ_COMPRESSION),
+                  params)
     except TargetUnreachable as exc:
         raise SetpointUnreachable(
             f"setpoint {power_setpoint_w} W unreachable: {exc}") from exc
     peak = predict_peak_envelope(power_setpoint_w, IDQ_COMPRESSION, params)
-    vdd = track_drain(peak, margin=margin, vknee=params.vknee)
+    vdd = track_drain(peak, vknee=params.vknee)
     bias = BiasPoint(vdd=vdd, idq=IDQ_COMPRESSION,
                      gate_step=gate_step_for(IDQ_COMPRESSION))
     return BiasCommand(target=bias, mode=Mode.COMPRESSION, reason=reason)
 
 
 def decide_bias(cls: EnvelopeClass, power_setpoint_w: float, band: str,
-                params: PaParams, table: BandTable,
-                margin: float = 0.1) -> BiasCommand:
+                params: PaParams, table: BandTable) -> BiasCommand:
     """Map an envelope class to the operating point.
 
-    Varying -> linear mode; Constant -> compression mode. Total and
-    deterministic: every class yields exactly one mode.
+    Varying -> linear mode; Constant -> compression mode (``MODE_FOR_KIND``).
+    Total and deterministic: every class yields exactly one mode.
     """
-    mode = Mode.COMPRESSION if cls.kind is EnvKind.CONSTANT else Mode.LINEAR
-    return command_for_mode(mode, cls, power_setpoint_w, band, params, table,
-                            margin=margin)
+    return command_for_mode(MODE_FOR_KIND[cls.kind], cls, power_setpoint_w,
+                            band, params, table)
 
 
 def compression_drive(bias: BiasPoint, params: PaParams,
@@ -208,13 +218,13 @@ def compression_drive(bias: BiasPoint, params: PaParams,
 
 
 def equalize_gains(params: PaParams, bands: Sequence[str],
-                   target_gain_db: float, idq: float,
-                   tol_db: float = 0.1) -> BandTable:
+                   target_gain_db: float, idq: float) -> BandTable:
     """Per-band drain voltage that levels small-signal gain at the target.
 
     The gain law plus the band's ripple is linear in vdd, so the voltage is
     solved directly within [30, 58]; a band whose target lies outside the
-    reachable range is flagged and pinned at the nearer endpoint.
+    reachable range is pinned at the nearer endpoint, and flagged when it
+    misses the target by more than EQ_TOL_DB.
     """
     table: BandTable = {}
     for band in bands:
@@ -232,11 +242,11 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
             lo_v, hi_v = 58.0, 30.0
         if target_gain_db <= g_lo:
             table[band] = BandEntry(BAND_CENTER_HZ[band], lo_v, ripple,
-                                    clamped=abs(g_lo - target_gain_db) > tol_db)
+                                    clamped=abs(g_lo - target_gain_db) > EQ_TOL_DB)
             continue
         if target_gain_db >= g_hi:
             table[band] = BandEntry(BAND_CENTER_HZ[band], hi_v, ripple,
-                                    clamped=abs(g_hi - target_gain_db) > tol_db)
+                                    clamped=abs(g_hi - target_gain_db) > EQ_TOL_DB)
             continue
         vdd = 58.0 + (target_gain_db - gain_at(58.0)) / params.kv
         table[band] = BandEntry(BAND_CENTER_HZ[band], min(max(vdd, 30.0), 58.0),
@@ -249,15 +259,13 @@ class BiasController:
     """Two-state (linear/compression) controller with switch hysteresis.
 
     A mode change requires the new classification to persist for
-    ``hysteresis_windows`` consecutive windows, preventing chatter on
+    ``HYSTERESIS_WINDOWS`` consecutive windows, preventing chatter on
     boundary signals. Driven by a single sequential event loop; commands
     come out in call order.
     """
 
     params: PaParams
     table: BandTable
-    margin: float = 0.1
-    hysteresis_windows: int = 3
     window_s: float = 0.01
     mode: Mode = Mode.LINEAR
     _pending_mode: Optional[Mode] = field(default=None, repr=False)
@@ -266,16 +274,15 @@ class BiasController:
     def process(self, block: IqBlock, band: str,
                 setpoint_w: float) -> BiasCommand:
         cls = classify_envelope(block, self.window_s)
-        wanted = (Mode.COMPRESSION if cls.kind is EnvKind.CONSTANT
-                  else Mode.LINEAR)
+        wanted = MODE_FOR_KIND[cls.kind]
         if wanted is self.mode:
             self._pending_mode, self._pending_count = None, 0
         elif wanted is self._pending_mode:
             self._pending_count += 1
-            if self._pending_count >= self.hysteresis_windows:
+            if self._pending_count >= HYSTERESIS_WINDOWS:
                 self.mode = wanted
                 self._pending_mode, self._pending_count = None, 0
         else:
             self._pending_mode, self._pending_count = wanted, 1
         return command_for_mode(self.mode, cls, setpoint_w, band,
-                                self.params, self.table, margin=self.margin)
+                                self.params, self.table)

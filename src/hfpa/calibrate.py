@@ -34,6 +34,12 @@ class AnchorRow:
     pdiss_w: float
 
     def __post_init__(self):
+        for name in ("vdd", "gain_db", "eff_pct", "pout_w", "pdiss_w"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.vdd <= 0 or self.pout_w <= 0:
+            raise ValueError(
+                f"vdd and pout_w must be > 0, got {self.vdd}, {self.pout_w}")
         if not 0 < self.eff_pct <= 100:
             raise ValueError(f"eff_pct must be in (0, 100], got {self.eff_pct}")
         implied = self.pout_w * (100.0 / self.eff_pct - 1.0)
@@ -355,12 +361,18 @@ def read_anchors_csv(path) -> List[AnchorRow]:
         header = fh.readline().strip()
         if header != ANCHOR_HEADER:
             raise ValueError(f"expected header {ANCHOR_HEADER!r}, got {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
-            vdd, gain, eff, pout, pdiss = (float(x) for x in line.split(","))
-            anchors.append(AnchorRow(vdd, gain, eff, pout, pdiss))
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise ValueError(f"{path}:{lineno}: expected 5 fields "
+                                 f"({ANCHOR_HEADER}), got {len(fields)}")
+            try:
+                anchors.append(AnchorRow(*(float(x) for x in fields)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not anchors:
         raise ValueError(f"{path}: no anchor rows")
     return anchors

@@ -7,6 +7,7 @@ byte-identical output files. Exit codes: 0 success, 1 module error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -176,8 +177,13 @@ def _read_scenario(path) -> List[tuple]:
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 't_s kind band setpoint_W'")
-            t_s, kind, band, setpoint = (float(parts[0]), parts[1].lower(),
-                                         parts[2], float(parts[3]))
+            try:
+                t_s, setpoint = float(parts[0]), float(parts[3])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(t_s) and math.isfinite(setpoint)):
+                raise ValueError(f"{path}:{lineno}: t_s and setpoint_W must be finite")
+            kind, band = parts[1].lower(), parts[2]
             if kind not in _KINDS:
                 raise ValueError(f"{path}:{lineno}: unknown kind {kind!r}")
             if band not in BANDS:

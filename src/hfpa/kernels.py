@@ -6,10 +6,23 @@ def rapp(u, a_sat, smooth, out=None):
     """Rapp soft limiter ``u / (1 + (u/a_sat)^(2s))^(1/(2s))``, ``s = smooth``.
 
     ``u`` is the linearly amplified envelope; the result is written into
-    ``out`` when given.
+    ``out`` when given. Where ``(u/a_sat)^(2s)`` overflows the float range
+    the result is the limit ``a_sat``.
     """
     s2 = 2.0 * smooth
-    return np.divide(u, (1.0 + (u / a_sat) ** s2) ** (1.0 / s2), out=out)
+    # overflow is trapped and the block redone, so in-range blocks pay no
+    # per-sample test and keep their bits
+    try:
+        with np.errstate(over="raise"):
+            return np.divide(u, (1.0 + (u / a_sat) ** s2) ** (1.0 / s2), out=out)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = (1.0 + (u / a_sat) ** s2) ** (1.0 / s2)
+            res = np.where(np.isinf(den), a_sat, u / den)
+    if out is None:
+        return res
+    out[...] = res
+    return out
 
 
 def pa_pipeline(env, gain_lin, a_sat, smooth, rload, idq,
@@ -29,12 +42,12 @@ def pa_pipeline(env, gain_lin, a_sat, smooth, rload, idq,
     env = np.asarray(env, dtype=np.float64)
     rapp(gain_lin * env, a_sat, smooth, out=aout_out)
     ipk = aout_out / rload
-    # clipped cosine i(th) = max(0, idq + ipk*cos th); clamping the arccos
-    # argument folds the unclipped (ipk <= idq) and zero-drive cases into the
-    # same closed form: thc = pi gives idc = idq, i1 = ipk. cos(thc) = x and
-    # sin(thc) = sqrt(1 - x^2) spare two transcendentals per sample.
-    with np.errstate(divide="ignore", over="ignore"):
-        x = np.clip(-idq / np.maximum(ipk, 1e-300), -1.0, 1.0)
+    # clipped cosine i(th) = max(0, idq + ipk*cos th); flooring ipk at idq
+    # pins the arccos argument at -1 for the unclipped (ipk <= idq) and
+    # zero-drive cases, so one closed form covers them: thc = pi gives
+    # idc = idq, i1 = ipk. cos(thc) = x and sin(thc) = sqrt(1 - x^2) spare
+    # two transcendentals per sample.
+    x = -idq / np.maximum(ipk, idq)
     thc = np.arccos(x)
     sin_thc = np.sqrt(1.0 - x * x)
     idc = (idq * thc + ipk * sin_thc) / np.pi

@@ -133,8 +133,11 @@ def flattop(n: int) -> np.ndarray:
     return w[:-1]
 
 
-def measure_imd(block: IqBlock, f1: float, f2: float,
-                noise_floor_dbc: float = -120.0) -> ImdResult:
+#: Level of the deterministic analysis noise added before the DFT, dBc.
+NOISE_FLOOR_DBC = -120.0
+
+
+def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     """Two-tone intermodulation analysis by windowed DFT.
 
     Locates the fundamentals and the order-3/5 products (2f1-f2, 2f2-f1,
@@ -156,9 +159,9 @@ def measure_imd(block: IqBlock, f1: float, f2: float,
 
     x = block.samples
     rms = math.sqrt(float(np.mean(np.abs(x) ** 2)))
-    if rms > 0 and noise_floor_dbc is not None:
+    if rms > 0:
         rng = np.random.default_rng(0x1D5EED)  # fixed: analysis floor is deterministic
-        floor = rms * 10.0 ** (noise_floor_dbc / 20.0)
+        floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0)
         x = x + floor * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
 
     win = flattop(n)
@@ -211,8 +214,8 @@ _SWEEP_FS = 1.0e6
 _SWEEP_N = 64
 
 
-def _cw_block(level: float, n: int = _SWEEP_N, fs: float = _SWEEP_FS) -> IqBlock:
-    return IqBlock(np.full(n, level, dtype=np.complex128), fs)
+def _cw_block(level: float) -> IqBlock:
+    return IqBlock(np.full(_SWEEP_N, level, dtype=np.complex128), _SWEEP_FS)
 
 
 def simulate_cw(level: float, bias: BiasPoint, params: PaParams,
@@ -222,17 +225,20 @@ def simulate_cw(level: float, bias: BiasPoint, params: PaParams,
     return stats
 
 
-def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
-                   band: Optional[str] = None, rel_tol: float = 1e-3,
-                   max_iter: int = 60) -> float:
-    """CW input level that produces the target output power.
+#: ``drive_for_pout`` stops within this fraction of the target power, and
+#: gives up after this many bisection steps.
+DRIVE_REL_TOL = 1e-3
+DRIVE_MAX_ITER = 60
 
-    Bisection (``pamodel.bisect``) to within rel_tol of the target, capped at
-    max_iter steps; raises TargetUnreachable when output saturates below
-    target or the cap is hit (the exception carries the achievable maximum).
+
+def drive_cap(target_pout_w: float, bias: BiasPoint, params: PaParams,
+              band: Optional[str] = None) -> Tuple[float, float]:
+    """Drive ceiling ``10*a_sat/g`` and the CW output power it gives.
+
+    Raises TargetUnreachable, carrying that power, when it falls short of
+    the target. One ``simulate_cw`` call: the saturation test of
+    ``drive_for_pout``, also the bias controller's reachability check.
     """
-    if target_pout_w <= 0:
-        raise ValueError("target power must be > 0")
     a_sat = saturated_swing(bias, params)
     g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)
     hi = 10.0 * a_sat / g
@@ -241,13 +247,28 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
         raise TargetUnreachable(
             f"saturated output {p_hi:.1f} W below target {target_pout_w:.1f} W "
             f"at vdd {bias.vdd} V", max_pout_w=p_hi)
+    return hi, p_hi
+
+
+def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
+                   band: Optional[str] = None) -> float:
+    """CW input level that produces the target output power.
+
+    Bisection (``pamodel.bisect``) on ``[0, drive_cap]`` to within
+    ``DRIVE_REL_TOL`` of the target, capped at ``DRIVE_MAX_ITER`` steps;
+    raises TargetUnreachable when output saturates below target or the cap
+    is hit (the exception carries the achievable maximum).
+    """
+    if target_pout_w <= 0:
+        raise ValueError("target power must be > 0")
+    hi, p_hi = drive_cap(target_pout_w, bias, params, band)
     level = bisect(
         lambda a: simulate_cw(a, bias, params, band).pout_w - target_pout_w,
-        0.0, hi, tol=rel_tol * target_pout_w, max_iter=max_iter)
+        0.0, hi, tol=DRIVE_REL_TOL * target_pout_w, max_iter=DRIVE_MAX_ITER)
     if level is None:
         raise TargetUnreachable(
-            f"bisection failed to reach {target_pout_w} W within {max_iter} steps",
-            max_pout_w=p_hi)
+            f"bisection failed to reach {target_pout_w} W within "
+            f"{DRIVE_MAX_ITER} steps", max_pout_w=p_hi)
     return level
 
 

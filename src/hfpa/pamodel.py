@@ -282,23 +282,21 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
                               pdiss_w=pdc - pout, gain_db=gain_db)
 
 
-def efficiency_curve(alphas: Sequence[float], swing_ratio: float = 1.0):
-    """Ideal drain efficiency versus conduction angle at a given swing.
+def efficiency_curve(alphas: Sequence[float]):
+    """Ideal drain efficiency versus conduction angle at full swing.
 
-    eta(alpha) = 0.5 * (i1/idc) * swing_ratio, where (idc, i1) belong to the
-    clipped quasi-sine whose conduction angle is alpha (bias term
-    idq = -cos(alpha/2) per unit drive). swing_ratio is V1/vdd; 1.0 is the
-    full-swing, zero-knee limit. Strictly decreasing in alpha.
+    eta(alpha) = 0.5 * (i1/idc), where (idc, i1) belong to the clipped
+    quasi-sine whose conduction angle is alpha (bias term idq = -cos(alpha/2)
+    per unit drive), with the fundamental swinging the full drain voltage
+    and no knee. Strictly decreasing in alpha.
     """
-    if not 0.0 < swing_ratio <= 1.0:
-        raise ValueError(f"swing_ratio must be in (0, 1], got {swing_ratio}")
     out = []
     for alpha in alphas:
         if not 0.0 < alpha <= TWO_PI:
             raise OutOfRangeAlpha(f"alpha must be in (0, 2*pi], got {alpha}")
         idq = -math.cos(alpha / 2.0)
         _, idc, i1 = _fourier_clipped(idq, 1.0)
-        out.append((alpha, 0.5 * (i1 / idc) * swing_ratio))
+        out.append((alpha, 0.5 * (i1 / idc)))
     return out
 
 

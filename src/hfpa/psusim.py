@@ -226,8 +226,8 @@ class PsuSim:
 
     def advance(self, dt_s: float) -> None:
         """Slew the output toward the setpoint; never overshoots."""
-        if dt_s < 0:
-            raise ValueError("dt must be >= 0")
+        if not (math.isfinite(dt_s) and dt_s >= 0):
+            raise ValueError(f"dt must be finite and >= 0, got {dt_s}")
         delta = self.state.set_voltage_v - self.state.actual_voltage_v
         step = self.state.slew_v_per_s * dt_s
         if abs(delta) <= step:

@@ -1,6 +1,7 @@
 """Calibration tests: objective self-consistency, penalty paths, and
 round-trip parameter recovery."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -138,3 +139,26 @@ class TestAnchorIo:
         with pytest.raises(ValueError, match="inconsistent"):
             AnchorRow(vdd=58.0, gain_db=32.0, eff_pct=60.0, pout_w=1000.0,
                       pdiss_w=400.0)
+
+    @pytest.mark.parametrize("name", ["vdd", "gain_db", "eff_pct", "pout_w",
+                                      "pdiss_w"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_anchor_rejects_non_finite_fields(self, name, value):
+        fields = dataclasses.asdict(REFERENCE_ANCHORS[0])
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AnchorRow(**fields)
+
+    @pytest.mark.parametrize("name", ["vdd", "pout_w"])
+    @pytest.mark.parametrize("value", [0.0, -1000.0])
+    def test_anchor_rejects_non_positive_vdd_or_power(self, name, value):
+        fields = dataclasses.asdict(REFERENCE_ANCHORS[0])
+        fields.update({name: value, "pdiss_w": 0.0})
+        with pytest.raises(ValueError, match="must be > 0"):
+            AnchorRow(**fields)
+
+    def test_short_row_reports_its_line(self, tmp_path):
+        path = tmp_path / "anchors.csv"
+        path.write_text(ANCHOR_HEADER + "\n58,32,60,1000,666\n\n53,30\n")
+        with pytest.raises(ValueError, match=f"^{path}:4: expected 5 fields"):
+            read_anchors_csv(path)

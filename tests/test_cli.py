@@ -139,6 +139,36 @@ def test_scenario_validation(tmp_path, params_file):
     assert rc == 1
 
 
+@pytest.mark.parametrize("line", ["nan cw 40M 600", "0.0 cw 40M nan",
+                                  "inf cw 40M 600", "0.0 cw 40M inf"])
+def test_scenario_rejects_non_finite_fields(tmp_path, params_file, capsys, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# header\n" + line + "\n")
+    out = tmp_path / "log.csv"
+    rc = main(["run-controller", "--scenario", str(bad),
+               "--params", params_file, "--out", str(out)])
+    assert rc == 1
+    assert f"{bad}:2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("58,32,60,0,0", "pout_w must be > 0"),
+    ("58,32,60,nan,0", "pout_w must be finite"),
+    ("58,32,60", "expected 5 fields"),
+])
+def test_calibrate_rejects_bad_anchor_rows(tmp_path, capsys, row, message):
+    anchors = tmp_path / "anchors.csv"
+    anchors.write_text("vdd_V,gain_dB,eff_pct,pout_W,pdiss_W\n"
+                       "53,30,68,1000,470\n" + row + "\n")
+    rc = main(["calibrate", "--anchors", str(anchors), "--budget", "5",
+               "--out-params", str(tmp_path / "fit.cfg")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {anchors}:3: ")
+    assert message in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["sweep-bias", "--vdd", "58"])  # missing required flags

@@ -315,20 +315,34 @@ def test_compression_level_beyond_float_range_is_infinite():
 
 @settings(deadline=None)
 @given(params_st, bias_st,
-       st.lists(st.floats(0.0, 1000.0), min_size=2, max_size=64))
+       st.lists(st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e250)),
+                min_size=2, max_size=64))
 def test_am_am_monotone_and_below_a_sat(params, bias, drives):
-    # drives in units of the input level where g*a_in reaches a_sat; 1000x
-    # keeps (u/a_sat)^(2s) inside the float range for every smoothness
+    # drives in units of the input level where g*a_in reaches a_sat, up to
+    # far past the point where (u/a_sat)^(2s) leaves the float range
     a_sat = saturated_swing(bias, params)
     g = 10.0 ** (small_signal_gain_db(bias, params) / 20.0)
     drives = np.sort(drives)
     out = am_am(drives * (a_sat / g), bias, params)
     # deep in saturation u / (1 + r^(2s))^(1/(2s)) rounds either way by a
-    # few ulp of a_sat
-    tol = 8.0 * np.finfo(np.float64).eps * a_sat
+    # few ulp of a_sat; past 1000x the rounded exponent 1/(2s) adds up to
+    # ln(r)/2 ulp, so the allowance grows by ln(drive/1000) there
+    tol = (8.0 + math.log(max(drives[-1], 1000.0) / 1000.0)) * (
+        np.finfo(np.float64).eps * a_sat)
     assert np.all(np.diff(out) >= -tol)
     assert np.all(out <= a_sat + tol)
     assert np.all(out[drives <= 1.0] < a_sat)
+
+
+@pytest.mark.parametrize("u", [1e9, 1e300])
+def test_rapp_saturates_past_the_float_range(u):
+    # (u/a_sat)^40 overflows here; the limit is a_sat, with no warning
+    out = np.empty(3)
+    res = kernels.rapp(np.array([u, 0.5, 0.0]), 1.0, 20.0, out=out)
+    assert res is out
+    assert out.tolist() == [1.0, kernels.rapp(np.array([0.5]), 1.0, 20.0)[0],
+                            0.0]
+    assert kernels.rapp(np.asarray(u), 1.0, 20.0) == 1.0
 
 
 def reference_swing(pout, idq, rload):

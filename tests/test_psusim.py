@@ -6,6 +6,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfpa import psusim
 from hfpa.psusim import (BadDlc, BadLength, CanFrame, DLC, FRAME_LEN,
@@ -146,6 +147,32 @@ class TestPsuDynamics:
             # no overshoot: after stays between before and the setpoint
             lo, hi = min(before, setv), max(before, setv)
             assert lo - 1e-12 <= after <= hi + 1e-12
+
+    @settings(deadline=None)
+    @given(slew=st.floats(0.1, 1000.0), start=st.floats(30.0, 58.0),
+           steps=st.lists(st.tuples(st.floats(30.0, 58.0),
+                                    st.floats(0.0, 10.0)),
+                          min_size=1, max_size=30))
+    def test_advance_never_overshoots_and_respects_slew(self, slew, start,
+                                                        steps):
+        sim = PsuSim(PsuState(set_voltage_v=start, actual_voltage_v=start,
+                              slew_v_per_s=slew))
+        for target, dt in steps:
+            sim.state.set_voltage_v = target
+            before = sim.state.actual_voltage_v
+            sim.advance(dt)
+            after = sim.state.actual_voltage_v
+            eps = 1e-12 * max(abs(before), abs(target))
+            assert abs(after - before) <= slew * dt + eps
+            lo, hi = min(before, target), max(before, target)
+            assert lo - eps <= after <= hi + eps
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.1])
+    def test_advance_rejects_bad_dt(self, dt):
+        sim = PsuSim(PsuState(set_voltage_v=58.0, actual_voltage_v=40.0))
+        with pytest.raises(ValueError, match="dt"):
+            sim.advance(dt)
+        assert sim.state.actual_voltage_v == 40.0
 
     def test_read_current_under_load(self):
         sim = PsuSim(PsuState(load_current_a=28.7449))

@@ -17,8 +17,9 @@ import numpy as np
 
 from .bands import BAND_CENTER_HZ, BANDS
 from .measure import TargetUnreachable, UnknownBand, drive_cap
-from .pamodel import (SWING_MAX, BiasPoint, PaParams, compression_level,
-                      fundamental_pout, small_signal_gain_db, swing_for_pout)
+from .pamodel import (SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint, PaParams,
+                      compression_level, fundamental_pout,
+                      small_signal_gain_db, swing_for_pout)
 from .signalgen import IqBlock, envelope
 
 
@@ -94,7 +95,7 @@ BandTable = Dict[str, BandEntry]
 def default_band_table(ripple: Optional[Mapping[str, float]] = None) -> BandTable:
     """All ten bands at the full 58 V supply as equalization voltage."""
     ripple = ripple or {}
-    return {b: BandEntry(center_hz=BAND_CENTER_HZ[b], eq_vdd=58.0,
+    return {b: BandEntry(center_hz=BAND_CENTER_HZ[b], eq_vdd=VDD_MAX,
                          ripple_db=float(ripple.get(b, 0.0)))
             for b in BANDS}
 
@@ -140,11 +141,12 @@ def gate_step_for(idq_target: float) -> int:
 def track_drain(peak_envelope_v: float, vknee: float = 0.0) -> float:
     """Drain voltage just above the output envelope.
 
-    ``peak*(1 + DRAIN_MARGIN) + vknee``, clamped into [30, 58] V.
+    ``peak*(1 + DRAIN_MARGIN) + vknee``, clamped into [VDD_MIN, VDD_MAX].
     """
     if peak_envelope_v < 0:
         raise ValueError("peak envelope must be >= 0")
-    return min(max(peak_envelope_v * (1.0 + DRAIN_MARGIN) + vknee, 30.0), 58.0)
+    return min(max(peak_envelope_v * (1.0 + DRAIN_MARGIN) + vknee, VDD_MIN),
+               VDD_MAX)
 
 
 def predict_peak_envelope(setpoint_w: float, idq: float,
@@ -154,8 +156,8 @@ def predict_peak_envelope(setpoint_w: float, idq: float,
     The CW swing whose fundamental delivers the setpoint, from the
     conduction model (``pamodel.swing_for_pout``).
     """
-    if setpoint_w <= 0:
-        raise ValueError("setpoint must be > 0")
+    if not (math.isfinite(setpoint_w) and setpoint_w > 0):
+        raise ValueError(f"setpoint must be finite and > 0, got {setpoint_w}")
     if fundamental_pout(SWING_MAX, idq, params.rload) < setpoint_w:
         raise SetpointUnreachable(f"setpoint {setpoint_w} W beyond model range")
     return swing_for_pout(setpoint_w, idq, params.rload)
@@ -181,8 +183,8 @@ def command_for_mode(mode: Mode, reason: EnvelopeClass,
                          gate_step=gate_step_for(IDQ_LINEAR))
         return BiasCommand(target=bias, mode=Mode.LINEAR, reason=reason)
     try:  # the setpoint must be deliverable at full supply before tracking down
-        drive_cap(power_setpoint_w, BiasPoint(vdd=58.0, idq=IDQ_COMPRESSION),
-                  params)
+        drive_cap(power_setpoint_w,
+                  BiasPoint(vdd=VDD_MAX, idq=IDQ_COMPRESSION), params)
     except TargetUnreachable as exc:
         raise SetpointUnreachable(
             f"setpoint {power_setpoint_w} W unreachable: {exc}") from exc
@@ -222,9 +224,9 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
     """Per-band drain voltage that levels small-signal gain at the target.
 
     The gain law plus the band's ripple is linear in vdd, so the voltage is
-    solved directly within [30, 58]; a band whose target lies outside the
-    reachable range is pinned at the nearer endpoint, and flagged when it
-    misses the target by more than EQ_TOL_DB.
+    solved directly within [VDD_MIN, VDD_MAX]; a band whose target lies
+    outside the reachable range is pinned at the nearer endpoint, and
+    flagged when it misses the target by more than EQ_TOL_DB.
     """
     table: BandTable = {}
     for band in bands:
@@ -235,11 +237,11 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
         def gain_at(vdd: float) -> float:
             return small_signal_gain_db(BiasPoint(vdd=vdd, idq=idq), params) + ripple
 
-        g_lo, g_hi = gain_at(30.0), gain_at(58.0)
-        lo_v, hi_v = 30.0, 58.0
+        g_lo, g_hi = gain_at(VDD_MIN), gain_at(VDD_MAX)
+        lo_v, hi_v = VDD_MIN, VDD_MAX
         if g_lo > g_hi:  # gain falls with vdd (kv < 0): swap the endpoints
             g_lo, g_hi = g_hi, g_lo
-            lo_v, hi_v = 58.0, 30.0
+            lo_v, hi_v = VDD_MAX, VDD_MIN
         if target_gain_db <= g_lo:
             table[band] = BandEntry(BAND_CENTER_HZ[band], lo_v, ripple,
                                     clamped=abs(g_lo - target_gain_db) > EQ_TOL_DB)
@@ -248,9 +250,9 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
             table[band] = BandEntry(BAND_CENTER_HZ[band], hi_v, ripple,
                                     clamped=abs(g_hi - target_gain_db) > EQ_TOL_DB)
             continue
-        vdd = 58.0 + (target_gain_db - gain_at(58.0)) / params.kv
-        table[band] = BandEntry(BAND_CENTER_HZ[band], min(max(vdd, 30.0), 58.0),
-                                ripple)
+        vdd = VDD_MAX + (target_gain_db - gain_at(VDD_MAX)) / params.kv
+        table[band] = BandEntry(BAND_CENTER_HZ[band],
+                                min(max(vdd, VDD_MIN), VDD_MAX), ripple)
     return table
 
 

@@ -10,7 +10,7 @@ has the standard equal-power three-row form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,39 +65,36 @@ class FitReport:
     evaluations: int
 
 
-def objective(params: PaParams, anchors: Sequence[AnchorRow],
-              idq: float = 2.0) -> float:
-    """Sum of squared normalized anchor errors.
+def _score(params: PaParams, anchors: Sequence[AnchorRow], idq: float):
+    """(residual, per-anchor errors) from one sweep of each anchor.
 
     Per anchor: drive to the row's output power at its vdd and accumulate
-    ((gain error)/0.5 dB)^2 + ((efficiency error)/2 pp)^2. An unreachable
-    target contributes a large finite penalty that grows with the shortfall,
-    so the search can climb out of infeasible regions.
+    ((gain error)/0.5 dB)^2 + ((efficiency error)/2 pp)^2; the error pair is
+    (gain err dB, eff err pp). An unreachable target contributes a large
+    finite penalty that grows with the shortfall, so the search can climb
+    out of infeasible regions, and reports (inf, inf).
     """
     total = 0.0
+    errs = []
     for a in anchors:
         try:
             row = sweep_bias([a.vdd], idq, a.pout_w, params)[0]
         except TargetUnreachable as exc:
             shortfall = max(0.0, 1.0 - exc.max_pout_w / a.pout_w)
             total += 1.0e6 * (1.0 + shortfall)
-            continue
-        total += ((row.gain_db - a.gain_db) / 0.5) ** 2
-        total += ((row.eff_pct - a.eff_pct) / 2.0) ** 2
-    return total
-
-
-def anchor_errors(params: PaParams, anchors: Sequence[AnchorRow],
-                  idq: float = 2.0):
-    """(gain err dB, eff err pp) per anchor; (inf, inf) when unreachable."""
-    errs = []
-    for a in anchors:
-        try:
-            row = sweep_bias([a.vdd], idq, a.pout_w, params)[0]
-            errs.append((row.gain_db - a.gain_db, row.eff_pct - a.eff_pct))
-        except TargetUnreachable:
             errs.append((math.inf, math.inf))
-    return tuple(errs)
+            continue
+        gain_err, eff_err = row.gain_db - a.gain_db, row.eff_pct - a.eff_pct
+        total += (gain_err / 0.5) ** 2  # two additions: the fit's bits
+        total += (eff_err / 2.0) ** 2   # depend on this order
+        errs.append((gain_err, eff_err))
+    return total, tuple(errs)
+
+
+def objective(params: PaParams, anchors: Sequence[AnchorRow],
+              idq: float = 2.0) -> float:
+    """Sum of squared normalized anchor errors (``_score``'s residual)."""
+    return _score(params, anchors, idq)[0]
 
 
 # Search space: (name, lower, upper, initial simplex step).
@@ -133,10 +130,9 @@ def _clamp_vec(vec: np.ndarray) -> np.ndarray:
 
 def _vec_to_params(vec: np.ndarray, template: PaParams) -> PaParams:
     v = [float(x) for x in _clamp_vec(vec)]
-    return PaParams(g0=10.0 ** (v[0] / 20.0), kv=v[1], ki=template.ki,
-                    rload=v[2], vknee=v[3], smoothness=v[4],
-                    shape_beta=v[5], shape_exp=v[6], shape_sat=v[7],
-                    ripple=template.ripple)
+    return replace(template, g0=10.0 ** (v[0] / 20.0), kv=v[1], rload=v[2],
+                   vknee=v[3], smoothness=v[4], shape_beta=v[5],
+                   shape_exp=v[6], shape_sat=v[7])
 
 
 def fit(anchors: Sequence[AnchorRow], init: PaParams,
@@ -160,10 +156,10 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
         return value
 
     if budget <= 0:
-        residual = objective(init, anchors, idq)
+        residual, errs = _score(init, anchors, idq)
         if not math.isfinite(residual):
             raise Diverged("non-finite objective at init")
-        return FitReport(init, residual, anchor_errors(init, anchors, idq), 0)
+        return FitReport(init, residual, errs, 0)
 
     x0 = _clamp_vec(_params_to_vec(init))
     best_vec = x0.copy()
@@ -225,8 +221,7 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
         scale *= 0.25  # restart ladder
 
     params = _vec_to_params(best_vec, init)
-    residual = objective(params, anchors, idq)
-    errs = anchor_errors(params, anchors, idq)
+    residual, errs = _score(params, anchors, idq)
     return FitReport(params=params, residual=residual, per_anchor=errs,
                      evaluations=evals)
 
@@ -300,11 +295,7 @@ def _gain_lstsq(anchors: Sequence[AnchorRow], params: PaParams,
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     new_g0_db = float(min(max(sol[0], _SPACE[0][1]), _SPACE[0][2]))
     new_kv = float(min(max(sol[1], _SPACE[1][1]), _SPACE[1][2]))
-    return PaParams(g0=10.0 ** (new_g0_db / 20.0), kv=new_kv, ki=params.ki,
-                    rload=params.rload, vknee=params.vknee,
-                    smoothness=params.smoothness,
-                    shape_beta=params.shape_beta, shape_exp=params.shape_exp,
-                    shape_sat=params.shape_sat, ripple=params.ripple)
+    return replace(params, g0=10.0 ** (new_g0_db / 20.0), kv=new_kv)
 
 
 def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS,

@@ -40,9 +40,8 @@ def _spec_from_args(args) -> signalgen.WaveformSpec:
     return signalgen.WaveformSpec(**kwargs)
 
 
-def _add_waveform_flags(p: argparse.ArgumentParser, with_kind: bool = True):
-    if with_kind:
-        p.add_argument("--kind", required=True, choices=sorted(_KINDS))
+def _add_waveform_flags(p: argparse.ArgumentParser):
+    p.add_argument("--kind", required=True, choices=sorted(_KINDS))
     p.add_argument("--amplitude", type=float, default=1.0,
                    help="peak envelope (normalized)")
     p.add_argument("--duration", type=float, default=0.02, help="seconds")
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="amplifier config file")
     p.add_argument("--drive-dbfs", type=float, default=-10.0,
                    help="peak envelope drive relative to saturation")
-    p.add_argument("--vdd", type=float, default=58.0)
+    p.add_argument("--vdd", type=float, default=pamodel.VDD_MAX)
     p.add_argument("--idq", type=float, default=2.0)
     p.add_argument("--spacing", type=float, default=2000.0)
     p.add_argument("--duration", type=float, default=0.131072)
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", default="all", help="'all' or comma-separated ids")
     p.add_argument("--drive", type=float, required=True,
                    help="input envelope, volts-equivalent")
-    p.add_argument("--vdd", type=float, default=58.0)
+    p.add_argument("--vdd", type=float, default=pamodel.VDD_MAX)
     p.add_argument("--idq", type=float, default=2.0)
     p.add_argument("--params", required=True)
     p.add_argument("--out", "-o", required=True)

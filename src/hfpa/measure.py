@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bands import BANDS
-from .pamodel import (BiasPoint, PaParams, PaStats, bisect,
+from .pamodel import (BiasPoint, PaParams, PaStats, am_am, bisect,
                       compression_level, saturated_swing, simulate,
                       small_signal_gain_db)
 from .signalgen import IqBlock
@@ -191,7 +191,6 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
 def gain_at_drive(a_in: float, bias: BiasPoint, params: PaParams,
                   band: Optional[str] = None) -> float:
     """CW gain in dB at a given input envelope level."""
-    from .pamodel import am_am
     return 20.0 * math.log10(am_am(a_in, bias, params, band) / a_in)
 
 
@@ -259,8 +258,9 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
     raises TargetUnreachable when output saturates below target or the cap
     is hit (the exception carries the achievable maximum).
     """
-    if target_pout_w <= 0:
-        raise ValueError("target power must be > 0")
+    if not (math.isfinite(target_pout_w) and target_pout_w > 0):
+        raise ValueError(
+            f"target power must be finite and > 0, got {target_pout_w}")
     hi, p_hi = drive_cap(target_pout_w, bias, params, band)
     level = bisect(
         lambda a: simulate_cw(a, bias, params, band).pout_w - target_pout_w,

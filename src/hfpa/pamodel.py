@@ -43,6 +43,10 @@ class OutOfRangeAlpha(ValueError):
     """Conduction angle outside (0, 2*pi]."""
 
 
+#: Drain-supply window, volts: every bias point's vdd lies in it.
+VDD_MIN, VDD_MAX = 30.0, 58.0
+
+
 @dataclass(frozen=True)
 class BiasPoint:
     """Drain supply voltage, quiescent current, and gate-step index."""
@@ -54,8 +58,9 @@ class BiasPoint:
     def __post_init__(self):
         if not (math.isfinite(self.vdd) and math.isfinite(self.idq)):
             raise InvalidBias(f"vdd and idq must be finite, got {self.vdd}, {self.idq}")
-        if not 30.0 <= self.vdd <= 58.0:
-            raise InvalidBias(f"vdd must be in [30, 58] V, got {self.vdd}")
+        if not VDD_MIN <= self.vdd <= VDD_MAX:
+            raise InvalidBias(f"vdd must be in [{VDD_MIN:g}, {VDD_MAX:g}] V, "
+                              f"got {self.vdd}")
         if self.idq <= 0:
             raise InvalidBias(f"idq must be > 0, got {self.idq}")
         if self.gate_step not in range(5):

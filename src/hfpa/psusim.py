@@ -25,6 +25,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Union
 
+from .pamodel import VDD_MAX, VDD_MIN  # the supply window clamps SET requests
+
 FRAME_LEN = 13
 DLC = 8
 
@@ -39,9 +41,6 @@ REG_CURRENT = 0x02
 NACK_BAD_DLC = 0x01
 NACK_UNKNOWN_ID = 0x02
 NACK_UNKNOWN_REGISTER = 0x03
-
-VDD_MIN = 30.0
-VDD_MAX = 58.0
 
 U32_MAX = 0xFFFFFFFF
 
@@ -96,8 +95,6 @@ def decode_frame(data: bytes) -> CanFrame:
     can_id, dlc = struct.unpack(">IB", data[:5])
     if dlc != DLC:
         raise BadDlc(f"DLC must be {DLC}, got {dlc}")
-    if can_id >> 29:
-        raise UnknownId(f"id {can_id:#x} exceeds 29 bits")
     return CanFrame(can_id=can_id, payload=data[5:])
 
 
@@ -188,7 +185,6 @@ class PsuState:
     actual_voltage_v: float = 48.0
     load_current_a: float = 0.0
     slew_v_per_s: float = 50.0
-    online: bool = True
 
 
 @dataclass

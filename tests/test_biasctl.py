@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfpa import measure
+from hfpa import biasctl, measure
 from hfpa.biasctl import (BiasController, EnvKind, EnvelopeClass, Mode,
                           SetpointUnreachable, WindowTooShort,
                           classify_envelope, command_for_mode,
@@ -188,6 +188,18 @@ class TestDecideBias:
         peak = predict_peak_envelope(1000.0, 0.5, self.params)
         assert cmd.target.vdd == pytest.approx(
             min(58.0, peak * 1.1 + self.params.vknee), rel=1e-9)
+
+
+@pytest.mark.parametrize("setpoint", [math.nan, math.inf, -math.inf])
+def test_predict_peak_envelope_rejects_non_finite_setpoint(monkeypatch,
+                                                           setpoint):
+    calls = []
+    for module, name in ((biasctl, "fundamental_pout"),
+                         (biasctl, "swing_for_pout"), (measure, "simulate_cw")):
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="must be finite and > 0, got"):
+        predict_peak_envelope(setpoint, 0.5, PaParams(g0=40.0))
+    assert calls == []
 
 
 class TestCompressionDrive:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hfpa import calibrate
 from hfpa.calibrate import (ANCHOR_HEADER, AnchorRow, REFERENCE_ANCHORS,
                             default_init, fit, objective, read_anchors_csv,
                             write_anchors_csv, write_report_csv)
@@ -97,6 +98,43 @@ class TestFit:
         b = fit(anchors, init, budget=120)
         assert a.params == b.params
         assert a.residual == b.residual
+
+    @pytest.mark.parametrize("budget", [0, 1, 40])
+    def test_each_evaluation_sweeps_the_anchors_once(self, monkeypatch,
+                                                     budget):
+        # one sweep per anchor for the initial point, each evaluation and
+        # the closing report, which also gives the per-anchor errors
+        anchors = synthetic_anchors(TRUE_PARAMS)
+        init = dataclasses.replace(TRUE_PARAMS, kv=0.3)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sweep_bias(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "sweep_bias", counting)
+        report = fit(anchors, init, budget=budget)
+        assert report.evaluations == budget
+        expected = 3 if budget == 0 else 3 * (budget + 2)
+        assert len(calls) == expected
+
+    def test_per_anchor_errors_match_a_fresh_sweep(self):
+        anchors = synthetic_anchors(TRUE_PARAMS)
+        report = fit(anchors, dataclasses.replace(TRUE_PARAMS, kv=0.3),
+                     budget=20)
+        for a, (gain_err, eff_err) in zip(anchors, report.per_anchor):
+            row = sweep_bias([a.vdd], 2.0, a.pout_w, report.params)[0]
+            assert gain_err == row.gain_db - a.gain_db
+            assert eff_err == row.eff_pct - a.eff_pct
+
+    def test_unreachable_anchor_reports_infinite_errors(self):
+        anchors = [AnchorRow(vdd=58.0, gain_db=32.0, eff_pct=60.0,
+                             pout_w=1000.0, pdiss_w=666.0)]
+        cramped = PaParams(g0=40.0, kv=0.0, rload=0.9, vknee=25.0,
+                           smoothness=2.0)
+        report = fit(anchors, cramped, budget=0)
+        assert report.per_anchor == ((math.inf, math.inf),)
+        assert report.residual == objective(cramped, anchors)
 
     def test_fitted_params_respect_invariants(self, fitted):
         report, _ = fitted

@@ -67,6 +67,14 @@ def test_sweep_bias_reproduces_reference_rows(tmp_path, params_file):
         assert abs(got - want) <= 2.0
 
 
+def test_sweep_bias_rejects_non_finite_power(tmp_path, params_file, capsys):
+    rc = main(["sweep-bias", "--vdd", "58", "--pout", "nan",
+               "--params", params_file, "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_two_tone_drive_dependence(tmp_path, params_file, capsys):
     soft = tmp_path / "soft.csv"
     hard = tmp_path / "hard.csv"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hfpa
+from hfpa import measure
 from hfpa.measure import (CSV_HEADER, LengthMismatch, MeasRow, NoCompression,
                           TargetUnreachable, TonesUnresolvable, UnknownBand,
                           drive_for_pout, find_p1db, flattop, freq_response,
@@ -212,6 +213,16 @@ class TestSweepBias:
         level = drive_for_pout(750.0, bias, fitted_params)
         assert simulate_cw(level, bias, fitted_params).pout_w == pytest.approx(
             750.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_drive_for_pout_rejects_non_finite_target(monkeypatch, target):
+    calls = []
+    monkeypatch.setattr(measure, "simulate_cw",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="must be finite and > 0, got"):
+        drive_for_pout(target, BiasPoint(vdd=58.0, idq=2.0), PaParams(g0=40.0))
+    assert calls == []
 
 
 class TestFreqResponse:

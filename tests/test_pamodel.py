@@ -336,6 +336,41 @@ def test_am_am_monotone_and_below_a_sat(params, bias, drives):
     assert np.all(out[drives <= 1.0] < a_sat)
 
 
+def assert_power_bookkeeping(stats):
+    assert stats.pout_w >= 0.0
+    assert stats.pdc_w >= stats.pout_w
+    assert stats.pdiss_w >= 0.0
+
+
+# drives in units of the input level where g*a_in reaches a_sat, bounded
+# as in the AM/AM property so that the input power stays in float range
+drive_st = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1000.0))
+
+
+@settings(deadline=None)
+@given(params_st, bias_st, drive_st)
+def test_cw_dissipation_is_non_negative(params, bias, drive):
+    a_sat = saturated_swing(bias, params)
+    g = 10.0 ** (small_signal_gain_db(bias, params) / 20.0)
+    block = IqBlock(np.full(64, drive * a_sat / g, dtype=np.complex128), 1e6)
+    _, stats = simulate(block, bias, params)
+    assert_power_bookkeeping(stats)
+
+
+part_st = st.one_of(st.floats(-10.0, 10.0), st.floats(-1000.0, 1000.0))
+
+
+@settings(deadline=None)
+@given(params_st, bias_st, st.lists(st.tuples(part_st, part_st),
+                                    min_size=1, max_size=64))
+def test_block_dissipation_is_non_negative(params, bias, parts):
+    a_sat = saturated_swing(bias, params)
+    g = 10.0 ** (small_signal_gain_db(bias, params) / 20.0)
+    samples = np.array([complex(re, im) for re, im in parts]) * (a_sat / g)
+    _, stats = simulate(IqBlock(samples, 1e6), bias, params)
+    assert_power_bookkeeping(stats)
+
+
 @pytest.mark.parametrize("u", [1e9, 1e300])
 def test_rapp_saturates_past_the_float_range(u):
     # (u/a_sat)^40 overflows here; the limit is a_sat, with no warning

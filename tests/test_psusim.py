@@ -1,14 +1,16 @@
 """Supply-protocol tests: bit-exact codec, round-trip identity, clamp and
 slew dynamics, and the socket transport."""
+import dataclasses
 import math
 import socket
+import struct
 import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfpa import psusim
+from hfpa import pamodel, psusim
 from hfpa.psusim import (BadDlc, BadLength, CanFrame, DLC, FRAME_LEN,
                          ID_NACK, ID_READ, ID_REPLY, ID_SET_VOLTAGE,
                          NACK_UNKNOWN_REGISTER, Nack, PsuSim, PsuState,
@@ -49,6 +51,11 @@ class TestFrameCodec:
         with pytest.raises(UnknownId):
             decode_frame(wire)
 
+    def test_decode_frame_id_message(self):
+        wire = bytes.fromhex("30018000") + bytes([DLC]) + b"\x00" * 8
+        with pytest.raises(UnknownId, match="^id 0x30018000 exceeds 29 bits$"):
+            decode_frame(wire)
+
 
 class TestCommandCodec:
     def test_set_voltage_48_payload(self):
@@ -84,6 +91,43 @@ class TestCommandCodec:
             assert len(wire) == FRAME_LEN
             assert decode(wire) == cmd
 
+    @given(st.one_of(
+        st.builds(lambda mv: SetVoltage(mv / 1000.0),
+                  st.integers(0, psusim.U32_MAX)),
+        st.builds(ReadRequest, st.sampled_from([REG_VOLTAGE, REG_CURRENT])),
+        st.builds(Reply, st.sampled_from([REG_VOLTAGE, REG_CURRENT]),
+                  st.integers(0, psusim.U32_MAX)),
+        st.builds(Nack, st.integers(0, 255))))
+    def test_round_trip_property(self, cmd):
+        wire = encode(cmd)
+        assert len(wire) == FRAME_LEN
+        assert decode(wire) == cmd
+
+    @given(st.one_of(
+        st.binary(min_size=FRAME_LEN, max_size=FRAME_LEN),
+        # near-valid frames: a protocol id (or one past 29 bits), mostly
+        # DLC 8 and a register byte around the register map
+        st.builds(lambda can_id, dlc, reg, rest:
+                  struct.pack(">IB", can_id, dlc) + bytes([reg]) + rest,
+                  st.sampled_from([ID_SET_VOLTAGE, ID_READ, ID_REPLY,
+                                   ID_NACK, ID_SET_VOLTAGE | 1 << 29]),
+                  st.one_of(st.just(DLC), st.integers(0, 255)),
+                  st.integers(0, 3), st.binary(min_size=7, max_size=7))))
+    def test_any_chunk_gets_a_frame_and_only_a_set_moves_state(self, chunk):
+        sim = PsuSim()
+        before = dataclasses.replace(sim.state)
+        reply = sim.handle_wire(chunk)
+        assert len(reply) == FRAME_LEN
+        assert isinstance(decode(reply), (Reply, Nack))
+        try:
+            command = decode(chunk)
+        except ValueError:
+            command = None
+        if isinstance(command, SetVoltage):
+            before.set_voltage_v = min(max(command.volts, psusim.VDD_MIN),
+                                       psusim.VDD_MAX)
+        assert sim.state == before
+
     @pytest.mark.parametrize("cmd", [
         SetVoltage(-5.0), SetVoltage(4_294_967.296), SetVoltage(math.inf),
         SetVoltage(-math.inf), SetVoltage(math.nan),
@@ -112,6 +156,10 @@ class TestCommandCodec:
 
 
 class TestPsuDynamics:
+    def test_supply_window_is_the_bias_window(self):
+        assert psusim.VDD_MIN is pamodel.VDD_MIN
+        assert psusim.VDD_MAX is pamodel.VDD_MAX
+
     def test_overvoltage_request_clamps_to_58(self):
         sim = PsuSim()
         reply = decode(sim.handle_wire(encode(SetVoltage(60.0))))

@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Run the README's CLI walkthrough and collect everything it writes.
+
+Usage: ``python tools/cli_artifacts.py OUTDIR``
+
+Each step is a ``python -m hfpa`` subprocess that inherits the caller's
+environment, so ``PYTHONPATH`` picks the checkout under test; relative
+entries are taken from the caller's working directory. The steps
+are the README walkthrough (calibrate, sweep-bias, classify fm/am,
+run-controller, two-tone at -20 and -3 dBFS, freq-response) plus a
+budget-600 calibration and a controller scenario that uses all five
+waveform kinds. Every file a step writes lands in OUTDIR, next to
+``<step>.stdout``, ``<step>.stderr`` and ``<step>.exit`` for each step.
+No step opens a socket. Two checkouts are compared with::
+
+    PYTHONPATH=old/src python tools/cli_artifacts.py /tmp/old
+    PYTHONPATH=new/src python tools/cli_artifacts.py /tmp/new
+    diff -r /tmp/old /tmp/new
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+README_SCENARIO = ("0.0 am 40M 600\n0.1 cw 40M 600\n0.2 cw 40M 600\n"
+                   "0.3 cw 40M 600\n")
+
+#: Every kind; enough repeats to trip the three-window hysteresis both ways.
+ALL_KINDS_SCENARIO = """\
+0.0 psk 20M 800
+0.1 fm 20M 800
+0.2 cw 20M 800
+0.3 psk 15M 400
+0.4 am 15M 400
+0.5 two-tone 15M 400
+0.6 am 80M 400
+0.7 fm 80M 1000
+0.8 cw 160M 1000
+0.9 psk 10M 150
+1.0 two-tone 10M 150
+1.1 cw 10M 150
+"""
+
+#: (step name, hfpa arguments), run in order from inside OUTDIR.
+STEPS = (
+    ("calibrate", ["calibrate", "--out-params", "fitted.cfg",
+                   "--out-report", "fit_report.csv"]),
+    ("sweep_bias", ["sweep-bias", "--vdd", "58,53,48", "--idq", "2.0",
+                    "--pout", "1000", "--params", "fitted.cfg",
+                    "--out", "fig4.csv"]),
+    ("classify_fm", ["classify", "--kind", "fm"]),
+    ("classify_am", ["classify", "--kind", "am"]),
+    ("run_controller", ["run-controller", "--scenario", "scenario.txt",
+                        "--params", "fitted.cfg", "--out", "ctl.csv"]),
+    ("two_tone_soft", ["two-tone", "--params", "fitted.cfg",
+                       "--drive-dbfs", "-20", "--out", "imd_soft.csv"]),
+    ("two_tone_hard", ["two-tone", "--params", "fitted.cfg",
+                       "--drive-dbfs", "-3", "--out", "imd_hard.csv"]),
+    ("freq_response", ["freq-response", "--drive", "0.05",
+                       "--params", "fitted.cfg", "--out", "bands.csv"]),
+    ("calibrate_600", ["calibrate", "--budget", "600",
+                       "--out-params", "fitted_600.cfg",
+                       "--out-report", "fit_report_600.csv"]),
+    ("run_controller_all_kinds", ["run-controller",
+                                  "--scenario", "scenario_all_kinds.txt",
+                                  "--params", "fitted.cfg",
+                                  "--out", "ctl_all_kinds.csv"]),
+)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python tools/cli_artifacts.py OUTDIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        print(f"error: {out} is not empty", file=sys.stderr)
+        return 1
+    (out / "scenario.txt").write_text(README_SCENARIO, encoding="utf-8")
+    (out / "scenario_all_kinds.txt").write_text(ALL_KINDS_SCENARIO,
+                                                encoding="utf-8")
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):  # the steps run from OUTDIR
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
+    failed = 0
+    for name, args in STEPS:
+        proc = subprocess.run([sys.executable, "-m", "hfpa", *args], cwd=out,
+                              env=env, capture_output=True, text=True)
+        (out / f"{name}.stdout").write_text(proc.stdout, encoding="utf-8")
+        (out / f"{name}.stderr").write_text(proc.stderr, encoding="utf-8")
+        (out / f"{name}.exit").write_text(f"{proc.returncode}\n",
+                                          encoding="utf-8")
+        print(f"{name}: exit {proc.returncode}")
+        failed += proc.returncode != 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

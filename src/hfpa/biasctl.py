@@ -106,8 +106,10 @@ def classify_envelope(block: IqBlock, window_s: float = 0.01) -> EnvelopeClass:
     ripple_ratio = (p99 - p1)/median of the envelope over the window;
     papr_db = peak-to-average power ratio. Constant iff both sit under their
     thresholds, RIPPLE_LIMIT and PAPR_LIMIT_DB. Scale-invariant: both
-    metrics are ratios.
+    metrics are ratios. ``window_s`` must be finite and > 0.
     """
+    if not (math.isfinite(window_s) and window_s > 0):
+        raise ValueError(f"window_s must be finite and > 0, got {window_s}")
     if block.duration_s < window_s:
         raise WindowTooShort(
             f"block spans {block.duration_s:.4g} s < window {window_s:.4g} s")

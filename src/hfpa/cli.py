@@ -26,6 +26,30 @@ _KINDS = {
 }
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type: a TCP port number, 0-65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0-65535, got {text}")
+    return value
+
+
 def _spec_from_args(args) -> signalgen.WaveformSpec:
     kind = _KINDS[args.kind]
     kwargs = dict(kind=kind, amplitude=args.amplitude, duration_s=args.duration)
@@ -238,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a generated waveform's envelope")
     _add_waveform_flags(p)
-    p.add_argument("--window", type=float, default=0.01, help="seconds")
+    p.add_argument("--window", type=_positive_float, default=0.01,
+                   help="seconds")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("two-tone", help="two-tone IMD measurement")
@@ -263,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("freq-response", help="constant-drive power per band")
     p.add_argument("--bands", default="all", help="'all' or comma-separated ids")
-    p.add_argument("--drive", type=float, required=True,
+    p.add_argument("--drive", type=_non_negative_float, required=True,
                    help="input envelope, volts-equivalent")
     p.add_argument("--vdd", type=float, default=pamodel.VDD_MAX)
     p.add_argument("--idq", type=float, default=2.0)
@@ -284,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True,
                    help="text lines: t_s kind band setpoint_W")
     p.add_argument("--params", required=True)
-    p.add_argument("--window", type=float, default=0.01)
+    p.add_argument("--window", type=_positive_float, default=0.01)
     p.add_argument("--rate", type=float, default=1e6)
     p.add_argument("--out", "-o", required=True)
     p.set_defaults(func=_cmd_run_controller)
 
     p = sub.add_parser("psu-sim", help="serve the supply protocol on a socket")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=29050)
+    p.add_argument("--port", type=_port, default=29050)
     p.add_argument("--slew", type=float, default=50.0)
     p.add_argument("--max-frames", type=int, default=None,
                    help="exit after N frames (default: serve forever)")
@@ -299,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psu-set", help="command a supply voltage")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=29050)
+    p.add_argument("--port", type=_port, default=29050)
     p.add_argument("--vdd", type=float, required=True)
     p.set_defaults(func=_cmd_psu_set)
 
     p = sub.add_parser("psu-read", help="read a supply register")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=29050)
+    p.add_argument("--port", type=_port, default=29050)
     p.add_argument("--register", choices=("voltage", "current"),
                    default="voltage")
     p.set_defaults(func=_cmd_psu_read)

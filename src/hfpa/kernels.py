@@ -52,6 +52,7 @@ def pa_pipeline(env, gain_lin, a_sat, smooth, rload, idq,
     sin_thc = np.sqrt(1.0 - x * x)
     idc = (idq * thc + ipk * sin_thc) / np.pi
     i1 = (2.0 * idq * sin_thc + ipk * (thc + sin_thc * x)) / np.pi
+    del x, thc, sin_thc, ipk  # free block-sized temporaries before shaping
     r = aout_out / a_sat
     rp = r ** shape_exp
     shape = 1.0 - shape_beta * rp / (1.0 + shape_sat * rp)

@@ -7,6 +7,7 @@ cases finite.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -137,12 +138,29 @@ def flattop(n: int) -> np.ndarray:
 NOISE_FLOOR_DBC = -120.0
 
 
+@functools.lru_cache(maxsize=1)
+def _analysis_constants(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``flattop(n)`` and the unit complex noise-floor draw, both read-only.
+
+    Both depend on ``n`` alone; a drive sweep analyses one length many times.
+    """
+    rng = np.random.default_rng(0x1D5EED)  # fixed: analysis floor is deterministic
+    unit = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    win = flattop(n)
+    win.flags.writeable = False
+    unit.flags.writeable = False
+    return win, unit
+
+
 def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     """Two-tone intermodulation analysis by windowed DFT.
 
     Locates the fundamentals and the order-3/5 products (2f1-f2, 2f2-f1,
     3f1-2f2, 3f2-2f1) within +/-1 bin and reports each in dBc below the mean
     fundamental. A flat-top window keeps scalloping loss negligible.
+
+    The window and the unit noise draw of the most recent block length stay
+    cached after the call: 24 bytes per sample, 3 MiB at 131072 samples.
     """
     if f1 == f2:
         raise ValueError("tones must differ")
@@ -157,14 +175,13 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
         raise TonesUnresolvable(
             f"tone spacing {beat} Hz < 10 DFT bins ({10 * bin_hz:.1f} Hz)")
 
+    win, unit = _analysis_constants(n)
     x = block.samples
     rms = math.sqrt(float(np.mean(np.abs(x) ** 2)))
     if rms > 0:
-        rng = np.random.default_rng(0x1D5EED)  # fixed: analysis floor is deterministic
         floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0)
-        x = x + floor * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
+        x = x + floor * unit / math.sqrt(2)
 
-    win = flattop(n)
     spec = np.abs(np.fft.fft(x * win))
 
     def peak_at(freq: float) -> float:
@@ -298,7 +315,12 @@ def sweep_bias(vdd_list: Sequence[float], idq: float, target_pout_w: float,
 
 def freq_response(band_list: Sequence[str], drive: float, bias: BiasPoint,
                   params: PaParams) -> List[Tuple[str, float]]:
-    """Constant-drive CW output power per band with the ripple profile."""
+    """Constant-drive CW output power per band with the ripple profile.
+
+    ``drive`` is the input envelope level: finite and >= 0.
+    """
+    if not (math.isfinite(drive) and drive >= 0):
+        raise ValueError(f"drive must be finite and >= 0, got {drive}")
     for band in band_list:
         if band not in BANDS:
             raise UnknownBand(f"unknown band {band!r}")

@@ -226,7 +226,9 @@ def saturated_swing(bias: BiasPoint, params: PaParams) -> float:
 def am_am(a_in, bias: BiasPoint, params: PaParams, band: Optional[str] = None):
     """Envelope transfer: the Rapp limiter ``kernels.rapp`` applied to g*a_in.
 
-    Monotone nondecreasing, slope bounded by g, and a_out < a_sat always.
+    Monotone nondecreasing, slope bounded by g, and a_out < a_sat, the
+    last only to rounding: in deep saturation the rounded exponent 1/(2s)
+    leaves a_out within about ln(u/a_sat)/2 ulp of a_sat on either side.
     Accepts scalars or arrays.
     """
     g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)

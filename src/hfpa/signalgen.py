@@ -126,8 +126,8 @@ class WaveformSpec:
                 raise InvalidSpec("PSK symbol rate must be > 0")
 
 
-def _pn_bits(n: int) -> np.ndarray:
-    """Fixed PN9 sequence (x^9 + x^5 + 1, seed 0x1FF), cycled to length n."""
+def _pn9() -> np.ndarray:
+    """One period of PN9 (x^9 + x^5 + 1, seed 0x1FF), read-only."""
     state = 0x1FF
     bits = np.empty(511, dtype=np.int64)
     for i in range(511):
@@ -135,8 +135,17 @@ def _pn_bits(n: int) -> np.ndarray:
         bits[i] = bit
         fb = ((state >> 0) ^ (state >> 4)) & 1
         state = (state >> 1) | (fb << 8)
-    reps = -(-n // 511)
-    return np.tile(bits, reps)[:n]
+    bits.flags.writeable = False
+    return bits
+
+
+_PN9 = _pn9()
+
+
+def _pn_bits(n: int) -> np.ndarray:
+    """Fixed PN9 sequence, cycled to length n."""
+    reps = -(-n // _PN9.size)
+    return np.tile(_PN9, reps)[:n]
 
 
 def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:

@@ -68,6 +68,11 @@ class TestClassify:
         with pytest.raises(WindowTooShort):
             classify_envelope(block_of(Kind.CW), window_s=1.0)
 
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_window(self, window):
+        with pytest.raises(ValueError, match="window_s must be finite"):
+            classify_envelope(block_of(Kind.CW), window_s=window)
+
     def test_silence_counts_as_constant(self):
         blk = IqBlock(np.zeros(20000, dtype=complex), FS)
         assert classify_envelope(blk, WINDOW).kind is EnvKind.CONSTANT

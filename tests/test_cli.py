@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from hfpa.cli import main
+from hfpa.cli import build_parser, main
 from hfpa.measure import CSV_HEADER
 from hfpa.pamodel import save_params
 
@@ -175,6 +175,33 @@ def test_calibrate_rejects_bad_anchor_rows(tmp_path, capsys, row, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {anchors}:3: ")
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    *(["psu-sim", "--port", v] for v in ("-1", "65536", "70000")),
+    *(["psu-set", "--port", v, "--vdd", "48"] for v in ("-1", "70000")),
+    *(["psu-read", "--port", v] for v in ("-1", "70000")),
+    *(["freq-response", f"--drive={v}", "--params", "p.cfg", "--out", "o.csv"]
+      for v in ("-1", "nan", "inf", "-inf")),
+    *(["classify", "--kind", "cw", "--window", v]
+      for v in ("0", "-1", "nan", "inf")),
+    *(["run-controller", "--scenario", "s.txt", "--params", "p.cfg",
+       "--out", "o.csv", "--window", v] for v in ("0", "-1", "nan")),
+])
+def test_out_of_range_number_is_a_usage_error(capsys, argv):
+    # argparse rejects the value before any subcommand (or socket) runs
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out = capsys.readouterr().err
+    assert out.startswith("usage: hfpa ")
+    assert "error: argument" in out and "Traceback" not in out
+
+
+@pytest.mark.parametrize("port", ["0", "65535"])
+def test_port_range_ends_are_accepted(port):
+    for cmd in ("psu-sim", "psu-read"):
+        assert build_parser().parse_args([cmd, "--port", port]).port == int(port)
 
 
 def test_usage_error_exits_2():

@@ -50,6 +50,40 @@ class TestMeasureGain:
             measure_gain(b, short)
 
 
+def reference_imd_levels(block, f1, f2):
+    """``measure_imd``'s levels from a fresh window and a fresh noise draw."""
+    fs, n, x = block.sample_rate, len(block), block.samples
+    rms = math.sqrt(float(np.mean(np.abs(x) ** 2)))
+    rng = np.random.default_rng(0x1D5EED)
+    floor = rms * 10.0 ** (measure.NOISE_FLOOR_DBC / 20.0)
+    x = x + floor * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
+    spec = np.abs(np.fft.fft(x * flattop(n)))
+
+    def peak_at(freq):
+        k = int(round(freq / fs * n)) % n
+        return float(np.max(spec.take(range(k - 1, k + 2), mode="wrap")))
+
+    fund = 0.5 * (peak_at(f1) + peak_at(f2))
+    return [20.0 * math.log10(max(peak_at(f), 1e-300) / fund)
+            for f in (2 * f1 - f2, 2 * f2 - f1, 3 * f1 - 2 * f2, 3 * f2 - 2 * f1)]
+
+
+def test_imd_analysis_constants_cache_keeps_the_bits():
+    measure._analysis_constants.cache_clear()
+    f1, f2 = -1000.0, 1000.0
+    for n in (131072, 65536, 131072):
+        for amplitude in (0.3, 1.0):
+            block = two_tone(amplitude=amplitude, duration=n / FS)
+            y = IqBlock(block.samples
+                        - 0.05 * block.samples * np.abs(block.samples) ** 2, FS)
+            got = [p.level_dbc for p in measure_imd(y, f1, f2).products]
+            want = reference_imd_levels(y, f1, f2)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        win, unit = measure._analysis_constants(n)
+        assert not win.flags.writeable and not unit.flags.writeable
+        assert measure._analysis_constants.cache_info().currsize <= 1
+
+
 class TestFlattop:
     @pytest.mark.parametrize("n", [1, 64, 1000, 131071, 131072])
     def test_matches_scipy_bit_for_bit(self, n):
@@ -243,6 +277,12 @@ class TestFreqResponse:
         bias = BiasPoint(vdd=58.0, idq=2.0)
         with pytest.raises(UnknownBand):
             freq_response(["11M"], 0.05, bias, fitted_params)
+
+    @pytest.mark.parametrize("drive", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_drive(self, drive):
+        with pytest.raises(ValueError, match="drive must be finite"):
+            freq_response(["40M"], drive, BiasPoint(vdd=58.0, idq=2.0),
+                          PaParams(g0=40.0))
 
 
 class TestCsv:

@@ -1,6 +1,7 @@
 """Amplifier-model tests: conduction currents against a numerical-integration
 oracle, the Rapp envelope law, and steady-state power bookkeeping."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,24 @@ def test_pipeline_zero_drive_semantics():
     assert sum_vi1 == 0.0
     assert sum_idc == pytest.approx(8 * 2.0, rel=1e-15)  # quiescent only
     assert np.all(aout == 0.0)
+
+
+def test_large_block_simulate_peak_memory():
+    # numpy reports its buffers to tracemalloc, so the peak is exact: nine
+    # float64 arrays of the block's length, with the pipeline's temporaries
+    # freed before the shaping stage (twelve when they were kept)
+    n = 1 << 17
+    t = np.arange(n) / 1e6
+    block = IqBlock(0.05 * (np.exp(-2j * np.pi * 1000.0 * t)
+                            + np.exp(2j * np.pi * 1000.0 * t)), 1e6)
+    bias, p = BiasPoint(vdd=58.0, idq=2.0), make_params(shape_beta=0.2)
+    tracemalloc.start()
+    try:
+        simulate(block, bias, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * n * 8
 
 
 class TestParamsConfig:

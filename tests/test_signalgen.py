@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hfpa.signalgen import (CONSTANT_ENVELOPE_KINDS, InvalidSpec, IqBlock,
-                            Kind, WaveformSpec, envelope, generate)
+                            Kind, WaveformSpec, _pn_bits, envelope, generate)
 
 FS = 1.0e6
 
@@ -92,6 +92,21 @@ def test_generate_is_pure(kind):
     b = generate(spec, FS)
     assert a.samples.tobytes() == b.samples.tobytes()
     assert a.sample_rate == b.sample_rate
+
+
+def reference_pn9(n):
+    """PN9 (x^9 + x^5 + 1, seed 0x1FF) straight from the LFSR, n bits."""
+    state, bits = 0x1FF, []
+    for _ in range(n):
+        bits.append(state & 1)
+        fb = (state ^ (state >> 4)) & 1
+        state = (state >> 1) | (fb << 8)
+    return np.array(bits)
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 2000])
+def test_pn_bits_follow_the_lfsr(n):
+    assert np.array_equal(_pn_bits(n), reference_pn9(n))
 
 
 def test_envelope_trivial_cases():

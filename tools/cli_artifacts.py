@@ -8,10 +8,11 @@ environment, so ``PYTHONPATH`` picks the checkout under test; relative
 entries are taken from the caller's working directory. The steps
 are the README walkthrough (calibrate, sweep-bias, classify fm/am,
 run-controller, two-tone at -20 and -3 dBFS, freq-response) plus a
-budget-600 calibration and a controller scenario that uses all five
-waveform kinds. Every file a step writes lands in OUTDIR, next to
-``<step>.stdout``, ``<step>.stderr`` and ``<step>.exit`` for each step.
-No step opens a socket. Two checkouts are compared with::
+two-tone on a half-length block at 4 kHz spacing (a second analysis
+length and flat-top size), a budget-600 calibration and a controller
+scenario that uses all five waveform kinds. Every file a step writes
+lands in OUTDIR, next to ``<step>.stdout``, ``<step>.stderr`` and
+``<step>.exit`` for each step. No step opens a socket. Two checkouts are compared with::
 
     PYTHONPATH=old/src python tools/cli_artifacts.py /tmp/old
     PYTHONPATH=new/src python tools/cli_artifacts.py /tmp/new
@@ -58,6 +59,9 @@ STEPS = (
                        "--drive-dbfs", "-20", "--out", "imd_soft.csv"]),
     ("two_tone_hard", ["two-tone", "--params", "fitted.cfg",
                        "--drive-dbfs", "-3", "--out", "imd_hard.csv"]),
+    ("two_tone_short", ["two-tone", "--params", "fitted.cfg",
+                        "--drive-dbfs", "-4", "--duration", "0.065536",
+                        "--spacing", "4000", "--out", "imd_short.csv"]),
     ("freq_response", ["freq-response", "--drive", "0.05",
                        "--params", "fitted.cfg", "--out", "bands.csv"]),
     ("calibrate_600", ["calibrate", "--budget", "600",

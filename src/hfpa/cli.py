@@ -42,6 +42,14 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _port(text: str) -> int:
     """argparse type: a TCP port number, 0-65535."""
     value = int(text)
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit amplifier parameters to anchor rows")
     p.add_argument("--anchors", help="anchor CSV (default: built-in bench table)")
     p.add_argument("--init", help="initial params config (default: documented init)")
-    p.add_argument("--budget", type=int, default=3000)
+    p.add_argument("--budget", type=_non_negative_int, default=3000)
     p.add_argument("--idq", type=float, default=2.0)
     p.add_argument("--out-params", required=True)
     p.add_argument("--out-report")
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_port, default=29050)
     p.add_argument("--slew", type=float, default=50.0)
-    p.add_argument("--max-frames", type=int, default=None,
+    p.add_argument("--max-frames", type=_non_negative_int, default=None,
                    help="exit after N frames (default: serve forever)")
     p.set_defaults(func=_cmd_psu_sim)
 

@@ -148,17 +148,31 @@ def _pn_bits(n: int) -> np.ndarray:
     return np.tile(_PN9, reps)[:n]
 
 
+def _too_many_samples(spec: WaveformSpec, sample_rate: float,
+                      count: float) -> InvalidSpec:
+    return InvalidSpec(
+        f"duration {spec.duration_s:g} s at {sample_rate:g} S/s needs "
+        f"{count:g} samples, more than can be allocated")
+
+
 def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
     """Synthesize the spec's waveform at the given sample rate.
 
     Deterministic: identical inputs give byte-identical blocks. Peak envelope
     never exceeds ``spec.amplitude``; constant-envelope kinds hold it exactly.
+    Raises InvalidSpec when numpy refuses to allocate the sample count.
     """
     spec.validate(sample_rate)
-    n = int(round(spec.duration_s * sample_rate))
+    count = spec.duration_s * sample_rate
+    if not count < 2.0 ** 63:  # inf, or past numpy's index range
+        raise _too_many_samples(spec, sample_rate, count)
+    n = int(round(count))
     if n < 1:
         raise InvalidSpec("duration too short for one sample")
-    t = np.arange(n) / sample_rate
+    try:
+        t = np.arange(n) / sample_rate
+    except (MemoryError, ValueError) as exc:  # numpy refused the size
+        raise _too_many_samples(spec, sample_rate, count) from exc
     a = spec.amplitude
 
     if spec.kind is Kind.CW:

@@ -187,6 +187,8 @@ def test_calibrate_rejects_bad_anchor_rows(tmp_path, capsys, row, message):
       for v in ("0", "-1", "nan", "inf")),
     *(["run-controller", "--scenario", "s.txt", "--params", "p.cfg",
        "--out", "o.csv", "--window", v] for v in ("0", "-1", "nan")),
+    ["calibrate", "--budget", "-5", "--out-params", "p.cfg"],
+    ["psu-sim", "--max-frames", "-1"],
 ])
 def test_out_of_range_number_is_a_usage_error(capsys, argv):
     # argparse rejects the value before any subcommand (or socket) runs
@@ -196,6 +198,30 @@ def test_out_of_range_number_is_a_usage_error(capsys, argv):
     out = capsys.readouterr().err
     assert out.startswith("usage: hfpa ")
     assert "error: argument" in out and "Traceback" not in out
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("two-tone", "--duration", "1e12"),
+    ("run-controller", "--rate", "1e300"),
+])
+def test_sample_count_past_numpy_is_a_module_error(tmp_path, params_file,
+                                                   capsys, cmd, flag, value):
+    # 1e18 and 1e298 samples: numpy refuses both sizes before allocating
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("0.0 cw 40M 600\n")
+    extra = ["--scenario", str(scenario)] if cmd == "run-controller" else []
+    rc = main([cmd, "--params", params_file, "--out", str(tmp_path / "o.csv"),
+               *extra, flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration ")
+    assert "samples, more than can be allocated" in err
+    assert "Traceback" not in err
+
+
+def test_budget_zero_is_accepted():
+    assert build_parser().parse_args(
+        ["calibrate", "--budget", "0", "--out-params", "p.cfg"]).budget == 0
 
 
 @pytest.mark.parametrize("port", ["0", "65535"])

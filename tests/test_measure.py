@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hfpa
 from hfpa import measure
@@ -16,8 +17,10 @@ from hfpa.measure import (CSV_HEADER, LengthMismatch, MeasRow, NoCompression,
                           drive_for_pout, find_p1db, flattop, freq_response,
                           measure_gain, measure_imd, simulate_cw, sweep_bias,
                           write_rows_csv)
-from hfpa.pamodel import BiasPoint, PaParams, simulate
+from hfpa.pamodel import (BiasPoint, PaParams, am_am, bisect, fundamental_pout,
+                          saturated_swing, simulate, small_signal_gain_db)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
+from test_pamodel import bias_st, params_st
 
 FS = 1.0e6
 
@@ -257,6 +260,124 @@ def test_drive_for_pout_rejects_non_finite_target(monkeypatch, target):
     with pytest.raises(ValueError, match="must be finite and > 0, got"):
         drive_for_pout(target, BiasPoint(vdd=58.0, idq=2.0), PaParams(g0=40.0))
     assert calls == []
+
+
+def exact_drive_for_pout(target, bias, params, band=None):
+    """``drive_for_pout`` with every bisection step on ``simulate_cw``."""
+    hi, p_hi = measure.drive_cap(target, bias, params, band)
+    level = bisect(
+        lambda a: simulate_cw(a, bias, params, band).pout_w - target,
+        0.0, hi, tol=measure.DRIVE_REL_TOL * target,
+        max_iter=measure.DRIVE_MAX_ITER)
+    if level is None:
+        raise TargetUnreachable(
+            f"bisection failed to reach {target} W within "
+            f"{measure.DRIVE_MAX_ITER} steps", max_pout_w=p_hi)
+    return level
+
+
+def solve_outcome(solve, target, bias, params, band):
+    """The solve's result as bits, or its exception's type, text and bits."""
+    try:
+        return float.hex(solve(target, bias, params, band))
+    except TargetUnreachable as exc:
+        return type(exc), str(exc), exc.max_pout_w.hex()
+
+
+def saturation_drive(bias, params, band):
+    g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)
+    return saturated_swing(bias, params) / g
+
+
+#: Targets: log-uniform watts; the power at an output swing 1 +- delta times
+#: the clipping onset idq*rload; a fraction just below the drive cap's power,
+#: deep in compression.
+target_st = st.one_of(
+    st.tuples(st.just("watts"), st.floats(math.log(1e-3), math.log(3e3))),
+    st.tuples(st.just("onset"), st.floats(-1e-3, 1e-3)),
+    st.tuples(st.just("deep"), st.floats(0.0, 0.02)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(params_st, bias_st, st.sampled_from([None, "40M"]), target_st)
+def test_certified_drive_solve_matches_exact_bisection(params, bias, band, tgt):
+    kind, x = tgt
+    if kind == "watts":
+        target = math.exp(x)
+    elif kind == "onset":
+        onset = bias.idq * params.rload
+        target = fundamental_pout(onset * (1.0 + x), bias.idq, params.rload)
+    else:
+        cap = simulate_cw(10.0 * saturation_drive(bias, params, band),
+                          bias, params, band).pout_w
+        target = cap * (1.0 - x)
+    assert (solve_outcome(drive_for_pout, target, bias, params, band)
+            == solve_outcome(exact_drive_for_pout, target, bias, params, band))
+
+
+@settings(deadline=None)
+@given(params_st, bias_st, st.sampled_from([None, "40M"]),
+       st.floats(0.0, 10.0))
+def test_scalar_cw_law_is_within_the_margin(params, bias, band, frac):
+    # a thousandth of the margin: the certified solve's error bound holds
+    # with room to spare
+    a = frac * saturation_drive(bias, params, band)
+    exact = simulate_cw(a, bias, params, band).pout_w
+    bound = 1e-3 * measure.DRIVE_PREDICT_MARGIN
+    for pred in (fundamental_pout(am_am(a, bias, params, band), bias.idq,
+                                  params.rload),
+                 measure._cw_pout_law(bias, params, band)(a)):
+        assert abs(pred - exact) <= bound * pred
+
+
+def count_simulate_cw(monkeypatch):
+    calls = []
+    exact = measure.simulate_cw
+
+    def counted(*args):
+        calls.append(args[0])
+        return exact(*args)
+
+    monkeypatch.setattr(measure, "simulate_cw", counted)
+    return calls
+
+
+class TestCertifiedFallback:
+    BIAS = BiasPoint(vdd=58.0, idq=2.0)
+
+    def test_all_exact_steps_give_the_same_results(self, monkeypatch,
+                                                   fitted_params):
+        targets = (1e-3, 0.5, 100.0, 750.0, 1000.0, 1300.0, 5000.0)
+        want = [solve_outcome(drive_for_pout, t, self.BIAS, fitted_params,
+                              None) for t in targets]
+        calls = count_simulate_cw(monkeypatch)
+        monkeypatch.setattr(measure, "DRIVE_PREDICT_MARGIN", math.inf)
+        got = [solve_outcome(drive_for_pout, t, self.BIAS, fitted_params,
+                             None) for t in targets]
+        assert got == want
+        assert len(calls) > 3 * len(targets)  # every step ran the block
+
+    def test_one_kilowatt_solve_is_one_block_evaluation(self, monkeypatch,
+                                                        fitted_params):
+        calls = count_simulate_cw(monkeypatch)
+        drive_for_pout(1000.0, self.BIAS, fitted_params)
+        assert len(calls) == 1  # drive_cap's saturation test
+
+    def test_a_step_on_the_tolerance_edge_runs_the_block(self, monkeypatch,
+                                                         fitted_params):
+        # the first midpoint's predicted power sits exactly on the edge
+        # |pred - target| = tol, so that step cannot be decided from it
+        hi, _ = measure.drive_cap(1.0, self.BIAS, fitted_params)
+        mid = 0.5 * hi
+        pred = measure._cw_pout_law(self.BIAS, fitted_params)(mid)
+        target = pred / (1.0 + measure.DRIVE_REL_TOL)
+        calls = count_simulate_cw(monkeypatch)
+        got = solve_outcome(drive_for_pout, target, self.BIAS, fitted_params,
+                            None)
+        assert mid in calls
+        monkeypatch.undo()
+        assert got == solve_outcome(exact_drive_for_pout, target, self.BIAS,
+                                    fitted_params, None)
 
 
 class TestFreqResponse:

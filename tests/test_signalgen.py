@@ -143,6 +143,23 @@ class TestValidation:
         with pytest.raises(InvalidSpec):
             generate(WaveformSpec(kind=Kind.CW, duration_s=0.0), FS)
 
+    @pytest.mark.parametrize("duration, rate, count", [
+        (1e12, FS, "1e+18"),     # numpy: MemoryError
+        (4e12, FS, "4e+18"),     # numpy: ValueError, array is too big
+        (0.01, 1e300, "1e+298"),  # numpy: ValueError, size exceeded
+        (9.3e12, FS, "9.3e+18"),  # past the int64 index range
+        (1e200, 1e200, "inf"),   # the product overflows
+    ])
+    def test_rejects_a_sample_count_numpy_refuses(self, duration, rate,
+                                                  count):
+        # every size here is refused before any allocation
+        spec = WaveformSpec(kind=Kind.CW, duration_s=duration)
+        with pytest.raises(InvalidSpec) as err:
+            generate(spec, rate)
+        assert str(err.value) == (f"duration {duration:g} s at {rate:g} S/s "
+                                  f"needs {count} samples, more than can be "
+                                  "allocated")
+
     def test_block_invariants(self):
         with pytest.raises(InvalidSpec):
             IqBlock(np.array([], dtype=complex), FS)

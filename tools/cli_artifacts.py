@@ -9,8 +9,10 @@ entries are taken from the caller's working directory. The steps
 are the README walkthrough (calibrate, sweep-bias, classify fm/am,
 run-controller, two-tone at -20 and -3 dBFS, freq-response) plus a
 two-tone on a half-length block at 4 kHz spacing (a second analysis
-length and flat-top size), a budget-600 calibration and a controller
-scenario that uses all five waveform kinds. Every file a step writes
+length and flat-top size), a budget-600 calibration, a controller
+scenario that uses all five waveform kinds, and two sweeps at the edges
+of the CW drive solve: 5 W at 0.25 A, near the clipping onset, and
+1200 W at 0.5 A, within 1% of saturation at 48 V. Every file a step writes
 lands in OUTDIR, next to ``<step>.stdout``, ``<step>.stderr`` and
 ``<step>.exit`` for each step. No step opens a socket. Two checkouts are compared with::
 
@@ -51,6 +53,13 @@ STEPS = (
     ("sweep_bias", ["sweep-bias", "--vdd", "58,53,48", "--idq", "2.0",
                     "--pout", "1000", "--params", "fitted.cfg",
                     "--out", "fig4.csv"]),
+    ("sweep_bias_onset", ["sweep-bias", "--vdd", "58,44,30", "--idq", "0.25",
+                          "--pout", "5", "--params", "fitted.cfg",
+                          "--out", "sweep_onset.csv"]),
+    ("sweep_bias_saturation", ["sweep-bias", "--vdd", "58,53,48",
+                               "--idq", "0.5", "--pout", "1200",
+                               "--params", "fitted.cfg",
+                               "--out", "sweep_saturation.csv"]),
     ("classify_fm", ["classify", "--kind", "fm"]),
     ("classify_am", ["classify", "--kind", "am"]),
     ("run_controller", ["run-controller", "--scenario", "scenario.txt",

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bands import BAND_CENTER_HZ, BANDS
+from .bands import BANDS
 from .measure import TargetUnreachable, UnknownBand, drive_cap
 from .pamodel import (SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint, PaParams,
-                      compression_level, fundamental_pout,
+                      compression_level, fundamental_pout, saturated_swing,
                       small_signal_gain_db, swing_for_pout)
 from .signalgen import IqBlock, envelope
 
@@ -83,7 +84,6 @@ class BiasCommand:
 
 @dataclass(frozen=True)
 class BandEntry:
-    center_hz: float
     eq_vdd: float
     ripple_db: float = 0.0
     clamped: bool = False
@@ -95,8 +95,7 @@ BandTable = Dict[str, BandEntry]
 def default_band_table(ripple: Optional[Mapping[str, float]] = None) -> BandTable:
     """All ten bands at the full 58 V supply as equalization voltage."""
     ripple = ripple or {}
-    return {b: BandEntry(center_hz=BAND_CENTER_HZ[b], eq_vdd=VDD_MAX,
-                         ripple_db=float(ripple.get(b, 0.0)))
+    return {b: BandEntry(eq_vdd=VDD_MAX, ripple_db=float(ripple.get(b, 0.0)))
             for b in BANDS}
 
 
@@ -118,6 +117,8 @@ def classify_envelope(block: IqBlock, window_s: float = 0.01) -> EnvelopeClass:
     peak = float(np.max(env))
     if peak == 0.0:
         return EnvelopeClass(EnvKind.CONSTANT, papr_db=0.0, ripple_ratio=0.0)
+    if not sys.float_info.min <= peak * peak <= sys.float_info.max / env.size:
+        env, peak = env / peak, 1.0  # squares leave the normal float range
     p1, med, p99 = np.percentile(env, [1.0, 50.0, 99.0])
     ripple_ratio = float((p99 - p1) / med) if med > 0 else math.inf
     mean_sq = float(np.mean(env ** 2))
@@ -216,7 +217,7 @@ def compression_drive(bias: BiasPoint, params: PaParams,
     ValueError for a depth <= 0 dB or one that needs more than 50*a_sat.
     """
     level = compression_level(bias, params, depth_db, band)
-    if level > 50.0 * (bias.vdd - params.vknee):
+    if level > 50.0 * saturated_swing(bias, params):
         raise ValueError(f"stage cannot reach {depth_db} dB compression")
     return level
 
@@ -237,7 +238,7 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
         ripple = params.ripple_db(band)
 
         def gain_at(vdd: float) -> float:
-            return small_signal_gain_db(BiasPoint(vdd=vdd, idq=idq), params) + ripple
+            return small_signal_gain_db(BiasPoint(vdd=vdd, idq=idq), params, band)
 
         g_lo, g_hi = gain_at(VDD_MIN), gain_at(VDD_MAX)
         lo_v, hi_v = VDD_MIN, VDD_MAX
@@ -245,16 +246,15 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
             g_lo, g_hi = g_hi, g_lo
             lo_v, hi_v = VDD_MAX, VDD_MIN
         if target_gain_db <= g_lo:
-            table[band] = BandEntry(BAND_CENTER_HZ[band], lo_v, ripple,
+            table[band] = BandEntry(lo_v, ripple,
                                     clamped=abs(g_lo - target_gain_db) > EQ_TOL_DB)
             continue
         if target_gain_db >= g_hi:
-            table[band] = BandEntry(BAND_CENTER_HZ[band], hi_v, ripple,
+            table[band] = BandEntry(hi_v, ripple,
                                     clamped=abs(g_hi - target_gain_db) > EQ_TOL_DB)
             continue
         vdd = VDD_MAX + (target_gain_db - gain_at(VDD_MAX)) / params.kv
-        table[band] = BandEntry(BAND_CENTER_HZ[band],
-                                min(max(vdd, VDD_MIN), VDD_MAX), ripple)
+        table[band] = BandEntry(min(max(vdd, VDD_MIN), VDD_MAX), ripple)
     return table
 
 

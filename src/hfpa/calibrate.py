@@ -1,8 +1,8 @@
 """Fit amplifier parameters to bench-measured CW reference rows.
 
 The anchor set is the measured drain-bias table (gain, efficiency, output
-power, dissipation at 58/53/48 V, all driven to 1 kW CW). ``fit`` runs a
-deterministic bounded Nelder-Mead over the behavioral parameters;
+power, dissipation at 58/53/48 V and ``IDQ_REF``, driven to 1 kW CW). ``fit``
+runs a deterministic bounded Nelder-Mead over the behavioral parameters;
 ``default_init`` builds the documented starting point, warm-started by an
 algebraic pre-solve of the overdrive-shaping subsystem when the anchor set
 has the standard equal-power three-row form.
@@ -16,7 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .measure import TargetUnreachable, sweep_bias
-from .pamodel import PaParams, _fourier_clipped, bisect, swing_for_pout
+from .pamodel import (IDQ_REF, VDD_REF, BiasPoint, PaParams, _fourier_clipped,
+                      bisect, small_signal_gain_db, swing_for_pout)
 
 
 class Diverged(RuntimeError):
@@ -65,7 +66,7 @@ class FitReport:
     evaluations: int
 
 
-def _score(params: PaParams, anchors: Sequence[AnchorRow], idq: float):
+def _score(params: PaParams, anchors: Sequence[AnchorRow]):
     """(residual, per-anchor errors) from one sweep of each anchor.
 
     Per anchor: drive to the row's output power at its vdd and accumulate
@@ -78,7 +79,7 @@ def _score(params: PaParams, anchors: Sequence[AnchorRow], idq: float):
     errs = []
     for a in anchors:
         try:
-            row = sweep_bias([a.vdd], idq, a.pout_w, params)[0]
+            row = sweep_bias([a.vdd], IDQ_REF, a.pout_w, params)[0]
         except TargetUnreachable as exc:
             shortfall = max(0.0, 1.0 - exc.max_pout_w / a.pout_w)
             total += 1.0e6 * (1.0 + shortfall)
@@ -91,15 +92,14 @@ def _score(params: PaParams, anchors: Sequence[AnchorRow], idq: float):
     return total, tuple(errs)
 
 
-def objective(params: PaParams, anchors: Sequence[AnchorRow],
-              idq: float = 2.0) -> float:
+def objective(params: PaParams, anchors: Sequence[AnchorRow]) -> float:
     """Sum of squared normalized anchor errors (``_score``'s residual)."""
-    return _score(params, anchors, idq)[0]
+    return _score(params, anchors)[0]
 
 
 # Search space: (name, lower, upper, initial simplex step).
 # g0 is searched in dB for conditioning. ki is excluded: the reference table
-# is taken at a single idq, which leaves the objective flat along ki.
+# is taken at IDQ_REF, where the ki term is zero and the objective flat.
 _SPACE = (
     ("g0_db", 0.0, 60.0, 0.5),
     ("kv", -1.0, 1.0, 0.05),
@@ -136,7 +136,7 @@ def _vec_to_params(vec: np.ndarray, template: PaParams) -> PaParams:
 
 
 def fit(anchors: Sequence[AnchorRow], init: PaParams,
-        budget: int = 3000, idq: float = 2.0) -> FitReport:
+        budget: int = 3000) -> FitReport:
     """Bounded Nelder-Mead descent from ``init``.
 
     Deterministic: fixed reflection/expansion/contraction/shrink coefficients
@@ -150,20 +150,20 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
     def f(vec: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        value = objective(_vec_to_params(vec, init), anchors, idq)
+        value = objective(_vec_to_params(vec, init), anchors)
         if not math.isfinite(value):
             raise Diverged(f"non-finite objective at {vec}")
         return value
 
     if budget <= 0:
-        residual, errs = _score(init, anchors, idq)
+        residual, errs = _score(init, anchors)
         if not math.isfinite(residual):
             raise Diverged("non-finite objective at init")
         return FitReport(init, residual, errs, 0)
 
     x0 = _clamp_vec(_params_to_vec(init))
     best_vec = x0.copy()
-    best_val = objective(_vec_to_params(x0, init), anchors, idq)
+    best_val = objective(_vec_to_params(x0, init), anchors)
     if not math.isfinite(best_val):
         raise Diverged("non-finite objective at init")
 
@@ -221,15 +221,14 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
         scale *= 0.25  # restart ladder
 
     params = _vec_to_params(best_vec, init)
-    residual, errs = _score(params, anchors, idq)
+    residual, errs = _score(params, anchors)
     return FitReport(params=params, residual=residual, per_anchor=errs,
                      evaluations=evals)
 
 
 # --- default starting point -------------------------------------------------
 
-def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float,
-                    idq: float):
+def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float):
     """Exact overdrive-shaping parameters through three equal-power anchors.
 
     At fixed output power the quasi-sine DC draw is the same at every vdd, so
@@ -237,8 +236,8 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float,
     power law 1/(A*r^-p + B) is fitted through the three implied deficits.
     Returns (shape_beta, shape_exp, shape_sat, a_out) or None when infeasible.
     """
-    a_out = swing_for_pout(anchors[0].pout_w, idq, rload)
-    _, idc, _ = _fourier_clipped(idq, a_out / rload)
+    a_out = swing_for_pout(anchors[0].pout_w, IDQ_REF, rload)
+    _, idc, _ = _fourier_clipped(IDQ_REF, a_out / rload)
 
     ys, rs = [], []
     for a in anchors:
@@ -275,22 +274,21 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float,
     return beta, p, sat, a_out
 
 
-def _gain_lstsq(anchors: Sequence[AnchorRow], params: PaParams,
-                idq: float) -> Optional[PaParams]:
+def _gain_lstsq(anchors: Sequence[AnchorRow],
+                params: PaParams) -> Optional[PaParams]:
     """Closed-form least-squares (g0, kv) against the measured gain rows."""
     rows = []
     try:
         for a in anchors:
-            row = sweep_bias([a.vdd], idq, a.pout_w, params)[0]
+            row = sweep_bias([a.vdd], IDQ_REF, a.pout_w, params)[0]
             rows.append(row.gain_db)
     except TargetUnreachable:
         return None
-    g0_db = 20.0 * math.log10(params.g0)
-    # measured gain = g0_db + kv*(vdd-58) + compression(vdd); solve the
-    # linear part against targets with the current compression offsets
-    comp = [m - (g0_db + params.kv * (a.vdd - 58.0))
+    # measured gain = g0_db + kv*(vdd - VDD_REF) + compression(vdd); solve
+    # the linear part against targets with the current compression offsets
+    comp = [m - small_signal_gain_db(BiasPoint(a.vdd, IDQ_REF), params)
             for m, a in zip(rows, anchors)]
-    A = np.array([[1.0, a.vdd - 58.0] for a in anchors])
+    A = np.array([[1.0, a.vdd - VDD_REF] for a in anchors])
     b = np.array([a.gain_db - c for a, c in zip(anchors, comp)])
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     new_g0_db = float(min(max(sol[0], _SPACE[0][1]), _SPACE[0][2]))
@@ -298,8 +296,7 @@ def _gain_lstsq(anchors: Sequence[AnchorRow], params: PaParams,
     return replace(params, g0=10.0 ** (new_g0_db / 20.0), kv=new_kv)
 
 
-def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS,
-                 idq: float = 2.0) -> PaParams:
+def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS) -> PaParams:
     """Documented default starting point for ``fit``.
 
     Base values: g0 at 30 dB, kv = ki = 0, vknee 4 V, smoothness 2, rload
@@ -321,9 +318,9 @@ def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS,
     if not equal_power:
         return base
 
-    best = (objective(base, anchors, idq), base)
+    best = (objective(base, anchors), base)
     for rload in np.arange(0.30, 0.521, 0.02):
-        pre = _shape_presolve(anchors, float(rload), base.vknee, idq)
+        pre = _shape_presolve(anchors, float(rload), base.vknee)
         if pre is None:
             continue
         beta, p, sat, _ = pre
@@ -331,11 +328,11 @@ def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS,
             cand = PaParams(g0=base.g0, kv=0.0, ki=0.0, rload=float(rload),
                             vknee=base.vknee, smoothness=s, shape_beta=beta,
                             shape_exp=p, shape_sat=sat)
-            refined = _gain_lstsq(anchors, cand, idq)
+            refined = _gain_lstsq(anchors, cand)
             if refined is None:
                 continue
-            refined = _gain_lstsq(anchors, refined, idq) or refined
-            score = objective(refined, anchors, idq)
+            refined = _gain_lstsq(anchors, refined) or refined
+            score = objective(refined, anchors)
             if score < best[0]:
                 best = (score, refined)
     return best[1]

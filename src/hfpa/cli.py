@@ -59,17 +59,14 @@ def _port(text: str) -> int:
 
 
 def _spec_from_args(args) -> signalgen.WaveformSpec:
-    kind = _KINDS[args.kind]
-    kwargs = dict(kind=kind, amplitude=args.amplitude, duration_s=args.duration)
-    if kind is signalgen.Kind.TWO_TONE:
-        kwargs.update(f1_hz=-args.spacing / 2.0, f2_hz=args.spacing / 2.0)
-    elif kind is signalgen.Kind.FM:
-        kwargs.update(fm_dev_hz=args.fm_dev, fm_rate_hz=args.fm_rate)
-    elif kind is signalgen.Kind.AM:
-        kwargs.update(am_index=args.am_index, am_rate_hz=args.am_rate)
-    elif kind is signalgen.Kind.PSK:
-        kwargs.update(psk_rate_hz=args.psk_rate, psk_order=args.psk_order)
-    return signalgen.WaveformSpec(**kwargs)
+    """Every waveform flag goes in; ``generate`` reads the kind's own fields."""
+    return signalgen.WaveformSpec(
+        kind=_KINDS[args.kind], amplitude=args.amplitude,
+        duration_s=args.duration, f1_hz=-args.spacing / 2.0,
+        f2_hz=args.spacing / 2.0, fm_dev_hz=args.fm_dev,
+        fm_rate_hz=args.fm_rate, am_index=args.am_index,
+        am_rate_hz=args.am_rate, psk_rate_hz=args.psk_rate,
+        psk_order=args.psk_order)
 
 
 def _add_waveform_flags(p: argparse.ArgumentParser):
@@ -108,10 +105,11 @@ def _cmd_classify(args) -> int:
 def _cmd_two_tone(args) -> int:
     params = pamodel.load_params(args.params)
     bias = pamodel.BiasPoint(vdd=args.vdd, idq=args.idq)
-    a_sat = pamodel.saturated_swing(bias, params)
-    g = 10.0 ** (pamodel.small_signal_gain_db(bias, params) / 20.0)
-    # 0 dBFS drive puts the two-tone envelope peak at the saturated swing
-    peak = (a_sat / g) * 10.0 ** (args.drive_dbfs / 20.0)
+    g, a_sat = pamodel.gain_and_swing(bias, params)
+    try:  # 0 dBFS drive puts the two-tone envelope peak at the saturated swing
+        peak = (a_sat / g) * 10.0 ** (args.drive_dbfs / 20.0)
+    except OverflowError:
+        raise ValueError(f"drive {args.drive_dbfs} dBFS is out of range") from None
     spec = signalgen.WaveformSpec(kind=signalgen.Kind.TWO_TONE, amplitude=peak,
                                   duration_s=args.duration,
                                   f1_hz=-args.spacing / 2.0,
@@ -155,8 +153,8 @@ def _cmd_calibrate(args) -> int:
     anchors = (calibrate.read_anchors_csv(args.anchors) if args.anchors
                else list(calibrate.REFERENCE_ANCHORS))
     init = (pamodel.load_params(args.init) if args.init
-            else calibrate.default_init(anchors, idq=args.idq))
-    report = calibrate.fit(anchors, init, budget=args.budget, idq=args.idq)
+            else calibrate.default_init(anchors))
+    report = calibrate.fit(anchors, init, budget=args.budget)
     pamodel.save_params(report.params, args.out_params)
     if args.out_report:
         calibrate.write_report_csv(report, anchors, args.out_report)
@@ -279,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drive-dbfs", type=float, default=-10.0,
                    help="peak envelope drive relative to saturation")
     p.add_argument("--vdd", type=float, default=pamodel.VDD_MAX)
-    p.add_argument("--idq", type=float, default=2.0)
+    p.add_argument("--idq", type=float, default=pamodel.IDQ_REF)
     p.add_argument("--spacing", type=float, default=2000.0)
     p.add_argument("--duration", type=float, default=0.131072)
     p.add_argument("--rate", type=float, default=1e6)
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-bias", help="drive each vdd to a power target")
     p.add_argument("--vdd", required=True, help="comma-separated volts")
-    p.add_argument("--idq", type=float, default=2.0)
+    p.add_argument("--idq", type=float, default=pamodel.IDQ_REF)
     p.add_argument("--pout", type=float, required=True, help="target watts")
     p.add_argument("--params", required=True)
     p.add_argument("--out", "-o", required=True)
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drive", type=_non_negative_float, required=True,
                    help="input envelope, volts-equivalent")
     p.add_argument("--vdd", type=float, default=pamodel.VDD_MAX)
-    p.add_argument("--idq", type=float, default=2.0)
+    p.add_argument("--idq", type=float, default=pamodel.IDQ_REF)
     p.add_argument("--params", required=True)
     p.add_argument("--out", "-o", required=True)
     p.set_defaults(func=_cmd_freq_response)
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchors", help="anchor CSV (default: built-in bench table)")
     p.add_argument("--init", help="initial params config (default: documented init)")
     p.add_argument("--budget", type=_non_negative_int, default=3000)
-    p.add_argument("--idq", type=float, default=2.0)
     p.add_argument("--out-params", required=True)
     p.add_argument("--out-report")
     p.set_defaults(func=_cmd_calibrate)
@@ -325,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psu-sim", help="serve the supply protocol on a socket")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_port, default=29050)
-    p.add_argument("--slew", type=float, default=50.0)
+    p.add_argument("--slew", type=_positive_float, default=50.0)
     p.add_argument("--max-frames", type=_non_negative_int, default=None,
                    help="exit after N frames (default: serve forever)")
     p.set_defaults(func=_cmd_psu_sim)

@@ -17,8 +17,8 @@ import numpy as np
 from . import kernels
 from .bands import BANDS
 from .pamodel import (BiasPoint, PaParams, PaStats, am_am, bisect,
-                      compression_level, fundamental_pout, saturated_swing,
-                      simulate, small_signal_gain_db)
+                      compression_level, fundamental_pout, gain_and_swing,
+                      saturated_swing, simulate)
 from .signalgen import IqBlock
 
 
@@ -264,8 +264,7 @@ def drive_cap(target_pout_w: float, bias: BiasPoint, params: PaParams,
     the target. One ``simulate_cw`` call: the saturation test of
     ``drive_for_pout``, also the bias controller's reachability check.
     """
-    a_sat = saturated_swing(bias, params)
-    g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)
+    g, a_sat = gain_and_swing(bias, params, band)
     hi = 10.0 * a_sat / g
     p_hi = simulate_cw(hi, bias, params, band).pout_w
     if p_hi < target_pout_w:
@@ -281,8 +280,7 @@ def _cw_pout_law(bias: BiasPoint, params: PaParams,
 
     ``am_am``'s law with its gain and saturated swing computed once.
     """
-    g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)
-    a_sat = saturated_swing(bias, params)
+    g, a_sat = gain_and_swing(bias, params, band)
 
     def pout(a: float) -> float:
         # a numpy scalar, so that rapp traps an overflow as it does in a block

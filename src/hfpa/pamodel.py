@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class OutOfRangeAlpha(ValueError):
 
 #: Drain-supply window, volts: every bias point's vdd lies in it.
 VDD_MIN, VDD_MAX = 30.0, 58.0
+
+#: g0's reference bias, volts and amps: the gain law's kv and ki terms vanish.
+VDD_REF, IDQ_REF = 58.0, 2.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ _SCALAR_KEYS = ("g0", "kv", "ki", "rload", "vknee", "smoothness",
 class PaParams:
     """Amplifier behavioral parameters.
 
-    g0         small-signal voltage gain (linear) at 58 V / 2 A reference bias
+    g0         small-signal voltage gain (linear) at VDD_REF / IDQ_REF
     kv         gain slope vs drain voltage, dB per volt
     ki         gain slope vs quiescent current, dB per decade
     rload      effective load-line resistance, ohms
@@ -110,8 +113,8 @@ class PaParams:
             raise ValueError(f"g0 must be > 0, got {self.g0}")
         if self.rload <= 0:
             raise ValueError(f"rload must be > 0, got {self.rload}")
-        if not 0.0 <= self.vknee < 30.0:
-            raise ValueError(f"vknee must be in [0, 30), got {self.vknee}")
+        if not 0.0 <= self.vknee < VDD_MIN:
+            raise ValueError(f"vknee must be in [0, {VDD_MIN:g}), got {self.vknee}")
         if not 0.5 <= self.smoothness <= 20.0:
             raise ValueError(f"smoothness must be in [0.5, 20], got {self.smoothness}")
         if self.shape_beta < 0 or self.shape_exp <= 0 or self.shape_sat < 0:
@@ -210,17 +213,21 @@ def small_signal_gain_db(bias: BiasPoint, params: PaParams,
                          band: Optional[str] = None) -> float:
     """Gain law: linear-in-dB vs vdd, vs log(idq), plus per-band ripple."""
     return (20.0 * math.log10(params.g0)
-            + params.kv * (bias.vdd - 58.0)
-            + params.ki * math.log10(bias.idq / 2.0)
+            + params.kv * (bias.vdd - VDD_REF)
+            + params.ki * math.log10(bias.idq / IDQ_REF)
             + params.ripple_db(band))
 
 
 def saturated_swing(bias: BiasPoint, params: PaParams) -> float:
-    """Peak drain-voltage swing limit a_sat = vdd - vknee."""
-    a_sat = bias.vdd - params.vknee
-    if a_sat <= 0:
-        raise InvalidBias(f"vdd {bias.vdd} V at/below knee {params.vknee} V")
-    return a_sat
+    """Peak drain-voltage swing limit a_sat = vdd - vknee > 0 (vknee < VDD_MIN)."""
+    return bias.vdd - params.vknee
+
+
+def gain_and_swing(bias: BiasPoint, params: PaParams,
+                   band: Optional[str] = None) -> Tuple[float, float]:
+    """Linear small-signal gain ``10^(small_signal_gain_db/20)`` and a_sat."""
+    return (10.0 ** (small_signal_gain_db(bias, params, band) / 20.0),
+            saturated_swing(bias, params))
 
 
 def am_am(a_in, bias: BiasPoint, params: PaParams, band: Optional[str] = None):
@@ -231,8 +238,7 @@ def am_am(a_in, bias: BiasPoint, params: PaParams, band: Optional[str] = None):
     leaves a_out within about ln(u/a_sat)/2 ulp of a_sat on either side.
     Accepts scalars or arrays.
     """
-    g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)
-    a_sat = saturated_swing(bias, params)
+    g, a_sat = gain_and_swing(bias, params, band)
     u = g * np.asarray(a_in, dtype=np.float64)
     if np.any(u < 0):
         raise ValueError("a_in must be >= 0")
@@ -250,13 +256,13 @@ def compression_level(bias: BiasPoint, params: PaParams, depth_db: float,
     """
     if not depth_db > 0:
         raise ValueError(f"depth must be > 0 dB, got {depth_db}")
-    g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)
+    g, a_sat = gain_and_swing(bias, params, band)
     s2 = 2.0 * params.smoothness
     try:
         excess = math.expm1(s2 * depth_db / 20.0 * math.log(10.0))
     except OverflowError:
         return math.inf
-    return saturated_swing(bias, params) / g * excess ** (1.0 / s2)
+    return a_sat / g * excess ** (1.0 / s2)
 
 
 def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
@@ -266,22 +272,22 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     Phase is preserved per sample; the envelope passes through the AM/AM
     law and each output-swing sample drives the conduction-current model.
     DC input power can never fall below RF output power (dissipation >= 0).
+    ``gain_db`` is None when the input power is zero or overflows.
     """
     if not isinstance(bias, BiasPoint):
         raise InvalidBias(f"expected BiasPoint, got {type(bias).__name__}")
-    g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)
-    a_sat = saturated_swing(bias, params)
+    g, a_sat = gain_and_swing(bias, params, band)
     env = np.abs(block.samples)
-    aout = np.empty_like(env)
-    sum_aout2, sum_vi1, sum_idc = kernels.pa_pipeline(
-        env, g, a_sat, params.smoothness, params.rload, bias.idq,
-        params.shape_beta, params.shape_exp, params.shape_sat, aout)
+    aout, sum_aout2, sum_vi1, sum_idc = kernels.pa_pipeline(
+        env, g, a_sat, bias.idq, params)
     n = env.size
     pout = sum_vi1 / (2.0 * n)
     pdc = bias.vdd * sum_idc / n
     pdc = max(pdc, pout)  # waveform shaping never drives dissipation negative
-    sum_env2 = float(np.dot(env, env))
-    gain_db = (10.0 * math.log10(sum_aout2 / sum_env2)) if sum_env2 > 0 else None
+    with np.errstate(over="ignore"):  # finite samples whose squares overflow
+        sum_env2 = float(np.dot(env, env))
+    gain_db = (10.0 * math.log10(sum_aout2 / sum_env2)
+               if 0.0 < sum_env2 < math.inf else None)
     scale = np.divide(aout, env, out=np.full_like(env, g), where=env > 0)
     out_block = IqBlock(block.samples * scale, block.sample_rate)
     eff = pout / pdc if pdc > 0 else 0.0

@@ -186,6 +186,10 @@ class PsuState:
     load_current_a: float = 0.0
     slew_v_per_s: float = 50.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.slew_v_per_s) and self.slew_v_per_s > 0):
+            raise ValueError(f"slew must be finite and > 0, got {self.slew_v_per_s}")
+
 
 @dataclass
 class PsuSim:

@@ -119,6 +119,8 @@ class WaveformSpec:
             raise InvalidSpec(f"AM index must be in [0, 1], got {self.am_index}")
         if self.kind is Kind.TWO_TONE and self.f1_hz == self.f2_hz:
             raise InvalidSpec("two-tone offsets must differ")
+        if self.kind is Kind.FM and self.fm_rate_hz == 0:
+            raise InvalidSpec("FM modulating rate must be nonzero")
         if self.kind is Kind.PSK:
             if self.psk_order not in (2, 4):
                 raise InvalidSpec(f"PSK order must be 2 or 4, got {self.psk_order}")

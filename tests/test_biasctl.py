@@ -64,6 +64,15 @@ class TestClassify:
             scaled = IqBlock(blk.samples * scale, FS)
             assert classify_envelope(scaled, WINDOW).kind is expected
 
+    @pytest.mark.parametrize("scale", [1e300, 1e155, 1e-300])
+    def test_verdict_past_the_float_range_is_the_unit_peak_verdict(self, scale):
+        # the squares (or their sum) leave the float range; no warning either
+        for kind in Kind:
+            blk = block_of(kind)
+            scaled = IqBlock(blk.samples * scale, FS)
+            assert (classify_envelope(scaled, WINDOW).kind
+                    is classify_envelope(blk, WINDOW).kind)
+
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
             classify_envelope(block_of(Kind.CW), window_s=1.0)

@@ -1,5 +1,8 @@
 """CLI tests: subcommand behavior, exit codes, CSV artifacts, determinism."""
+import resource
+import socket
 import threading
+import warnings
 
 import pytest
 
@@ -293,3 +296,116 @@ def test_psu_set_out_of_range_exits_1(capsys):
                  "--register", "voltage"]) == 0
     server.join(timeout=5.0)
     assert not server.is_alive()
+
+
+# --- every numeric flag of every subcommand, at values past its range --------
+
+SWEEP_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e4", "1e300")
+NON_FINITE = {"nan", "inf", "-inf"}
+
+_KIND_FLAGS = {
+    "cw": (),
+    "two-tone": ("--spacing",),
+    "fm": ("--fm-dev", "--fm-rate"),
+    "am": ("--am-index", "--am-rate"),
+    "psk": ("--psk-rate", "--psk-order"),
+}
+_WAVEFORM_FLAGS = ("--amplitude", "--duration", "--rate")
+
+#: (subcommand arguments, numeric flags). The placeholders are filled per
+#: test; {port} is a port nothing listens on, so no case waits on a socket.
+SWEEP_COMMANDS = (
+    *((["gen", "--kind", kind, "--duration", "0.001", "--out", "{out}"],
+      _WAVEFORM_FLAGS + flags) for kind, flags in _KIND_FLAGS.items()),
+    *((["classify", "--kind", kind], _WAVEFORM_FLAGS + flags + ("--window",))
+      for kind, flags in _KIND_FLAGS.items()),
+    (["two-tone", "--params", "{params}", "--duration", "0.032768",
+      "--out", "{out}"],
+     ("--drive-dbfs", "--vdd", "--idq", "--spacing", "--duration", "--rate")),
+    (["sweep-bias", "--vdd", "58", "--pout", "100", "--params", "{params}",
+      "--out", "{out}"], ("--vdd", "--idq", "--pout")),
+    (["freq-response", "--drive", "0.05", "--params", "{params}",
+      "--out", "{out}"], ("--drive", "--vdd", "--idq")),
+    (["calibrate", "--init", "{params}", "--budget", "0",
+      "--out-params", "{out}"], ("--budget",)),
+    (["run-controller", "--scenario", "{scenario}", "--params", "{params}",
+      "--out", "{out}"], ("--window", "--rate")),
+    (["psu-sim", "--port", "0", "--max-frames", "0"],
+     ("--port", "--slew", "--max-frames")),
+    (["psu-set", "--port", "{port}", "--vdd", "48"], ("--port", "--vdd")),
+    (["psu-read", "--port", "{port}"], ("--port",)),
+)
+
+SWEEP_CASES = [
+    pytest.param(base, flag, value,
+                 id=" ".join(base[:3] if base[1] == "--kind" else base[:1])
+                 + f" {flag}={value}")
+    for base, flags in SWEEP_COMMANDS for flag in flags
+    for value in SWEEP_VALUES]
+
+
+@pytest.fixture(scope="module")
+def closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.fixture()
+def bounded_address_space():
+    """Cap this process's address space 2 GiB above its current size.
+
+    ``--duration 1e4`` asks for 1e10 samples (80 GB); under the cap numpy
+    refuses that on any host instead of only on one with less memory.
+    """
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = size + (2 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("base, flag, value", SWEEP_CASES)
+def test_numeric_flag_sweep_ends_in_an_exit_code(
+        tmp_path, params_file, closed_port, bounded_address_space, capsys,
+        base, flag, value):
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("0.0 cw 40M 600\n")
+    fill = dict(params=params_file, out=str(tmp_path / "o"),
+                scenario=str(scenario), port=str(closed_port))
+    argv = [arg.format(**fill) for arg in base] + [f"{flag}={value}"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    err = capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert err.startswith("error: ")
+    if rc == 2:
+        assert err.startswith("usage: hfpa ")
+    if value in NON_FINITE:
+        assert rc != 0
+
+
+def test_calibrate_has_no_idq_flag(capsys):
+    # the bench table is taken at pamodel.IDQ_REF; no other current is fitted
+    with pytest.raises(SystemExit) as err:
+        main(["calibrate", "--idq", "2", "--out-params", "p.cfg"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: hfpa ")
+
+
+def test_waveform_flags_of_other_kinds_are_validated(capsys):
+    # every flag reaches WaveformSpec, so none is silently dropped
+    assert main(["classify", "--kind", "am", "--fm-dev", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: fm_dev_hz must be finite")

@@ -13,9 +13,9 @@ from hfpa.measure import gain_at_drive
 from hfpa.pamodel import (BiasPoint, InvalidBias, NonPositiveIdq,
                           OutOfRangeAlpha, PaParams, _fourier_clipped, am_am,
                           bisect, compression_level, conduction_currents,
-                          efficiency_curve, load_params, saturated_swing,
-                          save_params, simulate, small_signal_gain_db,
-                          swing_for_pout)
+                          efficiency_curve, fundamental_pout, load_params,
+                          saturated_swing, save_params, simulate,
+                          small_signal_gain_db, swing_for_pout)
 from hfpa.signalgen import IqBlock
 
 TWO_PI = 2.0 * math.pi
@@ -211,6 +211,14 @@ class TestSimulate:
         _, bumped = simulate(block, REF_BIAS, p, band="10M")
         assert bumped.gain_db - flat.gain_db == pytest.approx(1.0, abs=1e-9)
 
+    def test_gain_undefined_when_input_power_overflows(self):
+        # finite samples whose squares overflow: no warning, saturated output
+        p = make_params()
+        _, stats = simulate(IqBlock(np.full(64, 1e200 + 0j), 1e6), REF_BIAS, p)
+        assert stats.gain_db is None
+        assert stats.pout_w == pytest.approx(
+            fundamental_pout(saturated_swing(REF_BIAS, p), 2.0, p.rload))
+
     def test_rejects_non_bias(self):
         p = make_params()
         with pytest.raises(InvalidBias):
@@ -219,9 +227,9 @@ class TestSimulate:
 
 def test_pipeline_zero_drive_semantics():
     env = np.zeros(8)
-    aout = np.empty(8)
-    sum_a2, sum_vi1, sum_idc = kernels.pa_pipeline(
-        env, 40.0, 54.0, 2.0, 0.4, 2.0, 3.0, 8.0, 20.0, aout)
+    p = PaParams(g0=40.0, rload=0.4, smoothness=2.0, shape_beta=3.0,
+                 shape_exp=8.0, shape_sat=20.0)
+    aout, sum_a2, sum_vi1, sum_idc = kernels.pa_pipeline(env, 40.0, 54.0, 2.0, p)
     assert sum_a2 == 0.0
     assert sum_vi1 == 0.0
     assert sum_idc == pytest.approx(8 * 2.0, rel=1e-15)  # quiescent only
@@ -393,9 +401,7 @@ def test_block_dissipation_is_non_negative(params, bias, parts):
 @pytest.mark.parametrize("u", [1e9, 1e300])
 def test_rapp_saturates_past_the_float_range(u):
     # (u/a_sat)^40 overflows here; the limit is a_sat, with no warning
-    out = np.empty(3)
-    res = kernels.rapp(np.array([u, 0.5, 0.0]), 1.0, 20.0, out=out)
-    assert res is out
+    out = kernels.rapp(np.array([u, 0.5, 0.0]), 1.0, 20.0)
     assert out.tolist() == [1.0, kernels.rapp(np.array([0.5]), 1.0, 20.0)[0],
                             0.0]
     assert kernels.rapp(np.asarray(u), 1.0, 20.0) == 1.0

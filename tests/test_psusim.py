@@ -222,6 +222,13 @@ class TestPsuDynamics:
             sim.advance(dt)
         assert sim.state.actual_voltage_v == 40.0
 
+    @pytest.mark.parametrize("slew", [math.nan, math.inf, -math.inf, -5.0, 0.0])
+    def test_state_rejects_bad_slew(self, slew):
+        # a negative slew drove the output away from the setpoint, and a NaN
+        # one made a READ raise out of handle_wire
+        with pytest.raises(ValueError, match="slew"):
+            PsuState(slew_v_per_s=slew)
+
     def test_read_current_under_load(self):
         sim = PsuSim(PsuState(load_current_a=28.7449))
         reply = decode(sim.handle_wire(encode(ReadRequest(REG_CURRENT))))

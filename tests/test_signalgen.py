@@ -132,6 +132,10 @@ class TestValidation:
         with pytest.raises(InvalidSpec):
             generate(WaveformSpec(kind=Kind.PSK, psk_order=8), FS)
 
+    def test_rejects_zero_fm_rate(self):
+        with pytest.raises(InvalidSpec, match="FM"):
+            generate(WaveformSpec(kind=Kind.FM, fm_rate_hz=0.0), FS)
+
     def test_rejects_equal_tones(self):
         with pytest.raises(InvalidSpec):
             generate(WaveformSpec(kind=Kind.TWO_TONE, f1_hz=100.0,

@@ -62,6 +62,9 @@ DRAIN_MARGIN = 0.1
 #: Consecutive windows a new classification must persist to switch mode.
 HYSTERESIS_WINDOWS = 3
 
+#: Default classification window, seconds.
+WINDOW_S = 0.01
+
 #: An equalized band whose gain misses the target by more is flagged clamped.
 EQ_TOL_DB = 0.1
 
@@ -99,7 +102,13 @@ def default_band_table(ripple: Optional[Mapping[str, float]] = None) -> BandTabl
             for b in BANDS}
 
 
-def classify_envelope(block: IqBlock, window_s: float = 0.01) -> EnvelopeClass:
+def _check_window(window_s: float) -> None:
+    if not (math.isfinite(window_s) and window_s > 0):
+        raise ValueError(f"window_s must be finite and > 0, got {window_s}")
+
+
+def classify_envelope(block: IqBlock,
+                      window_s: float = WINDOW_S) -> EnvelopeClass:
     """Constant/varying verdict from envelope ripple and PAPR.
 
     ripple_ratio = (p99 - p1)/median of the envelope over the window;
@@ -107,8 +116,7 @@ def classify_envelope(block: IqBlock, window_s: float = 0.01) -> EnvelopeClass:
     thresholds, RIPPLE_LIMIT and PAPR_LIMIT_DB. Scale-invariant: both
     metrics are ratios. ``window_s`` must be finite and > 0.
     """
-    if not (math.isfinite(window_s) and window_s > 0):
-        raise ValueError(f"window_s must be finite and > 0, got {window_s}")
+    _check_window(window_s)
     if block.duration_s < window_s:
         raise WindowTooShort(
             f"block spans {block.duration_s:.4g} s < window {window_s:.4g} s")
@@ -265,15 +273,18 @@ class BiasController:
     A mode change requires the new classification to persist for
     ``HYSTERESIS_WINDOWS`` consecutive windows, preventing chatter on
     boundary signals. Driven by a single sequential event loop; commands
-    come out in call order.
+    come out in call order. ``window_s`` must be finite and > 0.
     """
 
     params: PaParams
     table: BandTable
-    window_s: float = 0.01
+    window_s: float = WINDOW_S
     mode: Mode = Mode.LINEAR
-    _pending_mode: Optional[Mode] = field(default=None, repr=False)
-    _pending_count: int = field(default=0, repr=False)
+    _pending_mode: Optional[Mode] = field(default=None, init=False, repr=False)
+    _pending_count: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self):
+        _check_window(self.window_s)
 
     def process(self, block: IqBlock, band: str,
                 setpoint_w: float) -> BiasCommand:

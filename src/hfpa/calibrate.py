@@ -15,9 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .measure import TargetUnreachable, sweep_bias
-from .pamodel import (IDQ_REF, VDD_REF, BiasPoint, PaParams, _fourier_clipped,
-                      bisect, small_signal_gain_db, swing_for_pout)
+from .measure import TargetUnreachable, sweep_bias, write_csv
+from .pamodel import (IDQ_REF, VDD_REF, BiasPoint, PaParams, bisect,
+                      conduction_currents, small_signal_gain_db,
+                      swing_for_pout)
 
 
 class Diverged(RuntimeError):
@@ -237,7 +238,7 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float):
     Returns (shape_beta, shape_exp, shape_sat, a_out) or None when infeasible.
     """
     a_out = swing_for_pout(anchors[0].pout_w, IDQ_REF, rload)
-    _, idc, _ = _fourier_clipped(IDQ_REF, a_out / rload)
+    _, idc, _ = conduction_currents(IDQ_REF, a_out / rload)
 
     ys, rs = [], []
     for a in anchors:
@@ -367,16 +368,13 @@ def read_anchors_csv(path) -> List[AnchorRow]:
 
 
 def write_anchors_csv(anchors: Sequence[AnchorRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(ANCHOR_HEADER + "\n")
-        for a in anchors:
-            fh.write(f"{a.vdd:.6g},{a.gain_db:.6g},{a.eff_pct:.6g},"
-                     f"{a.pout_w:.6g},{a.pdiss_w:.6g}\n")
+    write_csv(path, ANCHOR_HEADER,
+              ((a.vdd, a.gain_db, a.eff_pct, a.pout_w, a.pdiss_w)
+               for a in anchors))
 
 
 def write_report_csv(report: FitReport, anchors: Sequence[AnchorRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("vdd_V,gain_err_dB,eff_err_pp,residual,evaluations\n")
-        for a, (ge, ee) in zip(anchors, report.per_anchor):
-            fh.write(f"{a.vdd:.6g},{ge:.6g},{ee:.6g},"
-                     f"{report.residual:.6g},{report.evaluations}\n")
+    # the count is an int cell: str() keeps 1000000 from reading 1e+06
+    write_csv(path, "vdd_V,gain_err_dB,eff_err_pp,residual,evaluations",
+              ((a.vdd, ge, ee, report.residual, str(report.evaluations))
+               for a, (ge, ee) in zip(anchors, report.per_anchor)))

@@ -16,14 +16,10 @@ import numpy as np
 from . import biasctl, calibrate, measure, pamodel, psusim, signalgen
 from .bands import BANDS
 
-_KINDS = {
-    "cw": signalgen.Kind.CW,
-    "fm": signalgen.Kind.FM,
-    "am": signalgen.Kind.AM,
-    "psk": signalgen.Kind.PSK,
-    "two-tone": signalgen.Kind.TWO_TONE,
-    "two_tone": signalgen.Kind.TWO_TONE,
-}
+_KINDS = {kind.value: kind for kind in signalgen.Kind}
+_KINDS["two-tone"] = signalgen.Kind.TWO_TONE
+
+_REGISTERS = {name: reg for reg, (name, _) in psusim.REGISTERS.items()}
 
 
 def _positive_float(text: str) -> float:
@@ -70,28 +66,29 @@ def _spec_from_args(args) -> signalgen.WaveformSpec:
 
 
 def _add_waveform_flags(p: argparse.ArgumentParser):
+    spec = signalgen.WaveformSpec  # its class attributes are the defaults
     p.add_argument("--kind", required=True, choices=sorted(_KINDS))
-    p.add_argument("--amplitude", type=float, default=1.0,
+    p.add_argument("--amplitude", type=float, default=spec.amplitude,
                    help="peak envelope (normalized)")
     p.add_argument("--duration", type=float, default=0.02, help="seconds")
     p.add_argument("--rate", type=float, default=1e6, help="sample rate, S/s")
-    p.add_argument("--spacing", type=float, default=2000.0,
+    p.add_argument("--spacing", type=float, default=spec.f2_hz - spec.f1_hz,
                    help="two-tone spacing, Hz")
-    p.add_argument("--fm-dev", type=float, default=5000.0)
-    p.add_argument("--fm-rate", type=float, default=1000.0)
-    p.add_argument("--am-index", type=float, default=0.5)
-    p.add_argument("--am-rate", type=float, default=1000.0)
-    p.add_argument("--psk-rate", type=float, default=10000.0)
-    p.add_argument("--psk-order", type=int, default=2, choices=(2, 4))
+    p.add_argument("--fm-dev", type=float, default=spec.fm_dev_hz)
+    p.add_argument("--fm-rate", type=float, default=spec.fm_rate_hz)
+    p.add_argument("--am-index", type=float, default=spec.am_index)
+    p.add_argument("--am-rate", type=float, default=spec.am_rate_hz)
+    p.add_argument("--psk-rate", type=float, default=spec.psk_rate_hz)
+    p.add_argument("--psk-order", type=int, default=spec.psk_order,
+                   choices=(2, 4))
 
 
 def _cmd_gen(args) -> int:
     block = signalgen.generate(_spec_from_args(args), args.rate)
     t = np.arange(len(block)) / block.sample_rate
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t_s,i,q\n")
-        for ts, s in zip(t, block.samples):
-            fh.write(f"{ts:.9g},{s.real:.9g},{s.imag:.9g}\n")
+    measure.write_csv(args.out, "t_s,i,q",
+                      ((f"{ts:.9g}", f"{s.real:.9g}", f"{s.imag:.9g}")
+                       for ts, s in zip(t, block.samples)))
     return 0
 
 
@@ -171,7 +168,7 @@ def _cmd_run_controller(args) -> int:
                                         window_s=args.window)
     psu = psusim.PsuSim()
     events = _read_scenario(args.scenario)
-    lines = ["t_s,mode,vdd_V,idq_A,gate_step"]
+    rows = []
     prev_t = None
     for t_s, kind, band, setpoint in events:
         if prev_t is not None:
@@ -186,11 +183,9 @@ def _cmd_run_controller(args) -> int:
         reply = psusim.decode(wire)
         if not isinstance(reply, psusim.Reply):
             raise RuntimeError(f"supply rejected SET at t={t_s}: {reply}")
-        lines.append(f"{t_s:.6g},{command.mode.value},"
-                     f"{command.target.vdd:.6g},{command.target.idq:.6g},"
-                     f"{command.target.gate_step}")
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append((t_s, command.mode.value, command.target.vdd,
+                     command.target.idq, command.target.gate_step))
+    measure.write_csv(args.out, "t_s,mode,vdd_V,idq_A,gate_step", rows)
     return 0
 
 
@@ -234,25 +229,23 @@ def _cmd_psu_sim(args) -> int:
     return 0
 
 
-def _cmd_psu_set(args) -> int:
-    reply = psusim.request(args.host, args.port, psusim.SetVoltage(args.vdd))
+def _print_reply(reply: psusim.Command, prefix: str = "") -> int:
     if isinstance(reply, psusim.Reply):
-        print(f"set {reply.milli_value / 1000.0:.3f} V")
+        _, unit = psusim.REGISTERS[reply.register]
+        print(f"{prefix}{psusim.from_milli(reply.milli_value):.3f} {unit}")
         return 0
     print(f"error: supply answered {reply}", file=sys.stderr)
     return 1
+
+
+def _cmd_psu_set(args) -> int:
+    return _print_reply(psusim.request(args.host, args.port,
+                                       psusim.SetVoltage(args.vdd)), "set ")
 
 
 def _cmd_psu_read(args) -> int:
-    reg = (psusim.REG_VOLTAGE if args.register == "voltage"
-           else psusim.REG_CURRENT)
-    reply = psusim.request(args.host, args.port, psusim.ReadRequest(reg))
-    if isinstance(reply, psusim.Reply):
-        unit = "V" if reg == psusim.REG_VOLTAGE else "A"
-        print(f"{reply.milli_value / 1000.0:.3f} {unit}")
-        return 0
-    print(f"error: supply answered {reply}", file=sys.stderr)
-    return 1
+    return _print_reply(psusim.request(
+        args.host, args.port, psusim.ReadRequest(_REGISTERS[args.register])))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a generated waveform's envelope")
     _add_waveform_flags(p)
-    p.add_argument("--window", type=_positive_float, default=0.01,
+    p.add_argument("--window", type=_positive_float, default=biasctl.WINDOW_S,
                    help="seconds")
     p.set_defaults(func=_cmd_classify)
 
@@ -314,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True,
                    help="text lines: t_s kind band setpoint_W")
     p.add_argument("--params", required=True)
-    p.add_argument("--window", type=_positive_float, default=0.01)
+    p.add_argument("--window", type=_positive_float, default=biasctl.WINDOW_S)
     p.add_argument("--rate", type=float, default=1e6)
     p.add_argument("--out", "-o", required=True)
     p.set_defaults(func=_cmd_run_controller)
@@ -322,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psu-sim", help="serve the supply protocol on a socket")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_port, default=29050)
-    p.add_argument("--slew", type=_positive_float, default=50.0)
+    p.add_argument("--slew", type=_positive_float, default=psusim.SLEW_V_PER_S)
     p.add_argument("--max-frames", type=_non_negative_int, default=None,
                    help="exit after N frames (default: serve forever)")
     p.set_defaults(func=_cmd_psu_sim)
@@ -336,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psu-read", help="read a supply register")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_port, default=29050)
-    p.add_argument("--register", choices=("voltage", "current"),
-                   default="voltage")
+    p.add_argument("--register", choices=_REGISTERS, default="voltage")
     p.set_defaults(func=_cmd_psu_read)
 
     return parser

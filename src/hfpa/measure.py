@@ -91,14 +91,25 @@ def _fmt(value) -> str:
     return f"{value:.6g}"
 
 
-def write_rows_csv(rows: Iterable[MeasRow], path) -> None:
-    """Write measurement rows in the canonical schema (UTF-8, LF)."""
+def write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
+    """Write one CSV artifact: UTF-8, LF line ends, the header line, then
+    one line per row.
+
+    Cells: None is an empty field (not measured), a str is written as is,
+    and a number as ``.6g``; a caller that needs another number format
+    passes the formatted str.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fields = (r.vdd_v, r.idq_a, r.band, r.pout_w, r.gain_db,
-                      r.eff_pct, r.pdiss_w, r.imd3_dbc, r.imd5_dbc)
-            fh.write(",".join(_fmt(f) for f in fields) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+
+
+def write_rows_csv(rows: Iterable[MeasRow], path) -> None:
+    """Write measurement rows in the canonical schema (``write_csv``)."""
+    write_csv(path, CSV_HEADER,
+              ((r.vdd_v, r.idq_a, r.band, r.pout_w, r.gain_db, r.eff_pct,
+                r.pdiss_w, r.imd3_dbc, r.imd5_dbc) for r in rows))
 
 
 def measure_gain(inp: IqBlock, outp: IqBlock) -> float:

@@ -38,11 +38,18 @@ ID_NACK = 0x10018003
 REG_VOLTAGE = 0x01
 REG_CURRENT = 0x02
 
+#: The register map: register byte -> (CLI name, unit). Every register can
+#: be read and travels in replies; only REG_VOLTAGE can be set.
+REGISTERS = {REG_VOLTAGE: ("voltage", "V"), REG_CURRENT: ("current", "A")}
+
 NACK_BAD_DLC = 0x01
 NACK_UNKNOWN_ID = 0x02
 NACK_UNKNOWN_REGISTER = 0x03
 
 U32_MAX = 0xFFFFFFFF
+
+#: Default output slew of the simulated supply, volts per second.
+SLEW_V_PER_S = 50.0
 
 #: Seconds ``serve`` waits on a connected client's next bytes before it drops
 #: the client and accepts the next one; well inside ``request``'s 5 s.
@@ -100,6 +107,21 @@ def decode_frame(data: bytes) -> CanFrame:
 
 # --- command layer ----------------------------------------------------------
 
+def to_milli(value: float) -> int:
+    """Volts or amps to the wire's integer milli-units (round half to even)."""
+    return round(value * 1000.0)
+
+
+def from_milli(milli: int) -> float:
+    """The wire's milli-units back to volts or amps."""
+    return milli / 1000.0
+
+
+def _check_register(register: int, context: str = "") -> None:
+    if register not in REGISTERS:
+        raise UnknownRegister(f"{context}register {register:#x}")
+
+
 @dataclass(frozen=True)
 class SetVoltage:
     volts: float  # quantized to millivolts on the wire
@@ -130,15 +152,13 @@ def encode(command: Command) -> bytes:
         if not math.isfinite(command.volts):
             raise ValueOutOfRange(f"voltage {command.volts} V is not finite")
         payload = (bytes([REG_VOLTAGE]) + b"\x00\x00\x00"
-                   + _u32(round(command.volts * 1000.0), "millivolts"))
+                   + _u32(to_milli(command.volts), "millivolts"))
         return encode_frame(CanFrame(ID_SET_VOLTAGE, payload))
     if isinstance(command, ReadRequest):
-        if command.register not in (REG_VOLTAGE, REG_CURRENT):
-            raise UnknownRegister(f"register {command.register:#x}")
+        _check_register(command.register)
         return encode_frame(CanFrame(ID_READ, bytes([command.register])))
     if isinstance(command, Reply):
-        if command.register not in (REG_VOLTAGE, REG_CURRENT):
-            raise UnknownRegister(f"register {command.register:#x}")
+        _check_register(command.register)
         payload = (bytes([command.register]) + b"\x00\x00\x00"
                    + _u32(command.milli_value, "milli_value"))
         return encode_frame(CanFrame(ID_REPLY, payload))
@@ -162,14 +182,12 @@ def decode(data: bytes) -> Command:
         if payload[0] != REG_VOLTAGE:
             raise UnknownRegister(f"set register {payload[0]:#x}")
         mv = struct.unpack(">I", payload[4:8])[0]
-        return SetVoltage(volts=mv / 1000.0)
+        return SetVoltage(volts=from_milli(mv))
     if frame.can_id == ID_READ:
-        if payload[0] not in (REG_VOLTAGE, REG_CURRENT):
-            raise UnknownRegister(f"read register {payload[0]:#x}")
+        _check_register(payload[0], "read ")
         return ReadRequest(register=payload[0])
     if frame.can_id == ID_REPLY:
-        if payload[0] not in (REG_VOLTAGE, REG_CURRENT):
-            raise UnknownRegister(f"reply register {payload[0]:#x}")
+        _check_register(payload[0], "reply ")
         return Reply(register=payload[0],
                      milli_value=struct.unpack(">I", payload[4:8])[0])
     if frame.can_id == ID_NACK:
@@ -181,12 +199,24 @@ def decode(data: bytes) -> Command:
 
 @dataclass
 class PsuState:
+    """Supply state. Both voltages lie in the [VDD_MIN, VDD_MAX] window, and
+    the load current fits the u32 milliamp field of a current reply."""
+
     set_voltage_v: float = 48.0
     actual_voltage_v: float = 48.0
     load_current_a: float = 0.0
-    slew_v_per_s: float = 50.0
+    slew_v_per_s: float = SLEW_V_PER_S
 
     def __post_init__(self):
+        for name in ("set_voltage_v", "actual_voltage_v"):
+            volts = getattr(self, name)
+            if not VDD_MIN <= volts <= VDD_MAX:
+                raise ValueError(f"{name} must be in [{VDD_MIN:g}, "
+                                 f"{VDD_MAX:g}] V, got {volts}")
+        amps = self.load_current_a
+        if not (math.isfinite(amps) and 0 <= to_milli(amps) <= U32_MAX):
+            raise ValueOutOfRange(
+                f"load_current_a {amps} A does not fit the u32 milliamp field")
         if not (math.isfinite(self.slew_v_per_s) and self.slew_v_per_s > 0):
             raise ValueError(f"slew must be finite and > 0, got {self.slew_v_per_s}")
 
@@ -214,13 +244,12 @@ class PsuSim:
         if isinstance(command, SetVoltage):
             clamped = min(max(command.volts, VDD_MIN), VDD_MAX)
             self.state.set_voltage_v = clamped
-            return encode(Reply(REG_VOLTAGE, round(clamped * 1000.0)))
+            return encode(Reply(REG_VOLTAGE, to_milli(clamped)))
         if isinstance(command, ReadRequest):
-            if command.register == REG_VOLTAGE:
-                return encode(Reply(REG_VOLTAGE,
-                                    round(self.state.actual_voltage_v * 1000.0)))
-            return encode(Reply(REG_CURRENT,
-                                round(self.state.load_current_a * 1000.0)))
+            value = (self.state.actual_voltage_v
+                     if command.register == REG_VOLTAGE
+                     else self.state.load_current_a)
+            return encode(Reply(command.register, to_milli(value)))
         # replies/nacks arriving at the supply are ignored but acknowledged
         return encode(Nack(NACK_UNKNOWN_ID))
 
@@ -237,9 +266,13 @@ class PsuSim:
 
     def step(self, dt_s: float,
              frames: Sequence[CanFrame]) -> Tuple[PsuState, List[CanFrame]]:
-        """Process incoming frames in order, then advance time by dt."""
-        if dt_s <= 0:
-            raise ValueError("dt must be > 0")
+        """Process incoming frames in order, then advance time by dt.
+
+        ``dt_s`` must be finite and > 0; a bad one is rejected before any
+        frame is applied.
+        """
+        if not (math.isfinite(dt_s) and dt_s > 0):
+            raise ValueError(f"dt must be finite and > 0, got {dt_s}")
         out = [decode_frame(self.handle_wire(encode_frame(f))) for f in frames]
         self.advance(dt_s)
         return self.state, out
@@ -247,7 +280,7 @@ class PsuSim:
 
 # --- socket transport (CLI) ---------------------------------------------------
 
-def serve(host: str, port: int, slew_v_per_s: float = 50.0,
+def serve(host: str, port: int, slew_v_per_s: float = SLEW_V_PER_S,
           max_frames: int | None = None) -> None:
     """Serve the supply protocol on a local TCP socket.
 

@@ -341,6 +341,20 @@ class TestControllerHysteresis:
         modes = [ctl.process(am, "40M", 800.0).mode for _ in range(3)]
         assert modes == [Mode.COMPRESSION, Mode.COMPRESSION, Mode.LINEAR]
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_window_rejected_at_construction(self, window):
+        with pytest.raises(ValueError,
+                           match="window_s must be finite and > 0"):
+            BiasController(params=PaParams(g0=40.0),
+                           table=default_band_table(), window_s=window)
+
+    @pytest.mark.parametrize("private", [{"_pending_mode": Mode.COMPRESSION},
+                                         {"_pending_count": 2}])
+    def test_pending_state_is_not_a_constructor_argument(self, private):
+        with pytest.raises(TypeError):
+            BiasController(params=PaParams(g0=40.0),
+                           table=default_band_table(), **private)
+
     def test_command_reports_reason_metrics(self, fitted_params):
         ctl = self.make_controller(fitted_params)
         cmd = ctl.process(block_of(Kind.AM), "40M", 500.0)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from hfpa import calibrate
-from hfpa.calibrate import (ANCHOR_HEADER, AnchorRow, REFERENCE_ANCHORS,
-                            default_init, fit, objective, read_anchors_csv,
-                            write_anchors_csv, write_report_csv)
+from hfpa.calibrate import (ANCHOR_HEADER, AnchorRow, FitReport,
+                            REFERENCE_ANCHORS, default_init, fit, objective,
+                            read_anchors_csv, write_anchors_csv,
+                            write_report_csv)
 from hfpa.measure import sweep_bias
 from hfpa.pamodel import PaParams
 
@@ -172,6 +173,13 @@ class TestAnchorIo:
         lines = path.read_text().splitlines()
         assert lines[0] == "vdd_V,gain_err_dB,eff_err_pp,residual,evaluations"
         assert len(lines) == 1 + len(REFERENCE_ANCHORS)
+
+    def test_report_csv_writes_evaluations_as_an_integer(self, tmp_path):
+        report = FitReport(params=PaParams(g0=40.0), residual=0.5,
+                           per_anchor=((0.25, -1.5),), evaluations=1000000)
+        path = tmp_path / "report.csv"
+        write_report_csv(report, REFERENCE_ANCHORS[:1], path)
+        assert path.read_text().splitlines()[1] == "58,0.25,-1.5,0.5,1000000"
 
     def test_anchor_consistency_validated(self):
         with pytest.raises(ValueError, match="inconsistent"):

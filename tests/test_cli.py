@@ -250,7 +250,7 @@ def test_psu_cli_round_trip(capsys):
     from hfpa.psusim import serve
     host, port = "127.0.0.1", 29252
     server = threading.Thread(target=serve, args=(host, port),
-                              kwargs={"max_frames": 2}, daemon=True)
+                              kwargs={"max_frames": 3}, daemon=True)
     server.start()
     import time
     deadline = time.time() + 5.0
@@ -262,11 +262,16 @@ def test_psu_cli_round_trip(capsys):
             break
         time.sleep(0.02)
     assert rc == 0
-    assert "37.500 V" in capsys.readouterr().out
+    assert capsys.readouterr().out == "set 37.500 V\n"
     rc = main(["psu-read", "--host", host, "--port", str(port),
                "--register", "voltage"])
     assert rc == 0
+    rc = main(["psu-read", "--host", host, "--port", str(port),
+               "--register", "current"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0.000 A"
     server.join(timeout=5.0)
+    assert not server.is_alive()
 
 
 def test_psu_set_out_of_range_exits_1(capsys):

@@ -16,7 +16,7 @@ from hfpa.measure import (CSV_HEADER, LengthMismatch, MeasRow, NoCompression,
                           TargetUnreachable, TonesUnresolvable, UnknownBand,
                           drive_for_pout, find_p1db, flattop, freq_response,
                           measure_gain, measure_imd, simulate_cw, sweep_bias,
-                          write_rows_csv)
+                          write_csv, write_rows_csv)
 from hfpa.pamodel import (BiasPoint, PaParams, am_am, bisect, fundamental_pout,
                           saturated_swing, simulate, small_signal_gain_db)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
@@ -420,3 +420,15 @@ class TestCsv:
         assert lines[1] == "58,2,,1000,32,60,666,,"
         assert lines[2] == "48,2,40M,0,,,96,,"
         assert "\r" not in text
+
+    @pytest.mark.parametrize("cell, text", [
+        (None, ""),                    # not measured
+        ("40M", "40M"),                # str as is
+        (58.0, "58"),
+        (1234567.0, "1.23457e+06"),    # .6g
+        (math.inf, "inf"),
+    ])
+    def test_write_csv_cell_rules(self, tmp_path, cell, text):
+        path = tmp_path / "cells.csv"
+        write_csv(path, "name,cell", [("x", cell)])
+        assert path.read_bytes() == f"name,cell\nx,{text}\n".encode("utf-8")

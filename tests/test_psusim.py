@@ -229,6 +229,33 @@ class TestPsuDynamics:
         with pytest.raises(ValueError, match="slew"):
             PsuState(slew_v_per_s=slew)
 
+    @pytest.mark.parametrize("name, value", [
+        ("set_voltage_v", 100.0),   # read back as 98 V, outside the window
+        ("set_voltage_v", 29.0),
+        ("actual_voltage_v", math.nan),  # made a READ raise
+        ("actual_voltage_v", math.inf),
+        ("load_current_a", -1.0),   # made a current READ raise
+        ("load_current_a", math.nan),
+        ("load_current_a", 4_294_967.296),
+    ])
+    def test_state_rejects_out_of_range_values(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PsuState(**{name: value})
+
+    def test_state_accepts_its_edges(self):
+        sim = PsuSim(PsuState(set_voltage_v=psusim.VDD_MIN,
+                              actual_voltage_v=psusim.VDD_MAX,
+                              load_current_a=4_294_967.295))
+        reply = decode(sim.handle_wire(encode(ReadRequest(REG_CURRENT))))
+        assert reply == Reply(REG_CURRENT, psusim.U32_MAX)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
+    def test_step_rejects_bad_dt_before_any_frame(self, dt):
+        sim = PsuSim()
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            sim.step(dt, [decode_frame(encode(SetVoltage(58.0)))])
+        assert sim.state.set_voltage_v == 48.0
+
     def test_read_current_under_load(self):
         sim = PsuSim(PsuState(load_current_a=28.7449))
         reply = decode(sim.handle_wire(encode(ReadRequest(REG_CURRENT))))

@@ -5,16 +5,23 @@ Usage: ``python tools/cli_artifacts.py OUTDIR``
 
 Each step is a ``python -m hfpa`` subprocess that inherits the caller's
 environment, so ``PYTHONPATH`` picks the checkout under test; relative
-entries are taken from the caller's working directory. The steps
-are the README walkthrough (calibrate, sweep-bias, classify fm/am,
-run-controller, two-tone at -20 and -3 dBFS, freq-response) plus a
-two-tone on a half-length block at 4 kHz spacing (a second analysis
-length and flat-top size), a budget-600 calibration, a controller
-scenario that uses all five waveform kinds, and two sweeps at the edges
-of the CW drive solve: 5 W at 0.25 A, near the clipping onset, and
-1200 W at 0.5 A, within 1% of saturation at 48 V. Every file a step writes
-lands in OUTDIR, next to ``<step>.stdout``, ``<step>.stderr`` and
-``<step>.exit`` for each step. No step opens a socket. Two checkouts are compared with::
+entries are taken from the caller's working directory. The steps are:
+
+* the README walkthrough: calibrate, sweep-bias, classify fm/am,
+  run-controller, two-tone at -20 and -3 dBFS, freq-response;
+* a two-tone on a half-length block at 4 kHz spacing (a second analysis
+  length and flat-top size);
+* a budget-600 calibration;
+* a controller scenario that uses all five waveform kinds;
+* two sweeps at the edges of the CW drive solve: 5 W at 0.25 A, near the
+  clipping onset, and 1200 W at 0.5 A, within 1% of saturation at 48 V;
+* ``gen`` of an FM and a PSK waveform (the ``.9g`` sample CSV);
+* a budget-40 calibration from an anchor CSV (the anchor reader).
+
+With these, every CSV the CLI writes or reads is covered. Every file a
+step writes lands in OUTDIR, next to ``<step>.stdout``, ``<step>.stderr``
+and ``<step>.exit`` for each step. No step opens a socket. Two
+checkouts are compared with::
 
     PYTHONPATH=old/src python tools/cli_artifacts.py /tmp/old
     PYTHONPATH=new/src python tools/cli_artifacts.py /tmp/new
@@ -44,6 +51,15 @@ ALL_KINDS_SCENARIO = """\
 0.9 psk 10M 150
 1.0 two-tone 10M 150
 1.1 cw 10M 150
+"""
+
+#: An equal-power table at 900 W, so the pre-solve of ``default_init`` runs
+#: on anchors other than the built-in ones.
+ANCHORS_CSV = """\
+vdd_V,gain_dB,eff_pct,pout_W,pdiss_W
+58,32,58,900,651.7
+53,30,66,900,463.6
+48,28,75,900,300
 """
 
 #: (step name, hfpa arguments), run in order from inside OUTDIR.
@@ -80,6 +96,14 @@ STEPS = (
                                   "--scenario", "scenario_all_kinds.txt",
                                   "--params", "fitted.cfg",
                                   "--out", "ctl_all_kinds.csv"]),
+    ("gen_fm", ["gen", "--kind", "fm", "--duration", "0.001",
+                "--out", "gen_fm.csv"]),
+    ("gen_psk", ["gen", "--kind", "psk", "--duration", "0.001",
+                 "--out", "gen_psk.csv"]),
+    ("calibrate_anchors", ["calibrate", "--anchors", "anchors.csv",
+                           "--budget", "40",
+                           "--out-params", "fitted_anchors.cfg",
+                           "--out-report", "fit_report_anchors.csv"]),
 )
 
 
@@ -96,6 +120,7 @@ def main(argv=None) -> int:
     (out / "scenario.txt").write_text(README_SCENARIO, encoding="utf-8")
     (out / "scenario_all_kinds.txt").write_text(ALL_KINDS_SCENARIO,
                                                 encoding="utf-8")
+    (out / "anchors.csv").write_text(ANCHORS_CSV, encoding="utf-8")
     env = dict(os.environ)
     if env.get("PYTHONPATH"):  # the steps run from OUTDIR
         env["PYTHONPATH"] = os.pathsep.join(

@@ -14,11 +14,10 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import kernels
 from .bands import BANDS
-from .pamodel import (BiasPoint, PaParams, PaStats, am_am, bisect,
-                      compression_level, fundamental_pout, gain_and_swing,
-                      saturated_swing, simulate)
+from .pamodel import (BiasPoint, PaParams, PaStats, _rapp_scalar, am_am,
+                      bisect, compression_level, fundamental_pout,
+                      gain_and_swing, saturated_swing, simulate)
 from .signalgen import IqBlock
 
 
@@ -258,47 +257,56 @@ def simulate_cw(level: float, bias: BiasPoint, params: PaParams,
 DRIVE_REL_TOL = 1e-3
 DRIVE_MAX_ITER = 60
 
-#: ``drive_for_pout`` decides a bisection step from the scalar CW law unless
-#: the predicted power lies within this fraction of itself of the tolerance
-#: edge. The scalar law and ``simulate_cw`` differed by at most 7.2e-14 of
-#: the power in scans of 40 000 random params, bias points and drives, the
-#: worst case at the clipping onset ``a_out ~ idq*rload``: a safety factor
-#: above 10^4.
+#: ``drive_for_pout`` decides a bisection step, and ``drive_cap`` its
+#: saturation test, from the scalar CW law unless the predicted power lies
+#: within this fraction of itself of the decision's edge. The law and
+#: ``simulate_cw`` differed by at most 5.7e-14 of the power in four scans of
+#: 40 000 cases (``tools/cw_law_scan.py``, seeds 1, 2, 3 and 7: random
+#: params, bias points and bands; drives uniform up to 10x saturation, at the
+#: clipping onset ``a_out ~ idq*rload``, where the worst case lies, and at
+#: the ceiling ``10*a_sat/g``): a safety factor above 10^4.
 DRIVE_PREDICT_MARGIN = 1e-9
-
-
-def drive_cap(target_pout_w: float, bias: BiasPoint, params: PaParams,
-              band: Optional[str] = None) -> Tuple[float, float]:
-    """Drive ceiling ``10*a_sat/g`` and the CW output power it gives.
-
-    Raises TargetUnreachable, carrying that power, when it falls short of
-    the target. One ``simulate_cw`` call: the saturation test of
-    ``drive_for_pout``, also the bias controller's reachability check.
-    """
-    g, a_sat = gain_and_swing(bias, params, band)
-    hi = 10.0 * a_sat / g
-    p_hi = simulate_cw(hi, bias, params, band).pout_w
-    if p_hi < target_pout_w:
-        raise TargetUnreachable(
-            f"saturated output {p_hi:.1f} W below target {target_pout_w:.1f} W "
-            f"at vdd {bias.vdd} V", max_pout_w=p_hi)
-    return hi, p_hi
 
 
 def _cw_pout_law(bias: BiasPoint, params: PaParams,
                  band: Optional[str] = None) -> Callable[[float], float]:
     """Scalar CW output power ``a -> fundamental_pout(am_am(a), idq, rload)``.
 
-    ``am_am``'s law with its gain and saturated swing computed once.
+    ``am_am``'s law in ``math`` arithmetic (``pamodel._rapp_scalar``), with
+    its gain and saturated swing computed once. It filters decisions only:
+    its value never reaches an output.
     """
     g, a_sat = gain_and_swing(bias, params, band)
+    smooth, idq, rload = params.smoothness, bias.idq, params.rload
 
     def pout(a: float) -> float:
-        # a numpy scalar, so that rapp traps an overflow as it does in a block
-        a_out = float(kernels.rapp(np.float64(g * a), a_sat, params.smoothness))
-        return fundamental_pout(a_out, bias.idq, params.rload)
+        return fundamental_pout(_rapp_scalar(g * a, a_sat, smooth), idq, rload)
 
     return pout
+
+
+def drive_cap(target_pout_w: float, bias: BiasPoint, params: PaParams,
+              band: Optional[str] = None) -> float:
+    """Drive ceiling ``hi = 10*a_sat/g``, once the target is known to be
+    reachable there.
+
+    The saturation test of ``drive_for_pout``, also the bias controller's
+    reachability check. When the scalar CW law's power at ``hi`` exceeds
+    the target by more than ``DRIVE_PREDICT_MARGIN`` of itself, the law
+    decides it and no block runs. Otherwise one ``simulate_cw(hi)`` decides
+    it, and TargetUnreachable carries that exact power when it falls short
+    of the target. The scalar value decides only; it never reaches an output.
+    """
+    g, a_sat = gain_and_swing(bias, params, band)
+    hi = 10.0 * a_sat / g
+    pred = _cw_pout_law(bias, params, band)(hi)
+    if pred - target_pout_w <= DRIVE_PREDICT_MARGIN * pred:
+        p_hi = simulate_cw(hi, bias, params, band).pout_w
+        if p_hi < target_pout_w:
+            raise TargetUnreachable(
+                f"saturated output {p_hi:.1f} W below target "
+                f"{target_pout_w:.1f} W at vdd {bias.vdd} V", max_pout_w=p_hi)
+    return hi
 
 
 def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
@@ -309,21 +317,30 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
     ``tol = DRIVE_REL_TOL * target`` of the target, capped at
     ``DRIVE_MAX_ITER`` steps; raises TargetUnreachable when output saturates
     below target or the cap is hit (the exception carries the achievable
-    maximum).
+    maximum, from ``simulate_cw`` at the ceiling).
 
-    Each step is a filtered predicate (Shewchuk 1997). The scalar CW law
-    ``pred = fundamental_pout(am_am(a), idq, rload)`` gives the estimate
-    ``est = pred - target``; ``simulate_cw`` runs only when
-    ``| |est| - tol | <= DRIVE_PREDICT_MARGIN * pred``. ``bisect`` uses a
-    step's value only for the test ``|f| <= tol`` and for its sign, and
-    returns the midpoint itself. The estimate lies within the margin of the
-    exact value, so outside that band both give the same decisions, and the
-    result is bit for bit the one of a bisection on ``simulate_cw`` alone.
+    Each decision is a filtered predicate (Shewchuk 1997) on the scalar CW
+    law ``pred = fundamental_pout(am_am(a), idq, rload)``, whose estimate
+    lies within ``DRIVE_PREDICT_MARGIN * pred`` of ``simulate_cw``'s power.
+    A 64-sample ``simulate_cw`` block runs only:
+
+    * in ``drive_cap``, when the ceiling's predicted power lies within the
+      margin of the target, or the target is unreachable;
+    * at a bisection step whose estimate ``est = pred - target`` has
+      ``| |est| - tol | <= DRIVE_PREDICT_MARGIN * pred``;
+    * when the bisection fails, for the power the exception carries.
+
+    ``bisect`` uses a step's value only for the test ``|f| <= tol`` and for
+    its sign, and returns the midpoint itself. Outside the margin the
+    estimate and the exact value give the same decisions, so the result,
+    or the exception with its text and power, is bit for bit the one of a
+    bisection on ``simulate_cw`` alone; the scalar value never reaches an
+    output.
     """
     if not (math.isfinite(target_pout_w) and target_pout_w > 0):
         raise ValueError(
             f"target power must be finite and > 0, got {target_pout_w}")
-    hi, p_hi = drive_cap(target_pout_w, bias, params, band)
+    hi = drive_cap(target_pout_w, bias, params, band)
     tol = DRIVE_REL_TOL * target_pout_w
     predict = _cw_pout_law(bias, params, band)
 
@@ -338,7 +355,8 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
     if level is None:
         raise TargetUnreachable(
             f"bisection failed to reach {target_pout_w} W within "
-            f"{DRIVE_MAX_ITER} steps", max_pout_w=p_hi)
+            f"{DRIVE_MAX_ITER} steps",
+            max_pout_w=simulate_cw(hi, bias, params, band).pout_w)
     return level
 
 

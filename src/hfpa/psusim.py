@@ -199,26 +199,29 @@ def decode(data: bytes) -> Command:
 
 @dataclass
 class PsuState:
-    """Supply state. Both voltages lie in the [VDD_MIN, VDD_MAX] window, and
-    the load current fits the u32 milliamp field of a current reply."""
+    """Supply state. Both voltages lie in the [VDD_MIN, VDD_MAX] window, the
+    load current fits the u32 milliamp field of a current reply, and the
+    slew is finite and > 0. Each field is checked wherever it is assigned,
+    at construction and after it."""
 
     set_voltage_v: float = 48.0
     actual_voltage_v: float = 48.0
     load_current_a: float = 0.0
     slew_v_per_s: float = SLEW_V_PER_S
 
-    def __post_init__(self):
-        for name in ("set_voltage_v", "actual_voltage_v"):
-            volts = getattr(self, name)
-            if not VDD_MIN <= volts <= VDD_MAX:
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("set_voltage_v", "actual_voltage_v"):
+            if not VDD_MIN <= value <= VDD_MAX:
                 raise ValueError(f"{name} must be in [{VDD_MIN:g}, "
-                                 f"{VDD_MAX:g}] V, got {volts}")
-        amps = self.load_current_a
-        if not (math.isfinite(amps) and 0 <= to_milli(amps) <= U32_MAX):
-            raise ValueOutOfRange(
-                f"load_current_a {amps} A does not fit the u32 milliamp field")
-        if not (math.isfinite(self.slew_v_per_s) and self.slew_v_per_s > 0):
-            raise ValueError(f"slew must be finite and > 0, got {self.slew_v_per_s}")
+                                 f"{VDD_MAX:g}] V, got {value}")
+        elif name == "load_current_a":
+            if not (math.isfinite(value) and 0 <= to_milli(value) <= U32_MAX):
+                raise ValueOutOfRange(f"load_current_a {value} A does not "
+                                      f"fit the u32 milliamp field")
+        elif name == "slew_v_per_s":
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"slew must be finite and > 0, got {value}")
+        super().__setattr__(name, value)
 
 
 @dataclass

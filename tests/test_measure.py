@@ -18,7 +18,8 @@ from hfpa.measure import (CSV_HEADER, LengthMismatch, MeasRow, NoCompression,
                           measure_gain, measure_imd, simulate_cw, sweep_bias,
                           write_csv, write_rows_csv)
 from hfpa.pamodel import (BiasPoint, PaParams, am_am, bisect, fundamental_pout,
-                          saturated_swing, simulate, small_signal_gain_db)
+                          gain_and_swing, saturated_swing, simulate,
+                          small_signal_gain_db)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
 from test_pamodel import bias_st, params_st
 
@@ -262,9 +263,21 @@ def test_drive_for_pout_rejects_non_finite_target(monkeypatch, target):
     assert calls == []
 
 
+def drive_ceiling(bias, params, band=None):
+    """The drive solve's ceiling ``10*a_sat/g``, as ``drive_for_pout`` forms it."""
+    g, a_sat = gain_and_swing(bias, params, band)
+    return 10.0 * a_sat / g
+
+
 def exact_drive_for_pout(target, bias, params, band=None):
-    """``drive_for_pout`` with every bisection step on ``simulate_cw``."""
-    hi, p_hi = measure.drive_cap(target, bias, params, band)
+    """``drive_for_pout`` with the saturation test and every bisection step
+    on ``simulate_cw``."""
+    hi = drive_ceiling(bias, params, band)
+    p_hi = simulate_cw(hi, bias, params, band).pout_w
+    if p_hi < target:
+        raise TargetUnreachable(
+            f"saturated output {p_hi:.1f} W below target {target:.1f} W "
+            f"at vdd {bias.vdd} V", max_pout_w=p_hi)
     level = bisect(
         lambda a: simulate_cw(a, bias, params, band).pout_w - target,
         0.0, hi, tol=measure.DRIVE_REL_TOL * target,
@@ -291,11 +304,13 @@ def saturation_drive(bias, params, band):
 
 #: Targets: log-uniform watts; the power at an output swing 1 +- delta times
 #: the clipping onset idq*rload; a fraction just below the drive cap's power,
-#: deep in compression.
+#: deep in compression; the cap's power itself and a fraction above it,
+#: where the saturation test decides.
 target_st = st.one_of(
     st.tuples(st.just("watts"), st.floats(math.log(1e-3), math.log(3e3))),
     st.tuples(st.just("onset"), st.floats(-1e-3, 1e-3)),
-    st.tuples(st.just("deep"), st.floats(0.0, 0.02)))
+    st.tuples(st.just("deep"), st.floats(0.0, 0.02)),
+    st.tuples(st.just("cap"), st.floats(0.0, 0.02)))
 
 
 @settings(deadline=None, max_examples=200)
@@ -308,20 +323,21 @@ def test_certified_drive_solve_matches_exact_bisection(params, bias, band, tgt):
         onset = bias.idq * params.rload
         target = fundamental_pout(onset * (1.0 + x), bias.idq, params.rload)
     else:
-        cap = simulate_cw(10.0 * saturation_drive(bias, params, band),
+        cap = simulate_cw(drive_ceiling(bias, params, band),
                           bias, params, band).pout_w
-        target = cap * (1.0 - x)
+        target = cap * (1.0 - x) if kind == "deep" else cap * (1.0 + x)
     assert (solve_outcome(drive_for_pout, target, bias, params, band)
             == solve_outcome(exact_drive_for_pout, target, bias, params, band))
 
 
 @settings(deadline=None)
 @given(params_st, bias_st, st.sampled_from([None, "40M"]),
-       st.floats(0.0, 10.0))
+       st.one_of(st.floats(0.0, 10.0), st.just("ceiling")))
 def test_scalar_cw_law_is_within_the_margin(params, bias, band, frac):
     # a thousandth of the margin: the certified solve's error bound holds
-    # with room to spare
-    a = frac * saturation_drive(bias, params, band)
+    # with room to spare, for am_am's numpy law and the math law alike
+    a = (drive_ceiling(bias, params, band) if frac == "ceiling"
+         else frac * saturation_drive(bias, params, band))
     exact = simulate_cw(a, bias, params, band).pout_w
     bound = 1e-3 * measure.DRIVE_PREDICT_MARGIN
     for pred in (fundamental_pout(am_am(a, bias, params, band), bias.idq,
@@ -357,18 +373,17 @@ class TestCertifiedFallback:
         assert got == want
         assert len(calls) > 3 * len(targets)  # every step ran the block
 
-    def test_one_kilowatt_solve_is_one_block_evaluation(self, monkeypatch,
+    def test_one_kilowatt_solve_is_no_block_evaluation(self, monkeypatch,
                                                         fitted_params):
         calls = count_simulate_cw(monkeypatch)
         drive_for_pout(1000.0, self.BIAS, fitted_params)
-        assert len(calls) == 1  # drive_cap's saturation test
+        assert len(calls) == 0
 
     def test_a_step_on_the_tolerance_edge_runs_the_block(self, monkeypatch,
                                                          fitted_params):
         # the first midpoint's predicted power sits exactly on the edge
         # |pred - target| = tol, so that step cannot be decided from it
-        hi, _ = measure.drive_cap(1.0, self.BIAS, fitted_params)
-        mid = 0.5 * hi
+        mid = 0.5 * measure.drive_cap(1.0, self.BIAS, fitted_params)
         pred = measure._cw_pout_law(self.BIAS, fitted_params)(mid)
         target = pred / (1.0 + measure.DRIVE_REL_TOL)
         calls = count_simulate_cw(monkeypatch)
@@ -378,6 +393,43 @@ class TestCertifiedFallback:
         monkeypatch.undo()
         assert got == solve_outcome(exact_drive_for_pout, target, self.BIAS,
                                     fitted_params, None)
+
+    def test_a_cap_on_the_margin_edge_runs_the_block(self, monkeypatch,
+                                                     fitted_params):
+        # the ceiling's predicted power exceeds the target by exactly the
+        # margin, so the saturation test cannot be decided from it; one ulp
+        # lower the law decides it
+        hi = drive_ceiling(self.BIAS, fitted_params)
+        pred = measure._cw_pout_law(self.BIAS, fitted_params)(hi)
+        margin = measure.DRIVE_PREDICT_MARGIN * pred
+        target = pred - margin
+        while pred - target > margin:
+            target = math.nextafter(target, math.inf)
+        calls = count_simulate_cw(monkeypatch)
+        assert measure.drive_cap(target, self.BIAS, fitted_params) == hi
+        assert calls == [hi]
+        calls.clear()
+        below = math.nextafter(target, -math.inf)
+        assert measure.drive_cap(below, self.BIAS, fitted_params) == hi
+        assert calls == []
+        monkeypatch.undo()
+        for t in (target, below):
+            assert (solve_outcome(drive_for_pout, t, self.BIAS, fitted_params,
+                                  None)
+                    == solve_outcome(exact_drive_for_pout, t, self.BIAS,
+                                     fitted_params, None))
+
+    def test_an_unreachable_target_is_one_block_evaluation(self, monkeypatch,
+                                                           fitted_params):
+        hi = drive_ceiling(self.BIAS, fitted_params)
+        p_hi = simulate_cw(hi, self.BIAS, fitted_params).pout_w
+        calls = count_simulate_cw(monkeypatch)
+        with pytest.raises(TargetUnreachable) as err:
+            drive_for_pout(5000.0, self.BIAS, fitted_params)
+        assert calls == [hi]
+        assert err.value.max_pout_w == p_hi
+        assert str(err.value) == (f"saturated output {p_hi:.1f} W below "
+                                  f"target 5000.0 W at vdd 58.0 V")
 
 
 class TestFreqResponse:

@@ -11,11 +11,12 @@ from scipy.integrate import romb
 from hfpa import kernels
 from hfpa.measure import gain_at_drive
 from hfpa.pamodel import (BiasPoint, InvalidBias, NonPositiveIdq,
-                          OutOfRangeAlpha, PaParams, _fourier_clipped, am_am,
-                          bisect, compression_level, conduction_currents,
-                          efficiency_curve, fundamental_pout, load_params,
-                          saturated_swing, save_params, simulate,
-                          small_signal_gain_db, swing_for_pout)
+                          OutOfRangeAlpha, PaParams, _fourier_clipped,
+                          _rapp_scalar, am_am, bisect, compression_level,
+                          conduction_currents, efficiency_curve,
+                          fundamental_pout, load_params, saturated_swing,
+                          save_params, simulate, small_signal_gain_db,
+                          swing_for_pout)
 from hfpa.signalgen import IqBlock
 
 TWO_PI = 2.0 * math.pi
@@ -405,6 +406,8 @@ def test_rapp_saturates_past_the_float_range(u):
     assert out.tolist() == [1.0, kernels.rapp(np.array([0.5]), 1.0, 20.0)[0],
                             0.0]
     assert kernels.rapp(np.asarray(u), 1.0, 20.0) == 1.0
+    assert _rapp_scalar(u, 1.0, 20.0) == 1.0  # the same limit
+    assert _rapp_scalar(0.0, 1.0, 20.0) == 0.0
 
 
 def reference_swing(pout, idq, rload):

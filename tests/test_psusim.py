@@ -242,6 +242,32 @@ class TestPsuDynamics:
         with pytest.raises(ValueError, match=name):
             PsuState(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("set_voltage_v", 58.5),
+        ("actual_voltage_v", math.nan),
+        ("load_current_a", -1.0),   # raised only on a later current READ
+        ("load_current_a", math.inf),
+        ("slew_v_per_s", 0.0),
+    ])
+    def test_assignment_rejects_out_of_range_values(self, name, value):
+        sim = PsuSim()
+        before = getattr(sim.state, name)
+        with pytest.raises(ValueError, match=name.split("_")[0]):
+            setattr(sim.state, name, value)
+        assert getattr(sim.state, name) == before
+
+    def test_valid_assignment_reads_back_through_the_wire(self):
+        sim = PsuSim()
+        sim.state.actual_voltage_v = 57.25
+        sim.state.load_current_a = 31.5
+        sim.state.slew_v_per_s = 10.0
+        read = lambda reg: decode(sim.handle_wire(encode(ReadRequest(reg))))
+        assert read(REG_VOLTAGE) == Reply(REG_VOLTAGE, 57250)
+        assert read(REG_CURRENT) == Reply(REG_CURRENT, 31500)
+        sim.state.set_voltage_v = 58.0
+        sim.advance(0.05)
+        assert sim.state.actual_voltage_v == pytest.approx(57.75)
+
     def test_state_accepts_its_edges(self):
         sim = PsuSim(PsuState(set_voltage_v=psusim.VDD_MIN,
                               actual_voltage_v=psusim.VDD_MAX,

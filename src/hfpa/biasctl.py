@@ -102,6 +102,39 @@ def default_band_table(ripple: Optional[Mapping[str, float]] = None) -> BandTabl
             for b in BANDS}
 
 
+#: classify_envelope's percentiles, as the fractions numpy's percentile
+#: divides them to.
+_QUANTILES = (1.0 / 100, 50.0 / 100, 99.0 / 100)
+
+
+def _percentiles(env: np.ndarray):
+    """``np.percentile(env, [1, 50, 99])`` from one partition, bit for bit.
+
+    numpy's default ``linear`` method (Hyndman & Fan 1996, definition 7):
+    virtual index ``(n-1)*q``, its floor and floor + 1 as the bracketing
+    order statistics (both -1, the largest, from index n-1 up), weight
+    ``t`` = index - floor, and numpy's ``_lerp``: ``a + (b-a)*t``, or
+    ``b - (b-a)*(1-t)`` where ``t >= 0.5``.
+    """
+    top = env.size - 1
+    brackets = []
+    for q in _QUANTILES:
+        v = top * q
+        lo = math.floor(v)
+        hi = lo + 1
+        if v >= top:
+            lo = hi = -1
+        brackets.append((v - lo, lo, hi))
+    part = np.partition(env, sorted({i for _, lo, hi in brackets
+                                     for i in (lo, hi)}))
+    out = []
+    for t, lo, hi in brackets:
+        a, b = float(part[lo]), float(part[hi])
+        d = b - a
+        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return out
+
+
 def _check_window(window_s: float) -> None:
     if not (math.isfinite(window_s) and window_s > 0):
         raise ValueError(f"window_s must be finite and > 0, got {window_s}")
@@ -127,8 +160,8 @@ def classify_envelope(block: IqBlock,
         return EnvelopeClass(EnvKind.CONSTANT, papr_db=0.0, ripple_ratio=0.0)
     if not sys.float_info.min <= peak * peak <= sys.float_info.max / env.size:
         env, peak = env / peak, 1.0  # squares leave the normal float range
-    p1, med, p99 = np.percentile(env, [1.0, 50.0, 99.0])
-    ripple_ratio = float((p99 - p1) / med) if med > 0 else math.inf
+    p1, med, p99 = _percentiles(env)
+    ripple_ratio = (p99 - p1) / med if med > 0 else math.inf
     mean_sq = float(np.mean(env ** 2))
     papr_db = 10.0 * math.log10(peak ** 2 / mean_sq)
     constant = ripple_ratio < RIPPLE_LIMIT and papr_db < PAPR_LIMIT_DB

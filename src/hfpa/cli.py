@@ -158,6 +158,13 @@ def _cmd_calibrate(args) -> int:
     print(f"residual {report.residual:.4g} after {report.evaluations} evaluations")
     for a, (ge, ee) in zip(anchors, report.per_anchor):
         print(f"  vdd {a.vdd:g} V: gain err {ge:+.3f} dB, eff err {ee:+.3f} pp")
+    unreached = [f"{a.pout_w:g} W at {a.vdd:g} V"
+                 for a, (ge, _) in zip(anchors, report.per_anchor)
+                 if math.isinf(ge)]
+    if unreached:
+        print("error: fitted params cannot reach anchors "
+              + ", ".join(unreached), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -49,6 +49,12 @@ VDD_MIN, VDD_MAX = 30.0, 58.0
 #: g0's reference bias, volts and amps: the gain law's kv and ki terms vanish.
 VDD_REF, IDQ_REF = 58.0, 2.0
 
+#: Largest quiescent current, amps. The gate ladder tops out at 2 A and the
+#: model is also checked in class A at 3 A; 10 A at 58 V is 580 W of
+#: quiescent dissipation, about what the 1 kW stage dissipates at full
+#: output, so no bias point of this amplifier lies above it.
+IDQ_MAX = 10.0
+
 
 @dataclass(frozen=True)
 class BiasPoint:
@@ -64,8 +70,9 @@ class BiasPoint:
         if not VDD_MIN <= self.vdd <= VDD_MAX:
             raise InvalidBias(f"vdd must be in [{VDD_MIN:g}, {VDD_MAX:g}] V, "
                               f"got {self.vdd}")
-        if self.idq <= 0:
-            raise InvalidBias(f"idq must be > 0, got {self.idq}")
+        if not 0 < self.idq <= IDQ_MAX:
+            raise InvalidBias(f"idq must be in (0, {IDQ_MAX:g}] A, "
+                              f"got {self.idq}")
         if self.gate_step not in range(5):
             raise InvalidBias(f"gate_step must be 0..4, got {self.gate_step}")
 

@@ -4,12 +4,20 @@ Covers the exciter emission modes the controller has to tell apart:
 CW, FM and hard-keyed PSK (constant envelope) versus AM and the two-tone
 SSB proxy (varying envelope). All generators are pure functions of their
 spec: no RNG state, no dithering, byte-identical output on every call.
+
+Every generator scales an amplitude-free unit waveform by the amplitude
+last, so ``generate`` keeps the most recent unit waveforms in a small LRU
+(``CACHE_SIZE`` entries of at most ``CACHE_MAX_SAMPLES`` samples, read-only)
+and only multiplies on a hit. The multiply runs in the same order as an
+uncached call, so cached and uncached outputs are byte-identical.
 """
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +158,23 @@ def _pn_bits(n: int) -> np.ndarray:
     return np.tile(_PN9, reps)[:n]
 
 
+#: Largest block ``generate`` makes: 2**24 samples, 16.8 s at 1 MS/s. The
+#: largest artifact block is 131072 samples; a 2**24-sample block is 256 MiB
+#: of complex samples, and simulating it holds several such arrays, so a
+#: larger request is refused before anything is allocated instead of being
+#: left to whatever memory the host has.
+MAX_SAMPLES = 2 ** 24
+
+#: Unit waveforms of at most this many samples (the 131072-sample two-tone
+#: of the IMD measurement, 2 MiB) go through the cache; longer ones are
+#: computed on every call.
+CACHE_MAX_SAMPLES = 131072
+
+#: Unit waveforms the cache holds: the five kinds of the controller windows,
+#: with room for an IMD block beside them.
+CACHE_SIZE = 8
+
+
 def _too_many_samples(spec: WaveformSpec, sample_rate: float,
                       count: float) -> InvalidSpec:
     return InvalidSpec(
@@ -157,40 +182,26 @@ def _too_many_samples(spec: WaveformSpec, sample_rate: float,
         f"{count:g} samples, more than can be allocated")
 
 
-def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
-    """Synthesize the spec's waveform at the given sample rate.
+def _unit_waveform(spec: WaveformSpec, sample_rate: float,
+                   n: int) -> np.ndarray:
+    """The spec's n-sample waveform before the amplitude is applied.
 
-    Deterministic: identical inputs give byte-identical blocks. Peak envelope
-    never exceeds ``spec.amplitude``; constant-envelope kinds hold it exactly.
-    Raises InvalidSpec when numpy refuses to allocate the sample count.
+    ``generate`` scales it: ``(a/2) * u`` for the two-tone, ``(a * u) /
+    (1 + m)`` for AM (a real array), ``a * u`` for the others.
     """
-    spec.validate(sample_rate)
-    count = spec.duration_s * sample_rate
-    if not count < 2.0 ** 63:  # inf, or past numpy's index range
-        raise _too_many_samples(spec, sample_rate, count)
-    n = int(round(count))
-    if n < 1:
-        raise InvalidSpec("duration too short for one sample")
-    try:
-        t = np.arange(n) / sample_rate
-    except (MemoryError, ValueError) as exc:  # numpy refused the size
-        raise _too_many_samples(spec, sample_rate, count) from exc
-    a = spec.amplitude
-
+    t = np.arange(n) / sample_rate
     if spec.kind is Kind.CW:
-        x = a * np.exp(2j * np.pi * spec.tone_hz * t)
-    elif spec.kind is Kind.TWO_TONE:
-        x = (a / 2.0) * (np.exp(2j * np.pi * spec.f1_hz * t)
-                         + np.exp(2j * np.pi * spec.f2_hz * t))
-    elif spec.kind is Kind.FM:
+        return np.exp(2j * np.pi * spec.tone_hz * t)
+    if spec.kind is Kind.TWO_TONE:
+        return (np.exp(2j * np.pi * spec.f1_hz * t)
+                + np.exp(2j * np.pi * spec.f2_hz * t))
+    if spec.kind is Kind.FM:
         # modulating tone cos(2*pi*fm*t) -> instantaneous deviation dev*cos(...)
         beta = spec.fm_dev_hz / spec.fm_rate_hz
-        x = a * np.exp(1j * beta * np.sin(2 * np.pi * spec.fm_rate_hz * t))
-    elif spec.kind is Kind.AM:
-        m = spec.am_index
-        env = a * (1.0 + m * np.cos(2 * np.pi * spec.am_rate_hz * t)) / (1.0 + m)
-        x = env.astype(np.complex128)
-    elif spec.kind is Kind.PSK:
+        return np.exp(1j * beta * np.sin(2 * np.pi * spec.fm_rate_hz * t))
+    if spec.kind is Kind.AM:
+        return 1.0 + spec.am_index * np.cos(2 * np.pi * spec.am_rate_hz * t)
+    if spec.kind is Kind.PSK:
         sps = max(1, int(round(sample_rate / spec.psk_rate_hz)))
         nsym = -(-n // sps)
         if spec.psk_order == 2:
@@ -199,10 +210,56 @@ def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
             b = _pn_bits(2 * nsym)
             sym = 2 * b[0::2] + b[1::2]
             phases = np.pi / 4.0 + sym * (np.pi / 2.0)
-        x = a * np.exp(1j * np.repeat(phases, sps))[:n]
-    else:  # pragma: no cover - exhaustive enum
-        raise InvalidSpec(f"unsupported kind {spec.kind}")
+        return np.exp(1j * np.repeat(phases, sps))[:n]
+    raise InvalidSpec(f"unsupported kind {spec.kind}")  # pragma: no cover
 
+
+#: The float fields a unit waveform depends on, besides the sample rate.
+#: Fields equal as numbers give equal blocks: a -0.0 field can flip the sign
+#: of a zero in the unit waveform, but the amplitude multiply, done against
+#: a + 0j, turns every such zero into +0.0.
+_SHAPE_FIELDS = ("tone_hz", "f1_hz", "f2_hz", "fm_dev_hz", "fm_rate_hz",
+                 "am_index", "am_rate_hz", "psk_rate_hz")
+_shape = operator.attrgetter(*_SHAPE_FIELDS)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _cached_unit_waveform(kind: Kind, psk_order: int, shape: tuple,
+                          sample_rate: float, n: int) -> np.ndarray:
+    """``_unit_waveform`` of the spec with these fields, read-only."""
+    spec = WaveformSpec(kind=kind, psk_order=psk_order,
+                        **dict(zip(_SHAPE_FIELDS, shape)))
+    u = _unit_waveform(spec, sample_rate, n)
+    u.flags.writeable = False
+    return u
+
+
+def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
+    """Synthesize the spec's waveform at the given sample rate.
+
+    Deterministic: identical inputs give byte-identical blocks. Peak envelope
+    never exceeds ``spec.amplitude``; constant-envelope kinds hold it exactly.
+    Raises InvalidSpec for more than ``MAX_SAMPLES`` samples.
+    """
+    spec.validate(sample_rate)
+    count = spec.duration_s * sample_rate
+    if not count <= MAX_SAMPLES:  # inf included
+        raise _too_many_samples(spec, sample_rate, count)
+    n = int(round(count))
+    if n < 1:
+        raise InvalidSpec("duration too short for one sample")
+    if n <= CACHE_MAX_SAMPLES:
+        u = _cached_unit_waveform(spec.kind, spec.psk_order, _shape(spec),
+                                  sample_rate, n)
+    else:
+        u = _unit_waveform(spec, sample_rate, n)
+    a = spec.amplitude
+    if spec.kind is Kind.TWO_TONE:
+        x = (a / 2.0) * u
+    elif spec.kind is Kind.AM:
+        x = ((a * u) / (1.0 + spec.am_index)).astype(np.complex128)
+    else:
+        x = a * u
     return IqBlock(x, sample_rate)
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hfpa import biasctl, measure
 from hfpa.biasctl import (BiasController, EnvKind, EnvelopeClass, Mode,
@@ -85,6 +85,38 @@ class TestClassify:
     def test_silence_counts_as_constant(self):
         blk = IqBlock(np.zeros(20000, dtype=complex), FS)
         assert classify_envelope(blk, WINDOW).kind is EnvKind.CONSTANT
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+#: Envelopes: 1-3 samples of any value up to 1e6, or up to 20000 samples
+#: drawn from a few levels (ties; one level is a constant envelope) or
+#: uniformly at scales 1, 1e-300 and 1e300.
+envelopes = st.one_of(
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.floats(0.0, 1e6), min_size=n, max_size=n)),
+    st.tuples(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+              st.integers(1, 20000), st.integers(0, 2 ** 32 - 1)).map(
+        lambda t: list(np.random.default_rng(t[2]).choice(t[0], t[1]))),
+    st.tuples(st.integers(1, 20000), st.integers(0, 2 ** 32 - 1),
+              st.sampled_from([1.0, 1e-300, 1e300])).map(
+        lambda t: list(t[2] * np.random.default_rng(t[1]).random(t[0]))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(env=envelopes)
+@example(env=[0.7])
+@example(env=[0.7, 0.2])
+@example(env=[3.0, 1.0, 2.0])
+@example(env=[0.5] * 10000)
+def test_percentiles_match_numpy_bit_for_bit(env):
+    # a numpy whose percentile interpolates differently fails here
+    env = np.array(env, dtype=float)
+    assert hexes(biasctl._percentiles(env)) == hexes(
+        np.percentile(env, [1.0, 50.0, 99.0]))
 
 
 class TestGateSteps:

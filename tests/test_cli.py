@@ -222,6 +222,42 @@ def test_sample_count_past_numpy_is_a_module_error(tmp_path, params_file,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("base", [
+    ["two-tone", "--duration", "0.032768"],
+    ["sweep-bias", "--vdd", "58", "--pout", "100"],
+    ["freq-response", "--drive", "0.05"],
+])
+@pytest.mark.parametrize("idq", ["1e4", "1e305"])
+def test_idq_above_the_ceiling_is_a_module_error(tmp_path, params_file, capsys,
+                                                 base, idq):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(base + ["--params", params_file, "--idq", idq,
+                          "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: idq must be in (0, 10] A")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_calibrate_that_reaches_no_anchor_exits_1(tmp_path, capsys):
+    # not equal-power, so default_init falls back to its base point, from
+    # which a budget-40 fit reaches none of the four rows
+    anchors = tmp_path / "anchors.csv"
+    anchors.write_text("vdd_V,gain_dB,eff_pct,pout_W,pdiss_W\n"
+                       "58,32,60,1000,666\n53,30,68,1000,470\n"
+                       "48,28,77,1000,298\n40,26,80,800,200\n")
+    params, report = tmp_path / "fit.cfg", tmp_path / "report.csv"
+    rc = main(["calibrate", "--anchors", str(anchors), "--budget", "40",
+               "--out-params", str(params), "--out-report", str(report)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == ("error: fitted params cannot reach anchors 1000 W at 58 V, "
+                   "1000 W at 53 V, 1000 W at 48 V, 800 W at 40 V\n")
+    # written anyway, so the failed fit can be inspected
+    assert params.exists()
+    assert report.read_text().splitlines()[1].startswith("58,inf,inf,")
+
+
 def test_budget_zero_is_accepted():
     assert build_parser().parse_args(
         ["calibrate", "--budget", "0", "--out-params", "p.cfg"]).budget == 0

@@ -10,7 +10,7 @@ from scipy.integrate import romb
 
 from hfpa import kernels
 from hfpa.measure import gain_at_drive
-from hfpa.pamodel import (BiasPoint, InvalidBias, NonPositiveIdq,
+from hfpa.pamodel import (IDQ_MAX, BiasPoint, InvalidBias, NonPositiveIdq,
                           OutOfRangeAlpha, PaParams, _fourier_clipped,
                           _rapp_scalar, am_am, bisect, compression_level,
                           conduction_currents, efficiency_curve,
@@ -302,6 +302,12 @@ class TestParamsConfig:
             kwargs = {key: value}
         with pytest.raises(ValueError, match="finite"):
             make_params(**kwargs)
+
+    def test_bias_idq_ceiling(self):
+        assert BiasPoint(vdd=58.0, idq=IDQ_MAX).idq == IDQ_MAX
+        for idq in (math.nextafter(IDQ_MAX, math.inf), 1e4, 1e305):
+            with pytest.raises(InvalidBias, match="idq must be in"):
+                BiasPoint(vdd=58.0, idq=idq)
 
     @pytest.mark.parametrize("vdd, idq", [
         (48.0, math.nan), (48.0, math.inf), (math.nan, 2.0), (math.inf, 2.0)])

@@ -1,12 +1,16 @@
 """Generator tests: envelope contracts per emission kind, determinism,
-and spec validation."""
+the unit-waveform cache and spec validation."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hfpa.signalgen import (CONSTANT_ENVELOPE_KINDS, InvalidSpec, IqBlock,
-                            Kind, WaveformSpec, _pn_bits, envelope, generate)
+from hfpa import signalgen
+from hfpa.signalgen import (CACHE_MAX_SAMPLES, CACHE_SIZE,
+                            CONSTANT_ENVELOPE_KINDS, MAX_SAMPLES, InvalidSpec,
+                            IqBlock, Kind, WaveformSpec, _pn_bits, envelope,
+                            generate)
 
 FS = 1.0e6
 
@@ -94,6 +98,101 @@ def test_generate_is_pure(kind):
     assert a.sample_rate == b.sample_rate
 
 
+def reference_waveform(spec, fs):
+    """The generators with the amplitude inside each formula, no cache."""
+    n = int(round(spec.duration_s * fs))
+    t = np.arange(n) / fs
+    a = spec.amplitude
+    if spec.kind is Kind.CW:
+        return a * np.exp(2j * np.pi * spec.tone_hz * t)
+    if spec.kind is Kind.TWO_TONE:
+        return (a / 2.0) * (np.exp(2j * np.pi * spec.f1_hz * t)
+                            + np.exp(2j * np.pi * spec.f2_hz * t))
+    if spec.kind is Kind.FM:
+        beta = spec.fm_dev_hz / spec.fm_rate_hz
+        return a * np.exp(1j * beta * np.sin(2 * np.pi * spec.fm_rate_hz * t))
+    if spec.kind is Kind.AM:
+        m = spec.am_index
+        env = a * (1.0 + m * np.cos(2 * np.pi * spec.am_rate_hz * t)) / (1.0 + m)
+        return env.astype(np.complex128)
+    sps = max(1, int(round(fs / spec.psk_rate_hz)))
+    nsym = -(-n // sps)
+    if spec.psk_order == 2:
+        phases = np.pi * reference_pn9(nsym)
+    else:
+        b = reference_pn9(2 * nsym)
+        phases = np.pi / 4.0 + (2 * b[0::2] + b[1::2]) * (np.pi / 2.0)
+    return a * np.exp(1j * np.repeat(phases, sps))[:n]
+
+
+CACHE_SPECS = [
+    WaveformSpec(kind=Kind.CW, tone_hz=0.0, duration_s=1e-3),
+    WaveformSpec(kind=Kind.CW, tone_hz=-0.0, duration_s=1e-3),
+    WaveformSpec(kind=Kind.CW, tone_hz=12.5e3, duration_s=1e-3),
+    WaveformSpec(kind=Kind.TWO_TONE, duration_s=1e-3),
+    WaveformSpec(kind=Kind.TWO_TONE, f1_hz=-0.0, f2_hz=3e3, duration_s=1e-3),
+    WaveformSpec(kind=Kind.FM, duration_s=1e-3),
+    WaveformSpec(kind=Kind.FM, fm_dev_hz=-0.0, duration_s=1e-3),
+    WaveformSpec(kind=Kind.FM, fm_dev_hz=0.0, duration_s=1e-3),
+    WaveformSpec(kind=Kind.AM, duration_s=1e-3),
+    WaveformSpec(kind=Kind.AM, am_index=1.0, am_rate_hz=-0.0, duration_s=1e-3),
+    WaveformSpec(kind=Kind.PSK, duration_s=1e-3),
+    WaveformSpec(kind=Kind.PSK, psk_order=4, psk_rate_hz=3e3, duration_s=1e-3),
+]
+
+
+class TestUnitWaveformCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        signalgen._cached_unit_waveform.cache_clear()
+
+    def test_cached_and_uncached_calls_give_the_same_bytes(self):
+        # every spec twice at each amplitude; FM at fm_dev_hz 0.0 hits the
+        # entry of its -0.0 twin, whose unit waveform has -0.0 zeros that
+        # only the amplitude multiply turns into +0.0
+        for _ in range(2):
+            for spec in CACHE_SPECS:
+                for amplitude in (1.0, 0.3, 7.25):
+                    spec_a = dataclasses.replace(spec, amplitude=amplitude)
+                    got = generate(spec_a, FS).samples
+                    want = reference_waveform(spec_a, FS)
+                    assert got.dtype == want.dtype == np.complex128
+                    assert got.tobytes() == want.tobytes(), spec_a
+        info = signalgen._cached_unit_waveform.cache_info()
+        assert info.hits > 0
+        assert info.currsize <= CACHE_SIZE
+
+    def test_cached_arrays_are_read_only(self):
+        spec = WaveformSpec(kind=Kind.TWO_TONE, duration_s=1e-3)
+        generate(spec, FS).samples[:] = 0.0  # the caller's block is its own
+        assert (generate(spec, FS).samples.tobytes()
+                == reference_waveform(spec, FS).tobytes())
+        key = (spec.kind, spec.psk_order, signalgen._shape(spec), FS, 1000)
+        unit = signalgen._cached_unit_waveform(*key)
+        assert unit is signalgen._cached_unit_waveform(*key)
+        assert not unit.flags.writeable
+        with pytest.raises(ValueError):
+            unit[0] = 0.0
+
+    def test_blocks_over_the_limit_are_not_cached(self):
+        spec = WaveformSpec(kind=Kind.TWO_TONE, amplitude=0.5,
+                            duration_s=(CACHE_MAX_SAMPLES + 1) / FS)
+        got = generate(spec, FS).samples
+        assert len(got) == CACHE_MAX_SAMPLES + 1
+        assert signalgen._cached_unit_waveform.cache_info().currsize == 0
+        assert got.tobytes() == reference_waveform(spec, FS).tobytes()
+        at_limit = dataclasses.replace(spec, duration_s=CACHE_MAX_SAMPLES / FS)
+        generate(at_limit, FS)
+        assert signalgen._cached_unit_waveform.cache_info().currsize == 1
+
+    def test_cache_stays_within_its_bound(self):
+        for i in range(3 * CACHE_SIZE):
+            generate(WaveformSpec(kind=Kind.CW, tone_hz=100.0 * i,
+                                  duration_s=1e-4), FS)
+            assert (signalgen._cached_unit_waveform.cache_info().currsize
+                    <= CACHE_SIZE)
+
+
 def reference_pn9(n):
     """PN9 (x^9 + x^5 + 1, seed 0x1FF) straight from the LFSR, n bits."""
     state, bits = 0x1FF, []
@@ -163,6 +262,11 @@ class TestValidation:
         assert str(err.value) == (f"duration {duration:g} s at {rate:g} S/s "
                                   f"needs {count} samples, more than can be "
                                   "allocated")
+
+    def test_rejects_more_than_max_samples(self):
+        duration = (MAX_SAMPLES + 1) / FS
+        with pytest.raises(InvalidSpec, match="more than can be allocated"):
+            generate(WaveformSpec(kind=Kind.CW, duration_s=duration), FS)
 
     def test_block_invariants(self):
         with pytest.raises(InvalidSpec):

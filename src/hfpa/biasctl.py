@@ -21,7 +21,7 @@ from .measure import TargetUnreachable, UnknownBand, drive_cap
 from .pamodel import (SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint, PaParams,
                       compression_level, fundamental_pout, saturated_swing,
                       small_signal_gain_db, swing_for_pout)
-from .signalgen import IqBlock, envelope
+from .signalgen import IqBlock
 
 
 class WindowTooShort(ValueError):
@@ -107,29 +107,26 @@ def default_band_table(ripple: Optional[Mapping[str, float]] = None) -> BandTabl
 _QUANTILES = (1.0 / 100, 50.0 / 100, 99.0 / 100)
 
 
-def _percentiles(env: np.ndarray):
-    """``np.percentile(env, [1, 50, 99])`` from one partition, bit for bit.
+def _percentiles(sorted_env: np.ndarray):
+    """``np.percentile(env, [1, 50, 99])`` from ``np.sort(env)``, bit for bit.
 
     numpy's default ``linear`` method (Hyndman & Fan 1996, definition 7):
     virtual index ``(n-1)*q``, its floor and floor + 1 as the bracketing
     order statistics (both -1, the largest, from index n-1 up), weight
     ``t`` = index - floor, and numpy's ``_lerp``: ``a + (b-a)*t``, or
-    ``b - (b-a)*(1-t)`` where ``t >= 0.5``.
+    ``b - (b-a)*(1-t)`` where ``t >= 0.5``. The caller sorts once: numpy's
+    vectorized sort is faster here than its scalar multi-``kth`` partition.
     """
-    top = env.size - 1
-    brackets = []
+    top = sorted_env.size - 1
+    out = []
     for q in _QUANTILES:
         v = top * q
         lo = math.floor(v)
         hi = lo + 1
         if v >= top:
             lo = hi = -1
-        brackets.append((v - lo, lo, hi))
-    part = np.partition(env, sorted({i for _, lo, hi in brackets
-                                     for i in (lo, hi)}))
-    out = []
-    for t, lo, hi in brackets:
-        a, b = float(part[lo]), float(part[hi])
+        t = v - lo
+        a, b = float(sorted_env[lo]), float(sorted_env[hi])
         d = b - a
         out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
     return out
@@ -154,14 +151,18 @@ def classify_envelope(block: IqBlock,
         raise WindowTooShort(
             f"block spans {block.duration_s:.4g} s < window {window_s:.4g} s")
     n = max(1, int(round(window_s * block.sample_rate)))
-    env = envelope(block)[:n]
-    peak = float(np.max(env))
+    env = np.abs(block.samples[:n])
+    ordered = np.sort(env)
+    peak = float(ordered[-1])
     if peak == 0.0:
         return EnvelopeClass(EnvKind.CONSTANT, papr_db=0.0, ripple_ratio=0.0)
     if not sys.float_info.min <= peak * peak <= sys.float_info.max / env.size:
-        env, peak = env / peak, 1.0  # squares leave the normal float range
-    p1, med, p99 = _percentiles(env)
+        # squares leave the normal float range; dividing by peak > 0 keeps
+        # the order, so the sorted copy needs no second sort
+        env, ordered, peak = env / peak, ordered / peak, 1.0
+    p1, med, p99 = _percentiles(ordered)
     ripple_ratio = (p99 - p1) / med if med > 0 else math.inf
+    # in sample order, not sorted: numpy's pairwise sum depends on the order
     mean_sq = float(np.mean(env ** 2))
     papr_db = 10.0 * math.log10(peak ** 2 / mean_sq)
     constant = ripple_ratio < RIPPLE_LIMIT and papr_db < PAPR_LIMIT_DB

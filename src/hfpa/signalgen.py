@@ -179,7 +179,7 @@ def _too_many_samples(spec: WaveformSpec, sample_rate: float,
                       count: float) -> InvalidSpec:
     return InvalidSpec(
         f"duration {spec.duration_s:g} s at {sample_rate:g} S/s needs "
-        f"{count:g} samples, more than can be allocated")
+        f"{count:g} samples, more than MAX_SAMPLES ({MAX_SAMPLES})")
 
 
 def _unit_waveform(spec: WaveformSpec, sample_rate: float,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hfpa import biasctl, measure
+from hfpa import biasctl, measure, pamodel
 from hfpa.biasctl import (BiasController, EnvKind, EnvelopeClass, Mode,
                           SetpointUnreachable, WindowTooShort,
                           classify_envelope, command_for_mode,
@@ -106,17 +106,52 @@ envelopes = st.one_of(
 )
 
 
+#: The 10 ms envelope at 1 MS/s of each waveform kind.
+KIND_ENVELOPES = {kind: np.abs(block_of(kind).samples[:int(WINDOW * FS)])
+                  for kind in Kind}
+
+
+def _with_kind_envelopes(test):
+    for env in KIND_ENVELOPES.values():
+        test = example(env=list(env))(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(env=envelopes)
 @example(env=[0.7])
 @example(env=[0.7, 0.2])
 @example(env=[3.0, 1.0, 2.0])
 @example(env=[0.5] * 10000)
+@example(env=list(np.linspace(0.0, 1.0, 10000)))   # ascending ramp
+@example(env=list(np.linspace(1.0, 0.0, 10000)))   # descending ramp
+@_with_kind_envelopes
 def test_percentiles_match_numpy_bit_for_bit(env):
     # a numpy whose percentile interpolates differently fails here
     env = np.array(env, dtype=float)
-    assert hexes(biasctl._percentiles(env)) == hexes(
+    assert hexes(biasctl._percentiles(np.sort(env))) == hexes(
         np.percentile(env, [1.0, 50.0, 99.0]))
+
+
+def reference_metrics(env):
+    """(papr_db, ripple_ratio) from np.max and np.percentile on the window,
+    which is first divided by its peak where the squares leave the normal
+    float range."""
+    peak = float(np.max(env))
+    if not 1e-150 < peak < 1e150:
+        env, peak = env / peak, 1.0
+    p1, med, p99 = (float(p) for p in np.percentile(env, [1.0, 50.0, 99.0]))
+    papr_db = 10.0 * math.log10(peak ** 2 / float(np.mean(env ** 2)))
+    return papr_db, (p99 - p1) / med
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("kind", list(Kind))
+def test_classify_metrics_match_the_percentile_reference(kind, scale):
+    blk = block_of(kind)
+    cls = classify_envelope(IqBlock(blk.samples * scale, FS), WINDOW)
+    assert hexes((cls.papr_db, cls.ripple_ratio)) == hexes(
+        reference_metrics(np.abs(blk.samples[:int(WINDOW * FS)] * scale)))
 
 
 class TestGateSteps:
@@ -386,6 +421,16 @@ class TestControllerHysteresis:
         with pytest.raises(TypeError):
             BiasController(params=PaParams(g0=40.0),
                            table=default_band_table(), **private)
+
+    def test_one_swing_solve_per_setpoint(self, fitted_params):
+        ctl = BiasController(params=fitted_params, table=default_band_table(),
+                             window_s=WINDOW, mode=Mode.COMPRESSION)
+        cw = block_of(Kind.CW)
+        pamodel.swing_for_pout.cache_clear()
+        for _ in range(20):
+            assert ctl.process(cw, "40M", 800.0).mode is Mode.COMPRESSION
+        info = pamodel.swing_for_pout.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
 
     def test_command_reports_reason_metrics(self, fitted_params):
         ctl = self.make_controller(fitted_params)

@@ -218,7 +218,7 @@ def test_sample_count_past_numpy_is_a_module_error(tmp_path, params_file,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: duration ")
-    assert "samples, more than can be allocated" in err
+    assert "samples, more than MAX_SAMPLES (16777216)" in err
     assert "Traceback" not in err
 
 

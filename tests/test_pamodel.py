@@ -436,6 +436,14 @@ def test_swing_for_pout_matches_the_200_step_loop(pout, idq, rload):
             == reference_swing(pout, idq, rload).hex())
 
 
+@settings(deadline=None)
+@given(st.floats(1e-15, 1e5), st.floats(0.05, 3.0), st.floats(0.05, 0.95))
+def test_memoized_swing_for_pout_matches_the_uncached_solve(pout, idq, rload):
+    for _ in range(2):  # the second call is served from the cache
+        assert (swing_for_pout(pout, idq, rload).hex()
+                == swing_for_pout.__wrapped__(pout, idq, rload).hex())
+
+
 def test_bisect_stops_at_the_float_fixed_point():
     calls = []
     root = bisect(lambda x: calls.append(x) or x - 0.1, 0.0, 1.0)

@@ -260,12 +260,13 @@ class TestValidation:
         with pytest.raises(InvalidSpec) as err:
             generate(spec, rate)
         assert str(err.value) == (f"duration {duration:g} s at {rate:g} S/s "
-                                  f"needs {count} samples, more than can be "
-                                  "allocated")
+                                  f"needs {count} samples, more than "
+                                  f"MAX_SAMPLES ({MAX_SAMPLES})")
 
     def test_rejects_more_than_max_samples(self):
         duration = (MAX_SAMPLES + 1) / FS
-        with pytest.raises(InvalidSpec, match="more than can be allocated"):
+        with pytest.raises(InvalidSpec,
+                           match=r"more than MAX_SAMPLES \(16777216\)"):
             generate(WaveformSpec(kind=Kind.CW, duration_s=duration), FS)
 
     def test_block_invariants(self):

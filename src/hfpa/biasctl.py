@@ -18,9 +18,9 @@ import numpy as np
 
 from .bands import BANDS
 from .measure import TargetUnreachable, UnknownBand, drive_cap
-from .pamodel import (SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint, PaParams,
-                      compression_level, fundamental_pout, saturated_swing,
-                      small_signal_gain_db, swing_for_pout)
+from .pamodel import (IDQ_MAX, SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint,
+                      PaParams, compression_level, fundamental_pout,
+                      saturated_swing, small_signal_gain_db, swing_for_pout)
 from .signalgen import IqBlock
 
 
@@ -171,9 +171,13 @@ def classify_envelope(block: IqBlock,
 
 
 def gate_step_for(idq_target: float) -> int:
-    """Nearest entry in the 5-step gate ladder; ties resolve to the lower step."""
-    if idq_target <= 0:
-        raise ValueError(f"idq_target must be > 0, got {idq_target}")
+    """Nearest entry in the 5-step gate ladder; ties resolve to the lower step.
+
+    ``idq_target`` must lie in (0, IDQ_MAX], the range ``BiasPoint`` takes.
+    """
+    if not 0 < idq_target <= IDQ_MAX:
+        raise ValueError(
+            f"idq_target must be in (0, {IDQ_MAX:g}] A, got {idq_target}")
     best = 0
     best_err = abs(GATE_STEP_IDQ[0] - idq_target)
     for i, val in enumerate(GATE_STEP_IDQ[1:], start=1):
@@ -187,9 +191,13 @@ def track_drain(peak_envelope_v: float, vknee: float = 0.0) -> float:
     """Drain voltage just above the output envelope.
 
     ``peak*(1 + DRAIN_MARGIN) + vknee``, clamped into [VDD_MIN, VDD_MAX].
+    The peak must be finite and >= 0, and vknee finite.
     """
-    if peak_envelope_v < 0:
-        raise ValueError("peak envelope must be >= 0")
+    if not (math.isfinite(peak_envelope_v) and peak_envelope_v >= 0):
+        raise ValueError(
+            f"peak envelope must be finite and >= 0, got {peak_envelope_v}")
+    if not math.isfinite(vknee):
+        raise ValueError(f"vknee must be finite, got {vknee}")
     return min(max(peak_envelope_v * (1.0 + DRAIN_MARGIN) + vknee, VDD_MIN),
                VDD_MAX)
 
@@ -255,8 +263,10 @@ def compression_drive(bias: BiasPoint, params: PaParams,
                       depth_db: float = 2.5, band: Optional[str] = None) -> float:
     """Input level that puts the stage depth_db into gain compression.
 
-    The closed-form Rapp inverse ``pamodel.compression_level``; raises
-    ValueError for a depth <= 0 dB or one that needs more than 50*a_sat.
+    The one compression query: depth in dB below small-signal gain (1.0
+    gives P1dB; the acceptance gate asks 2.5), from the closed-form Rapp
+    inverse ``pamodel.compression_level``. Raises ValueError for a depth
+    <= 0 dB or one that needs more than 50*a_sat of input drive.
     """
     level = compression_level(bias, params, depth_db, band)
     if level > 50.0 * saturated_swing(bias, params):
@@ -271,8 +281,11 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
     The gain law plus the band's ripple is linear in vdd, so the voltage is
     solved directly within [VDD_MIN, VDD_MAX]; a band whose target lies
     outside the reachable range is pinned at the nearer endpoint, and
-    flagged when it misses the target by more than EQ_TOL_DB.
+    flagged when it misses the target by more than EQ_TOL_DB. The target
+    must be finite.
     """
+    if not math.isfinite(target_gain_db):
+        raise ValueError(f"target gain must be finite, got {target_gain_db}")
     table: BandTable = {}
     for band in bands:
         if band not in BANDS:

@@ -367,12 +367,6 @@ def read_anchors_csv(path) -> List[AnchorRow]:
     return anchors
 
 
-def write_anchors_csv(anchors: Sequence[AnchorRow], path) -> None:
-    write_csv(path, ANCHOR_HEADER,
-              ((a.vdd, a.gain_db, a.eff_pct, a.pout_w, a.pdiss_w)
-               for a in anchors))
-
-
 def write_report_csv(report: FitReport, anchors: Sequence[AnchorRow], path) -> None:
     # the count is an int cell: str() keeps 1000000 from reading 1e+06
     write_csv(path, "vdd_V,gain_err_dB,eff_err_pp,residual,evaluations",

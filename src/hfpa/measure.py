@@ -1,4 +1,4 @@
-"""Experiment harness: gain, P1dB, two-tone IMD, and the bias/band sweeps.
+"""Experiment harness: two-tone IMD, the CW drive solve, bias/band sweeps.
 
 IMD levels are reported in dBc relative to one of two equal fundamentals
 (per-tone, not PEP) -- the CSV header states this to kill the classic 6 dB
@@ -15,22 +15,13 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bands import BANDS
-from .pamodel import (BiasPoint, PaParams, PaStats, _rapp_scalar, am_am,
-                      bisect, compression_level, fundamental_pout,
-                      gain_and_swing, saturated_swing, simulate)
+from .pamodel import (BiasPoint, PaParams, PaStats, _rapp_scalar, bisect,
+                      fundamental_pout, gain_and_swing, simulate)
 from .signalgen import IqBlock
-
-
-class LengthMismatch(ValueError):
-    """Input/output blocks differ in length or sample rate."""
 
 
 class TonesUnresolvable(ValueError):
     """DFT bin spacing too coarse to separate the two tones."""
-
-
-class NoCompression(ValueError):
-    """Gain never drops 1 dB below small-signal within the drive cap."""
 
 
 class TargetUnreachable(ValueError):
@@ -109,19 +100,6 @@ def write_rows_csv(rows: Iterable[MeasRow], path) -> None:
     write_csv(path, CSV_HEADER,
               ((r.vdd_v, r.idq_a, r.band, r.pout_w, r.gain_db, r.eff_pct,
                 r.pdiss_w, r.imd3_dbc, r.imd5_dbc) for r in rows))
-
-
-def measure_gain(inp: IqBlock, outp: IqBlock) -> float:
-    """Block power gain 10*log10(mean|out|^2 / mean|in|^2) in dB."""
-    if len(inp) != len(outp) or inp.sample_rate != outp.sample_rate:
-        raise LengthMismatch(
-            f"blocks differ: {len(inp)} @ {inp.sample_rate} vs "
-            f"{len(outp)} @ {outp.sample_rate}")
-    pin = float(np.mean(np.abs(inp.samples) ** 2))
-    pout = float(np.mean(np.abs(outp.samples) ** 2))
-    if pin <= 0 or pout <= 0:
-        raise ValueError("gain undefined for zero-power block")
-    return 10.0 * math.log10(pout / pin)
 
 
 #: Flat-top cosine-sum coefficients (D'Antona & Ferrero, "Digital Signal
@@ -214,27 +192,6 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
             level = 20.0 * math.log10(max(peak_at(f), 1e-300) / fund)
             products.append(ImdProduct(order=order, offset_hz=f, level_dbc=level))
     return ImdResult(products=tuple(products))
-
-
-def gain_at_drive(a_in: float, bias: BiasPoint, params: PaParams,
-                  band: Optional[str] = None) -> float:
-    """CW gain in dB at a given input envelope level."""
-    return 20.0 * math.log10(am_am(a_in, bias, params, band) / a_in)
-
-
-def find_p1db(bias: BiasPoint, params: PaParams,
-              band: Optional[str] = None) -> float:
-    """Input envelope level where gain sits 1 dB below small-signal.
-
-    The closed-form Rapp inverse ``compression_level``; raises NoCompression
-    if the stage never compresses 1 dB within a 10*a_sat input drive.
-    """
-    level = compression_level(bias, params, 1.0, band)
-    a_hi = 10.0 * saturated_swing(bias, params)
-    if level > a_hi:
-        raise NoCompression(
-            f"1 dB compression needs drive {level:.3g} > cap {a_hi:.3g}")
-    return level
 
 
 _SWEEP_FS = 1.0e6

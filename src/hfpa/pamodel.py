@@ -189,6 +189,8 @@ def conduction_currents(idq: float, ipk: float):
         raise NonPositiveIdq(f"idq must be > 0, got {idq}")
     if ipk < 0:
         raise ValueError(f"ipk must be >= 0, got {ipk}")
+    if not (math.isfinite(idq) and math.isfinite(ipk)):
+        raise ValueError(f"idq and ipk must be finite, got {idq}, {ipk}")
     return _fourier_clipped(idq, ipk)
 
 
@@ -264,13 +266,13 @@ def am_am(a_in, bias: BiasPoint, params: PaParams, band: Optional[str] = None):
     Monotone nondecreasing, slope bounded by g, and a_out < a_sat, the
     last only to rounding: in deep saturation the rounded exponent 1/(2s)
     leaves a_out within about ln(u/a_sat)/2 ulp of a_sat on either side.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; every level must be finite and >= 0.
     """
+    a = np.asarray(a_in, dtype=np.float64)
+    if not np.all(np.isfinite(a) & (a >= 0)):
+        raise ValueError("a_in must be finite and >= 0")
     g, a_sat = gain_and_swing(bias, params, band)
-    u = g * np.asarray(a_in, dtype=np.float64)
-    if np.any(u < 0):
-        raise ValueError("a_in must be >= 0")
-    out = kernels.rapp(u, a_sat, params.smoothness)
+    out = kernels.rapp(g * a, a_sat, params.smoothness)
     return float(out) if np.isscalar(a_in) else out
 
 

@@ -35,10 +35,6 @@ class Kind(enum.Enum):
     TWO_TONE = "two_tone"
 
 
-#: Emission kinds whose envelope is constant by construction.
-CONSTANT_ENVELOPE_KINDS = frozenset({Kind.CW, Kind.FM, Kind.PSK})
-
-
 def _check_sample_rate(sample_rate: float) -> None:
     if not (math.isfinite(sample_rate) and sample_rate > 0):
         raise InvalidSpec(f"sample_rate must be finite and > 0, got {sample_rate}")
@@ -261,8 +257,3 @@ def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
     else:
         x = a * u
     return IqBlock(x, sample_rate)
-
-
-def envelope(block: IqBlock) -> np.ndarray:
-    """Elementwise magnitude of the block; length preserved."""
-    return np.abs(block.samples)

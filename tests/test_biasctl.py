@@ -18,6 +18,7 @@ from hfpa.measure import UnknownBand, simulate_cw
 from hfpa.pamodel import (SWING_MAX, BiasPoint, PaParams, fundamental_pout,
                           saturated_swing, small_signal_gain_db, with_ripple)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
+from test_pamodel import cw_gain_db
 
 FS = 1.0e6
 WINDOW = 0.01
@@ -167,6 +168,14 @@ class TestGateSteps:
     def test_nearest(self):
         assert gate_step_for(1.9) == 4
         assert gate_step_for(0.1) == 0
+        assert gate_step_for(pamodel.IDQ_MAX) == 4   # 10 A
+
+    @pytest.mark.parametrize("idq", [math.nan, math.inf, 1e17, 10.000001,
+                                     0.0, -1.0])
+    def test_rejects_target_outside_bias_range(self, idq):
+        # from about 1e16 up every step's error rounds to a tie
+        with pytest.raises(ValueError, match="idq_target"):
+            gate_step_for(idq)
 
 
 class TestTrackDrain:
@@ -183,6 +192,16 @@ class TestTrackDrain:
         for vknee in (0.0, 4.0):
             assert track_drain(40.0, vknee=vknee) == pytest.approx(
                 min(44.0 + vknee, 58.0))
+
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_peak(self, peak):
+        with pytest.raises(ValueError, match="peak envelope"):
+            track_drain(peak)
+
+    @pytest.mark.parametrize("vknee", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_vknee(self, vknee):
+        with pytest.raises(ValueError, match="vknee"):
+            track_drain(1.0, vknee=vknee)
 
 
 class TestDecideBias:
@@ -288,9 +307,8 @@ class TestCompressionDrive:
         bias = BiasPoint(vdd=48.0, idq=0.5)
         for depth in (2.0, 2.5, 3.0):
             level = compression_drive(bias, fitted_params, depth_db=depth)
-            from hfpa.measure import gain_at_drive
             g_ss = small_signal_gain_db(bias, fitted_params)
-            assert gain_at_drive(level, bias, fitted_params) == pytest.approx(
+            assert cw_gain_db(level, bias, fitted_params) == pytest.approx(
                 g_ss - depth, abs=0.01)
 
 
@@ -358,6 +376,13 @@ class TestEqualizeGains:
         table = equalize_gains(rippled, BANDS, target, idq=2.0)
         assert table["10M"].clamped
         assert table["10M"].eq_vdd in (30.0, 58.0)
+
+    @pytest.mark.parametrize("kv", [0.0, 0.3])
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_target(self, kv, target):
+        # nan fails both endpoint comparisons and would reach the solve
+        with pytest.raises(ValueError, match="target gain"):
+            equalize_gains(PaParams(g0=40.0, kv=kv), BANDS, target, idq=2.0)
 
 
 @settings(deadline=None)

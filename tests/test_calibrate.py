@@ -9,9 +9,8 @@ import pytest
 from hfpa import calibrate
 from hfpa.calibrate import (ANCHOR_HEADER, AnchorRow, FitReport,
                             REFERENCE_ANCHORS, default_init, fit, objective,
-                            read_anchors_csv, write_anchors_csv,
-                            write_report_csv)
-from hfpa.measure import sweep_bias
+                            read_anchors_csv, write_report_csv)
+from hfpa.measure import sweep_bias, write_csv
 from hfpa.pamodel import PaParams
 
 TRUE_PARAMS = PaParams(g0=39.77, kv=0.39, rload=0.4, vknee=4.1,
@@ -161,7 +160,9 @@ class TestDefaultInit:
 class TestAnchorIo:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "anchors.csv"
-        write_anchors_csv(REFERENCE_ANCHORS, path)
+        write_csv(path, ANCHOR_HEADER,
+                  ((a.vdd, a.gain_db, a.eff_pct, a.pout_w, a.pdiss_w)
+                   for a in REFERENCE_ANCHORS))
         assert path.read_text().splitlines()[0] == ANCHOR_HEADER
         back = read_anchors_csv(path)
         assert back == list(REFERENCE_ANCHORS)

@@ -1,5 +1,5 @@
-"""Measurement-harness tests: gain arithmetic, IMD against the trigonometric
-oracle, P1dB search, and the bias/band sweeps."""
+"""Measurement-harness tests: IMD against the trigonometric oracle, the
+P1dB query, and the bias/band sweeps."""
 import math
 import os
 import subprocess
@@ -12,16 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 import hfpa
 from hfpa import measure
-from hfpa.measure import (CSV_HEADER, LengthMismatch, MeasRow, NoCompression,
-                          TargetUnreachable, TonesUnresolvable, UnknownBand,
-                          drive_for_pout, find_p1db, flattop, freq_response,
-                          measure_gain, measure_imd, simulate_cw, sweep_bias,
-                          write_csv, write_rows_csv)
+from hfpa.biasctl import compression_drive
+from hfpa.measure import (CSV_HEADER, MeasRow, TargetUnreachable,
+                          TonesUnresolvable, UnknownBand, drive_for_pout,
+                          flattop, freq_response, measure_imd, simulate_cw,
+                          sweep_bias, write_csv, write_rows_csv)
 from hfpa.pamodel import (BiasPoint, PaParams, am_am, bisect, fundamental_pout,
                           gain_and_swing, saturated_swing, simulate,
                           small_signal_gain_db)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
-from test_pamodel import bias_st, params_st
+from test_pamodel import bias_st, cw_gain_db, params_st
 
 FS = 1.0e6
 
@@ -30,28 +30,6 @@ def two_tone(amplitude=1.0, duration=0.131072, spacing=2000.0):
     return generate(WaveformSpec(kind=Kind.TWO_TONE, amplitude=amplitude,
                                  duration_s=duration, f1_hz=-spacing / 2,
                                  f2_hz=spacing / 2), FS)
-
-
-class TestMeasureGain:
-    def test_identity_is_zero_db(self):
-        b = two_tone()
-        assert measure_gain(b, b) == pytest.approx(0.0, abs=1e-12)
-
-    def test_ten_x_is_twenty_db(self):
-        b = two_tone()
-        assert measure_gain(b, b.scaled(10.0)) == pytest.approx(20.0, abs=1e-9)
-
-    def test_scale_consistency(self):
-        b = two_tone()
-        for k in (0.01, 0.3, 7.0, 250.0):
-            assert measure_gain(b, b.scaled(k)) == pytest.approx(
-                20.0 * math.log10(k), abs=1e-9)
-
-    def test_length_mismatch(self):
-        b = two_tone()
-        short = IqBlock(b.samples[:-10], FS)
-        with pytest.raises(LengthMismatch):
-            measure_gain(b, short)
 
 
 def reference_imd_levels(block, f1, f2):
@@ -187,10 +165,12 @@ CLASS_A_BIAS = BiasPoint(vdd=58.0, idq=3.0)
 
 
 class TestFindP1db:
+    """P1dB is the one compression query at 1 dB: ``compression_drive``."""
+
     def test_hard_limiter_output_power_near_saturation(self):
         # class-A current region keeps the closed-form pout = a_out^2/(2 R)
         p = PaParams(g0=40.0, kv=0.0, rload=20.0, vknee=4.0, smoothness=20.0)
-        level = find_p1db(CLASS_A_BIAS, p)
+        level = compression_drive(CLASS_A_BIAS, p, 1.0)
         stats = simulate_cw(level, CLASS_A_BIAS, p)
         a_sat = 54.0
         p_sat = a_sat ** 2 / (2.0 * p.rload)
@@ -198,24 +178,23 @@ class TestFindP1db:
 
     def test_doubling_a_sat_moves_p1db_6_db(self):
         p = PaParams(g0=10.0, kv=0.0, rload=20.0, vknee=4.0, smoothness=3.0)
-        lo = find_p1db(BiasPoint(vdd=31.0, idq=3.0), p)   # a_sat 27
-        hi = find_p1db(BiasPoint(vdd=58.0, idq=3.0), p)   # a_sat 54
+        lo = compression_drive(BiasPoint(vdd=31.0, idq=3.0), p, 1.0)  # a_sat 27
+        hi = compression_drive(BiasPoint(vdd=58.0, idq=3.0), p, 1.0)  # a_sat 54
         assert 20.0 * math.log10(hi / lo) == pytest.approx(6.02, abs=0.1)
 
     def test_gain_at_p1db_is_1_db_down(self):
         p = PaParams(g0=40.0, kv=0.0, rload=0.4, vknee=4.0, smoothness=2.0)
-        level = find_p1db(CLASS_A_BIAS, p)
-        from hfpa.measure import gain_at_drive
-        from hfpa.pamodel import small_signal_gain_db
+        level = compression_drive(CLASS_A_BIAS, p, 1.0)
         g_ss = small_signal_gain_db(CLASS_A_BIAS, p)
-        assert gain_at_drive(level, CLASS_A_BIAS, p) == pytest.approx(
+        assert cw_gain_db(level, CLASS_A_BIAS, p) == pytest.approx(
             g_ss - 1.0, abs=0.01)
 
     def test_no_compression_for_degenerate_gain(self):
-        # gain so low the limiter is never approached within the drive cap
+        # gain so low the limiter is never approached within the drive cap:
+        # 1 dB of compression needs about 875*a_sat, past the 50*a_sat cap
         p = PaParams(g0=0.001, kv=0.0, rload=1.0, vknee=4.0, smoothness=2.0)
-        with pytest.raises(NoCompression):
-            find_p1db(CLASS_A_BIAS, p)
+        with pytest.raises(ValueError, match="cannot reach"):
+            compression_drive(CLASS_A_BIAS, p, 1.0)
 
 
 class TestSweepBias:

@@ -1,18 +1,59 @@
-"""The per-sample envelope pipeline of the amplifier model, in numpy."""
+"""The per-sample envelope pipeline of the amplifier model, in numpy.
+
+Block-sized temporaries go into one per-thread workspace (``workspace``): a
+``(5, n)`` float64 array for the most recent block length ``n``, kept while
+``n <= signalgen.CACHE_MAX_SAMPLES``, so at most 5 MiB per thread. A longer
+block gets a fresh workspace that lives only while a caller holds it. Each
+stage writes its result into a workspace row with the ufunc's ``out``, in
+the same expression, operand order and reduction as the plain form, so the
+bits are those of freshly allocated temporaries; what goes is the page
+faults (and the zero-filling) of mapping new temporaries on every call. No
+returned array is a view of the workspace.
+"""
+import threading
+import weakref
+
 import numpy as np
+
+from .signalgen import CACHE_MAX_SAMPLES
+
+_local = threading.local()
+
+
+def workspace(n):
+    """This thread's five float64 scratch rows of length ``n``: a tuple of
+    the row views of one C-ordered ``(5, n)`` array, contents undefined.
+
+    Row 0 is the caller's (``pamodel.simulate`` keeps the envelope there);
+    ``pa_pipeline`` uses rows 1-4. The rows of the most recent length are
+    kept while ``n <= CACHE_MAX_SAMPLES``. Longer ones are only weakly
+    referenced, so nested calls in one operation share them and they are
+    freed with their last view.
+    """
+    rows = getattr(_local, "rows", ())
+    if rows and rows[0].size == n:
+        return rows
+    ws = _local.ref() if hasattr(_local, "ref") else None
+    if ws is None or ws.shape[1] != n:
+        ws = np.empty((5, n))
+        _local.ref = weakref.ref(ws)
+    rows = tuple(ws)
+    _local.rows = rows if n <= CACHE_MAX_SAMPLES else ()
+    return rows
 
 
 def rapp(u, a_sat, smooth):
     """Rapp soft limiter ``u / (1 + (u/a_sat)^(2s))^(1/(2s))``, ``s = smooth``.
 
-    ``u`` is the linearly amplified envelope. Where ``(u/a_sat)^(2s)``
-    overflows the float range the result is the limit ``a_sat``.
+    ``u`` is the linearly amplified envelope, ``>= 0`` and possibly ``inf``.
+    Where ``(u/a_sat)^(2s)`` overflows the float range, or ``u`` is ``inf``,
+    the result is the limit ``a_sat``.
     """
     s2 = 2.0 * smooth
-    # overflow is trapped and the block redone, so in-range blocks pay no
-    # per-sample test and keep their bits
+    # overflow, and inf/inf at u = inf, are trapped and the block redone, so
+    # in-range blocks pay no per-sample test and keep their bits
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", invalid="raise"):
             return np.divide(u, (1.0 + (u / a_sat) ** s2) ** (1.0 / s2))
     except FloatingPointError:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -31,25 +72,42 @@ def pa_pipeline(env, g, a_sat, idq, params):
       Fourier components (DC ``idc`` and fundamental ``i1``)
     * overdrive shaping factor ``1 - beta*r^p / (1 + c*r^p)``, ``r = a/a_sat``
 
-    Returns the per-sample ``a`` and ``(sum(a^2), sum(a*i1), sum(idc*shape))``.
+    Returns the per-sample ``a`` (a fresh array) and
+    ``(sum(a^2), sum(a*i1), sum(idc*shape))``. ``env`` may be row 0 of
+    ``workspace(env.size)``; rows 1-4 are overwritten.
     """
-    aout = rapp(g * env, a_sat, params.smoothness)
-    ipk = aout / params.rload
+    _, t1, t2, t3, t4 = workspace(env.size)
+    # a ufunc's third positional argument is its out row: an ``out=``
+    # keyword costs about 0.25 us more per call, which a 64-sample CW block
+    # feels (np.maximum takes only the keyword)
+    aout = rapp(np.multiply(g, env, t1), a_sat, params.smoothness)
+    ipk = np.divide(aout, params.rload, t1)
     # clipped cosine i(th) = max(0, idq + ipk*cos th); flooring ipk at idq
     # pins the arccos argument at -1 for the unclipped (ipk <= idq) and
     # zero-drive cases, so one closed form covers them: thc = pi gives
     # idc = idq, i1 = ipk. cos(thc) = x and sin(thc) = sqrt(1 - x^2) spare
     # two transcendentals per sample.
-    x = -idq / np.maximum(ipk, idq)
-    thc = np.arccos(x)
-    sin_thc = np.sqrt(1.0 - x * x)
-    idc = (idq * thc + ipk * sin_thc) / np.pi
-    i1 = (2.0 * idq * sin_thc + ipk * (thc + sin_thc * x)) / np.pi
-    del x, thc, sin_thc, ipk  # free block-sized temporaries before shaping
-    r = aout / a_sat
-    rp = r ** params.shape_exp
-    shape = 1.0 - params.shape_beta * rp / (1.0 + params.shape_sat * rp)
+    x = np.divide(-idq, np.maximum(ipk, idq, out=t2), t2)
+    thc = np.arccos(x, t3)
+    sin_thc = np.sqrt(np.subtract(1.0, np.multiply(x, x, t4), t4), t4)
+    # i1 = (2*idq*sin_thc + ipk*(thc + sin_thc*x)) / pi and
+    # idc = (idq*thc + ipk*sin_thc) / pi share the four rows: each product
+    # overwrites an operand at its last use
+    i1 = np.multiply(ipk, np.add(thc, np.multiply(sin_thc, x, t2), t2), t2)
+    idc = np.add(np.multiply(idq, thc, t3), np.multiply(ipk, sin_thc, t1), t3)
+    idc = np.divide(idc, np.pi, t3)
+    i1 = np.divide(np.add(np.multiply(2.0 * idq, sin_thc, t4), i1, t2),
+                   np.pi, t2)
+    # shape = 1 - beta*rp / (1 + c*rp), rp = (aout/a_sat)^p; the in-place
+    # power takes the same scalar-exponent path as ``r ** p``
+    rp = np.divide(aout, a_sat, t1)
+    rp **= params.shape_exp
+    shape = np.multiply(params.shape_beta, rp, t4)
+    shape = np.divide(shape,
+                      np.add(1.0, np.multiply(params.shape_sat, rp, t1), t1),
+                      t4)
+    shape = np.subtract(1.0, shape, t4)
     return (aout,
-            float(np.sum(aout * aout)),
-            float(np.sum(aout * i1)),
-            float(np.sum(idc * shape)))
+            float(np.sum(np.multiply(aout, aout, t1))),
+            float(np.sum(np.multiply(aout, i1, t2))),
+            float(np.sum(np.multiply(idc, shape, t3))))

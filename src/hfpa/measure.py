@@ -14,6 +14,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import kernels
 from .bands import BANDS
 from .pamodel import (BiasPoint, PaParams, PaStats, _rapp_scalar, bisect,
                       fundamental_pout, gain_and_swing, simulate)
@@ -150,6 +151,9 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
 
     The window and the unit noise draw of the most recent block length stay
     cached after the call: 24 bytes per sample, 3 MiB at 131072 samples.
+    The analysis runs in the calling thread's ``kernels.workspace``, which
+    ``pamodel.simulate`` shares and which adds 40 bytes per sample per
+    thread, 5 MiB at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
     """
     if f1 == f2:
         raise ValueError("tones must differ")
@@ -165,13 +169,19 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
             f"tone spacing {beat} Hz < 10 DFT bins ({10 * bin_hz:.1f} Hz)")
 
     win, unit = _analysis_constants(n)
+    ws = kernels.workspace(n)
     x = block.samples
-    rms = math.sqrt(float(np.mean(np.abs(x) ** 2)))
+    mag2 = np.abs(x, out=ws[2])
+    mag2 **= 2
+    rms = math.sqrt(float(np.mean(mag2)))
+    # rows 0 and 1 are adjacent in the workspace: one complex128 row
+    z = ws[0].base[:2].reshape(-1).view(np.complex128)
     if rms > 0:
         floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0)
-        x = x + floor * unit / math.sqrt(2)
+        x = np.add(x, np.divide(np.multiply(floor, unit, out=z), math.sqrt(2),
+                                out=z), out=z)
 
-    spec = np.abs(np.fft.fft(x * win))
+    spec = np.abs(np.fft.fft(np.multiply(x, win, out=z)), out=ws[2])
 
     def peak_at(freq: float) -> float:
         k = int(round(freq / fs * n)) % n

@@ -272,7 +272,8 @@ def am_am(a_in, bias: BiasPoint, params: PaParams, band: Optional[str] = None):
     if not np.all(np.isfinite(a) & (a >= 0)):
         raise ValueError("a_in must be finite and >= 0")
     g, a_sat = gain_and_swing(bias, params, band)
-    out = kernels.rapp(g * a, a_sat, params.smoothness)
+    with np.errstate(over="ignore"):  # g*a past the float range saturates
+        out = kernels.rapp(g * a, a_sat, params.smoothness)
     return float(out) if np.isscalar(a_in) else out
 
 
@@ -302,23 +303,29 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     Phase is preserved per sample; the envelope passes through the AM/AM
     law and each output-swing sample drives the conduction-current model.
     DC input power can never fall below RF output power (dissipation >= 0).
-    ``gain_db`` is None when the input power is zero or overflows.
+    ``gain_db`` is None when the input power is zero or overflows; an
+    amplified envelope past the float range saturates at a_sat.
     """
     if not isinstance(bias, BiasPoint):
         raise InvalidBias(f"expected BiasPoint, got {type(bias).__name__}")
     g, a_sat = gain_and_swing(bias, params, band)
-    env = np.abs(block.samples)
-    aout, sum_aout2, sum_vi1, sum_idc = kernels.pa_pipeline(
-        env, g, a_sat, bias.idq, params)
-    n = env.size
+    n = len(block)
+    ws = kernels.workspace(n)
+    # finite samples whose envelope, amplified envelope or squares overflow
+    # saturate without a warning
+    with np.errstate(over="ignore"):
+        env = np.abs(block.samples, ws[0])
+        aout, sum_aout2, sum_vi1, sum_idc = kernels.pa_pipeline(
+            env, g, a_sat, bias.idq, params)
+        sum_env2 = float(np.dot(env, env))
     pout = sum_vi1 / (2.0 * n)
     pdc = bias.vdd * sum_idc / n
     pdc = max(pdc, pout)  # waveform shaping never drives dissipation negative
-    with np.errstate(over="ignore"):  # finite samples whose squares overflow
-        sum_env2 = float(np.dot(env, env))
     gain_db = (10.0 * math.log10(sum_aout2 / sum_env2)
                if 0.0 < sum_env2 < math.inf else None)
-    scale = np.divide(aout, env, out=np.full_like(env, g), where=env > 0)
+    scale = ws[1]
+    scale.fill(g)
+    np.divide(aout, env, out=scale, where=env > 0)
     out_block = IqBlock(block.samples * scale, block.sample_rate)
     eff = pout / pdc if pdc > 0 else 0.0
     return out_block, PaStats(pout_w=pout, pdc_w=pdc, eff=eff,

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hfpa
-from hfpa import measure
+from hfpa import kernels, measure
 from hfpa.biasctl import compression_drive
 from hfpa.measure import (CSV_HEADER, MeasRow, TargetUnreachable,
                           TonesUnresolvable, UnknownBand, drive_for_pout,
@@ -21,7 +23,7 @@ from hfpa.pamodel import (BiasPoint, PaParams, am_am, bisect, fundamental_pout,
                           gain_and_swing, saturated_swing, simulate,
                           small_signal_gain_db)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
-from test_pamodel import bias_st, cw_gain_db, params_st
+from test_pamodel import bias_st, cw_gain_db, params_st, traced_peak
 
 FS = 1.0e6
 
@@ -64,6 +66,83 @@ def test_imd_analysis_constants_cache_keeps_the_bits():
         win, unit = measure._analysis_constants(n)
         assert not win.flags.writeable and not unit.flags.writeable
         assert measure._analysis_constants.cache_info().currsize <= 1
+
+
+WS_BIAS = BiasPoint(vdd=58.0, idq=2.0)
+WS_PARAMS = PaParams(g0=40.0, rload=0.4, shape_beta=3.0, shape_exp=8.0,
+                     shape_sat=20.0)
+
+
+def two_tone_point(block):
+    """``simulate`` then ``measure_imd``: the output block, stats and levels."""
+    out, stats = simulate(block, WS_BIAS, WS_PARAMS)
+    imd = measure_imd(out, -1000.0, 1000.0)
+    return out, stats, [p.level_dbc for p in imd.products]
+
+
+class TestWorkspaceSharing:
+    """``kernels.workspace`` is per thread, and no result is a view of it."""
+
+    def test_two_threads_get_the_sequential_results(self):
+        # cached lengths and one past signalgen.CACHE_MAX_SAMPLES, linear to
+        # saturated drive, so each thread's workspace keeps changing length
+        blocks = [two_tone(amplitude=a, duration=n / FS) for n, a in
+                  ((131072, 0.3), (16384, 2.0), (131073, 0.8), (65536, 1.2))]
+        want = []
+        for block in blocks:
+            out, stats, levels = two_tone_point(block)
+            assert ([v.hex() for v in levels] == [
+                v.hex() for v in reference_imd_levels(out, -1000.0, 1000.0)])
+            want.append((out.samples.tobytes(), stats, levels))
+        start = threading.Barrier(2)
+
+        def run(order):
+            start.wait()
+            got = []
+            for _ in range(5):
+                for i in order:
+                    out, stats, levels = two_tone_point(blocks[i])
+                    got.append((i, (out.samples.tobytes(), stats, levels)))
+            return got
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(run, order) for order in ([0, 1, 2, 3],
+                                                          [3, 2, 1, 0])]
+            for fut in runs:
+                for i, result in fut.result():
+                    assert result == want[i]
+
+    def test_results_survive_the_next_call_and_inputs_stay_unwritten(self):
+        g, a_sat = gain_and_swing(WS_BIAS, WS_PARAMS)
+        first, second = two_tone(amplitude=0.5), two_tone(amplitude=1.5)
+        for block in (first, second):
+            block.samples.flags.writeable = False  # a write would raise
+        kept_input = first.samples.copy()
+        out, _, levels = two_tone_point(first)
+        aout = kernels.pa_pipeline(np.abs(first.samples), g, a_sat,
+                                   WS_BIAS.idq, WS_PARAMS)[0]
+        kept = (out.samples.copy(), aout.copy(), list(levels))
+        # the same length again: the same workspace, overwritten
+        two_tone_point(second)
+        kernels.pa_pipeline(np.abs(second.samples), g, a_sat, WS_BIAS.idq,
+                            WS_PARAMS)
+        assert out.samples.tobytes() == kept[0].tobytes()
+        assert aout.tobytes() == kept[1].tobytes()
+        assert levels == kept[2]
+        assert first.samples.tobytes() == kept_input.tobytes()
+        base = kernels.workspace(len(first))[0].base
+        for result in (out.samples, aout):
+            assert not np.shares_memory(result, base)
+
+
+def test_warm_large_block_imd_allocates_only_the_spectrum():
+    # with the workspace at this length, what remains is the FFT's complex
+    # result, two arrays of the block's length
+    n = 1 << 17
+    out, _ = simulate(two_tone(amplitude=0.5, duration=n / FS), WS_BIAS,
+                      WS_PARAMS)
+    measure_imd(out, -1000.0, 1000.0)
+    assert traced_peak(lambda: measure_imd(out, -1000.0, 1000.0)) <= 2.5 * n * 8
 
 
 class TestFlattop:

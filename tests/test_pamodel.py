@@ -2,6 +2,7 @@
 oracle, the Rapp envelope law, and steady-state power bookkeeping."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from hfpa.pamodel import (IDQ_MAX, BiasPoint, InvalidBias, NonPositiveIdq,
                           OutOfRangeAlpha, PaParams, _fourier_clipped,
                           _rapp_scalar, am_am, bisect, compression_level,
                           conduction_currents, efficiency_curve,
-                          fundamental_pout, load_params, saturated_swing,
-                          save_params, simulate, small_signal_gain_db,
-                          swing_for_pout)
+                          fundamental_pout, gain_and_swing, load_params,
+                          saturated_swing, save_params, simulate,
+                          small_signal_gain_db, swing_for_pout)
 from hfpa.signalgen import IqBlock
 
 TWO_PI = 2.0 * math.pi
@@ -172,6 +173,16 @@ class TestAmAm:
         with pytest.raises(ValueError, match="finite"):
             am_am(a_in, REF_BIAS, make_params())
 
+    def test_drive_whose_amplified_level_overflows_gives_a_sat(self):
+        # g*a_in is inf at 1e307 and g0 40: the limit, with no warning
+        p = PaParams(g0=40.0)
+        a_sat = saturated_swing(REF_BIAS, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert am_am(1e307, REF_BIAS, p) == a_sat
+            assert am_am(np.array([1e307, 0.0]), REF_BIAS, p).tolist() == [
+                a_sat, 0.0]
+
 
 class TestSimulate:
     def test_zero_input_draws_quiescent_power(self):
@@ -232,6 +243,21 @@ class TestSimulate:
         assert stats.pout_w == pytest.approx(
             fundamental_pout(saturated_swing(REF_BIAS, p), 2.0, p.rload))
 
+    def test_amplified_envelope_past_the_float_range_saturates(self):
+        # g*|x| overflows to inf at 1e307 and g0 40; the limiter gives a_sat,
+        # with no warning, and the output block stays finite
+        bias, p = BiasPoint(vdd=58.0, idq=2.0), PaParams(g0=40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, stats = simulate(IqBlock(np.full(64, 1e307 + 0j), 1e6),
+                                  bias, p)
+        a_sat = saturated_swing(bias, p)
+        assert np.all(np.isfinite(out.samples))
+        np.testing.assert_allclose(out.samples, a_sat, rtol=1e-15)
+        assert stats.gain_db is None
+        assert stats.pout_w == pytest.approx(
+            fundamental_pout(a_sat, bias.idq, p.rload))
+
     def test_rejects_non_bias(self):
         p = make_params()
         with pytest.raises(InvalidBias):
@@ -249,22 +275,117 @@ def test_pipeline_zero_drive_semantics():
     assert np.all(aout == 0.0)
 
 
-def test_large_block_simulate_peak_memory():
-    # numpy reports its buffers to tracemalloc, so the peak is exact: nine
-    # float64 arrays of the block's length, with the pipeline's temporaries
-    # freed before the shaping stage (twelve when they were kept)
-    n = 1 << 17
+def reference_pipeline(env, g, a_sat, idq, params):
+    """``kernels.pa_pipeline`` as plain expressions on fresh temporaries:
+    the oracle that its workspace form must match bit for bit."""
+    aout = kernels.rapp(g * env, a_sat, params.smoothness)
+    ipk = aout / params.rload
+    x = -idq / np.maximum(ipk, idq)
+    thc = np.arccos(x)
+    sin_thc = np.sqrt(1.0 - x * x)
+    idc = (idq * thc + ipk * sin_thc) / np.pi
+    i1 = (2.0 * idq * sin_thc + ipk * (thc + sin_thc * x)) / np.pi
+    r = aout / a_sat
+    rp = r ** params.shape_exp
+    shape = 1.0 - params.shape_beta * rp / (1.0 + params.shape_sat * rp)
+    return (aout,
+            float(np.sum(aout * aout)),
+            float(np.sum(aout * i1)),
+            float(np.sum(idc * shape)))
+
+
+#: Block lengths in an order that switches the workspace's length on every
+#: call; 131073 is past ``signalgen.CACHE_MAX_SAMPLES``, the uncached path.
+PARITY_LENGTHS = (131072, 1, 131073, 64, 10000, 1, 131072, 64, 131073, 10000)
+
+
+def parity_case(rng, n, zero):
+    """Random params, bias point and an ``n``-sample envelope that mixes
+    the clipping onset ``a_out = idq*rload``, a spread of levels and deep
+    saturation, up to where the limiter's power overflows; all zero when
+    ``zero``."""
+    params = PaParams(
+        g0=rng.uniform(0.5, 1000.0), kv=rng.uniform(-1.0, 1.0),
+        ki=rng.uniform(-10.0, 10.0), rload=rng.uniform(0.05, 0.95),
+        vknee=rng.uniform(0.0, 29.0), smoothness=rng.uniform(0.5, 20.0),
+        shape_beta=rng.choice([0.0, rng.uniform(0.0, 5.0)]),
+        shape_exp=rng.choice([0.5, 1.0, 2.0, rng.uniform(0.1, 10.0)]),
+        shape_sat=rng.uniform(0.0, 30.0))
+    bias = BiasPoint(vdd=rng.uniform(30.0, 58.0), idq=rng.uniform(0.1, 3.0))
+    g, a_sat = gain_and_swing(bias, params)
+    if zero:
+        return params, bias, np.zeros(n)
+    onset = bias.idq * params.rload / g * (1.0 + rng.uniform(-1e-3, 1e-3, n))
+    levels = np.stack([np.zeros(n), onset, rng.uniform(0.0, 2.0, n) * a_sat / g,
+                       10.0 ** rng.uniform(1.0, 20.0, n) * a_sat / g])
+    return params, bias, levels[rng.integers(0, 4, n), np.arange(n)]
+
+
+def test_workspace_pipeline_matches_the_plain_expressions():
+    rng = np.random.default_rng(14)
+    for case, n in enumerate(PARITY_LENGTHS * 2):
+        params, bias, env = parity_case(rng, n, zero=case % 7 == 0)
+        g, a_sat = gain_and_swing(bias, params)
+        want = reference_pipeline(env, g, a_sat, bias.idq, params)
+        got = kernels.pa_pipeline(env, g, a_sat, bias.idq, params)
+        # as simulate calls it: the envelope in the workspace's row 0
+        row0 = kernels.workspace(n)[0]
+        row0[:] = env
+        got_in_row0 = kernels.pa_pipeline(row0, g, a_sat, bias.idq, params)
+        assert row0.tobytes() == env.tobytes()
+        for aout, *sums in (got, got_in_row0):
+            assert np.array_equal(aout, want[0])
+            assert aout.tobytes() == want[0].tobytes()
+            assert [v.hex() for v in sums] == [v.hex() for v in want[1:]]
+            assert not np.shares_memory(aout, row0.base)
+        # and simulate's output block, scaled in the workspace
+        x = env * np.exp(1j * rng.uniform(-3.0, 3.0, n))
+        out, stats = simulate(IqBlock(x, 1e6), bias, params)
+        env_x = np.abs(x)
+        aout, _, sum_vi1, _ = reference_pipeline(env_x, g, a_sat, bias.idq,
+                                                 params)
+        scale = np.divide(aout, env_x, out=np.full_like(env_x, g),
+                          where=env_x > 0)
+        assert out.samples.tobytes() == (x * scale).tobytes()
+        assert stats.pout_w.hex() == (sum_vi1 / (2.0 * n)).hex()
+
+
+def large_two_tone_block(n=1 << 17):
     t = np.arange(n) / 1e6
-    block = IqBlock(0.05 * (np.exp(-2j * np.pi * 1000.0 * t)
-                            + np.exp(2j * np.pi * 1000.0 * t)), 1e6)
-    bias, p = BiasPoint(vdd=58.0, idq=2.0), make_params(shape_beta=0.2)
+    return IqBlock(0.05 * (np.exp(-2j * np.pi * 1000.0 * t)
+                           + np.exp(2j * np.pi * 1000.0 * t)), 1e6)
+
+
+def traced_peak(call):
+    """Peak bytes that numpy buffers reach during ``call()``; numpy reports
+    its buffers to tracemalloc, so the figure is exact."""
     tracemalloc.start()
     try:
-        simulate(block, bias, p)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9.5 * n * 8
+
+
+def test_large_block_simulate_peak_memory():
+    # a cold call, once a 64-sample block has moved the workspace to another
+    # length: its five rows, the output swing, the where-mask and the complex
+    # output block, 8.1 arrays of the block's length
+    n = 1 << 17
+    block = large_two_tone_block(n)
+    bias, p = BiasPoint(vdd=58.0, idq=2.0), make_params(shape_beta=0.2)
+    simulate(IqBlock(np.ones(64, dtype=complex), 1e6), bias, p)
+    assert traced_peak(lambda: simulate(block, bias, p)) <= 9.5 * n * 8
+
+
+def test_warm_large_block_simulate_allocates_only_its_results():
+    # with the workspace at this length, what remains is the output swing,
+    # the where-mask and the complex output block, 3.1 arrays
+    n = 1 << 17
+    block = large_two_tone_block(n)
+    bias, p = BiasPoint(vdd=58.0, idq=2.0), make_params(shape_beta=0.2)
+    simulate(block, bias, p)
+    assert traced_peak(lambda: simulate(block, bias, p)) <= 4.5 * n * 8
 
 
 class TestParamsConfig:

@@ -236,20 +236,42 @@ DRIVE_PREDICT_MARGIN = 1e-9
 
 
 def _cw_pout_law(bias: BiasPoint, params: PaParams,
-                 band: Optional[str] = None) -> Callable[[float], float]:
+                 band: Optional[str] = None,
+                 gain: Optional[Tuple[float, float]] = None
+                 ) -> Callable[[float], float]:
     """Scalar CW output power ``a -> fundamental_pout(am_am(a), idq, rload)``.
 
     ``am_am``'s law in ``math`` arithmetic (``pamodel._rapp_scalar``), with
-    its gain and saturated swing computed once. It filters decisions only:
-    its value never reaches an output.
+    its gain and saturated swing computed once, or taken from ``gain``, the
+    caller's ``gain_and_swing(bias, params, band)``. It filters decisions
+    only: its value never reaches an output.
     """
-    g, a_sat = gain_and_swing(bias, params, band)
+    g, a_sat = gain_and_swing(bias, params, band) if gain is None else gain
     smooth, idq, rload = params.smoothness, bias.idq, params.rload
 
     def pout(a: float) -> float:
         return fundamental_pout(_rapp_scalar(g * a, a_sat, smooth), idq, rload)
 
     return pout
+
+
+def _capped_law(target_pout_w: float, bias: BiasPoint, params: PaParams,
+                band: Optional[str]) -> Tuple[float, Callable[[float], float]]:
+    """``drive_cap``'s ceiling and the scalar CW law that decided it, both
+    from one ``gain_and_swing`` call; ``drive_for_pout`` bisects with the
+    same law."""
+    gain = gain_and_swing(bias, params, band)
+    predict = _cw_pout_law(bias, params, band, gain)
+    g, a_sat = gain
+    hi = 10.0 * a_sat / g
+    pred = predict(hi)
+    if pred - target_pout_w <= DRIVE_PREDICT_MARGIN * pred:
+        p_hi = simulate_cw(hi, bias, params, band).pout_w
+        if p_hi < target_pout_w:
+            raise TargetUnreachable(
+                f"saturated output {p_hi:.1f} W below target "
+                f"{target_pout_w:.1f} W at vdd {bias.vdd} V", max_pout_w=p_hi)
+    return hi, predict
 
 
 def drive_cap(target_pout_w: float, bias: BiasPoint, params: PaParams,
@@ -264,16 +286,7 @@ def drive_cap(target_pout_w: float, bias: BiasPoint, params: PaParams,
     it, and TargetUnreachable carries that exact power when it falls short
     of the target. The scalar value decides only; it never reaches an output.
     """
-    g, a_sat = gain_and_swing(bias, params, band)
-    hi = 10.0 * a_sat / g
-    pred = _cw_pout_law(bias, params, band)(hi)
-    if pred - target_pout_w <= DRIVE_PREDICT_MARGIN * pred:
-        p_hi = simulate_cw(hi, bias, params, band).pout_w
-        if p_hi < target_pout_w:
-            raise TargetUnreachable(
-                f"saturated output {p_hi:.1f} W below target "
-                f"{target_pout_w:.1f} W at vdd {bias.vdd} V", max_pout_w=p_hi)
-    return hi
+    return _capped_law(target_pout_w, bias, params, band)[0]
 
 
 def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
@@ -307,9 +320,8 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
     if not (math.isfinite(target_pout_w) and target_pout_w > 0):
         raise ValueError(
             f"target power must be finite and > 0, got {target_pout_w}")
-    hi = drive_cap(target_pout_w, bias, params, band)
+    hi, predict = _capped_law(target_pout_w, bias, params, band)
     tol = DRIVE_REL_TOL * target_pout_w
-    predict = _cw_pout_law(bias, params, band)
 
     def excess(a: float) -> float:
         pred = predict(a)

@@ -490,6 +490,20 @@ class TestCertifiedFallback:
                                   f"target 5000.0 W at vdd 58.0 V")
 
 
+    def test_a_drive_solve_forms_the_gain_law_once(self, monkeypatch,
+                                                   fitted_params):
+        # drive_cap's saturation test and the bisection share one law
+        calls = []
+        law = measure.gain_and_swing
+
+        def counted(*args):
+            calls.append(args)
+            return law(*args)
+
+        monkeypatch.setattr(measure, "gain_and_swing", counted)
+        drive_for_pout(1000.0, self.BIAS, fitted_params)
+        assert len(calls) == 1
+
 class TestFreqResponse:
     def test_zero_ripple_is_flat(self, fitted_params):
         bias = BiasPoint(vdd=58.0, idq=2.0)

@@ -3,6 +3,7 @@ oracle, the Rapp envelope law, and steady-state power bookkeeping."""
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import romb
 
 from hfpa import kernels
+from hfpa.measure import _cw_block
 from hfpa.pamodel import (IDQ_MAX, BiasPoint, InvalidBias, NonPositiveIdq,
                           OutOfRangeAlpha, PaParams, _fourier_clipped,
                           _rapp_scalar, am_am, bisect, compression_level,
@@ -348,6 +350,126 @@ def test_workspace_pipeline_matches_the_plain_expressions():
                           where=env_x > 0)
         assert out.samples.tobytes() == (x * scale).tobytes()
         assert stats.pout_w.hex() == (sum_vi1 / (2.0 * n)).hex()
+
+
+#: x positive, negative, both zeros, subnormal, and one whose sum overflows.
+SUM_VALUES = (0.1, -1.0 / 3.0, 0.0, -0.0, 3 * 5e-324, 1e300)
+
+#: Each branch of numpy's pairwise sum: under 8, 8 to 128, and halved above
+#: 128 with both halves equal (4096, 131072) or not (10000, 10001).
+SUM_LENGTHS = tuple(range(1, 301)) + (1000, 4096, 10000, 10001, 131072)
+
+
+@pytest.mark.parametrize("x", SUM_VALUES, ids=float.hex)
+def test_sum_of_copies_is_numpys_pairwise_sum(x):
+    for n in SUM_LENGTHS:
+        want = float(np.add.reduce(np.full(n, x)))
+        assert kernels._sum_of_copies(x, n).hex() == want.hex(), n
+
+
+#: Constant-envelope block lengths: each branch of the pairwise sum, the
+#: 64-sample CW block and the largest cached block.
+CONSTANT_LENGTHS = (1, 2, 7, 8, 9, 64, 129, 10000, 131072)
+
+#: Smoothness 1 (exponent 2, numpy's square) and 0.5; shape_exp 0.5
+#: (numpy's sqrt), 1, 2 and neither.
+CONSTANT_PARAMS = (
+    make_params(smoothness=1.0, shape_beta=0.5, shape_exp=2.0, shape_sat=3.0),
+    make_params(g0=5.0, smoothness=0.5, shape_beta=2.0, shape_exp=0.5,
+                shape_sat=10.0),
+    make_params(g0=900.0, rload=0.9, smoothness=3.7, shape_beta=1.0,
+                shape_exp=1.0),
+    make_params(g0=12.0, rload=0.05, smoothness=20.0, shape_beta=3.84,
+                shape_exp=8.16, shape_sat=20.7),
+)
+
+
+def constant_levels(params, bias=REF_BIAS):
+    """Zero drive, the clipping onset a_out ~ idq*rload, deep saturation
+    and 1e307, where g*level or the limiter's power leaves the float range."""
+    g, a_sat = gain_and_swing(bias, params)
+    return (0.0, bias.idq * params.rload / g, 1e6 * a_sat / g, 1e307)
+
+
+CONSTANT_CASES = [(params, level) for params in CONSTANT_PARAMS
+                  for level in constant_levels(params)]
+
+
+def count_constant_evaluations(monkeypatch):
+    calls = []
+    constant = kernels._constant_pipeline
+
+    def counted(*args):
+        calls.append(args)
+        return constant(*args)
+
+    monkeypatch.setattr(kernels, "_constant_pipeline", counted)
+    return calls
+
+
+def assert_pipeline_matches_reference(env, params, bias=REF_BIAS):
+    g, a_sat = gain_and_swing(bias, params)
+    # as simulate calls it: an envelope past the float range saturates
+    with np.errstate(over="ignore"):
+        want = reference_pipeline(env, g, a_sat, bias.idq, params)
+        aout, *sums = kernels.pa_pipeline(env, g, a_sat, bias.idq, params)
+    assert aout.tobytes() == want[0].tobytes()
+    assert [v.hex() for v in sums] == [v.hex() for v in want[1:]]
+
+
+@pytest.mark.parametrize("n", CONSTANT_LENGTHS)
+def test_constant_envelope_is_evaluated_once_bit_for_bit(n, monkeypatch):
+    evaluated = count_constant_evaluations(monkeypatch)
+    for params, level in CONSTANT_CASES:
+        assert_pipeline_matches_reference(np.full(n, level), params)
+    assert len(evaluated) == len(CONSTANT_CASES)
+
+
+def test_random_constant_blocks_match_the_plain_expressions(monkeypatch):
+    # numpy's pow and arccos differ from libm's in the last bits for a few
+    # percent of arguments, so a law moved to ``math`` shows only in random
+    # cases; a random shape exponent and a strong shaping term let the
+    # shaping power reach the sums
+    evaluated = count_constant_evaluations(monkeypatch)
+    rng = np.random.default_rng(15)
+    for _ in range(2000):
+        params, bias, env = parity_case(rng, 1, zero=False)
+        params = replace(params, shape_exp=rng.uniform(0.1, 10.0),
+                         shape_beta=10.0 ** rng.uniform(-1.0, 3.0))
+        assert_pipeline_matches_reference(np.full(64, env[0]), params, bias)
+    assert len(evaluated) == 2000
+
+
+def test_cw_block_simulate_matches_the_plain_expressions(monkeypatch):
+    evaluated = count_constant_evaluations(monkeypatch)
+    for params, level in CONSTANT_CASES:
+        g, a_sat = gain_and_swing(REF_BIAS, params)
+        block = _cw_block(level)
+        out, stats = simulate(block, REF_BIAS, params)
+        env = np.abs(block.samples)
+        with np.errstate(over="ignore"):
+            aout, _, sum_vi1, _ = reference_pipeline(env, g, a_sat,
+                                                     REF_BIAS.idq, params)
+        scale = np.divide(aout, env, out=np.full_like(env, g), where=env > 0)
+        assert out.samples.tobytes() == (block.samples * scale).tobytes()
+        assert stats.pout_w.hex() == (sum_vi1 / (2.0 * len(block))).hex()
+    assert len(evaluated) == len(CONSTANT_CASES)
+
+
+@pytest.mark.parametrize("n", (64, 10000))
+def test_a_block_constant_but_for_one_sample_takes_the_array_path(
+        n, monkeypatch):
+    # n = 64 is compared as bytes, n = 10000 by numpy; a -0.0 among 0.0s
+    # compares equal as a float but not as bits
+    evaluated = count_constant_evaluations(monkeypatch)
+    params = CONSTANT_PARAMS[0]
+    for level in constant_levels(params)[:3]:
+        other = -0.0 if level == 0.0 else math.nextafter(level, math.inf)
+        for where in (n // 2, n - 1):
+            env = np.full(n, level)
+            env[where] = other
+            assert_pipeline_matches_reference(env, params)
+    assert evaluated == []
 
 
 def large_two_tone_block(n=1 << 17):

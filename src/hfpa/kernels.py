@@ -10,15 +10,19 @@ bits are those of freshly allocated temporaries; what goes is the page
 faults (and the zero-filling) of mapping new temporaries on every call. No
 returned array is a view of the workspace.
 
+The three block sums are one ``np.add.reduce(rows, axis=1)`` over the
+C-contiguous rows of per-sample products: numpy sums each contiguous row as
+it sums a 1-D array (a column-wise reduction adds in another order).
+
 A constant envelope (every sample has the first one's bits: a CW drive, and
-so every calibration anchor) is evaluated once, and its block sums are
-rebuilt exactly in numpy's pairwise order (``_sum_of_copies``). Its
-correctly rounded steps (``*``, ``/``, ``+``, ``-``, ``max``, ``sqrt``) run
-on Python floats, where ufunc dispatch would cost more than the arithmetic.
-Its three powers and ``arccos`` stay in numpy, on one-lane arrays: numpy's
-SIMD ``pow`` and ``arccos`` differ from libm's in the last bits for a few
-percent of arguments, and ``**`` takes numpy's exponent-2 and exponent-0.5
-fast paths, as it does for a block.
+so every calibration anchor) is evaluated once; its swing and products fill
+a fresh ``(4, n)`` block that the same reduction sums, so its sums are the
+block form's by construction. Its correctly rounded steps (``*``, ``/``,
+``+``, ``-``, ``max``, ``sqrt``) run on Python floats, where ufunc dispatch
+would cost more than the arithmetic. Its three powers and ``arccos`` stay in
+numpy, on one-lane arrays: numpy's SIMD ``pow`` and ``arccos`` differ from
+libm's in the last bits for a few percent of arguments, and ``**`` takes
+numpy's exponent-2 and exponent-0.5 fast paths, as it does for a block.
 """
 import math
 import threading
@@ -75,45 +79,6 @@ def rapp(u, a_sat, smooth):
             return np.where(np.isinf(den), a_sat, u / den)
 
 
-def _sum_of_copies(x, n):
-    """``np.add.reduce(np.full(n, x))``, bit for bit, without the block
-    (``n >= 1``).
-
-    numpy adds a float64 row onto the identity 0.0 by pairwise summation
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4); the
-    identity turns a sum of ``-0.0`` into ``0.0``. ``_pairwise_run`` gives
-    the pairwise part.
-    """
-    return 0.0 + _pairwise_run(x, n, {})
-
-
-def _pairwise_run(x, k, sums):
-    """numpy's pairwise sum of a run of ``k >= 1`` copies of ``x``.
-
-    Under 8 terms, in sequence; 8 to 128 terms, in 8 accumulators of
-    ``k // 8`` sequential terms, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the ``k % 8`` left over
-    one by one; a longer run as two halves, the first rounded down to a
-    multiple of 8. The accumulators are equal, and a longer run's sum
-    depends on its length alone, so ``sums`` keeps each length's.
-    """
-    if k > 128:
-        if k not in sums:
-            h = k // 2
-            h -= h % 8
-            sums[k] = _pairwise_run(x, h, sums) + _pairwise_run(x, k - h, sums)
-        return sums[k]
-    r = x
-    for _ in range((k // 8 if k >= 8 else k) - 1):
-        r += x
-    if k < 8:
-        return r
-    s = ((r + r) + (r + r)) + ((r + r) + (r + r))
-    for _ in range(k % 8):
-        s += x
-    return s
-
-
 def _is_constant(env):
     """Whether every sample of ``env`` has the first one's bits.
 
@@ -154,12 +119,9 @@ def _constant_pipeline(e, n, g, a_sat, idq, params):
         i1 = (2.0 * idq * sin_thc + ipk * (thc + sin_thc * x)) / math.pi
         rp = (np.array([a / a_sat]) ** params.shape_exp).item()
     shape = 1.0 - params.shape_beta * rp / (1.0 + params.shape_sat * rp)
-    aout = np.empty(n)
-    aout.fill(a)  # np.full(n, a) without its Python-level overhead
-    return (aout,
-            _sum_of_copies(a * a, n),
-            _sum_of_copies(a * i1, n),
-            _sum_of_copies(idc * shape, n))
+    rows = np.empty((4, n))
+    rows.T[...] = (a, a * a, a * i1, idc * shape)
+    return (rows[0], *np.add.reduce(rows[1:], axis=1).tolist())
 
 
 def pa_pipeline(env, g, a_sat, idq, params):
@@ -173,15 +135,15 @@ def pa_pipeline(env, g, a_sat, idq, params):
       Fourier components (DC ``idc`` and fundamental ``i1``)
     * overdrive shaping factor ``1 - beta*r^p / (1 + c*r^p)``, ``r = a/a_sat``
 
-    Returns the per-sample ``a`` (a fresh array) and
+    Returns the per-sample ``a`` (fresh memory, never the workspace) and
     ``(sum(a^2), sum(a*i1), sum(idc*shape))``. ``env`` may be row 0 of
     ``workspace(env.size)``; rows 1-4 are overwritten.
 
     A constant envelope (``_is_constant``) is evaluated once, on Python
-    floats and one-lane numpy arrays, and its sums rebuilt in numpy's
-    pairwise order, with the bits of the block form. The powers and
-    ``arccos`` stay in numpy there because libm's differ from numpy's SIMD
-    ones in the last bits. A varying block pays one comparison for this.
+    floats and one-lane numpy arrays, and its products reduced as a block's
+    are, with the bits of the block form. The powers and ``arccos`` stay in
+    numpy there because libm's differ from numpy's SIMD ones in the last
+    bits. A varying block pays one comparison for this.
     """
     if _is_constant(env):
         return _constant_pipeline(env.item(0), env.size, g, a_sat, idq, params)
@@ -216,7 +178,8 @@ def pa_pipeline(env, g, a_sat, idq, params):
                       np.add(1.0, np.multiply(params.shape_sat, rp, t1), t1),
                       t4)
     shape = np.subtract(1.0, shape, t4)
-    return (aout,
-            float(np.add.reduce(np.multiply(aout, aout, t1))),
-            float(np.add.reduce(np.multiply(aout, i1, t2))),
-            float(np.add.reduce(np.multiply(idc, shape, t3))))
+    # the products fill rows 1-3, adjacent rows of the workspace array
+    np.multiply(aout, aout, t1)
+    np.multiply(aout, i1, t2)
+    np.multiply(idc, shape, t3)
+    return (aout, *np.add.reduce(t1.base[1:4], axis=1).tolist())

@@ -352,24 +352,12 @@ def test_workspace_pipeline_matches_the_plain_expressions():
         assert stats.pout_w.hex() == (sum_vi1 / (2.0 * n)).hex()
 
 
-#: x positive, negative, both zeros, subnormal, and one whose sum overflows.
-SUM_VALUES = (0.1, -1.0 / 3.0, 0.0, -0.0, 3 * 5e-324, 1e300)
-
-#: Each branch of numpy's pairwise sum: under 8, 8 to 128, and halved above
-#: 128 with both halves equal (4096, 131072) or not (10000, 10001).
-SUM_LENGTHS = tuple(range(1, 301)) + (1000, 4096, 10000, 10001, 131072)
-
-
-@pytest.mark.parametrize("x", SUM_VALUES, ids=float.hex)
-def test_sum_of_copies_is_numpys_pairwise_sum(x):
-    for n in SUM_LENGTHS:
-        want = float(np.add.reduce(np.full(n, x)))
-        assert kernels._sum_of_copies(x, n).hex() == want.hex(), n
-
-
-#: Constant-envelope block lengths: each branch of the pairwise sum, the
+#: Constant-envelope block lengths, at each of which the ``(4, n)`` row
+#: reduction must give the bits of the 1-D sums: every length to 300 (numpy's
+#: pairwise sum runs in sequence under 8 terms, in 8 accumulators to 128 and
+#: in halves above), halves equal (4096, 131072) or not (10000, 10001), the
 #: 64-sample CW block and the largest cached block.
-CONSTANT_LENGTHS = (1, 2, 7, 8, 9, 64, 129, 10000, 131072)
+CONSTANT_LENGTHS = tuple(range(1, 301)) + (1000, 4096, 10000, 10001, 131072)
 
 #: Smoothness 1 (exponent 2, numpy's square) and 0.5; shape_exp 0.5
 #: (numpy's sqrt), 1, 2 and neither.

@@ -27,7 +27,11 @@ class Diverged(RuntimeError):
 
 @dataclass(frozen=True)
 class AnchorRow:
-    """One measured reference row: vdd, gain, efficiency, power, dissipation."""
+    """One measured reference row: vdd, gain, efficiency, power, dissipation.
+
+    A dissipation of 0 means not given; a positive one must match
+    ``pout*(100/eff - 1)`` within 1%.
+    """
 
     vdd: float
     gain_db: float
@@ -44,6 +48,8 @@ class AnchorRow:
                 f"vdd and pout_w must be > 0, got {self.vdd}, {self.pout_w}")
         if not 0 < self.eff_pct <= 100:
             raise ValueError(f"eff_pct must be in (0, 100], got {self.eff_pct}")
+        if self.pdiss_w < 0:
+            raise ValueError(f"pdiss_w must be >= 0, got {self.pdiss_w}")
         implied = self.pout_w * (100.0 / self.eff_pct - 1.0)
         if self.pdiss_w > 0 and abs(implied - self.pdiss_w) > 0.01 * self.pdiss_w:
             raise ValueError(
@@ -144,7 +150,9 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
     (1, 2, 0.5, 0.5), a fixed initial simplex built from per-dimension steps,
     and a stall-triggered restart with quartered steps. The returned residual
     never exceeds the initial one; ``budget`` caps objective evaluations
-    (budget 0 returns ``init`` unchanged with its residual).
+    (budget 0 returns ``init`` unchanged with its residual). The search
+    starts from ``init`` clamped into ``_SPACE``; when that moved it and the
+    search ends worse than ``init`` scores, ``init`` is returned instead.
     """
     evals = 0
 
@@ -162,7 +170,10 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
             raise Diverged("non-finite objective at init")
         return FitReport(init, residual, errs, 0)
 
-    x0 = _clamp_vec(_params_to_vec(init))
+    vec = _params_to_vec(init)
+    x0 = _clamp_vec(vec)
+    # a start clamped into the box may score worse than init itself
+    init_score = None if np.array_equal(x0, vec) else _score(init, anchors)
     best_vec = x0.copy()
     best_val = objective(_vec_to_params(x0, init), anchors)
     if not math.isfinite(best_val):
@@ -223,6 +234,8 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
 
     params = _vec_to_params(best_vec, init)
     residual, errs = _score(params, anchors)
+    if init_score is not None and residual > init_score[0]:
+        return FitReport(init, *init_score, evals)
     return FitReport(params=params, residual=residual, per_anchor=errs,
                      evaluations=evals)
 
@@ -265,7 +278,7 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float):
     # -1 on p_lo's side of the sign change, whichever sign that side has
     lo_negative = f_lo < 0
     p = bisect(lambda q: -1.0 if (mismatch(q)[0] < 0) == lo_negative else 1.0,
-               p_lo, p_hi, max_iter=100)
+               p_lo, p_hi)
     _, a_coef, b_coef = mismatch(p)
     if a_coef <= 0 or b_coef < 0:
         return None

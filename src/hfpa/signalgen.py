@@ -67,9 +67,6 @@ class IqBlock:
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate
 
-    def scaled(self, factor: float) -> "IqBlock":
-        return IqBlock(self.samples * factor, self.sample_rate)
-
 
 #: WaveformSpec's float fields; validate rejects a non-finite value in any.
 _FLOAT_FIELDS = ("amplitude", "duration_s", "tone_hz", "f1_hz", "f2_hz",

@@ -28,6 +28,12 @@ def synthetic_anchors(params, vdds=(58.0, 53.0, 48.0), pout=1000.0, idq=2.0):
     return anchors
 
 
+#: (vdd, gain dB, eff %) at 1 kW: the reference table moved by at most
+#: 0.3 dB and 1.5 pp, as the benchmark perturbs it.
+OUT_OF_BOX_TABLE = ((58.0, 32.27, 58.52), (53.0, 30.17, 68.96),
+                    (48.0, 28.23, 77.72))
+
+
 class TestObjective:
     def test_self_consistency_is_zero(self):
         anchors = synthetic_anchors(TRUE_PARAMS)
@@ -83,6 +89,23 @@ class TestFit:
         init = dataclasses.replace(TRUE_PARAMS, g0=30.0, kv=0.0)
         report = fit(anchors, init, budget=150)
         assert report.residual <= objective(init, anchors) + 1e-12
+
+    @pytest.mark.parametrize("budget", [0, 40, 150])
+    def test_out_of_box_start_is_never_made_worse(self, budget):
+        # the shaping pre-solve of this near-reference table gives
+        # shape_beta 338 and shape_sat 1550, past the box; clamped into it
+        # the start scores 58.8 against init's 0.024, and the search, which
+        # never gets back under 0.024, hands back init
+        anchors = [AnchorRow(vdd, gain, eff, 1000.0,
+                             1000.0 * (100.0 / eff - 1.0))
+                   for vdd, gain, eff in OUT_OF_BOX_TABLE]
+        init = default_init(anchors)
+        assert init.shape_beta > calibrate._SPACE[5][2]
+        report = fit(anchors, init, budget=budget)
+        assert report.params == init
+        assert report.residual == objective(init, anchors)
+        assert report.per_anchor == fit(anchors, init, budget=0).per_anchor
+        assert report.evaluations == budget
 
     def test_residual_matches_recomputed_objective(self):
         anchors = synthetic_anchors(TRUE_PARAMS)
@@ -203,6 +226,12 @@ class TestAnchorIo:
         fields.update({name: value, "pdiss_w": 0.0})
         with pytest.raises(ValueError, match="must be > 0"):
             AnchorRow(**fields)
+
+    def test_anchor_rejects_negative_dissipation(self):
+        fields = dataclasses.asdict(REFERENCE_ANCHORS[0])
+        assert AnchorRow(**{**fields, "pdiss_w": 0.0}).pdiss_w == 0.0
+        with pytest.raises(ValueError, match="pdiss_w must be >= 0"):
+            AnchorRow(**{**fields, "pdiss_w": -5.0})
 
     def test_short_row_reports_its_line(self, tmp_path):
         path = tmp_path / "anchors.csv"

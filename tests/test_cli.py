@@ -166,6 +166,7 @@ def test_scenario_rejects_non_finite_fields(tmp_path, params_file, capsys, line)
 @pytest.mark.parametrize("row, message", [
     ("58,32,60,0,0", "pout_w must be > 0"),
     ("58,32,60,nan,0", "pout_w must be finite"),
+    ("58,32,60,1000,-5", "pdiss_w must be >= 0"),
     ("58,32,60", "expected 5 fields"),
 ])
 def test_calibrate_rejects_bad_anchor_rows(tmp_path, capsys, row, message):

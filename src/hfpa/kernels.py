@@ -104,7 +104,8 @@ def _constant_pipeline(e, n, g, a_sat, idq, params):
     Each step keeps the array form's expression and operand order, so each
     value has the bits of every lane of the array form. One ``errstate``
     covers the whole step: a power past the float range gives ``a_sat``, as
-    in ``rapp``'s fallback.
+    in ``rapp``'s fallback. ``aout`` is row 0 of the fresh ``(4, n)`` block
+    whose rows 1-3 give the sums.
     """
     s2 = 2.0 * params.smoothness
     with np.errstate(over="ignore"):

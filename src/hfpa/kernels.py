@@ -23,8 +23,23 @@ would cost more than the arithmetic. Its three powers and ``arccos`` stay in
 numpy, on one-lane arrays: numpy's SIMD ``pow`` and ``arccos`` differ from
 libm's in the last bits for a few percent of arguments, and ``**`` takes
 numpy's exponent-2 and exponent-0.5 fast paths, as it does for a block.
+
+The per-sample passes over a long block (``pa_pipeline``'s law, and
+``pamodel.simulate``'s and ``measure.measure_imd``'s elementwise passes) run
+as two halves at once through ``halves``: from ``SPLIT_MIN`` samples up, on
+a process with more than one CPU, the calling thread runs the first half
+and a worker thread the second, each writing into its slices of the
+caller's workspace rows and of preallocated results, with no fresh
+per-sample temporaries. Every split step is elementwise, and the worker's
+half runs under the caller's ``np.geterr()``, so each sample gets the same
+bits and the same floating-point error handling as in one pass. The block
+sums are still one reduction over the full rows, taken by the caller after
+the worker has finished. The worker is one thread per process, started on
+the first long block (importing this module starts none) and started again
+in a child after ``os.fork``.
 """
 import math
+import os
 import threading
 import weakref
 
@@ -34,8 +49,19 @@ from .signalgen import CACHE_MAX_SAMPLES
 
 _local = threading.local()
 
-#: Longest block that ``_is_constant`` compares as bytes.
+#: Longest block that ``is_constant`` compares as bytes.
 _BYTES_COMPARE_MAX = 4096
+
+#: Shortest block whose per-sample passes ``halves`` splits across two
+#: threads. Waking the worker costs about 0.1-0.25 ms on a 2-core VM, so in
+#: a sweep of ``pamodel.simulate`` and ``measure.measure_imd`` the split
+#: lost at 32768 samples and below on one or both, and won on both from
+#: 65536 up (simulate 0.75x, the IMD analysis 0.80-0.93x).
+SPLIT_MIN = 65536
+
+#: ``(pid, executor)`` of this process's worker thread, once started.
+_worker = (None, None)
+_worker_lock = threading.Lock()
 
 
 def workspace(n):
@@ -60,26 +86,91 @@ def workspace(n):
     return rows
 
 
-def rapp(u, a_sat, smooth):
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _executor():
+    """This process's one-thread executor, created on first use in each
+    process: a child of ``os.fork`` has no copy of its parent's thread."""
+    global _worker
+    with _worker_lock:
+        pid, pool = _worker
+        if pid != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            pool = ThreadPoolExecutor(1, thread_name_prefix="hfpa-halves")
+            _worker = (os.getpid(), pool)
+        return pool
+
+
+def _in_errstate(err, fn, rows, args):
+    with np.errstate(**err):
+        fn(*rows, *args)
+
+
+def halves(fn, rows, *args):
+    """``fn(*rows, *args)``, over the two halves of a long block at once.
+
+    ``rows`` are arrays of one length whose samples ``fn`` reads and writes
+    elementwise only, so each sample gets the same bits either way. From
+    ``SPLIT_MIN`` samples up, with more than one CPU, this thread runs
+    ``fn`` on the first half of every row and the process's worker thread
+    on the second, under this thread's ``np.geterr()``; below, ``fn`` runs
+    once on the whole rows. The worker has finished its half when this
+    returns or raises; an exception of this thread's half wins over the
+    worker's.
+    """
+    n = len(rows[0])
+    if n < SPLIT_MIN or _cpu_count() < 2:
+        fn(*rows, *args)
+        return
+    h = n // 2
+    second = _executor().submit(_in_errstate, np.geterr(), fn,
+                                [r[h:] for r in rows], args)
+    try:
+        fn(*[r[:h] for r in rows], *args)
+    finally:
+        exc = second.exception()  # waits for the worker's half
+    if exc is not None:
+        raise exc
+
+
+def _rapp_den(u, a_sat, s2, out):
+    den = np.divide(u, a_sat, out)
+    den **= s2
+    den += 1.0
+    den **= 1.0 / s2
+    return den
+
+
+def rapp(u, a_sat, smooth, out=None):
     """Rapp soft limiter ``u / (1 + (u/a_sat)^(2s))^(1/(2s))``, ``s = smooth``.
 
     ``u`` is the linearly amplified envelope, ``>= 0`` and possibly ``inf``.
     Where ``(u/a_sat)^(2s)`` overflows the float range, or ``u`` is ``inf``,
-    the result is the limit ``a_sat``.
+    the result is the limit ``a_sat``. An ``out`` array of ``u``'s shape
+    (not ``u`` itself) receives the result and holds the denominator on the
+    way, so an in-range block allocates nothing.
     """
     s2 = 2.0 * smooth
     # overflow, and inf/inf at u = inf, are trapped and the block redone, so
     # in-range blocks pay no per-sample test and keep their bits
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return np.divide(u, (1.0 + (u / a_sat) ** s2) ** (1.0 / s2))
+            return np.divide(u, _rapp_den(u, a_sat, s2, out), out)
     except FloatingPointError:
         with np.errstate(over="ignore", invalid="ignore"):
-            den = (1.0 + (u / a_sat) ** s2) ** (1.0 / s2)
-            return np.where(np.isinf(den), a_sat, u / den)
+            den = np.asarray(_rapp_den(u, a_sat, s2, out))
+            saturated = np.isinf(den)
+            a = np.divide(u, den, den)
+        np.copyto(a, a_sat, where=saturated)
+        return a
 
 
-def _is_constant(env):
+def is_constant(env):
     """Whether every sample of ``env`` has the first one's bits.
 
     The endpoints are compared first, so a varying block nearly always pays
@@ -140,19 +231,30 @@ def pa_pipeline(env, g, a_sat, idq, params):
     ``(sum(a^2), sum(a*i1), sum(idc*shape))``. ``env`` may be row 0 of
     ``workspace(env.size)``; rows 1-4 are overwritten.
 
-    A constant envelope (``_is_constant``) is evaluated once, on Python
+    A constant envelope (``is_constant``) is evaluated once, on Python
     floats and one-lane numpy arrays, and its products reduced as a block's
     are, with the bits of the block form. The powers and ``arccos`` stay in
     numpy there because libm's differ from numpy's SIMD ones in the last
-    bits. A varying block pays one comparison for this.
+    bits. A varying block pays one comparison for this. A varying block of
+    ``SPLIT_MIN`` samples or more runs the law as two halves (``halves``).
     """
-    if _is_constant(env):
+    if is_constant(env):
         return _constant_pipeline(env.item(0), env.size, g, a_sat, idq, params)
     _, t1, t2, t3, t4 = workspace(env.size)
+    aout = np.empty(env.size)
+    halves(_pipeline_rows, (env, aout, t1, t2, t3, t4), g, a_sat, idq, params)
+    # the products fill rows 1-3, adjacent rows of the workspace array
+    return (aout, *np.add.reduce(t1.base[1:4], axis=1).tolist())
+
+
+def _pipeline_rows(env, aout, t1, t2, t3, t4, g, a_sat, idq, params):
+    """``pa_pipeline``'s law over rows of one span: the swing into ``aout``
+    and the products ``aout^2``, ``aout*i1``, ``idc*shape`` into
+    ``t1``-``t3``."""
     # a ufunc's third positional argument is its out row: an ``out=``
-    # keyword costs about 0.25 us more per call, which a 64-sample CW block
+    # keyword costs about 0.25 us more per call, which a 64-sample block
     # feels (np.maximum takes only the keyword)
-    aout = rapp(np.multiply(g, env, t1), a_sat, params.smoothness)
+    rapp(np.multiply(g, env, t1), a_sat, params.smoothness, aout)
     ipk = np.divide(aout, params.rload, t1)
     # clipped cosine i(th) = max(0, idq + ipk*cos th); flooring ipk at idq
     # pins the arccos argument at -1 for the unclipped (ipk <= idq) and
@@ -179,8 +281,6 @@ def pa_pipeline(env, g, a_sat, idq, params):
                       np.add(1.0, np.multiply(params.shape_sat, rp, t1), t1),
                       t4)
     shape = np.subtract(1.0, shape, t4)
-    # the products fill rows 1-3, adjacent rows of the workspace array
     np.multiply(aout, aout, t1)
     np.multiply(aout, i1, t2)
     np.multiply(idc, shape, t3)
-    return (aout, *np.add.reduce(t1.base[1:4], axis=1).tolist())

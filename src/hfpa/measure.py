@@ -142,6 +142,20 @@ def _analysis_constants(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return win, unit
 
 
+def _power(x, mag2):
+    np.abs(x, mag2)
+    mag2 **= 2
+
+
+def _noisy_windowed(x, unit, win, z, floor):
+    """``z = (x + floor*unit/sqrt(2)) * win``; no noise when ``floor`` is
+    None."""
+    if floor is not None:
+        x = np.add(x, np.divide(np.multiply(floor, unit, out=z), math.sqrt(2),
+                                out=z), out=z)
+    np.multiply(x, win, out=z)
+
+
 def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     """Two-tone intermodulation analysis by windowed DFT.
 
@@ -154,6 +168,10 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     The analysis runs in the calling thread's ``kernels.workspace``, which
     ``pamodel.simulate`` shares and which adds 40 bytes per sample per
     thread, 5 MiB at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
+    The noise and window passes run as two halves on a long block
+    (``kernels.halves``); the DFT runs in place in the workspace's complex
+    row (``np.fft.fft(z, out=z)``, numpy >= 2.0), and only the bins around
+    each tone are taken to magnitudes.
     """
     if f1 == f2:
         raise ValueError("tones must differ")
@@ -171,21 +189,18 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     win, unit = _analysis_constants(n)
     ws = kernels.workspace(n)
     x = block.samples
-    mag2 = np.abs(x, out=ws[2])
-    mag2 **= 2
+    mag2 = ws[2]
+    kernels.halves(_power, (x, mag2))
     rms = math.sqrt(float(np.mean(mag2)))
+    floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0) if rms > 0 else None
     # rows 0 and 1 are adjacent in the workspace: one complex128 row
     z = ws[0].base[:2].reshape(-1).view(np.complex128)
-    if rms > 0:
-        floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0)
-        x = np.add(x, np.divide(np.multiply(floor, unit, out=z), math.sqrt(2),
-                                out=z), out=z)
-
-    spec = np.abs(np.fft.fft(np.multiply(x, win, out=z)), out=ws[2])
+    kernels.halves(_noisy_windowed, (x, unit, win, z), floor)
+    spec = np.fft.fft(z, out=z)
 
     def peak_at(freq: float) -> float:
         k = int(round(freq / fs * n)) % n
-        window_bins = spec.take(range(k - 1, k + 2), mode="wrap")
+        window_bins = np.abs(spec.take(range(k - 1, k + 2), mode="wrap"))
         return float(np.max(window_bins))
 
     fund = 0.5 * (peak_at(f1) + peak_at(f2))

@@ -304,32 +304,55 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     law and each output-swing sample drives the conduction-current model.
     DC input power can never fall below RF output power (dissipation >= 0).
     ``gain_db`` is None when the input power is zero or overflows; an
-    amplified envelope past the float range saturates at a_sat.
+    amplified envelope past the float range saturates at a_sat. The
+    per-sample passes of a long block run as two halves
+    (``kernels.halves``), with the bits of one pass.
     """
     if not isinstance(bias, BiasPoint):
         raise InvalidBias(f"expected BiasPoint, got {type(bias).__name__}")
     g, a_sat = gain_and_swing(bias, params, band)
     n = len(block)
     ws = kernels.workspace(n)
+    env = ws[0]
+    out = np.empty(n, dtype=np.complex128)
     # finite samples whose envelope, amplified envelope or squares overflow
     # saturate without a warning
     with np.errstate(over="ignore"):
-        env = np.abs(block.samples, ws[0])
+        kernels.halves(np.abs, (block.samples, env))
         aout, sum_aout2, sum_vi1, sum_idc = kernels.pa_pipeline(
             env, g, a_sat, bias.idq, params)
-        sum_env2 = float(np.dot(env, env))
+        # a varying block's sum comes from numpy's reduction, whose bits do
+        # not depend on the BLAS build or its threads; a constant (CW) block
+        # keeps the dot product, and with it the calibration's bits
+        sum_env2 = float(np.dot(env, env) if kernels.is_constant(env) else
+                         np.add.reduce(np.multiply(env, env, ws[2])))
+        kernels.halves(_scale_output, (block.samples, env, aout, ws[1], out))
     pout = sum_vi1 / (2.0 * n)
     pdc = bias.vdd * sum_idc / n
     pdc = max(pdc, pout)  # waveform shaping never drives dissipation negative
     gain_db = (10.0 * math.log10(sum_aout2 / sum_env2)
                if 0.0 < sum_env2 < math.inf else None)
-    scale = ws[1]
-    scale.fill(g)
-    np.divide(aout, env, out=scale, where=env > 0)
-    out_block = IqBlock(block.samples * scale, block.sample_rate)
+    out_block = IqBlock(out, block.sample_rate)
     eff = pout / pdc if pdc > 0 else 0.0
     return out_block, PaStats(pout_w=pout, pdc_w=pdc, eff=eff,
                               pdiss_w=pdc - pout, gain_db=gain_db)
+
+
+#: The smallest positive float, a subnormal.
+_TINY = math.ulp(0.0)
+
+
+def _scale_output(x, env, aout, scale, out):
+    """``out = x * aout/env``: each sample keeps its phase and takes the
+    AM/AM gain.
+
+    ``env`` is floored at the smallest subnormal, which leaves every
+    nonzero sample's divisor as it is. A zero sample has ``aout = 0`` and
+    so scale 0: ``x * 0`` gives the zeros, signs included, that any scale
+    ``>= 0`` gives, with no ``0/0``.
+    """
+    np.divide(aout, np.maximum(env, _TINY, out=scale), scale)
+    np.multiply(x, scale, out)
 
 
 def efficiency_curve(alphas: Sequence[float]):

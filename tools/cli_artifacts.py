@@ -31,6 +31,13 @@ checkouts are compared with::
     PYTHONPATH=old/src python tools/cli_artifacts.py /tmp/old
     PYTHONPATH=new/src python tools/cli_artifacts.py /tmp/new
     diff -r /tmp/old /tmp/new
+
+Byte-identical holds for runs with the same numpy build on the same BLAS
+core type: the calibrations take their last bits from BLAS
+(``np.linalg.lstsq`` and the CW ``np.dot``), and OpenBLAS picks its kernel
+at run time, so under another ``OPENBLAS_CORETYPE`` ``fitted.cfg`` and the
+files computed from it may differ. Compare two checkouts on one host with
+one environment.
 """
 from __future__ import annotations
 

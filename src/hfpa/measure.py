@@ -156,6 +156,33 @@ def _noisy_windowed(x, unit, win, z, floor):
     np.multiply(x, win, out=z)
 
 
+#: Upper bound on the column count ``m`` of ``_dft_bins``' decimation. A
+#: sweep of ``measure_imd`` on a warm 131072-sample two-tone block (200
+#: interleaved calls per value, 2-core host, numpy 2.4.6) gave medians of
+#: 4.5, 4.3, 4.3, 4.2, 4.4 and 5.0 ms at m = 32, 64, 128, 256, 512 and 1024,
+#: against 9.4-12.1 ms with the full in-place FFT.
+DFT_COLUMNS = 128
+
+
+def _dft_bins(z: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """DFT bins ``ks`` (each in ``[0, n)``) of the complex row ``z``, which
+    it overwrites.
+
+    Four-step decimation (Gentleman & Sande 1966; Bailey 1990): with
+    ``n = l*m``, ``m`` the largest divisor of ``n`` not above
+    ``DFT_COLUMNS``, ``X[k] = sum_c W_n^(k*c) * F[k mod l, c]``, where ``F``
+    holds the l-point DFTs of the m columns ``z[c::m]``. ``F`` is computed
+    in place in ``z``, and the twiddle phases are reduced mod n as integers
+    before the division.
+    """
+    n = len(z)
+    m = max(d for d in range(1, min(DFT_COLUMNS, n) + 1) if n % d == 0)
+    cols = z.reshape(n // m, m)
+    np.fft.fft(cols, axis=0, out=cols)
+    tw = np.exp(-2j * np.pi * ((ks[:, None] * np.arange(m)) % n) / n)
+    return np.add.reduce(cols[ks % (n // m)] * tw, axis=1)
+
+
 def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     """Two-tone intermodulation analysis by windowed DFT.
 
@@ -169,9 +196,16 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     ``pamodel.simulate`` shares and which adds 40 bytes per sample per
     thread, 5 MiB at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
     The noise and window passes run as two halves on a long block
-    (``kernels.halves``); the DFT runs in place in the workspace's complex
-    row (``np.fft.fft(z, out=z)``, numpy >= 2.0), and only the bins around
-    each tone are taken to magnitudes.
+    (``kernels.halves``) into the workspace's complex row.
+
+    Only the three bins around each tone and product are computed, at most
+    18 (``_dft_bins``): ``n = l*m`` with ``m`` the largest divisor of ``n``
+    not above ``DFT_COLUMNS`` (128 at 131072 samples), one in-place l-point
+    FFT of the m columns of the complex row (``np.fft.fft(..., out=)``,
+    numpy >= 2.0), then one twiddled sum per bin, without BLAS. The levels
+    lie within 1e-8 dB of those of the full n-point FFT (about 3e-15 of a
+    bin's magnitude); for a prime ``n``, ``m`` is 1, the step is the full
+    FFT, and the levels equal its bit for bit.
     """
     if f1 == f2:
         raise ValueError("tones must differ")
@@ -196,27 +230,23 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     # rows 0 and 1 are adjacent in the workspace: one complex128 row
     z = ws[0].base[:2].reshape(-1).view(np.complex128)
     kernels.halves(_noisy_windowed, (x, unit, win, z), floor)
-    spec = np.fft.fft(z, out=z)
-
-    def peak_at(freq: float) -> float:
-        k = int(round(freq / fs * n)) % n
-        window_bins = np.abs(spec.take(range(k - 1, k + 2), mode="wrap"))
-        return float(np.max(window_bins))
-
-    fund = 0.5 * (peak_at(f1) + peak_at(f2))
-    if fund <= 0:
-        raise ValueError("no fundamental energy at the stated tone offsets")
 
     offsets = {3: (2 * f1 - f2, 2 * f2 - f1),
                5: (3 * f1 - 2 * f2, 3 * f2 - 2 * f1)}
-    products = []
-    for order, freqs in offsets.items():
-        for f in freqs:
-            if abs(f) >= fs / 2:
-                continue
-            level = 20.0 * math.log10(max(peak_at(f), 1e-300) / fund)
-            products.append(ImdProduct(order=order, offset_hz=f, level_dbc=level))
-    return ImdResult(products=tuple(products))
+    products = [(order, f) for order, freqs in offsets.items()
+                for f in freqs if abs(f) < fs / 2]
+    freqs = [f1, f2] + [f for _, f in products]
+    ks = np.array([int(round(f / fs * n)) + d for f in freqs
+                   for d in (-1, 0, 1)]) % n
+    peaks = np.abs(_dft_bins(z, ks)).reshape(-1, 3).max(axis=1).tolist()
+
+    fund = 0.5 * (peaks[0] + peaks[1])
+    if fund <= 0:
+        raise ValueError("no fundamental energy at the stated tone offsets")
+    return ImdResult(products=tuple(
+        ImdProduct(order=order, offset_hz=f,
+                   level_dbc=20.0 * math.log10(max(peak, 1e-300) / fund))
+        for (order, f), peak in zip(products, peaks[2:])))
 
 
 _SWEEP_FS = 1.0e6

@@ -227,13 +227,14 @@ def fundamental_pout(a_out: float, idq: float, rload: float) -> float:
     return a_out * _fourier_clipped(idq, a_out / rload)[2] / 2.0
 
 
-@functools.lru_cache(maxsize=8, typed=True)
+@functools.lru_cache(maxsize=16, typed=True)
 def swing_for_pout(pout: float, idq: float, rload: float) -> float:
     """Output swing in ``[SWING_MIN, SWING_MAX]`` whose fundamental delivers pout.
 
     Converges on ``SWING_MAX`` when even that swing falls short. Memoized
-    (an LRU of 8 argument triples): a controller setpoint holds for a run
-    of windows, and each solve is about 56 bisection steps.
+    (an LRU of 16 argument triples): a controller setpoint holds for a run
+    of windows, ``calibrate.default_init`` solves 12 load lines per anchor
+    table, and each solve is about 56 bisection steps.
     """
     return bisect(lambda a: fundamental_pout(a, idq, rload) - pout,
                   SWING_MIN, SWING_MAX)

@@ -11,7 +11,7 @@ from hfpa.calibrate import (ANCHOR_HEADER, AnchorRow, FitReport,
                             REFERENCE_ANCHORS, default_init, fit, objective,
                             read_anchors_csv, write_report_csv)
 from hfpa.measure import sweep_bias, write_csv
-from hfpa.pamodel import PaParams
+from hfpa.pamodel import PaParams, swing_for_pout
 
 TRUE_PARAMS = PaParams(g0=39.77, kv=0.39, rload=0.4, vknee=4.1,
                        smoothness=8.0, shape_beta=3.82, shape_exp=8.16,
@@ -171,6 +171,13 @@ class TestDefaultInit:
     def test_reference_warm_start_is_reasonable(self):
         init = default_init(REFERENCE_ANCHORS)
         assert objective(init, REFERENCE_ANCHORS) < 10.0
+
+    def test_swing_memo_holds_one_tables_load_lines(self):
+        swing_for_pout.cache_clear()
+        default_init(REFERENCE_ANCHORS)
+        default_init(REFERENCE_ANCHORS)
+        info = swing_for_pout.cache_info()
+        assert (info.misses, info.hits) == (12, 12)
 
     def test_generic_anchors_fall_back_to_base(self):
         anchors = synthetic_anchors(TRUE_PARAMS, vdds=(58.0, 50.0),

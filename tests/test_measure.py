@@ -34,22 +34,51 @@ def two_tone(amplitude=1.0, duration=0.131072, spacing=2000.0):
                                  f2_hz=spacing / 2), FS)
 
 
-def reference_imd_levels(block, f1, f2):
-    """``measure_imd``'s levels from a fresh window and a fresh noise draw."""
-    fs, n, x = block.sample_rate, len(block), block.samples
+def reference_windowed(block):
+    """The noisy, windowed block ``measure_imd`` analyses, from a fresh
+    window and a fresh noise draw."""
+    n, x = len(block), block.samples
     rms = math.sqrt(float(np.mean(np.abs(x) ** 2)))
     rng = np.random.default_rng(0x1D5EED)
     floor = rms * 10.0 ** (measure.NOISE_FLOOR_DBC / 20.0)
     x = x + floor * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
-    spec = np.abs(np.fft.fft(x * flattop(n)))
+    return x * flattop(n)
+
+
+def levels_from_bins(bins, block, f1, f2):
+    """The four IMD levels in dBc, ``bins(ks)`` giving the DFT bins ``ks``
+    of the windowed block."""
+    fs, n = block.sample_rate, len(block)
 
     def peak_at(freq):
-        k = int(round(freq / fs * n)) % n
-        return float(np.max(spec.take(range(k - 1, k + 2), mode="wrap")))
+        k = int(round(freq / fs * n))
+        return float(np.max(np.abs(bins(np.arange(k - 1, k + 2) % n))))
 
     fund = 0.5 * (peak_at(f1) + peak_at(f2))
     return [20.0 * math.log10(max(peak_at(f), 1e-300) / fund)
             for f in (2 * f1 - f2, 2 * f2 - f1, 3 * f1 - 2 * f2, 3 * f2 - 2 * f1)]
+
+
+def reference_imd_levels(block, f1, f2):
+    """``measure_imd``'s levels from fresh arrays: the column DFT of its
+    docstring, ``n = l*m`` with m the largest divisor of n up to
+    ``DFT_COLUMNS``, then one twiddled sum per bin."""
+    z = reference_windowed(block)
+    n = len(z)
+    m = max(d for d in range(1, measure.DFT_COLUMNS + 1) if n % d == 0)
+    cols = np.fft.fft(z.reshape(n // m, m), axis=0)
+
+    def bins(ks):
+        tw = np.exp(-2j * np.pi * ((ks[:, None] * np.arange(m)) % n) / n)
+        return np.add.reduce(cols[ks % (n // m)] * tw, axis=1)
+
+    return levels_from_bins(bins, block, f1, f2)
+
+
+def full_fft_imd_levels(block, f1, f2):
+    """The same levels read from the full n-point FFT of the windowed block."""
+    spec = np.fft.fft(reference_windowed(block))
+    return levels_from_bins(lambda ks: spec[ks], block, f1, f2)
 
 
 def test_imd_analysis_constants_cache_keeps_the_bits():
@@ -136,13 +165,37 @@ class TestWorkspaceSharing:
 
 
 def test_warm_large_block_imd_allocates_only_the_spectrum():
-    # with the workspace at this length, what remains is the FFT's complex
-    # result, two arrays of the block's length
+    # with the workspace at this length, what remains is numpy's two 128 KiB
+    # cast buffers of the complex-by-float multiplies, 0.26 arrays of the
+    # block's length, and the 18 bins; a fresh (l, m) column spectrum would
+    # add two arrays
     n = 1 << 17
     out, _ = simulate(two_tone(amplitude=0.5, duration=n / FS), WS_BIAS,
                       WS_PARAMS)
     measure_imd(out, -1000.0, 1000.0)
-    assert traced_peak(lambda: measure_imd(out, -1000.0, 1000.0)) <= 2.5 * n * 8
+    assert traced_peak(lambda: measure_imd(out, -1000.0, 1000.0)) <= 0.5 * n * 8
+
+
+@pytest.mark.parametrize("n", [131072, 65536, 131073])
+@pytest.mark.parametrize("spacing", [2000.0, 4000.0])
+def test_imd_levels_match_the_full_fft(n, spacing):
+    f1, f2 = -spacing / 2, spacing / 2
+    for amplitude in (0.05, 0.5, 1.4, 4.0):  # linear to deep saturation
+        out, _ = simulate(two_tone(amplitude=amplitude, duration=n / FS,
+                                   spacing=spacing), WS_BIAS, WS_PARAMS)
+        got = [p.level_dbc for p in measure_imd(out, f1, f2).products]
+        want = full_fft_imd_levels(out, f1, f2)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-8
+
+
+def test_imd_levels_of_a_prime_length_are_the_full_ffts_bits():
+    # m = 1: the column FFT is the full FFT, and every twiddle is 1
+    n = 131071
+    out, _ = simulate(two_tone(amplitude=1.4, duration=n / FS), WS_BIAS,
+                      WS_PARAMS)
+    got = [p.level_dbc for p in measure_imd(out, -1000.0, 1000.0).products]
+    want = full_fft_imd_levels(out, -1000.0, 1000.0)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestFlattop:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 README_SCENARIO = ("0.0 am 40M 600\n0.1 cw 40M 600\n0.2 cw 40M 600\n"
@@ -126,6 +127,24 @@ STEPS = (
 EXPECTED_EXIT = {"sweep_bias_unreachable": 1}
 
 
+def run_steps(out: Path):
+    """Write the walkthrough's input files into ``out`` and run STEPS there
+    in order; yields each step's name, completed process and wall seconds."""
+    (out / "scenario.txt").write_text(README_SCENARIO, encoding="utf-8")
+    (out / "scenario_all_kinds.txt").write_text(ALL_KINDS_SCENARIO,
+                                                encoding="utf-8")
+    (out / "anchors.csv").write_text(ANCHORS_CSV, encoding="utf-8")
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):  # the steps run from OUTDIR
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
+    for name, args in STEPS:
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "hfpa", *args], cwd=out,
+                              env=env, capture_output=True, text=True)
+        yield name, proc, time.perf_counter() - t0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -136,18 +155,8 @@ def main(argv=None) -> int:
     if any(out.iterdir()):
         print(f"error: {out} is not empty", file=sys.stderr)
         return 1
-    (out / "scenario.txt").write_text(README_SCENARIO, encoding="utf-8")
-    (out / "scenario_all_kinds.txt").write_text(ALL_KINDS_SCENARIO,
-                                                encoding="utf-8")
-    (out / "anchors.csv").write_text(ANCHORS_CSV, encoding="utf-8")
-    env = dict(os.environ)
-    if env.get("PYTHONPATH"):  # the steps run from OUTDIR
-        env["PYTHONPATH"] = os.pathsep.join(
-            os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
     failed = 0
-    for name, args in STEPS:
-        proc = subprocess.run([sys.executable, "-m", "hfpa", *args], cwd=out,
-                              env=env, capture_output=True, text=True)
+    for name, proc, _ in run_steps(out):
         (out / f"{name}.stdout").write_text(proc.stdout, encoding="utf-8")
         (out / f"{name}.stderr").write_text(proc.stderr, encoding="utf-8")
         (out / f"{name}.exit").write_text(f"{proc.returncode}\n",

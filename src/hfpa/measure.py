@@ -177,10 +177,11 @@ def _dft_bins(z: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """
     n = len(z)
     m = max(d for d in range(1, min(DFT_COLUMNS, n) + 1) if n % d == 0)
-    cols = z.reshape(n // m, m)
+    l = n // m
+    cols = z.reshape(l, m)
     np.fft.fft(cols, axis=0, out=cols)
     tw = np.exp(-2j * np.pi * ((ks[:, None] * np.arange(m)) % n) / n)
-    return np.add.reduce(cols[ks % (n // m)] * tw, axis=1)
+    return np.add.reduce(cols[ks % l] * tw, axis=1)
 
 
 def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:

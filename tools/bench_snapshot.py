@@ -23,7 +23,8 @@ is written at its root. The snapshot holds:
 It edits nothing under ``perfbench/``. Compare two snapshots only when both
 were taken on the same machine: the host's speed moves between runs (see
 ``perfbench/README.md``), so read medians against the quartile spreads
-there. A snapshot takes about eight minutes at three seeds.
+there. A snapshot took about two and a half minutes at three seeds on a
+2-core host.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ bits are those of freshly allocated temporaries; what goes is the page
 faults (and the zero-filling) of mapping new temporaries on every call. No
 returned array is a view of the workspace.
 
-The three block sums are one ``np.add.reduce(rows, axis=1)`` over the
+The block sums are one ``np.add.reduce(rows, axis=1)`` over the
 C-contiguous rows of per-sample products: numpy sums each contiguous row as
 it sums a 1-D array (a column-wise reduction adds in another order).
 
@@ -24,19 +24,22 @@ numpy, on one-lane arrays: numpy's SIMD ``pow`` and ``arccos`` differ from
 libm's in the last bits for a few percent of arguments, and ``**`` takes
 numpy's exponent-2 and exponent-0.5 fast paths, as it does for a block.
 
-The per-sample passes over a long block (``pa_pipeline``'s law, and
-``pamodel.simulate``'s and ``measure.measure_imd``'s elementwise passes) run
-as two halves at once through ``halves``: from ``SPLIT_MIN`` samples up, on
-a process with more than one CPU, the calling thread runs the first half
-and a worker thread the second, each writing into its slices of the
-caller's workspace rows and of preallocated results, with no fresh
-per-sample temporaries. Every split step is elementwise, and the worker's
-half runs under the caller's ``np.geterr()``, so each sample gets the same
-bits and the same floating-point error handling as in one pass. The block
-sums are still one reduction over the full rows, taken by the caller after
-the worker has finished. The worker is one thread per process, started on
-the first long block (importing this module starts none) and started again
-in a child after ``os.fork``.
+Two per-sample passes over a long block run as two halves at once through
+``halves``: ``pa_pipeline``'s law and ``measure.measure_imd``'s noise and
+window pass, which took 0.52-0.63 and 0.64-0.79 of their serial time split
+(131072 samples, 2-core host, two timing harnesses). ``simulate``'s ``|x|``
+(1.27-1.53) and ``measure_imd``'s ``|x|^2`` (1.11-1.24) lose to the
+0.1-0.25 ms of waking the worker, and ``simulate``'s output scale
+(0.80-0.97) saves at most 0.2 ms of a 9.5 ms two-tone point; all three run
+serially. From
+``SPLIT_MIN`` samples up, with more than one CPU, the calling thread runs
+the first half and a worker thread the second, in slices of the caller's
+workspace rows and preallocated results. Each split step is elementwise and
+the worker runs under the caller's ``np.geterr()``, so each sample gets the
+bits and error handling of one pass; the block sums are taken over the full
+rows after the worker has finished. The worker is one thread per process,
+started on the first long block (importing this module starts none) and
+again in a child after ``os.fork``.
 """
 import math
 import os
@@ -49,14 +52,15 @@ from .signalgen import CACHE_MAX_SAMPLES
 
 _local = threading.local()
 
-#: Longest block that ``is_constant`` compares as bytes.
+#: Longest block that ``_is_constant`` compares as bytes.
 _BYTES_COMPARE_MAX = 4096
 
-#: Shortest block whose per-sample passes ``halves`` splits across two
-#: threads. Waking the worker costs about 0.1-0.25 ms on a 2-core VM, so in
-#: a sweep of ``pamodel.simulate`` and ``measure.measure_imd`` the split
-#: lost at 32768 samples and below on one or both, and won on both from
-#: 65536 up (simulate 0.75x, the IMD analysis 0.80-0.93x).
+#: Shortest block whose law and IMD noise and window pass ``halves`` splits.
+#: Waking the worker costs about 0.1-0.25 ms on a 2-core VM: in a sweep of
+#: ``pamodel.simulate`` and ``measure.measure_imd`` the split lost at 32768
+#: samples and below, and won from 65536 up. At 131072 samples the law took
+#: 0.52-0.63 and the IMD pass 0.64-0.79 of their serial time split, and
+#: ``|x|``, ``|x|^2`` and the output scale 0.80-1.53, so those stay serial.
 SPLIT_MIN = 65536
 
 #: ``(pid, executor)`` of this process's worker thread, once started.
@@ -121,7 +125,9 @@ def halves(fn, rows, *args):
     on the second, under this thread's ``np.geterr()``; below, ``fn`` runs
     once on the whole rows. The worker has finished its half when this
     returns or raises; an exception of this thread's half wins over the
-    worker's.
+    worker's. Only ``pa_pipeline``'s law and ``measure_imd``'s noise and
+    window pass call it (0.52-0.63 and 0.64-0.79 of their serial time at
+    131072 samples; ``|x|``, ``|x|^2`` and the output scale took 0.80-1.53).
     """
     n = len(rows[0])
     if n < SPLIT_MIN or _cpu_count() < 2:
@@ -170,7 +176,7 @@ def rapp(u, a_sat, smooth, out=None):
         return a
 
 
-def is_constant(env):
+def _is_constant(env):
     """Whether every sample of ``env`` has the first one's bits.
 
     The endpoints are compared first, so a varying block nearly always pays
@@ -228,29 +234,31 @@ def pa_pipeline(env, g, a_sat, idq, params):
     * overdrive shaping factor ``1 - beta*r^p / (1 + c*r^p)``, ``r = a/a_sat``
 
     Returns the per-sample ``a`` (fresh memory, never the workspace) and
-    ``(sum(a^2), sum(a*i1), sum(idc*shape))``. ``env`` may be row 0 of
-    ``workspace(env.size)``; rows 1-4 are overwritten.
+    ``(sum(a^2), sum(a*i1), sum(idc*shape), sum(e^2))``. ``env`` may be row
+    0 of ``workspace(env.size)``; rows 1-4 are overwritten.
 
-    A constant envelope (``is_constant``) is evaluated once, on Python
-    floats and one-lane numpy arrays, and its products reduced as a block's
-    are, with the bits of the block form. The powers and ``arccos`` stay in
-    numpy there because libm's differ from numpy's SIMD ones in the last
-    bits. A varying block pays one comparison for this. A varying block of
-    ``SPLIT_MIN`` samples or more runs the law as two halves (``halves``).
+    Only this function tells a constant envelope (``_is_constant``) from a
+    varying one, which pays one comparison for it. A constant one is
+    evaluated once, with the bits of the block form (see the module
+    docstring), and its ``sum(e^2)`` is ``np.dot``, for the calibration's
+    bits. A varying block's four sums are one reduction, with no BLAS call;
+    from ``SPLIT_MIN`` samples its law runs as two halves (``halves``,
+    0.52-0.63 of the serial time at 131072 samples).
     """
-    if is_constant(env):
-        return _constant_pipeline(env.item(0), env.size, g, a_sat, idq, params)
+    if _is_constant(env):
+        return (*_constant_pipeline(env.item(0), env.size, g, a_sat, idq,
+                                    params), float(np.dot(env, env)))
     _, t1, t2, t3, t4 = workspace(env.size)
     aout = np.empty(env.size)
     halves(_pipeline_rows, (env, aout, t1, t2, t3, t4), g, a_sat, idq, params)
-    # the products fill rows 1-3, adjacent rows of the workspace array
-    return (aout, *np.add.reduce(t1.base[1:4], axis=1).tolist())
+    # the products fill rows 1-4, adjacent rows of the workspace array
+    return (aout, *np.add.reduce(t1.base[1:5], axis=1).tolist())
 
 
 def _pipeline_rows(env, aout, t1, t2, t3, t4, g, a_sat, idq, params):
     """``pa_pipeline``'s law over rows of one span: the swing into ``aout``
-    and the products ``aout^2``, ``aout*i1``, ``idc*shape`` into
-    ``t1``-``t3``."""
+    and the products ``aout^2``, ``aout*i1``, ``idc*shape``, ``env^2`` into
+    ``t1``-``t4``."""
     # a ufunc's third positional argument is its out row: an ``out=``
     # keyword costs about 0.25 us more per call, which a 64-sample block
     # feels (np.maximum takes only the keyword)
@@ -284,3 +292,4 @@ def _pipeline_rows(env, aout, t1, t2, t3, t4, g, a_sat, idq, params):
     np.multiply(aout, aout, t1)
     np.multiply(aout, i1, t2)
     np.multiply(idc, shape, t3)
+    np.multiply(env, env, t4)

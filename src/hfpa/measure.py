@@ -142,11 +142,6 @@ def _analysis_constants(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return win, unit
 
 
-def _power(x, mag2):
-    np.abs(x, mag2)
-    mag2 **= 2
-
-
 def _noisy_windowed(x, unit, win, z, floor):
     """``z = (x + floor*unit/sqrt(2)) * win``; no noise when ``floor`` is
     None."""
@@ -196,8 +191,10 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     The analysis runs in the calling thread's ``kernels.workspace``, which
     ``pamodel.simulate`` shares and which adds 40 bytes per sample per
     thread, 5 MiB at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
-    The noise and window passes run as two halves on a long block
-    (``kernels.halves``) into the workspace's complex row.
+    Its noise and window pass runs as two halves on a long block
+    (``kernels.halves``, 0.64-0.79 of the serial time at 131072 samples),
+    its ``|x|^2`` (1.11-1.24 split) serially. A tone that is not finite and
+    below Nyquist raises ValueError.
 
     Only the three bins around each tone and product are computed, at most
     18 (``_dft_bins``): ``n = l*m`` with ``m`` the largest divisor of ``n``
@@ -208,9 +205,13 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     bin's magnitude); for a prime ``n``, ``m`` is 1, the step is the full
     FFT, and the levels equal its bit for bit.
     """
+    fs = block.sample_rate
+    for name, f in (("f1", f1), ("f2", f2)):
+        if not abs(f) < fs / 2.0:  # also false for nan and inf
+            raise ValueError(f"tone {name} = {f} Hz must be finite and below "
+                             f"Nyquist {fs / 2.0} Hz")
     if f1 == f2:
         raise ValueError("tones must differ")
-    fs = block.sample_rate
     n = len(block)
     beat = abs(f2 - f1)
     if n / fs < 20.0 / beat:
@@ -224,8 +225,8 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     win, unit = _analysis_constants(n)
     ws = kernels.workspace(n)
     x = block.samples
-    mag2 = ws[2]
-    kernels.halves(_power, (x, mag2))
+    mag2 = np.abs(x, ws[2])
+    mag2 **= 2
     rms = math.sqrt(float(np.mean(mag2)))
     floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0) if rms > 0 else None
     # rows 0 and 1 are adjacent in the workspace: one complex128 row
@@ -306,6 +307,9 @@ def _capped_law(target_pout_w: float, bias: BiasPoint, params: PaParams,
     """``drive_cap``'s ceiling and the scalar CW law that decided it, both
     from one ``gain_and_swing`` call; ``drive_for_pout`` bisects with the
     same law."""
+    if not (math.isfinite(target_pout_w) and target_pout_w > 0):
+        raise ValueError(
+            f"target power must be finite and > 0, got {target_pout_w}")
     gain = gain_and_swing(bias, params, band)
     predict = _cw_pout_law(bias, params, band, gain)
     g, a_sat = gain
@@ -331,6 +335,7 @@ def drive_cap(target_pout_w: float, bias: BiasPoint, params: PaParams,
     decides it and no block runs. Otherwise one ``simulate_cw(hi)`` decides
     it, and TargetUnreachable carries that exact power when it falls short
     of the target. The scalar value decides only; it never reaches an output.
+    A target that is not finite and > 0 raises ValueError.
     """
     return _capped_law(target_pout_w, bias, params, band)[0]
 
@@ -363,9 +368,6 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
     bisection on ``simulate_cw`` alone; the scalar value never reaches an
     output.
     """
-    if not (math.isfinite(target_pout_w) and target_pout_w > 0):
-        raise ValueError(
-            f"target power must be finite and > 0, got {target_pout_w}")
     hi, predict = _capped_law(target_pout_w, bias, params, band)
     tol = DRIVE_REL_TOL * target_pout_w
 

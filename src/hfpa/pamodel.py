@@ -305,29 +305,29 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     law and each output-swing sample drives the conduction-current model.
     DC input power can never fall below RF output power (dissipation >= 0).
     ``gain_db`` is None when the input power is zero or overflows; an
-    amplified envelope past the float range saturates at a_sat. The
-    per-sample passes of a long block run as two halves
-    (``kernels.halves``), with the bits of one pass.
+    amplified envelope past the float range saturates at a_sat. Every block
+    sum, ``sum(|x|^2)`` included, comes from ``kernels.pa_pipeline``, which
+    also splits a long block's law (``kernels.halves``); ``|x|`` (1.27-1.53
+    of the serial time split) and the output scale (0.80-0.97) run here.
     """
     if not isinstance(bias, BiasPoint):
         raise InvalidBias(f"expected BiasPoint, got {type(bias).__name__}")
     g, a_sat = gain_and_swing(bias, params, band)
     n = len(block)
-    ws = kernels.workspace(n)
-    env = ws[0]
+    env, scale = kernels.workspace(n)[:2]
     out = np.empty(n, dtype=np.complex128)
     # finite samples whose envelope, amplified envelope or squares overflow
     # saturate without a warning
     with np.errstate(over="ignore"):
-        kernels.halves(np.abs, (block.samples, env))
-        aout, sum_aout2, sum_vi1, sum_idc = kernels.pa_pipeline(
+        np.abs(block.samples, env)
+        aout, sum_aout2, sum_vi1, sum_idc, sum_env2 = kernels.pa_pipeline(
             env, g, a_sat, bias.idq, params)
-        # a varying block's sum comes from numpy's reduction, whose bits do
-        # not depend on the BLAS build or its threads; a constant (CW) block
-        # keeps the dot product, and with it the calibration's bits
-        sum_env2 = float(np.dot(env, env) if kernels.is_constant(env) else
-                         np.add.reduce(np.multiply(env, env, ws[2])))
-        kernels.halves(_scale_output, (block.samples, env, aout, ws[1], out))
+        # out = x * aout/env: each sample keeps its phase. env is floored at
+        # the smallest subnormal, which no nonzero env is below; a zero
+        # sample (aout = 0) gets scale 0, and x * 0 the signed zeros that any
+        # scale >= 0 gives, with no 0/0
+        np.divide(aout, np.maximum(env, _TINY, out=scale), scale)
+        np.multiply(block.samples, scale, out)
     pout = sum_vi1 / (2.0 * n)
     pdc = bias.vdd * sum_idc / n
     pdc = max(pdc, pout)  # waveform shaping never drives dissipation negative
@@ -341,19 +341,6 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
 
 #: The smallest positive float, a subnormal.
 _TINY = math.ulp(0.0)
-
-
-def _scale_output(x, env, aout, scale, out):
-    """``out = x * aout/env``: each sample keeps its phase and takes the
-    AM/AM gain.
-
-    ``env`` is floored at the smallest subnormal, which leaves every
-    nonzero sample's divisor as it is. A zero sample has ``aout = 0`` and
-    so scale 0: ``x * 0`` gives the zeros, signs included, that any scale
-    ``>= 0`` gives, with no ``0/0``.
-    """
-    np.divide(aout, np.maximum(env, _TINY, out=scale), scale)
-    np.multiply(x, scale, out)
 
 
 def efficiency_curve(alphas: Sequence[float]):

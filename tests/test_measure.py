@@ -285,6 +285,20 @@ class TestMeasureImd:
             # fundamental a*(1 - eps*3a^2) = 0.48125 -> -37.73 dBc
             assert res.worst(3) == pytest.approx(-37.73, abs=1.0)
 
+    @pytest.mark.parametrize("f1, f2, bad", [
+        (math.inf, 1000.0, "f1"), (-1000.0, math.nan, "f2"),
+        (600e3, 1000.0, "f1"), (-1000.0, -500e3, "f2")])
+    def test_rejects_a_tone_not_finite_or_not_below_nyquist(
+            self, monkeypatch, f1, f2, bad):
+        block = two_tone()
+        calls = []
+        monkeypatch.setattr(measure, "_analysis_constants", calls.append)
+        with pytest.raises(ValueError, match=(
+                f"^tone {bad} = .* Hz must be finite and below Nyquist "
+                f"500000.0 Hz$")):
+            measure_imd(block, f1, f2)
+        assert calls == []
+
     def test_unresolvable_spacing_raises(self):
         with pytest.raises(TonesUnresolvable):
             measure_imd(two_tone(duration=0.002), -1000.0, 1000.0)
@@ -378,6 +392,17 @@ def drive_ceiling(bias, params, band=None):
     """The drive solve's ceiling ``10*a_sat/g``, as ``drive_for_pout`` forms it."""
     g, a_sat = gain_and_swing(bias, params, band)
     return 10.0 * a_sat / g
+
+
+@pytest.mark.parametrize("target", [math.nan, -5.0, 0.0, math.inf])
+def test_drive_cap_rejects_a_target_that_is_not_finite_and_positive(
+        monkeypatch, fitted_params, target):
+    calls = []
+    monkeypatch.setattr(measure, "simulate_cw",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="must be finite and > 0, got"):
+        measure.drive_cap(target, BiasPoint(vdd=58.0, idq=2.0), fitted_params)
+    assert calls == []
 
 
 def exact_drive_for_pout(target, bias, params, band=None):

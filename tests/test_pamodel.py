@@ -270,8 +270,10 @@ def test_pipeline_zero_drive_semantics():
     env = np.zeros(8)
     p = PaParams(g0=40.0, rload=0.4, smoothness=2.0, shape_beta=3.0,
                  shape_exp=8.0, shape_sat=20.0)
-    aout, sum_a2, sum_vi1, sum_idc = kernels.pa_pipeline(env, 40.0, 54.0, 2.0, p)
+    aout, sum_a2, sum_vi1, sum_idc, sum_e2 = kernels.pa_pipeline(
+        env, 40.0, 54.0, 2.0, p)
     assert sum_a2 == 0.0
+    assert sum_e2 == 0.0
     assert sum_vi1 == 0.0
     assert sum_idc == pytest.approx(8 * 2.0, rel=1e-15)  # quiescent only
     assert np.all(aout == 0.0)
@@ -279,7 +281,10 @@ def test_pipeline_zero_drive_semantics():
 
 def reference_pipeline(env, g, a_sat, idq, params):
     """``kernels.pa_pipeline`` as plain expressions on fresh temporaries:
-    the oracle that its workspace form must match bit for bit."""
+    the oracle that its workspace form must match bit for bit.
+
+    The ``env^2`` sum is a dot product for a constant block (every sample
+    has the first one's bits) and numpy's reduction for a varying one."""
     aout = kernels.rapp(g * env, a_sat, params.smoothness)
     ipk = aout / params.rload
     x = -idq / np.maximum(ipk, idq)
@@ -290,10 +295,18 @@ def reference_pipeline(env, g, a_sat, idq, params):
     r = aout / a_sat
     rp = r ** params.shape_exp
     shape = 1.0 - params.shape_beta * rp / (1.0 + params.shape_sat * rp)
+    constant = np.unique(env.view(np.uint64)).size == 1
     return (aout,
             float(np.sum(aout * aout)),
             float(np.sum(aout * i1)),
-            float(np.sum(idc * shape)))
+            float(np.sum(idc * shape)),
+            float(np.dot(env, env) if constant else np.add.reduce(env * env)))
+
+
+def reference_gain_db(sum_a2, sum_e2):
+    """``simulate``'s ``gain_db`` from the oracle's sums."""
+    return (10.0 * math.log10(sum_a2 / sum_e2)
+            if 0.0 < sum_e2 < math.inf else None)
 
 
 #: Block lengths in an order that switches the workspace's length on every
@@ -344,12 +357,13 @@ def test_workspace_pipeline_matches_the_plain_expressions():
         x = env * np.exp(1j * rng.uniform(-3.0, 3.0, n))
         out, stats = simulate(IqBlock(x, 1e6), bias, params)
         env_x = np.abs(x)
-        aout, _, sum_vi1, _ = reference_pipeline(env_x, g, a_sat, bias.idq,
-                                                 params)
+        aout, sum_a2, sum_vi1, _, sum_e2 = reference_pipeline(
+            env_x, g, a_sat, bias.idq, params)
         scale = np.divide(aout, env_x, out=np.full_like(env_x, g),
                           where=env_x > 0)
         assert out.samples.tobytes() == (x * scale).tobytes()
         assert stats.pout_w.hex() == (sum_vi1 / (2.0 * n)).hex()
+        assert stats.gain_db == reference_gain_db(sum_a2, sum_e2)
 
 
 #: Constant-envelope block lengths, at each of which the ``(4, n)`` row
@@ -436,11 +450,12 @@ def test_cw_block_simulate_matches_the_plain_expressions(monkeypatch):
         out, stats = simulate(block, REF_BIAS, params)
         env = np.abs(block.samples)
         with np.errstate(over="ignore"):
-            aout, _, sum_vi1, _ = reference_pipeline(env, g, a_sat,
-                                                     REF_BIAS.idq, params)
+            aout, sum_a2, sum_vi1, _, sum_e2 = reference_pipeline(
+                env, g, a_sat, REF_BIAS.idq, params)
         scale = np.divide(aout, env, out=np.full_like(env, g), where=env > 0)
         assert out.samples.tobytes() == (block.samples * scale).tobytes()
         assert stats.pout_w.hex() == (sum_vi1 / (2.0 * len(block))).hex()
+        assert stats.gain_db == reference_gain_db(sum_a2, sum_e2)
     assert len(evaluated) == len(CONSTANT_CASES)
 
 
@@ -479,8 +494,10 @@ def traced_peak(call):
 
 def test_large_block_simulate_peak_memory():
     # a cold call, once a 64-sample block has moved the workspace to another
-    # length: its five rows, the output swing, the where-mask and the complex
-    # output block, 8.1 arrays of the block's length
+    # length: its five rows, the output swing, the complex output block and
+    # numpy's 128 KiB cast buffer of the complex-by-float output multiply,
+    # 8.1 arrays of the block's length (8.7 when this call also starts the
+    # worker thread of ``kernels.halves``)
     n = 1 << 17
     block = large_two_tone_block(n)
     bias, p = BiasPoint(vdd=58.0, idq=2.0), make_params(shape_beta=0.2)
@@ -490,7 +507,8 @@ def test_large_block_simulate_peak_memory():
 
 def test_warm_large_block_simulate_allocates_only_its_results():
     # with the workspace at this length, what remains is the output swing,
-    # the where-mask and the complex output block, 3.1 arrays
+    # the complex output block and numpy's 128 KiB cast buffer of the
+    # complex-by-float output multiply, 3.1 arrays
     n = 1 << 17
     block = large_two_tone_block(n)
     bias, p = BiasPoint(vdd=58.0, idq=2.0), make_params(shape_beta=0.2)

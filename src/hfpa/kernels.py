@@ -31,10 +31,9 @@ window pass, which took 0.52-0.63 and 0.64-0.79 of their serial time split
 (1.27-1.53) and ``measure_imd``'s ``|x|^2`` (1.11-1.24) lose to the
 0.1-0.25 ms of waking the worker, and ``simulate``'s output scale
 (0.80-0.97) saves at most 0.2 ms of a 9.5 ms two-tone point; all three run
-serially. From
-``SPLIT_MIN`` samples up, with more than one CPU, the calling thread runs
-the first half and a worker thread the second, in slices of the caller's
-workspace rows and preallocated results. Each split step is elementwise and
+serially. From ``SPLIT_MIN`` samples up, with more than one CPU, the calling
+thread runs the first half and a worker thread the second, in slices of the
+caller's workspace rows and preallocated results. Each split step is elementwise and
 the worker runs under the caller's ``np.geterr()``, so each sample gets the
 bits and error handling of one pass; the block sums are taken over the full
 rows after the worker has finished. The worker is one thread per process,

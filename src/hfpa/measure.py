@@ -193,8 +193,8 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     thread, 5 MiB at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
     Its noise and window pass runs as two halves on a long block
     (``kernels.halves``, 0.64-0.79 of the serial time at 131072 samples),
-    its ``|x|^2`` (1.11-1.24 split) serially. A tone that is not finite and
-    below Nyquist raises ValueError.
+    its ``|x|^2`` (1.11-1.24 split) serially. A tone that is not finite, or
+    not below Nyquist, raises ValueError.
 
     Only the three bins around each tone and product are computed, at most
     18 (``_dft_bins``): ``n = l*m`` with ``m`` the largest divisor of ``n``

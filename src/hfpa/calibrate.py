@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .measure import TargetUnreachable, sweep_bias, write_csv
-from .pamodel import (IDQ_REF, VDD_REF, BiasPoint, PaParams, bisect,
-                      conduction_currents, small_signal_gain_db,
+from .measure import MeasRow, TargetUnreachable, sweep_bias, write_csv
+from .pamodel import (_SCALAR_KEYS, IDQ_REF, VDD_REF, BiasPoint, PaParams,
+                      bisect, conduction_currents, small_signal_gain_db,
                       swing_for_pout)
 
 
@@ -73,8 +73,32 @@ class FitReport:
     evaluations: int
 
 
-def _score(params: PaParams, anchors: Sequence[AnchorRow]):
-    """(residual, per-anchor errors) from one sweep of each anchor.
+def _sweep(a: AnchorRow, params: PaParams,
+           rows: Optional[dict] = None) -> Union[MeasRow, float]:
+    """``a``'s row swept under ``params``, or the ``max_pout_w`` of the
+    TargetUnreachable that the sweep raised.
+
+    ``rows``, when given, holds the outcomes already swept, keyed by the
+    anchor's vdd and power and the nine scalar params; a repeated key is
+    not swept again.
+    """
+    key = (None if rows is None else
+           (a.vdd, a.pout_w, *(getattr(params, k) for k in _SCALAR_KEYS)))
+    if key is not None and key in rows:
+        return rows[key]
+    try:
+        out = sweep_bias([a.vdd], IDQ_REF, a.pout_w, params)[0]
+    except TargetUnreachable as exc:
+        out = exc.max_pout_w
+    if key is not None:
+        rows[key] = out
+    return out
+
+
+def _score(params: PaParams, anchors: Sequence[AnchorRow],
+           rows: Optional[dict] = None):
+    """(residual, per-anchor errors) from one sweep of each anchor
+    (``_sweep``, which may take it from ``rows``).
 
     Per anchor: drive to the row's output power at its vdd and accumulate
     ((gain error)/0.5 dB)^2 + ((efficiency error)/2 pp)^2; the error pair is
@@ -85,10 +109,9 @@ def _score(params: PaParams, anchors: Sequence[AnchorRow]):
     total = 0.0
     errs = []
     for a in anchors:
-        try:
-            row = sweep_bias([a.vdd], IDQ_REF, a.pout_w, params)[0]
-        except TargetUnreachable as exc:
-            shortfall = max(0.0, 1.0 - exc.max_pout_w / a.pout_w)
+        row = _sweep(a, params, rows)
+        if not isinstance(row, MeasRow):
+            shortfall = max(0.0, 1.0 - row / a.pout_w)
             total += 1.0e6 * (1.0 + shortfall)
             errs.append((math.inf, math.inf))
             continue
@@ -120,23 +143,22 @@ _SPACE = (
 _MAX_SHAPE_DEPTH = 0.22  # cap on beta/(1+c): keeps efficiency physical
 
 
-def _params_to_vec(p: PaParams) -> np.ndarray:
-    return np.array([20.0 * math.log10(p.g0), p.kv, p.rload, p.vknee,
-                     p.smoothness, p.shape_beta, p.shape_exp, p.shape_sat])
+def _params_to_vec(p: PaParams) -> List[float]:
+    return [20.0 * math.log10(p.g0), float(p.kv), float(p.rload),
+            float(p.vknee), float(p.smoothness), float(p.shape_beta),
+            float(p.shape_exp), float(p.shape_sat)]
 
 
-def _clamp_vec(vec: np.ndarray) -> np.ndarray:
-    out = vec.copy()
-    for i, (_, lo, hi, _) in enumerate(_SPACE):
-        out[i] = min(max(out[i], lo), hi)
+def _clamp_vec(vec: Sequence[float]) -> List[float]:
+    out = [min(max(x, lo), hi) for x, (_, lo, hi, _) in zip(vec, _SPACE)]
     depth = out[5] / (1.0 + out[7])
     if depth > _MAX_SHAPE_DEPTH:
         out[5] = _MAX_SHAPE_DEPTH * (1.0 + out[7])
     return out
 
 
-def _vec_to_params(vec: np.ndarray, template: PaParams) -> PaParams:
-    v = [float(x) for x in _clamp_vec(vec)]
+def _vec_to_params(vec: Sequence[float], template: PaParams) -> PaParams:
+    v = _clamp_vec(vec)
     return replace(template, g0=10.0 ** (v[0] / 20.0), kv=v[1], rload=v[2],
                    vknee=v[3], smoothness=v[4], shape_beta=v[5],
                    shape_exp=v[6], shape_sat=v[7])
@@ -153,10 +175,18 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
     (budget 0 returns ``init`` unchanged with its residual). The search
     starts from ``init`` clamped into ``_SPACE``; when that moved it and the
     search ends worse than ``init`` scores, ``init`` is returned instead.
+
+    The search runs on lists of Python floats, not numpy arrays: an
+    8-element array operation costs more than the arithmetic in it. Each
+    update keeps its operand order, and the centroid is the vertices added
+    row by row from 0.0, then divided by ``ndim``, the order of numpy's
+    axis-0 ``np.mean``, so every point has the bits of the array form. The
+    vertices are still ranked by ``np.argsort``: numpy's sort of 9 values
+    may order ties differently from Python's stable sort.
     """
     evals = 0
 
-    def f(vec: np.ndarray) -> float:
+    def f(vec: List[float]) -> float:
         nonlocal evals
         evals += 1
         value = objective(_vec_to_params(vec, init), anchors)
@@ -173,23 +203,23 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
     vec = _params_to_vec(init)
     x0 = _clamp_vec(vec)
     # a start clamped into the box may score worse than init itself
-    init_score = None if np.array_equal(x0, vec) else _score(init, anchors)
-    best_vec = x0.copy()
+    init_score = None if x0 == vec else _score(init, anchors)
+    best_vec = x0
     best_val = objective(_vec_to_params(x0, init), anchors)
     if not math.isfinite(best_val):
         raise Diverged("non-finite objective at init")
 
     ndim = len(_SPACE)
-    steps = np.array([s[3] for s in _SPACE])
+    steps = [s[3] for s in _SPACE]
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     scale = 1.0
 
     while evals < budget:
         # fresh simplex around the incumbent
-        simplex = [best_vec.copy()]
+        simplex = [best_vec]
         values = [best_val]
         for i in range(ndim):
-            v = best_vec.copy()
+            v = list(best_vec)
             v[i] += steps[i] * scale
             simplex.append(_clamp_vec(v))
             values.append(f(simplex[-1]))
@@ -197,20 +227,26 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
                 break
 
         while evals < budget and len(simplex) == ndim + 1:
-            order = np.argsort(values)
+            order = np.argsort(values).tolist()
             simplex = [simplex[i] for i in order]
             values = [values[i] for i in order]
             if values[0] < best_val:
-                best_val, best_vec = values[0], simplex[0].copy()
+                best_val, best_vec = values[0], simplex[0]
             spread = values[-1] - values[0]
             if spread < 1e-12 * (1.0 + abs(values[0])):
                 break  # stalled: restart with a tighter simplex
 
-            centroid = np.mean(simplex[:-1], axis=0)
-            xr = _clamp_vec(centroid + alpha * (centroid - simplex[-1]))
+            centroid = [0.0] * ndim
+            for v in simplex[:-1]:
+                centroid = [c + x for c, x in zip(centroid, v)]
+            centroid = [c / ndim for c in centroid]
+            worst = simplex[-1]
+            xr = _clamp_vec([c + alpha * (c - w)
+                             for c, w in zip(centroid, worst)])
             fr = f(xr)
             if fr < values[0]:
-                xe = _clamp_vec(centroid + gamma * (centroid - simplex[-1]))
+                xe = _clamp_vec([c + gamma * (c - w)
+                                 for c, w in zip(centroid, worst)])
                 fe = f(xe) if evals < budget else fr
                 if fe < fr:
                     simplex[-1], values[-1] = xe, fe
@@ -219,16 +255,19 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
             elif fr < values[-2]:
                 simplex[-1], values[-1] = xr, fr
             else:
-                xc = _clamp_vec(centroid + rho * (simplex[-1] - centroid))
+                xc = _clamp_vec([c + rho * (w - c)
+                                 for c, w in zip(centroid, worst)])
                 fc = f(xc) if evals < budget else fr
                 if fc < values[-1]:
                     simplex[-1], values[-1] = xc, fc
                 else:  # shrink toward the best vertex
+                    best = simplex[0]
                     for i in range(1, ndim + 1):
                         if evals >= budget:
                             break
                         simplex[i] = _clamp_vec(
-                            simplex[0] + sigma * (simplex[i] - simplex[0]))
+                            [b + sigma * (x - b)
+                             for b, x in zip(best, simplex[i])])
                         values[i] = f(simplex[i])
         scale *= 0.25  # restart ladder
 
@@ -288,20 +327,19 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float):
     return beta, p, sat, a_out
 
 
-def _gain_lstsq(anchors: Sequence[AnchorRow],
-                params: PaParams) -> Optional[PaParams]:
+def _gain_lstsq(anchors: Sequence[AnchorRow], params: PaParams,
+                rows: dict) -> Optional[PaParams]:
     """Closed-form least-squares (g0, kv) against the measured gain rows."""
-    rows = []
-    try:
-        for a in anchors:
-            row = sweep_bias([a.vdd], IDQ_REF, a.pout_w, params)[0]
-            rows.append(row.gain_db)
-    except TargetUnreachable:
-        return None
+    measured = []
+    for a in anchors:
+        row = _sweep(a, params, rows)
+        if not isinstance(row, MeasRow):
+            return None
+        measured.append(row.gain_db)
     # measured gain = g0_db + kv*(vdd - VDD_REF) + compression(vdd); solve
     # the linear part against targets with the current compression offsets
     comp = [m - small_signal_gain_db(BiasPoint(a.vdd, IDQ_REF), params)
-            for m, a in zip(rows, anchors)]
+            for m, a in zip(measured, anchors)]
     A = np.array([[1.0, a.vdd - VDD_REF] for a in anchors])
     b = np.array([a.gain_db - c for a, c in zip(anchors, comp)])
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -319,6 +357,12 @@ def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS) -> PaParams:
     three-row equal-power table, a deterministic scout refines rload and the
     shaping parameters by the algebraic pre-solve and a small fixed ladder of
     knee sharpness values, keeping whichever candidate scores best.
+
+    Each distinct row (anchor, params) is swept once per call: the scout's
+    two gain refinements and its scoring share one table of the rows swept
+    so far, local to the call, so a refinement that lands on the params it
+    started from is not swept again. ``fit`` and ``objective`` keep no such
+    table.
     """
     top = max(anchors, key=lambda a: a.vdd)
     rload_est = top.vdd ** 2 / (2.0 * top.pout_w)
@@ -332,7 +376,8 @@ def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS) -> PaParams:
     if not equal_power:
         return base
 
-    best = (objective(base, anchors), base)
+    rows = {}  # every candidate's sweeps, for this call only
+    best = (_score(base, anchors, rows)[0], base)
     for rload in np.arange(0.30, 0.521, 0.02):
         pre = _shape_presolve(anchors, float(rload), base.vknee)
         if pre is None:
@@ -342,11 +387,11 @@ def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS) -> PaParams:
             cand = PaParams(g0=base.g0, kv=0.0, ki=0.0, rload=float(rload),
                             vknee=base.vknee, smoothness=s, shape_beta=beta,
                             shape_exp=p, shape_sat=sat)
-            refined = _gain_lstsq(anchors, cand)
+            refined = _gain_lstsq(anchors, cand, rows)
             if refined is None:
                 continue
-            refined = _gain_lstsq(anchors, refined) or refined
-            score = objective(refined, anchors)
+            refined = _gain_lstsq(anchors, refined, rows) or refined
+            score = _score(refined, anchors, rows)[0]
             if score < best[0]:
                 best = (score, refined)
     return best[1]

@@ -256,12 +256,23 @@ _SWEEP_N = 64
 
 
 def _cw_block(level: float) -> IqBlock:
-    return IqBlock(np.full(_SWEEP_N, level, dtype=np.complex128), _SWEEP_FS)
+    """``_SWEEP_N`` samples of ``level`` at ``_SWEEP_FS``; a level that is
+    not finite and >= 0 raises ValueError. Built unchecked: a finite level
+    makes every sample finite."""
+    if not (math.isfinite(level) and level >= 0):
+        raise ValueError(f"CW level must be finite and >= 0, got {level}")
+    return IqBlock._unchecked(np.full(_SWEEP_N, level, dtype=np.complex128),
+                              _SWEEP_FS)
 
 
 def simulate_cw(level: float, bias: BiasPoint, params: PaParams,
                 band: Optional[str] = None) -> PaStats:
-    """Steady-state stats for a CW drive at the given envelope level."""
+    """Steady-state stats for a CW drive at the given envelope level.
+
+    ``level`` must be finite and >= 0 (-0.0 included), else ValueError is
+    raised before any block is built; that scalar check is the only one the
+    64-sample CW block gets.
+    """
     _, stats = simulate(_cw_block(level), bias, params, band)
     return stats
 

@@ -333,7 +333,10 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     pdc = max(pdc, pout)  # waveform shaping never drives dissipation negative
     gain_db = (10.0 * math.log10(sum_aout2 / sum_env2)
                if 0.0 < sum_env2 < math.inf else None)
-    out_block = IqBlock(out, block.sample_rate)
+    # finite by construction, so not checked again: each sample is x times
+    # aout/env, of magnitude about aout <= a_sat; an envelope that is zero
+    # or overflowed to inf gets scale 0, and a finite x times 0 is 0
+    out_block = IqBlock._unchecked(out, block.sample_rate)
     eff = pout / pdc if pdc > 0 else 0.0
     return out_block, PaStats(pout_w=pout, pdc_w=pdc, eff=eff,
                               pdiss_w=pdc - pout, gain_db=gain_db)

@@ -63,7 +63,13 @@ def _sum_is_finite(samples) -> bool:
 
 @dataclass(frozen=True)
 class IqBlock:
-    """A finite block of complex baseband samples at a fixed sample rate."""
+    """A finite block of complex baseband samples at a fixed sample rate.
+
+    Construction checks the rate, the shape and that every sample is
+    finite. ``_unchecked`` skips those checks, for the two blocks the model
+    builds finite by construction: ``pamodel.simulate``'s output block and
+    ``measure.simulate_cw``'s CW block, built after a check of its level.
+    """
 
     samples: np.ndarray
     sample_rate: float
@@ -76,6 +82,16 @@ class IqBlock:
         if not (_sum_is_finite(samples) or np.isfinite(samples).all()):
             raise InvalidSpec("samples must be finite")
         object.__setattr__(self, "samples", samples)
+
+    @classmethod
+    def _unchecked(cls, samples: np.ndarray, sample_rate: float) -> "IqBlock":
+        """A block of ``samples``, which the caller guarantees to be a
+        non-empty 1-D complex128 array of finite values, at a valid
+        ``sample_rate``; nothing is checked."""
+        block = object.__new__(cls)
+        object.__setattr__(block, "samples", samples)
+        object.__setattr__(block, "sample_rate", sample_rate)
+        return block
 
     def __len__(self) -> int:
         return self.samples.size

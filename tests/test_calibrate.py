@@ -2,6 +2,7 @@
 round-trip parameter recovery."""
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hfpa.calibrate import (ANCHOR_HEADER, AnchorRow, FitReport,
                             REFERENCE_ANCHORS, default_init, fit, objective,
                             read_anchors_csv, write_report_csv)
 from hfpa.measure import sweep_bias, write_csv
-from hfpa.pamodel import PaParams, swing_for_pout
+from hfpa.pamodel import _SCALAR_KEYS, PaParams, swing_for_pout
 
 TRUE_PARAMS = PaParams(g0=39.77, kv=0.39, rload=0.4, vknee=4.1,
                        smoothness=8.0, shape_beta=3.82, shape_exp=8.16,
@@ -32,6 +33,158 @@ def synthetic_anchors(params, vdds=(58.0, 53.0, 48.0), pout=1000.0, idq=2.0):
 #: 0.3 dB and 1.5 pp, as the benchmark perturbs it.
 OUT_OF_BOX_TABLE = ((58.0, 32.27, 58.52), (53.0, 30.17, 68.96),
                     (48.0, 28.23, 77.72))
+
+
+def perturbed_table(seed):
+    """The reference table with each row moved by up to 0.3 dB and 1.5 pp,
+    at 1 kW, its dissipation from the efficiency."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for ref in REFERENCE_ANCHORS:
+        gain = ref.gain_db + rng.uniform(-0.3, 0.3)
+        eff = ref.eff_pct + rng.uniform(-1.5, 1.5)
+        rows.append(AnchorRow(ref.vdd, gain, eff, 1000.0,
+                              1000.0 * (100.0 / eff - 1.0)))
+    return tuple(rows)
+
+
+# --- the array form of fit's search, the reference for its float form -------
+
+def reference_params_to_vec(p):
+    return np.array([20.0 * math.log10(p.g0), p.kv, p.rload, p.vknee,
+                     p.smoothness, p.shape_beta, p.shape_exp, p.shape_sat])
+
+
+def reference_clamp_vec(vec):
+    out = vec.copy()
+    for i, (_, lo, hi, _) in enumerate(calibrate._SPACE):
+        out[i] = min(max(out[i], lo), hi)
+    depth = out[5] / (1.0 + out[7])
+    if depth > calibrate._MAX_SHAPE_DEPTH:
+        out[5] = calibrate._MAX_SHAPE_DEPTH * (1.0 + out[7])
+    return out
+
+
+def reference_vec_to_params(vec, template):
+    v = [float(x) for x in reference_clamp_vec(vec)]
+    return dataclasses.replace(
+        template, g0=10.0 ** (v[0] / 20.0), kv=v[1], rload=v[2], vknee=v[3],
+        smoothness=v[4], shape_beta=v[5], shape_exp=v[6], shape_sat=v[7])
+
+
+def reference_fit(anchors, init, budget):
+    """``fit``'s bounded Nelder-Mead on numpy arrays, as it was written
+    before the search moved to Python floats."""
+    evals = 0
+
+    def f(vec):
+        nonlocal evals
+        evals += 1
+        return objective(reference_vec_to_params(vec, init), anchors)
+
+    if budget <= 0:
+        return FitReport(init, *calibrate._score(init, anchors), 0)
+    vec = reference_params_to_vec(init)
+    x0 = reference_clamp_vec(vec)
+    init_score = (None if np.array_equal(x0, vec)
+                  else calibrate._score(init, anchors))
+    best_vec = x0.copy()
+    best_val = objective(reference_vec_to_params(x0, init), anchors)
+    ndim = len(calibrate._SPACE)
+    steps = np.array([s[3] for s in calibrate._SPACE])
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    scale = 1.0
+    while evals < budget:
+        simplex = [best_vec.copy()]
+        values = [best_val]
+        for i in range(ndim):
+            v = best_vec.copy()
+            v[i] += steps[i] * scale
+            simplex.append(reference_clamp_vec(v))
+            values.append(f(simplex[-1]))
+            if evals >= budget:
+                break
+        while evals < budget and len(simplex) == ndim + 1:
+            order = np.argsort(values)
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            if values[0] < best_val:
+                best_val, best_vec = values[0], simplex[0].copy()
+            spread = values[-1] - values[0]
+            if spread < 1e-12 * (1.0 + abs(values[0])):
+                break
+            centroid = np.mean(simplex[:-1], axis=0)
+            xr = reference_clamp_vec(centroid + alpha * (centroid - simplex[-1]))
+            fr = f(xr)
+            if fr < values[0]:
+                xe = reference_clamp_vec(
+                    centroid + gamma * (centroid - simplex[-1]))
+                fe = f(xe) if evals < budget else fr
+                if fe < fr:
+                    simplex[-1], values[-1] = xe, fe
+                else:
+                    simplex[-1], values[-1] = xr, fr
+            elif fr < values[-2]:
+                simplex[-1], values[-1] = xr, fr
+            else:
+                xc = reference_clamp_vec(
+                    centroid + rho * (simplex[-1] - centroid))
+                fc = f(xc) if evals < budget else fr
+                if fc < values[-1]:
+                    simplex[-1], values[-1] = xc, fc
+                else:
+                    for i in range(1, ndim + 1):
+                        if evals >= budget:
+                            break
+                        simplex[i] = reference_clamp_vec(
+                            simplex[0] + sigma * (simplex[i] - simplex[0]))
+                        values[i] = f(simplex[i])
+        scale *= 0.25
+    params = reference_vec_to_params(best_vec, init)
+    residual, errs = calibrate._score(params, anchors)
+    if init_score is not None and residual > init_score[0]:
+        return FitReport(init, *init_score, evals)
+    return FitReport(params, residual, errs, evals)
+
+
+def report_bits(report):
+    """A FitReport with every float as ``float.hex``."""
+    return ([getattr(report.params, k).hex() for k in _SCALAR_KEYS],
+            report.residual.hex(),
+            [(g.hex(), e.hex()) for g, e in report.per_anchor],
+            report.evaluations)
+
+
+ORACLE_TABLES = {
+    "reference": REFERENCE_ANCHORS,
+    "out_of_box": tuple(AnchorRow(vdd, gain, eff, 1000.0,
+                                  1000.0 * (100.0 / eff - 1.0))
+                        for vdd, gain, eff in OUT_OF_BOX_TABLE),
+    **{f"perturbed_{seed}": perturbed_table(seed) for seed in range(6)},
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_inits():
+    return {name: default_init(t) for name, t in ORACLE_TABLES.items()}
+
+
+def test_oracle_tables_cover_the_clamped_start_and_the_fallback(
+        oracle_inits):
+    inits = list(oracle_inits.values())
+    # a start past the box, and a fallback base on the penalty plateau,
+    # whose equal values put ties into np.argsort
+    assert any(p.shape_beta > calibrate._SPACE[5][2] for p in inits)
+    assert any(p.shape_beta == 0.0 and objective(p, t) >= 3e6
+               for p, t in zip(inits, ORACLE_TABLES.values()))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 40, 150])
+@pytest.mark.parametrize("name", list(ORACLE_TABLES))
+def test_float_search_has_the_array_search_bits(name, budget, oracle_inits):
+    anchors, init = ORACLE_TABLES[name], oracle_inits[name]
+    assert report_bits(fit(anchors, init, budget)) == report_bits(
+        reference_fit(anchors, init, budget))
 
 
 class TestObjective:
@@ -178,6 +331,22 @@ class TestDefaultInit:
         default_init(REFERENCE_ANCHORS)
         info = swing_for_pout.cache_info()
         assert (info.misses, info.hits) == (12, 12)
+
+    def test_each_distinct_row_is_swept_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(vdd_list, idq, pout, params, *args, **kwargs):
+            calls.append((tuple(vdd_list),
+                          tuple(getattr(params, k) for k in _SCALAR_KEYS)))
+            return sweep_bias(vdd_list, idq, pout, params, *args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "sweep_bias", counting)
+        first = default_init(REFERENCE_ANCHORS)
+        once = len(calls)
+        assert max(Counter(calls).values()) == 1
+        # nothing is kept between calls
+        assert default_init(REFERENCE_ANCHORS) == first
+        assert len(calls) == 2 * once
 
     def test_generic_anchors_fall_back_to_base(self):
         anchors = synthetic_anchors(TRUE_PARAMS, vdds=(58.0, 50.0),

@@ -1,5 +1,6 @@
 """Measurement-harness tests: IMD against the trigonometric oracle, the
 P1dB query, and the bias/band sweeps."""
+import dataclasses
 import math
 import os
 import subprocess
@@ -581,6 +582,34 @@ class TestCertifiedFallback:
         monkeypatch.setattr(measure, "gain_and_swing", counted)
         drive_for_pout(1000.0, self.BIAS, fitted_params)
         assert len(calls) == 1
+
+class TestSimulateCwLevel:
+    BIAS = BiasPoint(vdd=58.0, idq=2.0)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_a_negative_or_non_finite_level(self, level,
+                                                    monkeypatch):
+        built = []
+        monkeypatch.setattr(measure, "simulate",
+                            lambda *args: built.append(args))
+        with pytest.raises(ValueError,
+                           match="CW level must be finite and >= 0"):
+            simulate_cw(level, self.BIAS, PaParams(g0=40.0))
+        assert built == []
+
+    @pytest.mark.parametrize("level", [0.0, -0.0, 1e-3, 0.05, 10.0, 1e307])
+    def test_a_valid_level_has_the_checked_blocks_stats(self, level,
+                                                        fitted_params):
+        # the CW block of a checked IqBlock, as every level was built
+        # before the scalar check
+        block = IqBlock(np.full(64, level, dtype=np.complex128), 1e6)
+        _, want = simulate(block, self.BIAS, fitted_params, "40M")
+        got = simulate_cw(level, self.BIAS, fitted_params, "40M")
+        assert [repr(v) if v is None else v.hex()
+                for v in dataclasses.astuple(got)] == [
+            repr(v) if v is None else v.hex()
+            for v in dataclasses.astuple(want)]
+
 
 class TestFreqResponse:
     def test_zero_ripple_is_flat(self, fitted_params):

@@ -1,6 +1,7 @@
 """Amplifier-model tests: conduction currents against a numerical-integration
 oracle, the Rapp envelope law, and steady-state power bookkeeping."""
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -669,6 +670,36 @@ def test_block_dissipation_is_non_negative(params, bias, parts):
     samples = np.array([complex(re, im) for re, im in parts]) * (a_sat / g)
     _, stats = simulate(IqBlock(samples, 1e6), bias, params)
     assert_power_bookkeeping(stats)
+
+
+#: Every finite float (subnormals and both zeros among them), the edges of
+#: the float range, and drives near saturation.
+finite_part_st = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, math.ulp(0.0), -math.ulp(0.0),
+                     sys.float_info.min, 1e307, -1e307, sys.float_info.max,
+                     -sys.float_info.max]),
+    st.floats(-10.0, 10.0))
+finite_pair_st = st.tuples(finite_part_st, finite_part_st)
+shaped_params_st = st.builds(
+    replace, params_st, shape_beta=st.floats(0.0, 40.0),
+    shape_exp=st.floats(0.5, 30.0), shape_sat=st.floats(0.0, 400.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(shaped_params_st, bias_st, st.sampled_from([None, "40M"]),
+       st.one_of(st.lists(finite_pair_st, min_size=1, max_size=64),
+                 st.tuples(finite_pair_st, st.integers(1, 64)).map(
+                     lambda t: [t[0]] * t[1])))
+def test_simulate_output_block_is_finite(params, bias, band, parts):
+    # ``simulate`` builds its output block unchecked (``IqBlock._unchecked``)
+    # on this property: any finite input gives finite output samples
+    samples = np.array([complex(re, im) for re, im in parts])
+    out, _ = simulate(IqBlock(samples, 1e6), bias, params, band)
+    assert out.samples.dtype == np.complex128
+    assert out.samples.shape == samples.shape
+    assert np.isfinite(out.samples).all()
+    assert IqBlock(out.samples, out.sample_rate).samples is out.samples
 
 
 @pytest.mark.parametrize("u", [1e9, 1e300])

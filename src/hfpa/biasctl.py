@@ -187,6 +187,14 @@ def gate_step_for(idq_target: float) -> int:
     return best
 
 
+#: The gate steps of the two modes' quiescent currents.
+GATE_STEP_LINEAR = gate_step_for(IDQ_LINEAR)
+GATE_STEP_COMPRESSION = gate_step_for(IDQ_COMPRESSION)
+
+#: Compression bias at full supply, where a setpoint must be deliverable.
+_FULL_SUPPLY_COMPRESSION = BiasPoint(vdd=VDD_MAX, idq=IDQ_COMPRESSION)
+
+
 def track_drain(peak_envelope_v: float, vknee: float = 0.0) -> float:
     """Drain voltage just above the output envelope.
 
@@ -233,18 +241,17 @@ def command_for_mode(mode: Mode, reason: EnvelopeClass,
         raise UnknownBand(f"unknown band {band!r}")
     if mode is Mode.LINEAR:
         bias = BiasPoint(vdd=table[band].eq_vdd, idq=IDQ_LINEAR,
-                         gate_step=gate_step_for(IDQ_LINEAR))
+                         gate_step=GATE_STEP_LINEAR)
         return BiasCommand(target=bias, mode=Mode.LINEAR, reason=reason)
     try:  # the setpoint must be deliverable at full supply before tracking down
-        drive_cap(power_setpoint_w,
-                  BiasPoint(vdd=VDD_MAX, idq=IDQ_COMPRESSION), params)
+        drive_cap(power_setpoint_w, _FULL_SUPPLY_COMPRESSION, params)
     except TargetUnreachable as exc:
         raise SetpointUnreachable(
             f"setpoint {power_setpoint_w} W unreachable: {exc}") from exc
     peak = predict_peak_envelope(power_setpoint_w, IDQ_COMPRESSION, params)
     vdd = track_drain(peak, vknee=params.vknee)
     bias = BiasPoint(vdd=vdd, idq=IDQ_COMPRESSION,
-                     gate_step=gate_step_for(IDQ_COMPRESSION))
+                     gate_step=GATE_STEP_COMPRESSION)
     return BiasCommand(target=bias, mode=Mode.COMPRESSION, reason=reason)
 
 

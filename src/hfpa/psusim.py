@@ -10,6 +10,14 @@ rides on top:
     REPLY        id 0x10018002  payload[0]=register, payload[4:8]=u32 BE milli-units
     NACK         id 0x10018003  payload[0]=error code
 
+All four commands share one frame layout, ``_FRAME``: the id, the DLC,
+payload byte 0 (the register or NACK code), three zero bytes and the u32
+value, which READ and NACK leave 0. ``encode`` packs a command with it and
+``decode`` unpacks one with it; neither builds a ``CanFrame``. ``CanFrame``
+with ``encode_frame``/``decode_frame`` is the raw frame view that
+``PsuSim.step`` takes and returns; ``decode_frame`` shares ``decode``'s
+header checks.
+
 Set requests clamp into the 30-58 V supply window and are answered with the
 clamped value; the output voltage slews toward the setpoint without
 overshoot. Malformed frames produce NACKs and never change supply state.
@@ -92,16 +100,30 @@ class CanFrame:
         object.__setattr__(self, "payload", payload.ljust(DLC, b"\x00"))
 
 
+#: The frame layout of every command: id, DLC, payload byte 0 (register or
+#: NACK code), three zero bytes, u32 value.
+_FRAME = struct.Struct(">IBB3xI")
+
+
+def _parse(data: bytes) -> Tuple[int, int, int]:
+    """A wire chunk's id, payload byte 0 and u32 value, after the frame
+    checks in wire order: length, DLC, 29-bit id."""
+    if len(data) != FRAME_LEN:
+        raise BadLength(f"frame must be {FRAME_LEN} bytes, got {len(data)}")
+    can_id, dlc, byte0, value = _FRAME.unpack(data)
+    if dlc != DLC:
+        raise BadDlc(f"DLC must be {DLC}, got {dlc}")
+    if can_id >> 29:
+        raise UnknownId(f"id {can_id:#x} exceeds 29 bits")
+    return can_id, byte0, value
+
+
 def encode_frame(frame: CanFrame) -> bytes:
     return struct.pack(">IB", frame.can_id, DLC) + frame.payload
 
 
 def decode_frame(data: bytes) -> CanFrame:
-    if len(data) != FRAME_LEN:
-        raise BadLength(f"frame must be {FRAME_LEN} bytes, got {len(data)}")
-    can_id, dlc = struct.unpack(">IB", data[:5])
-    if dlc != DLC:
-        raise BadDlc(f"DLC must be {DLC}, got {dlc}")
+    can_id = _parse(data)[0]
     return CanFrame(can_id=can_id, payload=data[5:])
 
 
@@ -117,9 +139,12 @@ def from_milli(milli: int) -> float:
     return milli / 1000.0
 
 
-def _check_register(register: int, context: str = "") -> None:
+def _check_register(register: int) -> None:
+    """Raise UnknownRegister unless ``register`` is an integer in the map."""
+    if not isinstance(register, numbers.Integral):
+        raise UnknownRegister(f"register {register!r} is not an integer")
     if register not in REGISTERS:
-        raise UnknownRegister(f"{context}register {register:#x}")
+        raise UnknownRegister(f"register {register:#x}")
 
 
 @dataclass(frozen=True)
@@ -151,48 +176,48 @@ def encode(command: Command) -> bytes:
     if isinstance(command, SetVoltage):
         if not math.isfinite(command.volts):
             raise ValueOutOfRange(f"voltage {command.volts} V is not finite")
-        payload = (bytes([REG_VOLTAGE]) + b"\x00\x00\x00"
-                   + _u32(to_milli(command.volts), "millivolts"))
-        return encode_frame(CanFrame(ID_SET_VOLTAGE, payload))
+        return _FRAME.pack(ID_SET_VOLTAGE, DLC, REG_VOLTAGE,
+                           _u32(to_milli(command.volts), "millivolts"))
     if isinstance(command, ReadRequest):
         _check_register(command.register)
-        return encode_frame(CanFrame(ID_READ, bytes([command.register])))
+        return _FRAME.pack(ID_READ, DLC, command.register, 0)
     if isinstance(command, Reply):
         _check_register(command.register)
-        payload = (bytes([command.register]) + b"\x00\x00\x00"
-                   + _u32(command.milli_value, "milli_value"))
-        return encode_frame(CanFrame(ID_REPLY, payload))
+        return _FRAME.pack(ID_REPLY, DLC, command.register,
+                           _u32(command.milli_value, "milli_value"))
     if isinstance(command, Nack):
-        return encode_frame(CanFrame(ID_NACK, bytes([command.code])))
+        code = command.code
+        if not (isinstance(code, numbers.Integral) and 0 <= code <= 0xFF):
+            raise ValueOutOfRange(f"NACK code {code!r} is not a byte")
+        return _FRAME.pack(ID_NACK, DLC, code, 0)
     raise TypeError(f"not a protocol command: {command!r}")
 
 
-def _u32(milli, what: str) -> bytes:
-    """Big-endian u32 of an integer milli-unit count, range-checked."""
+def _u32(milli, what: str):
+    """An integer milli-unit count that fits the u32 field, range-checked."""
     if not (isinstance(milli, numbers.Integral) and 0 <= milli <= U32_MAX):
         raise ValueOutOfRange(f"{what} {milli!r} is not a u32")
-    return struct.pack(">I", milli)
+    return milli
 
 
 def decode(data: bytes) -> Command:
     """13-byte wire chunk to a command; inverse of encode for valid input."""
-    frame = decode_frame(data)
-    payload = frame.payload
-    if frame.can_id == ID_SET_VOLTAGE:
-        if payload[0] != REG_VOLTAGE:
-            raise UnknownRegister(f"set register {payload[0]:#x}")
-        mv = struct.unpack(">I", payload[4:8])[0]
-        return SetVoltage(volts=from_milli(mv))
-    if frame.can_id == ID_READ:
-        _check_register(payload[0], "read ")
-        return ReadRequest(register=payload[0])
-    if frame.can_id == ID_REPLY:
-        _check_register(payload[0], "reply ")
-        return Reply(register=payload[0],
-                     milli_value=struct.unpack(">I", payload[4:8])[0])
-    if frame.can_id == ID_NACK:
-        return Nack(code=payload[0])
-    raise UnknownId(f"id {frame.can_id:#x} is not a protocol id")
+    can_id, byte0, value = _parse(data)
+    if can_id == ID_SET_VOLTAGE:
+        if byte0 != REG_VOLTAGE:
+            raise UnknownRegister(f"set register {byte0:#x}")
+        return SetVoltage(volts=from_milli(value))
+    if can_id == ID_READ:
+        if byte0 not in REGISTERS:
+            raise UnknownRegister(f"read register {byte0:#x}")
+        return ReadRequest(register=byte0)
+    if can_id == ID_REPLY:
+        if byte0 not in REGISTERS:
+            raise UnknownRegister(f"reply register {byte0:#x}")
+        return Reply(register=byte0, milli_value=value)
+    if can_id == ID_NACK:
+        return Nack(code=byte0)
+    raise UnknownId(f"id {can_id:#x} is not a protocol id")
 
 
 # --- supply dynamics ---------------------------------------------------------
@@ -235,7 +260,10 @@ class PsuSim:
     state: PsuState = field(default_factory=PsuState)
 
     def handle_wire(self, data: bytes) -> bytes:
-        """One wire chunk in, one reply chunk out; bad frames are NACKed."""
+        """One wire chunk in, one reply chunk out; bad frames are NACKed.
+
+        Reply values need no u32 check here: ``PsuState`` keeps every
+        register's value inside the window or the u32 field."""
         try:
             command = decode(data)
         except BadDlc:
@@ -247,12 +275,13 @@ class PsuSim:
         if isinstance(command, SetVoltage):
             clamped = min(max(command.volts, VDD_MIN), VDD_MAX)
             self.state.set_voltage_v = clamped
-            return encode(Reply(REG_VOLTAGE, to_milli(clamped)))
+            return _FRAME.pack(ID_REPLY, DLC, REG_VOLTAGE, to_milli(clamped))
         if isinstance(command, ReadRequest):
             value = (self.state.actual_voltage_v
                      if command.register == REG_VOLTAGE
                      else self.state.load_current_a)
-            return encode(Reply(command.register, to_milli(value)))
+            return _FRAME.pack(ID_REPLY, DLC, command.register,
+                               to_milli(value))
         # replies/nacks arriving at the supply are ignored but acknowledged
         return encode(Nack(NACK_UNKNOWN_ID))
 

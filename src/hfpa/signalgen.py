@@ -7,9 +7,10 @@ spec: no RNG state, no dithering, byte-identical output on every call.
 
 Every generator scales an amplitude-free unit waveform by the amplitude
 last, so ``generate`` keeps the most recent unit waveforms in a small LRU
-(``CACHE_SIZE`` entries of at most ``CACHE_MAX_SAMPLES`` samples, read-only)
-and only multiplies on a hit. The multiply runs in the same order as an
-uncached call, so cached and uncached outputs are byte-identical.
+(``CACHE_SIZE`` entries of at most ``CACHE_MAX_SAMPLES`` samples, read-only,
+each with its peak component magnitude) and only multiplies on a hit. The
+multiply runs in the same order as an uncached call, so cached and uncached
+outputs are byte-identical.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -66,9 +68,13 @@ class IqBlock:
     """A finite block of complex baseband samples at a fixed sample rate.
 
     Construction checks the rate, the shape and that every sample is
-    finite. ``_unchecked`` skips those checks, for the two blocks the model
-    builds finite by construction: ``pamodel.simulate``'s output block and
-    ``measure.simulate_cw``'s CW block, built after a check of its level.
+    finite. ``_unchecked`` skips those checks, for three blocks whose
+    samples are known finite without a pass over them:
+
+    * ``pamodel.simulate``'s output block, finite by construction;
+    * ``measure.simulate_cw``'s CW block, built after a check of its level;
+    * ``generate``'s block, after the bound on its peak component (see
+      ``generate``).
     """
 
     samples: np.ndarray
@@ -249,15 +255,23 @@ _SHAPE_FIELDS = ("tone_hz", "f1_hz", "f2_hz", "fm_dev_hz", "fm_rate_hz",
 _shape = operator.attrgetter(*_SHAPE_FIELDS)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _cached_unit_waveform(kind: Kind, psk_order: int, shape: tuple,
-                          sample_rate: float, n: int) -> np.ndarray:
-    """``_unit_waveform`` of the spec with these fields, read-only."""
-    spec = WaveformSpec(kind=kind, psk_order=psk_order,
-                        **dict(zip(_SHAPE_FIELDS, shape)))
+def _unit_and_peak(spec: WaveformSpec, sample_rate: float,
+                   n: int) -> Tuple[np.ndarray, float]:
+    """``_unit_waveform``, read-only, and its largest component magnitude
+    (NaN when a component is NaN)."""
     u = _unit_waveform(spec, sample_rate, n)
     u.flags.writeable = False
-    return u
+    return u, float(np.max(np.abs(u.view(np.float64))))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _cached_unit_waveform(kind: Kind, psk_order: int, shape: tuple,
+                          sample_rate: float,
+                          n: int) -> Tuple[np.ndarray, float]:
+    """``_unit_and_peak`` of the spec with these fields."""
+    spec = WaveformSpec(kind=kind, psk_order=psk_order,
+                        **dict(zip(_SHAPE_FIELDS, shape)))
+    return _unit_and_peak(spec, sample_rate, n)
 
 
 def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
@@ -265,7 +279,18 @@ def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
 
     Deterministic: identical inputs give byte-identical blocks. Peak envelope
     never exceeds ``spec.amplitude``; constant-envelope kinds hold it exactly.
-    Raises InvalidSpec for more than ``MAX_SAMPLES`` samples.
+    Raises InvalidSpec for more than ``MAX_SAMPLES`` samples, and for a block
+    with a non-finite sample.
+
+    The finite check reads one scalar, ``scale * peak``, with ``scale`` the
+    factor the unit waveform ``u`` is multiplied by (``a/2`` for the
+    two-tone, ``a`` otherwise) and ``peak`` the largest component magnitude
+    of ``u``. Rounding is monotone, so no component of ``scale * u`` is
+    larger than ``scale * peak``, and the peak component gives exactly that
+    value; the multiply against ``a + 0j`` adds only signed zeros, and AM's
+    division by ``1 + m >= 1`` keeps a finite value finite and an inf
+    infinite. So the block is finite exactly when ``scale * peak`` is, and a
+    NaN in ``u`` makes the scalar NaN.
     """
     spec.validate(sample_rate)
     count = spec.duration_s * sample_rate
@@ -275,15 +300,16 @@ def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
     if n < 1:
         raise InvalidSpec("duration too short for one sample")
     if n <= CACHE_MAX_SAMPLES:
-        u = _cached_unit_waveform(spec.kind, spec.psk_order, _shape(spec),
-                                  sample_rate, n)
+        u, peak = _cached_unit_waveform(spec.kind, spec.psk_order,
+                                        _shape(spec), sample_rate, n)
     else:
-        u = _unit_waveform(spec, sample_rate, n)
+        u, peak = _unit_and_peak(spec, sample_rate, n)
     a = spec.amplitude
-    if spec.kind is Kind.TWO_TONE:
-        x = (a / 2.0) * u
-    elif spec.kind is Kind.AM:
+    scale = a / 2.0 if spec.kind is Kind.TWO_TONE else a
+    if not math.isfinite(scale * peak):
+        raise InvalidSpec("samples must be finite")
+    if spec.kind is Kind.AM:
         x = ((a * u) / (1.0 + spec.am_index)).astype(np.complex128)
     else:
-        x = a * u
-    return IqBlock(x, sample_rate)
+        x = scale * u
+    return IqBlock._unchecked(x, sample_rate)

@@ -2,18 +2,21 @@
 slew dynamics, and the socket transport."""
 import dataclasses
 import math
+import numbers
 import socket
 import struct
 import threading
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hfpa import pamodel, psusim
 from hfpa.psusim import (BadDlc, BadLength, CanFrame, DLC, FRAME_LEN,
                          ID_NACK, ID_READ, ID_REPLY, ID_SET_VOLTAGE,
-                         NACK_UNKNOWN_REGISTER, Nack, PsuSim, PsuState,
+                         NACK_BAD_DLC, NACK_UNKNOWN_ID, NACK_UNKNOWN_REGISTER,
+                         Nack, PsuSim, PsuState,
                          ReadRequest, REG_CURRENT, REG_VOLTAGE, Reply,
                          SetVoltage, UnknownId, UnknownRegister,
                          ValueOutOfRange, decode,
@@ -153,6 +156,229 @@ class TestCommandCodec:
         wire = encode_frame(CanFrame(0x10018009, b"\x01"))
         with pytest.raises(UnknownId):
             decode(wire)
+
+
+    @pytest.mark.parametrize("cmd, error", [
+        (Nack(300), ValueOutOfRange),
+        (Nack(256), ValueOutOfRange),
+        (Nack(-1), ValueOutOfRange),
+        (Nack(1.5), ValueOutOfRange),
+        (Nack(np.float64(1.0)), ValueOutOfRange),
+        (Nack("1"), ValueOutOfRange),
+        (ReadRequest(1.0), UnknownRegister),
+        (ReadRequest(1.5), UnknownRegister),
+        (ReadRequest("1"), UnknownRegister),
+        (ReadRequest(None), UnknownRegister),
+        (ReadRequest([1]), UnknownRegister),
+        (Reply(1.0, 5), UnknownRegister),
+        (Reply(np.float64(2.0), 5), UnknownRegister),
+    ])
+    def test_bad_register_or_code_raises_the_module_error(self, cmd, error):
+        with pytest.raises(error):
+            encode(cmd)
+
+    @pytest.mark.parametrize("cmd, plain", [
+        (Nack(np.uint8(3)), Nack(3)),
+        (Nack(np.int64(255)), Nack(255)),
+        (ReadRequest(np.int64(REG_CURRENT)), ReadRequest(REG_CURRENT)),
+        (Reply(np.int32(REG_VOLTAGE), np.int64(5)), Reply(REG_VOLTAGE, 5)),
+        (Reply(REG_CURRENT, np.uint32(psusim.U32_MAX)),
+         Reply(REG_CURRENT, psusim.U32_MAX)),
+    ])
+    def test_numpy_integers_encode_as_python_ints(self, cmd, plain):
+        assert encode(cmd) == encode(plain)
+        assert decode(encode(cmd)) == plain
+
+
+# --- the CanFrame codec as it was before the one-struct layout: the oracle ---
+
+MODULE_ERRORS = (BadLength, BadDlc, UnknownId, UnknownRegister,
+                 ValueOutOfRange)
+
+
+def reference_check_register(register, context=""):
+    if register not in psusim.REGISTERS:
+        raise UnknownRegister(f"{context}register {register:#x}")
+
+
+def reference_u32(milli, what):
+    if not (isinstance(milli, numbers.Integral) and 0 <= milli <= psusim.U32_MAX):
+        raise ValueOutOfRange(f"{what} {milli!r} is not a u32")
+    return struct.pack(">I", milli)
+
+
+def reference_encode(command):
+    if isinstance(command, SetVoltage):
+        if not math.isfinite(command.volts):
+            raise ValueOutOfRange(f"voltage {command.volts} V is not finite")
+        payload = (bytes([REG_VOLTAGE]) + b"\x00\x00\x00"
+                   + reference_u32(psusim.to_milli(command.volts),
+                                   "millivolts"))
+        return encode_frame(CanFrame(ID_SET_VOLTAGE, payload))
+    if isinstance(command, ReadRequest):
+        reference_check_register(command.register)
+        return encode_frame(CanFrame(ID_READ, bytes([command.register])))
+    if isinstance(command, Reply):
+        reference_check_register(command.register)
+        payload = (bytes([command.register]) + b"\x00\x00\x00"
+                   + reference_u32(command.milli_value, "milli_value"))
+        return encode_frame(CanFrame(ID_REPLY, payload))
+    if isinstance(command, Nack):
+        return encode_frame(CanFrame(ID_NACK, bytes([command.code])))
+    raise TypeError(f"not a protocol command: {command!r}")
+
+
+def reference_decode_frame(data):
+    if len(data) != FRAME_LEN:
+        raise BadLength(f"frame must be {FRAME_LEN} bytes, got {len(data)}")
+    can_id, dlc = struct.unpack(">IB", data[:5])
+    if dlc != DLC:
+        raise BadDlc(f"DLC must be {DLC}, got {dlc}")
+    return CanFrame(can_id=can_id, payload=data[5:])
+
+
+def reference_decode(data):
+    frame = reference_decode_frame(data)
+    payload = frame.payload
+    if frame.can_id == ID_SET_VOLTAGE:
+        if payload[0] != REG_VOLTAGE:
+            raise UnknownRegister(f"set register {payload[0]:#x}")
+        mv = struct.unpack(">I", payload[4:8])[0]
+        return SetVoltage(volts=psusim.from_milli(mv))
+    if frame.can_id == ID_READ:
+        reference_check_register(payload[0], "read ")
+        return ReadRequest(register=payload[0])
+    if frame.can_id == ID_REPLY:
+        reference_check_register(payload[0], "reply ")
+        return Reply(register=payload[0],
+                     milli_value=struct.unpack(">I", payload[4:8])[0])
+    if frame.can_id == ID_NACK:
+        return Nack(code=payload[0])
+    raise UnknownId(f"id {frame.can_id:#x} is not a protocol id")
+
+
+def reference_handle_wire(state, data):
+    try:
+        command = reference_decode(data)
+    except BadDlc:
+        return reference_encode(Nack(NACK_BAD_DLC))
+    except UnknownRegister:
+        return reference_encode(Nack(NACK_UNKNOWN_REGISTER))
+    except (UnknownId, BadLength):
+        return reference_encode(Nack(NACK_UNKNOWN_ID))
+    if isinstance(command, SetVoltage):
+        clamped = min(max(command.volts, psusim.VDD_MIN), psusim.VDD_MAX)
+        state.set_voltage_v = clamped
+        return reference_encode(Reply(REG_VOLTAGE, psusim.to_milli(clamped)))
+    if isinstance(command, ReadRequest):
+        value = (state.actual_voltage_v if command.register == REG_VOLTAGE
+                 else state.load_current_a)
+        return reference_encode(Reply(command.register,
+                                      psusim.to_milli(value)))
+    return reference_encode(Nack(NACK_UNKNOWN_ID))
+
+
+def outcome(fn, arg):
+    """What ``fn(arg)`` gives: its value, or its exception's type and text."""
+    try:
+        return fn(arg)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        assert not isinstance(exc, struct.error), exc
+        return type(exc), str(exc)
+
+
+def fixed_error(command):
+    """The module error that ``encode`` now raises where the old codec let a
+    register that is not an integer in the map, or a NACK code that is not an
+    integer byte, reach ``bytes()``; None for every other command."""
+    if isinstance(command, (ReadRequest, Reply)):
+        register = command.register
+        if not (isinstance(register, numbers.Integral)
+                and register in psusim.REGISTERS):
+            return UnknownRegister
+    if isinstance(command, Nack):
+        code = command.code
+        if not (isinstance(code, numbers.Integral) and 0 <= code <= 0xFF):
+            return ValueOutOfRange
+    return None
+
+
+U32_EDGES = [0, 1, 48_000, psusim.U32_MAX - 1, psusim.U32_MAX,
+             psusim.U32_MAX + 1, -1, 2 ** 64]
+ODD_VALUES = [None, "1", 1.0, 1.5, -0.0, math.nan, math.inf, -math.inf,
+              True, np.int64(1), np.uint8(2), np.float64(2.0), [1]]
+REGISTER_VALUES = st.one_of(st.integers(-2, 300), st.sampled_from(ODD_VALUES))
+MILLI_VALUES = st.one_of(st.integers(-2, psusim.U32_MAX + 2),
+                         st.sampled_from(U32_EDGES + ODD_VALUES),
+                         st.floats(allow_nan=True, allow_infinity=True))
+VOLTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(lambda mv: mv / 1000.0, st.sampled_from(U32_EDGES)),
+    st.builds(lambda mv: mv / 1000.0 + 0.0005,
+              st.integers(-2, psusim.U32_MAX + 2)),
+    st.sampled_from([None, "48", 48, np.float64(48.0), True]))
+COMMANDS = st.one_of(
+    st.builds(SetVoltage, VOLTS),
+    st.builds(ReadRequest, REGISTER_VALUES),
+    st.builds(Reply, REGISTER_VALUES, MILLI_VALUES),
+    st.builds(Nack, st.one_of(st.integers(-2, 300),
+                              st.sampled_from(ODD_VALUES))),
+    st.sampled_from([None, b"\x00" * FRAME_LEN, CanFrame(ID_READ, b"\x01")]))
+
+PROTOCOL_IDS = [ID_SET_VOLTAGE, ID_READ, ID_REPLY, ID_NACK]
+NEAR_FRAMES = st.builds(
+    lambda can_id, dlc, reg, rest, cut: (
+        struct.pack(">IB", can_id, dlc) + bytes([reg]) + rest)[:cut],
+    st.one_of(st.sampled_from(PROTOCOL_IDS + [0x10018004, 0]),
+              st.builds(lambda i, bit: i | 1 << bit,
+                        st.sampled_from(PROTOCOL_IDS), st.integers(29, 31)),
+              st.integers(0, 2 ** 32 - 1)),
+    st.one_of(st.just(DLC), st.integers(0, 255)),
+    st.one_of(st.integers(0, 3), st.integers(0, 255)),
+    st.binary(min_size=7, max_size=15),
+    st.one_of(st.just(FRAME_LEN), st.integers(0, 20)))
+CHUNKS = st.one_of(st.binary(min_size=0, max_size=20), NEAR_FRAMES)
+STATES = st.builds(PsuState, set_voltage_v=st.floats(30.0, 58.0),
+                   actual_voltage_v=st.floats(30.0, 58.0),
+                   load_current_a=st.floats(0.0, 4_294_967.0))
+
+
+class TestCodecOracle:
+    """The one-struct codec against the CanFrame codec it replaced."""
+
+    @settings(max_examples=500)
+    @given(COMMANDS)
+    @example(Nack(300))
+    @example(ReadRequest(1.0))
+    @example(Reply(1.0, -1))
+    @example(Reply(REG_VOLTAGE, 2 ** 32))
+    @example(SetVoltage(math.nan))
+    def test_encode_matches(self, command):
+        got = outcome(encode, command)
+        error = fixed_error(command)
+        if error is None:
+            assert got == outcome(reference_encode, command)
+        else:
+            assert isinstance(got, tuple) and got[0] is error, got
+
+    @settings(max_examples=500)
+    @given(CHUNKS)
+    def test_decode_matches(self, chunk):
+        assert outcome(decode, chunk) == outcome(reference_decode, chunk)
+        assert (outcome(decode_frame, chunk)
+                == outcome(reference_decode_frame, chunk))
+
+    @settings(max_examples=300)
+    @given(STATES, st.lists(st.one_of(CHUNKS, COMMANDS.map(
+        lambda c: outcome(reference_encode, c)).filter(
+            lambda w: isinstance(w, bytes))), min_size=1, max_size=4))
+    def test_handle_wire_matches(self, state, chunks):
+        sim = PsuSim(dataclasses.replace(state))
+        ref_state = dataclasses.replace(state)
+        for chunk in chunks:
+            assert (sim.handle_wire(chunk)
+                    == reference_handle_wire(ref_state, chunk))
+            assert sim.state == ref_state
 
 
 class TestPsuDynamics:

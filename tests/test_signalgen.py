@@ -2,9 +2,11 @@
 the unit-waveform cache and spec validation."""
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hfpa import signalgen
 from hfpa.signalgen import (CACHE_MAX_SAMPLES, CACHE_SIZE, MAX_SAMPLES,
@@ -167,8 +169,10 @@ class TestUnitWaveformCache:
         assert (generate(spec, FS).samples.tobytes()
                 == reference_waveform(spec, FS).tobytes())
         key = (spec.kind, spec.psk_order, signalgen._shape(spec), FS, 1000)
-        unit = signalgen._cached_unit_waveform(*key)
-        assert unit is signalgen._cached_unit_waveform(*key)
+        entry = signalgen._cached_unit_waveform(*key)
+        assert entry is signalgen._cached_unit_waveform(*key)
+        unit, peak = entry
+        assert peak == np.max(np.abs(unit.view(np.float64))) == 2.0
         assert not unit.flags.writeable
         with pytest.raises(ValueError):
             unit[0] = 0.0
@@ -303,3 +307,98 @@ class TestNonFinite:
     def test_spec_rejects_non_finite_sample_rate(self, rate):
         with pytest.raises(InvalidSpec):
             generate(WaveformSpec(kind=Kind.CW), rate)
+
+
+def reference_generate(spec, fs):
+    """``generate`` without the cache or the peak bound: the unit waveform,
+    the amplitude multiply, and ``IqBlock``'s own check of every sample."""
+    n = int(round(spec.duration_s * fs))
+    u = signalgen._unit_waveform(spec, fs, n)
+    a = spec.amplitude
+    if spec.kind is Kind.TWO_TONE:
+        x = (a / 2.0) * u
+    elif spec.kind is Kind.AM:
+        x = ((a * u) / (1.0 + spec.am_index)).astype(np.complex128)
+    else:
+        x = a * u
+    return IqBlock(x, fs)
+
+
+MAX = sys.float_info.max
+
+
+def ulps_from(base, k):
+    """``base`` moved ``k`` floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        base = math.nextafter(base, math.inf if k > 0 else 0.0)
+    return base
+
+
+#: Amplitudes on both sides of the overflow edges: the two-tone's peak unit
+#: component is 2 (scaled by a/2), AM's is 1 + m (scaled by a before the
+#: division), everything else's is 1.
+AMPLITUDES = st.one_of(
+    st.floats(min_value=5e-324, max_value=MAX),
+    st.builds(ulps_from, st.sampled_from([MAX, MAX / 2, MAX / 1.5, 1.0]),
+              st.integers(-3, 3)).filter(lambda a: 0 < a <= MAX))
+
+
+class TestPeakBoundFiniteCheck:
+    """``generate``'s one-scalar finite check accepts and rejects exactly the
+    blocks ``IqBlock``'s per-sample check does."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(kind=st.sampled_from(list(Kind)), amplitude=AMPLITUDES,
+           am_index=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                              st.floats(0.0, 1.0)),
+           fm_rate_hz=st.sampled_from([1000.0, 3.0, 1e-300, 1e-320, 5e-324]),
+           psk_order=st.sampled_from([2, 4]))
+    @example(kind=Kind.TWO_TONE, amplitude=MAX, am_index=0.5,
+             fm_rate_hz=1000.0, psk_order=2)
+    @example(kind=Kind.AM, amplitude=MAX / 2, am_index=1.0,
+             fm_rate_hz=1000.0, psk_order=2)
+    @example(kind=Kind.AM, amplitude=math.nextafter(MAX / 2, math.inf),
+             am_index=1.0, fm_rate_hz=1000.0, psk_order=2)
+    @example(kind=Kind.FM, amplitude=1.0, am_index=0.5, fm_rate_hz=5e-324,
+             psk_order=2)
+    def test_same_verdict_and_bits_as_the_per_sample_check(
+            self, kind, amplitude, am_index, fm_rate_hz, psk_order):
+        spec = WaveformSpec(kind=kind, amplitude=amplitude, duration_s=2e-4,
+                            am_index=am_index, fm_rate_hz=fm_rate_hz,
+                            psk_order=psk_order)
+        # numpy's overflow and invalid warnings are errors in this suite;
+        # the NaN FM waveform (a tiny rate makes beta inf) warns on both paths
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = reference_generate(spec, FS)
+            except InvalidSpec as exc:
+                want = exc
+            for _ in range(2):  # a cache miss, then a hit
+                if isinstance(want, InvalidSpec):
+                    with pytest.raises(InvalidSpec,
+                                       match="^samples must be finite$"):
+                        generate(spec, FS)
+                    continue
+                got = generate(spec, FS)
+                assert got.sample_rate == FS
+                assert got.samples.dtype == np.complex128
+                assert got.samples.tobytes() == want.samples.tobytes()
+                assert np.isfinite(got.samples).all()
+
+    @pytest.mark.parametrize("amplitude, finite", [
+        (MAX / 2, True),                            # a * (1 + m) is MAX
+        (math.nextafter(MAX / 2, math.inf), False),  # a * (1 + m) overflows
+    ])
+    def test_uncached_blocks_take_the_same_check(self, amplitude, finite):
+        spec = WaveformSpec(kind=Kind.AM, amplitude=amplitude, am_index=1.0,
+                            duration_s=(CACHE_MAX_SAMPLES + 1) / FS)
+        signalgen._cached_unit_waveform.cache_clear()
+        if finite:
+            assert (generate(spec, FS).samples.tobytes()
+                    == reference_generate(spec, FS).samples.tobytes())
+        else:
+            with np.errstate(over="ignore"), pytest.raises(InvalidSpec):
+                reference_generate(spec, FS)
+            with pytest.raises(InvalidSpec, match="^samples must be finite$"):
+                generate(spec, FS)
+        assert signalgen._cached_unit_waveform.cache_info().currsize == 0

@@ -287,10 +287,10 @@ def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
     two-tone, ``a`` otherwise) and ``peak`` the largest component magnitude
     of ``u``. Rounding is monotone, so no component of ``scale * u`` is
     larger than ``scale * peak``, and the peak component gives exactly that
-    value; the multiply against ``a + 0j`` adds only signed zeros, and AM's
-    division by ``1 + m >= 1`` keeps a finite value finite and an inf
-    infinite. So the block is finite exactly when ``scale * peak`` is, and a
-    NaN in ``u`` makes the scalar NaN.
+    value. The complex multiply against ``scale + 0j`` adds only signed
+    zeros, and AM's division by ``1 + m >= 1`` keeps a finite value finite
+    and an inf infinite. So the block is finite exactly when ``scale *
+    peak`` is, and a NaN in ``u`` makes the scalar NaN.
     """
     spec.validate(sample_rate)
     count = spec.duration_s * sample_rate
@@ -308,8 +308,7 @@ def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
     scale = a / 2.0 if spec.kind is Kind.TWO_TONE else a
     if not math.isfinite(scale * peak):
         raise InvalidSpec("samples must be finite")
+    x = scale * u
     if spec.kind is Kind.AM:
-        x = ((a * u) / (1.0 + spec.am_index)).astype(np.complex128)
-    else:
-        x = scale * u
+        x = (x / (1.0 + spec.am_index)).astype(np.complex128)
     return IqBlock._unchecked(x, sample_rate)

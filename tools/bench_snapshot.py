@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Record one benchmark snapshot of this checkout in ``BENCH_<tag>.json``.
+"""Record one benchmark snapshot of this checkout in ``BENCH_<tag>.json``,
+or a paired snapshot of this checkout and another one.
 
-Usage: ``python tools/bench_snapshot.py --tag T [--seeds 1,2,3]``
+Usage::
 
-Run from anywhere; the checkout is the one this file lives in, and the file
-is written at its root. The snapshot holds:
+    python tools/bench_snapshot.py --tag T [--seeds 1,2,3] [--workloads W,...]
+    python tools/bench_snapshot.py --tag T --against DIR --against-tag T0 \
+        [--pairs N] [--seeds 1,2,3] [--workloads W,...]
+
+Run from anywhere; the checkout is the one this file lives in, and the files
+are written at its root. The snapshot holds:
 
 * each ``BENCHMARK.json`` workload, run once per seed as a subprocess of
   ``perfbench/run.py --seconds 20 --trace 0``: every run's result, and per
@@ -20,6 +25,22 @@ is written at its root. The snapshot holds:
 * the environment: CPU, Python, numpy, and OpenBLAS's core type (from a
   child run with ``OPENBLAS_VERBOSE=2``) and thread count.
 
+Each file names its tree: the git commit and dirty flag, when the tree is a
+git checkout, and a sha256 over its ``src/`` and ``perfbench/`` files.
+
+With ``--against DIR`` the snapshot is paired. ``DIR`` is a second checkout
+of this repository, for example a clone at the parent commit, and
+``BENCH_<T0>.json`` describes it. For each workload and seed, the two trees'
+``perfbench/run.py`` runs go back to back N times, and which tree runs first
+alternates from one pair to the next. The start-up floor and the CLI steps
+alternate per repeat in the same way; the tier-1 suite runs once per tree.
+``BENCH_<T>.json`` adds a ``pairs`` block: for each workload and
+end-to-end metric, the after/before ratio of the scaled and of the raw
+values in every pair, their median and quartiles, the count of pairs in
+which this tree is better, and the medians and quartiles of both trees'
+scaled values. Two snapshots taken apart, even minutes apart, do not
+resolve a change smaller than the host's drift; a paired one does.
+
 It edits nothing under ``perfbench/``. Compare two snapshots only when both
 were taken on the same machine: the host's speed moves between runs (see
 ``perfbench/README.md``), so read medians against the quartile spreads
@@ -29,7 +50,9 @@ there. A snapshot took about two and a half minutes at three seeds on a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import hashlib
 import importlib.util
 import json
 import os
@@ -49,6 +72,11 @@ STARTUP_REPEATS = 7
 STARTUP = (("python -c pass", "pass"), ("import numpy", "import numpy"),
            ("import hfpa", "import hfpa"))
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+#: The directories whose files identify a tree.
+TREE_DIRS = ("src", "perfbench")
+#: The two sides of a paired snapshot: this tree, and the one it is run
+#: against.
+AFTER, BEFORE = "after", "before"
 
 #: Printed by the environment child: OpenBLAS's thread count, through the
 #: first of its known entry points that the loaded library exports.
@@ -91,20 +119,32 @@ def run_json(cmd):
     return json.loads(report), json.loads(result)
 
 
-def bench(workload, seeds):
-    """The seeded runs of one workload and their per-metric summary."""
-    runs = []
-    for seed in seeds:
-        report, result = run_json([
-            sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(RUN_SECONDS),
-            "--trace", "0"])
-        runs.append({
-            "seed": seed, "correct": result["correct"],
+def seeded_run(workload, seed, trace, root=ROOT):
+    """One ``perfbench/run.py`` run of the tree at ``root``: its report and
+    its result."""
+    return run_json([
+        sys.executable, str(root / "perfbench" / "run.py"), "--workload",
+        workload, "--seed", str(seed), "--seconds", str(RUN_SECONDS),
+        "--trace", str(trace)])
+
+
+def run_record(seed, report, result):
+    return {"seed": seed, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "raw": report["raw"], "slowdown": report["slowdown"],
-            "problems": report["problems"]})
+            "problems": report["problems"]}
+
+
+def trace_record(seed, report, result):
+    return {"seed": seed, "correct": result["correct"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "overhead": report["tracing"]["overhead"]}
+
+
+def summarize(runs):
+    """Per metric, the median and min over runs of the scaled and the raw
+    values, with ``attempted`` and ``failed`` summed."""
     summary = {"attempted": sum(r["attempted"] for r in runs),
                "failed": sum(r["failed"] for r in runs),
                "correct": all(r["correct"] for r in runs)}
@@ -112,49 +152,139 @@ def bench(workload, seeds):
         summary[key] = {name: stats([r[key][name] for r in runs])
                         for name in runs[0][key]
                         if all(r[key][name] is not None for r in runs)}
-    report, result = run_json([
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seeds[0]), "--seconds", str(RUN_SECONDS),
-        "--trace", "1"])
-    trace = {"seed": seeds[0], "correct": result["correct"],
-             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-             "overhead": report["tracing"]["overhead"]}
-    return {"runs": runs, "summary": summary, "trace": trace}
+    return summary
 
 
-def cli_steps():
-    """Wall seconds of each walkthrough step, median and min of repeats,
-    with the exit codes seen."""
-    cli_artifacts = load_cli_artifacts()
-    times = {name: [] for name, _ in cli_artifacts.STEPS}
-    exits = {name: set() for name, _ in cli_artifacts.STEPS}
-    for _ in range(CLI_REPEATS):
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, proc, seconds in cli_artifacts.run_steps(Path(tmp)):
-                times[name].append(seconds)
-                exits[name].add(proc.returncode)
-    return {name: {**stats(times[name]), "exit": sorted(exits[name]),
-                   "expected_exit": cli_artifacts.EXPECTED_EXIT.get(name, 0)}
-            for name in times}
+def bench(workload, seeds):
+    """The seeded runs of one workload and their per-metric summary."""
+    runs = [run_record(seed, *seeded_run(workload, seed, 0))
+            for seed in seeds]
+    trace = trace_record(seeds[0], *seeded_run(workload, seeds[0], 1))
+    return {"runs": runs, "summary": summarize(runs), "trace": trace}
 
 
-def startup():
-    """Wall seconds of a bare interpreter, ``import numpy`` and ``import
-    hfpa``, median and min of repeats."""
+def alternate(count):
+    """The side order of ``count`` pairs: this tree first, then the other
+    tree first, and so on."""
+    return [(AFTER, BEFORE) if i % 2 == 0 else (BEFORE, AFTER)
+            for i in range(count)]
+
+
+def quartiles(values):
+    """(q1, median, q3), inclusive method; a lone value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def paired_bench(workload, seeds, pairs, trees):
+    """Both trees' seeded runs of one workload, run in alternating pairs.
+
+    Returns each side's ``bench``-shaped record and the order of the pairs.
+    """
+    runs = {AFTER: [], BEFORE: []}
+    order = alternate(len(seeds) * pairs)
+    log = []
+    for i, seed in enumerate(s for s in seeds for _ in range(pairs)):
+        for side in order[i]:
+            runs[side].append(run_record(
+                seed, *seeded_run(workload, seed, 0, trees[side])))
+        log.append({"seed": seed, "first": order[i][0]})
+    traces = {side: trace_record(seeds[0], *seeded_run(
+        workload, seeds[0], 1, trees[side])) for side in order[0]}
+    sides = {side: {"runs": runs[side], "summary": summarize(runs[side]),
+                    "trace": traces[side]} for side in runs}
+    return sides, log
+
+
+def pair_stats(after_runs, before_runs, better):
+    """Per end-to-end metric: the after/before ratios of the scaled and raw
+    values pair by pair, their quartiles, the wins of the after tree, and
+    both trees' scaled quartiles."""
     out = {}
-    for label, code in STARTUP:
-        times = []
-        for _ in range(STARTUP_REPEATS):
-            t0 = time.perf_counter()
-            subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True)
-            times.append(time.perf_counter() - t0)
-        out[label] = stats(times)
+    for name, direction in better.items():
+        entry = {"better": direction}
+        for key, label in (("metrics", "scaled"), ("raw", "raw")):
+            pairs = [(a[key].get(name), b[key].get(name))
+                     for a, b in zip(after_runs, before_runs)]
+            if not pairs or any(a is None or not b for a, b in pairs):
+                continue
+            ratios = [a / b for a, b in pairs]
+            wins = sum(r < 1 if direction == "lower" else r > 1
+                       for r in ratios)
+            q1, median, q3 = quartiles(ratios)
+            entry[label] = {"ratios": ratios, "median": median, "q1": q1,
+                            "q3": q3, "wins": wins, "pairs": len(ratios)}
+        for side, side_runs in ((AFTER, after_runs), (BEFORE, before_runs)):
+            values = [r["metrics"].get(name) for r in side_runs]
+            if values and None not in values:
+                q1, median, q3 = quartiles(values)
+                entry[side] = {"median": median, "q1": q1, "q3": q3}
+        out[name] = entry
     return out
 
 
-def tier1():
+def tree_pythonpath(root):
+    return os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+
+
+@contextlib.contextmanager
+def on_tree(root):
+    """``PYTHONPATH`` led by the tree's ``src/`` for the steps run inside."""
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = tree_pythonpath(root)
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
+
+
+def cli_steps(roots=(ROOT,)):
+    """Wall seconds of each walkthrough step per tree, median and min of
+    repeats, with the exit codes seen; the trees alternate per repeat."""
+    cli_artifacts = load_cli_artifacts()
+    names = [name for name, _ in cli_artifacts.STEPS]
+    times = [{name: [] for name in names} for _ in roots]
+    exits = [{name: set() for name in names} for _ in roots]
+    for rep in range(CLI_REPEATS):
+        for k in (range(len(roots)) if rep % 2 == 0
+                  else reversed(range(len(roots)))):
+            with tempfile.TemporaryDirectory() as tmp, on_tree(roots[k]):
+                for name, proc, seconds in cli_artifacts.run_steps(Path(tmp)):
+                    times[k][name].append(seconds)
+                    exits[k][name].add(proc.returncode)
+    return [{name: {**stats(times[k][name]), "exit": sorted(exits[k][name]),
+                    "expected_exit": cli_artifacts.EXPECTED_EXIT.get(name, 0)}
+             for name in names} for k in range(len(roots))]
+
+
+def startup(roots=(ROOT,)):
+    """Wall seconds of a bare interpreter, ``import numpy`` and ``import
+    hfpa`` per tree, median and min of repeats; the trees alternate per
+    repeat."""
+    times = [{label: [] for label, _ in STARTUP} for _ in roots]
+    for label, code in STARTUP:
+        for rep in range(STARTUP_REPEATS):
+            for k in (range(len(roots)) if rep % 2 == 0
+                      else reversed(range(len(roots)))):
+                env = dict(os.environ, PYTHONPATH=tree_pythonpath(roots[k]))
+                t0 = time.perf_counter()
+                subprocess.run([sys.executable, "-c", code], cwd=roots[k],
+                               env=env, check=True)
+                times[k][label].append(time.perf_counter() - t0)
+    return [{label: stats(t[label]) for label, _ in STARTUP} for t in times]
+
+
+def tier1(root=ROOT):
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT,
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root,
+                          env=dict(os.environ,
+                                   PYTHONPATH=tree_pythonpath(root)),
                           capture_output=True, text=True)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
@@ -162,8 +292,35 @@ def tier1():
             "summary": lines[-1] if lines else ""}
 
 
-def environment():
-    proc = subprocess.run([sys.executable, "-c", ENV_PROBE], cwd=ROOT,
+def tree_identity(root):
+    """The tree's git commit and dirty flag (None outside a git checkout)
+    and a sha256 over the paths and bytes of its ``src/`` and
+    ``perfbench/`` files, caches left out."""
+    digest = hashlib.sha256()
+    for sub in TREE_DIRS:
+        for path in sorted((root / sub).rglob("*")):
+            if (not path.is_file() or "__pycache__" in path.parts
+                    or path.suffix == ".pyc"):
+                continue
+            data = path.read_bytes()
+            digest.update(f"{path.relative_to(root).as_posix()}\0"
+                          f"{len(data)}\0".encode())
+            digest.update(data)
+    git = subprocess.run(["git", "-C", str(root), "status", "--porcelain",
+                          "--untracked-files=no"],
+                         capture_output=True, text=True)
+    head = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return {
+        "git_commit": (head.stdout.strip() or None) if head.returncode == 0
+        else None,
+        "git_dirty": bool(git.stdout.strip()) if git.returncode == 0 else None,
+        "tree_sha256": digest.hexdigest(),
+    }
+
+
+def environment(root=ROOT):
+    proc = subprocess.run([sys.executable, "-c", ENV_PROBE], cwd=root,
                           env=dict(os.environ, OPENBLAS_VERBOSE="2"),
                           capture_output=True, text=True, check=True)
     lines = (proc.stdout + proc.stderr).splitlines()
@@ -177,11 +334,6 @@ def environment():
                         if line.startswith("model name")), None)
     except OSError:
         pass
-    git = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain",
-                          "--untracked-files=no"],
-                         capture_output=True, text=True)
-    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
     return {
         "cpu_model": cpu or platform.processor() or None,
         "nproc": len(os.sched_getaffinity(0)),
@@ -189,48 +341,108 @@ def environment():
         "numpy": probe["numpy"],
         "openblas_core": core,
         "openblas_threads": probe["openblas_threads"],
-        "git_commit": head.stdout.strip() or None,
-        "git_dirty": bool(git.stdout.strip()) if git.returncode == 0 else None,
+        **tree_identity(root),
     }
+
+
+def snapshot_head(tag, root, seeds):
+    return {
+        "tag": tag,
+        "taken_utc": datetime.datetime.now(datetime.timezone.utc)
+        .isoformat(timespec="seconds"),
+        "environment": environment(root),
+        "seeds": seeds,
+        "run_seconds": RUN_SECONDS,
+        "workloads": {},
+    }
+
+
+def write(snapshot):
+    path = ROOT / f"BENCH_{snapshot['tag']}.json"
+    path.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
+    print(path)
+
+
+def paired(args, seeds, workloads, better):
+    """Write ``BENCH_<against-tag>.json`` for the other tree and
+    ``BENCH_<tag>.json``, with the ``pairs`` block, for this one."""
+    trees = {AFTER: ROOT, BEFORE: args.against}
+    snaps = {AFTER: snapshot_head(args.tag, ROOT, seeds),
+             BEFORE: snapshot_head(args.against_tag, args.against, seeds)}
+    block = {"against": {"tag": args.against_tag, "dir": str(args.against),
+                         **tree_identity(args.against)},
+             "pairs_per_seed": args.pairs, "workloads": {}}
+    for workload in workloads:
+        print(f"{workload} ({args.pairs} pairs per seed) ...", flush=True)
+        sides, log = paired_bench(workload, seeds, args.pairs, trees)
+        for side in sides:
+            snaps[side]["workloads"][workload] = sides[side]
+        block["workloads"][workload] = {
+            "order": log,
+            "metrics": pair_stats(sides[AFTER]["runs"],
+                                  sides[BEFORE]["runs"], better)}
+    print("cli steps ...", flush=True)
+    roots = (ROOT, args.against)
+    for side, steps in zip((AFTER, BEFORE), cli_steps(roots)):
+        snaps[side]["cli_steps"] = steps
+    for side, floor in zip((AFTER, BEFORE), startup(roots)):
+        snaps[side]["startup"] = floor
+    print("tier-1 ...", flush=True)
+    for side in (AFTER, BEFORE):
+        snaps[side]["tier1"] = tier1(trees[side])
+    snaps[AFTER]["pairs"] = block
+    write(snaps[BEFORE])
+    write(snaps[AFTER])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tag", required=True)
     parser.add_argument("--seeds", default="1,2,3")
+    parser.add_argument("--workloads", default=None,
+                        help="comma-separated subset of BENCHMARK.json's "
+                             "workloads (default: all)")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="a second checkout to pair this one against")
+    parser.add_argument("--against-tag", default=None)
+    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if not args.tag.replace("-", "").replace("_", "").isalnum():
-        parser.error("--tag takes letters, digits, '-' and '_'")
+    for tag in (args.tag, args.against_tag):
+        if tag is not None and not tag.replace("-", "").replace(
+                "_", "").isalnum():
+            parser.error("tags take letters, digits, '-' and '_'")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         parser.error(f"--seeds must be comma-separated integers, "
                      f"got {args.seeds!r}")
+    bench_spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in bench_spec["workloads"]]
+    workloads = known if args.workloads is None else args.workloads.split(",")
+    if not set(workloads) <= set(known):
+        parser.error(f"--workloads takes names from {known}")
+    if args.against is not None:
+        args.against = args.against.resolve()
+        if not (args.against / "perfbench" / "run.py").is_file():
+            parser.error(f"{args.against} is not a checkout of this repo")
+        if args.against_tag is None or args.against_tag == args.tag:
+            parser.error("--against needs an --against-tag other than --tag")
+        if args.pairs < 1:
+            parser.error("--pairs must be >= 1")
+        paired(args, seeds, workloads,
+               {m["name"]: m["better"] for m in bench_spec["end_to_end"]})
+        return 0
 
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    workloads = [w["name"] for w in
-                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    snapshot = {
-        "tag": args.tag,
-        "taken_utc": datetime.datetime.now(datetime.timezone.utc)
-        .isoformat(timespec="seconds"),
-        "environment": environment(),
-        "seeds": seeds,
-        "run_seconds": RUN_SECONDS,
-        "workloads": {},
-    }
+    snapshot = snapshot_head(args.tag, ROOT, seeds)
     for workload in workloads:
         print(f"{workload} ...", flush=True)
         snapshot["workloads"][workload] = bench(workload, seeds)
     print("cli steps ...", flush=True)
-    snapshot["cli_steps"] = cli_steps()
-    snapshot["startup"] = startup()
+    snapshot["cli_steps"] = cli_steps()[0]
+    snapshot["startup"] = startup()[0]
     print("tier-1 ...", flush=True)
     snapshot["tier1"] = tier1()
-    path = ROOT / f"BENCH_{args.tag}.json"
-    path.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
-    print(path)
+    write(snapshot)
     return 0
 
 

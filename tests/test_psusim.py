@@ -192,10 +192,6 @@ class TestCommandCodec:
 
 # --- the CanFrame codec as it was before the one-struct layout: the oracle ---
 
-MODULE_ERRORS = (BadLength, BadDlc, UnknownId, UnknownRegister,
-                 ValueOutOfRange)
-
-
 def reference_check_register(register, context=""):
     if register not in psusim.REGISTERS:
         raise UnknownRegister(f"{context}register {register:#x}")

@@ -163,13 +163,6 @@ def bench(workload, seeds):
     return {"runs": runs, "summary": summarize(runs), "trace": trace}
 
 
-def alternate(count):
-    """The side order of ``count`` pairs: this tree first, then the other
-    tree first, and so on."""
-    return [(AFTER, BEFORE) if i % 2 == 0 else (BEFORE, AFTER)
-            for i in range(count)]
-
-
 def quartiles(values):
     """(q1, median, q3), inclusive method; a lone value is all three."""
     if len(values) < 2:
@@ -184,15 +177,15 @@ def paired_bench(workload, seeds, pairs, trees):
     Returns each side's ``bench``-shaped record and the order of the pairs.
     """
     runs = {AFTER: [], BEFORE: []}
-    order = alternate(len(seeds) * pairs)
     log = []
     for i, seed in enumerate(s for s in seeds for _ in range(pairs)):
-        for side in order[i]:
+        order = (AFTER, BEFORE) if i % 2 == 0 else (BEFORE, AFTER)
+        for side in order:
             runs[side].append(run_record(
                 seed, *seeded_run(workload, seed, 0, trees[side])))
-        log.append({"seed": seed, "first": order[i][0]})
+        log.append({"seed": seed, "first": order[0]})
     traces = {side: trace_record(seeds[0], *seeded_run(
-        workload, seeds[0], 1, trees[side])) for side in order[0]}
+        workload, seeds[0], 1, trees[side])) for side in (AFTER, BEFORE)}
     sides = {side: {"runs": runs[side], "summary": summarize(runs[side]),
                     "trace": traces[side]} for side in runs}
     return sides, log
@@ -369,7 +362,7 @@ def paired(args, seeds, workloads, better):
     trees = {AFTER: ROOT, BEFORE: args.against}
     snaps = {AFTER: snapshot_head(args.tag, ROOT, seeds),
              BEFORE: snapshot_head(args.against_tag, args.against, seeds)}
-    block = {"against": {"tag": args.against_tag, "dir": str(args.against),
+    block = {"against": {"tag": args.against_tag,
                          **tree_identity(args.against)},
              "pairs_per_seed": args.pairs, "workloads": {}}
     for workload in workloads:

@@ -158,13 +158,10 @@ def _clamp_vec(vec: Sequence[float]) -> List[float]:
 
 
 def _vec_to_params(vec: Sequence[float], template: PaParams) -> PaParams:
-    """Params at ``vec``, which the caller has clamped (``_clamp_vec``),
-    with the template's ``ki`` and ripple. The box bounds every value inside
-    ``PaParams``' checks, so they are not run again."""
-    return PaParams._unchecked(
-        g0=10.0 ** (vec[0] / 20.0), kv=vec[1], ki=template.ki, rload=vec[2],
-        vknee=vec[3], smoothness=vec[4], shape_beta=vec[5],
-        shape_exp=vec[6], shape_sat=vec[7], ripple=template.ripple)
+    v = _clamp_vec(vec)
+    return replace(template, g0=10.0 ** (v[0] / 20.0), kv=v[1], rload=v[2],
+                   vknee=v[3], smoothness=v[4], shape_beta=v[5],
+                   shape_exp=v[6], shape_sat=v[7])
 
 
 def fit(anchors: Sequence[AnchorRow], init: PaParams,

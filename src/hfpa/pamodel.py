@@ -129,21 +129,6 @@ class PaParams:
             raise ValueError("shape parameters must be nonnegative (exp > 0)")
         object.__setattr__(self, "ripple", dict(self.ripple))
 
-    @classmethod
-    def _unchecked(cls, g0: float, kv: float, ki: float, rload: float,
-                   vknee: float, smoothness: float, shape_beta: float,
-                   shape_exp: float, shape_sat: float,
-                   ripple: Mapping[str, float]) -> "PaParams":
-        """Params whose values the caller guarantees to pass
-        ``__post_init__``'s checks; only the ripple dict is copied. For
-        ``calibrate``'s search, whose box keeps every value in range."""
-        params = object.__new__(cls)
-        vars(params).update(g0=g0, kv=kv, ki=ki, rload=rload, vknee=vknee,
-                            smoothness=smoothness, shape_beta=shape_beta,
-                            shape_exp=shape_exp, shape_sat=shape_sat,
-                            ripple=dict(ripple))
-        return params
-
     def ripple_db(self, band: Optional[str]) -> float:
         if band is None:
             return 0.0

@@ -260,10 +260,7 @@ class PsuSim:
     state: PsuState = field(default_factory=PsuState)
 
     def handle_wire(self, data: bytes) -> bytes:
-        """One wire chunk in, one reply chunk out; bad frames are NACKed.
-
-        Reply values need no u32 check here: ``PsuState`` keeps every
-        register's value inside the window or the u32 field."""
+        """One wire chunk in, one reply chunk out; bad frames are NACKed."""
         try:
             command = decode(data)
         except BadDlc:
@@ -275,13 +272,12 @@ class PsuSim:
         if isinstance(command, SetVoltage):
             clamped = min(max(command.volts, VDD_MIN), VDD_MAX)
             self.state.set_voltage_v = clamped
-            return _FRAME.pack(ID_REPLY, DLC, REG_VOLTAGE, to_milli(clamped))
+            return encode(Reply(REG_VOLTAGE, to_milli(clamped)))
         if isinstance(command, ReadRequest):
             value = (self.state.actual_voltage_v
                      if command.register == REG_VOLTAGE
                      else self.state.load_current_a)
-            return _FRAME.pack(ID_REPLY, DLC, command.register,
-                               to_milli(value))
+            return encode(Reply(command.register, to_milli(value)))
         # replies/nacks arriving at the supply are ignored but acknowledged
         return encode(Nack(NACK_UNKNOWN_ID))
 

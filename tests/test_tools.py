@@ -111,6 +111,12 @@ def test_paired_runs_alternate_and_give_the_ratios(monkeypatch, tmp_path):
                    {"seed": 7, "first": "after"}, {"seed": 7, "first": "before"}]
     assert [c for c in calls if c[2] == "1"] == [("after", 1, "1"),
                                                  ("before", 1, "1")]
+
+    calls.clear()
+    bench_snapshot.paired_bench("controller", [1], 2, trees, "before")
+    assert [c[0] for c in calls] == ["before", "after", "after", "before",
+                                     "before", "after"]
+    assert [c[2] for c in calls] == ["0", "0", "0", "0", "1", "1"]
     for side in ("after", "before"):
         assert [r["seed"] for r in sides[side]["runs"]] == [1, 1, 7, 7]
         assert sides[side]["summary"]["failed"] == 4
@@ -175,12 +181,12 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_snapshot, "startup",
                         lambda roots: [{"floor": k} for k in range(len(roots))])
     monkeypatch.setattr(bench_snapshot, "tier1", lambda root: {"root": str(root)})
-    args = argparse.Namespace(tag="T", against=before, against_tag="T0",
-                              pairs=3)
-    bench_snapshot.paired(args, [1], ["imd"], {"op_p50_ms": "lower"})
+    args = argparse.Namespace(tag="T", against=before, pairs=3)
+    bench_snapshot.paired(args, [1], ["imd", "controller"],
+                          {"op_p50_ms": "lower"})
     new = json.loads((after / "BENCH_T.json").read_text())
-    old = json.loads((after / "BENCH_T0.json").read_text())
-    assert new["tag"] == "T" and old["tag"] == "T0"
+    old = json.loads((after / "BENCH_Tparent.json").read_text())
+    assert new["tag"] == "T" and old["tag"] == "Tparent"
     assert new["environment"]["tree_sha256"] == (
         bench_snapshot.tree_identity(after)["tree_sha256"])
     assert old["environment"]["tree_sha256"] == (
@@ -191,11 +197,15 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     assert old["tier1"] == {"root": str(before)}
     assert "pairs" not in old
     block = new["pairs"]
-    assert block["against"]["tag"] == "T0"
+    assert block["against"]["tag"] == "Tparent"
     assert block["against"]["tree_sha256"] == old["environment"]["tree_sha256"]
     assert block["pairs_per_seed"] == 3
     imd = block["workloads"]["imd"]
     assert [o["first"] for o in imd["order"]] == ["after", "before", "after"]
     assert imd["metrics"]["op_p50_ms"]["scaled"]["ratios"] == [0.75, 0.75, 1.25]
+    # the second workload is led by the other tree
+    ctl = block["workloads"]["controller"]
+    assert [o["first"] for o in ctl["order"]] == ["before", "after", "before"]
     for snap in (new, old):
         assert len(snap["workloads"]["imd"]["runs"]) == 3
+        assert len(snap["workloads"]["controller"]["runs"]) == 3

@@ -5,8 +5,8 @@ or a paired snapshot of this checkout and another one.
 Usage::
 
     python tools/bench_snapshot.py --tag T [--seeds 1,2,3] [--workloads W,...]
-    python tools/bench_snapshot.py --tag T --against DIR --against-tag T0 \
-        [--pairs N] [--seeds 1,2,3] [--workloads W,...]
+    python tools/bench_snapshot.py --tag T --against DIR [--pairs N] \
+        [--seeds 1,2,3] [--workloads W,...]
 
 Run from anywhere; the checkout is the one this file lives in, and the files
 are written at its root. The snapshot holds:
@@ -30,10 +30,12 @@ git checkout, and a sha256 over its ``src/`` and ``perfbench/`` files.
 
 With ``--against DIR`` the snapshot is paired. ``DIR`` is a second checkout
 of this repository, for example a clone at the parent commit, and
-``BENCH_<T0>.json`` describes it. For each workload and seed, the two trees'
-``perfbench/run.py`` runs go back to back N times, and which tree runs first
-alternates from one pair to the next. The start-up floor and the CLI steps
-alternate per repeat in the same way; the tier-1 suite runs once per tree.
+``BENCH_<T>parent.json`` describes it. For each workload and seed, the two
+trees' ``perfbench/run.py`` runs go back to back N times, and which tree
+runs first alternates from one pair to the next. The tree that leads
+alternates from one workload to the next, and the workload's two ``--trace
+1`` runs go in its order. The start-up floor and the CLI steps alternate
+per repeat; the tier-1 suite runs once per tree.
 ``BENCH_<T>.json`` adds a ``pairs`` block: for each workload and
 end-to-end metric, the after/before ratio of the scaled and of the raw
 values in every pair, their median and quartiles, the count of pairs in
@@ -65,7 +67,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
 RUN_SECONDS = 20
 CLI_REPEATS = 3
 STARTUP_REPEATS = 7
@@ -171,21 +172,23 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def paired_bench(workload, seeds, pairs, trees):
-    """Both trees' seeded runs of one workload, run in alternating pairs.
+def paired_bench(workload, seeds, pairs, trees, first=AFTER):
+    """Both trees' seeded runs of one workload, run in alternating pairs
+    led by ``first``; the two ``--trace 1`` runs go in ``first``'s order.
 
     Returns each side's ``bench``-shaped record and the order of the pairs.
     """
     runs = {AFTER: [], BEFORE: []}
+    lead = (AFTER, BEFORE) if first == AFTER else (BEFORE, AFTER)
     log = []
     for i, seed in enumerate(s for s in seeds for _ in range(pairs)):
-        order = (AFTER, BEFORE) if i % 2 == 0 else (BEFORE, AFTER)
+        order = lead if i % 2 == 0 else lead[::-1]
         for side in order:
             runs[side].append(run_record(
                 seed, *seeded_run(workload, seed, 0, trees[side])))
         log.append({"seed": seed, "first": order[0]})
     traces = {side: trace_record(seeds[0], *seeded_run(
-        workload, seeds[0], 1, trees[side])) for side in (AFTER, BEFORE)}
+        workload, seeds[0], 1, trees[side])) for side in lead}
     sides = {side: {"runs": runs[side], "summary": summarize(runs[side]),
                     "trace": traces[side]} for side in runs}
     return sides, log
@@ -357,17 +360,19 @@ def write(snapshot):
 
 
 def paired(args, seeds, workloads, better):
-    """Write ``BENCH_<against-tag>.json`` for the other tree and
-    ``BENCH_<tag>.json``, with the ``pairs`` block, for this one."""
+    """Write ``BENCH_<tag>parent.json`` for the other tree and
+    ``BENCH_<tag>.json``, with the ``pairs`` block, for this one. The tree
+    that leads the pairs alternates from one workload to the next."""
     trees = {AFTER: ROOT, BEFORE: args.against}
+    against_tag = f"{args.tag}parent"
     snaps = {AFTER: snapshot_head(args.tag, ROOT, seeds),
-             BEFORE: snapshot_head(args.against_tag, args.against, seeds)}
-    block = {"against": {"tag": args.against_tag,
-                         **tree_identity(args.against)},
+             BEFORE: snapshot_head(against_tag, args.against, seeds)}
+    block = {"against": {"tag": against_tag, **tree_identity(args.against)},
              "pairs_per_seed": args.pairs, "workloads": {}}
-    for workload in workloads:
+    for k, workload in enumerate(workloads):
         print(f"{workload} ({args.pairs} pairs per seed) ...", flush=True)
-        sides, log = paired_bench(workload, seeds, args.pairs, trees)
+        sides, log = paired_bench(workload, seeds, args.pairs, trees,
+                                  AFTER if k % 2 == 0 else BEFORE)
         for side in sides:
             snaps[side]["workloads"][workload] = sides[side]
         block["workloads"][workload] = {
@@ -397,13 +402,10 @@ def main(argv=None) -> int:
                              "workloads (default: all)")
     parser.add_argument("--against", type=Path, default=None,
                         help="a second checkout to pair this one against")
-    parser.add_argument("--against-tag", default=None)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    for tag in (args.tag, args.against_tag):
-        if tag is not None and not tag.replace("-", "").replace(
-                "_", "").isalnum():
-            parser.error("tags take letters, digits, '-' and '_'")
+    if not args.tag.replace("-", "").replace("_", "").isalnum():
+        parser.error("tags take letters, digits, '-' and '_'")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
@@ -418,8 +420,6 @@ def main(argv=None) -> int:
         args.against = args.against.resolve()
         if not (args.against / "perfbench" / "run.py").is_file():
             parser.error(f"{args.against} is not a checkout of this repo")
-        if args.against_tag is None or args.against_tag == args.tag:
-            parser.error("--against needs an --against-tag other than --tag")
         if args.pairs < 1:
             parser.error("--pairs must be >= 1")
         paired(args, seeds, workloads,

@@ -16,6 +16,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import kernels
 from .bands import BANDS
 from .measure import TargetUnreachable, UnknownBand, drive_cap
 from .pamodel import (IDQ_MAX, SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint,
@@ -102,6 +103,10 @@ def default_band_table(ripple: Optional[Mapping[str, float]] = None) -> BandTabl
             for b in BANDS}
 
 
+#: The normal float range that classify_envelope keeps the squares in.
+_SQUARE_MIN = sys.float_info.min
+_SQUARE_MAX = sys.float_info.max
+
 #: classify_envelope's percentiles, as the fractions numpy's percentile
 #: divides them to.
 _QUANTILES = (1.0 / 100, 50.0 / 100, 99.0 / 100)
@@ -145,25 +150,39 @@ def classify_envelope(block: IqBlock,
     papr_db = peak-to-average power ratio. Constant iff both sit under their
     thresholds, RIPPLE_LIMIT and PAPR_LIMIT_DB. Scale-invariant: both
     metrics are ratios. ``window_s`` must be finite and > 0.
+
+    The window's envelope, its sorted copy and its squares go into rows 0
+    and 1 of this thread's ``kernels.workspace``, so a window allocates no
+    per-sample array. Each step is the plain form's ufunc, in place: the
+    rescale divides both rows by the peak as ``env / peak`` does, and the
+    mean square is ``np.add.reduce`` of the squares over ``n``, the sum and
+    division of ``np.mean(env ** 2)``, so every bit is the plain form's. The
+    verdict holds Python floats only, never a view of the workspace.
     """
     _check_window(window_s)
     if block.duration_s < window_s:
         raise WindowTooShort(
             f"block spans {block.duration_s:.4g} s < window {window_s:.4g} s")
-    n = max(1, int(round(window_s * block.sample_rate)))
-    env = np.abs(block.samples[:n])
-    ordered = np.sort(env)
+    samples = block.samples[:max(1, int(round(window_s * block.sample_rate)))]
+    n = samples.size
+    env, ordered = kernels.workspace(n)[:2]
+    np.abs(samples, env)
+    np.copyto(ordered, env)
+    ordered.sort()
     peak = float(ordered[-1])
     if peak == 0.0:
         return EnvelopeClass(EnvKind.CONSTANT, papr_db=0.0, ripple_ratio=0.0)
-    if not sys.float_info.min <= peak * peak <= sys.float_info.max / env.size:
+    if not _SQUARE_MIN <= peak * peak <= _SQUARE_MAX / n:
         # squares leave the normal float range; dividing by peak > 0 keeps
         # the order, so the sorted copy needs no second sort
-        env, ordered, peak = env / peak, ordered / peak, 1.0
+        np.divide(env, peak, env)
+        np.divide(ordered, peak, ordered)
+        peak = 1.0
     p1, med, p99 = _percentiles(ordered)
     ripple_ratio = (p99 - p1) / med if med > 0 else math.inf
-    # in sample order, not sorted: numpy's pairwise sum depends on the order
-    mean_sq = float(np.mean(env ** 2))
+    # np.mean's sum and division; in sample order, not sorted: numpy's
+    # pairwise sum depends on the order
+    mean_sq = float(np.add.reduce(np.square(env, env))) / n
     papr_db = 10.0 * math.log10(peak ** 2 / mean_sq)
     constant = ripple_ratio < RIPPLE_LIMIT and papr_db < PAPR_LIMIT_DB
     return EnvelopeClass(EnvKind.CONSTANT if constant else EnvKind.VARYING,

@@ -8,7 +8,10 @@ stage writes its result into a workspace row with the ufunc's ``out``, in
 the same expression, operand order and reduction as the plain form, so the
 bits are those of freshly allocated temporaries; what goes is the page
 faults (and the zero-filling) of mapping new temporaries on every call. No
-returned array is a view of the workspace.
+returned array is a view of the workspace. ``biasctl.classify_envelope``
+takes rows 0-1 for a window's envelope and its sorted copy; it is never
+called inside ``pamodel.simulate`` or ``measure.measure_imd``, so no two
+users hold the rows at once.
 
 The block sums are one ``np.add.reduce(rows, axis=1)`` over the
 C-contiguous rows of per-sample products: numpy sums each contiguous row as
@@ -72,7 +75,9 @@ def workspace(n):
     the row views of one C-ordered ``(5, n)`` array, contents undefined.
 
     Row 0 is the caller's (``pamodel.simulate`` keeps the envelope there);
-    ``pa_pipeline`` uses rows 1-4. The rows of the most recent length are
+    ``pa_pipeline`` uses rows 1-4. ``biasctl.classify_envelope`` uses rows
+    0-1 and is never called inside ``simulate`` or ``measure.measure_imd``
+    (rows 0-2), whose rows it shares. The rows of the most recent length are
     kept while ``n <= CACHE_MAX_SAMPLES``. Longer ones are only weakly
     referenced, so nested calls in one operation share them and they are
     freed with their last view.

@@ -14,7 +14,6 @@ outputs are byte-identical.
 """
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
@@ -42,33 +41,13 @@ def _check_sample_rate(sample_rate: float) -> None:
         raise InvalidSpec(f"sample_rate must be finite and > 0, got {sample_rate}")
 
 
-#: Longest block whose finite check takes ``np.vdot``: OpenBLAS runs it on
-#: one thread up to 10000 samples, and above wakes worker threads that spin
-#: on the second core (CPU time twice the wall time from 10001 samples,
-#: 2-core host).
-_VDOT_MAX = 10000
-
-
-def _sum_is_finite(samples) -> bool:
-    """Whether a sum over ``samples`` is finite: only if every sample is.
-
-    Cheap; a non-finite sample, or finite ones whose sum overflows, gives
-    False. A short block takes ``np.vdot`` (1.4 us at 64 samples, against
-    about 5 us for numpy's sum, whose overflow needs an ``errstate``); a
-    long one numpy's sum, which leaves BLAS's threads asleep.
-    """
-    if samples.size <= _VDOT_MAX:
-        return cmath.isfinite(np.vdot(samples, samples))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return cmath.isfinite(np.add.reduce(samples))
-
-
 @dataclass(frozen=True)
 class IqBlock:
     """A finite block of complex baseband samples at a fixed sample rate.
 
-    Construction checks the rate, the shape and that every sample is
-    finite. ``_unchecked`` skips those checks, for three blocks whose
+    Construction checks the rate, the shape and, with one
+    ``np.isfinite(samples).all()``, that every sample is finite.
+    ``_unchecked`` skips those checks, for three blocks whose
     samples are known finite without a pass over them:
 
     * ``pamodel.simulate``'s output block, finite by construction;
@@ -85,7 +64,7 @@ class IqBlock:
         samples = np.asarray(self.samples, dtype=np.complex128)
         if samples.ndim != 1 or samples.size == 0:
             raise InvalidSpec("samples must be a non-empty 1-D sequence")
-        if not (_sum_is_finite(samples) or np.isfinite(samples).all()):
+        if not np.isfinite(samples).all():
             raise InvalidSpec("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
@@ -145,27 +124,35 @@ class WaveformSpec:
         if self.duration_s <= 0:
             raise InvalidSpec(f"duration_s must be > 0, got {self.duration_s}")
         nyq = sample_rate / 2.0
-        freqs = {
-            Kind.CW: (abs(self.tone_hz),),
-            Kind.TWO_TONE: (abs(self.f1_hz), abs(self.f2_hz)),
-            Kind.FM: (abs(self.fm_dev_hz) + abs(self.fm_rate_hz),),
-            Kind.AM: (abs(self.am_rate_hz),),
-            Kind.PSK: (self.psk_rate_hz,),
-        }[self.kind]
-        for f in freqs:
+        for f in _BAND_EDGES[self.kind](self):
             if f >= nyq:
                 raise InvalidSpec(f"frequency {f} Hz not below Nyquist {nyq} Hz")
         if self.kind is Kind.AM and not 0.0 <= self.am_index <= 1.0:
             raise InvalidSpec(f"AM index must be in [0, 1], got {self.am_index}")
         if self.kind is Kind.TWO_TONE and self.f1_hz == self.f2_hz:
             raise InvalidSpec("two-tone offsets must differ")
-        if self.kind is Kind.FM and self.fm_rate_hz == 0:
-            raise InvalidSpec("FM modulating rate must be nonzero")
+        if self.kind is Kind.FM:
+            if self.fm_rate_hz == 0:
+                raise InvalidSpec("FM modulating rate must be nonzero")
+            if not math.isfinite(self.fm_dev_hz / self.fm_rate_hz):
+                raise InvalidSpec(
+                    f"FM index fm_dev_hz / fm_rate_hz must be finite, got "
+                    f"{self.fm_dev_hz} / {self.fm_rate_hz}")
         if self.kind is Kind.PSK:
             if self.psk_order not in (2, 4):
                 raise InvalidSpec(f"PSK order must be 2 or 4, got {self.psk_order}")
             if self.psk_rate_hz <= 0:
                 raise InvalidSpec("PSK symbol rate must be > 0")
+
+
+#: Per kind, the frequencies of a spec that must lie below Nyquist.
+_BAND_EDGES = {
+    Kind.CW: lambda s: (abs(s.tone_hz),),
+    Kind.TWO_TONE: lambda s: (abs(s.f1_hz), abs(s.f2_hz)),
+    Kind.FM: lambda s: (abs(s.fm_dev_hz) + abs(s.fm_rate_hz),),
+    Kind.AM: lambda s: (abs(s.am_rate_hz),),
+    Kind.PSK: lambda s: (s.psk_rate_hz,),
+}
 
 
 def _pn9() -> np.ndarray:

@@ -155,6 +155,31 @@ def test_classify_metrics_match_the_percentile_reference(kind, scale):
         reference_metrics(np.abs(blk.samples[:int(WINDOW * FS)] * scale)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 20000), tied=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1.0, 1e-300, 1e300]), frac=st.floats(0.0, 1.0))
+@example(n=20000, tied=True, seed=0, scale=1e300, frac=1.0)
+@example(n=1, tied=False, seed=0, scale=1e-300, frac=1.0)
+def test_classify_metrics_match_the_reference_on_random_blocks(
+        n, tied, seed, scale, frac):
+    # the window's rows live in the workspace; the verdict must be the plain
+    # form's, and at 1e-300 and 1e300 the rows are rescaled in place
+    rng = np.random.default_rng(seed)
+    if tied:  # a few complex levels: ties in the envelope, or a constant one
+        k = int(rng.integers(1, 5))
+        levels = rng.uniform(0.01, 2.0, k) * np.exp(2j * np.pi * rng.random(k))
+        samples = rng.choice(levels, n)
+    else:
+        samples = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    samples *= scale
+    samples.flags.writeable = False  # a write to the block would raise
+    w = max(1, int(frac * n))  # window samples, at most the block's
+    cls = classify_envelope(IqBlock(samples, FS), w / FS)
+    assert hexes((cls.papr_db, cls.ripple_ratio)) == hexes(
+        reference_metrics(np.abs(samples[:w])))
+
+
 class TestGateSteps:
     def test_table_entries(self):
         assert gate_step_for(0.5) == 1

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import hfpa
 from hfpa import kernels, measure
-from hfpa.biasctl import compression_drive
+from hfpa.biasctl import classify_envelope, compression_drive
 from hfpa.measure import (CSV_HEADER, MeasRow, TargetUnreachable,
                           TonesUnresolvable, UnknownBand, drive_for_pout,
                           flattop, freq_response, measure_imd, simulate_cw,
@@ -163,6 +163,50 @@ class TestWorkspaceSharing:
         base = kernels.workspace(len(first))[0].base
         for result in (out.samples, aout):
             assert not np.shares_memory(result, base)
+
+    def test_classify_and_simulate_interleave_in_two_threads(self):
+        # classify_envelope takes rows 0-1 of the workspace whose row 0 holds
+        # simulate's envelope; at 64 and 10000 samples both reuse one array
+        calls = []
+        for n in (64, 10000):
+            for kind, amplitude in ((Kind.AM, 0.8), (Kind.TWO_TONE, 1.5),
+                                    (Kind.FM, 1.2)):
+                block = generate(WaveformSpec(kind=kind, amplitude=amplitude,
+                                              duration_s=n / FS), FS)
+                calls += [("simulate", block), ("classify", block)]
+
+        def call(i):
+            what, block = calls[i]
+            if what == "classify":
+                cls = classify_envelope(block, len(block) / FS)
+                return cls.kind, cls.papr_db.hex(), cls.ripple_ratio.hex()
+            out, stats = simulate(block, WS_BIAS, WS_PARAMS)
+            return out, stats
+
+        def key(result):
+            if len(result) == 2:
+                return result[0].samples.tobytes(), result[1]
+            return result
+
+        want = [key(call(i)) for i in range(len(calls))]
+        start = threading.Barrier(2)
+
+        def run(order):
+            start.wait()
+            got = []
+            for _ in range(5):
+                got += [(i, call(i)) for i in order]
+            return [(i, key(result)) for i, result in got]
+
+        forward = list(range(len(calls)))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(run, order) for order in (forward,
+                                                          forward[::-1])]
+            for fut in runs:
+                # key() reads every simulate output after the thread's last
+                # call, so a later call that wrote into one would show here
+                for i, result in fut.result():
+                    assert result == want[i]
 
 
 def test_warm_large_block_imd_allocates_only_the_spectrum():

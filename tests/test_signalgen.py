@@ -308,6 +308,23 @@ class TestNonFinite:
         with pytest.raises(InvalidSpec):
             generate(WaveformSpec(kind=Kind.CW), rate)
 
+    @pytest.mark.parametrize("rate", [5e-324, 1e-320])
+    def test_spec_rejects_an_fm_index_past_the_float_range(self, rate):
+        # 5 kHz / rate is inf: the waveform would be NaN, and numpy would
+        # warn on it (an error in this suite) before any finite check
+        spec = WaveformSpec(kind=Kind.FM, fm_rate_hz=rate)
+        msg = (f"^FM index fm_dev_hz / fm_rate_hz must be finite, "
+               f"got 5000.0 / {rate}$")
+        with pytest.raises(InvalidSpec, match=msg):
+            spec.validate(FS)
+        with pytest.raises(InvalidSpec, match=msg):
+            generate(spec, FS)
+
+    def test_spec_accepts_a_tiny_fm_rate_with_a_finite_index(self):
+        spec = WaveformSpec(kind=Kind.FM, fm_dev_hz=0.0, fm_rate_hz=5e-324)
+        assert generate(spec, FS).samples.tobytes() == generate(
+            WaveformSpec(kind=Kind.CW), FS).samples.tobytes()
+
 
 def reference_generate(spec, fs):
     """``generate`` without the cache or the peak bound: the unit waveform,
@@ -366,24 +383,29 @@ class TestPeakBoundFiniteCheck:
         spec = WaveformSpec(kind=kind, amplitude=amplitude, duration_s=2e-4,
                             am_index=am_index, fm_rate_hz=fm_rate_hz,
                             psk_order=psk_order)
-        # numpy's overflow and invalid warnings are errors in this suite;
-        # the NaN FM waveform (a tiny rate makes beta inf) warns on both paths
-        with np.errstate(over="ignore", invalid="ignore"):
+        if kind is Kind.FM and math.isinf(spec.fm_dev_hz / fm_rate_hz):
+            # validate refuses the spec before any sample is made
+            with pytest.raises(InvalidSpec, match="^FM index"):
+                generate(spec, FS)
+            return
+        # numpy's overflow warnings are errors in this suite, and the
+        # reference's multiply overflows where generate refuses the amplitude
+        with np.errstate(over="ignore"):
             try:
                 want = reference_generate(spec, FS)
             except InvalidSpec as exc:
                 want = exc
-            for _ in range(2):  # a cache miss, then a hit
-                if isinstance(want, InvalidSpec):
-                    with pytest.raises(InvalidSpec,
-                                       match="^samples must be finite$"):
-                        generate(spec, FS)
-                    continue
-                got = generate(spec, FS)
-                assert got.sample_rate == FS
-                assert got.samples.dtype == np.complex128
-                assert got.samples.tobytes() == want.samples.tobytes()
-                assert np.isfinite(got.samples).all()
+        for _ in range(2):  # a cache miss, then a hit
+            if isinstance(want, InvalidSpec):
+                with pytest.raises(InvalidSpec,
+                                   match="^samples must be finite$"):
+                    generate(spec, FS)
+                continue
+            got = generate(spec, FS)
+            assert got.sample_rate == FS
+            assert got.samples.dtype == np.complex128
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert np.isfinite(got.samples).all()
 
     @pytest.mark.parametrize("amplitude, finite", [
         (MAX / 2, True),                            # a * (1 + m) is MAX

@@ -184,7 +184,7 @@ class TestWorkspaceSharing:
             return out, stats
 
         def key(result):
-            if len(result) == 2:
+            if isinstance(result[0], IqBlock):  # simulate's (out, stats)
                 return result[0].samples.tobytes(), result[1]
             return result
 

@@ -189,24 +189,33 @@ class TestWorkspaceSharing:
             return result
 
         want = [key(call(i)) for i in range(len(calls))]
-        start = threading.Barrier(2)
+        forward = list(range(len(calls)))
+        # more threads than cores, each in its own order, switching often
+        orders = [forward, forward[::-1], forward[5:] + forward[:5],
+                  forward[7::-1] + forward[8:]]
+        start = threading.Barrier(len(orders))
 
         def run(order):
-            start.wait()
+            start.wait(timeout=60)
             got = []
             for _ in range(5):
                 got += [(i, call(i)) for i in order]
             return [(i, key(result)) for i, result in got]
 
-        forward = list(range(len(calls)))
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            runs = [pool.submit(run, order) for order in (forward,
-                                                          forward[::-1])]
-            for fut in runs:
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                runs = [pool.submit(run, order) for order in orders]
                 # key() reads every simulate output after the thread's last
                 # call, so a later call that wrote into one would show here
-                for i, result in fut.result():
-                    assert result == want[i]
+                results = [fut.result(timeout=120) for fut in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert len(got) == 5 * len(calls)
+            for i, result in got:
+                assert result == want[i]
 
 
 def test_warm_large_block_imd_allocates_only_the_spectrum():

@@ -54,6 +54,19 @@ def _port(text: str) -> int:
     return value
 
 
+def _volts(text: str) -> List[float]:
+    """argparse type: comma-separated volts naming at least one voltage;
+    empty entries are skipped."""
+    try:
+        volts = [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}") from None
+    if not volts:
+        raise argparse.ArgumentTypeError(f"names no voltage, got {text!r}")
+    return volts
+
+
 def _spec_from_args(args) -> signalgen.WaveformSpec:
     """Every waveform flag goes in; ``generate`` reads the kind's own fields."""
     return signalgen.WaveformSpec(
@@ -81,6 +94,12 @@ def _add_waveform_flags(p: argparse.ArgumentParser):
     p.add_argument("--psk-rate", type=float, default=spec.psk_rate_hz)
     p.add_argument("--psk-order", type=int, default=spec.psk_order,
                    choices=(2, 4))
+
+
+def _add_endpoint_flags(p: argparse.ArgumentParser):
+    """The supply server's address, for the server and its clients."""
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=_port, default=29050)
 
 
 def _cmd_gen(args) -> int:
@@ -128,8 +147,7 @@ def _cmd_two_tone(args) -> int:
 
 def _cmd_sweep_bias(args) -> int:
     params = pamodel.load_params(args.params)
-    vdds = [float(v) for v in args.vdd.split(",") if v]
-    rows = measure.sweep_bias(vdds, args.idq, args.pout, params)
+    rows = measure.sweep_bias(args.vdd, args.idq, args.pout, params)
     measure.write_rows_csv(rows, args.out)
     return 0
 
@@ -285,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_two_tone)
 
     p = sub.add_parser("sweep-bias", help="drive each vdd to a power target")
-    p.add_argument("--vdd", required=True, help="comma-separated volts")
+    p.add_argument("--vdd", type=_volts, required=True,
+                   help="comma-separated volts")
     p.add_argument("--idq", type=float, default=pamodel.IDQ_REF)
     p.add_argument("--pout", type=float, required=True, help="target watts")
     p.add_argument("--params", required=True)
@@ -320,22 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run_controller)
 
     p = sub.add_parser("psu-sim", help="serve the supply protocol on a socket")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_port, default=29050)
+    _add_endpoint_flags(p)
     p.add_argument("--slew", type=_positive_float, default=psusim.SLEW_V_PER_S)
     p.add_argument("--max-frames", type=_non_negative_int, default=None,
                    help="exit after N frames (default: serve forever)")
     p.set_defaults(func=_cmd_psu_sim)
 
     p = sub.add_parser("psu-set", help="command a supply voltage")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_port, default=29050)
+    _add_endpoint_flags(p)
     p.add_argument("--vdd", type=float, required=True)
     p.set_defaults(func=_cmd_psu_set)
 
     p = sub.add_parser("psu-read", help="read a supply register")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_port, default=29050)
+    _add_endpoint_flags(p)
     p.add_argument("--register", choices=_REGISTERS, default="voltage")
     p.set_defaults(func=_cmd_psu_read)
 

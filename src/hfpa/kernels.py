@@ -29,12 +29,9 @@ numpy's exponent-2 and exponent-0.5 fast paths, as it does for a block.
 
 Two per-sample passes over a long block run as two halves at once through
 ``halves``: ``pa_pipeline``'s law and ``measure.measure_imd``'s noise and
-window pass, which took 0.52-0.63 and 0.64-0.79 of their serial time split
-(131072 samples, 2-core host, two timing harnesses). ``simulate``'s ``|x|``
-(1.27-1.53) and ``measure_imd``'s ``|x|^2`` (1.11-1.24) lose to the
-0.1-0.25 ms of waking the worker, and ``simulate``'s output scale
-(0.80-0.97) saves at most 0.2 ms of a 9.5 ms two-tone point; all three run
-serially. From ``SPLIT_MIN`` samples up, with more than one CPU, the calling
+window pass. ``simulate``'s ``|x|`` and output scale and ``measure_imd``'s
+``|x|^2`` run serially; ``SPLIT_MIN`` gives the timings behind both
+choices. From ``SPLIT_MIN`` samples up, with more than one CPU, the calling
 thread runs the first half and a worker thread the second, in slices of the
 caller's workspace rows and preallocated results. Each split step is elementwise and
 the worker runs under the caller's ``np.geterr()``, so each sample gets the
@@ -60,9 +57,12 @@ _BYTES_COMPARE_MAX = 4096
 #: Shortest block whose law and IMD noise and window pass ``halves`` splits.
 #: Waking the worker costs about 0.1-0.25 ms on a 2-core VM: in a sweep of
 #: ``pamodel.simulate`` and ``measure.measure_imd`` the split lost at 32768
-#: samples and below, and won from 65536 up. At 131072 samples the law took
-#: 0.52-0.63 and the IMD pass 0.64-0.79 of their serial time split, and
-#: ``|x|``, ``|x|^2`` and the output scale 0.80-1.53, so those stay serial.
+#: samples and below, and won from 65536 up. At 131072 samples (2-core host,
+#: two timing harnesses) the law took 0.52-0.63 and the IMD noise and window
+#: pass 0.64-0.79 of their serial time split. ``simulate``'s ``|x|``
+#: (1.27-1.53) and ``measure_imd``'s ``|x|^2`` (1.11-1.24) lose to the
+#: wake-up, and ``simulate``'s output scale (0.80-0.97) saves at most 0.2 ms
+#: of a 9.5 ms two-tone point, so those three stay serial.
 SPLIT_MIN = 65536
 
 #: ``(pid, executor)`` of this process's worker thread, once started.
@@ -130,8 +130,8 @@ def halves(fn, rows, *args):
     once on the whole rows. The worker has finished its half when this
     returns or raises; an exception of this thread's half wins over the
     worker's. Only ``pa_pipeline``'s law and ``measure_imd``'s noise and
-    window pass call it (0.52-0.63 and 0.64-0.79 of their serial time at
-    131072 samples; ``|x|``, ``|x|^2`` and the output scale took 0.80-1.53).
+    window pass call it; ``SPLIT_MIN`` gives their timings and those of the
+    passes that stay serial.
     """
     n = len(rows[0])
     if n < SPLIT_MIN or _cpu_count() < 2:
@@ -246,8 +246,8 @@ def pa_pipeline(env, g, a_sat, idq, params):
     evaluated once, with the bits of the block form (see the module
     docstring), and its ``sum(e^2)`` is ``np.dot``, for the calibration's
     bits. A varying block's four sums are one reduction, with no BLAS call;
-    from ``SPLIT_MIN`` samples its law runs as two halves (``halves``,
-    0.52-0.63 of the serial time at 131072 samples).
+    from ``SPLIT_MIN`` samples its law runs as two halves (``halves``; the
+    timings are at ``SPLIT_MIN``).
     """
     if _is_constant(env):
         return (*_constant_pipeline(env.item(0), env.size, g, a_sat, idq,

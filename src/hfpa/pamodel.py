@@ -307,8 +307,8 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     ``gain_db`` is None when the input power is zero or overflows; an
     amplified envelope past the float range saturates at a_sat. Every block
     sum, ``sum(|x|^2)`` included, comes from ``kernels.pa_pipeline``, which
-    also splits a long block's law (``kernels.halves``); ``|x|`` (1.27-1.53
-    of the serial time split) and the output scale (0.80-0.97) run here.
+    also splits a long block's law (``kernels.halves``); ``|x|`` and the
+    output scale run here, serially (timings at ``kernels.SPLIT_MIN``).
     """
     if not isinstance(bias, BiasPoint):
         raise InvalidBias(f"expected BiasPoint, got {type(bias).__name__}")

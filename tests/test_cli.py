@@ -70,6 +70,19 @@ def test_sweep_bias_reproduces_reference_rows(tmp_path, params_file):
         assert abs(got - want) <= 2.0
 
 
+@pytest.mark.parametrize("vdd", [",", "", ",,", "58,abc", " "])
+def test_sweep_bias_without_a_voltage_is_a_usage_error(tmp_path, params_file,
+                                                       capsys, vdd):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["sweep-bias", "--vdd", vdd, "--pout", "100",
+              "--params", params_file, "--out", str(out)])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert msg.startswith("usage: hfpa ") and "argument --vdd" in msg
+    assert not out.exists()
+
+
 def test_sweep_bias_rejects_non_finite_power(tmp_path, params_file, capsys):
     rc = main(["sweep-bias", "--vdd", "58", "--pout", "nan",
                "--params", params_file, "--out", str(tmp_path / "s.csv")])
@@ -264,10 +277,19 @@ def test_budget_zero_is_accepted():
         ["calibrate", "--budget", "0", "--out-params", "p.cfg"]).budget == 0
 
 
+PSU_COMMANDS = (["psu-sim"], ["psu-set", "--vdd", "48"], ["psu-read"])
+
+
 @pytest.mark.parametrize("port", ["0", "65535"])
 def test_port_range_ends_are_accepted(port):
-    for cmd in ("psu-sim", "psu-read"):
-        assert build_parser().parse_args([cmd, "--port", port]).port == int(port)
+    for cmd in PSU_COMMANDS:
+        assert build_parser().parse_args([*cmd, "--port", port]).port == int(port)
+
+
+def test_supply_commands_share_the_endpoint_defaults():
+    for cmd in PSU_COMMANDS:
+        args = build_parser().parse_args(cmd)
+        assert (args.host, args.port) == ("127.0.0.1", 29050)
 
 
 def test_usage_error_exits_2():

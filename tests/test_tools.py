@@ -3,6 +3,7 @@ the package cannot leave them broken unnoticed."""
 import argparse
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -38,35 +39,8 @@ def test_cli_artifact_step_parses(name, args):
     assert cli.build_parser().parse_args(args).command == args[0]
 
 
-def test_bench_snapshot_summarizes_the_seeded_runs(monkeypatch):
-    calls = []
-
-    def fake_run_json(cmd):
-        calls.append(cmd)
-        seed, trace = int(cmd[cmd.index("--seed") + 1]), cmd[-1]
-        if trace == "1":
-            return ({"tracing": {"overhead": 1.5}},
-                    {"correct": True, "attempted": 10, "failed": 0,
-                     "metrics": {"trace.ops": {"value": 5, "unit": "count"}}})
-        return ({"raw": {"op_p50_ms": 2.0 * seed, "setup_s": None},
-                 "slowdown": 1.0, "problems": []},
-                {"correct": True, "attempted": 4, "failed": seed % 2,
-                 "metrics": {"op_p50_ms": {"value": float(seed), "unit": "ms"}}})
-
-    monkeypatch.setattr(bench_snapshot, "run_json", fake_run_json)
-    got = bench_snapshot.bench("imd", [3, 1, 2])
-    assert [c[c.index("--trace") + 1] for c in calls] == ["0"] * 3 + ["1"]
-    assert all(c[c.index("--seconds") + 1] == "20" for c in calls)
-    summary = got["summary"]
-    assert summary["metrics"] == {"op_p50_ms": {"median": 2.0, "min": 1.0}}
-    assert summary["raw"] == {"op_p50_ms": {"median": 4.0, "min": 2.0}}
-    assert (summary["attempted"], summary["failed"]) == (12, 2)
-    assert got["trace"] == {"seed": 3, "correct": True,
-                            "metrics": {"trace.ops": 5}, "overhead": 1.5}
-
-
 def test_bench_snapshot_records_the_environment():
-    env = bench_snapshot.environment()
+    env = bench_snapshot.environment(bench_snapshot.ROOT)
     assert env["numpy"] == np.__version__
     assert env["nproc"] >= 1 and env["python"]
 
@@ -74,13 +48,16 @@ def test_bench_snapshot_records_the_environment():
 def fake_paired_runner(calls, before_root):
     """A ``run_json`` stub for two trees: the tree is read from the run.py
     path; the before tree's op_p50_ms is 2.0 scaled and 3.0 raw, the after
-    tree's 1.5 and 2.7 except in its third run, where it is 2.5 and 3.3."""
+    tree's 1.5 and 2.7 except in its third run, where it is 2.5 and 3.3;
+    peak_rss_mb is 40 + seed scaled and 30 + seed raw on both trees, and
+    setup_s has no raw value. Every run must last 20 s."""
     counts = {"after": 0, "before": 0}
 
     def run_json(cmd):
         side = ("before" if Path(cmd[1]).parent.parent == before_root
                 else "after")
         seed, trace = int(cmd[cmd.index("--seed") + 1]), cmd[-1]
+        assert cmd[cmd.index("--seconds") + 1] == "20"
         calls.append((side, seed, trace))
         if trace == "1":
             return ({"tracing": {"overhead": 1.2}},
@@ -90,11 +67,13 @@ def fake_paired_runner(calls, before_root):
         slow = side == "before" or counts[side] == 3
         scaled, raw = ((2.0, 3.0) if side == "before"
                        else (2.5, 3.3) if slow else (1.5, 2.7))
-        return ({"raw": {"op_p50_ms": raw, "setup_s": None},
+        return ({"raw": {"op_p50_ms": raw, "setup_s": None,
+                         "peak_rss_mb": 30.0 + seed},
                  "slowdown": 1.0, "problems": []},
                 {"correct": True, "attempted": 4, "failed": 1,
                  "metrics": {"op_p50_ms": {"value": scaled, "unit": "ms"},
-                             "peak_rss_mb": {"value": 40.0, "unit": "MB"}}})
+                             "peak_rss_mb": {"value": 40.0 + seed,
+                                             "unit": "MB"}}})
     return run_json
 
 
@@ -112,14 +91,27 @@ def test_paired_runs_alternate_and_give_the_ratios(monkeypatch, tmp_path):
     assert [c for c in calls if c[2] == "1"] == [("after", 1, "1"),
                                                  ("before", 1, "1")]
 
+    for side in ("after", "before"):
+        assert [r["seed"] for r in sides[side]["runs"]] == [1, 1, 7, 7]
+        summary = sides[side]["summary"]
+        assert (summary["attempted"], summary["failed"]) == (16, 4)
+        assert summary["metrics"]["peak_rss_mb"] == {"median": 44.0,
+                                                     "min": 41.0}
+        assert summary["raw"]["peak_rss_mb"] == {"median": 34.0, "min": 31.0}
+        assert "setup_s" not in summary["raw"]  # no run has a value
+        assert sides[side]["trace"] == {"seed": 1, "correct": True,
+                                        "metrics": {"trace.ops": 5},
+                                        "overhead": 1.2}
+    assert sides["after"]["summary"]["metrics"]["op_p50_ms"] == {
+        "median": 1.5, "min": 1.5}
+    assert sides["before"]["summary"]["raw"]["op_p50_ms"] == {
+        "median": 3.0, "min": 3.0}
+
     calls.clear()
-    bench_snapshot.paired_bench("controller", [1], 2, trees, "before")
+    bench_snapshot.paired_bench("controller", [1], 2, trees, 1)
     assert [c[0] for c in calls] == ["before", "after", "after", "before",
                                      "before", "after"]
     assert [c[2] for c in calls] == ["0", "0", "0", "0", "1", "1"]
-    for side in ("after", "before"):
-        assert [r["seed"] for r in sides[side]["runs"]] == [1, 1, 7, 7]
-        assert sides[side]["summary"]["failed"] == 4
 
     got = bench_snapshot.pair_stats(sides["after"]["runs"],
                                     sides["before"]["runs"],
@@ -136,7 +128,8 @@ def test_paired_runs_alternate_and_give_the_ratios(monkeypatch, tmp_path):
     assert p50["before"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert p50["after"]["median"] == 1.5
     rss = got["peak_rss_mb"]
-    assert rss["scaled"]["wins"] == 0 and "raw" not in rss
+    assert rss["scaled"]["ratios"] == [1.0] * 4 and rss["scaled"]["wins"] == 0
+    assert rss["raw"]["wins"] == 0
     assert got["ops_per_s"] == {"better": "higher"}  # no run reports it
 
 
@@ -177,9 +170,10 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
                         lambda root: {**env, **bench_snapshot.tree_identity(
                             root)})
     monkeypatch.setattr(bench_snapshot, "cli_steps",
-                        lambda roots: [{"step": k} for k in range(len(roots))])
+                        lambda trees: {s: {"step": str(t)}
+                                       for s, t in trees.items()})
     monkeypatch.setattr(bench_snapshot, "startup",
-                        lambda roots: [{"floor": k} for k in range(len(roots))])
+                        lambda trees: {s: {"floor": s} for s in trees})
     monkeypatch.setattr(bench_snapshot, "tier1", lambda root: {"root": str(root)})
     args = argparse.Namespace(tag="T", against=before, pairs=3)
     bench_snapshot.paired(args, [1], ["imd", "controller"],
@@ -192,8 +186,10 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     assert old["environment"]["tree_sha256"] == (
         bench_snapshot.tree_identity(before)["tree_sha256"])
     assert new["environment"]["tree_sha256"] != old["environment"]["tree_sha256"]
-    assert (new["cli_steps"], old["cli_steps"]) == ({"step": 0}, {"step": 1})
-    assert (new["startup"], old["startup"]) == ({"floor": 0}, {"floor": 1})
+    assert (new["cli_steps"], old["cli_steps"]) == ({"step": str(after)},
+                                                    {"step": str(before)})
+    assert (new["startup"], old["startup"]) == ({"floor": "after"},
+                                                {"floor": "before"})
     assert old["tier1"] == {"root": str(before)}
     assert "pairs" not in old
     block = new["pairs"]
@@ -209,3 +205,61 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     for snap in (new, old):
         assert len(snap["workloads"]["imd"]["runs"]) == 3
         assert len(snap["workloads"]["controller"]["runs"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tag", "T"],  # a snapshot is always a pair
+    ["--tag", "T", "--against", str(bench_snapshot.ROOT)],
+    ["--tag", "T", "--against", str(bench_snapshot.ROOT / "tools" / "..")],
+], ids=["no-against", "this-checkout", "this-checkout-via-dotdot"])
+def test_snapshot_needs_another_checkout(monkeypatch, capsys, argv):
+    def never(*args):
+        raise AssertionError("a snapshot was started")
+
+    for name in ("paired", "snapshot_head", "run_json"):
+        monkeypatch.setattr(bench_snapshot, name, never)
+    with pytest.raises(SystemExit) as err:
+        bench_snapshot.main(argv)
+    assert err.value.code == 2
+    assert "--against" in capsys.readouterr().err
+
+
+def test_cli_steps_and_startup_take_turns_per_repeat(monkeypatch, tmp_path):
+    trees = {"after": bench_snapshot.ROOT, "before": make_tree(tmp_path)}
+    side_of = {str(root / "src"): side for side, root in trees.items()}
+    steps = []
+
+    def run_steps(workdir):
+        steps.append(side_of[os.environ["PYTHONPATH"].split(os.pathsep)[0]])
+        yield "gen", argparse.Namespace(returncode=0), 0.5
+        yield "calibrate", argparse.Namespace(returncode=1), 1.5
+
+    monkeypatch.setattr(cli_artifacts, "run_steps", run_steps)
+    monkeypatch.setattr(cli_artifacts, "STEPS", [("gen", []), ("calibrate", [])])
+    monkeypatch.setattr(cli_artifacts, "EXPECTED_EXIT", {"calibrate": 1})
+    monkeypatch.setattr(bench_snapshot, "load_cli_artifacts",
+                        lambda: cli_artifacts)
+    got = bench_snapshot.cli_steps(trees)
+    assert steps == ["after", "before", "before", "after", "after", "before"]
+    assert got["before"] == {
+        "gen": {"median": 0.5, "min": 0.5, "exit": [0], "expected_exit": 0},
+        "calibrate": {"median": 1.5, "min": 1.5, "exit": [1],
+                      "expected_exit": 1}}
+
+    runs = []
+
+    def run(cmd, cwd, env, check):
+        runs.append((cmd[-1], side_of[env["PYTHONPATH"].split(os.pathsep)[0]]))
+        assert cwd == trees[runs[-1][1]]
+
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", run)
+    got = bench_snapshot.startup(trees)
+    per_code = bench_snapshot.STARTUP_REPEATS
+    assert len(runs) == 2 * per_code * len(bench_snapshot.STARTUP)
+    for k, (_, code) in enumerate(bench_snapshot.STARTUP):
+        turns = runs[2 * per_code * k:2 * per_code * (k + 1)]
+        assert [c for c, _ in turns] == [code] * 2 * per_code
+        assert [side for _, side in turns] == (
+            ["after", "before", "before", "after"] * per_code)[:2 * per_code]
+    assert set(got) == {"after", "before"}
+    assert set(got["after"]) == {label for label, _ in bench_snapshot.STARTUP}

@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Record one benchmark snapshot of this checkout in ``BENCH_<tag>.json``,
-or a paired snapshot of this checkout and another one.
+"""Record a paired benchmark snapshot of this checkout and another one in
+``BENCH_<tag>.json`` and ``BENCH_<tag>parent.json``.
 
 Usage::
 
-    python tools/bench_snapshot.py --tag T [--seeds 1,2,3] [--workloads W,...]
     python tools/bench_snapshot.py --tag T --against DIR [--pairs N] \
         [--seeds 1,2,3] [--workloads W,...]
 
-Run from anywhere; the checkout is the one this file lives in, and the files
-are written at its root. The snapshot holds:
+Run from anywhere; this checkout is the one this file lives in, and both
+files are written at its root. ``DIR`` is a second checkout of this
+repository, for example a ``git clone`` of the parent commit, and
+``BENCH_<T>parent.json`` describes it; ``DIR`` may not be this checkout. To
+snapshot one commit alone, pair it against a clone of itself: the A/A pair
+records the host's spread beside the figures. Each file holds, for its tree:
 
-* each ``BENCHMARK.json`` workload, run once per seed as a subprocess of
+* each ``BENCHMARK.json`` workload, run N times per seed as a subprocess of
   ``perfbench/run.py --seconds 20 --trace 0``: every run's result, and per
-  metric the median and min over seeds of the scaled and the raw values,
+  metric the median and min over runs of the scaled and the raw values,
   with ``attempted`` and ``failed`` summed;
 * one ``--trace 1`` run per workload, on the first seed: the layer table
   and the work counts;
@@ -23,31 +26,27 @@ are written at its root. The snapshot holds:
   hfpa``, median and min of 7;
 * the wall time of the tier-1 suite and its summary line;
 * the environment: CPU, Python, numpy, and OpenBLAS's core type (from a
-  child run with ``OPENBLAS_VERBOSE=2``) and thread count.
+  child run with ``OPENBLAS_VERBOSE=2``) and thread count; and the tree:
+  the git commit and dirty flag, when the tree is a git checkout, and a
+  sha256 over its ``src/`` and ``perfbench/`` files.
 
-Each file names its tree: the git commit and dirty flag, when the tree is a
-git checkout, and a sha256 over its ``src/`` and ``perfbench/`` files.
+The two trees take turns under one rule: in each repeat both run, and the
+side that leads runs first in the even repeats and second in the odd ones.
+A workload's runs go back to back per pair, and the side that leads
+alternates from one workload to the next; its two ``--trace 1`` runs go in
+that order. The start-up floor and the CLI steps take turns per repeat, led
+by this tree; the tier-1 suite runs once per tree. ``BENCH_<T>.json`` adds
+a ``pairs`` block: for each workload and end-to-end metric, the
+after/before ratio of the scaled and of the raw values in every pair, their
+median and quartiles, the count of pairs in which this tree is better, and
+the medians and quartiles of both trees' scaled values. Two snapshots
+taken apart, even minutes apart, do not resolve a change smaller than the
+host's drift; a paired one does.
 
-With ``--against DIR`` the snapshot is paired. ``DIR`` is a second checkout
-of this repository, for example a clone at the parent commit, and
-``BENCH_<T>parent.json`` describes it. For each workload and seed, the two
-trees' ``perfbench/run.py`` runs go back to back N times, and which tree
-runs first alternates from one pair to the next. The tree that leads
-alternates from one workload to the next, and the workload's two ``--trace
-1`` runs go in its order. The start-up floor and the CLI steps alternate
-per repeat; the tier-1 suite runs once per tree.
-``BENCH_<T>.json`` adds a ``pairs`` block: for each workload and
-end-to-end metric, the after/before ratio of the scaled and of the raw
-values in every pair, their median and quartiles, the count of pairs in
-which this tree is better, and the medians and quartiles of both trees'
-scaled values. Two snapshots taken apart, even minutes apart, do not
-resolve a change smaller than the host's drift; a paired one does.
-
-It edits nothing under ``perfbench/``. Compare two snapshots only when both
-were taken on the same machine: the host's speed moves between runs (see
-``perfbench/README.md``), so read medians against the quartile spreads
-there. A snapshot took about two and a half minutes at three seeds on a
-2-core host.
+It edits nothing under ``perfbench/``. The host's speed moves between runs
+(see ``perfbench/README.md``), so read the ratios against their quartiles.
+Ten pairs of one workload and seed take about eight minutes on a 2-core
+host.
 """
 from __future__ import annotations
 
@@ -120,7 +119,7 @@ def run_json(cmd):
     return json.loads(report), json.loads(result)
 
 
-def seeded_run(workload, seed, trace, root=ROOT):
+def seeded_run(workload, seed, trace, root):
     """One ``perfbench/run.py`` run of the tree at ``root``: its report and
     its result."""
     return run_json([
@@ -156,14 +155,6 @@ def summarize(runs):
     return summary
 
 
-def bench(workload, seeds):
-    """The seeded runs of one workload and their per-metric summary."""
-    runs = [run_record(seed, *seeded_run(workload, seed, 0))
-            for seed in seeds]
-    trace = trace_record(seeds[0], *seeded_run(workload, seeds[0], 1))
-    return {"runs": runs, "summary": summarize(runs), "trace": trace}
-
-
 def quartiles(values):
     """(q1, median, q3), inclusive method; a lone value is all three."""
     if len(values) < 2:
@@ -172,25 +163,32 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def paired_bench(workload, seeds, pairs, trees, first=AFTER):
-    """Both trees' seeded runs of one workload, run in alternating pairs
-    led by ``first``; the two ``--trace 1`` runs go in ``first``'s order.
+def turns(rep):
+    """The two sides in their order in repeat ``rep``: this tree runs first
+    in the even repeats and second in the odd ones."""
+    return (AFTER, BEFORE) if rep % 2 == 0 else (BEFORE, AFTER)
 
-    Returns each side's ``bench``-shaped record and the order of the pairs.
+
+def paired_bench(workload, seeds, pairs, trees, lead=0):
+    """Both trees' seeded runs of one workload, ``pairs`` per seed, the
+    pairs taking repeats ``lead``, ``lead + 1``, ... of ``turns``; the two
+    ``--trace 1`` runs go in repeat ``lead``'s order.
+
+    Returns each side's record (its runs, their summary and its trace run)
+    and the order of the pairs.
     """
-    runs = {AFTER: [], BEFORE: []}
-    lead = (AFTER, BEFORE) if first == AFTER else (BEFORE, AFTER)
+    runs = {side: [] for side in trees}
     log = []
     for i, seed in enumerate(s for s in seeds for _ in range(pairs)):
-        order = lead if i % 2 == 0 else lead[::-1]
+        order = turns(lead + i)
         for side in order:
             runs[side].append(run_record(
                 seed, *seeded_run(workload, seed, 0, trees[side])))
         log.append({"seed": seed, "first": order[0]})
-    traces = {side: trace_record(seeds[0], *seeded_run(
-        workload, seeds[0], 1, trees[side])) for side in lead}
     sides = {side: {"runs": runs[side], "summary": summarize(runs[side]),
-                    "trace": traces[side]} for side in runs}
+                    "trace": trace_record(seeds[0], *seeded_run(
+                        workload, seeds[0], 1, trees[side]))}
+             for side in turns(lead)}
     return sides, log
 
 
@@ -240,43 +238,44 @@ def on_tree(root):
             os.environ["PYTHONPATH"] = saved
 
 
-def cli_steps(roots=(ROOT,)):
+def cli_steps(trees):
     """Wall seconds of each walkthrough step per tree, median and min of
-    repeats, with the exit codes seen; the trees alternate per repeat."""
+    repeats, with the exit codes seen; the trees take turns per repeat."""
     cli_artifacts = load_cli_artifacts()
     names = [name for name, _ in cli_artifacts.STEPS]
-    times = [{name: [] for name in names} for _ in roots]
-    exits = [{name: set() for name in names} for _ in roots]
+    times = {side: {name: [] for name in names} for side in trees}
+    exits = {side: {name: set() for name in names} for side in trees}
     for rep in range(CLI_REPEATS):
-        for k in (range(len(roots)) if rep % 2 == 0
-                  else reversed(range(len(roots)))):
-            with tempfile.TemporaryDirectory() as tmp, on_tree(roots[k]):
+        for side in turns(rep):
+            with tempfile.TemporaryDirectory() as tmp, on_tree(trees[side]):
                 for name, proc, seconds in cli_artifacts.run_steps(Path(tmp)):
-                    times[k][name].append(seconds)
-                    exits[k][name].add(proc.returncode)
-    return [{name: {**stats(times[k][name]), "exit": sorted(exits[k][name]),
-                    "expected_exit": cli_artifacts.EXPECTED_EXIT.get(name, 0)}
-             for name in names} for k in range(len(roots))]
+                    times[side][name].append(seconds)
+                    exits[side][name].add(proc.returncode)
+    expected = cli_artifacts.EXPECTED_EXIT
+    return {side: {name: {**stats(times[side][name]),
+                          "exit": sorted(exits[side][name]),
+                          "expected_exit": expected.get(name, 0)}
+                   for name in names} for side in trees}
 
 
-def startup(roots=(ROOT,)):
+def startup(trees):
     """Wall seconds of a bare interpreter, ``import numpy`` and ``import
-    hfpa`` per tree, median and min of repeats; the trees alternate per
+    hfpa`` per tree, median and min of repeats; the trees take turns per
     repeat."""
-    times = [{label: [] for label, _ in STARTUP} for _ in roots]
+    times = {side: {label: [] for label, _ in STARTUP} for side in trees}
     for label, code in STARTUP:
         for rep in range(STARTUP_REPEATS):
-            for k in (range(len(roots)) if rep % 2 == 0
-                      else reversed(range(len(roots)))):
-                env = dict(os.environ, PYTHONPATH=tree_pythonpath(roots[k]))
+            for side in turns(rep):
+                env = dict(os.environ, PYTHONPATH=tree_pythonpath(trees[side]))
                 t0 = time.perf_counter()
-                subprocess.run([sys.executable, "-c", code], cwd=roots[k],
+                subprocess.run([sys.executable, "-c", code], cwd=trees[side],
                                env=env, check=True)
-                times[k][label].append(time.perf_counter() - t0)
-    return [{label: stats(t[label]) for label, _ in STARTUP} for t in times]
+                times[side][label].append(time.perf_counter() - t0)
+    return {side: {label: stats(t[label]) for label, _ in STARTUP}
+            for side, t in times.items()}
 
 
-def tier1(root=ROOT):
+def tier1(root):
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=root,
                           env=dict(os.environ,
@@ -315,7 +314,7 @@ def tree_identity(root):
     }
 
 
-def environment(root=ROOT):
+def environment(root):
     proc = subprocess.run([sys.executable, "-c", ENV_PROBE], cwd=root,
                           env=dict(os.environ, OPENBLAS_VERBOSE="2"),
                           capture_output=True, text=True, check=True)
@@ -364,29 +363,26 @@ def paired(args, seeds, workloads, better):
     ``BENCH_<tag>.json``, with the ``pairs`` block, for this one. The tree
     that leads the pairs alternates from one workload to the next."""
     trees = {AFTER: ROOT, BEFORE: args.against}
-    against_tag = f"{args.tag}parent"
-    snaps = {AFTER: snapshot_head(args.tag, ROOT, seeds),
-             BEFORE: snapshot_head(against_tag, args.against, seeds)}
-    block = {"against": {"tag": against_tag, **tree_identity(args.against)},
+    tags = {AFTER: args.tag, BEFORE: f"{args.tag}parent"}
+    snaps = {side: snapshot_head(tags[side], trees[side], seeds)
+             for side in trees}
+    block = {"against": {"tag": tags[BEFORE], **tree_identity(args.against)},
              "pairs_per_seed": args.pairs, "workloads": {}}
     for k, workload in enumerate(workloads):
         print(f"{workload} ({args.pairs} pairs per seed) ...", flush=True)
-        sides, log = paired_bench(workload, seeds, args.pairs, trees,
-                                  AFTER if k % 2 == 0 else BEFORE)
-        for side in sides:
-            snaps[side]["workloads"][workload] = sides[side]
+        sides, log = paired_bench(workload, seeds, args.pairs, trees, k)
+        for side, record in sides.items():
+            snaps[side]["workloads"][workload] = record
         block["workloads"][workload] = {
             "order": log,
             "metrics": pair_stats(sides[AFTER]["runs"],
                                   sides[BEFORE]["runs"], better)}
     print("cli steps ...", flush=True)
-    roots = (ROOT, args.against)
-    for side, steps in zip((AFTER, BEFORE), cli_steps(roots)):
-        snaps[side]["cli_steps"] = steps
-    for side, floor in zip((AFTER, BEFORE), startup(roots)):
-        snaps[side]["startup"] = floor
+    for key, measure in (("cli_steps", cli_steps), ("startup", startup)):
+        for side, record in measure(trees).items():
+            snaps[side][key] = record
     print("tier-1 ...", flush=True)
-    for side in (AFTER, BEFORE):
+    for side in trees:
         snaps[side]["tier1"] = tier1(trees[side])
     snaps[AFTER]["pairs"] = block
     write(snaps[BEFORE])
@@ -400,7 +396,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default=None,
                         help="comma-separated subset of BENCHMARK.json's "
                              "workloads (default: all)")
-    parser.add_argument("--against", type=Path, default=None,
+    parser.add_argument("--against", type=Path, required=True,
                         help="a second checkout to pair this one against")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
@@ -416,26 +412,16 @@ def main(argv=None) -> int:
     workloads = known if args.workloads is None else args.workloads.split(",")
     if not set(workloads) <= set(known):
         parser.error(f"--workloads takes names from {known}")
-    if args.against is not None:
-        args.against = args.against.resolve()
-        if not (args.against / "perfbench" / "run.py").is_file():
-            parser.error(f"{args.against} is not a checkout of this repo")
-        if args.pairs < 1:
-            parser.error("--pairs must be >= 1")
-        paired(args, seeds, workloads,
-               {m["name"]: m["better"] for m in bench_spec["end_to_end"]})
-        return 0
-
-    snapshot = snapshot_head(args.tag, ROOT, seeds)
-    for workload in workloads:
-        print(f"{workload} ...", flush=True)
-        snapshot["workloads"][workload] = bench(workload, seeds)
-    print("cli steps ...", flush=True)
-    snapshot["cli_steps"] = cli_steps()[0]
-    snapshot["startup"] = startup()[0]
-    print("tier-1 ...", flush=True)
-    snapshot["tier1"] = tier1()
-    write(snapshot)
+    args.against = args.against.resolve()
+    if not (args.against / "perfbench" / "run.py").is_file():
+        parser.error(f"{args.against} is not a checkout of this repo")
+    if args.against == ROOT:
+        parser.error("--against must name another directory than this "
+                     "checkout: the directory moves peak_rss_mb")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    paired(args, seeds, workloads,
+           {m["name"]: m["better"] for m in bench_spec["end_to_end"]})
     return 0
 
 

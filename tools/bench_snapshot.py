@@ -45,8 +45,8 @@ host's drift; a paired one does.
 
 It edits nothing under ``perfbench/``. The host's speed moves between runs
 (see ``perfbench/README.md``), so read the ratios against their quartiles.
-Ten pairs of one workload and seed take about eight minutes on a 2-core
-host.
+Ten pairs of all three workloads on one seed took about ten minutes on a
+2-core host, both tier-1 runs included.
 """
 from __future__ import annotations
 

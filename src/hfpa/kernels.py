@@ -27,13 +27,14 @@ numpy, on one-lane arrays: numpy's SIMD ``pow`` and ``arccos`` differ from
 libm's in the last bits for a few percent of arguments, and ``**`` takes
 numpy's exponent-2 and exponent-0.5 fast paths, as it does for a block.
 
-Two per-sample passes over a long block run as two halves at once through
-``halves``: ``pa_pipeline``'s law and ``measure.measure_imd``'s noise and
-window pass. ``simulate``'s ``|x|`` and output scale and ``measure_imd``'s
-``|x|^2`` run serially; ``SPLIT_MIN`` gives the timings behind both
-choices. From ``SPLIT_MIN`` samples up, with more than one CPU, the calling
-thread runs the first half and a worker thread the second, in slices of the
-caller's workspace rows and preallocated results. Each split step is elementwise and
+Three passes over a long block run as two halves at once through
+``halves``: ``pa_pipeline``'s law with the output scale, and
+``measure.measure_imd``'s noise and window pass and its column FFT. The
+envelope ``|x|`` and ``measure_imd``'s ``|x|^2`` run serially;
+``SPLIT_MIN`` gives the timings behind both choices. From ``SPLIT_MIN``
+samples up, with more than one CPU, the calling thread runs the first half
+of the rows and a worker thread the second, in slices of the caller's
+workspace rows and preallocated results. Each split step works on each leading row alone and
 the worker runs under the caller's ``np.geterr()``, so each sample gets the
 bits and error handling of one pass; the block sums are taken over the full
 rows after the worker has finished. The worker is one thread per process,
@@ -54,30 +55,35 @@ _local = threading.local()
 #: Longest block that ``_is_constant`` compares as bytes.
 _BYTES_COMPARE_MAX = 4096
 
-#: Shortest block whose law and IMD noise and window pass ``halves`` splits.
-#: Waking the worker costs about 0.1-0.25 ms on a 2-core VM: in a sweep of
+#: Shortest block, in samples, whose passes ``halves`` splits. Waking the
+#: worker costs about 0.1-0.25 ms on a 2-core VM: in a sweep of
 #: ``pamodel.simulate`` and ``measure.measure_imd`` the split lost at 32768
 #: samples and below, and won from 65536 up. At 131072 samples (2-core host,
 #: two timing harnesses) the law took 0.52-0.63 and the IMD noise and window
-#: pass 0.64-0.79 of their serial time split. ``simulate``'s ``|x|``
-#: (1.27-1.53) and ``measure_imd``'s ``|x|^2`` (1.11-1.24) lose to the
-#: wake-up, and ``simulate``'s output scale (0.80-0.97) saves at most 0.2 ms
-#: of a 9.5 ms two-tone point, so those three stay serial.
+#: pass 0.64-0.79 of their serial time split. ``measure_imd``'s column FFT
+#: took 0.62-0.67 of its serial time split at 131072 samples, 0.76-0.97 at
+#: 65536 and 1.17-1.62 (a loss) at 32768. The output scale (0.80-0.97 split
+#: on its own) runs inside the law's split, with no wake of its own. Only
+#: the envelope ``|x|`` (1.27-1.53) and ``measure_imd``'s ``|x|^2``
+#: (1.11-1.24), which lose to the wake-up, stay serial.
 SPLIT_MIN = 65536
 
 #: ``(pid, executor)`` of this process's worker thread, once started.
 _worker = (None, None)
 _worker_lock = threading.Lock()
 
+#: The smallest positive float, a subnormal.
+_TINY = math.ulp(0.0)
+
 
 def workspace(n):
     """This thread's five float64 scratch rows of length ``n``: a tuple of
     the row views of one C-ordered ``(5, n)`` array, contents undefined.
 
-    Row 0 is the caller's (``pamodel.simulate`` keeps the envelope there);
-    ``pa_pipeline`` uses rows 1-4. ``biasctl.classify_envelope`` uses rows
-    0-1 and is never called inside ``simulate`` or ``measure.measure_imd``
-    (rows 0-2), whose rows it shares. The rows of the most recent length are
+    ``pa_pipeline`` uses all five: the envelope in row 0, its products in
+    rows 1-4. ``biasctl.classify_envelope`` uses rows 0-1 and is never
+    called inside ``pamodel.simulate`` or ``measure.measure_imd`` (rows
+    0-2), whose rows it shares. The rows of the most recent length are
     kept while ``n <= CACHE_MAX_SAMPLES``. Longer ones are only weakly
     referenced, so nested calls in one operation share them and they are
     freed with their last view.
@@ -122,22 +128,25 @@ def _in_errstate(err, fn, rows, args):
 def halves(fn, rows, *args):
     """``fn(*rows, *args)``, over the two halves of a long block at once.
 
-    ``rows`` are arrays of one length whose samples ``fn`` reads and writes
-    elementwise only, so each sample gets the same bits either way. From
-    ``SPLIT_MIN`` samples up, with more than one CPU, this thread runs
-    ``fn`` on the first half of every row and the process's worker thread
-    on the second, under this thread's ``np.geterr()``; below, ``fn`` runs
-    once on the whole rows. The worker has finished its half when this
-    returns or raises; an exception of this thread's half wins over the
-    worker's. Only ``pa_pipeline``'s law and ``measure_imd``'s noise and
-    window pass call it; ``SPLIT_MIN`` gives their timings and those of the
-    passes that stay serial.
+    ``rows`` are arrays of one length along their first axis, whose leading
+    rows ``fn`` reads and writes independently of one another (the samples
+    of 1-D rows, the columns of a 2-D view), so each gets the same bits
+    either way. From ``SPLIT_MIN`` samples (``rows[0].size``) up, with more
+    than one CPU and at least two leading rows, this thread runs ``fn`` on
+    the first half of every row along the first axis and the process's
+    worker thread on the second, under this thread's ``np.geterr()``;
+    otherwise ``fn`` runs once on the whole rows. The worker has finished
+    its half when this returns or raises; an exception of this thread's
+    half wins over the worker's. It has three callers: ``pa_pipeline``'s law
+    with the output scale, and ``measure_imd``'s noise and window pass and
+    column FFT; ``SPLIT_MIN`` gives their timings and those of the passes
+    that stay serial.
     """
-    n = len(rows[0])
-    if n < SPLIT_MIN or _cpu_count() < 2:
+    first = rows[0]
+    if first.size < SPLIT_MIN or len(first) < 2 or _cpu_count() < 2:
         fn(*rows, *args)
         return
-    h = n // 2
+    h = len(first) // 2
     second = _executor().submit(_in_errstate, np.geterr(), fn,
                                 [r[h:] for r in rows], args)
     try:
@@ -199,14 +208,14 @@ def _is_constant(env):
 
 
 def _constant_pipeline(e, n, g, a_sat, idq, params):
-    """``pa_pipeline`` of ``n`` samples of level ``e``, the law evaluated
-    once (see the module docstring).
+    """The swing ``a`` and the three law sums of ``pa_pipeline`` over ``n``
+    samples of level ``e``, the law evaluated once (see the module
+    docstring).
 
     Each step keeps the array form's expression and operand order, so each
     value has the bits of every lane of the array form. One ``errstate``
     covers the whole step: a power past the float range gives ``a_sat``, as
-    in ``rapp``'s fallback. ``aout`` is row 0 of the fresh ``(4, n)`` block
-    whose rows 1-3 give the sums.
+    in ``rapp``'s fallback. The sums are those of a fresh ``(3, n)`` block.
     """
     s2 = 2.0 * params.smoothness
     with np.errstate(over="ignore"):
@@ -221,52 +230,68 @@ def _constant_pipeline(e, n, g, a_sat, idq, params):
         i1 = (2.0 * idq * sin_thc + ipk * (thc + sin_thc * x)) / math.pi
         rp = (np.array([a / a_sat]) ** params.shape_exp).item()
     shape = 1.0 - params.shape_beta * rp / (1.0 + params.shape_sat * rp)
-    rows = np.empty((4, n))
-    rows.T[...] = (a, a * a, a * i1, idc * shape)
-    return (rows[0], *np.add.reduce(rows[1:], axis=1).tolist())
+    rows = np.empty((3, n))
+    rows.T[...] = (a * a, a * i1, idc * shape)
+    return (a, *np.add.reduce(rows, axis=1).tolist())
 
 
-def pa_pipeline(env, g, a_sat, idq, params):
-    """Run the per-sample amplifier pipeline over an envelope block.
+def pa_pipeline(x, g, a_sat, idq, params):
+    """Run the per-sample amplifier pipeline over a block's samples ``x``.
 
     ``g, a_sat`` come from ``pamodel.gain_and_swing``; ``params`` gives
-    ``s``, ``rload`` and the shaping terms. For each envelope sample ``e``:
+    ``s``, ``rload`` and the shaping terms. For each envelope sample
+    ``e = |x|``:
 
     * soft-limited output swing ``a = rapp(g*e, a_sat, s)``
+    * output sample ``x * a/max(e, tiny)``, ``tiny`` the smallest subnormal:
+      each sample keeps its phase
     * drain-current demand ``ipk = a / rload`` fed to the clipped-cosine
       Fourier components (DC ``idc`` and fundamental ``i1``)
     * overdrive shaping factor ``1 - beta*r^p / (1 + c*r^p)``, ``r = a/a_sat``
 
-    Returns the per-sample ``a`` (fresh memory, never the workspace) and
-    ``(sum(a^2), sum(a*i1), sum(idc*shape), sum(e^2))``. ``env`` may be row
-    0 of ``workspace(env.size)``; rows 1-4 are overwritten.
+    Returns the output samples (fresh memory, never the workspace) and
+    ``(sum(a^2), sum(a*i1), sum(idc*shape), sum(e^2))``. The rows of
+    ``workspace(x.size)`` are overwritten.
 
     Only this function tells a constant envelope (``_is_constant``) from a
     varying one, which pays one comparison for it. A constant one is
     evaluated once, with the bits of the block form (see the module
-    docstring), and its ``sum(e^2)`` is ``np.dot``, for the calibration's
-    bits. A varying block's four sums are one reduction, with no BLAS call;
-    from ``SPLIT_MIN`` samples its law runs as two halves (``halves``; the
-    timings are at ``SPLIT_MIN``).
+    docstring), its output is ``x`` times the one scale, and its ``sum(e^2)``
+    is ``np.dot``, for the calibration's bits. A varying block's four sums
+    are one reduction, with no BLAS call; from ``SPLIT_MIN`` samples its law
+    and output scale run as two halves (``halves``; the timings are at
+    ``SPLIT_MIN``), ``|x|`` serially.
     """
+    env, t1, t2, t3, t4 = workspace(x.size)
+    np.abs(x, env)
     if _is_constant(env):
-        return (*_constant_pipeline(env.item(0), env.size, g, a_sat, idq,
-                                    params), float(np.dot(env, env)))
-    _, t1, t2, t3, t4 = workspace(env.size)
+        e = env.item(0)
+        a, *sums = _constant_pipeline(e, env.size, g, a_sat, idq, params)
+        # numpy casts the scale to (s, +0) as it casts a row of it, so each
+        # sample has the bits of the block form's
+        return (np.multiply(x, a / max(e, _TINY)), *sums,
+                float(np.dot(env, env)))
     aout = np.empty(env.size)
-    halves(_pipeline_rows, (env, aout, t1, t2, t3, t4), g, a_sat, idq, params)
+    out = np.empty(env.size, dtype=np.complex128)
+    halves(_pipeline_rows, (x, out, env, aout, t1, t2, t3, t4), g, a_sat,
+           idq, params)
     # the products fill rows 1-4, adjacent rows of the workspace array
-    return (aout, *np.add.reduce(t1.base[1:5], axis=1).tolist())
+    return (out, *np.add.reduce(t1.base[1:5], axis=1).tolist())
 
 
-def _pipeline_rows(env, aout, t1, t2, t3, t4, g, a_sat, idq, params):
-    """``pa_pipeline``'s law over rows of one span: the swing into ``aout``
-    and the products ``aout^2``, ``aout*i1``, ``idc*shape``, ``env^2`` into
-    ``t1``-``t4``."""
+def _pipeline_rows(x, out, env, aout, t1, t2, t3, t4, g, a_sat, idq, params):
+    """``pa_pipeline``'s law over rows of one span: the swing into ``aout``,
+    the output samples into ``out``, and the products ``aout^2``,
+    ``aout*i1``, ``idc*shape``, ``env^2`` into ``t1``-``t4``."""
     # a ufunc's third positional argument is its out row: an ``out=``
     # keyword costs about 0.25 us more per call, which a 64-sample block
     # feels (np.maximum takes only the keyword)
     rapp(np.multiply(g, env, t1), a_sat, params.smoothness, aout)
+    # out = x * aout/env. env is floored at the smallest subnormal, which no
+    # nonzero env is below; a zero sample (aout = 0) gets scale 0, and x * 0
+    # the signed zeros that any scale >= 0 gives, with no 0/0; those signs
+    # are part of the output, so the multiply stays complex-by-float
+    np.multiply(x, np.divide(aout, np.maximum(env, _TINY, out=t1), t1), out)
     ipk = np.divide(aout, params.rload, t1)
     # clipped cosine i(th) = max(0, idq + ipk*cos th); flooring ipk at idq
     # pins the arccos argument at -1 for the unclipped (ipk <= idq) and

@@ -142,13 +142,34 @@ def _analysis_constants(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return win, unit
 
 
+def _pairs(c):
+    """The complex row ``c`` as a ``(k, 2)`` float64 view of its memory."""
+    return c[:, None].view(np.float64)
+
+
 def _noisy_windowed(x, unit, win, z, floor):
     """``z = (x + floor*unit/sqrt(2)) * win``; no noise when ``floor`` is
-    None."""
+    None.
+
+    The steps run as real operations on ``(k, 2)`` float views of the
+    complex rows, with no complex divide and no float-to-complex cast of the
+    window (numpy's 128 KiB cast buffer). For ``a + bj``, numpy's complex
+    divide by ``c + 0j`` computes ``((a + b*0) * (1/c), (b - a*0) * (1/c))``
+    and its product with ``w + 0j`` computes ``(a*w - b*0, a*0 + b*w)``, so
+    each component has the bits of the complex form, except that the sign
+    of an exactly zero component can differ, which no ``|bin|`` shows. That holds wherever
+    ``measure_imd``'s ``|x|^2`` stays finite. The window multiplies each
+    component's column on its own: numpy runs a broadcast of ``win[:, None]``
+    over the pairs with a buffered inner loop of two, as slow as the complex
+    form.
+    """
+    zf, xf = _pairs(z), _pairs(x)
     if floor is not None:
-        x = np.add(x, np.divide(np.multiply(floor, unit, out=z), math.sqrt(2),
-                                out=z), out=z)
-    np.multiply(x, win, out=z)
+        np.multiply(_pairs(unit), floor, zf)
+        zf *= 1.0 / math.sqrt(2)
+        xf = np.add(zf, xf, zf)
+    for part in (0, 1):
+        np.multiply(xf[:, part], win, zf[:, part])
 
 
 #: Upper bound on the column count ``m`` of ``_dft_bins``' decimation. A
@@ -159,6 +180,24 @@ def _noisy_windowed(x, unit, win, z, floor):
 DFT_COLUMNS = 128
 
 
+@functools.lru_cache(maxsize=1)
+def _twiddles(n: int, m: int, ks: Tuple[int, ...]) -> np.ndarray:
+    """The read-only ``(len(ks), m)`` twiddle block of ``_dft_bins``.
+
+    It depends on ``n`` and the bins alone (``m`` follows from ``n``); a
+    sweep analyses the same tones at one length many times.
+    """
+    k = np.array(ks)
+    tw = np.exp(-2j * np.pi * ((k[:, None] * np.arange(m)) % n) / n)
+    tw.flags.writeable = False
+    return tw
+
+
+def _fft_rows(rows: np.ndarray) -> None:
+    """The in-place FFT of each row of ``rows``."""
+    np.fft.fft(rows, axis=1, out=rows)
+
+
 def _dft_bins(z: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """DFT bins ``ks`` (each in ``[0, n)``) of the complex row ``z``, which
     it overwrites.
@@ -167,15 +206,18 @@ def _dft_bins(z: np.ndarray, ks: np.ndarray) -> np.ndarray:
     ``n = l*m``, ``m`` the largest divisor of ``n`` not above
     ``DFT_COLUMNS``, ``X[k] = sum_c W_n^(k*c) * F[k mod l, c]``, where ``F``
     holds the l-point DFTs of the m columns ``z[c::m]``. ``F`` is computed
-    in place in ``z``, and the twiddle phases are reduced mod n as integers
-    before the division.
+    in place in ``z``. The columns transform independently, so on a long
+    block they run as two halves (``kernels.halves``; timings at
+    ``kernels.SPLIT_MIN``) with the bits of one pass. The twiddle phases are
+    reduced mod n as integers before the division, and the twiddle block is
+    cached (``_twiddles``).
     """
     n = len(z)
     m = max(d for d in range(1, min(DFT_COLUMNS, n) + 1) if n % d == 0)
     l = n // m
     cols = z.reshape(l, m)
-    np.fft.fft(cols, axis=0, out=cols)
-    tw = np.exp(-2j * np.pi * ((ks[:, None] * np.arange(m)) % n) / n)
+    kernels.halves(_fft_rows, (cols.T,))
+    tw = _twiddles(n, m, tuple(ks.tolist()))
     return np.add.reduce(cols[ks % l] * tw, axis=1)
 
 
@@ -187,13 +229,15 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     fundamental. A flat-top window keeps scalloping loss negligible.
 
     The window and the unit noise draw of the most recent block length stay
-    cached after the call: 24 bytes per sample, 3 MiB at 131072 samples.
+    cached after the call: 24 bytes per sample, 3 MiB at 131072 samples;
+    so does the twiddle block of the most recent length and bins, at most
+    18*128 complex values.
     The analysis runs in the calling thread's ``kernels.workspace``, which
     ``pamodel.simulate`` shares and which adds 40 bytes per sample per
     thread, 5 MiB at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
-    Its noise and window pass runs as two halves on a long block
-    (``kernels.halves``), its ``|x|^2`` serially; ``kernels.SPLIT_MIN`` gives
-    the timings. A tone that is not finite, or not below Nyquist, raises
+    Its noise and window pass and its column FFT run as two halves on a long
+    block (``kernels.halves``), its ``|x|^2`` serially; ``kernels.SPLIT_MIN``
+    gives the timings. A tone that is not finite, or not below Nyquist, raises
     ValueError.
 
     Only the three bins around each tone and product are computed, at most

@@ -305,29 +305,21 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     law and each output-swing sample drives the conduction-current model.
     DC input power can never fall below RF output power (dissipation >= 0).
     ``gain_db`` is None when the input power is zero or overflows; an
-    amplified envelope past the float range saturates at a_sat. Every block
-    sum, ``sum(|x|^2)`` included, comes from ``kernels.pa_pipeline``, which
-    also splits a long block's law (``kernels.halves``); ``|x|`` and the
-    output scale run here, serially (timings at ``kernels.SPLIT_MIN``).
+    amplified envelope past the float range saturates at a_sat. The
+    envelope, the output samples and every block sum, ``sum(|x|^2)``
+    included, come from ``kernels.pa_pipeline``, which splits a long block's
+    law and output scale (``kernels.halves``; timings at
+    ``kernels.SPLIT_MIN``).
     """
     if not isinstance(bias, BiasPoint):
         raise InvalidBias(f"expected BiasPoint, got {type(bias).__name__}")
     g, a_sat = gain_and_swing(bias, params, band)
     n = len(block)
-    env, scale = kernels.workspace(n)[:2]
-    out = np.empty(n, dtype=np.complex128)
     # finite samples whose envelope, amplified envelope or squares overflow
     # saturate without a warning
     with np.errstate(over="ignore"):
-        np.abs(block.samples, env)
-        aout, sum_aout2, sum_vi1, sum_idc, sum_env2 = kernels.pa_pipeline(
-            env, g, a_sat, bias.idq, params)
-        # out = x * aout/env: each sample keeps its phase. env is floored at
-        # the smallest subnormal, which no nonzero env is below; a zero
-        # sample (aout = 0) gets scale 0, and x * 0 the signed zeros that any
-        # scale >= 0 gives, with no 0/0
-        np.divide(aout, np.maximum(env, _TINY, out=scale), scale)
-        np.multiply(block.samples, scale, out)
+        out, sum_aout2, sum_vi1, sum_idc, sum_env2 = kernels.pa_pipeline(
+            block.samples, g, a_sat, bias.idq, params)
     pout = sum_vi1 / (2.0 * n)
     pdc = bias.vdd * sum_idc / n
     pdc = max(pdc, pout)  # waveform shaping never drives dissipation negative
@@ -340,10 +332,6 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     eff = pout / pdc if pdc > 0 else 0.0
     return out_block, PaStats(pout_w=pout, pdc_w=pdc, eff=eff,
                               pdiss_w=pdc - pout, gain_db=gain_db)
-
-
-#: The smallest positive float, a subnormal.
-_TINY = math.ulp(0.0)
 
 
 def efficiency_curve(alphas: Sequence[float]):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hfpa
-from hfpa import kernels
+from hfpa import kernels, measure
 from hfpa.measure import measure_imd
 from hfpa.pamodel import BiasPoint, PaParams, saturated_swing, simulate
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
@@ -25,14 +25,21 @@ PARAMS = PaParams(g0=40.0, rload=0.4, shape_beta=3.0, shape_exp=8.0,
                   shape_sat=20.0)
 SPLIT_MIN = kernels.SPLIT_MIN
 #: Below, at and above ``SPLIT_MIN``; 131073 splits unevenly and is past
-#: ``signalgen.CACHE_MAX_SAMPLES``.
-LENGTHS = (SPLIT_MIN - 1, SPLIT_MIN, 131072, 131073)
+#: ``signalgen.CACHE_MAX_SAMPLES``. 100000 has 125 DFT columns, so its
+#: column halves are uneven (62/63); 65537 is prime: one column, which
+#: ``halves`` does not split.
+LENGTHS = (SPLIT_MIN - 1, SPLIT_MIN, 65537, 100000, 131072, 131073)
 
 
 def two_tone(n, amplitude):
     return generate(WaveformSpec(kind=Kind.TWO_TONE, amplitude=amplitude,
                                  duration_s=n / FS, f1_hz=-1000.0,
                                  f2_hz=1000.0), FS)
+
+
+def dft_columns(n):
+    """``m``, the column count of ``measure._dft_bins`` at ``n`` samples."""
+    return max(d for d in range(1, measure.DFT_COLUMNS + 1) if n % d == 0)
 
 
 def point_bits(block):
@@ -69,11 +76,38 @@ def test_split_and_serial_give_the_same_bits(n, two_cpus, monkeypatch):
             monkeypatch.setattr(kernels, "SPLIT_MIN", split_min)
             del two_cpus[:]
             got[split_min] = point_bits(block)
-            # pa_pipeline's law and measure_imd's noise and window pass; the
-            # cheaper |x|, |x|^2 and output passes run serially
-            assert len(two_cpus) == (2 if n >= split_min else 0)
+            # pa_pipeline's law with the output scale, and measure_imd's
+            # noise and window pass and its column FFT, unless there is one
+            # column; the cheaper |x| and |x|^2 run serially
+            split = 3 if dft_columns(n) > 1 else 2
+            assert len(two_cpus) == (split if n >= split_min else 0)
         assert got[SPLIT_MIN] == got[n + 1]
         assert got[2] == got[n + 1]
+
+
+@pytest.mark.parametrize("n", [131072, 100000, 131071])  # m = 128, 125, 1
+def test_split_column_fft_is_the_serial_in_place_fft(n, two_cpus):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    m = dft_columns(n)
+    ks = np.array([0, 1, 999, n // 3, n - 1])
+    cols = z.copy().reshape(n // m, m)
+    np.fft.fft(cols, axis=0, out=cols)
+    tw = np.exp(-2j * np.pi * ((ks[:, None] * np.arange(m)) % n) / n)
+    want = np.add.reduce(cols[ks % (n // m)] * tw, axis=1)
+    got = measure._dft_bins(z, ks)
+    assert z.tobytes() == cols.tobytes()  # the column spectrum, in place
+    assert got.tobytes() == want.tobytes()
+    # one column is not split
+    assert len(two_cpus) == (1 if m > 1 else 0)
+
+
+def test_fewer_than_two_leading_rows_run_once(two_cpus):
+    shapes = []
+    kernels.halves(lambda rows: shapes.append(rows.shape),
+                   (np.zeros((1, 2 * SPLIT_MIN)),))
+    assert shapes == [(1, 2 * SPLIT_MIN)]
+    assert two_cpus == []
 
 
 def test_the_worker_is_one_thread_of_its_own(two_cpus):

@@ -35,6 +35,51 @@ def two_tone(amplitude=1.0, duration=0.131072, spacing=2000.0):
                                  f2_hz=spacing / 2), FS)
 
 
+def test_noise_and_window_pass_keeps_the_complex_forms_bits():
+    n = 4096
+    win, unit = measure._analysis_constants(n)
+    rng = np.random.default_rng(25)
+    for scale in (1e-150, 1e-3, 1.0, 1e150):
+        x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        z = np.empty(n, dtype=complex)
+        for floor in (None, scale * 1e-6):
+            measure._noisy_windowed(x, unit, win, z, floor)
+            noisy = x if floor is None else x + floor * unit / math.sqrt(2)
+            assert z.tobytes() == (noisy * win).tobytes()
+    # the floor term underflows to zeros of both signs, and x holds them
+    # too: only the sign of an exactly zero component may differ
+    x = np.resize(np.array([complex(re, im) for re in (0.0, -0.0)
+                            for im in (0.0, -0.0)]), n)
+    x[::5] = 1e-320 - 2e-320j
+    tiny = math.ulp(0.0)
+    measure._noisy_windowed(x, unit, win, z, tiny)
+    want = ((x + tiny * unit / math.sqrt(2)) * win).view(np.float64)
+    got = z.view(np.float64)
+    assert np.count_nonzero(want == 0.0) > n  # of 2n components
+    assert np.array_equal(got, want)  # -0.0 == 0.0
+    assert got[want != 0].tobytes() == want[want != 0].tobytes()
+    assert np.abs(z).tobytes() == np.abs(want.view(complex)).tobytes()
+
+
+def test_the_twiddle_block_is_cached_read_only_with_the_fresh_bits():
+    measure._twiddles.cache_clear()
+    n, m, ks = 131072, 128, (0, 1, 999, 43690, 131071)
+    fresh = np.exp(-2j * np.pi * ((np.array(ks)[:, None] * np.arange(m)) % n)
+                   / n)
+    for _ in range(2):
+        tw = measure._twiddles(n, m, ks)
+        assert not tw.flags.writeable
+        assert ([v.hex() for v in tw.view(np.float64).ravel().tolist()]
+                == [v.hex() for v in fresh.view(np.float64).ravel().tolist()])
+    info = measure._twiddles.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # a sweep's second analysis of one length and pair of tones reuses it
+    block = two_tone(amplitude=0.5)
+    measure_imd(block, -1000.0, 1000.0)
+    measure_imd(block, -1000.0, 1000.0)
+    assert measure._twiddles.cache_info().hits == 2
+
+
 def reference_windowed(block):
     """The noisy, windowed block ``measure_imd`` analyses, from a fresh
     window and a fresh noise draw."""
@@ -149,24 +194,25 @@ class TestWorkspaceSharing:
             block.samples.flags.writeable = False  # a write would raise
         kept_input = first.samples.copy()
         out, _, levels = two_tone_point(first)
-        aout = kernels.pa_pipeline(np.abs(first.samples), g, a_sat,
-                                   WS_BIAS.idq, WS_PARAMS)[0]
-        kept = (out.samples.copy(), aout.copy(), list(levels))
+        scaled = kernels.pa_pipeline(first.samples, g, a_sat, WS_BIAS.idq,
+                                     WS_PARAMS)[0]
+        kept = (out.samples.copy(), scaled.copy(), list(levels))
         # the same length again: the same workspace, overwritten
         two_tone_point(second)
-        kernels.pa_pipeline(np.abs(second.samples), g, a_sat, WS_BIAS.idq,
-                            WS_PARAMS)
+        kernels.pa_pipeline(second.samples, g, a_sat, WS_BIAS.idq, WS_PARAMS)
         assert out.samples.tobytes() == kept[0].tobytes()
-        assert aout.tobytes() == kept[1].tobytes()
+        assert scaled.tobytes() == kept[1].tobytes()
         assert levels == kept[2]
         assert first.samples.tobytes() == kept_input.tobytes()
         base = kernels.workspace(len(first))[0].base
-        for result in (out.samples, aout):
+        for result in (out.samples, scaled):
             assert not np.shares_memory(result, base)
 
-    def test_classify_and_simulate_interleave_in_two_threads(self):
+    def test_classify_and_simulate_interleave_in_two_threads(self,
+                                                             monkeypatch):
         # classify_envelope takes rows 0-1 of the workspace whose row 0 holds
-        # simulate's envelope; at 64 and 10000 samples both reuse one array
+        # pa_pipeline's envelope; at 64 and 10000 samples both reuse one
+        # array
         calls = []
         for n in (64, 10000):
             for kind, amplitude in ((Kind.AM, 0.8), (Kind.TWO_TONE, 1.5),
@@ -174,12 +220,22 @@ class TestWorkspaceSharing:
                 block = generate(WaveformSpec(kind=kind, amplitude=amplitude,
                                               duration_s=n / FS), FS)
                 calls += [("simulate", block), ("classify", block)]
+        # 131072-sample blocks, whose two split passes every thread hands to
+        # the process's one worker
+        monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
+        for amplitude in (0.3, 1.5):
+            block = two_tone(amplitude=amplitude)
+            calls += [("imd", block),
+                      ("imd", simulate(block, WS_BIAS, WS_PARAMS)[0])]
 
         def call(i):
             what, block = calls[i]
             if what == "classify":
                 cls = classify_envelope(block, len(block) / FS)
                 return cls.kind, cls.papr_db.hex(), cls.ripple_ratio.hex()
+            if what == "imd":
+                imd = measure_imd(block, -1000.0, 1000.0)
+                return tuple(p.level_dbc.hex() for p in imd.products)
             out, stats = simulate(block, WS_BIAS, WS_PARAMS)
             return out, stats
 
@@ -219,10 +275,11 @@ class TestWorkspaceSharing:
 
 
 def test_warm_large_block_imd_allocates_only_the_spectrum():
-    # with the workspace at this length, what remains is numpy's two 128 KiB
-    # cast buffers of the complex-by-float multiplies, 0.26 arrays of the
-    # block's length, and the 18 bins; a fresh (l, m) column spectrum would
-    # add two arrays
+    # with the workspace at this length and the twiddle block cached, what
+    # remains is the 18 rows of the column spectrum that the bins read and
+    # their twiddled products, 0.07 arrays of the block's length; numpy's
+    # 128 KiB cast buffer of a complex-by-float multiply would add 0.13,
+    # and a fresh (l, m) column spectrum two arrays
     n = 1 << 17
     out, _ = simulate(two_tone(amplitude=0.5, duration=n / FS), WS_BIAS,
                       WS_PARAMS)

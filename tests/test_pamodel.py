@@ -268,36 +268,39 @@ class TestSimulate:
 
 
 def test_pipeline_zero_drive_semantics():
-    env = np.zeros(8)
+    x = np.zeros(8, dtype=complex)
     p = PaParams(g0=40.0, rload=0.4, smoothness=2.0, shape_beta=3.0,
                  shape_exp=8.0, shape_sat=20.0)
-    aout, sum_a2, sum_vi1, sum_idc, sum_e2 = kernels.pa_pipeline(
-        env, 40.0, 54.0, 2.0, p)
+    out, sum_a2, sum_vi1, sum_idc, sum_e2 = kernels.pa_pipeline(
+        x, 40.0, 54.0, 2.0, p)
     assert sum_a2 == 0.0
     assert sum_e2 == 0.0
     assert sum_vi1 == 0.0
     assert sum_idc == pytest.approx(8 * 2.0, rel=1e-15)  # quiescent only
-    assert np.all(aout == 0.0)
+    assert np.all(out == 0.0)
 
 
-def reference_pipeline(env, g, a_sat, idq, params):
+def reference_pipeline(x, g, a_sat, idq, params):
     """``kernels.pa_pipeline`` as plain expressions on fresh temporaries:
     the oracle that its workspace form must match bit for bit.
 
-    The ``env^2`` sum is a dot product for a constant block (every sample
-    has the first one's bits) and numpy's reduction for a varying one."""
+    The output is ``x * (aout/max(env, tiny))``, ``tiny`` the smallest
+    subnormal. The ``env^2`` sum is a dot product for a constant envelope
+    (every sample has the first one's bits) and numpy's reduction for a
+    varying one."""
+    env = np.abs(x)
     aout = kernels.rapp(g * env, a_sat, params.smoothness)
     ipk = aout / params.rload
-    x = -idq / np.maximum(ipk, idq)
-    thc = np.arccos(x)
-    sin_thc = np.sqrt(1.0 - x * x)
+    cos_thc = -idq / np.maximum(ipk, idq)
+    thc = np.arccos(cos_thc)
+    sin_thc = np.sqrt(1.0 - cos_thc * cos_thc)
     idc = (idq * thc + ipk * sin_thc) / np.pi
-    i1 = (2.0 * idq * sin_thc + ipk * (thc + sin_thc * x)) / np.pi
+    i1 = (2.0 * idq * sin_thc + ipk * (thc + sin_thc * cos_thc)) / np.pi
     r = aout / a_sat
     rp = r ** params.shape_exp
     shape = 1.0 - params.shape_beta * rp / (1.0 + params.shape_sat * rp)
     constant = np.unique(env.view(np.uint64)).size == 1
-    return (aout,
+    return (x * (aout / np.maximum(env, math.ulp(0.0))),
             float(np.sum(aout * aout)),
             float(np.sum(aout * i1)),
             float(np.sum(idc * shape)),
@@ -342,24 +345,20 @@ def test_workspace_pipeline_matches_the_plain_expressions():
     for case, n in enumerate(PARITY_LENGTHS * 2):
         params, bias, env = parity_case(rng, n, zero=case % 7 == 0)
         g, a_sat = gain_and_swing(bias, params)
-        want = reference_pipeline(env, g, a_sat, bias.idq, params)
-        got = kernels.pa_pipeline(env, g, a_sat, bias.idq, params)
-        # as simulate calls it: the envelope in the workspace's row 0
-        row0 = kernels.workspace(n)[0]
-        row0[:] = env
-        got_in_row0 = kernels.pa_pipeline(row0, g, a_sat, bias.idq, params)
-        assert row0.tobytes() == env.tobytes()
-        for aout, *sums in (got, got_in_row0):
-            assert np.array_equal(aout, want[0])
-            assert aout.tobytes() == want[0].tobytes()
-            assert [v.hex() for v in sums] == [v.hex() for v in want[1:]]
-            assert not np.shares_memory(aout, row0.base)
-        # and simulate's output block, scaled in the workspace
+        # zero levels give samples of every zero sign
         x = env * np.exp(1j * rng.uniform(-3.0, 3.0, n))
+        x.flags.writeable = False  # a write would raise
+        want = reference_pipeline(x, g, a_sat, bias.idq, params)
+        out, *sums = kernels.pa_pipeline(x, g, a_sat, bias.idq, params)
+        assert out.tobytes() == want[0].tobytes()
+        assert [v.hex() for v in sums] == [v.hex() for v in want[1:]]
+        assert not np.shares_memory(out, kernels.workspace(n)[0].base)
+        # and simulate's output block against an oracle that scales a zero
+        # envelope by g
         out, stats = simulate(IqBlock(x, 1e6), bias, params)
         env_x = np.abs(x)
-        aout, sum_a2, sum_vi1, _, sum_e2 = reference_pipeline(
-            env_x, g, a_sat, bias.idq, params)
+        aout = kernels.rapp(g * env_x, a_sat, params.smoothness)
+        _, sum_a2, sum_vi1, _, sum_e2 = want
         scale = np.divide(aout, env_x, out=np.full_like(env_x, g),
                           where=env_x > 0)
         assert out.samples.tobytes() == (x * scale).tobytes()
@@ -410,22 +409,39 @@ def count_constant_evaluations(monkeypatch):
     return calls
 
 
-def assert_pipeline_matches_reference(env, params, bias=REF_BIAS):
+def assert_pipeline_matches_reference(x, params, bias=REF_BIAS):
     g, a_sat = gain_and_swing(bias, params)
     # as simulate calls it: an envelope past the float range saturates
     with np.errstate(over="ignore"):
-        want = reference_pipeline(env, g, a_sat, bias.idq, params)
-        aout, *sums = kernels.pa_pipeline(env, g, a_sat, bias.idq, params)
-    assert aout.tobytes() == want[0].tobytes()
+        want = reference_pipeline(x, g, a_sat, bias.idq, params)
+        out, *sums = kernels.pa_pipeline(x, g, a_sat, bias.idq, params)
+    assert out.tobytes() == want[0].tobytes()
     assert [v.hex() for v in sums] == [v.hex() for v in want[1:]]
+
+
+#: A sample phase of no special form, so that both output components are
+#: rounded.
+PHASE = complex(math.cos(0.7), math.sin(0.7))
 
 
 @pytest.mark.parametrize("n", CONSTANT_LENGTHS)
 def test_constant_envelope_is_evaluated_once_bit_for_bit(n, monkeypatch):
     evaluated = count_constant_evaluations(monkeypatch)
     for params, level in CONSTANT_CASES:
-        assert_pipeline_matches_reference(np.full(n, level), params)
+        assert_pipeline_matches_reference(np.full(n, level * PHASE), params)
     assert len(evaluated) == len(CONSTANT_CASES)
+
+
+@pytest.mark.parametrize("n", (64, 10000))
+def test_a_zero_envelope_keeps_the_signs_of_its_zero_samples(n, monkeypatch):
+    # every sample's envelope is +0, so the law runs once; the output's
+    # zeros take their signs from each sample, as the block form's do
+    evaluated = count_constant_evaluations(monkeypatch)
+    signs = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    x = np.resize(np.array(signs), n)
+    for params in CONSTANT_PARAMS:
+        assert_pipeline_matches_reference(x, params)
+    assert len(evaluated) == len(CONSTANT_PARAMS)
 
 
 def test_random_constant_blocks_match_the_plain_expressions(monkeypatch):
@@ -439,7 +455,8 @@ def test_random_constant_blocks_match_the_plain_expressions(monkeypatch):
         params, bias, env = parity_case(rng, 1, zero=False)
         params = replace(params, shape_exp=rng.uniform(0.1, 10.0),
                          shape_beta=10.0 ** rng.uniform(-1.0, 3.0))
-        assert_pipeline_matches_reference(np.full(64, env[0]), params, bias)
+        assert_pipeline_matches_reference(np.full(64, env[0] * PHASE), params,
+                                          bias)
     assert len(evaluated) == 2000
 
 
@@ -451,8 +468,9 @@ def test_cw_block_simulate_matches_the_plain_expressions(monkeypatch):
         out, stats = simulate(block, REF_BIAS, params)
         env = np.abs(block.samples)
         with np.errstate(over="ignore"):
-            aout, sum_a2, sum_vi1, _, sum_e2 = reference_pipeline(
-                env, g, a_sat, REF_BIAS.idq, params)
+            aout = kernels.rapp(g * env, a_sat, params.smoothness)
+            _, sum_a2, sum_vi1, _, sum_e2 = reference_pipeline(
+                block.samples, g, a_sat, REF_BIAS.idq, params)
         scale = np.divide(aout, env, out=np.full_like(env, g), where=env > 0)
         assert out.samples.tobytes() == (block.samples * scale).tobytes()
         assert stats.pout_w.hex() == (sum_vi1 / (2.0 * len(block))).hex()
@@ -463,17 +481,19 @@ def test_cw_block_simulate_matches_the_plain_expressions(monkeypatch):
 @pytest.mark.parametrize("n", (64, 10000))
 def test_a_block_constant_but_for_one_sample_takes_the_array_path(
         n, monkeypatch):
-    # n = 64 is compared as bytes, n = 10000 by numpy; a -0.0 among 0.0s
-    # compares equal as a float but not as bits
+    # n = 64 is compared as bytes, n = 10000 by numpy
     evaluated = count_constant_evaluations(monkeypatch)
     params = CONSTANT_PARAMS[0]
     for level in constant_levels(params)[:3]:
-        other = -0.0 if level == 0.0 else math.nextafter(level, math.inf)
         for where in (n // 2, n - 1):
-            env = np.full(n, level)
-            env[where] = other
-            assert_pipeline_matches_reference(env, params)
+            x = np.full(n, complex(level))
+            x[where] = math.nextafter(level, math.inf)
+            assert_pipeline_matches_reference(x, params)
     assert evaluated == []
+    # a -0.0 among 0.0s compares equal as a float but not as bits
+    env = np.zeros(n)
+    env[n // 2] = -0.0
+    assert not kernels._is_constant(env)
 
 
 def large_two_tone_block(n=1 << 17):
@@ -496,9 +516,9 @@ def traced_peak(call):
 def test_large_block_simulate_peak_memory():
     # a cold call, once a 64-sample block has moved the workspace to another
     # length: its five rows, the output swing, the complex output block and
-    # numpy's 128 KiB cast buffer of the complex-by-float output multiply,
-    # 8.1 arrays of the block's length (8.7 when this call also starts the
-    # worker thread of ``kernels.halves``)
+    # numpy's 128 KiB cast buffer of the complex-by-float output multiply in
+    # each thread's half, 8.3 arrays of the block's length (8.8 when this
+    # call also starts the worker thread of ``kernels.halves``)
     n = 1 << 17
     block = large_two_tone_block(n)
     bias, p = BiasPoint(vdd=58.0, idq=2.0), make_params(shape_beta=0.2)
@@ -509,7 +529,7 @@ def test_large_block_simulate_peak_memory():
 def test_warm_large_block_simulate_allocates_only_its_results():
     # with the workspace at this length, what remains is the output swing,
     # the complex output block and numpy's 128 KiB cast buffer of the
-    # complex-by-float output multiply, 3.1 arrays
+    # complex-by-float output multiply in each thread's half, 3.3 arrays
     n = 1 << 17
     block = large_two_tone_block(n)
     bias, p = BiasPoint(vdd=58.0, idq=2.0), make_params(shape_beta=0.2)

@@ -11,6 +11,8 @@ entries are taken from the caller's working directory. The steps are:
   run-controller, two-tone at -20 and -3 dBFS, freq-response;
 * a two-tone on a half-length block at 4 kHz spacing (a second analysis
   length and flat-top size);
+* two-tones on 100000 samples, whose 125 DFT columns split into uneven
+  halves, and on the prime 131071, whose one column is the full FFT;
 * a budget-600 calibration;
 * a controller scenario that uses all five waveform kinds;
 * two sweeps at the edges of the CW drive solve: 5 W at 0.25 A, near the
@@ -104,6 +106,12 @@ STEPS = (
     ("two_tone_short", ["two-tone", "--params", "fitted.cfg",
                         "--drive-dbfs", "-4", "--duration", "0.065536",
                         "--spacing", "4000", "--out", "imd_short.csv"]),
+    ("two_tone_odd", ["two-tone", "--params", "fitted.cfg",
+                      "--drive-dbfs", "-6", "--duration", "0.1",
+                      "--out", "imd_odd.csv"]),
+    ("two_tone_prime", ["two-tone", "--params", "fitted.cfg",
+                        "--drive-dbfs", "-8", "--duration", "0.131071",
+                        "--out", "imd_prime.csv"]),
     ("freq_response", ["freq-response", "--drive", "0.05",
                        "--params", "fitted.cfg", "--out", "bands.csv"]),
     ("calibrate_600", ["calibrate", "--budget", "600",

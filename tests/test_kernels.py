@@ -102,14 +102,6 @@ def test_split_column_fft_is_the_serial_in_place_fft(n, two_cpus):
     assert len(two_cpus) == (1 if m > 1 else 0)
 
 
-def test_fewer_than_two_leading_rows_run_once(two_cpus):
-    shapes = []
-    kernels.halves(lambda rows: shapes.append(rows.shape),
-                   (np.zeros((1, 2 * SPLIT_MIN)),))
-    assert shapes == [(1, 2 * SPLIT_MIN)]
-    assert two_cpus == []
-
-
 def test_the_worker_is_one_thread_of_its_own(two_cpus):
     point_bits(two_tone(131072, 0.5))
     assert len(set(two_cpus)) == 1

@@ -157,11 +157,19 @@ def _clamp_vec(vec: Sequence[float]) -> List[float]:
     return out
 
 
-def _vec_to_params(vec: Sequence[float], template: PaParams) -> PaParams:
-    v = _clamp_vec(vec)
-    return replace(template, g0=10.0 ** (v[0] / 20.0), kv=v[1], rload=v[2],
-                   vknee=v[3], smoothness=v[4], shape_beta=v[5],
-                   shape_exp=v[6], shape_sat=v[7])
+def _vec_to_params(v: Sequence[float], template: PaParams) -> PaParams:
+    """The params at search point ``v``, with ``ki`` and ``ripple`` from
+    ``template``.
+
+    ``v`` must already lie in ``_SPACE``: every point that ``fit`` passes
+    is a ``_clamp_vec`` result, and clamping one again changes no bit. The
+    params are built by the checked constructor, so a box that strayed
+    outside ``PaParams``' ranges would still raise.
+    """
+    return PaParams(g0=10.0 ** (v[0] / 20.0), kv=v[1], ki=template.ki,
+                    rload=v[2], vknee=v[3], smoothness=v[4],
+                    shape_beta=v[5], shape_exp=v[6], shape_sat=v[7],
+                    ripple=template.ripple)
 
 
 def fit(anchors: Sequence[AnchorRow], init: PaParams,

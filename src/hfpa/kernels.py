@@ -17,6 +17,12 @@ The block sums are one ``np.add.reduce(rows, axis=1)`` over the
 C-contiguous rows of per-sample products: numpy sums each contiguous row as
 it sums a 1-D array (a column-wise reduction adds in another order).
 
+``pa_pipeline`` holds the model's overflow policy: one
+``np.errstate(over="ignore")`` around both its paths, so that an envelope
+or a power past the float range saturates without a warning under any
+caller's error state. Its callers (``pamodel.simulate``) and its constant
+path open no scope of their own, and a CW evaluation enters this one only.
+
 A constant envelope (every sample has the first one's bits: a CW drive, and
 so every calibration anchor) is evaluated once; its swing and products fill
 a fresh ``(4, n)`` block that the same reduction sums, so its sums are the
@@ -213,22 +219,24 @@ def _constant_pipeline(e, n, g, a_sat, idq, params):
     docstring).
 
     Each step keeps the array form's expression and operand order, so each
-    value has the bits of every lane of the array form. One ``errstate``
-    covers the whole step: a power past the float range gives ``a_sat``, as
-    in ``rapp``'s fallback. The sums are those of a fresh ``(3, n)`` block.
+    value has the bits of every lane of the array form. It opens no
+    ``errstate`` of its own: it runs under its caller's, which must ignore
+    overflow, so that a power past the float range gives ``a_sat``, as in
+    ``rapp``'s fallback, with no warning. ``pa_pipeline`` opens that scope;
+    any other caller has to open one too. The sums are those of a fresh
+    ``(3, n)`` block.
     """
     s2 = 2.0 * params.smoothness
-    with np.errstate(over="ignore"):
-        u = g * e
-        den = ((1.0 + np.array([u / a_sat]) ** s2) ** (1.0 / s2)).item()
-        a = a_sat if den == math.inf else u / den
-        ipk = a / params.rload
-        x = -idq / max(ipk, idq)
-        thc = np.arccos(np.array([x])).item()
-        sin_thc = math.sqrt(1.0 - x * x)
-        idc = (idq * thc + ipk * sin_thc) / math.pi
-        i1 = (2.0 * idq * sin_thc + ipk * (thc + sin_thc * x)) / math.pi
-        rp = (np.array([a / a_sat]) ** params.shape_exp).item()
+    u = g * e
+    den = ((1.0 + np.array([u / a_sat]) ** s2) ** (1.0 / s2)).item()
+    a = a_sat if den == math.inf else u / den
+    ipk = a / params.rload
+    x = -idq / max(ipk, idq)
+    thc = np.arccos(np.array([x])).item()
+    sin_thc = math.sqrt(1.0 - x * x)
+    idc = (idq * thc + ipk * sin_thc) / math.pi
+    i1 = (2.0 * idq * sin_thc + ipk * (thc + sin_thc * x)) / math.pi
+    rp = (np.array([a / a_sat]) ** params.shape_exp).item()
     shape = 1.0 - params.shape_beta * rp / (1.0 + params.shape_sat * rp)
     rows = np.empty((3, n))
     rows.T[...] = (a * a, a * i1, idc * shape)
@@ -261,22 +269,30 @@ def pa_pipeline(x, g, a_sat, idq, params):
     are one reduction, with no BLAS call; from ``SPLIT_MIN`` samples its law
     and output scale run as two halves (``halves``; the timings are at
     ``SPLIT_MIN``), ``|x|`` serially.
+
+    One ``np.errstate(over="ignore")`` covers both paths, the block sums
+    included: a finite sample whose envelope, amplified envelope, power or
+    square overflows saturates without a warning, under any caller's error
+    state, and the other error kinds follow the caller's state. A constant
+    block enters this scope and no other; a varying one also enters
+    ``rapp``'s, which traps an overflow to redo the block.
     """
-    env, t1, t2, t3, t4 = workspace(x.size)
-    np.abs(x, env)
-    if _is_constant(env):
-        e = env.item(0)
-        a, *sums = _constant_pipeline(e, env.size, g, a_sat, idq, params)
-        # numpy casts the scale to (s, +0) as it casts a row of it, so each
-        # sample has the bits of the block form's
-        return (np.multiply(x, a / max(e, _TINY)), *sums,
-                float(np.dot(env, env)))
-    aout = np.empty(env.size)
-    out = np.empty(env.size, dtype=np.complex128)
-    halves(_pipeline_rows, (x, out, env, aout, t1, t2, t3, t4), g, a_sat,
-           idq, params)
-    # the products fill rows 1-4, adjacent rows of the workspace array
-    return (out, *np.add.reduce(t1.base[1:5], axis=1).tolist())
+    with np.errstate(over="ignore"):
+        env, t1, t2, t3, t4 = workspace(x.size)
+        np.abs(x, env)
+        if _is_constant(env):
+            e = env.item(0)
+            a, *sums = _constant_pipeline(e, env.size, g, a_sat, idq, params)
+            # numpy casts the scale to (s, +0) as it casts a row of it, so
+            # each sample has the bits of the block form's
+            return (np.multiply(x, a / max(e, _TINY)), *sums,
+                    float(np.dot(env, env)))
+        aout = np.empty(env.size)
+        out = np.empty(env.size, dtype=np.complex128)
+        halves(_pipeline_rows, (x, out, env, aout, t1, t2, t3, t4), g,
+               a_sat, idq, params)
+        # the products fill rows 1-4, adjacent rows of the workspace array
+        return (out, *np.add.reduce(t1.base[1:5], axis=1).tolist())
 
 
 def _pipeline_rows(x, out, env, aout, t1, t2, t3, t4, g, a_sat, idq, params):

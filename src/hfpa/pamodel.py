@@ -309,17 +309,16 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     envelope, the output samples and every block sum, ``sum(|x|^2)``
     included, come from ``kernels.pa_pipeline``, which splits a long block's
     law and output scale (``kernels.halves``; timings at
-    ``kernels.SPLIT_MIN``).
+    ``kernels.SPLIT_MIN``). ``pa_pipeline`` also holds the overflow policy:
+    it ignores overflow in its own one ``np.errstate``, so this function
+    opens none, and a CW block enters one scope per call.
     """
     if not isinstance(bias, BiasPoint):
         raise InvalidBias(f"expected BiasPoint, got {type(bias).__name__}")
     g, a_sat = gain_and_swing(bias, params, band)
     n = len(block)
-    # finite samples whose envelope, amplified envelope or squares overflow
-    # saturate without a warning
-    with np.errstate(over="ignore"):
-        out, sum_aout2, sum_vi1, sum_idc, sum_env2 = kernels.pa_pipeline(
-            block.samples, g, a_sat, bias.idq, params)
+    out, sum_aout2, sum_vi1, sum_idc, sum_env2 = kernels.pa_pipeline(
+        block.samples, g, a_sat, bias.idq, params)
     pout = sum_vi1 / (2.0 * n)
     pdc = bias.vdd * sum_idc / n
     pdc = max(pdc, pout)  # waveform shaping never drives dissipation negative

@@ -221,7 +221,10 @@ def _unit_waveform(spec: WaveformSpec, sample_rate: float,
     if spec.kind is Kind.AM:
         return 1.0 + spec.am_index * np.cos(2 * np.pi * spec.am_rate_hz * t)
     if spec.kind is Kind.PSK:
-        sps = max(1, int(round(sample_rate / spec.psk_rate_hz)))
+        # a symbol at least as long as the block is the block: repeating
+        # the whole symbol would allocate past it (an infinite ratio too)
+        ratio = sample_rate / spec.psk_rate_hz
+        sps = n if ratio >= n else max(1, int(round(ratio)))
         nsym = -(-n // sps)
         if spec.psk_order == 2:
             phases = np.pi * _pn_bits(nsym)

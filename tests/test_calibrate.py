@@ -187,6 +187,77 @@ def test_float_search_has_the_array_search_bits(name, budget, oracle_inits):
         reference_fit(anchors, init, budget))
 
 
+# --- fit's points are clamped once: the clamp is idempotent bit for bit ------
+
+def box_corners():
+    """The 256 corners of ``_SPACE``."""
+    return [[(lo, hi)[(k >> i) & 1]
+             for i, (_, lo, hi, _) in enumerate(calibrate._SPACE)]
+            for k in range(2 ** len(calibrate._SPACE))]
+
+
+def clamp_cases():
+    """The corners, random vectors reaching past every bound, and vectors
+    whose shaping depth ``beta/(1 + c)`` passes ``_MAX_SHAPE_DEPTH``."""
+    rng = np.random.default_rng(26)
+    lo, hi = (np.array([s[k] for s in calibrate._SPACE]) for k in (1, 2))
+    cases = box_corners()
+    cases += (rng.uniform(lo - (hi - lo), hi + (hi - lo), (500, 8))).tolist()
+    cases += rng.uniform(lo, hi, (200, 8)).tolist()
+    cap = calibrate._MAX_SHAPE_DEPTH
+    for c in rng.uniform(0.0, 40.0 / cap - 1.0, 200).tolist():
+        v = rng.uniform(lo, hi).tolist()
+        v[5], v[7] = rng.uniform(cap * (1.0 + c), 40.0), c
+        cases.append(v)
+    # a depth one ulp past the cap, and a beta past the box as well
+    cases.append([30.0, 0.0, 0.5, 4.0, 2.0,
+                  math.nextafter(cap * 11.0, math.inf), 4.0, 10.0])
+    cases.append([30.0, 0.0, 0.5, 4.0, 2.0, 1e3, 4.0, 10.0])
+    return cases
+
+
+def vec_hex(vec):
+    return [float(x).hex() for x in vec]
+
+
+def test_clamp_cases_trip_the_depth_cap():
+    cap = calibrate._MAX_SHAPE_DEPTH
+    outs = [calibrate._clamp_vec(v) for v in clamp_cases()]
+    assert sum(o[5] == cap * (1.0 + o[7]) for o in outs) >= 200
+
+
+def test_clamping_a_clamped_point_changes_no_bit():
+    for vec in clamp_cases():
+        once = calibrate._clamp_vec(vec)
+        assert vec_hex(calibrate._clamp_vec(once)) == vec_hex(once)
+
+
+def replace_form_vec_to_params(vec, template):
+    """``_vec_to_params`` as it was written before it took clamped points:
+    clamp again, then ``dataclasses.replace`` on the template."""
+    v = calibrate._clamp_vec(vec)
+    return dataclasses.replace(
+        template, g0=10.0 ** (v[0] / 20.0), kv=v[1], rload=v[2], vknee=v[3],
+        smoothness=v[4], shape_beta=v[5], shape_exp=v[6], shape_sat=v[7])
+
+
+def test_params_of_a_clamped_point_are_the_replace_forms():
+    # ki and ripple come from the template; every point is a clamped one,
+    # as fit passes it, and the checked constructor accepts each corner
+    template = dataclasses.replace(TRUE_PARAMS, ki=0.7,
+                                   ripple={"40M": 0.3, "20M": -0.25})
+    for vec in clamp_cases():
+        point = calibrate._clamp_vec(vec)
+        got = calibrate._vec_to_params(point, template)
+        want = replace_form_vec_to_params(point, template)
+        for f in dataclasses.fields(PaParams):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "ripple":
+                assert a == b and a is not template.ripple
+            else:
+                assert a.hex() == b.hex(), f.name
+
+
 class TestObjective:
     def test_self_consistency_is_zero(self):
         anchors = synthetic_anchors(TRUE_PARAMS)

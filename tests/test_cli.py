@@ -1,4 +1,5 @@
 """CLI tests: subcommand behavior, exit codes, CSV artifacts, determinism."""
+import random
 import resource
 import socket
 import threading
@@ -6,9 +7,11 @@ import warnings
 
 import pytest
 
+from hfpa.biasctl import WINDOW_S
 from hfpa.cli import build_parser, main
 from hfpa.measure import CSV_HEADER
 from hfpa.pamodel import save_params
+from hfpa.signalgen import MAX_SAMPLES
 
 
 @pytest.fixture()
@@ -459,6 +462,124 @@ def test_numeric_flag_sweep_ends_in_an_exit_code(
         assert err.startswith("usage: hfpa ")
     if value in NON_FINITE:
         assert rc != 0
+
+
+# --- a seeded fuzz: one or two numeric flags at once ---------------------------
+
+FUZZ_VALUES = ("0", "-1", "5e-324", "1e-300", "1e-9", "0.5", "3", "1e6",
+               "1e300", "1.7e308", "nan", "inf", "-inf")
+
+#: (subcommand arguments, numeric flags) of every subcommand that opens no
+#: socket. The blocks are 20 ms or shorter unless a flag under test sets
+#: their length.
+FUZZ_COMMANDS = (
+    *((["gen", "--kind", kind, "--duration", "0.001", "--out", "{out}"],
+      _WAVEFORM_FLAGS + flags) for kind, flags in _KIND_FLAGS.items()),
+    *((["classify", "--kind", kind], _WAVEFORM_FLAGS + flags + ("--window",))
+      for kind, flags in _KIND_FLAGS.items()),
+    (["two-tone", "--params", "{params}", "--duration", "0.016384",
+      "--out", "{out}"],
+     ("--drive-dbfs", "--vdd", "--idq", "--spacing", "--duration", "--rate")),
+    (["sweep-bias", "--vdd", "58", "--pout", "100", "--params", "{params}",
+      "--out", "{out}"], ("--vdd", "--idq", "--pout")),
+    (["freq-response", "--drive", "0.05", "--params", "{params}",
+      "--out", "{out}"], ("--drive", "--vdd", "--idq")),
+    (["calibrate", "--init", "{params}", "--budget", "0",
+      "--out-params", "{out}"], ("--budget",)),
+    (["run-controller", "--scenario", "{scenario}", "--params", "{params}",
+      "--out", "{out}"], ("--window", "--rate")),
+)
+
+#: A valid block longer than this costs seconds (``gen`` writes a CSV row
+#: per sample: 3 million rows took 13 s), so a draw that asks for one is
+#: drawn again. Lengths past ``MAX_SAMPLES`` are refused before anything is
+#: allocated, and stay.
+FUZZ_MAX_SAMPLES = 2 ** 15
+
+
+def _flag_value(argv, flag, default):
+    """The float value of ``flag``'s last occurrence in ``argv``."""
+    value = default
+    for i, arg in enumerate(argv):
+        if arg == flag:
+            value = argv[i + 1]
+        elif arg.startswith(flag + "="):
+            value = arg.split("=", 1)[1]
+    return float(value)
+
+
+def block_samples(argv):
+    """The sample count of the block the command makes: its duration times
+    its rate (run-controller: its window, at least 1 ms), NaN if a flag is;
+    0 for the commands that make only 64-sample CW blocks."""
+    if argv[0] == "run-controller":
+        length = max(_flag_value(argv, "--window", WINDOW_S), 1e-3)
+    elif argv[0] in ("gen", "classify", "two-tone"):
+        length = _flag_value(argv, "--duration", 0.02)
+    else:
+        return 0.0
+    return length * _flag_value(argv, "--rate", 1e6)
+
+
+def fuzz_cases(count=200, seed=26):
+    """``count`` distinct argument vectors, drawn from ``FUZZ_COMMANDS``
+    and ``FUZZ_VALUES`` by a seeded generator."""
+    rng = random.Random(seed)
+    cases = {}
+    while len(cases) < count:
+        base, flags = rng.choice(FUZZ_COMMANDS)
+        picked = rng.sample(flags, min(len(flags), rng.choice((1, 2))))
+        argv = base + [f"{flag}={rng.choice(FUZZ_VALUES)}" for flag in picked]
+        if FUZZ_MAX_SAMPLES < block_samples(argv) <= MAX_SAMPLES:
+            continue
+        name = " ".join(base[:3] if base[1] == "--kind" else base[:1])
+        cases.setdefault(" ".join([name, *argv[len(base):]]), argv)
+    return [pytest.param(argv, id=key) for key, argv in cases.items()]
+
+
+@pytest.mark.parametrize("argv", fuzz_cases())
+def test_seeded_flag_fuzz_ends_in_an_exit_code(
+        tmp_path, params_file, bounded_address_space, capsys, argv):
+    # any exception but SystemExit fails the case: an uncaught one would
+    # also end in exit 1, so the code alone would pass a traceback
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("0.0 cw 40M 600\n")
+    fill = dict(params=params_file, out=str(tmp_path / "o"),
+                scenario=str(scenario))
+    try:
+        rc = main([arg.format(**fill) for arg in argv])
+    except SystemExit as exc:
+        assert exc.code == 2
+        assert capsys.readouterr().err.startswith("usage: hfpa ")
+        return
+    assert rc in (0, 1)
+    if rc == 1:
+        assert capsys.readouterr().err.startswith("error: ")
+    if NON_FINITE & {arg.split("=", 1)[1] for arg in argv if "=" in arg}:
+        assert rc == 1
+
+
+def test_fuzz_draws_every_value_and_subcommand():
+    argvs = [case.values[0] for case in fuzz_cases()]
+    values = {arg.split("=", 1)[1] for argv in argvs for arg in argv
+              if "=" in arg}
+    assert values == set(FUZZ_VALUES)
+    assert {argv[0] for argv in argvs} == {b[0] for b, _ in FUZZ_COMMANDS}
+    assert any(sum("=" in arg for arg in argv) == 2 for argv in argvs)
+
+
+@pytest.mark.parametrize("command", ["classify", "gen"])
+@pytest.mark.parametrize("rate", ["1e-3", "1e-9", "1e-300", "5e-324"])
+def test_psk_symbol_longer_than_the_block_is_generated(
+        tmp_path, bounded_address_space, capsys, command, rate):
+    # the symbol is clamped to the block: no 16 GB repeat at 1e-3 Hz, no
+    # MemoryError at 1e-9 and no OverflowError at 1e-300
+    argv = [command, "--kind", "psk", f"--psk-rate={rate}"]
+    if command == "gen":
+        argv += ["--duration", "0.001", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+    if command == "classify":
+        assert capsys.readouterr().out.strip() == "Constant"
 
 
 def test_calibrate_has_no_idq_flag(capsys):

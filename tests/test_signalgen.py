@@ -3,6 +3,7 @@ the unit-waveform cache and spec validation."""
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,40 @@ def reference_waveform(spec, fs):
         b = reference_pn9(2 * nsym)
         phases = np.pi / 4.0 + (2 * b[0::2] + b[1::2]) * (np.pi / 2.0)
     return a * np.exp(1j * np.repeat(phases, sps))[:n]
+
+
+#: A 20 ms block at FS.
+N_BLOCK = 20000
+
+
+@pytest.mark.parametrize("psk_order", [2, 4])
+@pytest.mark.parametrize("psk_rate_hz", [
+    FS / N_BLOCK,          # a symbol of exactly the block
+    FS / (1.5 * N_BLOCK),  # a symbol of 1.5 blocks
+    1e-3, 1e-9, 1e-300,    # 1e9 samples and more per symbol
+    5e-324,                # an infinite samples-per-symbol ratio
+])
+def test_psk_symbol_longer_than_the_block_is_one_symbol(psk_order,
+                                                        psk_rate_hz):
+    # the symbol is clamped to the block: the block is the first symbol, as
+    # the unclamped form gives it for 1.5 blocks (not run at the low rates,
+    # where it would allocate the whole symbol), and the traced peak stays
+    # within a few blocks (2.5 measured: the cached unit waveform, the
+    # block, and the phases)
+    spec = WaveformSpec(kind=Kind.PSK, amplitude=0.7, psk_order=psk_order,
+                        psk_rate_hz=psk_rate_hz, duration_s=N_BLOCK / FS)
+    want = reference_waveform(
+        dataclasses.replace(spec, psk_rate_hz=FS / (1.5 * N_BLOCK)), FS)
+    signalgen._cached_unit_waveform.cache_clear()
+    tracemalloc.start()
+    try:
+        got = generate(spec, FS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.samples.tobytes() == want.tobytes()
+    assert np.all(got.samples == got.samples[0])
+    assert peak <= 4 * got.samples.nbytes
 
 
 CACHE_SPECS = [

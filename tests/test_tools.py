@@ -259,3 +259,59 @@ def test_cli_steps_and_startup_take_turns_per_repeat(monkeypatch, tmp_path):
             ["after", "before", "before", "after"] * per_code)[:2 * per_code]
     assert set(got) == {"after", "before"}
     assert set(got["after"]) == {label for label, _ in bench_snapshot.STARTUP}
+
+
+def stub_pair_file(path):
+    """A pair file with only what ``--table`` reads: two workloads, the
+    second with no raw ratio, against a clean parent from a dirty change."""
+    def metric(before, after, scaled, raw):
+        entry = {"better": "lower", "before": {"median": before},
+                 "after": {"median": after}, "scaled": scaled}
+        if raw is not None:
+            entry["raw"] = raw
+        return {bench_snapshot.TABLE_METRIC: entry}
+
+    ratio = {"median": 0.9, "q1": 0.85, "q3": 0.95, "wins": 9, "pairs": 10}
+    snapshot = {
+        "environment": {"git_commit": "b" * 40, "git_dirty": True},
+        "pairs": {
+            "against": {"tag": "xparent", "git_commit": "a" * 40,
+                        "git_dirty": False},
+            "workloads": {
+                "calibrate": {
+                    "order": [{"seed": s, "first": f} for s, f in
+                              ((7, "after"), (7, "before"), (2, "after"))],
+                    "metrics": metric(53.7, 48.25, ratio,
+                                      dict(ratio, median=0.912, wins=8))},
+                "imd": {"order": [{"seed": 1, "first": "before"}],
+                        "metrics": metric(8.1234, 8.2, dict(
+                            ratio, median=1.0126, q1=1.0, q3=1.025, wins=0,
+                            pairs=1), None)}}}}
+    path.write_text(json.dumps(snapshot), encoding="utf-8")
+    return path
+
+
+def test_table_prints_a_row_per_workload_of_a_pair_file(monkeypatch, capsys,
+                                                         tmp_path):
+    def never(*args):
+        raise AssertionError("a snapshot was started")
+
+    for name in ("paired", "snapshot_head", "run_json"):
+        monkeypatch.setattr(bench_snapshot, name, never)
+    path = stub_pair_file(tmp_path / "BENCH_x.json")
+    assert bench_snapshot.main(["--table", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == bench_snapshot.TABLE_HEADER.splitlines()
+    assert lines[2:] == [
+        "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | calibrate, 2,7, 3 "
+        "| 53.7 → 48.25 | 0.900 [0.850, 0.950] | 0.912 [0.850, 0.950] "
+        "| 9/10, 8/10 |",
+        "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | imd, 1, 1 "
+        "| 8.123 → 8.2 | 1.013 [1.000, 1.025] | — | 0/1, — |"]
+
+
+def test_table_refuses_a_file_without_pairs(capsys, tmp_path):
+    path = tmp_path / "BENCH_xparent.json"
+    path.write_text(json.dumps({"environment": {}}), encoding="utf-8")
+    assert bench_snapshot.main(["--table", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: no pairs block")

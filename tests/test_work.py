@@ -1,0 +1,91 @@
+"""Work counts: deterministic tallies of what an operation does.
+
+Wall time is too noisy on a shared host to gate on, but most speed-ups keep
+the bits and do less work, and the work can be counted exactly. Each test
+here pins one count at its measured value, so a change that brings the work
+back fails here. When a change lowers a count, the bound goes down with it.
+"""
+import warnings
+
+import numpy as np
+import pytest
+
+from hfpa import calibrate, kernels, measure
+from hfpa.calibrate import REFERENCE_ANCHORS, default_init, fit
+from hfpa.pamodel import BiasPoint, PaParams, simulate
+from hfpa.signalgen import IqBlock
+
+PARAMS = PaParams(g0=39.77, kv=0.39, rload=0.4, vknee=4.1, smoothness=8.0,
+                  shape_beta=3.82, shape_exp=8.16, shape_sat=20.6)
+BIAS = BiasPoint(53.0, 2.0)
+
+
+@pytest.fixture
+def errstate_entries(monkeypatch):
+    """Count every ``np.errstate`` scope entered, numpy's own included."""
+    entered = []
+
+    class CountingErrstate(np.errstate):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", CountingErrstate)
+    return entered
+
+
+@pytest.mark.parametrize("level", [0.0, 0.05, 0.8, 1e300])
+def test_a_cw_evaluation_enters_one_errstate(level, errstate_entries):
+    # kernels.pa_pipeline holds the overflow policy for both its paths;
+    # neither pamodel.simulate nor the constant path opens a scope, so the
+    # 64-sample CW block enters exactly one, from the zero drive to a level
+    # whose amplified envelope overflows
+    stats = measure.simulate_cw(level, BIAS, PARAMS)
+    assert len(errstate_entries) == 1
+    assert np.isfinite(stats.pout_w)
+
+
+def test_fit_builds_its_params_without_replace(monkeypatch):
+    # each evaluation builds PaParams directly from its clamped point; the
+    # dataclasses.replace form cost about 5 us per evaluation
+    init = default_init(REFERENCE_ANCHORS)  # its gain refinement replaces
+    calls = []
+    replace = calibrate.replace
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return replace(*args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "replace", counted)
+    report = fit(REFERENCE_ANCHORS, init, budget=40)
+    assert report.evaluations == 40
+    assert calls == []
+
+
+def overflowing_blocks(n):
+    """A constant block whose amplified envelope overflows, and a varying
+    one with such a sample and an envelope that itself overflows."""
+    constant = np.full(n, 1e300 + 0j)
+    varying = np.full(n, 0.5 + 0.25j)
+    varying[::3] = 1e300
+    varying[1::7] = 1.5e308 + 1.5e308j
+    return constant, varying
+
+
+@pytest.mark.parametrize("n", [64, kernels.SPLIT_MIN])
+def test_overflow_saturates_under_a_raising_caller(n, monkeypatch):
+    # a caller that raises on overflow and turns warnings into errors still
+    # gets saturated samples: pa_pipeline's one scope covers both paths,
+    # and from SPLIT_MIN the worker's half runs under it too
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
+    g, a_sat = 1e3, BIAS.vdd - PARAMS.vknee
+    for x in overflowing_blocks(n):
+        with warnings.catch_warnings(), np.errstate(over="raise"):
+            warnings.simplefilter("error")
+            out, *sums = kernels.pa_pipeline(x, g, a_sat, BIAS.idq, PARAMS)
+            block, stats = simulate(IqBlock(x, 1e6), BIAS, PARAMS)
+        assert np.isfinite(out).all()
+        assert np.abs(out).max() <= a_sat * (1.0 + 1e-12)
+        assert np.isfinite(sums[:3]).all() and sums[3] == np.inf
+        assert np.isfinite(block.samples).all()
+        assert np.isfinite(stats.pout_w) and stats.gain_db is None

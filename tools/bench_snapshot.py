@@ -6,6 +6,10 @@ Usage::
 
     python tools/bench_snapshot.py --tag T --against DIR [--pairs N] \
         [--seeds 1,2,3] [--workloads W,...]
+    python tools/bench_snapshot.py --table BENCH_T.json ...
+
+``--table`` prints the Markdown evidence table of paired files already
+written (see ``table_rows``) and runs nothing.
 
 Run from anywhere; this checkout is the one this file lives in, and both
 files are written at its root. ``DIR`` is a second checkout of this
@@ -389,17 +393,82 @@ def paired(args, seeds, workloads, better):
     write(snaps[AFTER])
 
 
+#: The metric of the evidence table's rows.
+TABLE_METRIC = "op_p50_ms"
+TABLE_HEADER = (
+    "| file | trees (parent → change) | workload, seeds, pairs "
+    f"| {TABLE_METRIC} parent → change | scaled ratio [q1, q3] "
+    "| raw ratio [q1, q3] | wins scaled, raw |\n"
+    "|---|---|---|---|---|---|---|")
+
+
+def _tree(identity):
+    """A tree's short commit, ``*`` marking a dirty one."""
+    commit = (identity.get("git_commit") or "?")[:7]
+    return commit + ("*" if identity.get("git_dirty") else "")
+
+
+def _ratio(entry):
+    if entry is None:
+        return "—", "—"
+    return (f"{entry['median']:.3f} [{entry['q1']:.3f}, {entry['q3']:.3f}]",
+            f"{entry['wins']}/{entry['pairs']}")
+
+
+def table_rows(path):
+    """One Markdown row per workload of the pair file at ``path``, for
+    ``TABLE_METRIC``: the trees, the workload, its seeds and pairs, both
+    trees' medians, the scaled and raw after/before ratios with their
+    quartiles, and the change's wins. Everything comes from the file's
+    ``pairs`` block, except the change's own commit, which the file's
+    ``environment`` records."""
+    snapshot = json.loads(Path(path).read_text(encoding="utf-8"))
+    block = snapshot.get("pairs")
+    if block is None:
+        raise ValueError("no pairs block: not the change's file of a "
+                         "paired snapshot")
+    trees = f"{_tree(block['against'])} → {_tree(snapshot['environment'])}"
+    rows = []
+    for workload, record in block["workloads"].items():
+        seeds = ",".join(str(s) for s in sorted({o["seed"]
+                                                 for o in record["order"]}))
+        entry = record["metrics"][TABLE_METRIC]
+        medians = (f"{entry['before']['median']:.4g} → "
+                   f"{entry['after']['median']:.4g}")
+        scaled, scaled_wins = _ratio(entry.get("scaled"))
+        raw, raw_wins = _ratio(entry.get("raw"))
+        rows.append(f"| `{Path(path).name}` | {trees} | {workload}, {seeds}, "
+                    f"{len(record['order'])} | {medians} | {scaled} | {raw} "
+                    f"| {scaled_wins}, {raw_wins} |")
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--tag", required=True)
+    parser.add_argument("--table", nargs="+", metavar="FILE",
+                        help="print the evidence rows of these pair files "
+                             "and run nothing")
+    parser.add_argument("--tag")
     parser.add_argument("--seeds", default="1,2,3")
     parser.add_argument("--workloads", default=None,
                         help="comma-separated subset of BENCHMARK.json's "
                              "workloads (default: all)")
-    parser.add_argument("--against", type=Path, required=True,
+    parser.add_argument("--against", type=Path,
                         help="a second checkout to pair this one against")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.table:
+        rows = []
+        for path in args.table:
+            try:
+                rows += table_rows(path)
+            except (OSError, ValueError, KeyError) as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                return 1
+        print("\n".join([TABLE_HEADER, *rows]))
+        return 0
+    if args.tag is None or args.against is None:
+        parser.error("a snapshot needs --tag and --against")
     if not args.tag.replace("-", "").replace("_", "").isalnum():
         parser.error("tags take letters, digits, '-' and '_'")
     try:

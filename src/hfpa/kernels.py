@@ -15,7 +15,10 @@ users hold the rows at once.
 
 The block sums are one ``np.add.reduce(rows, axis=1)`` over the
 C-contiguous rows of per-sample products: numpy sums each contiguous row as
-it sums a 1-D array (a column-wise reduction adds in another order).
+it sums a 1-D array (a column-wise reduction adds in another order). A
+split block's halves each reduce their part of the rows, and one float add
+per sum joins them (``joined``), with the same bits: ``halves`` splits at
+numpy's pairwise point.
 
 ``pa_pipeline`` holds the model's overflow policy: one
 ``np.errstate(over="ignore")`` around both its paths, so that an envelope
@@ -33,19 +36,19 @@ numpy, on one-lane arrays: numpy's SIMD ``pow`` and ``arccos`` differ from
 libm's in the last bits for a few percent of arguments, and ``**`` takes
 numpy's exponent-2 and exponent-0.5 fast paths, as it does for a block.
 
-Three passes over a long block run as two halves at once through
-``halves``: ``pa_pipeline``'s law with the output scale, and
-``measure.measure_imd``'s noise and window pass and its column FFT. The
-envelope ``|x|`` and ``measure_imd``'s ``|x|^2`` run serially;
-``SPLIT_MIN`` gives the timings behind both choices. From ``SPLIT_MIN``
-samples up, with more than one CPU, the calling thread runs the first half
-of the rows and a worker thread the second, in slices of the caller's
-workspace rows and preallocated results. Each split step works on each leading row alone and
-the worker runs under the caller's ``np.geterr()``, so each sample gets the
-bits and error handling of one pass; the block sums are taken over the full
-rows after the worker has finished. The worker is one thread per process,
-started on the first long block (importing this module starts none) and
-again in a child after ``os.fork``.
+Four passes over a long block run as two halves at once through
+``halves``: ``pa_pipeline``'s law with ``|x|``, the output scale and the
+block sums, and ``measure.measure_imd``'s ``|x|^2`` with its sum, its noise
+and window pass and its column FFT. ``SPLIT_MIN`` gives the timings. From
+``SPLIT_MIN`` samples up, with more than one CPU, the calling thread runs
+the first part of the rows and a worker thread the second, in slices of
+the caller's workspace rows and preallocated results. Each split step works
+on each leading row alone and the worker runs under the caller's
+``np.geterr()``, so each sample gets the bits and error handling of one
+pass. The worker is one daemon thread per process, handed each part with
+two locks, and used by one caller at a time; it is started on the first
+long block (importing this module starts none) and again in a child after
+``os.fork``.
 """
 import math
 import os
@@ -61,20 +64,18 @@ _local = threading.local()
 #: Longest block that ``_is_constant`` compares as bytes.
 _BYTES_COMPARE_MAX = 4096
 
-#: Shortest block, in samples, whose passes ``halves`` splits. Waking the
-#: worker costs about 0.1-0.25 ms on a 2-core VM: in a sweep of
-#: ``pamodel.simulate`` and ``measure.measure_imd`` the split lost at 32768
-#: samples and below, and won from 65536 up. At 131072 samples (2-core host,
-#: two timing harnesses) the law took 0.52-0.63 and the IMD noise and window
-#: pass 0.64-0.79 of their serial time split. ``measure_imd``'s column FFT
-#: took 0.62-0.67 of its serial time split at 131072 samples, 0.76-0.97 at
-#: 65536 and 1.17-1.62 (a loss) at 32768. The output scale (0.80-0.97 split
-#: on its own) runs inside the law's split, with no wake of its own. Only
-#: the envelope ``|x|`` (1.27-1.53) and ``measure_imd``'s ``|x|^2``
-#: (1.11-1.24), which lose to the wake-up, stay serial.
+#: Shortest block, in samples, whose passes ``halves`` splits. A handoff
+#: to the worker with nothing to do took 35-41 us p50 on a 2-core VM,
+#: against 61 us through a ``ThreadPoolExecutor`` (interleaved in one
+#: process). Split over serial time, median of 6 interleaved rounds, per
+#: caller at 16384 / 32768 / 49152 / 65536 / 131072 samples: the law with
+#: ``|x|`` 1.19 / 0.77 / 0.62 / 0.58 / 0.49; ``measure_imd``'s ``|x|^2`` and
+#: sum 2.09 / 1.29 / 1.07 / 0.92 / 0.66, its noise and window pass 2.38 /
+#: 1.18 / 0.92 / 0.85 / 0.49 and its column FFT 1.35 / 0.88 / 0.86 / 0.74 /
+#: 0.60. ``|x|^2`` still loses below 65536, so the bound stays there.
 SPLIT_MIN = 65536
 
-#: ``(pid, executor)`` of this process's worker thread, once started.
+#: ``(pid, _Worker)`` of this process's worker thread, once started.
 _worker = (None, None)
 _worker_lock = threading.Lock()
 
@@ -113,54 +114,114 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _executor():
-    """This process's one-thread executor, created on first use in each
-    process: a child of ``os.fork`` has no copy of its parent's thread."""
+class _Worker:
+    """One daemon thread that runs the second half of a split.
+
+    The caller takes ``busy``, puts the job in ``job`` and releases ``go``;
+    the thread runs it, leaves ``(result, exception)`` in ``result``, drops
+    the job and releases ``done``. ``go`` and ``done`` are held while the
+    thread is idle. Dropping the job drops its views of the caller's rows:
+    kept until the next split, they held a call's output block and swing
+    into the next call, which raised the ``imd`` workload's peak RSS by
+    0.7 MB.
+    """
+
+    def __init__(self):
+        self.busy = threading.Lock()
+        self.go = threading.Lock()
+        self.done = threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.job = self.result = None
+        threading.Thread(target=self._serve, name="hfpa-halves",
+                         daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.go.acquire()
+            try:
+                self.result = (_in_errstate(*self.job), None)
+            except BaseException as exc:  # halves raises it in the caller
+                self.result = (None, exc)
+            self.job = None
+            self.done.release()
+
+
+def _the_worker():
+    """This process's worker, created on first use in each process: a child
+    of ``os.fork`` has no copy of its parent's thread."""
     global _worker
-    with _worker_lock:
-        pid, pool = _worker
-        if pid != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-            pool = ThreadPoolExecutor(1, thread_name_prefix="hfpa-halves")
-            _worker = (os.getpid(), pool)
-        return pool
+    pid, worker = _worker
+    if pid != os.getpid():
+        with _worker_lock:
+            pid, worker = _worker
+            if pid != os.getpid():
+                worker = _Worker()
+                _worker = (os.getpid(), worker)
+    return worker
 
 
 def _in_errstate(err, fn, rows, args):
+    """The worker's half: ``fn(*rows, *args)`` under the caller's error
+    state ``err``."""
     with np.errstate(**err):
-        fn(*rows, *args)
+        return fn(*rows, *args)
 
 
 def halves(fn, rows, *args):
-    """``fn(*rows, *args)``, over the two halves of a long block at once.
+    """``fn(*rows, *args)``, over the two halves of a long block at once; a
+    list of the part results, one per part.
 
     ``rows`` are arrays of one length along their first axis, whose leading
     rows ``fn`` reads and writes independently of one another (the samples
     of 1-D rows, the columns of a 2-D view), so each gets the same bits
     either way. From ``SPLIT_MIN`` samples (``rows[0].size``) up, with more
     than one CPU and at least two leading rows, this thread runs ``fn`` on
-    the first half of every row along the first axis and the process's
+    the first part of every row along the first axis and the process's
     worker thread on the second, under this thread's ``np.geterr()``;
-    otherwise ``fn`` runs once on the whole rows. The worker has finished
-    its half when this returns or raises; an exception of this thread's
-    half wins over the worker's. It has three callers: ``pa_pipeline``'s law
-    with the output scale, and ``measure_imd``'s noise and window pass and
-    column FFT; ``SPLIT_MIN`` gives their timings and those of the passes
-    that stay serial.
+    otherwise ``fn`` runs once on the whole rows and the list has one
+    result. One caller at a time uses the worker: a second thread that
+    finds it busy runs its block in one part, with the same bits. The
+    worker has finished its part when this returns or raises; an exception
+    of this thread's part wins over the worker's.
+
+    1-D rows split at numpy's pairwise point, ``h = n//2 - (n//2) % 8``:
+    numpy sums more than 128 terms as the sum of the first ``h`` plus the
+    sum of the rest, so ``joined`` of the parts' ``np.add.reduce`` has the
+    bits of the whole row's. Columns split at ``n//2``.
+
+    It has four callers: ``pa_pipeline``'s law with ``|x|`` and the block
+    sums, and ``measure_imd``'s ``|x|^2`` with its sum, its noise and window
+    pass and its column FFT. ``SPLIT_MIN`` gives their timings.
     """
     first = rows[0]
     if first.size < SPLIT_MIN or len(first) < 2 or _cpu_count() < 2:
-        fn(*rows, *args)
-        return
+        return [fn(*rows, *args)]
+    worker = _the_worker()
+    if not worker.busy.acquire(blocking=False):
+        return [fn(*rows, *args)]
     h = len(first) // 2
-    second = _executor().submit(_in_errstate, np.geterr(), fn,
-                                [r[h:] for r in rows], args)
+    if first.ndim == 1:
+        h -= h % 8
+    worker.job = (np.geterr(), fn, [r[h:] for r in rows], args)
+    worker.go.release()
     try:
-        fn(*[r[:h] for r in rows], *args)
+        mine = fn(*[r[:h] for r in rows], *args)
     finally:
-        exc = second.exception()  # waits for the worker's half
+        # waits for the worker's part; if this wait is interrupted, the
+        # worker stays busy and later splits run in one part
+        worker.done.acquire()
+        (theirs, exc), worker.result = worker.result, None
+        worker.busy.release()
     if exc is not None:
         raise exc
+    return [mine, theirs]
+
+
+def joined(parts):
+    """The sum of the part results of ``halves``: with its pairwise split
+    point, the bits of one ``np.add.reduce`` over the whole rows."""
+    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
 
 
 def _rapp_den(u, a_sat, s2, out):
@@ -266,9 +327,12 @@ def pa_pipeline(x, g, a_sat, idq, params):
     evaluated once, with the bits of the block form (see the module
     docstring), its output is ``x`` times the one scale, and its ``sum(e^2)``
     is ``np.dot``, for the calibration's bits. A varying block's four sums
-    are one reduction, with no BLAS call; from ``SPLIT_MIN`` samples its law
-    and output scale run as two halves (``halves``; the timings are at
-    ``SPLIT_MIN``), ``|x|`` serially.
+    are one reduction, with no BLAS call. A block of ``SPLIT_MIN`` samples
+    or more whose endpoint envelopes differ cannot be constant, so it skips
+    the serial ``|x|`` and ``_is_constant``: its ``|x|``, law, output scale
+    and sums run as two halves (``halves``; the timings are at
+    ``SPLIT_MIN``), and ``joined`` adds the halves' sums with the bits of
+    one reduction.
 
     One ``np.errstate(over="ignore")`` covers both paths, the block sums
     included: a finite sample whose envelope, amplified envelope, power or
@@ -278,27 +342,40 @@ def pa_pipeline(x, g, a_sat, idq, params):
     ``rapp``'s, which traps an overflow to redo the block.
     """
     with np.errstate(over="ignore"):
-        env, t1, t2, t3, t4 = workspace(x.size)
-        np.abs(x, env)
-        if _is_constant(env):
-            e = env.item(0)
-            a, *sums = _constant_pipeline(e, env.size, g, a_sat, idq, params)
-            # numpy casts the scale to (s, +0) as it casts a row of it, so
-            # each sample has the bits of the block form's
-            return (np.multiply(x, a / max(e, _TINY)), *sums,
-                    float(np.dot(env, env)))
+        ws = workspace(x.size)
+        env = ws[0]
+        # endpoint envelopes that differ fail _is_constant's first test, so
+        # a long block that has them takes |x| into the halves
+        split_abs = (x.size >= SPLIT_MIN
+                     and np.abs(x[:1]).item() != np.abs(x[-1:]).item())
+        if not split_abs:
+            np.abs(x, env)
+            if _is_constant(env):
+                e = env.item(0)
+                a, *sums = _constant_pipeline(e, env.size, g, a_sat, idq,
+                                              params)
+                # numpy casts the scale to (s, +0) as it casts a row of it,
+                # so each sample has the bits of the block form's
+                return (np.multiply(x, a / max(e, _TINY)), *sums,
+                        float(np.dot(env, env)))
         aout = np.empty(env.size)
         out = np.empty(env.size, dtype=np.complex128)
-        halves(_pipeline_rows, (x, out, env, aout, t1, t2, t3, t4), g,
-               a_sat, idq, params)
-        # the products fill rows 1-4, adjacent rows of the workspace array
-        return (out, *np.add.reduce(t1.base[1:5], axis=1).tolist())
+        # the products fill rows 1-4, adjacent rows of the workspace array;
+        # transposed, halves splits them along the samples
+        parts = halves(_pipeline_rows, (x, out, env, aout, ws[1].base[1:5].T),
+                       split_abs, g, a_sat, idq, params)
+        return (out, *joined(parts).tolist())
 
 
-def _pipeline_rows(x, out, env, aout, t1, t2, t3, t4, g, a_sat, idq, params):
-    """``pa_pipeline``'s law over rows of one span: the swing into ``aout``,
-    the output samples into ``out``, and the products ``aout^2``,
-    ``aout*i1``, ``idc*shape``, ``env^2`` into ``t1``-``t4``."""
+def _pipeline_rows(x, out, env, aout, prods, with_abs, g, a_sat, idq,
+                   params):
+    """``pa_pipeline``'s law over rows of one span: ``|x|`` into ``env`` if
+    ``with_abs``, the swing into ``aout``, the output samples into ``out``,
+    and the products ``aout^2``, ``aout*i1``, ``idc*shape``, ``env^2`` into
+    the columns of ``prods``; returns the products' four sums."""
+    if with_abs:
+        np.abs(x, env)
+    t1, t2, t3, t4 = prods.T
     # a ufunc's third positional argument is its out row: an ``out=``
     # keyword costs about 0.25 us more per call, which a 64-sample block
     # feels (np.maximum takes only the keyword)
@@ -338,3 +415,4 @@ def _pipeline_rows(x, out, env, aout, t1, t2, t3, t4, g, a_sat, idq, params):
     np.multiply(aout, i1, t2)
     np.multiply(idc, shape, t3)
     np.multiply(env, env, t4)
+    return np.add.reduce(prods.T, axis=1)

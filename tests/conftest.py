@@ -1,7 +1,9 @@
+import threading
 import time
 
 import pytest
 
+from hfpa import kernels
 from hfpa.calibrate import REFERENCE_ANCHORS, default_init, fit
 
 
@@ -23,3 +25,19 @@ def fitted():
 def fitted_params(fitted):
     report, _ = fitted
     return report.params
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Split as on a multi-core host, and list the name of the thread that
+    runs each part handed to the worker (``kernels._in_errstate``)."""
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
+    worker_halves = []
+    in_errstate = kernels._in_errstate
+
+    def counted(*args):
+        worker_halves.append(threading.current_thread().name)
+        return in_errstate(*args)
+
+    monkeypatch.setattr(kernels, "_in_errstate", counted)
+    return worker_halves

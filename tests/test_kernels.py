@@ -1,6 +1,7 @@
 """The two-thread split of long blocks (``kernels.halves``): the same bits as
-one pass, the caller's floating-point error handling in the worker, a joined
-worker on every exit, and a fresh worker after ``os.fork``; and a two-tone
+one pass, part sums that join to the bits of one reduction, the caller's
+floating-point error handling in the worker, a joined worker on every exit,
+one caller at a time, and a fresh worker after ``os.fork``; and a two-tone
 ``simulate`` whose bits do not depend on the BLAS build."""
 import os
 import subprocess
@@ -51,21 +52,6 @@ def point_bits(block):
     return out.samples.tobytes(), [v.hex() for v in fields + tuple(levels)]
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Split as on a multi-core host, and count the worker's halves."""
-    monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
-    worker_halves = []
-    in_errstate = kernels._in_errstate
-
-    def counted(*args):
-        worker_halves.append(threading.current_thread().name)
-        in_errstate(*args)
-
-    monkeypatch.setattr(kernels, "_in_errstate", counted)
-    return worker_halves
-
-
 @pytest.mark.parametrize("n", LENGTHS)
 def test_split_and_serial_give_the_same_bits(n, two_cpus, monkeypatch):
     # never split, split as shipped, and split at every length
@@ -76,10 +62,10 @@ def test_split_and_serial_give_the_same_bits(n, two_cpus, monkeypatch):
             monkeypatch.setattr(kernels, "SPLIT_MIN", split_min)
             del two_cpus[:]
             got[split_min] = point_bits(block)
-            # pa_pipeline's law with the output scale, and measure_imd's
-            # noise and window pass and its column FFT, unless there is one
-            # column; the cheaper |x| and |x|^2 run serially
-            split = 3 if dft_columns(n) > 1 else 2
+            # pa_pipeline's law with |x| and the block sums, and
+            # measure_imd's |x|^2 with its sum, its noise and window pass
+            # and its column FFT, unless there is one column
+            split = 4 if dft_columns(n) > 1 else 3
             assert len(two_cpus) == (split if n >= split_min else 0)
         assert got[SPLIT_MIN] == got[n + 1]
         assert got[2] == got[n + 1]
@@ -100,6 +86,85 @@ def test_split_column_fft_is_the_serial_in_place_fft(n, two_cpus):
     assert got.tobytes() == want.tobytes()
     # one column is not split
     assert len(two_cpus) == (1 if m > 1 else 0)
+
+
+#: ``n//2`` is not a multiple of 8 at these lengths, as it is at ``LENGTHS``.
+UNALIGNED_HALVES = (65548, 131071)
+
+
+@pytest.mark.parametrize("n", LENGTHS + UNALIGNED_HALVES)
+def test_joined_part_sums_are_the_full_sum(n, two_cpus):
+    # halves splits 1-D rows at numpy's pairwise point, so the parts' sums
+    # add to the bits of one reduction; split at n//2, most rows of the
+    # unaligned lengths differ
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        row = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        parts = kernels.halves(np.add.reduce, (row,))
+        assert len(parts) == (2 if n >= SPLIT_MIN else 1)
+        assert kernels.joined(parts) == np.add.reduce(row)
+    assert len(two_cpus) == (20 if n >= SPLIT_MIN else 0)
+
+
+def serial_bits(block, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "SPLIT_MIN", len(block) + 1)
+        return point_bits(block)
+
+
+@pytest.mark.parametrize("kind", ["equal_endpoints", "constant"])
+def test_blocks_that_keep_the_serial_abs_give_the_serial_bits(
+        kind, two_cpus, monkeypatch):
+    # equal endpoint envelopes send a long block through the serial |x| and
+    # _is_constant: a varying one still splits its law, a constant one
+    # is evaluated once
+    n = 131072
+    x = two_tone(n, 0.8).samples.copy()
+    if kind == "constant":
+        x[:] = 0.5 - 0.25j
+    else:
+        x[-1] = x[0]
+    block = IqBlock(x, FS)
+    want = serial_bits(block, monkeypatch)
+    del two_cpus[:]
+    simulate(block, BIAS, PARAMS)
+    assert len(two_cpus) == (0 if kind == "constant" else 1)
+    assert point_bits(block) == want
+
+
+def test_two_callers_at_once_give_the_serial_bits(two_cpus, monkeypatch):
+    # one caller holds the worker; the others run their blocks in one part
+    blocks = [two_tone(131072, a) for a in (0.4, 0.9, 1.3)]
+    want = [serial_bits(b, monkeypatch) for b in blocks]
+    point_bits(blocks[0])  # starts the worker
+    worker = kernels._worker[1]
+    with worker.busy:  # as while another thread's block is split
+        del two_cpus[:]
+        assert point_bits(blocks[1]) == want[1]
+        assert two_cpus == []
+    # more callers than the host's two cores, switching often
+    got = [[] for _ in blocks]
+    start = threading.Barrier(len(blocks))
+
+    def run(i):
+        start.wait()
+        for _ in range(4):
+            got[i].append(point_bits(blocks[i]))
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(blocks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 4 for w in want]
+    assert not worker.busy.locked()
 
 
 def test_the_worker_is_one_thread_of_its_own(two_cpus):

@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 import json
 import os
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,25 @@ def test_tree_identity_hashes_the_sources(tmp_path):
         first["tree_sha256"])
     here = bench_snapshot.tree_identity(bench_snapshot.ROOT)
     assert here["git_commit"] and isinstance(here["git_dirty"], bool)
+
+
+def test_tree_identity_is_dirty_only_for_the_sources(tmp_path):
+    tree = make_tree(tmp_path / "tree")
+    (tree / "ISSUE.md").write_text("text\n")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tree), "-c", "user.name=t",
+                        "-c", "user.email=t@t", *args], check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "tree")
+    assert bench_snapshot.tree_identity(tree)["git_dirty"] is False
+    (tree / "ISSUE.md").write_text("edited\n")
+    assert bench_snapshot.tree_identity(tree)["git_dirty"] is False
+    (tree / "perfbench" / "run.py").write_text("pass  # edited\n")
+    assert bench_snapshot.tree_identity(tree)["git_dirty"] is True
 
 
 def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):

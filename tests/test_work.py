@@ -13,7 +13,7 @@ import pytest
 from hfpa import calibrate, kernels, measure
 from hfpa.calibrate import REFERENCE_ANCHORS, default_init, fit
 from hfpa.pamodel import BiasPoint, PaParams, simulate
-from hfpa.signalgen import IqBlock
+from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
 
 PARAMS = PaParams(g0=39.77, kv=0.39, rload=0.4, vknee=4.1, smoothness=8.0,
                   shape_beta=3.82, shape_exp=8.16, shape_sat=20.6)
@@ -89,3 +89,20 @@ def test_overflow_saturates_under_a_raising_caller(n, monkeypatch):
         assert np.isfinite(sums[:3]).all() and sums[3] == np.inf
         assert np.isfinite(block.samples).all()
         assert np.isfinite(stats.pout_w) and stats.gain_db is None
+
+
+def test_worker_handoffs_per_call(two_cpus):
+    # a handoff costs 35-41 us on a 2-core VM (kernels.SPLIT_MIN): a long
+    # varying simulate hands over 1 (|x|, law and sums in one split), a CW
+    # row none, and a two-tone point at 131072 samples 4: simulate's, and
+    # measure_imd's |x|^2, noise and window pass and column FFT
+    n = 1 << 17
+    block = generate(WaveformSpec(kind=Kind.TWO_TONE, amplitude=0.8,
+                                  duration_s=n / 1e6, f1_hz=-1000.0,
+                                  f2_hz=1000.0), 1e6)
+    out, _ = simulate(block, BIAS, PARAMS)
+    assert len(two_cpus) == 1
+    measure.simulate_cw(0.8, BIAS, PARAMS)
+    assert len(two_cpus) == 1
+    measure.measure_imd(out, -1000.0, 1000.0)
+    assert len(two_cpus) == 4

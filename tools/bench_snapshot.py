@@ -292,9 +292,10 @@ def tier1(root):
 
 
 def tree_identity(root):
-    """The tree's git commit and dirty flag (None outside a git checkout)
-    and a sha256 over the paths and bytes of its ``src/`` and
-    ``perfbench/`` files, caches left out."""
+    """The tree's git commit, whether its tracked ``src/`` and
+    ``perfbench/`` files differ from that commit (None outside a git
+    checkout; other files do not count), and a sha256 over the paths and
+    bytes of those directories' files, caches left out."""
     digest = hashlib.sha256()
     for sub in TREE_DIRS:
         for path in sorted((root / sub).rglob("*")):
@@ -306,7 +307,7 @@ def tree_identity(root):
                           f"{len(data)}\0".encode())
             digest.update(data)
     git = subprocess.run(["git", "-C", str(root), "status", "--porcelain",
-                          "--untracked-files=no"],
+                          "--untracked-files=no", "--", *TREE_DIRS],
                          capture_output=True, text=True)
     head = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                           capture_output=True, text=True)

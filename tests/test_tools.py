@@ -157,7 +157,7 @@ def test_tree_identity_hashes_the_sources(tmp_path):
 
 def test_tree_identity_is_dirty_only_for_the_sources(tmp_path):
     tree = make_tree(tmp_path / "tree")
-    (tree / "ISSUE.md").write_text("text\n")
+    (tree / "NOTES.md").write_text("text\n")
 
     def git(*args):
         subprocess.run(["git", "-C", str(tree), "-c", "user.name=t",
@@ -168,7 +168,7 @@ def test_tree_identity_is_dirty_only_for_the_sources(tmp_path):
     git("add", "-A")
     git("commit", "-q", "-m", "tree")
     assert bench_snapshot.tree_identity(tree)["git_dirty"] is False
-    (tree / "ISSUE.md").write_text("edited\n")
+    (tree / "NOTES.md").write_text("edited\n")
     assert bench_snapshot.tree_identity(tree)["git_dirty"] is False
     (tree / "perfbench" / "run.py").write_text("pass  # edited\n")
     assert bench_snapshot.tree_identity(tree)["git_dirty"] is True

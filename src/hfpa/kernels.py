@@ -3,7 +3,7 @@
 Block-sized temporaries go into one per-thread workspace (``workspace``): a
 ``(5, n)`` float64 array for the most recent block length ``n``, kept while
 ``n <= signalgen.CACHE_MAX_SAMPLES``, so at most 5 MiB per thread. A longer
-block gets a fresh workspace that lives only while a caller holds it. Each
+block gets fresh rows on every call, freed with the caller's last view. Each
 stage writes its result into a workspace row with the ufunc's ``out``, in
 the same expression, operand order and reduction as the plain form, so the
 bits are those of freshly allocated temporaries; what goes is the page
@@ -27,14 +27,15 @@ caller's error state. Its callers (``pamodel.simulate``) and its constant
 path open no scope of their own, and a CW evaluation enters this one only.
 
 A constant envelope (every sample has the first one's bits: a CW drive, and
-so every calibration anchor) is evaluated once; its swing and products fill
-a fresh ``(4, n)`` block that the same reduction sums, so its sums are the
-block form's by construction. Its correctly rounded steps (``*``, ``/``,
-``+``, ``-``, ``max``, ``sqrt``) run on Python floats, where ufunc dispatch
-would cost more than the arithmetic. Its three powers and ``arccos`` stay in
-numpy, on one-lane arrays: numpy's SIMD ``pow`` and ``arccos`` differ from
-libm's in the last bits for a few percent of arguments, and ``**`` takes
-numpy's exponent-2 and exponent-0.5 fast paths, as it does for a block.
+so every calibration anchor) is evaluated once: its swing is one float,
+and its three products fill a fresh ``(3, n)`` block that the same
+reduction sums, so its sums are the block form's by construction. Its
+correctly rounded steps (``*``, ``/``, ``+``, ``-``, ``max``, ``sqrt``) run
+on Python floats, where ufunc dispatch would cost more than the arithmetic.
+Its three powers and ``arccos`` stay in numpy, on one-lane arrays: numpy's
+SIMD ``pow`` and ``arccos`` differ from libm's in the last bits for a few
+percent of arguments, and ``**`` takes numpy's exponent-2 and exponent-0.5
+fast paths, as it does for a block.
 
 Four passes over a long block run as two halves at once through
 ``halves``: ``pa_pipeline``'s law with ``|x|``, the output scale and the
@@ -53,7 +54,6 @@ long block (importing this module starts none) and again in a child after
 import math
 import os
 import threading
-import weakref
 
 import numpy as np
 
@@ -91,18 +91,14 @@ def workspace(n):
     rows 1-4. ``biasctl.classify_envelope`` uses rows 0-1 and is never
     called inside ``pamodel.simulate`` or ``measure.measure_imd`` (rows
     0-2), whose rows it shares. The rows of the most recent length are
-    kept while ``n <= CACHE_MAX_SAMPLES``. Longer ones are only weakly
-    referenced, so nested calls in one operation share them and they are
+    kept, and returned again for that length, while ``n <=
+    CACHE_MAX_SAMPLES``; a longer ``n`` gets fresh rows on every call,
     freed with their last view.
     """
     rows = getattr(_local, "rows", ())
     if rows and rows[0].size == n:
         return rows
-    ws = _local.ref() if hasattr(_local, "ref") else None
-    if ws is None or ws.shape[1] != n:
-        ws = np.empty((5, n))
-        _local.ref = weakref.ref(ws)
-    rows = tuple(ws)
+    rows = tuple(np.empty((5, n)))
     _local.rows = rows if n <= CACHE_MAX_SAMPLES else ()
     return rows
 

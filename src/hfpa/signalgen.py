@@ -8,8 +8,9 @@ spec: no RNG state, no dithering, byte-identical output on every call.
 Every generator scales an amplitude-free unit waveform by the amplitude
 last, so ``generate`` keeps the most recent unit waveforms in a small LRU
 (``CACHE_SIZE`` entries of at most ``CACHE_MAX_SAMPLES`` samples, read-only,
-each with its peak component magnitude) and only multiplies on a hit. The
-multiply runs in the same order as an uncached call, so cached and uncached
+each with its peak component magnitude) and only multiplies on a hit. A
+longer unit waveform comes from the same function, called past its cache.
+The multiply runs in the same order either way, so cached and uncached
 outputs are byte-identical.
 """
 from __future__ import annotations
@@ -86,10 +87,16 @@ class IqBlock:
         return self.samples.size / self.sample_rate
 
 
+#: The float fields a unit waveform depends on, besides the sample rate.
+#: Fields equal as numbers give equal blocks: a -0.0 field can flip the sign
+#: of a zero in the unit waveform, but the amplitude multiply, done against
+#: a + 0j, turns every such zero into +0.0.
+_SHAPE_FIELDS = ("tone_hz", "f1_hz", "f2_hz", "fm_dev_hz", "fm_rate_hz",
+                 "am_index", "am_rate_hz", "psk_rate_hz")
+_shape = operator.attrgetter(*_SHAPE_FIELDS)
+
 #: WaveformSpec's float fields; validate rejects a non-finite value in any.
-_FLOAT_FIELDS = ("amplitude", "duration_s", "tone_hz", "f1_hz", "f2_hz",
-                 "fm_dev_hz", "fm_rate_hz", "am_index", "am_rate_hz",
-                 "psk_rate_hz")
+_FLOAT_FIELDS = ("amplitude", "duration_s") + _SHAPE_FIELDS
 
 
 @dataclass(frozen=True)
@@ -236,32 +243,17 @@ def _unit_waveform(spec: WaveformSpec, sample_rate: float,
     raise InvalidSpec(f"unsupported kind {spec.kind}")  # pragma: no cover
 
 
-#: The float fields a unit waveform depends on, besides the sample rate.
-#: Fields equal as numbers give equal blocks: a -0.0 field can flip the sign
-#: of a zero in the unit waveform, but the amplitude multiply, done against
-#: a + 0j, turns every such zero into +0.0.
-_SHAPE_FIELDS = ("tone_hz", "f1_hz", "f2_hz", "fm_dev_hz", "fm_rate_hz",
-                 "am_index", "am_rate_hz", "psk_rate_hz")
-_shape = operator.attrgetter(*_SHAPE_FIELDS)
-
-
-def _unit_and_peak(spec: WaveformSpec, sample_rate: float,
-                   n: int) -> Tuple[np.ndarray, float]:
-    """``_unit_waveform``, read-only, and its largest component magnitude
-    (NaN when a component is NaN)."""
-    u = _unit_waveform(spec, sample_rate, n)
-    u.flags.writeable = False
-    return u, float(np.max(np.abs(u.view(np.float64))))
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _cached_unit_waveform(kind: Kind, psk_order: int, shape: tuple,
                           sample_rate: float,
                           n: int) -> Tuple[np.ndarray, float]:
-    """``_unit_and_peak`` of the spec with these fields."""
+    """``_unit_waveform`` of the spec with these fields, read-only, and its
+    largest component magnitude (NaN when a component is NaN)."""
     spec = WaveformSpec(kind=kind, psk_order=psk_order,
                         **dict(zip(_SHAPE_FIELDS, shape)))
-    return _unit_and_peak(spec, sample_rate, n)
+    u = _unit_waveform(spec, sample_rate, n)
+    u.flags.writeable = False
+    return u, float(np.max(np.abs(u.view(np.float64))))
 
 
 def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
@@ -271,6 +263,10 @@ def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
     never exceeds ``spec.amplitude``; constant-envelope kinds hold it exactly.
     Raises InvalidSpec for more than ``MAX_SAMPLES`` samples, and for a block
     with a non-finite sample.
+
+    The unit waveform comes from ``_cached_unit_waveform``: through its LRU
+    for at most ``CACHE_MAX_SAMPLES`` samples, through ``__wrapped__``, on
+    every call, for more.
 
     The finite check reads one scalar, ``scale * peak``, with ``scale`` the
     factor the unit waveform ``u`` is multiplied by (``a/2`` for the
@@ -289,11 +285,9 @@ def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
     n = int(round(count))
     if n < 1:
         raise InvalidSpec("duration too short for one sample")
-    if n <= CACHE_MAX_SAMPLES:
-        u, peak = _cached_unit_waveform(spec.kind, spec.psk_order,
-                                        _shape(spec), sample_rate, n)
-    else:
-        u, peak = _unit_and_peak(spec, sample_rate, n)
+    unit = (_cached_unit_waveform if n <= CACHE_MAX_SAMPLES
+            else _cached_unit_waveform.__wrapped__)
+    u, peak = unit(spec.kind, spec.psk_order, _shape(spec), sample_rate, n)
     a = spec.amplitude
     scale = a / 2.0 if spec.kind is Kind.TWO_TONE else a
     if not math.isfinite(scale * peak):

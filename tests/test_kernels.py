@@ -1,14 +1,16 @@
 """The two-thread split of long blocks (``kernels.halves``): the same bits as
 one pass, part sums that join to the bits of one reduction, the caller's
 floating-point error handling in the worker, a joined worker on every exit,
-one caller at a time, and a fresh worker after ``os.fork``; and a two-tone
-``simulate`` whose bits do not depend on the BLAS build."""
+one caller at a time, and a fresh worker after ``os.fork``; a two-tone
+``simulate`` whose bits do not depend on the BLAS build; and the retention
+rule of ``kernels.workspace``."""
 import os
 import subprocess
 import sys
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ import hfpa
 from hfpa import kernels, measure
 from hfpa.measure import measure_imd
 from hfpa.pamodel import BiasPoint, PaParams, saturated_swing, simulate
-from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
+from hfpa.signalgen import (CACHE_MAX_SAMPLES, IqBlock, Kind, WaveformSpec,
+                            generate)
 
 FS = 1.0e6
 BIAS = BiasPoint(vdd=58.0, idq=2.0)
@@ -341,3 +344,24 @@ def test_import_starts_no_thread():
                          env=child_env(), capture_output=True, text=True,
                          timeout=120).stdout
     assert out.split() == ["False", "1"]
+
+
+@pytest.mark.parametrize("n", [1, 64, CACHE_MAX_SAMPLES])
+def test_workspace_keeps_the_rows_of_a_cached_length(n):
+    rows = kernels.workspace(n)
+    assert len(rows) == 5 and all(row.shape == (n,) for row in rows)
+    assert rows[0].base.flags.c_contiguous and rows[0].base.shape == (5, n)
+    assert kernels.workspace(n) is rows
+
+
+def test_a_long_block_gets_fresh_rows_on_every_call():
+    first = kernels.workspace(CACHE_MAX_SAMPLES + 1)
+    second = kernels.workspace(CACHE_MAX_SAMPLES + 1)
+    assert not np.shares_memory(first[0].base, second[0].base)
+
+
+def test_a_long_blocks_rows_are_freed_with_their_last_view():
+    rows = kernels.workspace(CACHE_MAX_SAMPLES + 1)
+    base = weakref.ref(rows[0].base)
+    del rows
+    assert base() is None

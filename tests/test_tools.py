@@ -191,11 +191,12 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_snapshot, "startup",
                         lambda trees: {s: {"floor": s} for s in trees})
     monkeypatch.setattr(bench_snapshot, "tier1", lambda root: {"root": str(root)})
+    (after / "bench").mkdir()
     args = argparse.Namespace(tag="T", against=before, pairs=3)
     bench_snapshot.paired(args, [1], ["imd", "controller"],
                           {"op_p50_ms": "lower"})
-    new = json.loads((after / "BENCH_T.json").read_text())
-    old = json.loads((after / "BENCH_Tparent.json").read_text())
+    new = json.loads((after / "bench" / "BENCH_T.json").read_text())
+    old = json.loads((after / "bench" / "BENCH_Tparent.json").read_text())
     assert new["tag"] == "T" and old["tag"] == "Tparent"
     assert new["environment"]["tree_sha256"] == (
         bench_snapshot.tree_identity(after)["tree_sha256"])

@@ -5,12 +5,14 @@ the bits and do less work, and the work can be counted exactly. Each test
 here pins one count at its measured value, so a change that brings the work
 back fails here. When a change lowers a count, the bound goes down with it.
 """
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from hfpa import calibrate, kernels, measure
+from hfpa.biasctl import BiasController, default_band_table
 from hfpa.calibrate import REFERENCE_ANCHORS, default_init, fit
 from hfpa.pamodel import BiasPoint, PaParams, simulate
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
@@ -106,3 +108,50 @@ def test_worker_handoffs_per_call(two_cpus):
     assert len(two_cpus) == 1
     measure.measure_imd(out, -1000.0, 1000.0)
     assert len(two_cpus) == 4
+
+
+def logged_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper; return the list it appends
+    each call's arguments to."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_drive_solves_decide_from_the_scalar_law(monkeypatch):
+    # the scalar CW law filters every bisection step and saturation test
+    # (measure.DRIVE_PREDICT_MARGIN); a 64-sample simulate_cw block runs
+    # only near an edge. Measured: 95 scalar-law calls and 6 simulate_cw
+    # calls, one per recorded row, for the six rows of the 1 kW sweep at
+    # 2 A and the 5 W sweep at 0.25 A near the clipping onset
+    law = logged_calls(monkeypatch, measure, "_rapp_scalar")
+    blocks = logged_calls(monkeypatch, measure, "simulate_cw")
+    rows = (measure.sweep_bias([58.0, 53.0, 48.0], 2.0, 1000.0, PARAMS)
+            + measure.sweep_bias([58.0, 44.0, 30.0], 0.25, 5.0, PARAMS))
+    assert len(rows) == 6
+    assert len(law) <= 95
+    assert len(blocks) <= 6
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_a_warm_controller_window_allocates_no_sample_array(kind):
+    # classify_envelope works in rows 0-1 of kernels.workspace, so a window
+    # of a length seen before allocates only Python objects. Measured: a
+    # tracemalloc peak of 2760 bytes per 10000-sample window of every kind,
+    # against 80000 bytes for one float64 row of the window
+    ctl = BiasController(params=PARAMS, table=default_band_table())
+    block = generate(WaveformSpec(kind=kind, duration_s=0.01), 1e6)
+    ctl.process(block, "20M", 500.0)
+    tracemalloc.start()
+    try:
+        ctl.process(block, "20M", 500.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(block) * 8

@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
 """Record a paired benchmark snapshot of this checkout and another one in
-``BENCH_<tag>.json`` and ``BENCH_<tag>parent.json``.
+``bench/BENCH_<tag>.json`` and ``bench/BENCH_<tag>parent.json``.
 
 Usage::
 
     python tools/bench_snapshot.py --tag T --against DIR [--pairs N] \
         [--seeds 1,2,3] [--workloads W,...]
-    python tools/bench_snapshot.py --table BENCH_T.json ...
+    python tools/bench_snapshot.py --table bench/BENCH_T.json ...
 
 ``--table`` prints the Markdown evidence table of paired files already
 written (see ``table_rows``) and runs nothing.
 
 Run from anywhere; this checkout is the one this file lives in, and both
-files are written at its root. ``DIR`` is a second checkout of this
-repository, for example a ``git clone`` of the parent commit, and
-``BENCH_<T>parent.json`` describes it; ``DIR`` may not be this checkout. To
-snapshot one commit alone, pair it against a clone of itself: the A/A pair
-records the host's spread beside the figures. Each file holds, for its tree:
+files are written to its ``bench/`` directory (``BENCH_DIR``). ``DIR`` is a
+second checkout of this repository, for example a ``git clone`` of the
+parent commit, and ``BENCH_<T>parent.json`` describes it; ``DIR`` may not
+be this checkout. To snapshot one commit alone, pair it against a clone of
+itself: the A/A pair records the host's spread beside the figures. Each
+file holds, for its tree:
 
 * each ``BENCHMARK.json`` workload, run N times per seed as a subprocess of
   ``perfbench/run.py --seconds 20 --trace 0``: every run's result, and per
@@ -70,6 +71,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Where the snapshot files go, under ROOT.
+BENCH_DIR = "bench"
 RUN_SECONDS = 20
 CLI_REPEATS = 3
 STARTUP_REPEATS = 7
@@ -358,7 +361,7 @@ def snapshot_head(tag, root, seeds):
 
 
 def write(snapshot):
-    path = ROOT / f"BENCH_{snapshot['tag']}.json"
+    path = ROOT / BENCH_DIR / f"BENCH_{snapshot['tag']}.json"
     path.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
     print(path)
 

@@ -13,6 +13,8 @@ entries are taken from the caller's working directory. The steps are:
   length and flat-top size);
 * two-tones on 100000 samples, whose 125 DFT columns split into uneven
   halves, and on the prime 131071, whose one column is the full FFT;
+* a two-tone on 262144 samples, past ``signalgen.CACHE_MAX_SAMPLES``: an
+  uncached unit waveform and fresh workspace rows;
 * a budget-600 calibration;
 * a controller scenario that uses all five waveform kinds;
 * two sweeps at the edges of the CW drive solve: 5 W at 0.25 A, near the
@@ -112,6 +114,9 @@ STEPS = (
     ("two_tone_prime", ["two-tone", "--params", "fitted.cfg",
                         "--drive-dbfs", "-8", "--duration", "0.131071",
                         "--out", "imd_prime.csv"]),
+    ("two_tone_long", ["two-tone", "--params", "fitted.cfg",
+                       "--drive-dbfs", "-5", "--duration", "0.262144",
+                       "--out", "imd_long.csv"]),
     ("freq_response", ["freq-response", "--drive", "0.05",
                        "--params", "fitted.cfg", "--out", "bands.csv"]),
     ("calibrate_600", ["calibrate", "--budget", "600",

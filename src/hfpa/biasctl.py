@@ -149,7 +149,8 @@ def classify_envelope(block: IqBlock,
     ripple_ratio = (p99 - p1)/median of the envelope over the window;
     papr_db = peak-to-average power ratio. Constant iff both sit under their
     thresholds, RIPPLE_LIMIT and PAPR_LIMIT_DB. Scale-invariant: both
-    metrics are ratios. ``window_s`` must be finite and > 0.
+    metrics are ratios. ``window_s`` must be finite and > 0; the window is
+    the block's first ``max(1, round(window_s * rate))`` samples.
 
     The window's envelope, its sorted copy and its squares go into rows 0
     and 1 of this thread's ``kernels.workspace``, so a window allocates no
@@ -160,11 +161,11 @@ def classify_envelope(block: IqBlock,
     verdict holds Python floats only, never a view of the workspace.
     """
     _check_window(window_s)
-    if block.duration_s < window_s:
-        raise WindowTooShort(
-            f"block spans {block.duration_s:.4g} s < window {window_s:.4g} s")
-    samples = block.samples[:max(1, int(round(window_s * block.sample_rate)))]
-    n = samples.size
+    span = window_s * block.sample_rate  # inf past the float range
+    n = max(1, round(span)) if span < math.inf else math.inf
+    if len(block) < n:
+        raise WindowTooShort(f"block spans {len(block)} < {n} window samples")
+    samples = block.samples[:n]
     env, ordered = kernels.workspace(n)[:2]
     np.abs(samples, env)
     np.copyto(ordered, env)

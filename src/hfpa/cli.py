@@ -67,6 +67,14 @@ def _volts(text: str) -> List[float]:
     return volts
 
 
+def _bands(text: str) -> List[str]:
+    """argparse type: 'all', or band ids as ``_volts`` takes volts."""
+    bands = list(BANDS) if text == "all" else [b for b in text.split(",") if b]
+    if not bands:
+        raise argparse.ArgumentTypeError(f"names no band, got {text!r}")
+    return bands
+
+
 def _spec_from_args(args) -> signalgen.WaveformSpec:
     """Every waveform flag goes in; ``generate`` reads the kind's own fields."""
     return signalgen.WaveformSpec(
@@ -155,8 +163,7 @@ def _cmd_sweep_bias(args) -> int:
 def _cmd_freq_response(args) -> int:
     params = pamodel.load_params(args.params)
     bias = pamodel.BiasPoint(vdd=args.vdd, idq=args.idq)
-    bands = list(BANDS) if args.bands == "all" else args.bands.split(",")
-    points = measure.freq_response(bands, args.drive, bias, params)
+    points = measure.freq_response(args.bands, args.drive, bias, params)
     rows = [measure.MeasRow(vdd_v=bias.vdd, idq_a=bias.idq, band=band,
                             pout_w=pout)
             for band, pout in points]
@@ -312,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_bias)
 
     p = sub.add_parser("freq-response", help="constant-drive power per band")
-    p.add_argument("--bands", default="all", help="'all' or comma-separated ids")
+    p.add_argument("--bands", type=_bands, default="all",
+                   help="'all' or comma-separated ids")
     p.add_argument("--drive", type=_non_negative_float, required=True,
                    help="input envelope, volts-equivalent")
     p.add_argument("--vdd", type=float, default=pamodel.VDD_MAX)

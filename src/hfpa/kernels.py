@@ -26,16 +26,16 @@ or a power past the float range saturates without a warning under any
 caller's error state. Its callers (``pamodel.simulate``) and its constant
 path open no scope of their own, and a CW evaluation enters this one only.
 
-A constant envelope (every sample has the first one's bits: a CW drive, and
-so every calibration anchor) is evaluated once: its swing is one float,
-and its three products fill a fresh ``(3, n)`` block that the same
-reduction sums, so its sums are the block form's by construction. Its
-correctly rounded steps (``*``, ``/``, ``+``, ``-``, ``max``, ``sqrt``) run
-on Python floats, where ufunc dispatch would cost more than the arithmetic.
-Its three powers and ``arccos`` stay in numpy, on one-lane arrays: numpy's
-SIMD ``pow`` and ``arccos`` differ from libm's in the last bits for a few
-percent of arguments, and ``**`` takes numpy's exponent-2 and exponent-0.5
-fast paths, as it does for a block.
+A block shorter than ``SPLIT_MIN`` with a constant envelope (every sample
+has the first one's bits: a CW drive, and so every calibration anchor) is
+evaluated once: its swing is one float, and its three products fill a fresh
+``(3, n)`` block that the same reduction sums, so its sums are the block
+form's by construction. Its correctly rounded steps (``*``, ``/``, ``+``,
+``-``, ``max``, ``sqrt``) run on Python floats, where ufunc dispatch would
+cost more than the arithmetic. Its three powers and ``arccos`` stay in
+numpy, on one-lane arrays: numpy's SIMD ``pow`` and ``arccos`` differ from
+libm's in the last bits for a few percent of arguments, and ``**`` takes
+numpy's exponent-2 and exponent-0.5 fast paths, as it does for a block.
 
 Four passes over a long block run as two halves at once through
 ``halves``: ``pa_pipeline``'s law with ``|x|``, the output scale and the
@@ -60,9 +60,6 @@ import numpy as np
 from .signalgen import CACHE_MAX_SAMPLES
 
 _local = threading.local()
-
-#: Longest block that ``_is_constant`` compares as bytes.
-_BYTES_COMPARE_MAX = 4096
 
 #: Shortest block, in samples, whose passes ``halves`` splits. A handoff
 #: to the worker with nothing to do took 35-41 us p50 on a 2-core VM,
@@ -256,18 +253,15 @@ def _is_constant(env):
     """Whether every sample of ``env`` has the first one's bits.
 
     The endpoints are compared first, so a varying block nearly always pays
-    one comparison. A short block is then compared as bytes against itself
-    shifted by one sample (0.6 us at 64 samples, against 4.5 us for a numpy
-    comparison and reduction; timeit, 2-core host); a long one by numpy,
-    which copies nothing.
+    one comparison; then the block as bytes against itself shifted by one
+    sample: 0.72 us at 64 samples (numpy 2.10 us, memoryview 2.17 us), but
+    10.2 us at 10000 and 466 us at 65535 (numpy 6.5 and 16.3 us; timeit,
+    2-core host). No workload sends a long constant block to this test.
     """
     if not (env.size and env[0] == env[-1]):
         return False
-    if env.size <= _BYTES_COMPARE_MAX:
-        raw = env.tobytes()
-        return raw[env.itemsize:] == raw[:-env.itemsize]
-    bits = env.view(np.uint64)
-    return bool((bits == bits[0]).all())
+    raw = env.tobytes()
+    return raw[env.itemsize:] == raw[:-env.itemsize]
 
 
 def _constant_pipeline(e, n, g, a_sat, idq, params):
@@ -318,33 +312,29 @@ def pa_pipeline(x, g, a_sat, idq, params):
     ``(sum(a^2), sum(a*i1), sum(idc*shape), sum(e^2))``. The rows of
     ``workspace(x.size)`` are overwritten.
 
-    Only this function tells a constant envelope (``_is_constant``) from a
-    varying one, which pays one comparison for it. A constant one is
-    evaluated once, with the bits of the block form (see the module
-    docstring), its output is ``x`` times the one scale, and its ``sum(e^2)``
-    is ``np.dot``, for the calibration's bits. A varying block's four sums
-    are one reduction, with no BLAS call. A block of ``SPLIT_MIN`` samples
-    or more whose endpoint envelopes differ cannot be constant, so it skips
-    the serial ``|x|`` and ``_is_constant``: its ``|x|``, law, output scale
-    and sums run as two halves (``halves``; the timings are at
-    ``SPLIT_MIN``), and ``joined`` adds the halves' sums with the bits of
-    one reduction.
+    The block's length alone picks its path. A block shorter than
+    ``SPLIT_MIN`` takes the serial ``|x|`` and ``_is_constant``, which a
+    varying block pays one comparison for. A constant one is evaluated
+    once, with the bits of the block form (see the module docstring), its
+    output is ``x`` times the one scale, and its ``sum(e^2)`` is ``np.dot``,
+    for the calibration's bits. Every other block's four sums are one
+    reduction, with no BLAS call. A block of ``SPLIT_MIN`` samples or more,
+    constant or not, runs its ``|x|``, law, output scale and sums as two
+    halves (``halves``; the timings are at ``SPLIT_MIN``), and ``joined``
+    adds the halves' sums with the bits of one reduction.
 
     One ``np.errstate(over="ignore")`` covers both paths, the block sums
     included: a finite sample whose envelope, amplified envelope, power or
     square overflows saturates without a warning, under any caller's error
-    state, and the other error kinds follow the caller's state. A constant
-    block enters this scope and no other; a varying one also enters
-    ``rapp``'s, which traps an overflow to redo the block.
+    state, and the other error kinds follow the caller's state. A short
+    constant block enters this scope and no other; every other block also
+    enters ``rapp``'s, which traps an overflow to redo the block.
     """
     with np.errstate(over="ignore"):
         ws = workspace(x.size)
         env = ws[0]
-        # endpoint envelopes that differ fail _is_constant's first test, so
-        # a long block that has them takes |x| into the halves
-        split_abs = (x.size >= SPLIT_MIN
-                     and np.abs(x[:1]).item() != np.abs(x[-1:]).item())
-        if not split_abs:
+        long_block = x.size >= SPLIT_MIN
+        if not long_block:
             np.abs(x, env)
             if _is_constant(env):
                 e = env.item(0)
@@ -359,7 +349,7 @@ def pa_pipeline(x, g, a_sat, idq, params):
         # the products fill rows 1-4, adjacent rows of the workspace array;
         # transposed, halves splits them along the samples
         parts = halves(_pipeline_rows, (x, out, env, aout, ws[1].base[1:5].T),
-                       split_abs, g, a_sat, idq, params)
+                       long_block, g, a_sat, idq, params)
         return (out, *joined(parts).tolist())
 
 

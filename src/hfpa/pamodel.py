@@ -307,9 +307,9 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     ``gain_db`` is None when the input power is zero or overflows; an
     amplified envelope past the float range saturates at a_sat. The
     envelope, the output samples and every block sum, ``sum(|x|^2)``
-    included, come from ``kernels.pa_pipeline``, which runs a long varying
-    block's ``|x|``, law, output scale and sums as two halves, one handoff
-    to the worker thread per call (``kernels.halves``; timings at
+    included, come from ``kernels.pa_pipeline``, which runs a long block's
+    ``|x|``, law, output scale and sums as two halves, one handoff to the
+    worker thread per call (``kernels.halves``; timings at
     ``kernels.SPLIT_MIN``). ``pa_pipeline`` also holds the overflow policy:
     it ignores overflow in its own one ``np.errstate``, so this function
     opens none, and a CW block enters one scope per call.

@@ -78,6 +78,31 @@ class TestClassify:
         with pytest.raises(WindowTooShort):
             classify_envelope(block_of(Kind.CW), window_s=1.0)
 
+    @pytest.mark.parametrize("rate", [22050.0, 33333.0, 44100.0, 12345.6])
+    def test_a_window_of_the_generated_length_is_long_enough(self, rate):
+        # generate rounds the sample count to the nearest, so a 10 ms block
+        # may span a little less than 10 ms (220 samples at 22050 Hz); the
+        # window's count is rounded the same way, so it is the block's
+        blk = generate(WaveformSpec(kind=Kind.AM, duration_s=WINDOW), rate)
+        assert len(blk) == max(1, round(WINDOW * rate))
+        assert blk.duration_s <= WINDOW
+        assert classify_envelope(blk, WINDOW).kind is EnvKind.VARYING
+
+    @pytest.mark.parametrize("duration", [0.0123454, WINDOW, 1.0 / FS])
+    def test_a_window_of_the_block_duration_is_long_enough(self, duration):
+        blk = generate(WaveformSpec(kind=Kind.CW, duration_s=duration), FS)
+        assert classify_envelope(blk, duration).kind is EnvKind.CONSTANT
+        # one sample more than the block's is too long
+        n = len(blk)
+        with pytest.raises(WindowTooShort, match=f"spans {n} < {n + 1} window"):
+            classify_envelope(blk, (n + 1) / FS)
+
+    @pytest.mark.parametrize("window", [1e300, 1.7e308])
+    def test_a_window_past_the_float_range_is_too_short(self, window):
+        # window*rate is past the float range at 1.7e308 s: no OverflowError
+        with pytest.raises(WindowTooShort):
+            classify_envelope(block_of(Kind.CW), window_s=window)
+
     @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_positive_or_non_finite_window(self, window):
         with pytest.raises(ValueError, match="window_s must be finite"):

@@ -123,6 +123,41 @@ def test_freq_response_all_bands(tmp_path, params_file):
     assert len(lines) == 1 + 10
 
 
+@pytest.mark.parametrize("bands", [",", "", ",,"])
+def test_freq_response_without_a_band_is_a_usage_error(tmp_path, params_file,
+                                                       capsys, bands):
+    out = tmp_path / "f.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["freq-response", "--bands", bands, "--drive", "0.05",
+              "--params", params_file, "--out", str(out)])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert msg.startswith("usage: hfpa ") and "argument --bands" in msg
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bands, rows", [("40M,,20M", ["40M", "20M"]),
+                                         (",40M,", ["40M"])])
+def test_freq_response_skips_empty_band_entries(tmp_path, params_file, bands,
+                                                rows):
+    out = tmp_path / "f.csv"
+    assert main(["freq-response", "--bands", bands, "--drive", "0.05",
+                 "--params", params_file, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in lines] == rows
+
+
+@pytest.mark.parametrize("bands", ["40M,2M", " ", "40M, 20M"])
+def test_freq_response_unknown_band_exits_1(tmp_path, params_file, capsys,
+                                            bands):
+    out = tmp_path / "f.csv"
+    rc = main(["freq-response", "--bands", bands, "--drive", "0.05",
+               "--params", params_file, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: unknown band ")
+    assert not out.exists()
+
+
 def test_calibrate_subcommand(tmp_path, capsys):
     params_out = tmp_path / "fit.cfg"
     report_out = tmp_path / "report.csv"
@@ -155,6 +190,27 @@ def test_run_controller_scenario(tmp_path, params_file):
     main(["run-controller", "--scenario", str(scenario),
           "--params", params_file, "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("rate", ["22050", "33333", "44100", "12345.6"])
+def test_run_controller_at_a_rate_that_rounds_the_window(tmp_path, params_file,
+                                                         rate):
+    # the 10 ms block has round(0.01*rate) samples, 220 at 22050 Hz, and
+    # spans a little less than 10 ms; the window is as many samples
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("0.0 am 40M 600\n0.1 cw 40M 600\n")
+    out = tmp_path / "log.csv"
+    rc = main(["run-controller", "--scenario", str(scenario),
+               "--params", params_file, "--rate", rate, "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
+def test_classify_with_a_window_of_the_block_duration(capsys):
+    rc = main(["classify", "--kind", "cw", "--duration", "0.0123454",
+               "--window", "0.0123454"])
+    assert rc == 0
+    assert capsys.readouterr().out == "Constant\n"
 
 
 def test_scenario_validation(tmp_path, params_file):

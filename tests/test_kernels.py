@@ -115,23 +115,23 @@ def serial_bits(block, monkeypatch):
         return point_bits(block)
 
 
-@pytest.mark.parametrize("kind", ["equal_endpoints", "constant"])
-def test_blocks_that_keep_the_serial_abs_give_the_serial_bits(
-        kind, two_cpus, monkeypatch):
-    # equal endpoint envelopes send a long block through the serial |x| and
-    # _is_constant: a varying one still splits its law, a constant one
-    # is evaluated once
+@pytest.mark.parametrize("kind", ["two_tone", "equal_endpoints", "constant"])
+def test_long_blocks_split_and_give_the_serial_bits(kind, two_cpus,
+                                                    monkeypatch):
+    # from SPLIT_MIN samples up, the length alone picks the split law, with
+    # |x| in the halves: a constant block too, and one whose endpoint
+    # envelopes are equal
     n = 131072
     x = two_tone(n, 0.8).samples.copy()
     if kind == "constant":
         x[:] = 0.5 - 0.25j
-    else:
+    elif kind == "equal_endpoints":
         x[-1] = x[0]
     block = IqBlock(x, FS)
     want = serial_bits(block, monkeypatch)
     del two_cpus[:]
     simulate(block, BIAS, PARAMS)
-    assert len(two_cpus) == (0 if kind == "constant" else 1)
+    assert len(two_cpus) == 1
     assert point_bits(block) == want
 
 
@@ -188,8 +188,8 @@ def test_one_cpu_runs_serially(monkeypatch):
 @pytest.mark.parametrize("varying", [False, True])
 def test_an_overflowing_block_saturates_without_a_warning(varying, two_cpus):
     # g*|x| overflows; the worker's halves must ignore it as simulate's
-    # caller does, or the error filter would raise it. A constant block's law
-    # is evaluated once, so nothing of it splits.
+    # caller does, or the error filter would raise it. A long block splits
+    # whether it is constant or not.
     n = 131072
     x = np.full(n, 1e307 + 0j)
     if varying:
@@ -198,7 +198,7 @@ def test_an_overflowing_block_saturates_without_a_warning(varying, two_cpus):
         warnings.simplefilter("error")
         out, stats = simulate(IqBlock(x, FS), BIAS, PaParams(g0=40.0))
     a_sat = saturated_swing(BIAS, PaParams(g0=40.0))
-    assert len(two_cpus) == (1 if varying else 0)
+    assert len(two_cpus) == 1
     assert np.all(np.isfinite(out.samples))
     np.testing.assert_allclose(out.samples, a_sat, rtol=1e-15)
     assert stats.gain_db is None

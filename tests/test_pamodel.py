@@ -286,8 +286,8 @@ def reference_pipeline(x, g, a_sat, idq, params):
 
     The output is ``x * (aout/max(env, tiny))``, ``tiny`` the smallest
     subnormal. The ``env^2`` sum is a dot product for a constant envelope
-    (every sample has the first one's bits) and numpy's reduction for a
-    varying one."""
+    (every sample has the first one's bits) shorter than
+    ``kernels.SPLIT_MIN``, and numpy's reduction for every other block."""
     env = np.abs(x)
     aout = kernels.rapp(g * env, a_sat, params.smoothness)
     ipk = aout / params.rload
@@ -299,7 +299,8 @@ def reference_pipeline(x, g, a_sat, idq, params):
     r = aout / a_sat
     rp = r ** params.shape_exp
     shape = 1.0 - params.shape_beta * rp / (1.0 + params.shape_sat * rp)
-    constant = np.unique(env.view(np.uint64)).size == 1
+    constant = (x.size < kernels.SPLIT_MIN
+                and np.unique(env.view(np.uint64)).size == 1)
     return (x * (aout / np.maximum(env, math.ulp(0.0))),
             float(np.sum(aout * aout)),
             float(np.sum(aout * i1)),
@@ -366,12 +367,13 @@ def test_workspace_pipeline_matches_the_plain_expressions():
         assert stats.gain_db == reference_gain_db(sum_a2, sum_e2)
 
 
-#: Constant-envelope block lengths, at each of which the ``(4, n)`` row
+#: Constant-envelope block lengths, at each of which the ``(3, n)`` row
 #: reduction must give the bits of the 1-D sums: every length to 300 (numpy's
 #: pairwise sum runs in sequence under 8 terms, in 8 accumulators to 128 and
-#: in halves above), halves equal (4096, 131072) or not (10000, 10001), the
-#: 64-sample CW block and the largest cached block.
-CONSTANT_LENGTHS = tuple(range(1, 301)) + (1000, 4096, 10000, 10001, 131072)
+#: in halves above), halves equal (4096) or not (10000, 10001, 65535), the
+#: 64-sample CW block and the longest block that is evaluated once, one
+#: sample below ``kernels.SPLIT_MIN``.
+CONSTANT_LENGTHS = tuple(range(1, 301)) + (1000, 4096, 10000, 10001, 65535)
 
 #: Smoothness 1 (exponent 2, numpy's square) and 0.5; shape_exp 0.5
 #: (numpy's sqrt), 1, 2 and neither.
@@ -481,7 +483,8 @@ def test_cw_block_simulate_matches_the_plain_expressions(monkeypatch):
 @pytest.mark.parametrize("n", (64, 10000))
 def test_a_block_constant_but_for_one_sample_takes_the_array_path(
         n, monkeypatch):
-    # n = 64 is compared as bytes, n = 10000 by numpy
+    # both lengths are compared as bytes; the one sample that differs sits
+    # in the middle of the block or at its end
     evaluated = count_constant_evaluations(monkeypatch)
     params = CONSTANT_PARAMS[0]
     for level in constant_levels(params)[:3]:
@@ -494,6 +497,45 @@ def test_a_block_constant_but_for_one_sample_takes_the_array_path(
     env = np.zeros(n)
     env[n // 2] = -0.0
     assert not kernels._is_constant(env)
+
+
+#: Both sides of ``kernels.SPLIT_MIN`` (65536): the 64-sample CW block, a
+#: byte compare of up to 65535 samples, and blocks that split.
+SIZE_RULE_LENGTHS = (64, 4096, 4097, 10000, 65535, 65536, 131072)
+
+
+@pytest.mark.parametrize("n", SIZE_RULE_LENGTHS)
+@pytest.mark.parametrize("kind", ["constant", "varying"])
+def test_the_block_length_alone_picks_the_path(kind, n, monkeypatch):
+    # below SPLIT_MIN a constant block is evaluated once and takes its env^2
+    # sum from np.dot; from SPLIT_MIN up every block runs the split law, so
+    # a long constant block's gain_db comes from the reduction. Everything
+    # else keeps the bits of the earlier rule, which sent a constant block of
+    # any length to the once-evaluated path.
+    evaluated = count_constant_evaluations(monkeypatch)
+    params = CONSTANT_PARAMS[3]
+    g, a_sat = gain_and_swing(REF_BIAS, params)
+    short = n < kernels.SPLIT_MIN
+    for level in constant_levels(params)[1:]:
+        x = np.full(n, level * PHASE)
+        if kind == "varying":
+            x *= 0.5 + 0.5 * (np.arange(n) % 3)
+        out, stats = simulate(IqBlock(x, 1e6), REF_BIAS, params)
+        with np.errstate(over="ignore"):
+            _, sum_a2, sum_vi1, sum_idc, sum_e2 = want = reference_pipeline(
+                x, g, a_sat, REF_BIAS.idq, params)
+            env = np.abs(x)
+            earlier_e2 = (float(np.dot(env, env)) if kind == "constant"
+                          else float(np.add.reduce(env * env)))
+        pout = sum_vi1 / (2.0 * n)
+        assert out.samples.tobytes() == want[0].tobytes()
+        assert stats.pout_w.hex() == pout.hex()
+        assert stats.pdc_w.hex() == max(REF_BIAS.vdd * sum_idc / n,
+                                        pout).hex()
+        assert stats.gain_db == reference_gain_db(sum_a2, sum_e2)
+        if short or kind == "varying":
+            assert sum_e2 == earlier_e2
+    assert len(evaluated) == (3 if short and kind == "constant" else 0)
 
 
 def large_two_tone_block(n=1 << 17):

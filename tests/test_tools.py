@@ -336,3 +336,24 @@ def test_table_refuses_a_file_without_pairs(capsys, tmp_path):
     path.write_text(json.dumps({"environment": {}}), encoding="utf-8")
     assert bench_snapshot.main(["--table", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: no pairs block")
+
+
+def committed_pair_files():
+    """Every ``bench/BENCH_*.json`` with a ``pairs`` block."""
+    paths = sorted((bench_snapshot.ROOT / "bench").glob("BENCH_*.json"))
+    return [p for p in paths
+            if "pairs" in json.loads(p.read_text(encoding="utf-8"))]
+
+
+@pytest.mark.parametrize("path", committed_pair_files(),
+                         ids=lambda p: p.name)
+def test_every_committed_pair_file_prints_its_rows(path):
+    # CHANGES.md and ROADMAP.md cite these rows, so a format change to the
+    # tool must keep reading every file they come from
+    workloads = json.loads(path.read_text(encoding="utf-8"))["pairs"][
+        "workloads"]
+    rows = bench_snapshot.table_rows(path)
+    assert len(rows) == len(workloads) >= 1
+    for row, workload in zip(rows, workloads):
+        assert row.startswith(f"| `{path.name}` | ")
+        assert f" | {workload}, " in row

@@ -139,6 +139,27 @@ def test_drive_solves_decide_from_the_scalar_law(monkeypatch):
     assert len(blocks) <= 6
 
 
+#: The 900 W equal-power table of ``tools/cli_artifacts.py``, whose
+#: ``calibrate_anchors`` step runs ``default_init``'s pre-solve on it.
+ANCHORS_900W = (calibrate.AnchorRow(58.0, 32.0, 58.0, 900.0, 651.7),
+                calibrate.AnchorRow(53.0, 30.0, 66.0, 900.0, 463.6),
+                calibrate.AnchorRow(48.0, 28.0, 75.0, 900.0, 300.0))
+
+
+@pytest.mark.parametrize("anchors, sweeps", [(REFERENCE_ANCHORS, 234),
+                                             (ANCHORS_900W, 252)])
+def test_default_init_sweeps_each_distinct_row_once(anchors, sweeps,
+                                                    monkeypatch):
+    # the scout's gain refinements and scoring share one table of the rows
+    # swept in the call. Measured: 234 and 252 sweeps; without the table,
+    # 273 and 318, with the same params
+    calls = logged_calls(monkeypatch, calibrate, "sweep_bias")
+    default_init(anchors)
+    assert len(calls) == sweeps
+    assert len({(tuple(vdds), pout, repr(params))
+                for vdds, _, pout, params in calls}) == sweeps
+
+
 @pytest.mark.parametrize("kind", list(Kind))
 def test_a_warm_controller_window_allocates_no_sample_array(kind):
     # classify_envelope works in rows 0-1 of kernels.workspace, so a window

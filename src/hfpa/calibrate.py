@@ -295,7 +295,7 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float):
     At fixed output power the quasi-sine DC draw is the same at every vdd, so
     the measured efficiencies pin the per-row shaping factors; a saturating
     power law 1/(A*r^-p + B) is fitted through the three implied deficits.
-    Returns (shape_beta, shape_exp, shape_sat, a_out) or None when infeasible.
+    Returns (shape_beta, shape_exp, shape_sat) or None when infeasible.
     """
     a_out = swing_for_pout(anchors[0].pout_w, IDQ_REF, rload)
     _, idc, _ = conduction_currents(IDQ_REF, a_out / rload)
@@ -332,7 +332,7 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float):
     beta, sat = 1.0 / a_coef, b_coef / a_coef
     if beta / (1.0 + sat) > _MAX_SHAPE_DEPTH:
         return None
-    return beta, p, sat, a_out
+    return beta, p, sat
 
 
 def _gain_lstsq(anchors: Sequence[AnchorRow], params: PaParams,
@@ -390,7 +390,7 @@ def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS) -> PaParams:
         pre = _shape_presolve(anchors, float(rload), base.vknee)
         if pre is None:
             continue
-        beta, p, sat, _ = pre
+        beta, p, sat = pre
         for s in (2.0, 3.0, 4.0, 6.0, 8.0):
             cand = PaParams(g0=base.g0, kv=0.0, ki=0.0, rload=float(rload),
                             vknee=base.vknee, smoothness=s, shape_beta=beta,

@@ -18,7 +18,7 @@ from . import kernels
 from .bands import BANDS
 from .pamodel import (BiasPoint, PaParams, PaStats, _rapp_scalar, bisect,
                       fundamental_pout, gain_and_swing, simulate)
-from .signalgen import IqBlock
+from .signalgen import CACHE_MAX_SAMPLES, IqBlock
 
 
 class TonesUnresolvable(ValueError):
@@ -133,6 +133,7 @@ def _analysis_constants(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """``flattop(n)`` and the unit complex noise-floor draw, both read-only.
 
     Both depend on ``n`` alone; a drive sweep analyses one length many times.
+    Past ``CACHE_MAX_SAMPLES`` samples ``measure_imd`` calls ``__wrapped__``.
     """
     rng = np.random.default_rng(0x1D5EED)  # fixed: analysis floor is deterministic
     unit = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -155,28 +156,26 @@ def _squared_sum(x, mag2):
 
 
 def _noisy_windowed(x, unit, win, z, floor):
-    """``z = (x + floor*unit/sqrt(2)) * win``; no noise when ``floor`` is
-    None.
+    """``z = (x + floor*unit/sqrt(2)) * win``, for any floor, 0.0 included.
 
     The steps run as real operations on ``(k, 2)`` float views of the
     complex rows, with no complex divide and no float-to-complex cast of the
     window (numpy's 128 KiB cast buffer). For ``a + bj``, numpy's complex
     divide by ``c + 0j`` computes ``((a + b*0) * (1/c), (b - a*0) * (1/c))``
     and its product with ``w + 0j`` computes ``(a*w - b*0, a*0 + b*w)``, so
-    each component has the bits of the complex form, except that the sign
-    of an exactly zero component can differ, which no ``|bin|`` shows. That holds wherever
-    ``measure_imd``'s ``|x|^2`` stays finite. The window multiplies each
-    component's column on its own: numpy runs a broadcast of ``win[:, None]``
-    over the pairs with a buffered inner loop of two, as slow as the complex
-    form.
+    each component has the bits of the complex form wherever
+    ``measure_imd``'s ``|x|^2`` stays finite, except that the sign of an
+    exactly zero component can differ (as where a zero floor adds ``±0``),
+    which no ``|bin|`` shows. The window multiplies each component's column
+    on its own: numpy runs a broadcast of ``win[:, None]`` over the pairs
+    with a buffered inner loop of two, as slow as the complex form.
     """
-    zf, xf = _pairs(z), _pairs(x)
-    if floor is not None:
-        np.multiply(_pairs(unit), floor, zf)
-        zf *= 1.0 / math.sqrt(2)
-        xf = np.add(zf, xf, zf)
+    zf = _pairs(z)
+    np.multiply(_pairs(unit), floor, zf)
+    zf *= 1.0 / math.sqrt(2)
+    np.add(zf, _pairs(x), zf)
     for part in (0, 1):
-        np.multiply(xf[:, part], win, zf[:, part])
+        np.multiply(zf[:, part], win, zf[:, part])
 
 
 #: Upper bound on the column count ``m`` of ``_dft_bins``' decimation. A
@@ -236,10 +235,10 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     3f1-2f2, 3f2-2f1) within +/-1 bin and reports each in dBc below the mean
     fundamental. A flat-top window keeps scalloping loss negligible.
 
-    The window and the unit noise draw of the most recent block length stay
-    cached after the call: 24 bytes per sample, 3 MiB at 131072 samples;
-    so does the twiddle block of the most recent length and bins, at most
-    18*128 complex values.
+    The window and the unit noise draw of the most recent length up to
+    ``CACHE_MAX_SAMPLES`` stay cached after the call, 24 bytes per sample
+    (3 MiB at 131072 samples); so does the twiddle block of the most recent
+    length and bins at any length, at most 18*128 complex values.
     The analysis runs in the calling thread's ``kernels.workspace``, which
     ``pamodel.simulate`` shares and which adds 40 bytes per sample per
     thread, 5 MiB at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
@@ -275,13 +274,14 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
         raise TonesUnresolvable(
             f"tone spacing {beat} Hz < 10 DFT bins ({10 * bin_hz:.1f} Hz)")
 
-    win, unit = _analysis_constants(n)
+    win, unit = (_analysis_constants if n <= CACHE_MAX_SAMPLES
+                 else _analysis_constants.__wrapped__)(n)
     ws = kernels.workspace(n)
     x = block.samples
     # the sum of np.mean, divided by n as np.mean divides it
     rms = math.sqrt(float(kernels.joined(
         kernels.halves(_squared_sum, (x, ws[2])))) / n)
-    floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0) if rms > 0 else None
+    floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0)
     # rows 0 and 1 are adjacent in the workspace: one complex128 row
     z = ws[0].base[:2].reshape(-1).view(np.complex128)
     kernels.halves(_noisy_windowed, (x, unit, win, z), floor)

@@ -44,6 +44,10 @@ class OutOfRangeAlpha(ValueError):
     """Conduction angle outside (0, 2*pi]."""
 
 
+class GainOutOfRange(ValueError):
+    """Small-signal gain beyond +/-``GAIN_DB_MAX`` dB."""
+
+
 #: Drain-supply window, volts: every bias point's vdd lies in it.
 VDD_MIN, VDD_MAX = 30.0, 58.0
 
@@ -254,11 +258,24 @@ def saturated_swing(bias: BiasPoint, params: PaParams) -> float:
     return bias.vdd - params.vknee
 
 
+#: Largest magnitude of the gain law, dB. Within it ``g`` lies in
+#: [1e-150, 1e150], so the drive ceiling ``10*a_sat/g`` stays at most 5.8e152
+#: and its square finite, and a 1 kW CW row keeps a defined gain.
+GAIN_DB_MAX = 3000.0
+
+
 def gain_and_swing(bias: BiasPoint, params: PaParams,
                    band: Optional[str] = None) -> Tuple[float, float]:
-    """Linear small-signal gain ``10^(small_signal_gain_db/20)`` and a_sat."""
-    return (10.0 ** (small_signal_gain_db(bias, params, band) / 20.0),
-            saturated_swing(bias, params))
+    """Linear small-signal gain ``10^(small_signal_gain_db/20)`` and a_sat.
+
+    A gain law beyond +/-``GAIN_DB_MAX`` dB at this bias and band, or not
+    finite, raises GainOutOfRange, which names the gain.
+    """
+    gain_db = small_signal_gain_db(bias, params, band)
+    if not abs(gain_db) <= GAIN_DB_MAX:  # also true for nan
+        raise GainOutOfRange(f"small-signal gain {gain_db:.1f} dB is outside "
+                             f"+/-{GAIN_DB_MAX:g} dB")
+    return 10.0 ** (gain_db / 20.0), saturated_swing(bias, params)
 
 
 def am_am(a_in, bias: BiasPoint, params: PaParams, band: Optional[str] = None):
@@ -304,8 +321,9 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     Phase is preserved per sample; the envelope passes through the AM/AM
     law and each output-swing sample drives the conduction-current model.
     DC input power can never fall below RF output power (dissipation >= 0).
-    ``gain_db`` is None when the input power is zero or overflows; an
-    amplified envelope past the float range saturates at a_sat. The
+    ``gain_db`` is None when the input power is zero or overflows, and when
+    the output power, or its ratio to the input power, underflows to zero;
+    an amplified envelope past the float range saturates at a_sat. The
     envelope, the output samples and every block sum, ``sum(|x|^2)``
     included, come from ``kernels.pa_pipeline``, which runs a long block's
     ``|x|``, law, output scale and sums as two halves, one handoff to the
@@ -323,8 +341,8 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     pout = sum_vi1 / (2.0 * n)
     pdc = bias.vdd * sum_idc / n
     pdc = max(pdc, pout)  # waveform shaping never drives dissipation negative
-    gain_db = (10.0 * math.log10(sum_aout2 / sum_env2)
-               if 0.0 < sum_env2 < math.inf else None)
+    ratio = sum_aout2 / sum_env2 if 0.0 < sum_env2 < math.inf else 0.0
+    gain_db = 10.0 * math.log10(ratio) if ratio > 0.0 else None
     # finite by construction, so not checked again: each sample is x times
     # aout/env, of magnitude about aout <= a_sat; an envelope that is zero
     # or overflowed to inf gets scale 0, and a finite x times 0 is 0

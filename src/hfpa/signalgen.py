@@ -201,13 +201,6 @@ CACHE_MAX_SAMPLES = 131072
 CACHE_SIZE = 8
 
 
-def _too_many_samples(spec: WaveformSpec, sample_rate: float,
-                      count: float) -> InvalidSpec:
-    return InvalidSpec(
-        f"duration {spec.duration_s:g} s at {sample_rate:g} S/s needs "
-        f"{count:g} samples, more than MAX_SAMPLES ({MAX_SAMPLES})")
-
-
 def _unit_waveform(spec: WaveformSpec, sample_rate: float,
                    n: int) -> np.ndarray:
     """The spec's n-sample waveform before the amplitude is applied.
@@ -281,7 +274,9 @@ def generate(spec: WaveformSpec, sample_rate: float) -> IqBlock:
     spec.validate(sample_rate)
     count = spec.duration_s * sample_rate
     if not count <= MAX_SAMPLES:  # inf included
-        raise _too_many_samples(spec, sample_rate, count)
+        raise InvalidSpec(
+            f"duration {spec.duration_s:g} s at {sample_rate:g} S/s needs "
+            f"{count:g} samples, more than MAX_SAMPLES ({MAX_SAMPLES})")
     n = int(round(count))
     if n < 1:
         raise InvalidSpec("duration too short for one sample")

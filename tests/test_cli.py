@@ -1,5 +1,8 @@
 """CLI tests: subcommand behavior, exit codes, CSV artifacts, determinism."""
+import dataclasses
+import math
 import random
+import re
 import resource
 import socket
 import threading
@@ -7,10 +10,11 @@ import warnings
 
 import pytest
 
-from hfpa.biasctl import WINDOW_S
+from hfpa.bands import BANDS
+from hfpa.biasctl import HYSTERESIS_WINDOWS, WINDOW_S
 from hfpa.cli import build_parser, main
 from hfpa.measure import CSV_HEADER
-from hfpa.pamodel import save_params
+from hfpa.pamodel import GAIN_DB_MAX, PaParams, save_params
 from hfpa.signalgen import MAX_SAMPLES
 
 
@@ -622,6 +626,124 @@ def test_fuzz_draws_every_value_and_subcommand():
     assert values == set(FUZZ_VALUES)
     assert {argv[0] for argv in argvs} == {b[0] for b, _ in FUZZ_COMMANDS}
     assert any(sum("=" in arg for arg in argv) == 2 for argv in argvs)
+
+
+# --- a seeded fuzz of params files: the gain law's fields ----------------------
+
+#: The commands each fuzzed params file runs through: the CW drive solve at
+#: both supply ends, the band sweep, a 20 ms two-tone and a controller
+#: replay (``PARAMS_FUZZ_SCENARIO``).
+PARAMS_FUZZ_COMMANDS = {
+    "sweep-bias": ["sweep-bias", "--vdd", "30,58", "--pout", "100",
+                   "--params", "{params}", "--out", "{out}"],
+    "freq-response": ["freq-response", "--vdd", "30", "--idq", "0.5",
+                      "--drive", "0.05", "--params", "{params}",
+                      "--out", "{out}"],
+    "two-tone": ["two-tone", "--vdd", "30", "--duration", "0.02",
+                 "--params", "{params}", "--out", "{out}"],
+    "run-controller": ["run-controller", "--scenario", "{scenario}",
+                       "--params", "{params}", "--out", "{out}"],
+}
+
+
+#: CW windows until the controller's hysteresis switches to compression,
+#: whose reachability check solves the drive at full supply, then a
+#: two-tone window, which switches back only after as many windows.
+PARAMS_FUZZ_SCENARIO = "".join(
+    [f"{0.01 * i:g} cw 40M 600\n" for i in range(HYSTERESIS_WINDOWS)]
+    + ["0.05 two_tone 20M 300\n"])
+
+
+def params_fuzz_fields(count=60, seed=30):
+    """``count`` seeded gain laws: ``g0`` log-uniform over 1e-300 to 1e300,
+    and ``kv``, ``ki`` and one band's ripple of either sign, magnitudes
+    log-uniform over 1e-3 to 1e3."""
+    rng = random.Random(seed)
+
+    def signed():
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+    return [dict(g0=10.0 ** rng.uniform(-300.0, 300.0), kv=signed(),
+                 ki=signed(), ripple=(rng.choice(BANDS), signed()))
+            for _ in range(count)]
+
+
+def run_without_traceback(argv, capsys):
+    """``main(argv)``'s exit code and stderr, once the code is 0, or 1 with
+    one ``error:`` line; any exception fails the caller's test."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 1)
+    if rc == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    return rc, err
+
+
+@pytest.mark.parametrize("command", PARAMS_FUZZ_COMMANDS)
+@pytest.mark.parametrize("index", range(len(params_fuzz_fields())))
+def test_seeded_params_file_fuzz_ends_in_an_exit_code(
+        tmp_path, fitted_params, capsys, index, command):
+    fields = params_fuzz_fields()[index]
+    band, ripple_db = fields.pop("ripple")
+    params = dataclasses.replace(
+        fitted_params, ripple={**fitted_params.ripple, band: ripple_db},
+        **fields)
+    save_params(params, tmp_path / "p.cfg")
+    scenario = tmp_path / "s.txt"
+    scenario.write_text(PARAMS_FUZZ_SCENARIO)
+    fill = dict(params=str(tmp_path / "p.cfg"), out=str(tmp_path / "o"),
+                scenario=str(scenario))
+    run_without_traceback([arg.format(**fill)
+                           for arg in PARAMS_FUZZ_COMMANDS[command]], capsys)
+
+
+def test_params_fuzz_draws_gains_inside_and_past_both_bounds():
+    gains = [20.0 * math.log10(f["g0"]) for f in params_fuzz_fields()]
+    assert min(gains) < -GAIN_DB_MAX and max(gains) > GAIN_DB_MAX
+    assert sum(abs(g) < GAIN_DB_MAX for g in gains) >= len(gains) // 4
+
+
+#: Gain laws past the float range, and the commands that ended in a
+#: traceback or in an error about some other value for them (``rload``
+#: 0.4 in every file).
+GAIN_RANGE_REPROS = [
+    (dict(g0=1e308, kv=-1.0), ["sweep-bias", "--vdd", "30", "--pout", "100"]),
+    (dict(g0=1e308, kv=-1.0), ["freq-response", "--vdd", "30",
+                               "--drive", "0.05"]),
+    (dict(g0=1e308, kv=-1.0), ["two-tone", "--vdd", "30"]),
+    (dict(g0=1e308, kv=-1.0), ["calibrate", "--budget", "5"]),
+    (dict(g0=1e-320), ["sweep-bias", "--vdd", "58", "--pout", "100"]),
+    (dict(g0=1e-320, kv=1.0), ["two-tone", "--vdd", "30"]),
+    (dict(g0=1e-320, kv=1.0), ["freq-response", "--vdd", "30",
+                               "--drive", "0.05"]),
+]
+
+
+@pytest.mark.parametrize("fields, argv", GAIN_RANGE_REPROS, ids=[
+    f"g0={f['g0']:g},kv={f.get('kv', 0):g}-{argv[0]}"
+    for f, argv in GAIN_RANGE_REPROS])
+def test_a_gain_law_past_the_float_range_is_a_module_error(
+        tmp_path, capsys, fields, argv):
+    path = str(tmp_path / "p.cfg")
+    save_params(PaParams(rload=0.4, **fields), path)
+    files = (["--init", path, "--out-params"] if argv[0] == "calibrate"
+             else ["--params", path, "--out"])
+    rc, err = run_without_traceback(argv + files + [str(tmp_path / "o")],
+                                    capsys)
+    assert rc == 1
+    assert re.match(r"error: small-signal gain -?\d+\.\d dB is outside "
+                    r"\+/-3000 dB", err), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_output_power_that_underflows_has_no_gain(tmp_path, capsys):
+    path = str(tmp_path / "p.cfg")
+    save_params(PaParams(g0=0.5, rload=0.4), path)
+    out = tmp_path / "o.csv"
+    assert run_without_traceback(
+        ["freq-response", "--drive", "2e-162", "--bands", "40M",
+         "--params", path, "--out", str(out)], capsys)[0] == 0
+    assert out.read_text().splitlines()[1] == "58,2,40M,0,,,0,,"
 
 
 @pytest.mark.parametrize("command", ["classify", "gen"])

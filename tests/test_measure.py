@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -42,9 +43,9 @@ def test_noise_and_window_pass_keeps_the_complex_forms_bits():
     for scale in (1e-150, 1e-3, 1.0, 1e150):
         x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         z = np.empty(n, dtype=complex)
-        for floor in (None, scale * 1e-6):
+        for floor in (0.0, scale * 1e-6):
             measure._noisy_windowed(x, unit, win, z, floor)
-            noisy = x if floor is None else x + floor * unit / math.sqrt(2)
+            noisy = x + floor * unit / math.sqrt(2)
             assert z.tobytes() == (noisy * win).tobytes()
     # the floor term underflows to zeros of both signs, and x holds them
     # too: only the sign of an exactly zero component may differ
@@ -141,6 +142,55 @@ def test_imd_analysis_constants_cache_keeps_the_bits():
         win, unit = measure._analysis_constants(n)
         assert not win.flags.writeable and not unit.flags.writeable
         assert measure._analysis_constants.cache_info().currsize <= 1
+
+
+def test_imd_analysis_keeps_nothing_of_a_block_past_the_cache_limit():
+    measure._analysis_constants.cache_clear()
+    measure._twiddles.cache_clear()
+    cached = two_tone(amplitude=0.5)
+    measure_imd(cached, -1000.0, 1000.0)
+    long_block = two_tone(amplitude=0.5, duration=2 * 131072 / FS)
+    tracemalloc.start()
+    try:
+        measure_imd(long_block, -1000.0, 1000.0)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # 6.04 MiB when the window and noise draw of 262144 samples were cached
+    assert kept < 0.1 * 2 ** 20
+    info = measure._analysis_constants.cache_info()
+    measure_imd(cached, -1000.0, 1000.0)
+    assert measure._analysis_constants.cache_info().hits == info.hits + 1
+
+
+#: ``measure_imd``'s levels of a 131072-sample two-tone block at amplitudes
+#: whose power underflows to zero (1e-170) or nearly so, as an analysis that
+#: skips the noise pass of a zero-power block gives them (numpy 2.4.6).
+ZERO_FLOOR_LEVELS = {
+    1e-170: ["-0x1.04149b1475ff7p+7", "-0x1.04149b1475ff7p+7",
+             "-0x1.134d90a5f7f3ap+7", "-0x1.134d90a5fac8cp+7"],
+    1e-160: ["-0x1.03fad2f1443a7p+7", "-0x1.03ecbec69859ap+7",
+             "-0x1.11f66034d33dap+7", "-0x1.12ea71ad9953fp+7"],
+    3e-162: ["-0x1.03f996dbae9a4p+7", "-0x1.03e9cf1bbf973p+7",
+             "-0x1.11e69ac8d3c74p+7", "-0x1.12e54574a2f16p+7"],
+}
+
+
+@pytest.mark.parametrize("amplitude", sorted(ZERO_FLOOR_LEVELS))
+def test_a_zero_power_block_gets_a_zero_floor_with_the_same_levels(amplitude):
+    block = two_tone(amplitude=amplitude)
+    got = [p.level_dbc.hex() for p in measure_imd(block, -1000.0, 1000.0)
+           .products]
+    assert got == ZERO_FLOOR_LEVELS[amplitude]
+    assert got == [v.hex() for v in reference_imd_levels(block, -1000.0,
+                                                         1000.0)]
+
+
+def test_an_all_zero_block_has_no_fundamental():
+    block = IqBlock(np.zeros(131072, dtype=complex), FS)
+    with pytest.raises(ValueError, match=(
+            "^no fundamental energy at the stated tone offsets$")):
+        measure_imd(block, -1000.0, 1000.0)
 
 
 WS_BIAS = BiasPoint(vdd=58.0, idq=2.0)
@@ -773,3 +823,10 @@ class TestCsv:
         path = tmp_path / "cells.csv"
         write_csv(path, "name,cell", [("x", cell)])
         assert path.read_bytes() == f"name,cell\nx,{text}\n".encode("utf-8")
+
+
+def test_simulate_cw_has_no_gain_where_the_output_power_underflows():
+    stats = simulate_cw(2e-162, BiasPoint(58.0, 2.0),
+                        PaParams(g0=0.5, rload=0.4))
+    assert stats.gain_db is None
+    assert stats.pout_w == 0.0

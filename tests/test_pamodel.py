@@ -13,7 +13,8 @@ from scipy.integrate import romb
 
 from hfpa import kernels
 from hfpa.measure import _cw_block
-from hfpa.pamodel import (IDQ_MAX, BiasPoint, InvalidBias, NonPositiveIdq,
+from hfpa.pamodel import (GAIN_DB_MAX, IDQ_MAX, IDQ_REF, BiasPoint,
+                          GainOutOfRange, InvalidBias, NonPositiveIdq,
                           OutOfRangeAlpha, PaParams, _fourier_clipped,
                           _rapp_scalar, am_am, bisect, compression_level,
                           conduction_currents, efficiency_curve,
@@ -245,6 +246,13 @@ class TestSimulate:
         assert stats.gain_db is None
         assert stats.pout_w == pytest.approx(
             fundamental_pout(saturated_swing(REF_BIAS, p), 2.0, p.rload))
+
+    def test_gain_undefined_when_output_power_underflows(self):
+        # |x|^2 = 4e-324 is a subnormal, but (g*|x|)^2 = 1e-324 rounds to 0
+        bias, p = BiasPoint(vdd=58.0, idq=2.0), PaParams(g0=0.5, rload=0.4)
+        _, stats = simulate(IqBlock(np.full(64, 2e-162 + 0j), 1e6), bias, p)
+        assert stats.gain_db is None
+        assert stats.pout_w == 0.0
 
     def test_amplified_envelope_past_the_float_range_saturates(self):
         # g*|x| overflows to inf at 1e307 and g0 40; the limiter gives a_sat,
@@ -814,3 +822,31 @@ def test_bisect_tolerance_exit():
     # midpoints 0.5 (f = 0.2) then 0.25 (f = -0.05, within tol)
     assert bisect(lambda x: x - 0.3, 0.0, 1.0, tol=0.1) == 0.25
     assert bisect(lambda x: x - 0.3, 0.0, 1.0, tol=1e-30, max_iter=5) is None
+
+
+@pytest.mark.parametrize("kv", [-1.0, 1.0])
+def test_gain_and_swing_takes_the_gain_law_to_its_bounds(kv):
+    # at 30 V the kv term is -28*kv dB; g0 = 1 puts the law on the bound
+    bias = BiasPoint(vdd=30.0, idq=IDQ_REF)
+    g, a_sat = gain_and_swing(bias, PaParams(g0=1.0, kv=GAIN_DB_MAX / 28 * kv))
+    assert g == 10.0 ** (-kv * GAIN_DB_MAX / 20.0)
+    assert math.isfinite((10.0 * a_sat / g) ** 2)
+    past = PaParams(g0=1.0, kv=kv * (GAIN_DB_MAX + 1.0) / 28)
+    with pytest.raises(GainOutOfRange, match=(
+            rf"^small-signal gain {-kv * (GAIN_DB_MAX + 1.0):.1f} dB is "
+            rf"outside \+/-3000 dB$")):
+        gain_and_swing(bias, past)
+
+
+@pytest.mark.parametrize("fields, band, idq, gain", [
+    (dict(g0=1e308, kv=-1.0), None, 2.0, "6188.0"),  # 10^(dB/20) overflows
+    (dict(g0=1e-320), None, 2.0, "-6400.0"),  # 10*a_sat/g overflows
+    (dict(g0=1.0, ripple={"40M": -3000.5}), "40M", 2.0, "-3000.5"),
+    (dict(g0=1.0, kv=1e308), None, 2.0, "-inf"),
+    (dict(g0=1.0, kv=-1e308, ki=1e308), None, 1e-300, "nan"),  # inf - inf
+])
+def test_gain_and_swing_rejects_a_gain_law_out_of_range(fields, band, idq,
+                                                        gain):
+    bias = BiasPoint(vdd=30.0, idq=idq)
+    with pytest.raises(GainOutOfRange, match=f"^small-signal gain {gain} dB"):
+        gain_and_swing(bias, PaParams(rload=0.4, **fields), band)

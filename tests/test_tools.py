@@ -246,8 +246,8 @@ def test_cli_steps_and_startup_take_turns_per_repeat(monkeypatch, tmp_path):
     side_of = {str(root / "src"): side for side, root in trees.items()}
     steps = []
 
-    def run_steps(workdir):
-        steps.append(side_of[os.environ["PYTHONPATH"].split(os.pathsep)[0]])
+    def run_steps(workdir, environ):
+        steps.append(side_of[environ["PYTHONPATH"].split(os.pathsep)[0]])
         yield "gen", argparse.Namespace(returncode=0), 0.5
         yield "calibrate", argparse.Namespace(returncode=1), 1.5
 

@@ -56,7 +56,6 @@ Ten pairs of all three workloads on one seed took about ten minutes on a
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import hashlib
 import importlib.util
@@ -226,23 +225,11 @@ def pair_stats(after_runs, before_runs, better):
     return out
 
 
-def tree_pythonpath(root):
-    return os.pathsep.join(filter(None, [str(root / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-
-
-@contextlib.contextmanager
-def on_tree(root):
-    """``PYTHONPATH`` led by the tree's ``src/`` for the steps run inside."""
-    saved = os.environ.get("PYTHONPATH")
-    os.environ["PYTHONPATH"] = tree_pythonpath(root)
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["PYTHONPATH"]
-        else:
-            os.environ["PYTHONPATH"] = saved
+def tree_env(root):
+    """This process's environment with ``PYTHONPATH`` led by the tree's
+    ``src/``: every step of a snapshot runs on its tree this way."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(root / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def cli_steps(trees):
@@ -254,8 +241,9 @@ def cli_steps(trees):
     exits = {side: {name: set() for name in names} for side in trees}
     for rep in range(CLI_REPEATS):
         for side in turns(rep):
-            with tempfile.TemporaryDirectory() as tmp, on_tree(trees[side]):
-                for name, proc, seconds in cli_artifacts.run_steps(Path(tmp)):
+            with tempfile.TemporaryDirectory() as tmp:
+                for name, proc, seconds in cli_artifacts.run_steps(
+                        Path(tmp), tree_env(trees[side])):
                     times[side][name].append(seconds)
                     exits[side][name].add(proc.returncode)
     expected = cli_artifacts.EXPECTED_EXIT
@@ -273,10 +261,9 @@ def startup(trees):
     for label, code in STARTUP:
         for rep in range(STARTUP_REPEATS):
             for side in turns(rep):
-                env = dict(os.environ, PYTHONPATH=tree_pythonpath(trees[side]))
                 t0 = time.perf_counter()
                 subprocess.run([sys.executable, "-c", code], cwd=trees[side],
-                               env=env, check=True)
+                               env=tree_env(trees[side]), check=True)
                 times[side][label].append(time.perf_counter() - t0)
     return {side: {label: stats(t[label]) for label, _ in STARTUP}
             for side, t in times.items()}
@@ -285,8 +272,7 @@ def startup(trees):
 def tier1(root):
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=root,
-                          env=dict(os.environ,
-                                   PYTHONPATH=tree_pythonpath(root)),
+                          env=tree_env(root),
                           capture_output=True, text=True)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()

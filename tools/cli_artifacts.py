@@ -140,15 +140,17 @@ STEPS = (
 EXPECTED_EXIT = {"sweep_bias_unreachable": 1}
 
 
-def run_steps(out: Path):
+def run_steps(out: Path, environ):
     """Write the walkthrough's input files into ``out`` and run STEPS there
-    in order; yields each step's name, completed process and wall seconds."""
+    in order, in the environment ``environ``; yields each step's name,
+    completed process and wall seconds. Relative ``PYTHONPATH`` entries are
+    made absolute, since the steps run from ``out``."""
     (out / "scenario.txt").write_text(README_SCENARIO, encoding="utf-8")
     (out / "scenario_all_kinds.txt").write_text(ALL_KINDS_SCENARIO,
                                                 encoding="utf-8")
     (out / "anchors.csv").write_text(ANCHORS_CSV, encoding="utf-8")
-    env = dict(os.environ)
-    if env.get("PYTHONPATH"):  # the steps run from OUTDIR
+    env = dict(environ)
+    if env.get("PYTHONPATH"):
         env["PYTHONPATH"] = os.pathsep.join(
             os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
     for name, args in STEPS:
@@ -169,7 +171,7 @@ def main(argv=None) -> int:
         print(f"error: {out} is not empty", file=sys.stderr)
         return 1
     failed = 0
-    for name, proc, _ in run_steps(out):
+    for name, proc, _ in run_steps(out, os.environ):
         (out / f"{name}.stdout").write_text(proc.stdout, encoding="utf-8")
         (out / f"{name}.stderr").write_text(proc.stderr, encoding="utf-8")
         (out / f"{name}.exit").write_text(f"{proc.returncode}\n",

@@ -826,11 +826,11 @@ def test_bisect_tolerance_exit():
 
 @pytest.mark.parametrize("kv", [-1.0, 1.0])
 def test_gain_and_swing_takes_the_gain_law_to_its_bounds(kv):
-    # at 30 V the kv term is -28*kv dB; g0 = 1 puts the law on the bound
+    # g0 = 1 is 0 dB, so at 30 V the law is the kv term, -28*kv dB
     bias = BiasPoint(vdd=30.0, idq=IDQ_REF)
     g, a_sat = gain_and_swing(bias, PaParams(g0=1.0, kv=GAIN_DB_MAX / 28 * kv))
     assert g == 10.0 ** (-kv * GAIN_DB_MAX / 20.0)
-    assert math.isfinite((10.0 * a_sat / g) ** 2)
+    assert math.isfinite((10.0 * a_sat / g) ** 2)  # drive_cap's ceiling
     past = PaParams(g0=1.0, kv=kv * (GAIN_DB_MAX + 1.0) / 28)
     with pytest.raises(GainOutOfRange, match=(
             rf"^small-signal gain {-kv * (GAIN_DB_MAX + 1.0):.1f} dB is "

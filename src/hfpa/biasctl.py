@@ -20,8 +20,9 @@ from . import kernels
 from .bands import BANDS
 from .measure import TargetUnreachable, UnknownBand, drive_cap
 from .pamodel import (IDQ_MAX, SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint,
-                      PaParams, compression_level, fundamental_pout,
-                      saturated_swing, small_signal_gain_db, swing_for_pout)
+                      InvalidBias, PaParams, compression_level,
+                      fundamental_pout, saturated_swing, small_signal_gain_db,
+                      swing_for_pout)
 from .signalgen import IqBlock
 
 
@@ -88,9 +89,17 @@ class BiasCommand:
 
 @dataclass(frozen=True)
 class BandEntry:
+    """A band's equalization drain voltage, finite and in
+    [VDD_MIN, VDD_MAX] (else InvalidBias, as ``BiasPoint`` raises)."""
+
     eq_vdd: float
     ripple_db: float = 0.0
     clamped: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.eq_vdd) and VDD_MIN <= self.eq_vdd <= VDD_MAX):
+            raise InvalidBias(f"eq_vdd must be finite and in [{VDD_MIN:g}, "
+                              f"{VDD_MAX:g}] V, got {self.eq_vdd}")
 
 
 BandTable = Dict[str, BandEntry]

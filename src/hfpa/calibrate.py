@@ -10,7 +10,7 @@ has the standard equal-power three-row form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -161,10 +161,10 @@ def _vec_to_params(v: Sequence[float], template: PaParams) -> PaParams:
     """The params at search point ``v``, with ``ki`` and ``ripple`` from
     ``template``.
 
-    ``v`` must already lie in ``_SPACE``: every point that ``fit`` passes
-    is a ``_clamp_vec`` result, and clamping one again changes no bit. The
-    params are built by the checked constructor, so a box that strayed
-    outside ``PaParams``' ranges would still raise.
+    ``v`` must already lie in ``_SPACE``: every point that ``fit`` and
+    ``default_init`` pass is a ``_clamp_vec`` result, and clamping one
+    again changes no bit. The params are built by the checked constructor,
+    so a box that strayed outside ``PaParams``' ranges would still raise.
     """
     return PaParams(g0=10.0 ** (v[0] / 20.0), kv=v[1], ki=template.ki,
                     rload=v[2], vknee=v[3], smoothness=v[4],
@@ -335,9 +335,11 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float):
     return beta, p, sat
 
 
-def _gain_lstsq(anchors: Sequence[AnchorRow], params: PaParams,
-                rows: dict) -> Optional[PaParams]:
-    """Closed-form least-squares (g0, kv) against the measured gain rows."""
+def _gain_lstsq(anchors: Sequence[AnchorRow], vec: List[float],
+                template: PaParams, rows: dict) -> Optional[List[float]]:
+    """``vec`` with (g0 dB, kv) replaced by their closed-form least squares
+    against the measured gain rows, clamped into ``_SPACE``."""
+    params = _vec_to_params(vec, template)
     measured = []
     for a in anchors:
         row = _sweep(a, params, rows)
@@ -351,58 +353,55 @@ def _gain_lstsq(anchors: Sequence[AnchorRow], params: PaParams,
     A = np.array([[1.0, a.vdd - VDD_REF] for a in anchors])
     b = np.array([a.gain_db - c for a, c in zip(anchors, comp)])
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    new_g0_db = float(min(max(sol[0], _SPACE[0][1]), _SPACE[0][2]))
-    new_kv = float(min(max(sol[1], _SPACE[1][1]), _SPACE[1][2]))
-    return replace(params, g0=10.0 ** (new_g0_db / 20.0), kv=new_kv)
+    return _clamp_vec([float(sol[0]), float(sol[1]), *vec[2:]])
 
 
 def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS) -> PaParams:
     """Documented default starting point for ``fit``.
 
-    Base values: g0 at 30 dB, kv = ki = 0, vknee 4 V, smoothness 2, rload
-    from the load-line estimate vdd^2/(2*pout) at the highest-vdd row
-    (clamped into the search bounds). When the anchor set is the standard
-    three-row equal-power table, a deterministic scout refines rload and the
-    shaping parameters by the algebraic pre-solve and a small fixed ladder of
-    knee sharpness values, keeping whichever candidate scores best.
+    Base values: g0 at 30 dB, kv = ki = 0, vknee 4 V, smoothness 2, no
+    shaping, and rload from the class-AB load line a^2/(4*pout) with
+    a = 0.9*(vdd - vknee), at the lowest anchor vdd and the highest anchor
+    power. When the anchor set is the standard three-row equal-power table,
+    a deterministic scout refines rload and the shaping parameters by the
+    algebraic pre-solve and a small fixed ladder of knee sharpness values,
+    refines each candidate's (g0, kv) twice by least squares, and keeps
+    whichever scores best. Every start (base, candidate or refinement) is
+    clamped into ``_SPACE`` by ``_clamp_vec``, as ``fit``'s points are.
 
     Each distinct row (anchor, params) is swept once per call: the scout's
-    two gain refinements and its scoring share one table of the rows swept
-    so far, local to the call, so a refinement that lands on the params it
-    started from is not swept again. ``fit`` and ``objective`` keep no such
-    table.
+    two gain refinements and its scoring share one call-local table of the
+    rows swept so far, so a refinement that lands on the params it started
+    from is not swept again. ``fit`` and ``objective`` keep no such table.
     """
-    top = max(anchors, key=lambda a: a.vdd)
-    rload_est = top.vdd ** 2 / (2.0 * top.pout_w)
-    rload0 = min(max(rload_est, _SPACE[2][1]), _SPACE[2][2])
-    base = PaParams(g0=10.0 ** (30.0 / 20.0), kv=0.0, ki=0.0, rload=rload0,
-                    vknee=4.0, smoothness=2.0)
+    vdd, pout = min(a.vdd for a in anchors), max(a.pout_w for a in anchors)
+    template = PaParams(g0=1.0)  # every start's ki = 0 and empty ripple
+    base = _clamp_vec([30.0, 0.0, (0.9 * (vdd - 4.0)) ** 2 / (4.0 * pout),
+                       4.0, 2.0, 0.0, 4.0, 0.0])
 
     equal_power = (len(anchors) == 3
                    and len({a.pout_w for a in anchors}) == 1
                    and len({a.vdd for a in anchors}) == 3)
     if not equal_power:
-        return base
+        return _vec_to_params(base, template)
 
     rows = {}  # every candidate's sweeps, for this call only
-    best = (_score(base, anchors, rows)[0], base)
+    best = (_score(_vec_to_params(base, template), anchors, rows)[0], base)
     for rload in np.arange(0.30, 0.521, 0.02):
-        pre = _shape_presolve(anchors, float(rload), base.vknee)
+        pre = _shape_presolve(anchors, float(rload), 4.0)
         if pre is None:
             continue
         beta, p, sat = pre
         for s in (2.0, 3.0, 4.0, 6.0, 8.0):
-            cand = PaParams(g0=base.g0, kv=0.0, ki=0.0, rload=float(rload),
-                            vknee=base.vknee, smoothness=s, shape_beta=beta,
-                            shape_exp=p, shape_sat=sat)
-            refined = _gain_lstsq(anchors, cand, rows)
+            cand = _clamp_vec([30.0, 0.0, float(rload), 4.0, s, beta, p, sat])
+            refined = _gain_lstsq(anchors, cand, template, rows)
             if refined is None:
                 continue
-            refined = _gain_lstsq(anchors, refined, rows) or refined
-            score = _score(refined, anchors, rows)[0]
+            refined = _gain_lstsq(anchors, refined, template, rows) or refined
+            score = _score(_vec_to_params(refined, template), anchors, rows)[0]
             if score < best[0]:
                 best = (score, refined)
-    return best[1]
+    return _vec_to_params(best[1], template)
 
 
 # --- anchor/report CSV ------------------------------------------------------

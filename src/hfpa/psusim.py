@@ -129,9 +129,18 @@ def decode_frame(data: bytes) -> CanFrame:
 
 # --- command layer ----------------------------------------------------------
 
-def to_milli(value: float) -> int:
-    """Volts or amps to the wire's integer milli-units (round half to even)."""
-    return round(value * 1000.0)
+def to_milli(value: float, unit: str = "V") -> int:
+    """Volts or amps to the wire's integer milli-units (round half to even).
+
+    Raises ValueOutOfRange, naming ``value`` in ``unit``, when the scaled
+    value is not finite or its count does not fit the u32 field.
+    """
+    scaled = value * 1000.0
+    milli = round(scaled) if math.isfinite(scaled) else -1
+    if not 0 <= milli <= U32_MAX:
+        raise ValueOutOfRange(f"{value} {unit} does not fit the u32 "
+                              f"milli-unit field")
+    return milli
 
 
 def from_milli(milli: int) -> float:
@@ -177,7 +186,7 @@ def encode(command: Command) -> bytes:
         if not math.isfinite(command.volts):
             raise ValueOutOfRange(f"voltage {command.volts} V is not finite")
         return _FRAME.pack(ID_SET_VOLTAGE, DLC, REG_VOLTAGE,
-                           _u32(to_milli(command.volts), "millivolts"))
+                           to_milli(command.volts))
     if isinstance(command, ReadRequest):
         _check_register(command.register)
         return _FRAME.pack(ID_READ, DLC, command.register, 0)
@@ -240,9 +249,10 @@ class PsuState:
                 raise ValueError(f"{name} must be in [{VDD_MIN:g}, "
                                  f"{VDD_MAX:g}] V, got {value}")
         elif name == "load_current_a":
-            if not (math.isfinite(value) and 0 <= to_milli(value) <= U32_MAX):
-                raise ValueOutOfRange(f"load_current_a {value} A does not "
-                                      f"fit the u32 milliamp field")
+            try:
+                to_milli(value, "A")
+            except ValueOutOfRange as exc:
+                raise ValueOutOfRange(f"load_current_a {exc}") from None
         elif name == "slew_v_per_s":
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"slew must be finite and > 0, got {value}")

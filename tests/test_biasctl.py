@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hfpa import biasctl, measure, pamodel
-from hfpa.biasctl import (BiasController, EnvKind, EnvelopeClass, Mode,
+from hfpa.biasctl import (BandEntry, BiasController, EnvKind, EnvelopeClass, Mode,
                           SetpointUnreachable, WindowTooShort,
                           classify_envelope, command_for_mode,
                           compression_drive, decide_bias, default_band_table,
@@ -385,6 +385,20 @@ class TestModeBenefit:
         level_l = drive_for_pout(comp.pout_w, lin_bias, fitted_params)
         lin = simulate_cw(level_l, lin_bias, fitted_params)
         assert 100.0 * (comp.eff - lin.eff) >= 10.0
+
+
+class TestBandEntry:
+    @pytest.mark.parametrize("vdd", [
+        math.nan, math.inf, -math.inf,
+        math.nextafter(pamodel.VDD_MIN, 0.0),
+        math.nextafter(pamodel.VDD_MAX, math.inf)])
+    def test_rejects_an_eq_vdd_outside_the_supply_window(self, vdd):
+        with pytest.raises(pamodel.InvalidBias, match="eq_vdd"):
+            BandEntry(eq_vdd=vdd)
+
+    @pytest.mark.parametrize("vdd", [pamodel.VDD_MIN, pamodel.VDD_MAX])
+    def test_accepts_the_window_edges(self, vdd):
+        assert BandEntry(eq_vdd=vdd).eq_vdd == vdd
 
 
 class TestEqualizeGains:

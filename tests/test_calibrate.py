@@ -35,6 +35,21 @@ OUT_OF_BOX_TABLE = ((58.0, 32.27, 58.52), (53.0, 30.17, 68.96),
                     (48.0, 28.23, 77.72))
 
 
+#: ``default_init(OUT_OF_BOX_TABLE)`` as it was before every start was
+#: clamped into ``_SPACE``: a pre-solve candidate with shape_beta 337.82 and
+#: shape_sat 1549.91, past the box's 40 and 400. A user's ``--init`` can
+#: still lie there.
+OUT_OF_BOX_INIT = PaParams(**{k: float.fromhex(h) for k, h in zip(
+    _SCALAR_KEYS, ("0x1.4767cccf5cff0p+5", "0x1.99654c0a9697fp-2", "0x0.0p+0",
+                   "0x1.70a3d70a3d70bp-2", "0x1.0000000000000p+2",
+                   "0x1.0000000000000p+3", "0x1.51d120b3ce77dp+8",
+                   "0x1.2ab480fe6ccb8p+4", "0x1.837a3f2ed5855p+10"))})
+
+#: ``default_init``'s base point as it was with the class-A load line
+#: vdd^2/(2*pout) clamped to 0.95 ohm: no anchor at 1 kW is reachable.
+CLASS_A_BASE = PaParams(g0=10.0 ** (30.0 / 20.0), rload=0.95)
+
+
 def perturbed_table(seed):
     """The reference table with each row moved by up to 0.3 dB and 1.5 pp,
     at 1 kW, its dissipation from the efficiency."""
@@ -166,7 +181,10 @@ ORACLE_TABLES = {
 
 @pytest.fixture(scope="module")
 def oracle_inits():
-    return {name: default_init(t) for name, t in ORACLE_TABLES.items()}
+    # two starts that default_init no longer makes, as it made them
+    inits = {name: default_init(t) for name, t in ORACLE_TABLES.items()}
+    inits.update(out_of_box=OUT_OF_BOX_INIT, perturbed_4=CLASS_A_BASE)
+    return inits
 
 
 def test_oracle_tables_cover_the_clamped_start_and_the_fallback(
@@ -316,14 +334,13 @@ class TestFit:
 
     @pytest.mark.parametrize("budget", [0, 40, 150])
     def test_out_of_box_start_is_never_made_worse(self, budget):
-        # the shaping pre-solve of this near-reference table gives
-        # shape_beta 338 and shape_sat 1550, past the box; clamped into it
-        # the start scores 58.8 against init's 0.024, and the search, which
-        # never gets back under 0.024, hands back init
+        # the unclamped shaping pre-solve of this near-reference table:
+        # clamped into the box the start scores 58.8 against init's 0.024,
+        # and the search, which never gets back under 0.024, hands back init
         anchors = [AnchorRow(vdd, gain, eff, 1000.0,
                              1000.0 * (100.0 / eff - 1.0))
                    for vdd, gain, eff in OUT_OF_BOX_TABLE]
-        init = default_init(anchors)
+        init = OUT_OF_BOX_INIT
         assert init.shape_beta > calibrate._SPACE[5][2]
         report = fit(anchors, init, budget=budget)
         assert report.params == init
@@ -419,12 +436,54 @@ class TestDefaultInit:
         assert default_init(REFERENCE_ANCHORS) == first
         assert len(calls) == 2 * once
 
+    def test_reference_start_keeps_its_bits(self):
+        # its best candidate lies in the box, so clamping changes no bit
+        init = default_init(REFERENCE_ANCHORS)
+        assert [getattr(init, k).hex() for k in _SCALAR_KEYS] == [
+            "0x1.3e2ac58146ccep+5", "0x1.8f2eed0134d36p-2", "0x0.0p+0",
+            "0x1.999999999999bp-2", "0x1.0000000000000p+2",
+            "0x1.0000000000000p+3", "0x1.e914ef988f4f3p+1",
+            "0x1.050d51be46a22p+3", "0x1.490c14f507ca3p+4"]
+
     def test_generic_anchors_fall_back_to_base(self):
         anchors = synthetic_anchors(TRUE_PARAMS, vdds=(58.0, 50.0),
                                     pout=800.0)
         init = default_init(anchors)
-        assert init.rload == pytest.approx(0.95)  # clamped load-line estimate
+        # the class-AB load line (0.9*(50 - 4))^2 / (4*800)
+        assert init.rload == pytest.approx(0.5356125)
         assert init.smoothness == 2.0
+
+
+#: Tables as the benchmark perturbs the reference one, from fixed seeds. With
+#: the class-A base and unclamped pre-solve candidates, 4 of them started
+#: outside the box and 9 where some anchor was unreachable.
+START_TABLES = {seed: perturbed_table(seed) for seed in range(20)}
+
+
+@pytest.fixture(scope="module")
+def starts():
+    return {seed: default_init(t) for seed, t in START_TABLES.items()}
+
+
+class TestStarts:
+    def test_every_start_lies_in_the_box(self, starts):
+        # fit's own test: clamping the start's vector moves nothing
+        for seed, init in starts.items():
+            vec = calibrate._params_to_vec(init)
+            assert calibrate._clamp_vec(vec) == vec, seed
+
+    def test_every_start_reaches_every_anchor(self, starts):
+        for seed, init in starts.items():
+            for a in START_TABLES[seed]:
+                row = calibrate._sweep(a, init)
+                assert isinstance(row, calibrate.MeasRow), (seed, a.vdd)
+
+    @pytest.mark.parametrize("budget", [0, 40, 150])
+    def test_fit_ends_no_worse_than_its_start(self, starts, budget):
+        for seed, init in starts.items():
+            anchors = START_TABLES[seed]
+            report = fit(anchors, init, budget)
+            assert report.residual <= objective(init, anchors), seed
 
 
 class TestAnchorIo:

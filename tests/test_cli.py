@@ -10,6 +10,7 @@ import warnings
 
 import pytest
 
+from hfpa import psusim
 from hfpa.bands import BANDS
 from hfpa.biasctl import HYSTERESIS_WINDOWS, WINDOW_S
 from hfpa.cli import build_parser, main
@@ -317,19 +318,19 @@ def test_idq_above_the_ceiling_is_a_module_error(tmp_path, params_file, capsys,
 
 
 def test_calibrate_that_reaches_no_anchor_exits_1(tmp_path, capsys):
-    # not equal-power, so default_init falls back to its base point, from
-    # which a budget-40 fit reaches none of the four rows
+    # 20 kW (16 kW at 40 V) lies past the saturated output of every point in
+    # the search box, so no fit reaches any of the four rows
     anchors = tmp_path / "anchors.csv"
     anchors.write_text("vdd_V,gain_dB,eff_pct,pout_W,pdiss_W\n"
-                       "58,32,60,1000,666\n53,30,68,1000,470\n"
-                       "48,28,77,1000,298\n40,26,80,800,200\n")
+                       "58,32,60,20000,13333\n53,30,68,20000,9412\n"
+                       "48,28,77,20000,5974\n40,26,80,16000,4000\n")
     params, report = tmp_path / "fit.cfg", tmp_path / "report.csv"
     rc = main(["calibrate", "--anchors", str(anchors), "--budget", "40",
                "--out-params", str(params), "--out-report", str(report)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == ("error: fitted params cannot reach anchors 1000 W at 58 V, "
-                   "1000 W at 53 V, 1000 W at 48 V, 800 W at 40 V\n")
+    assert err == ("error: fitted params cannot reach anchors 20000 W at 58 V, "
+                   "20000 W at 53 V, 20000 W at 48 V, 16000 W at 40 V\n")
     # written anyway, so the failed fit can be inspected
     assert params.exists()
     assert report.read_text().splitlines()[1].startswith("58,inf,inf,")
@@ -394,6 +395,20 @@ def test_psu_cli_round_trip(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "0.000 A"
     server.join(timeout=5.0)
     assert not server.is_alive()
+
+
+@pytest.mark.parametrize("vdd", ["1e308", "1e300"])
+def test_psu_set_past_the_u32_field_exits_1_before_connecting(
+        vdd, capsys, monkeypatch):
+    # the voltage is encoded before any socket opens: 1e308 V ended in an
+    # OverflowError traceback, 1e300 V in a 300-digit millivolt count
+    def no_socket(*args, **kwargs):
+        raise AssertionError("psu-set opened a socket")
+
+    monkeypatch.setattr(psusim.socket, "create_connection", no_socket)
+    assert main(["psu-set", "--port", "1", "--vdd", vdd]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {float(vdd)} V does not fit the u32 milli-unit field\n")
 
 
 def test_psu_set_out_of_range_exits_1(capsys):

@@ -141,6 +141,19 @@ class TestCommandCodec:
         with pytest.raises(ValueOutOfRange):
             encode(cmd)
 
+    @pytest.mark.parametrize("value", [
+        1e308, 1e300, -1e308, -0.0006, 4_294_967.2955, math.nan, math.inf])
+    def test_to_milli_rejects_what_the_u32_field_cannot_hold(self, value):
+        # 4294967.2955 A rounds half to even to 2**32 mA
+        with pytest.raises(ValueOutOfRange) as err:
+            psusim.to_milli(value, "A")
+        assert str(err.value) == (f"{value} A does not fit the u32 "
+                                  f"milli-unit field")
+
+    def test_to_milli_keeps_the_u32_edges(self):
+        assert psusim.to_milli(-0.0005) == 0  # rounds half to even
+        assert psusim.to_milli(4_294_967.295) == psusim.U32_MAX
+
     def test_u32_edges_encode(self):
         assert decode(encode(SetVoltage(0.0))) == SetVoltage(0.0)
         assert decode(encode(SetVoltage(4_294_967.295))) == SetVoltage(4_294_967.295)
@@ -477,6 +490,14 @@ class TestPsuDynamics:
         with pytest.raises(ValueError, match=name.split("_")[0]):
             setattr(sim.state, name, value)
         assert getattr(sim.state, name) == before
+
+    @pytest.mark.parametrize("value", [1e308, 1e300])
+    def test_load_current_past_the_field_is_out_of_range(self, value):
+        # 1e308 A overflowed to an OverflowError in the milliamp count
+        sim = PsuSim()
+        with pytest.raises(ValueOutOfRange, match="^load_current_a "):
+            sim.state.load_current_a = value
+        assert sim.state.load_current_a == 0.0
 
     def test_valid_assignment_reads_back_through_the_wire(self):
         sim = PsuSim()

@@ -114,13 +114,20 @@ def flattop(n: int) -> np.ndarray:
     A symmetric (n + 1)-point cosine sum with its last point dropped,
     summed term by term in coefficient order; ``tests/test_measure.py``
     checks it bit for bit against the standard reference implementation.
+    Each term ``a*cos(k*fac)`` is built in one reused ``(n + 1)`` row, so
+    the construction peak is three such rows (the phases, the sum and the
+    term), 3 times the result (4 times with fresh temporaries).
     """
     if n <= 1:
         return np.ones(n)
     fac = np.linspace(-np.pi, np.pi, n + 1)
     w = np.zeros(n + 1)
+    term = np.empty(n + 1)
     for k, a in enumerate(_FLATTOP):
-        w += a * np.cos(k * fac)
+        np.multiply(k, fac, term)
+        np.cos(term, term)
+        np.multiply(a, term, term)
+        w += term
     return w[:-1]
 
 
@@ -134,10 +141,19 @@ def _analysis_constants(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
     Both depend on ``n`` alone; a drive sweep analyses one length many times.
     Past ``CACHE_MAX_SAMPLES`` samples ``measure_imd`` calls ``__wrapped__``.
+
+    The window is built first, so that its construction rows never meet the
+    noise row; the two parts of the draw then go straight into the complex
+    row, real part first, which holds ``re + 1j*im`` bit for bit (a normal
+    draw is never a signed zero). The construction peak is the window, the
+    complex row and one float draw, 4/3 of the result (2 times with fresh
+    temporaries).
     """
-    rng = np.random.default_rng(0x1D5EED)  # fixed: analysis floor is deterministic
-    unit = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     win = flattop(n)
+    rng = np.random.default_rng(0x1D5EED)  # fixed: analysis floor is deterministic
+    unit = np.empty(n, np.complex128)
+    unit.real = rng.standard_normal(n)
+    unit.imag = rng.standard_normal(n)
     win.flags.writeable = False
     unit.flags.writeable = False
     return win, unit
@@ -238,7 +254,9 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     The window and the unit noise draw of the most recent length up to
     ``CACHE_MAX_SAMPLES`` stay cached after the call, 24 bytes per sample
     (3 MiB at 131072 samples); so does the twiddle block of the most recent
-    length and bins at any length, at most 18*128 complex values.
+    length and bins at any length, at most 18*128 complex values. Building
+    them at a new length peaks at 32 bytes per sample (4 MiB at 131072
+    samples, ``_analysis_constants``).
     The analysis runs in the calling thread's ``kernels.workspace``, which
     ``pamodel.simulate`` shares and which adds 40 bytes per sample per
     thread, 5 MiB at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).

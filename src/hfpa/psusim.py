@@ -183,8 +183,6 @@ Command = Union[SetVoltage, ReadRequest, Reply, Nack]
 def encode(command: Command) -> bytes:
     """Command to its 13-byte wire form."""
     if isinstance(command, SetVoltage):
-        if not math.isfinite(command.volts):
-            raise ValueOutOfRange(f"voltage {command.volts} V is not finite")
         return _FRAME.pack(ID_SET_VOLTAGE, DLC, REG_VOLTAGE,
                            to_milli(command.volts))
     if isinstance(command, ReadRequest):

@@ -207,13 +207,24 @@ def _unit_waveform(spec: WaveformSpec, sample_rate: float,
 
     ``generate`` scales it: ``(a/2) * u`` for the two-tone, ``(a * u) /
     (1 + m)`` for AM (a real array), ``a * u`` for the others.
+
+    The construction peak is 2.5 times the result (AM: 3 times). The
+    two-tone reaches it by building each tone in place in its own complex
+    row, beside the time row (3.5 times with fresh temporaries); its ufuncs
+    and operand order are those of ``exp(2j*pi*f1*t) + exp(2j*pi*f2*t)``,
+    so its bits are too.
     """
-    t = np.arange(n) / sample_rate
+    t = np.arange(n, dtype=np.float64)
+    t /= sample_rate
     if spec.kind is Kind.CW:
         return np.exp(2j * np.pi * spec.tone_hz * t)
     if spec.kind is Kind.TWO_TONE:
-        return (np.exp(2j * np.pi * spec.f1_hz * t)
-                + np.exp(2j * np.pi * spec.f2_hz * t))
+        u = np.multiply(2j * np.pi * spec.f1_hz, t)
+        np.exp(u, u)
+        v = np.multiply(2j * np.pi * spec.f2_hz, t)
+        np.exp(v, v)
+        u += v
+        return u
     if spec.kind is Kind.FM:
         # modulating tone cos(2*pi*fm*t) -> instantaneous deviation dev*cos(...)
         beta = spec.fm_dev_hz / spec.fm_rate_hz

@@ -397,16 +397,17 @@ def test_psu_cli_round_trip(capsys):
     assert not server.is_alive()
 
 
-@pytest.mark.parametrize("vdd", ["1e308", "1e300"])
+@pytest.mark.parametrize("vdd", ["1e308", "1e300", "nan", "inf", "-inf"])
 def test_psu_set_past_the_u32_field_exits_1_before_connecting(
         vdd, capsys, monkeypatch):
     # the voltage is encoded before any socket opens: 1e308 V ended in an
-    # OverflowError traceback, 1e300 V in a 300-digit millivolt count
+    # OverflowError traceback, 1e300 V in a 300-digit millivolt count; a
+    # non-finite voltage gets to_milli's message too
     def no_socket(*args, **kwargs):
         raise AssertionError("psu-set opened a socket")
 
     monkeypatch.setattr(psusim.socket, "create_connection", no_socket)
-    assert main(["psu-set", "--port", "1", "--vdd", vdd]) == 1
+    assert main(["psu-set", "--port", "1", f"--vdd={vdd}"]) == 1
     assert capsys.readouterr().err == (
         f"error: {float(vdd)} V does not fit the u32 milli-unit field\n")
 

@@ -359,12 +359,68 @@ def test_imd_levels_of_a_prime_length_are_the_full_ffts_bits():
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def reference_flattop(n):
+    """``flattop`` as a chain of fresh temporaries, its earlier form."""
+    if n <= 1:
+        return np.ones(n)
+    fac = np.linspace(-np.pi, np.pi, n + 1)
+    w = np.zeros(n + 1)
+    for k, a in enumerate(measure._FLATTOP):
+        w += a * np.cos(k * fac)
+    return w[:-1]
+
+
+def reference_analysis_constants(n):
+    """``_analysis_constants`` as fresh temporaries, its earlier form."""
+    rng = np.random.default_rng(0x1D5EED)
+    unit = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return reference_flattop(n), unit
+
+
+#: Lengths of the construction oracles: a single sample, a short odd block,
+#: a controller window, the cached IMD block and an uncached one.
+ORACLE_LENGTHS = [1, 7, 10000, 131072, 262144]
+
+
 class TestFlattop:
     @pytest.mark.parametrize("n", [1, 64, 1000, 131071, 131072])
     def test_matches_scipy_bit_for_bit(self, n):
         signal = pytest.importorskip("scipy.signal")
         assert np.array_equal(flattop(n),
                               signal.windows.flattop(n, sym=False))
+
+    @pytest.mark.parametrize("n", [0, 2] + ORACLE_LENGTHS)
+    def test_matches_its_temporaries_form(self, n):
+        assert flattop(n).tobytes() == reference_flattop(n).tobytes()
+
+    def test_construction_peak(self):
+        # the phases, the sum and one reused term row, each n + 1 samples:
+        # 3.0 times the result (4.0 when each term made fresh temporaries)
+        n = 131072
+        assert traced_peak(lambda: flattop(n)) < 3.5 * n * 8
+
+
+class TestAnalysisConstants:
+    @pytest.mark.parametrize("n", ORACLE_LENGTHS)
+    def test_match_their_temporaries_form(self, n):
+        got = measure._analysis_constants.__wrapped__(n)
+        want = reference_analysis_constants(n)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_construction_peak(self):
+        # the window is built before the noise row, whose parts are drawn
+        # straight into it: the window, the complex row and one float draw,
+        # 1.33 times the results (2.0 when the draw came first, as fresh
+        # temporaries). The first call warms numpy.random's lazy import
+        n = 131072
+        measure._analysis_constants.__wrapped__(64)
+        got = []
+        peak = traced_peak(lambda: got.append(
+            measure._analysis_constants.__wrapped__(n)))
+        win, unit = got[0]
+        assert peak < 1.5 * (win.nbytes + unit.nbytes)
 
 
 def test_import_leaves_scipy_unloaded():

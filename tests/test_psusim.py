@@ -218,8 +218,11 @@ def reference_u32(milli, what):
 
 def reference_encode(command):
     if isinstance(command, SetVoltage):
-        if not math.isfinite(command.volts):
-            raise ValueOutOfRange(f"voltage {command.volts} V is not finite")
+        # a value that is not a number fails in to_milli's multiply
+        volts = command.volts
+        if isinstance(volts, numbers.Real) and not math.isfinite(volts):
+            raise ValueOutOfRange(f"{volts} V does not fit the u32 "
+                                  f"milli-unit field")
         payload = (bytes([REG_VOLTAGE]) + b"\x00\x00\x00"
                    + reference_u32(psusim.to_milli(command.volts),
                                    "millivolts"))

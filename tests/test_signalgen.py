@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_pamodel import traced_peak
 
 from hfpa import signalgen
 from hfpa.signalgen import (CACHE_MAX_SAMPLES, CACHE_SIZE, MAX_SAMPLES,
@@ -229,6 +230,68 @@ class TestUnitWaveformCache:
                                   duration_s=1e-4), FS)
             assert (signalgen._cached_unit_waveform.cache_info().currsize
                     <= CACHE_SIZE)
+
+
+def reference_unit_waveform(spec, fs, n):
+    """``_unit_waveform`` as chains of fresh temporaries, its earlier form."""
+    t = np.arange(n) / fs
+    if spec.kind is Kind.CW:
+        return np.exp(2j * np.pi * spec.tone_hz * t)
+    if spec.kind is Kind.TWO_TONE:
+        return (np.exp(2j * np.pi * spec.f1_hz * t)
+                + np.exp(2j * np.pi * spec.f2_hz * t))
+    if spec.kind is Kind.FM:
+        beta = spec.fm_dev_hz / spec.fm_rate_hz
+        return np.exp(1j * beta * np.sin(2 * np.pi * spec.fm_rate_hz * t))
+    if spec.kind is Kind.AM:
+        return 1.0 + spec.am_index * np.cos(2 * np.pi * spec.am_rate_hz * t)
+    ratio = fs / spec.psk_rate_hz
+    sps = n if ratio >= n else max(1, int(round(ratio)))
+    nsym = -(-n // sps)
+    if spec.psk_order == 2:
+        phases = np.pi * _pn_bits(nsym)
+    else:
+        b = _pn_bits(2 * nsym)
+        phases = np.pi / 4.0 + (2 * b[0::2] + b[1::2]) * (np.pi / 2.0)
+    return np.exp(1j * np.repeat(phases, sps))[:n]
+
+
+#: Lengths of the construction oracle: a single sample, a short odd block,
+#: a controller window, the cached IMD block and an uncached one.
+ORACLE_LENGTHS = [1, 7, 10000, CACHE_MAX_SAMPLES, 2 * CACHE_MAX_SAMPLES]
+
+
+@pytest.mark.parametrize("n", ORACLE_LENGTHS)
+@pytest.mark.parametrize("fs", [FS, 12345.6])
+@pytest.mark.parametrize("spec", [
+    WaveformSpec(kind=Kind.CW, tone_hz=12.5e3),
+    WaveformSpec(kind=Kind.CW, tone_hz=-0.0),
+    WaveformSpec(kind=Kind.TWO_TONE),
+    WaveformSpec(kind=Kind.TWO_TONE, f1_hz=-0.0, f2_hz=3e3),
+    WaveformSpec(kind=Kind.FM), WaveformSpec(kind=Kind.AM),
+    WaveformSpec(kind=Kind.PSK), WaveformSpec(kind=Kind.PSK, psk_order=4)],
+    ids=["cw", "cw-zero", "two_tone", "two_tone-zero", "fm", "am", "bpsk",
+         "qpsk"])
+def test_unit_waveform_matches_its_temporaries_form(spec, fs, n):
+    # built in place, every ufunc and operand order kept: the same bytes,
+    # signed zeros included
+    got = signalgen._unit_waveform(spec, fs, n)
+    want = reference_unit_waveform(spec, fs, n)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_two_tone_unit_construction_peak():
+    # the time row and the two tone rows, plus numpy's 128 KiB cast buffer
+    # of the complex-by-float multiply: 2.56 times the result (3.50 when
+    # each step made a fresh temporary)
+    n = CACHE_MAX_SAMPLES
+    spec = WaveformSpec(kind=Kind.TWO_TONE)
+    signalgen._unit_waveform(spec, FS, n)
+    got = []
+    peak = traced_peak(lambda: got.append(signalgen._unit_waveform(spec, FS,
+                                                                   n)))
+    assert peak < 3 * got[0].nbytes
 
 
 def reference_pn9(n):

@@ -284,13 +284,14 @@ def test_cli_steps_and_startup_take_turns_per_repeat(monkeypatch, tmp_path):
 
 def stub_pair_file(path):
     """A pair file with only what ``--table`` reads: two workloads, the
-    second with no raw ratio, against a clean parent from a dirty change."""
+    first with two metrics, the second with one and no raw ratio, against a
+    clean parent from a dirty change."""
     def metric(before, after, scaled, raw):
         entry = {"better": "lower", "before": {"median": before},
                  "after": {"median": after}, "scaled": scaled}
         if raw is not None:
             entry["raw"] = raw
-        return {bench_snapshot.TABLE_METRIC: entry}
+        return entry
 
     ratio = {"median": 0.9, "q1": 0.85, "q3": 0.95, "wins": 9, "pairs": 10}
     snapshot = {
@@ -302,12 +303,15 @@ def stub_pair_file(path):
                 "calibrate": {
                     "order": [{"seed": s, "first": f} for s, f in
                               ((7, "after"), (7, "before"), (2, "after"))],
-                    "metrics": metric(53.7, 48.25, ratio,
-                                      dict(ratio, median=0.912, wins=8))},
+                    "metrics": {
+                        "op_p50_ms": metric(53.7, 48.25, ratio, dict(
+                            ratio, median=0.912, wins=8)),
+                        "peak_rss_mb": metric(57.61, 54.7, dict(
+                            ratio, median=0.9495, wins=10), None)}},
                 "imd": {"order": [{"seed": 1, "first": "before"}],
-                        "metrics": metric(8.1234, 8.2, dict(
+                        "metrics": {"op_p50_ms": metric(8.1234, 8.2, dict(
                             ratio, median=1.0126, q1=1.0, q3=1.025, wins=0,
-                            pairs=1), None)}}}}
+                            pairs=1), None)}}}}}
     path.write_text(json.dumps(snapshot), encoding="utf-8")
     return path
 
@@ -325,10 +329,13 @@ def test_table_prints_a_row_per_workload_of_a_pair_file(monkeypatch, capsys,
     assert lines[:2] == bench_snapshot.TABLE_HEADER.splitlines()
     assert lines[2:] == [
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | calibrate, 2,7, 3 "
-        "| 53.7 → 48.25 | 0.900 [0.850, 0.950] | 0.912 [0.850, 0.950] "
-        "| 9/10, 8/10 |",
+        "| op_p50_ms | 53.7 → 48.25 | 0.900 [0.850, 0.950] "
+        "| 0.912 [0.850, 0.950] | 9/10, 8/10 |",
+        "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | calibrate, 2,7, 3 "
+        "| peak_rss_mb | 57.61 → 54.7 | 0.950 [0.850, 0.950] | — "
+        "| 10/10, — |",
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | imd, 1, 1 "
-        "| 8.123 → 8.2 | 1.013 [1.000, 1.025] | — | 0/1, — |"]
+        "| op_p50_ms | 8.123 → 8.2 | 1.013 [1.000, 1.025] | — | 0/1, — |"]
 
 
 def test_table_refuses_a_file_without_pairs(capsys, tmp_path):
@@ -352,8 +359,11 @@ def test_every_committed_pair_file_prints_its_rows(path):
     # tool must keep reading every file they come from
     workloads = json.loads(path.read_text(encoding="utf-8"))["pairs"][
         "workloads"]
+    cells = [(workload, metric) for workload, record in workloads.items()
+             for metric in record["metrics"]]
     rows = bench_snapshot.table_rows(path)
-    assert len(rows) == len(workloads) >= 1
-    for row, workload in zip(rows, workloads):
+    assert len(rows) == len(cells) >= 1
+    for row, (workload, metric) in zip(rows, cells):
         assert row.startswith(f"| `{path.name}` | ")
         assert f" | {workload}, " in row
+        assert f" | {metric} | " in row

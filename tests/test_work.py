@@ -182,3 +182,26 @@ def test_a_warm_controller_window_allocates_no_sample_array(kind):
     finally:
         tracemalloc.stop()
     assert peak < len(block) * 8
+
+
+def test_a_warm_two_tone_point_allocates_only_its_results():
+    # generate, simulate and measure_imd on a 131072-sample two-tone block
+    # whose unit waveform, window, noise draw and workspace rows are cached:
+    # the block, the output block and the float swing row, 5 float rows,
+    # and small change below half a row (numpy's 128 KiB cast buffer of the
+    # output multiply). Measured: 5 rows and 136 KB
+    n = 131072
+    spec = WaveformSpec(kind=Kind.TWO_TONE, amplitude=0.05, duration_s=n / 1e6)
+
+    def point():
+        out, _ = simulate(generate(spec, 1e6), BIAS, PARAMS)
+        measure.measure_imd(out, spec.f1_hz, spec.f2_hz)
+
+    point()
+    tracemalloc.start()
+    try:
+        point()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * n * 8

@@ -383,13 +383,11 @@ def paired(args, seeds, workloads, better):
     write(snaps[AFTER])
 
 
-#: The metric of the evidence table's rows.
-TABLE_METRIC = "op_p50_ms"
 TABLE_HEADER = (
-    "| file | trees (parent → change) | workload, seeds, pairs "
-    f"| {TABLE_METRIC} parent → change | scaled ratio [q1, q3] "
-    "| raw ratio [q1, q3] | wins scaled, raw |\n"
-    "|---|---|---|---|---|---|---|")
+    "| file | trees (parent → change) | workload, seeds, pairs | metric "
+    "| parent → change | scaled ratio [q1, q3] | raw ratio [q1, q3] "
+    "| wins scaled, raw |\n"
+    "|---|---|---|---|---|---|---|---|")
 
 
 def _tree(identity):
@@ -406,12 +404,12 @@ def _ratio(entry):
 
 
 def table_rows(path):
-    """One Markdown row per workload of the pair file at ``path``, for
-    ``TABLE_METRIC``: the trees, the workload, its seeds and pairs, both
-    trees' medians, the scaled and raw after/before ratios with their
-    quartiles, and the change's wins. Everything comes from the file's
-    ``pairs`` block, except the change's own commit, which the file's
-    ``environment`` records."""
+    """One Markdown row per workload and end-to-end metric of the pair file
+    at ``path``, in the file's order: the trees, the workload, its seeds and
+    pairs, the metric, both trees' medians, the scaled and raw after/before
+    ratios with their quartiles, and the change's wins. Everything comes
+    from the file's ``pairs`` block, except the change's own commit, which
+    the file's ``environment`` records."""
     snapshot = json.loads(Path(path).read_text(encoding="utf-8"))
     block = snapshot.get("pairs")
     if block is None:
@@ -422,14 +420,15 @@ def table_rows(path):
     for workload, record in block["workloads"].items():
         seeds = ",".join(str(s) for s in sorted({o["seed"]
                                                  for o in record["order"]}))
-        entry = record["metrics"][TABLE_METRIC]
-        medians = (f"{entry['before']['median']:.4g} → "
-                   f"{entry['after']['median']:.4g}")
-        scaled, scaled_wins = _ratio(entry.get("scaled"))
-        raw, raw_wins = _ratio(entry.get("raw"))
-        rows.append(f"| `{Path(path).name}` | {trees} | {workload}, {seeds}, "
-                    f"{len(record['order'])} | {medians} | {scaled} | {raw} "
-                    f"| {scaled_wins}, {raw_wins} |")
+        for metric, entry in record["metrics"].items():
+            medians = (f"{entry['before']['median']:.4g} → "
+                       f"{entry['after']['median']:.4g}")
+            scaled, scaled_wins = _ratio(entry.get("scaled"))
+            raw, raw_wins = _ratio(entry.get("raw"))
+            rows.append(f"| `{Path(path).name}` | {trees} | {workload}, "
+                        f"{seeds}, {len(record['order'])} | {metric} "
+                        f"| {medians} | {scaled} | {raw} "
+                        f"| {scaled_wins}, {raw_wins} |")
     return rows
 
 

@@ -26,6 +26,7 @@ from hfpa.pamodel import (BiasPoint, PaParams, am_am, bisect, fundamental_pout,
                           small_signal_gain_db)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
 from test_pamodel import bias_st, cw_gain_db, params_st, traced_peak
+from test_signalgen import ORACLE_LENGTHS
 
 FS = 1.0e6
 
@@ -377,11 +378,6 @@ def reference_analysis_constants(n):
     return reference_flattop(n), unit
 
 
-#: Lengths of the construction oracles: a single sample, a short odd block,
-#: a controller window, the cached IMD block and an uncached one.
-ORACLE_LENGTHS = [1, 7, 10000, 131072, 262144]
-
-
 class TestFlattop:
     @pytest.mark.parametrize("n", [1, 64, 1000, 131071, 131072])
     def test_matches_scipy_bit_for_bit(self, n):
@@ -416,11 +412,8 @@ class TestAnalysisConstants:
         # temporaries). The first call warms numpy.random's lazy import
         n = 131072
         measure._analysis_constants.__wrapped__(64)
-        got = []
-        peak = traced_peak(lambda: got.append(
-            measure._analysis_constants.__wrapped__(n)))
-        win, unit = got[0]
-        assert peak < 1.5 * (win.nbytes + unit.nbytes)
+        peak = traced_peak(lambda: measure._analysis_constants.__wrapped__(n))
+        assert peak < 1.5 * (n * 8 + n * 16)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -288,10 +288,8 @@ def test_two_tone_unit_construction_peak():
     n = CACHE_MAX_SAMPLES
     spec = WaveformSpec(kind=Kind.TWO_TONE)
     signalgen._unit_waveform(spec, FS, n)
-    got = []
-    peak = traced_peak(lambda: got.append(signalgen._unit_waveform(spec, FS,
-                                                                   n)))
-    assert peak < 3 * got[0].nbytes
+    assert traced_peak(lambda: signalgen._unit_waveform(spec, FS, n)) < (
+        3 * n * 16)
 
 
 def reference_pn9(n):

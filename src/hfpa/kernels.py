@@ -1,24 +1,28 @@
 """The per-sample envelope pipeline of the amplifier model, in numpy.
 
 Block-sized temporaries go into one per-thread workspace (``workspace``): a
-``(5, n)`` float64 array for the most recent block length ``n``, kept while
-``n <= signalgen.CACHE_MAX_SAMPLES``, so at most 5 MiB per thread. A longer
+``(3, n)`` float64 array for the most recent block length ``n``, kept while
+``n <= signalgen.CACHE_MAX_SAMPLES``, so at most 3 MiB per thread. A longer
 block gets fresh rows on every call, freed with the caller's last view. Each
 stage writes its result into a workspace row with the ufunc's ``out``, in
 the same expression, operand order and reduction as the plain form, so the
 bits are those of freshly allocated temporaries; what goes is the page
-faults (and the zero-filling) of mapping new temporaries on every call. No
-returned array is a view of the workspace. ``biasctl.classify_envelope``
-takes rows 0-1 for a window's envelope and its sorted copy; it is never
-called inside ``pamodel.simulate`` or ``measure.measure_imd``, so no two
-users hold the rows at once.
+faults (and the zero-filling) of mapping new temporaries on every call.
+``pa_pipeline``'s law needs five scratch rows: the workspace's three and
+its own fresh complex output block, viewed as two float rows until the
+output samples, written last, overwrite them. No returned array is a view
+of the workspace. ``biasctl.classify_envelope`` takes rows 0-1 for a
+window's envelope and its sorted copy; it is never called inside
+``pamodel.simulate`` or ``measure.measure_imd``, so no two users hold the
+rows at once.
 
-The block sums are one ``np.add.reduce(rows, axis=1)`` over the
-C-contiguous rows of per-sample products: numpy sums each contiguous row as
-it sums a 1-D array (a column-wise reduction adds in another order). A
-split block's halves each reduce their part of the rows, and one float add
-per sum joins them (``joined``), with the same bits: ``halves`` splits at
-numpy's pairwise point.
+Each block sum is one ``np.add.reduce`` over a contiguous row of per-sample
+products: numpy sums a contiguous row of a 2-D reduction along its rows as
+it sums the row alone (a column-wise reduction adds in another order), so
+the constant path's ``(3, n)`` block reduction and the array form's 1-D
+rows give the same bits. A split block's halves each reduce their part of
+the rows, and one float add per sum joins them (``joined``), with the same
+bits: ``halves`` splits at numpy's pairwise point.
 
 ``pa_pipeline`` holds the model's overflow policy: one
 ``np.errstate(over="ignore")`` around both its paths, so that an envelope
@@ -81,11 +85,13 @@ _TINY = math.ulp(0.0)
 
 
 def workspace(n):
-    """This thread's five float64 scratch rows of length ``n``: a tuple of
-    the row views of one C-ordered ``(5, n)`` array, contents undefined.
+    """This thread's three float64 scratch rows of length ``n``: a tuple of
+    the row views of one C-ordered ``(3, n)`` array, contents undefined.
 
-    ``pa_pipeline`` uses all five: the envelope in row 0, its products in
-    rows 1-4. ``biasctl.classify_envelope`` uses rows 0-1 and is never
+    ``pa_pipeline`` uses all three: the envelope in row 0, then the output
+    scale in row 1 and the law's products in rows 0 and 2, beside the two
+    float rows of its output block. ``biasctl.classify_envelope`` uses rows
+    0-1 and is never
     called inside ``pamodel.simulate`` or ``measure.measure_imd`` (rows
     0-2), whose rows it shares. The rows of the most recent length are
     kept, and returned again for that length, while ``n <=
@@ -95,7 +101,7 @@ def workspace(n):
     rows = getattr(_local, "rows", ())
     if rows and rows[0].size == n:
         return rows
-    rows = tuple(np.empty((5, n)))
+    rows = tuple(np.empty((3, n)))
     _local.rows = rows if n <= CACHE_MAX_SAMPLES else ()
     return rows
 
@@ -310,7 +316,10 @@ def pa_pipeline(x, g, a_sat, idq, params):
 
     Returns the output samples (fresh memory, never the workspace) and
     ``(sum(a^2), sum(a*i1), sum(idc*shape), sum(e^2))``. The rows of
-    ``workspace(x.size)`` are overwritten.
+    ``workspace(x.size)`` are overwritten. Besides the three workspace rows,
+    the law takes two fresh rows per call, the swing ``a`` and the complex
+    output block; until the output samples are written last, the output
+    block serves the law as two more float scratch rows.
 
     The block's length alone picks its path. A block shorter than
     ``SPLIT_MIN`` takes the serial ``|x|`` and ``_is_constant``, which a
@@ -346,59 +355,66 @@ def pa_pipeline(x, g, a_sat, idq, params):
                         float(np.dot(env, env)))
         aout = np.empty(env.size)
         out = np.empty(env.size, dtype=np.complex128)
-        # the products fill rows 1-4, adjacent rows of the workspace array;
-        # transposed, halves splits them along the samples
-        parts = halves(_pipeline_rows, (x, out, env, aout, ws[1].base[1:5].T),
+        parts = halves(_pipeline_rows, (x, out, env, aout, ws[1], ws[2]),
                        long_block, g, a_sat, idq, params)
         return (out, *joined(parts).tolist())
 
 
-def _pipeline_rows(x, out, env, aout, prods, with_abs, g, a_sat, idq,
+def _pipeline_rows(x, out, env, aout, scale, scr, with_abs, g, a_sat, idq,
                    params):
     """``pa_pipeline``'s law over rows of one span: ``|x|`` into ``env`` if
-    ``with_abs``, the swing into ``aout``, the output samples into ``out``,
-    and the products ``aout^2``, ``aout*i1``, ``idc*shape``, ``env^2`` into
-    the columns of ``prods``; returns the products' four sums."""
+    ``with_abs``, the swing into ``aout`` and the output samples into
+    ``out``, last; returns the sums of ``aout^2``, ``aout*i1``,
+    ``idc*shape`` and ``env^2``.
+
+    ``scale`` and ``scr`` are workspace rows. The law's last two scratch
+    rows are ``out`` itself, viewed as two float rows of the span's length,
+    until the output samples overwrite them. Each product is reduced alone,
+    as a contiguous 1-D row: the bits of the row in a block reduction."""
     if with_abs:
         np.abs(x, env)
-    t1, t2, t3, t4 = prods.T
+    o1, o2 = out.view(np.float64).reshape(2, -1)
     # a ufunc's third positional argument is its out row: an ``out=``
     # keyword costs about 0.25 us more per call, which a 64-sample block
     # feels (np.maximum takes only the keyword)
-    rapp(np.multiply(g, env, t1), a_sat, params.smoothness, aout)
-    # out = x * aout/env. env is floored at the smallest subnormal, which no
-    # nonzero env is below; a zero sample (aout = 0) gets scale 0, and x * 0
-    # the signed zeros that any scale >= 0 gives, with no 0/0; those signs
-    # are part of the output, so the multiply stays complex-by-float
-    np.multiply(x, np.divide(aout, np.maximum(env, _TINY, out=t1), t1), out)
-    ipk = np.divide(aout, params.rload, t1)
+    rapp(np.multiply(g, env, scale), a_sat, params.smoothness, aout)
+    sum_e2 = np.add.reduce(np.multiply(env, env, scale))
+    # out = x * aout/env, written last. env is floored at the smallest
+    # subnormal, which no nonzero env is below; a zero sample (aout = 0)
+    # gets scale 0, and x * 0 the signed zeros that any scale >= 0 gives,
+    # with no 0/0; those signs are part of the output, so the multiply
+    # stays complex-by-float
+    np.divide(aout, np.maximum(env, _TINY, out=scale), scale)
+    ipk = np.divide(aout, params.rload, env)
     # clipped cosine i(th) = max(0, idq + ipk*cos th); flooring ipk at idq
     # pins the arccos argument at -1 for the unclipped (ipk <= idq) and
     # zero-drive cases, so one closed form covers them: thc = pi gives
-    # idc = idq, i1 = ipk. cos(thc) = x and sin(thc) = sqrt(1 - x^2) spare
+    # idc = idq, i1 = ipk. cos_thc and sin_thc = sqrt(1 - cos_thc^2) spare
     # two transcendentals per sample.
-    x = np.divide(-idq, np.maximum(ipk, idq, out=t2), t2)
-    thc = np.arccos(x, t3)
-    sin_thc = np.sqrt(np.subtract(1.0, np.multiply(x, x, t4), t4), t4)
-    # i1 = (2*idq*sin_thc + ipk*(thc + sin_thc*x)) / pi and
+    cos_thc = np.divide(-idq, np.maximum(ipk, idq, out=scr), scr)
+    thc = np.arccos(cos_thc, o1)
+    sin_thc = np.sqrt(
+        np.subtract(1.0, np.multiply(cos_thc, cos_thc, o2), o2), o2)
+    # i1 = (2*idq*sin_thc + ipk*(thc + sin_thc*cos_thc)) / pi and
     # idc = (idq*thc + ipk*sin_thc) / pi share the four rows: each product
     # overwrites an operand at its last use
-    i1 = np.multiply(ipk, np.add(thc, np.multiply(sin_thc, x, t2), t2), t2)
-    idc = np.add(np.multiply(idq, thc, t3), np.multiply(ipk, sin_thc, t1), t3)
-    idc = np.divide(idc, np.pi, t3)
-    i1 = np.divide(np.add(np.multiply(2.0 * idq, sin_thc, t4), i1, t2),
-                   np.pi, t2)
+    i1 = np.multiply(ipk, np.add(thc, np.multiply(sin_thc, cos_thc, scr), scr),
+                     scr)
+    idc = np.add(np.multiply(idq, thc, o1), np.multiply(ipk, sin_thc, env), o1)
+    idc = np.divide(idc, np.pi, o1)
+    i1 = np.divide(np.add(np.multiply(2.0 * idq, sin_thc, o2), i1, scr),
+                   np.pi, scr)
     # shape = 1 - beta*rp / (1 + c*rp), rp = (aout/a_sat)^p; the in-place
     # power takes the same scalar-exponent path as ``r ** p``
-    rp = np.divide(aout, a_sat, t1)
+    rp = np.divide(aout, a_sat, env)
     rp **= params.shape_exp
-    shape = np.multiply(params.shape_beta, rp, t4)
+    shape = np.multiply(params.shape_beta, rp, o2)
     shape = np.divide(shape,
-                      np.add(1.0, np.multiply(params.shape_sat, rp, t1), t1),
-                      t4)
-    shape = np.subtract(1.0, shape, t4)
-    np.multiply(aout, aout, t1)
-    np.multiply(aout, i1, t2)
-    np.multiply(idc, shape, t3)
-    np.multiply(env, env, t4)
-    return np.add.reduce(prods.T, axis=1)
+                      np.add(1.0, np.multiply(params.shape_sat, rp, env), env),
+                      o2)
+    shape = np.subtract(1.0, shape, o2)
+    sums = np.array([np.add.reduce(np.multiply(aout, aout, env)),
+                     np.add.reduce(np.multiply(aout, i1, scr)),
+                     np.add.reduce(np.multiply(idc, shape, o1)), sum_e2])
+    np.multiply(x, scale, out)
+    return sums

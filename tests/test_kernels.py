@@ -349,8 +349,8 @@ def test_import_starts_no_thread():
 @pytest.mark.parametrize("n", [1, 64, CACHE_MAX_SAMPLES])
 def test_workspace_keeps_the_rows_of_a_cached_length(n):
     rows = kernels.workspace(n)
-    assert len(rows) == 5 and all(row.shape == (n,) for row in rows)
-    assert rows[0].base.flags.c_contiguous and rows[0].base.shape == (5, n)
+    assert len(rows) == 3 and all(row.shape == (n,) for row in rows)
+    assert rows[0].base.flags.c_contiguous and rows[0].base.shape == (3, n)
     assert kernels.workspace(n) is rows
 
 

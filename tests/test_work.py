@@ -195,10 +195,9 @@ def two_tone_point(n):
 def test_a_warm_two_tone_point_allocates_only_its_results():
     # generate, simulate and measure_imd on a 131072-sample two-tone block
     # whose unit waveform, window, noise draw and workspace rows are cached:
-    # the point's own arrays (the block, the output block and the float
-    # swing row, 5 float rows) and small change below half a row (numpy's
-    # 128 KiB cast buffer of the output multiply). Measured: 5 rows and
-    # 136 KB
+    # the block, the output block and the float swing row, 5 float rows,
+    # and small change below half a row (numpy's 128 KiB cast buffer of the
+    # output multiply). Measured: 5 rows and 136 KB
     n = 131072
     two_tone_point(n)
     tracemalloc.start()

@@ -24,11 +24,15 @@ rows give the same bits. A split block's halves each reduce their part of
 the rows, and one float add per sum joins them (``joined``), with the same
 bits: ``halves`` splits at numpy's pairwise point.
 
-``pa_pipeline`` holds the model's overflow policy: one
+The Rapp limiter has three forms: ``rapp`` on arrays, its one-lane steps
+in ``_constant_pipeline`` and the ``math`` form ``pamodel._rapp_scalar``.
+They share one saturation rule: a denominator past the float range gives
+``a_sat``. ``pa_pipeline`` holds the model's overflow policy: one
 ``np.errstate(over="ignore")`` around both its paths, so that an envelope
 or a power past the float range saturates without a warning under any
 caller's error state. Its callers (``pamodel.simulate``) and its constant
-path open no scope of their own, and a CW evaluation enters this one only.
+path open no scope of their own, so a CW evaluation enters this one only;
+every other block also enters ``rapp``'s own, once per part.
 
 A block shorter than ``SPLIT_MIN`` with a constant envelope (every sample
 has the first one's bits: a CW drive, and so every calibration anchor) is
@@ -223,36 +227,30 @@ def joined(parts):
     return parts[0] if len(parts) == 1 else parts[0] + parts[1]
 
 
-def _rapp_den(u, a_sat, s2, out):
-    den = np.divide(u, a_sat, out)
-    den **= s2
-    den += 1.0
-    den **= 1.0 / s2
-    return den
-
-
 def rapp(u, a_sat, smooth, out=None):
     """Rapp soft limiter ``u / (1 + (u/a_sat)^(2s))^(1/(2s))``, ``s = smooth``.
 
     ``u`` is the linearly amplified envelope, ``>= 0`` and possibly ``inf``.
-    Where ``(u/a_sat)^(2s)`` overflows the float range, or ``u`` is ``inf``,
-    the result is the limit ``a_sat``. An ``out`` array of ``u``'s shape
-    (not ``u`` itself) receives the result and holds the denominator on the
-    way, so an in-range block allocates nothing.
+    A denominator past the float range gives ``a_sat`` (the module
+    docstring): one pass, in a scope of its own that ignores the overflow
+    and the ``inf/inf`` at ``u = inf``, then ``a_sat`` copied over each
+    ``inf`` denominator's sample. An ``out`` array of ``u``'s shape (not
+    ``u`` itself) receives the result and holds the denominator on the way;
+    without one, a fresh array does, so a 0-d ``u`` gives a 0-d array with
+    a one-lane array's bits.
     """
     s2 = 2.0 * smooth
-    # overflow, and inf/inf at u = inf, are trapped and the block redone, so
-    # in-range blocks pay no per-sample test and keep their bits
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return np.divide(u, _rapp_den(u, a_sat, s2, out), out)
-    except FloatingPointError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            den = np.asarray(_rapp_den(u, a_sat, s2, out))
-            saturated = np.isinf(den)
-            a = np.divide(u, den, den)
-        np.copyto(a, a_sat, where=saturated)
-        return a
+    if out is None:
+        out = np.empty(np.shape(u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = np.divide(u, a_sat, out)
+        den **= s2
+        den += 1.0
+        den **= 1.0 / s2
+        saturated = np.isinf(den)
+        a = np.divide(u, den, den)
+    np.copyto(a, a_sat, where=saturated)
+    return a
 
 
 def _is_constant(env):
@@ -278,8 +276,8 @@ def _constant_pipeline(e, n, g, a_sat, idq, params):
     Each step keeps the array form's expression and operand order, so each
     value has the bits of every lane of the array form. It opens no
     ``errstate`` of its own: it runs under its caller's, which must ignore
-    overflow, so that a power past the float range gives ``a_sat``, as in
-    ``rapp``'s fallback, with no warning. ``pa_pipeline`` opens that scope;
+    overflow, so that a denominator past the float range gives ``a_sat``,
+    as in ``rapp``, with no warning. ``pa_pipeline`` opens that scope;
     any other caller has to open one too. The sums are those of a fresh
     ``(3, n)`` block.
     """
@@ -337,7 +335,7 @@ def pa_pipeline(x, g, a_sat, idq, params):
     square overflows saturates without a warning, under any caller's error
     state, and the other error kinds follow the caller's state. A short
     constant block enters this scope and no other; every other block also
-    enters ``rapp``'s, which traps an overflow to redo the block.
+    enters ``rapp``'s own, once per part, saturated or not.
     """
     with np.errstate(over="ignore"):
         ws = workspace(x.size)

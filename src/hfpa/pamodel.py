@@ -173,8 +173,9 @@ def _rapp_scalar(u: float, a_sat: float, smooth: float) -> float:
     solve takes a step's direction from it thousands of times per fit, and
     a one-lane numpy call costs about 14x as much (5.0 vs 0.36 us).
     Its libm ``pow`` may differ from numpy's in the last bits, so its value
-    never reaches an output. Past the float range of ``(u/a_sat)^(2s)`` it
-    returns the limit ``a_sat``, as ``kernels.rapp`` does.
+    never reaches an output. It keeps the law's one saturation rule (the
+    ``kernels`` docstring): a denominator past the float range, here an
+    ``OverflowError``, gives ``a_sat``.
     """
     s2 = 2.0 * smooth
     try:
@@ -284,7 +285,9 @@ def am_am(a_in, bias: BiasPoint, params: PaParams, band: Optional[str] = None):
     Monotone nondecreasing, slope bounded by g, and a_out < a_sat, the
     last only to rounding: in deep saturation the rounded exponent 1/(2s)
     leaves a_out within about ln(u/a_sat)/2 ulp of a_sat on either side.
-    Accepts scalars or arrays; every level must be finite and >= 0.
+    A denominator past the float range gives a_sat, the one saturation rule
+    of every form of the law. Accepts scalars or arrays; every level must
+    be finite and >= 0. A scalar level takes a one-lane array's bits.
     """
     a = np.asarray(a_in, dtype=np.float64)
     if not np.all(np.isfinite(a) & (a >= 0)):
@@ -322,8 +325,9 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     law and each output-swing sample drives the conduction-current model.
     DC input power can never fall below RF output power (dissipation >= 0).
     ``gain_db`` is None when the input power is zero or overflows, and when
-    the output power, or its ratio to the input power, underflows to zero;
-    an amplified envelope past the float range saturates at a_sat. The
+    the output power, or its ratio to the input power, underflows to zero.
+    A Rapp denominator past the float range gives a_sat, the one saturation
+    rule of every form of the law (the ``kernels`` docstring). The
     envelope, the output samples and every block sum, ``sum(|x|^2)``
     included, come from ``kernels.pa_pipeline``, which runs a long block's
     ``|x|``, law, output scale and sums as two halves, one handoff to the

@@ -59,8 +59,10 @@ U32_MAX = 0xFFFFFFFF
 #: Default output slew of the simulated supply, volts per second.
 SLEW_V_PER_S = 50.0
 
-#: Seconds ``serve`` waits on a connected client's next bytes before it drops
-#: the client and accepts the next one; well inside ``request``'s 5 s.
+#: Seconds ``serve`` waits in one ``recv`` on a connected client's next bytes
+#: before it drops the client and accepts the next one; well inside
+#: ``request``'s 5 s. It bounds each ``recv``, not a frame: a client that
+#: sends a byte more often than this holds the server.
 CONN_TIMEOUT_S = 1.0
 
 
@@ -321,9 +323,12 @@ def serve(host: str, port: int, slew_v_per_s: float = SLEW_V_PER_S,
     """Serve the supply protocol on a local TCP socket.
 
     Output voltage slews against wall-clock time between frames. Accepts one
-    client at a time and drops a client that stalls for ``CONN_TIMEOUT_S``
-    or resets the connection; returns after max_frames (None = run until the
-    client side closes and then keep listening for the next one).
+    client at a time and drops a client that resets the connection or sends
+    nothing for ``CONN_TIMEOUT_S``; returns after max_frames (None = run
+    until the client side closes and then keep listening for the next one).
+    The timeout bounds each ``recv``, not a frame: a client that sends a
+    byte more often than once per ``CONN_TIMEOUT_S`` holds the server, and
+    every other client waits.
     """
     import time
 

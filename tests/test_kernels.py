@@ -2,8 +2,9 @@
 one pass, part sums that join to the bits of one reduction, the caller's
 floating-point error handling in the worker, a joined worker on every exit,
 one caller at a time, and a fresh worker after ``os.fork``; a two-tone
-``simulate`` whose bits do not depend on the BLAS build; and the retention
-rule of ``kernels.workspace``."""
+``simulate`` whose bits do not depend on the BLAS build; the retention
+rule of ``kernels.workspace``; and the one-pass Rapp limiter, with the bits
+of the trap-and-redo form it replaced."""
 import os
 import subprocess
 import sys
@@ -19,7 +20,8 @@ import pytest
 import hfpa
 from hfpa import kernels, measure
 from hfpa.measure import measure_imd
-from hfpa.pamodel import BiasPoint, PaParams, saturated_swing, simulate
+from hfpa.pamodel import (BiasPoint, PaParams, gain_and_swing,
+                          saturated_swing, simulate)
 from hfpa.signalgen import (CACHE_MAX_SAMPLES, IqBlock, Kind, WaveformSpec,
                             generate)
 
@@ -365,3 +367,73 @@ def test_a_long_blocks_rows_are_freed_with_their_last_view():
     base = weakref.ref(rows[0].base)
     del rows
     assert base() is None
+
+
+def _rapp_den(u, a_sat, s2, out):
+    den = np.divide(u, a_sat, out)
+    den **= s2
+    den += 1.0
+    den **= 1.0 / s2
+    return den
+
+
+def trap_and_redo_rapp(u, a_sat, smooth, out=None):
+    """``kernels.rapp`` before its one pass, kept as its oracle: the block
+    runs with overflow raising, and one that raises is redone with it
+    ignored and ``a_sat`` copied over its saturated samples."""
+    s2 = 2.0 * smooth
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return np.divide(u, _rapp_den(u, a_sat, s2, out), out)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = np.asarray(_rapp_den(u, a_sat, s2, out))
+            saturated = np.isinf(den)
+            a = np.divide(u, den, den)
+        np.copyto(a, a_sat, where=saturated)
+        return a
+
+
+@pytest.mark.parametrize("smooth", [0.5, 1.0, 3.7, 8.73, 20.0])
+def test_one_pass_rapp_has_the_trap_and_redo_bits(smooth):
+    # levels on both sides of the saturation edge: (u/a_sat)^(2s) near
+    # 10^308.25, and at the float range's own edge, where the power
+    # overflows on one side only
+    a_sat = saturated_swing(BIAS, PARAMS)
+    near = a_sat * 10.0 ** (308.25 / (2.0 * smooth))
+    edge = a_sat * sys.float_info.max ** (1.0 / (2.0 * smooth))
+    u = np.array([0.0, 5e-324, 1.0, near * (1.0 - 1e-12),
+                  near * (1.0 + 1e-12), edge * (1.0 - 1e-12),
+                  edge * (1.0 + 1e-12), 1e308, np.inf])
+    want = trap_and_redo_rapp(u, a_sat, smooth).tobytes()
+    out = np.empty_like(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.rapp(u, a_sat, smooth).tobytes() == want
+        assert kernels.rapp(u, a_sat, smooth, out) is out
+        # a 0-d level has the bits of its lane in a block
+        lanes = [kernels.rapp(np.asarray(v), a_sat, smooth) for v in u]
+    assert out.tobytes() == want
+    assert all(lane.shape == () for lane in lanes)
+    assert b"".join(lane.tobytes() for lane in lanes) == want
+
+
+def test_a_block_whose_worker_half_saturates_has_the_trap_and_redo_bits(
+        two_cpus, monkeypatch):
+    # the caller's half stays in range; in the worker's the trap-and-redo
+    # form raised and redid its part
+    n = 131072
+    x = two_tone(n, 0.5).samples.copy()
+    x[n // 2:] *= 1e300
+    g, a_sat = gain_and_swing(BIAS, PARAMS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.pa_pipeline(x, g, a_sat, BIAS.idq, PARAMS)
+        monkeypatch.setattr(kernels, "rapp", trap_and_redo_rapp)
+        want = kernels.pa_pipeline(x, g, a_sat, BIAS.idq, PARAMS)
+    assert len(two_cpus) == 2
+    swing = np.abs(got[0])
+    assert swing[:n // 2].max() < 0.99 * a_sat
+    assert np.mean(np.isclose(swing[n // 2:], a_sat, rtol=1e-12)) > 0.9
+    assert got[0].tobytes() == want[0].tobytes()
+    assert [v.hex() for v in got[1:]] == [v.hex() for v in want[1:]]

@@ -187,6 +187,17 @@ class TestAmAm:
             assert am_am(np.array([1e307, 0.0]), REF_BIAS, p).tolist() == [
                 a_sat, 0.0]
 
+    def test_a_scalar_level_has_the_bits_of_its_array_lane(self):
+        # a scalar runs the array ufuncs on a 0-d row; numpy's scalar power
+        # (libm pow) differed from the array loop in the last bit for up to
+        # 5% of levels
+        p = make_params(smoothness=8.73)
+        g, a_sat = gain_and_swing(REF_BIAS, p)
+        levels = np.random.default_rng(7).uniform(0.0, 3.0 * a_sat / g, 2000)
+        lanes = am_am(levels, REF_BIAS, p)
+        assert ([am_am(float(a), REF_BIAS, p).hex() for a in levels]
+                == [v.hex() for v in lanes.tolist()])
+
 
 class TestSimulate:
     def test_zero_input_draws_quiescent_power(self):

@@ -605,3 +605,40 @@ class TestSocketTransport:
         assert reply == Reply(REG_VOLTAGE, 42000)
         server.join(timeout=5.0)
         assert not server.is_alive()
+
+    @pytest.mark.parametrize("port, client", [
+        (29153, "resets mid-frame"), (29154, "sends nothing")],
+        ids=["reset", "idle"])
+    def test_a_misbehaving_client_is_dropped_in_time(self, monkeypatch, port,
+                                                     client):
+        # the next client's request is answered within 2 * CONN_TIMEOUT_S:
+        # a reset ends the first connection at once, and an idle one after
+        # one recv timeout
+        monkeypatch.setattr(psusim, "CONN_TIMEOUT_S", 0.2)
+        host = "127.0.0.1"
+        server = threading.Thread(target=serve, args=(host, port),
+                                  kwargs={"max_frames": 1}, daemon=True)
+        server.start()
+        deadline = time.time() + 5.0
+        while True:
+            try:
+                first = socket.create_connection((host, port), timeout=5.0)
+                break
+            except OSError:
+                if time.time() > deadline:
+                    raise
+                time.sleep(0.02)
+        with first:
+            if client == "resets mid-frame":
+                first.sendall(encode(SetVoltage(41.0))[:5])
+                # linger on with a zero timeout: close sends an RST
+                first.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                 struct.pack("ii", 1, 0))
+                first.close()
+            t0 = time.monotonic()
+            reply = request(host, port, SetVoltage(42.0))
+            elapsed = time.monotonic() - t0
+        assert reply == Reply(REG_VOLTAGE, 42000)
+        assert elapsed < 2 * psusim.CONN_TIMEOUT_S
+        server.join(timeout=5.0)
+        assert not server.is_alive()

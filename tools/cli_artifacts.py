@@ -15,6 +15,8 @@ entries are taken from the caller's working directory. The steps are:
   halves, and on the prime 131071, whose one column is the full FFT;
 * a two-tone on 262144 samples, past ``signalgen.CACHE_MAX_SAMPLES``: an
   uncached unit waveform and fresh workspace rows;
+* a two-tone driven at 400 dBFS, whose Rapp denominator passes the float
+  range on both halves of the block: the limiter's saturated samples;
 * a budget-600 calibration;
 * a controller scenario that uses all five waveform kinds;
 * two sweeps at the edges of the CW drive solve: 5 W at 0.25 A, near the
@@ -117,6 +119,9 @@ STEPS = (
     ("two_tone_long", ["two-tone", "--params", "fitted.cfg",
                        "--drive-dbfs", "-5", "--duration", "0.262144",
                        "--out", "imd_long.csv"]),
+    ("two_tone_overflow", ["two-tone", "--params", "fitted.cfg",
+                           "--drive-dbfs", "400",
+                           "--out", "imd_overflow.csv"]),
     ("freq_response", ["freq-response", "--drive", "0.05",
                        "--params", "fitted.cfg", "--out", "bands.csv"]),
     ("calibrate_600", ["calibrate", "--budget", "600",

@@ -24,6 +24,7 @@ from .pamodel import (IDQ_MAX, SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint,
                       fundamental_pout, saturated_swing, small_signal_gain_db,
                       swing_for_pout)
 from .signalgen import IqBlock
+from .spec import WINDOW_S
 
 
 class WindowTooShort(ValueError):
@@ -63,9 +64,6 @@ DRAIN_MARGIN = 0.1
 
 #: Consecutive windows a new classification must persist to switch mode.
 HYSTERESIS_WINDOWS = 3
-
-#: Default classification window, seconds.
-WINDOW_S = 0.01
 
 #: An equalized band whose gain misses the target by more is flagged clamped.
 EQ_TOL_DB = 0.1

@@ -11,13 +11,12 @@ import math
 import sys
 from typing import List, Optional
 
-import numpy as np
-
-from . import biasctl, calibrate, measure, pamodel, psusim, signalgen
+from . import psusim
 from .bands import BANDS
+from .spec import IDQ_REF, VDD_MAX, WINDOW_S, Kind, WaveformSpec
 
-_KINDS = {kind.value: kind for kind in signalgen.Kind}
-_KINDS["two-tone"] = signalgen.Kind.TWO_TONE
+_KINDS = {kind.value: kind for kind in Kind}
+_KINDS["two-tone"] = Kind.TWO_TONE
 
 _REGISTERS = {name: reg for reg, (name, _) in psusim.REGISTERS.items()}
 
@@ -75,9 +74,9 @@ def _bands(text: str) -> List[str]:
     return bands
 
 
-def _spec_from_args(args) -> signalgen.WaveformSpec:
+def _spec_from_args(args) -> WaveformSpec:
     """Every waveform flag goes in; ``generate`` reads the kind's own fields."""
-    return signalgen.WaveformSpec(
+    return WaveformSpec(
         kind=_KINDS[args.kind], amplitude=args.amplitude,
         duration_s=args.duration, f1_hz=-args.spacing / 2.0,
         f2_hz=args.spacing / 2.0, fm_dev_hz=args.fm_dev,
@@ -87,7 +86,7 @@ def _spec_from_args(args) -> signalgen.WaveformSpec:
 
 
 def _add_waveform_flags(p: argparse.ArgumentParser):
-    spec = signalgen.WaveformSpec  # its class attributes are the defaults
+    spec = WaveformSpec  # its class attributes are the defaults
     p.add_argument("--kind", required=True, choices=sorted(_KINDS))
     p.add_argument("--amplitude", type=float, default=spec.amplitude,
                    help="peak envelope (normalized)")
@@ -111,6 +110,9 @@ def _add_endpoint_flags(p: argparse.ArgumentParser):
 
 
 def _cmd_gen(args) -> int:
+    import numpy as np
+
+    from . import measure, signalgen
     block = signalgen.generate(_spec_from_args(args), args.rate)
     t = np.arange(len(block)) / block.sample_rate
     measure.write_csv(args.out, "t_s,i,q",
@@ -120,6 +122,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import biasctl, signalgen
     block = signalgen.generate(_spec_from_args(args), args.rate)
     cls = biasctl.classify_envelope(block, window_s=args.window)
     print(cls.kind.value)
@@ -127,6 +130,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_two_tone(args) -> int:
+    from . import measure, pamodel, signalgen
     params = pamodel.load_params(args.params)
     bias = pamodel.BiasPoint(vdd=args.vdd, idq=args.idq)
     g, a_sat = pamodel.gain_and_swing(bias, params)
@@ -154,6 +158,7 @@ def _cmd_two_tone(args) -> int:
 
 
 def _cmd_sweep_bias(args) -> int:
+    from . import measure, pamodel
     params = pamodel.load_params(args.params)
     rows = measure.sweep_bias(args.vdd, args.idq, args.pout, params)
     measure.write_rows_csv(rows, args.out)
@@ -161,6 +166,7 @@ def _cmd_sweep_bias(args) -> int:
 
 
 def _cmd_freq_response(args) -> int:
+    from . import measure, pamodel
     params = pamodel.load_params(args.params)
     bias = pamodel.BiasPoint(vdd=args.vdd, idq=args.idq)
     points = measure.freq_response(args.bands, args.drive, bias, params)
@@ -172,6 +178,7 @@ def _cmd_freq_response(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import calibrate, pamodel
     anchors = (calibrate.read_anchors_csv(args.anchors) if args.anchors
                else list(calibrate.REFERENCE_ANCHORS))
     init = (pamodel.load_params(args.init) if args.init
@@ -194,6 +201,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_run_controller(args) -> int:
+    from . import biasctl, measure, pamodel, signalgen
     params = pamodel.load_params(args.params)
     table = biasctl.default_band_table(ripple=params.ripple)
     controller = biasctl.BiasController(params=params, table=table,
@@ -293,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a generated waveform's envelope")
     _add_waveform_flags(p)
-    p.add_argument("--window", type=_positive_float, default=biasctl.WINDOW_S,
+    p.add_argument("--window", type=_positive_float, default=WINDOW_S,
                    help="seconds")
     p.set_defaults(func=_cmd_classify)
 
@@ -301,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="amplifier config file")
     p.add_argument("--drive-dbfs", type=float, default=-10.0,
                    help="peak envelope drive relative to saturation")
-    p.add_argument("--vdd", type=float, default=pamodel.VDD_MAX)
-    p.add_argument("--idq", type=float, default=pamodel.IDQ_REF)
+    p.add_argument("--vdd", type=float, default=VDD_MAX)
+    p.add_argument("--idq", type=float, default=IDQ_REF)
     p.add_argument("--spacing", type=float, default=2000.0)
     p.add_argument("--duration", type=float, default=0.131072)
     p.add_argument("--rate", type=float, default=1e6)
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-bias", help="drive each vdd to a power target")
     p.add_argument("--vdd", type=_volts, required=True,
                    help="comma-separated volts")
-    p.add_argument("--idq", type=float, default=pamodel.IDQ_REF)
+    p.add_argument("--idq", type=float, default=IDQ_REF)
     p.add_argument("--pout", type=float, required=True, help="target watts")
     p.add_argument("--params", required=True)
     p.add_argument("--out", "-o", required=True)
@@ -323,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'all' or comma-separated ids")
     p.add_argument("--drive", type=_non_negative_float, required=True,
                    help="input envelope, volts-equivalent")
-    p.add_argument("--vdd", type=float, default=pamodel.VDD_MAX)
-    p.add_argument("--idq", type=float, default=pamodel.IDQ_REF)
+    p.add_argument("--vdd", type=float, default=VDD_MAX)
+    p.add_argument("--idq", type=float, default=IDQ_REF)
     p.add_argument("--params", required=True)
     p.add_argument("--out", "-o", required=True)
     p.set_defaults(func=_cmd_freq_response)
@@ -341,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True,
                    help="text lines: t_s kind band setpoint_W")
     p.add_argument("--params", required=True)
-    p.add_argument("--window", type=_positive_float, default=biasctl.WINDOW_S)
+    p.add_argument("--window", type=_positive_float, default=WINDOW_S)
     p.add_argument("--rate", type=float, default=1e6)
     p.add_argument("--out", "-o", required=True)
     p.set_defaults(func=_cmd_run_controller)

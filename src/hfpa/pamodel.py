@@ -28,6 +28,7 @@ import numpy as np
 from . import kernels
 from .bands import BANDS
 from .signalgen import IqBlock
+from .spec import IDQ_REF, VDD_MAX, VDD_MIN, VDD_REF
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,12 +48,6 @@ class OutOfRangeAlpha(ValueError):
 class GainOutOfRange(ValueError):
     """Small-signal gain beyond +/-``GAIN_DB_MAX`` dB."""
 
-
-#: Drain-supply window, volts: every bias point's vdd lies in it.
-VDD_MIN, VDD_MAX = 30.0, 58.0
-
-#: g0's reference bias, volts and amps: the gain law's kv and ki terms vanish.
-VDD_REF, IDQ_REF = 58.0, 2.0
 
 #: Largest quiescent current, amps. The gate ladder tops out at 2 A and the
 #: model is also checked in class A at 3 A; 10 A at 58 V is 580 W of

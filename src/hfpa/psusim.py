@@ -33,7 +33,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Union
 
-from .pamodel import VDD_MAX, VDD_MIN  # the supply window clamps SET requests
+from .spec import VDD_MAX, VDD_MIN  # the supply window clamps SET requests
 
 FRAME_LEN = 13
 DLC = 8

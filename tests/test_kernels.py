@@ -339,7 +339,7 @@ def test_two_tone_stats_do_not_depend_on_the_blas_build(setting):
 
 
 def test_import_starts_no_thread():
-    code = ("import sys, threading, hfpa; "
+    code = ("import sys, threading, hfpa.biasctl, hfpa.calibrate; "
             "print('concurrent.futures' in sys.modules, "
             "threading.active_count())")
     out = subprocess.run([sys.executable, "-c", code], check=True,

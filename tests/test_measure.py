@@ -420,7 +420,8 @@ def test_import_leaves_scipy_unloaded():
     src = str(Path(hfpa.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, hfpa; print('scipy' in sys.modules)"
+    code = ("import sys, hfpa.biasctl, hfpa.calibrate; "
+            "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"

@@ -2,6 +2,7 @@
 the unit-waveform cache and spec validation."""
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 
@@ -317,6 +318,14 @@ class TestValidation:
     def test_rejects_bad_am_index(self):
         with pytest.raises(InvalidSpec):
             generate(WaveformSpec(kind=Kind.AM, am_index=1.5), FS)
+
+    @pytest.mark.parametrize("kind", ["cw", None, 0])
+    def test_rejects_a_kind_that_is_not_a_kind(self, kind):
+        # "cw" ended in a bare KeyError from the band-edge table
+        msg = (r"^kind must be one of Kind.CW, Kind.FM, Kind.PSK, Kind.AM, "
+               rf"Kind.TWO_TONE, got {re.escape(repr(kind))}$")
+        with pytest.raises(InvalidSpec, match=msg):
+            generate(WaveformSpec(kind=kind), FS)
 
     def test_rejects_bad_psk_order(self):
         with pytest.raises(InvalidSpec):

@@ -36,8 +36,22 @@ def test_cw_law_scan_stays_far_inside_the_drive_margin():
 
 @pytest.mark.parametrize("name, args", cli_artifacts.STEPS,
                          ids=[name for name, _ in cli_artifacts.STEPS])
-def test_cli_artifact_step_parses(name, args):
-    assert cli.build_parser().parse_args(args).command == args[0]
+def test_cli_artifact_step_parses(name, args, capsys):
+    parser = cli.build_parser()
+    if args[-1] != "--help":
+        assert parser.parse_args(args).command == args[0]
+        return
+    with pytest.raises(SystemExit) as err:
+        parser.parse_args(args)
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        " ".join(["usage: hfpa", *args[:-1]]))
+
+
+def test_cli_artifacts_take_the_help_of_every_subcommand():
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    assert cli_artifacts.SUBCOMMANDS == tuple(action.choices)
 
 
 def test_bench_snapshot_records_the_environment():
@@ -49,7 +63,8 @@ def test_bench_snapshot_records_the_environment():
 def fake_paired_runner(calls, before_root):
     """A ``run_json`` stub for two trees: the tree is read from the run.py
     path; the before tree's op_p50_ms is 2.0 scaled and 3.0 raw, the after
-    tree's 1.5 and 2.7 except in its third run, where it is 2.5 and 3.3;
+    tree's 1.5 and 2.7 except in its fourth run (the third after its
+    warm-up), where it is 2.5 and 3.3;
     peak_rss_mb is 40 + seed scaled and 30 + seed raw on both trees, and
     setup_s has no raw value. Every run must last 20 s."""
     counts = {"after": 0, "before": 0}
@@ -65,7 +80,7 @@ def fake_paired_runner(calls, before_root):
                     {"correct": True, "attempted": 5, "failed": 0,
                      "metrics": {"trace.ops": {"value": 5, "unit": "count"}}})
         counts[side] += 1
-        slow = side == "before" or counts[side] == 3
+        slow = side == "before" or counts[side] == 4
         scaled, raw = ((2.0, 3.0) if side == "before"
                        else (2.5, 3.3) if slow else (1.5, 2.7))
         return ({"raw": {"op_p50_ms": raw, "setup_s": None,
@@ -85,7 +100,9 @@ def test_paired_runs_alternate_and_give_the_ratios(monkeypatch, tmp_path):
     trees = {"after": bench_snapshot.ROOT, "before": tmp_path}
     sides, log = bench_snapshot.paired_bench("controller", [1, 7], 2, trees)
     runs = [(side, seed) for side, seed, trace in calls if trace == "0"]
-    assert runs == [("after", 1), ("before", 1), ("before", 1), ("after", 1),
+    # a discarded warm-up run of each tree, on the first seed, then the pairs
+    assert runs == [("after", 1), ("before", 1),
+                    ("after", 1), ("before", 1), ("before", 1), ("after", 1),
                     ("after", 7), ("before", 7), ("before", 7), ("after", 7)]
     assert log == [{"seed": 1, "first": "after"}, {"seed": 1, "first": "before"},
                    {"seed": 7, "first": "after"}, {"seed": 7, "first": "before"}]
@@ -106,9 +123,9 @@ def test_paired_runs_alternate_and_give_the_ratios(monkeypatch, tmp_path):
 
     calls.clear()
     bench_snapshot.paired_bench("controller", [1], 2, trees, 1)
-    assert [c[0] for c in calls] == ["before", "after", "after", "before",
-                                     "before", "after"]
-    assert [c[2] for c in calls] == ["0", "0", "0", "0", "1", "1"]
+    assert [c[0] for c in calls] == ["before", "after", "before", "after",
+                                     "after", "before", "before", "after"]
+    assert [c[2] for c in calls] == ["0"] * 6 + ["1", "1"]
 
     got = bench_snapshot.pair_stats(sides["after"]["runs"],
                                     sides["before"]["runs"],
@@ -188,8 +205,9 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_snapshot, "cli_steps",
                         lambda trees: {s: {"step": str(t)}
                                        for s, t in trees.items()})
-    monkeypatch.setattr(bench_snapshot, "startup",
-                        lambda trees: {s: {"floor": s} for s in trees})
+    floors = {"after": [0.5, 0.25, 1.0], "before": [1.0, 1.0, 0.5]}
+    monkeypatch.setattr(bench_snapshot, "startup", lambda trees: {
+        s: {"psu-read --help": {"runs": floors[s]}} for s in trees})
     monkeypatch.setattr(bench_snapshot, "tier1", lambda root: {"root": str(root)})
     (after / "bench").mkdir()
     args = argparse.Namespace(tag="T", against=before, pairs=3)
@@ -205,11 +223,19 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     assert new["environment"]["tree_sha256"] != old["environment"]["tree_sha256"]
     assert (new["cli_steps"], old["cli_steps"]) == ({"step": str(after)},
                                                     {"step": str(before)})
-    assert (new["startup"], old["startup"]) == ({"floor": "after"},
-                                                {"floor": "before"})
+    assert (new["startup"], old["startup"]) == (
+        {"psu-read --help": {"runs": floors["after"]}},
+        {"psu-read --help": {"runs": floors["before"]}})
     assert old["tier1"] == {"root": str(before)}
     assert "pairs" not in old
     block = new["pairs"]
+    # the start-up rows pair repeat by repeat, on their wall times
+    assert block["startup"] == {"psu-read --help": {
+        "better": "lower",
+        "raw": {"ratios": [0.5, 0.25, 2.0], "median": 0.5, "q1": 0.375,
+                "q3": 1.25, "wins": 2, "pairs": 3},
+        "after": {"median": 0.5, "q1": 0.375, "q3": 0.75},
+        "before": {"median": 1.0, "q1": 0.75, "q3": 1.0}}}
     assert block["against"]["tag"] == "Tparent"
     assert block["against"]["tree_sha256"] == old["environment"]["tree_sha256"]
     assert block["pairs_per_seed"] == 3
@@ -265,9 +291,10 @@ def test_cli_steps_and_startup_take_turns_per_repeat(monkeypatch, tmp_path):
 
     runs = []
 
-    def run(cmd, cwd, env, check):
-        runs.append((cmd[-1], side_of[env["PYTHONPATH"].split(os.pathsep)[0]]))
+    def run(cmd, cwd, env, check, stdout):
+        runs.append((cmd[1:], side_of[env["PYTHONPATH"].split(os.pathsep)[0]]))
         assert cwd == trees[runs[-1][1]]
+        assert stdout is subprocess.DEVNULL
 
     monkeypatch.setattr(bench_snapshot.subprocess, "run", run)
     got = bench_snapshot.startup(trees)
@@ -280,20 +307,24 @@ def test_cli_steps_and_startup_take_turns_per_repeat(monkeypatch, tmp_path):
             ["after", "before", "before", "after"] * per_code)[:2 * per_code]
     assert set(got) == {"after", "before"}
     assert set(got["after"]) == {label for label, _ in bench_snapshot.STARTUP}
+    assert all(len(row["runs"]) == per_code for row in got["after"].values())
 
 
 def stub_pair_file(path):
     """A pair file with only what ``--table`` reads: two workloads, the
-    first with two metrics, the second with one and no raw ratio, against a
-    clean parent from a dirty change."""
-    def metric(before, after, scaled, raw):
-        entry = {"better": "lower", "before": {"median": before},
+    first with two metrics, the second with one and no raw ratio, and one
+    start-up row, against a clean parent from a dirty change."""
+    def metric(before, after, scaled, raw, spread=2.0):
+        entry = {"better": "lower",
+                 "before": {"median": before, "q1": before - spread / 2,
+                            "q3": before + spread / 2},
                  "after": {"median": after}, "scaled": scaled}
         if raw is not None:
             entry["raw"] = raw
         return entry
 
-    ratio = {"median": 0.9, "q1": 0.85, "q3": 0.95, "wins": 9, "pairs": 10}
+    ratio = {"ratios": [0.9] * 9 + [1.1], "median": 0.9, "q1": 0.85,
+             "q3": 0.95, "wins": 9, "pairs": 10}
     snapshot = {
         "environment": {"git_commit": "b" * 40, "git_dirty": True},
         "pairs": {
@@ -310,8 +341,13 @@ def stub_pair_file(path):
                             ratio, median=0.9495, wins=10), None)}},
                 "imd": {"order": [{"seed": 1, "first": "before"}],
                         "metrics": {"op_p50_ms": metric(8.1234, 8.2, dict(
-                            ratio, median=1.0126, q1=1.0, q3=1.025, wins=0,
-                            pairs=1), None)}}}}}
+                            ratio, ratios=[1.0126], median=1.0126, q1=1.0,
+                            q3=1.025, wins=0, pairs=1), None, 0.05)}}},
+            "startup": {"python -m hfpa psu-read --help": {
+                "better": "lower",
+                "before": {"median": 0.25, "q1": 0.24, "q3": 0.26},
+                "after": {"median": 0.08},
+                "raw": dict(ratio, median=0.32, q1=0.3, q3=0.34, wins=8)}}}}
     path.write_text(json.dumps(snapshot), encoding="utf-8")
     return path
 
@@ -330,12 +366,69 @@ def test_table_prints_a_row_per_workload_of_a_pair_file(monkeypatch, capsys,
     assert lines[2:] == [
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | calibrate, 2,7, 3 "
         "| op_p50_ms | 53.7 → 48.25 | 0.900 [0.850, 0.950] "
-        "| 0.912 [0.850, 0.950] | 9/10, 8/10 |",
+        "| 0.912 [0.850, 0.950] | 9/10, 8/10 | resolved better |",
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | calibrate, 2,7, 3 "
         "| peak_rss_mb | 57.61 → 54.7 | 0.950 [0.850, 0.950] | — "
-        "| 10/10, — |",
+        "| 10/10, — | resolved better |",
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | imd, 1, 1 "
-        "| op_p50_ms | 8.123 → 8.2 | 1.013 [1.000, 1.025] | — | 0/1, — |"]
+        "| op_p50_ms | 8.123 → 8.2 | 1.013 [1.000, 1.025] | — | 0/1, — "
+        "| resolved worse |",
+        "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | startup, —, 10 "
+        "| python -m hfpa psu-read --help | 0.25 → 0.08 | — "
+        "| 0.320 [0.300, 0.340] | —, 8/10 | not resolved |"]
+
+
+def verdict_entry(better, wins, losses, before, after, spread):
+    ratios = ([0.9 if better == "lower" else 1.1] * wins
+              + [1.1 if better == "lower" else 0.9] * losses
+              + [1.0] * (10 - wins - losses))
+    return {"better": better,
+            "scaled": {"ratios": ratios, "wins": wins, "pairs": 10},
+            "before": {"median": before, "q1": before - spread / 2,
+                       "q3": before + spread / 2},
+            "after": {"median": after}}
+
+
+@pytest.mark.parametrize("better, wins, losses, before, after, spread, want", [
+    ("lower", 9, 1, 2.0, 1.5, 0.4, "resolved better"),
+    ("lower", 10, 0, 2.0, 1.5, 0.5, "not resolved"),  # gap = the spread
+    ("lower", 8, 0, 2.0, 1.5, 0.1, "not resolved"),  # 8 of 10
+    ("lower", 0, 9, 2.0, 2.5, 0.4, "resolved worse"),
+    ("lower", 9, 0, 2.0, 2.5, 0.4, "not resolved"),  # medians the other way
+    ("higher", 9, 0, 10.0, 12.0, 1.0, "resolved better"),
+    ("higher", 1, 9, 10.0, 8.0, 1.0, "resolved worse"),
+])
+def test_verdict_takes_nine_of_ten_pairs_and_a_gap_past_the_spread(
+        better, wins, losses, before, after, spread, want):
+    entry = verdict_entry(better, wins, losses, before, after, spread)
+    assert bench_snapshot.verdict(entry, "scaled") == want
+    assert bench_snapshot.verdict(entry, "raw") == "—"
+
+
+def test_table_gives_the_verdict_of_a_stubbed_paired_run(monkeypatch,
+                                                         tmp_path):
+    # the stub's after tree wins 9 of 10 op_p50_ms pairs by 0.5 ms against
+    # a parent with no spread; peak_rss_mb is equal on both trees
+    after = make_tree(tmp_path / "after")
+    before = make_tree(tmp_path / "before")
+    (after / "bench").mkdir()
+    monkeypatch.setattr(bench_snapshot, "ROOT", after)
+    monkeypatch.setattr(bench_snapshot, "run_json",
+                        fake_paired_runner([], before))
+    monkeypatch.setattr(bench_snapshot, "environment",
+                        bench_snapshot.tree_identity)
+    for name in ("cli_steps", "startup"):
+        monkeypatch.setattr(bench_snapshot, name, lambda trees: {
+            s: {"row": {"runs": [1.0] * 10}} for s in trees})
+    monkeypatch.setattr(bench_snapshot, "tier1", lambda root: {})
+    args = argparse.Namespace(tag="T", against=before, pairs=10)
+    bench_snapshot.paired(args, [1], ["imd"], {"op_p50_ms": "lower",
+                                               "peak_rss_mb": "lower"})
+    rows = bench_snapshot.table_rows(after / "bench" / "BENCH_T.json")
+    assert [row.rsplit(" | ", 2)[-2:] for row in rows] == [
+        ["9/10, 9/10", "resolved better |"],
+        ["0/10, 0/10", "not resolved |"],
+        ["—, 0/10", "not resolved |"]]
 
 
 def test_table_refuses_a_file_without_pairs(capsys, tmp_path):
@@ -357,13 +450,16 @@ def committed_pair_files():
 def test_every_committed_pair_file_prints_its_rows(path):
     # CHANGES.md and ROADMAP.md cite these rows, so a format change to the
     # tool must keep reading every file they come from
-    workloads = json.loads(path.read_text(encoding="utf-8"))["pairs"][
-        "workloads"]
-    cells = [(workload, metric) for workload, record in workloads.items()
+    block = json.loads(path.read_text(encoding="utf-8"))["pairs"]
+    cells = [(workload, metric)
+             for workload, record in block["workloads"].items()
              for metric in record["metrics"]]
+    cells += [("startup", label) for label in block.get("startup", {})]
     rows = bench_snapshot.table_rows(path)
     assert len(rows) == len(cells) >= 1
     for row, (workload, metric) in zip(rows, cells):
         assert row.startswith(f"| `{path.name}` | ")
         assert f" | {workload}, " in row
         assert f" | {metric} | " in row
+        assert row.endswith((" | resolved better |", " | resolved worse |",
+                             " | not resolved |", " | — |"))

@@ -9,7 +9,8 @@ Usage::
     python tools/bench_snapshot.py --table bench/BENCH_T.json ...
 
 ``--table`` prints the Markdown evidence table of paired files already
-written (see ``table_rows``) and runs nothing.
+written (see ``table_rows``), with each row's verdict (see ``verdict``), and
+runs nothing.
 
 Run from anywhere; this checkout is the one this file lives in, and both
 files are written to its ``bench/`` directory (``BENCH_DIR``). ``DIR`` is a
@@ -23,12 +24,15 @@ file holds, for its tree:
   ``perfbench/run.py --seconds 20 --trace 0``: every run's result, and per
   metric the median and min over runs of the scaled and the raw values,
   with ``attempted`` and ``failed`` summed;
+* before each workload's first pair, one discarded run of each tree on
+  the first seed, so that neither side takes the host's first-run cost;
 * one ``--trace 1`` run per workload, on the first seed: the layer table
   and the work counts;
 * each step of ``tools/cli_artifacts.py``'s walkthrough (its ``STEPS``),
   timed as a subprocess in a temporary directory, median and min of 3;
-* the start-up floor: ``python -c pass``, ``import numpy`` and ``import
-  hfpa``, median and min of 7;
+* the start-up floor (``STARTUP``): a bare interpreter, ``import numpy``,
+  ``import hfpa``, the model's modules and ``python -m hfpa psu-read
+  --help``, each run's wall seconds with their median and min, 10 runs;
 * the wall time of the tier-1 suite and its summary line;
 * the environment: CPU, Python, numpy, and OpenBLAS's core type (from a
   child run with ``OPENBLAS_VERBOSE=2``) and thread count; and the tree:
@@ -44,7 +48,8 @@ by this tree; the tier-1 suite runs once per tree. ``BENCH_<T>.json`` adds
 a ``pairs`` block: for each workload and end-to-end metric, the
 after/before ratio of the scaled and of the raw values in every pair, their
 median and quartiles, the count of pairs in which this tree is better, and
-the medians and quartiles of both trees' scaled values. Two snapshots
+the medians and quartiles of both trees' scaled values; its ``startup``
+entry gives the same per start-up row, from the raw wall times. Two snapshots
 taken apart, even minutes apart, do not resolve a change smaller than the
 host's drift; a paired one does.
 
@@ -60,6 +65,7 @@ import datetime
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import platform
 import statistics
@@ -74,9 +80,19 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = "bench"
 RUN_SECONDS = 20
 CLI_REPEATS = 3
-STARTUP_REPEATS = 7
-STARTUP = (("python -c pass", "pass"), ("import numpy", "import numpy"),
-           ("import hfpa", "import hfpa"))
+STARTUP_REPEATS = 10
+#: (label, interpreter arguments) of each start-up row. ``import hfpa``
+#: imports none of the package's modules; the second import row measures
+#: the model's.
+STARTUP = (("python -c pass", ["-c", "pass"]),
+           ("import numpy", ["-c", "import numpy"]),
+           ("import hfpa", ["-c", "import hfpa"]),
+           ("import hfpa.biasctl, hfpa.calibrate",
+            ["-c", "import hfpa.biasctl, hfpa.calibrate"]),
+           ("python -m hfpa psu-read --help",
+            ["-m", "hfpa", "psu-read", "--help"]))
+#: A verdict needs at least this share of the pairs on one side.
+VERDICT_SHARE = 0.9
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 #: The directories whose files identify a tree.
 TREE_DIRS = ("src", "perfbench")
@@ -178,11 +194,14 @@ def turns(rep):
 def paired_bench(workload, seeds, pairs, trees, lead=0):
     """Both trees' seeded runs of one workload, ``pairs`` per seed, the
     pairs taking repeats ``lead``, ``lead + 1``, ... of ``turns``; the two
-    ``--trace 1`` runs go in repeat ``lead``'s order.
+    discarded warm-up runs before them and the two ``--trace 1`` runs after
+    them go in repeat ``lead``'s order.
 
     Returns each side's record (its runs, their summary and its trace run)
     and the order of the pairs.
     """
+    for side in turns(lead):  # warm-up, discarded
+        seeded_run(workload, seeds[0], 0, trees[side])
     runs = {side: [] for side in trees}
     log = []
     for i, seed in enumerate(s for s in seeds for _ in range(pairs)):
@@ -198,6 +217,24 @@ def paired_bench(workload, seeds, pairs, trees, lead=0):
     return sides, log
 
 
+def ratio_stats(pairs, direction):
+    """The after/before ratio of each (after, before) pair, their
+    quartiles and the after tree's wins; None unless every pair has both
+    values and a nonzero before."""
+    if not pairs or any(a is None or not b for a, b in pairs):
+        return None
+    ratios = [a / b for a, b in pairs]
+    wins = sum(r < 1 if direction == "lower" else r > 1 for r in ratios)
+    q1, median, q3 = quartiles(ratios)
+    return {"ratios": ratios, "median": median, "q1": q1, "q3": q3,
+            "wins": wins, "pairs": len(ratios)}
+
+
+def side_quartiles(values):
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def pair_stats(after_runs, before_runs, better):
     """Per end-to-end metric: the after/before ratios of the scaled and raw
     values pair by pair, their quartiles, the wins of the after tree, and
@@ -206,22 +243,31 @@ def pair_stats(after_runs, before_runs, better):
     for name, direction in better.items():
         entry = {"better": direction}
         for key, label in (("metrics", "scaled"), ("raw", "raw")):
-            pairs = [(a[key].get(name), b[key].get(name))
-                     for a, b in zip(after_runs, before_runs)]
-            if not pairs or any(a is None or not b for a, b in pairs):
-                continue
-            ratios = [a / b for a, b in pairs]
-            wins = sum(r < 1 if direction == "lower" else r > 1
-                       for r in ratios)
-            q1, median, q3 = quartiles(ratios)
-            entry[label] = {"ratios": ratios, "median": median, "q1": q1,
-                            "q3": q3, "wins": wins, "pairs": len(ratios)}
+            ratio = ratio_stats([(a[key].get(name), b[key].get(name))
+                                 for a, b in zip(after_runs, before_runs)],
+                                direction)
+            if ratio is not None:
+                entry[label] = ratio
         for side, side_runs in ((AFTER, after_runs), (BEFORE, before_runs)):
             values = [r["metrics"].get(name) for r in side_runs]
             if values and None not in values:
-                q1, median, q3 = quartiles(values)
-                entry[side] = {"median": median, "q1": q1, "q3": q3}
+                entry[side] = side_quartiles(values)
         out[name] = entry
+    return out
+
+
+def startup_pairs(floors):
+    """Per start-up row of both trees' ``startup`` records: the after/before
+    ratios of the wall times repeat by repeat (``raw``, as nothing scales
+    them), their quartiles, the wins of the after tree, and both trees'
+    quartiles."""
+    out = {}
+    for label in floors[AFTER]:
+        runs = {side: floors[side][label]["runs"] for side in floors}
+        out[label] = {"better": "lower",
+                      "raw": ratio_stats(list(zip(runs[AFTER], runs[BEFORE])),
+                                         "lower"),
+                      **{side: side_quartiles(runs[side]) for side in runs}}
     return out
 
 
@@ -254,18 +300,19 @@ def cli_steps(trees):
 
 
 def startup(trees):
-    """Wall seconds of a bare interpreter, ``import numpy`` and ``import
-    hfpa`` per tree, median and min of repeats; the trees take turns per
-    repeat."""
+    """Wall seconds of each ``STARTUP`` row per tree: every repeat's, and
+    their median and min; the trees take turns per repeat."""
     times = {side: {label: [] for label, _ in STARTUP} for side in trees}
-    for label, code in STARTUP:
+    for label, argv in STARTUP:
         for rep in range(STARTUP_REPEATS):
             for side in turns(rep):
                 t0 = time.perf_counter()
-                subprocess.run([sys.executable, "-c", code], cwd=trees[side],
-                               env=tree_env(trees[side]), check=True)
+                subprocess.run([sys.executable, *argv], cwd=trees[side],
+                               env=tree_env(trees[side]), check=True,
+                               stdout=subprocess.DEVNULL)
                 times[side][label].append(time.perf_counter() - t0)
-    return {side: {label: stats(t[label]) for label, _ in STARTUP}
+    return {side: {label: {**stats(t[label]), "runs": t[label]}
+                   for label, _ in STARTUP}
             for side, t in times.items()}
 
 
@@ -378,6 +425,8 @@ def paired(args, seeds, workloads, better):
     print("tier-1 ...", flush=True)
     for side in trees:
         snaps[side]["tier1"] = tier1(trees[side])
+    block["startup"] = startup_pairs({side: snaps[side]["startup"]
+                                      for side in trees})
     snaps[AFTER]["pairs"] = block
     write(snaps[BEFORE])
     write(snaps[AFTER])
@@ -386,8 +435,8 @@ def paired(args, seeds, workloads, better):
 TABLE_HEADER = (
     "| file | trees (parent → change) | workload, seeds, pairs | metric "
     "| parent → change | scaled ratio [q1, q3] | raw ratio [q1, q3] "
-    "| wins scaled, raw |\n"
-    "|---|---|---|---|---|---|---|---|")
+    "| wins scaled, raw | verdict |\n"
+    "|---|---|---|---|---|---|---|---|---|")
 
 
 def _tree(identity):
@@ -403,32 +452,63 @@ def _ratio(entry):
             f"{entry['wins']}/{entry['pairs']}")
 
 
+def verdict(entry, key):
+    """The rule a claim is judged by, on the ``key`` ratio ('scaled' or
+    'raw') of one metric's pair entry: 'resolved better' or 'resolved
+    worse' when at least ``VERDICT_SHARE`` of the pairs went that way and
+    the gap between the two trees' medians, in that direction, is wider
+    than the parent's quartile spread; 'not resolved' otherwise; '—' when
+    the entry lacks the ratio or a tree's quartiles."""
+    ratio, before, after = entry.get(key), entry.get(BEFORE), entry.get(AFTER)
+    if ratio is None or before is None or after is None:
+        return "—"
+    need = math.ceil(VERDICT_SHARE * ratio["pairs"])
+    gap = after["median"] - before["median"]
+    if entry["better"] == "lower":
+        gap = -gap
+    losses = sum(r > 1 if entry["better"] == "lower" else r < 1
+                 for r in ratio["ratios"])
+    spread = before["q3"] - before["q1"]
+    if ratio["wins"] >= need and gap > spread:
+        return "resolved better"
+    if losses >= need and -gap > spread:
+        return "resolved worse"
+    return "not resolved"
+
+
 def table_rows(path):
     """One Markdown row per workload and end-to-end metric of the pair file
-    at ``path``, in the file's order: the trees, the workload, its seeds and
-    pairs, the metric, both trees' medians, the scaled and raw after/before
-    ratios with their quartiles, and the change's wins. Everything comes
-    from the file's ``pairs`` block, except the change's own commit, which
-    the file's ``environment`` records."""
+    at ``path``, in the file's order, then one per start-up row if the file
+    pairs them: the trees, the workload (``startup``), its seeds and pairs,
+    the metric, both trees' medians, the scaled and raw after/before ratios
+    with their quartiles, the change's wins, and the verdict on the scaled
+    ratio (the raw one for start-up rows). Everything comes from the file's
+    ``pairs`` block, except the change's own commit, which the file's
+    ``environment`` records."""
     snapshot = json.loads(Path(path).read_text(encoding="utf-8"))
     block = snapshot.get("pairs")
     if block is None:
         raise ValueError("no pairs block: not the change's file of a "
                          "paired snapshot")
     trees = f"{_tree(block['against'])} → {_tree(snapshot['environment'])}"
-    rows = []
+    cells = []
     for workload, record in block["workloads"].items():
         seeds = ",".join(str(s) for s in sorted({o["seed"]
                                                  for o in record["order"]}))
-        for metric, entry in record["metrics"].items():
-            medians = (f"{entry['before']['median']:.4g} → "
-                       f"{entry['after']['median']:.4g}")
-            scaled, scaled_wins = _ratio(entry.get("scaled"))
-            raw, raw_wins = _ratio(entry.get("raw"))
-            rows.append(f"| `{Path(path).name}` | {trees} | {workload}, "
-                        f"{seeds}, {len(record['order'])} | {metric} "
-                        f"| {medians} | {scaled} | {raw} "
-                        f"| {scaled_wins}, {raw_wins} |")
+        cells += [(f"{workload}, {seeds}, {len(record['order'])}", metric,
+                   entry, "scaled")
+                  for metric, entry in record["metrics"].items()]
+    cells += [(f"startup, —, {entry['raw']['pairs']}", label, entry, "raw")
+              for label, entry in block.get("startup", {}).items()]
+    rows = []
+    for run, metric, entry, key in cells:
+        medians = (f"{entry['before']['median']:.4g} → "
+                   f"{entry['after']['median']:.4g}")
+        scaled, scaled_wins = _ratio(entry.get("scaled"))
+        raw, raw_wins = _ratio(entry.get("raw"))
+        rows.append(f"| `{Path(path).name}` | {trees} | {run} | {metric} "
+                    f"| {medians} | {scaled} | {raw} "
+                    f"| {scaled_wins}, {raw_wins} | {verdict(entry, key)} |")
     return rows
 
 

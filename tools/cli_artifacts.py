@@ -25,7 +25,9 @@ entries are taken from the caller's working directory. The steps are:
   with ``error: saturated output 1825.0 W below target 2000.0 W at vdd
   58.0 V``, the exact power of the drive solve's unreachable branch;
 * ``gen`` of an FM and a PSK waveform (the ``.9g`` sample CSV);
-* a budget-40 calibration from an anchor CSV (the anchor reader).
+* a budget-40 calibration from an anchor CSV (the anchor reader);
+* ``--help`` of ``hfpa`` and of each subcommand (``SUBCOMMANDS``): the
+  parser's text, defaults included.
 
 With these, every CSV the CLI writes or reads is covered. Every file a
 step writes lands in OUTDIR, next to ``<step>.stdout``, ``<step>.stderr``
@@ -140,6 +142,13 @@ STEPS = (
                            "--out-params", "fitted_anchors.cfg",
                            "--out-report", "fit_report_anchors.csv"]),
 )
+
+#: Every subcommand, each with a ``help_<name>`` step after the ``help`` of
+#: ``hfpa`` itself.
+SUBCOMMANDS = ("gen", "classify", "two-tone", "sweep-bias", "freq-response",
+               "calibrate", "run-controller", "psu-sim", "psu-set", "psu-read")
+STEPS += (("help", ["--help"]),) + tuple(
+    (f"help_{name.replace('-', '_')}", [name, "--help"]) for name in SUBCOMMANDS)
 
 #: Steps that must fail: step name -> exit code.
 EXPECTED_EXIT = {"sweep_bias_unreachable": 1}

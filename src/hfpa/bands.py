@@ -15,3 +15,7 @@ BAND_CENTER_HZ = {
 }
 
 BANDS = tuple(BAND_CENTER_HZ)
+
+
+class UnknownBand(ValueError):
+    """Band id not in ``BANDS``."""

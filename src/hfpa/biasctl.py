@@ -17,8 +17,8 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .bands import BANDS
-from .measure import TargetUnreachable, UnknownBand, drive_cap
+from .bands import BANDS, UnknownBand
+from .measure import TargetUnreachable, drive_cap
 from .pamodel import (IDQ_MAX, SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint,
                       InvalidBias, PaParams, compression_level,
                       fundamental_pout, saturated_swing, small_signal_gain_db,
@@ -322,8 +322,6 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
         raise ValueError(f"target gain must be finite, got {target_gain_db}")
     table: BandTable = {}
     for band in bands:
-        if band not in BANDS:
-            raise UnknownBand(f"unknown band {band!r}")
         ripple = params.ripple_db(band)
 
         def gain_at(vdd: float) -> float:

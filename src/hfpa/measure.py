@@ -15,7 +15,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .bands import BANDS
+from .bands import UnknownBand  # noqa: F401  (measure.UnknownBand)
 from .pamodel import (BiasPoint, PaParams, PaStats, _rapp_scalar, bisect,
                       fundamental_pout, gain_and_swing, simulate)
 from .signalgen import CACHE_MAX_SAMPLES, IqBlock
@@ -31,10 +31,6 @@ class TargetUnreachable(ValueError):
     def __init__(self, message: str, max_pout_w: float = 0.0):
         super().__init__(message)
         self.max_pout_w = max_pout_w
-
-
-class UnknownBand(ValueError):
-    """Band id not in the configured band table."""
 
 
 #: Exact CSV schema for measurement records. Empty fields = not measured.
@@ -504,8 +500,5 @@ def freq_response(band_list: Sequence[str], drive: float, bias: BiasPoint,
     """
     if not (math.isfinite(drive) and drive >= 0):
         raise ValueError(f"drive must be finite and >= 0, got {drive}")
-    for band in band_list:
-        if band not in BANDS:
-            raise UnknownBand(f"unknown band {band!r}")
     return [(band, simulate_cw(drive, bias, params, band).pout_w)
             for band in band_list]

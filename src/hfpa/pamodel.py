@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .bands import BANDS
+from .bands import BANDS, UnknownBand
 from .signalgen import IqBlock
 from .spec import IDQ_REF, VDD_MAX, VDD_MIN, VDD_REF
 
@@ -95,7 +95,7 @@ class PaParams:
     shape_beta, shape_exp, shape_sat
                overdrive shaping: DC draw scaled by
                1 - beta*r^p/(1 + c*r^p); beta = 0 disables
-    ripple     per-band small-signal gain deviation in dB
+    ripple     per-band small-signal gain deviation in dB, keyed by BANDS
     """
 
     g0: float
@@ -114,6 +114,8 @@ class PaParams:
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         for band, db in self.ripple.items():
+            if band not in BANDS:
+                raise UnknownBand(f"unknown band {band!r} in ripple")
             if not math.isfinite(db):
                 raise ValueError(f"ripple.{band} must be finite, got {db}")
         if self.g0 <= 0:
@@ -129,8 +131,11 @@ class PaParams:
         object.__setattr__(self, "ripple", dict(self.ripple))
 
     def ripple_db(self, band: Optional[str]) -> float:
+        """Ripple in dB, 0 for None; the one check of a band: UnknownBand."""
         if band is None:
             return 0.0
+        if band not in BANDS:
+            raise UnknownBand(f"unknown band {band!r}")
         return float(self.ripple.get(band, 0.0))
 
 
@@ -380,8 +385,6 @@ def save_params(params: PaParams, path) -> None:
     for band in BANDS:
         if band in params.ripple:
             lines.append(f"ripple.{band} = {params.ripple[band]:.12g}")
-    for band in sorted(set(params.ripple) - set(BANDS)):
-        lines.append(f"ripple.{band} = {params.ripple[band]:.12g}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -99,6 +99,23 @@ def test_sweep_bias_rejects_non_finite_power(tmp_path, params_file, capsys):
     assert err.startswith("error: ") and "finite" in err
 
 
+def test_sweep_bias_rejects_a_ripple_for_an_unknown_band(tmp_path,
+                                                         fitted_params,
+                                                         capsys):
+    params = tmp_path / "p.cfg"
+    save_params(fitted_params, params)
+    with open(params, "a", encoding="utf-8") as fh:
+        fh.write("ripple.41M = 1.5\n")
+    out = tmp_path / "s.csv"
+    rc = main(["sweep-bias", "--vdd", "58", "--pout", "100",
+               "--params", str(params), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'41M'" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_two_tone_drive_dependence(tmp_path, params_file, capsys):
     soft = tmp_path / "soft.csv"
     hard = tmp_path / "hard.csv"

@@ -16,14 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 import hfpa
 from hfpa import kernels, measure
-from hfpa.biasctl import classify_envelope, compression_drive
+from hfpa.biasctl import classify_envelope, compression_drive, equalize_gains
 from hfpa.measure import (CSV_HEADER, MeasRow, TargetUnreachable,
                           TonesUnresolvable, UnknownBand, drive_for_pout,
                           flattop, freq_response, measure_imd, simulate_cw,
                           sweep_bias, write_csv, write_rows_csv)
-from hfpa.pamodel import (BiasPoint, PaParams, am_am, bisect, fundamental_pout,
-                          gain_and_swing, saturated_swing, simulate,
-                          small_signal_gain_db)
+from hfpa.pamodel import (BiasPoint, PaParams, am_am, bisect,
+                          compression_level, fundamental_pout, gain_and_swing,
+                          saturated_swing, simulate, small_signal_gain_db)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
 from test_pamodel import bias_st, cw_gain_db, params_st, traced_peak
 from test_signalgen import ORACLE_LENGTHS
@@ -819,6 +819,42 @@ class TestSimulateCwLevel:
                 for v in dataclasses.astuple(got)] == [
             repr(v) if v is None else v.hex()
             for v in dataclasses.astuple(want)]
+
+
+BAND_BIAS = BiasPoint(vdd=58.0, idq=2.0)
+BAND_PARAMS = PaParams(g0=40.0, rload=0.4, ripple={"40M": 3.0})
+
+#: Every public call that takes a band, as a function of the band.
+BAND_CALLS = {
+    "gain_and_swing": lambda b: gain_and_swing(BAND_BIAS, BAND_PARAMS, b),
+    "simulate": lambda b: simulate(measure._cw_block(0.01), BAND_BIAS,
+                                   BAND_PARAMS, b),
+    "am_am": lambda b: am_am(0.01, BAND_BIAS, BAND_PARAMS, b),
+    "compression_level": lambda b: compression_level(BAND_BIAS, BAND_PARAMS,
+                                                     1.0, b),
+    "simulate_cw": lambda b: simulate_cw(0.01, BAND_BIAS, BAND_PARAMS, b),
+    "drive_cap": lambda b: measure.drive_cap(100.0, BAND_BIAS, BAND_PARAMS, b),
+    "drive_for_pout": lambda b: drive_for_pout(100.0, BAND_BIAS, BAND_PARAMS,
+                                               b),
+    "sweep_bias": lambda b: sweep_bias([58.0], 2.0, 100.0, BAND_PARAMS, b),
+    "freq_response": lambda b: freq_response(["40M", b], 0.01, BAND_BIAS,
+                                             BAND_PARAMS),
+    "compression_drive": lambda b: compression_drive(BAND_BIAS, BAND_PARAMS,
+                                                     2.5, b),
+    "equalize_gains": lambda b: equalize_gains(BAND_PARAMS, ["40M", b], 30.0,
+                                               2.0),
+}
+
+
+@pytest.mark.parametrize("band", ["40m", "41M", ""])
+@pytest.mark.parametrize("call", list(BAND_CALLS))
+def test_every_band_taking_call_rejects_an_unknown_band(call, band):
+    # the gain law's ripple lookup is the one check: a near miss such as
+    # "40m" once gave the ripple-free gain and a row for a band that does
+    # not exist
+    BAND_CALLS[call]("40M")
+    with pytest.raises(UnknownBand, match=f"unknown band '{band}'"):
+        BAND_CALLS[call](band)
 
 
 class TestFreqResponse:

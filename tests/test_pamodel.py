@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import romb
 
 from hfpa import kernels
+from hfpa.bands import UnknownBand
 from hfpa.measure import _cw_block
 from hfpa.pamodel import (GAIN_DB_MAX, IDQ_MAX, IDQ_REF, BiasPoint,
                           GainOutOfRange, InvalidBias, NonPositiveIdq,
@@ -20,7 +21,7 @@ from hfpa.pamodel import (GAIN_DB_MAX, IDQ_MAX, IDQ_REF, BiasPoint,
                           conduction_currents, efficiency_curve,
                           fundamental_pout, gain_and_swing, load_params,
                           saturated_swing, save_params, simulate,
-                          small_signal_gain_db, swing_for_pout)
+                          small_signal_gain_db, swing_for_pout, with_ripple)
 from hfpa.signalgen import IqBlock
 
 TWO_PI = 2.0 * math.pi
@@ -622,6 +623,18 @@ class TestParamsConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("g0 = 40\nbogus = 1\n")
         with pytest.raises(ValueError, match="unknown key"):
+            load_params(path)
+
+    def test_ripple_keys_are_bands(self):
+        with pytest.raises(UnknownBand, match="unknown band '41M'"):
+            PaParams(g0=40.0, ripple={"41M": 1.0})
+        with pytest.raises(UnknownBand, match="unknown band '41M'"):
+            with_ripple(make_params(), {"41M": 1.0})
+
+    def test_load_rejects_a_ripple_for_an_unknown_band(self, tmp_path):
+        path = tmp_path / "pa.cfg"
+        path.write_text("g0 = 40\nripple.41M = 1\n")
+        with pytest.raises(ValueError, match="unknown band '41M'"):
             load_params(path)
 
     def test_validation(self):

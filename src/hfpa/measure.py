@@ -356,45 +356,42 @@ DRIVE_MAX_ITER = 60
 #: saturation test, from the scalar CW law unless the predicted power lies
 #: within this fraction of itself of the decision's edge. The law and
 #: ``simulate_cw`` differed by at most 5.7e-14 of the power in four scans of
-#: 40 000 cases (``tools/cw_law_scan.py``, seeds 1, 2, 3 and 7: random
-#: params, bias points and bands; drives uniform up to 10x saturation, at the
-#: clipping onset ``a_out ~ idq*rload``, where the worst case lies, and at
-#: the ceiling ``10*a_sat/g``): a safety factor above 10^4.
+#: 40 000 cases (random params, bias points and bands; drives uniform up to
+#: 10x saturation, at the clipping onset ``a_out ~ idq*rload``, where the
+#: worst case lies, and at the ceiling ``10*a_sat/g``): a safety factor
+#: above 10^4. ``tests/test_measure.py::
+#: test_scalar_cw_law_is_within_the_margin`` draws the same three kinds of
+#: drive and holds the gap under a thousandth of the margin.
 DRIVE_PREDICT_MARGIN = 1e-9
 
 
 def _cw_pout_law(bias: BiasPoint, params: PaParams,
-                 band: Optional[str] = None,
-                 gain: Optional[Tuple[float, float]] = None
-                 ) -> Callable[[float], float]:
-    """Scalar CW output power ``a -> fundamental_pout(am_am(a), idq, rload)``.
+                 band: Optional[str] = None
+                 ) -> Tuple[float, Callable[[float], float]]:
+    """The drive ceiling ``10*a_sat/g`` and the scalar CW output power
+    ``a -> fundamental_pout(am_am(a), idq, rload)``, both from one
+    ``gain_and_swing`` call.
 
-    ``am_am``'s law in ``math`` arithmetic (``pamodel._rapp_scalar``), with
-    its gain and saturated swing computed once, or taken from ``gain``, the
-    caller's ``gain_and_swing(bias, params, band)``. It filters decisions
-    only: its value never reaches an output.
+    The law is ``am_am``'s in ``math`` arithmetic (``pamodel._rapp_scalar``).
+    It filters decisions only: its value never reaches an output.
     """
-    g, a_sat = gain_and_swing(bias, params, band) if gain is None else gain
+    g, a_sat = gain_and_swing(bias, params, band)
     smooth, idq, rload = params.smoothness, bias.idq, params.rload
 
     def pout(a: float) -> float:
         return fundamental_pout(_rapp_scalar(g * a, a_sat, smooth), idq, rload)
 
-    return pout
+    return 10.0 * a_sat / g, pout
 
 
 def _capped_law(target_pout_w: float, bias: BiasPoint, params: PaParams,
                 band: Optional[str]) -> Tuple[float, Callable[[float], float]]:
-    """``drive_cap``'s ceiling and the scalar CW law that decided it, both
-    from one ``gain_and_swing`` call; ``drive_for_pout`` bisects with the
-    same law."""
+    """``drive_cap``'s ceiling and the scalar CW law that decided it;
+    ``drive_for_pout`` bisects with the same law."""
     if not (math.isfinite(target_pout_w) and target_pout_w > 0):
         raise ValueError(
             f"target power must be finite and > 0, got {target_pout_w}")
-    gain = gain_and_swing(bias, params, band)
-    predict = _cw_pout_law(bias, params, band, gain)
-    g, a_sat = gain
-    hi = 10.0 * a_sat / g
+    hi, predict = _cw_pout_law(bias, params, band)
     pred = predict(hi)
     if pred - target_pout_w <= DRIVE_PREDICT_MARGIN * pred:
         p_hi = simulate_cw(hi, bias, params, band).pout_w

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hfpa
 from hfpa import kernels, measure
@@ -677,19 +677,42 @@ def test_certified_drive_solve_matches_exact_bisection(params, bias, band, tgt):
             == solve_outcome(exact_drive_for_pout, target, bias, params, band))
 
 
+def onset_drive(bias, params, band, delta):
+    """The drive whose output swing is ``1 + delta`` times the clipping onset
+    ``idq*rload``, through the exact Rapp inverse; only onsets below
+    ``a_sat`` are reachable."""
+    g, a_sat = gain_and_swing(bias, params, band)
+    r = bias.idq * params.rload * (1.0 + delta) / a_sat
+    assume(0.0 < r < 1.0)
+    s2 = 2.0 * params.smoothness
+    return a_sat / g * r / (1.0 - r ** s2) ** (1.0 / s2)
+
+
+#: Drives: uniform up to 10x saturation, the drive solve's ceiling, and
+#: within 1e-3 of the clipping onset, where the law's gap was largest.
+drive_st = st.one_of(
+    st.tuples(st.just("saturation"), st.floats(0.0, 10.0)),
+    st.tuples(st.just("ceiling"), st.just(None)),
+    st.tuples(st.just("onset"), st.floats(-1e-3, 1e-3)))
+
+
 @settings(deadline=None)
-@given(params_st, bias_st, st.sampled_from([None, "40M"]),
-       st.one_of(st.floats(0.0, 10.0), st.just("ceiling")))
-def test_scalar_cw_law_is_within_the_margin(params, bias, band, frac):
+@given(params_st, bias_st, st.sampled_from([None, "40M"]), drive_st)
+def test_scalar_cw_law_is_within_the_margin(params, bias, band, drive):
     # a thousandth of the margin: the certified solve's error bound holds
     # with room to spare, for am_am's numpy law and the math law alike
-    a = (drive_ceiling(bias, params, band) if frac == "ceiling"
-         else frac * saturation_drive(bias, params, band))
+    kind, x = drive
+    if kind == "ceiling":
+        a = drive_ceiling(bias, params, band)
+    elif kind == "onset":
+        a = onset_drive(bias, params, band, x)
+    else:
+        a = x * saturation_drive(bias, params, band)
     exact = simulate_cw(a, bias, params, band).pout_w
     bound = 1e-3 * measure.DRIVE_PREDICT_MARGIN
     for pred in (fundamental_pout(am_am(a, bias, params, band), bias.idq,
                                   params.rload),
-                 measure._cw_pout_law(bias, params, band)(a)):
+                 measure._cw_pout_law(bias, params, band)[1](a)):
         assert abs(pred - exact) <= bound * pred
 
 
@@ -731,7 +754,7 @@ class TestCertifiedFallback:
         # the first midpoint's predicted power sits exactly on the edge
         # |pred - target| = tol, so that step cannot be decided from it
         mid = 0.5 * measure.drive_cap(1.0, self.BIAS, fitted_params)
-        pred = measure._cw_pout_law(self.BIAS, fitted_params)(mid)
+        pred = measure._cw_pout_law(self.BIAS, fitted_params)[1](mid)
         target = pred / (1.0 + measure.DRIVE_REL_TOL)
         calls = count_simulate_cw(monkeypatch)
         got = solve_outcome(drive_for_pout, target, self.BIAS, fitted_params,
@@ -747,7 +770,7 @@ class TestCertifiedFallback:
         # margin, so the saturation test cannot be decided from it; one ulp
         # lower the law decides it
         hi = drive_ceiling(self.BIAS, fitted_params)
-        pred = measure._cw_pout_law(self.BIAS, fitted_params)(hi)
+        pred = measure._cw_pout_law(self.BIAS, fitted_params)[1](hi)
         margin = measure.DRIVE_PREDICT_MARGIN * pred
         target = pred - margin
         while pred - target > margin:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfpa import cli, measure
+from hfpa import cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -22,16 +22,8 @@ def load_tool(name):
     return module
 
 
-cw_law_scan = load_tool("cw_law_scan")
 cli_artifacts = load_tool("cli_artifacts")
 bench_snapshot = load_tool("bench_snapshot")
-
-
-def test_cw_law_scan_stays_far_inside_the_drive_margin():
-    worst = cw_law_scan.scan(1, 300)
-    assert list(worst) == list(cw_law_scan.KINDS)
-    for kind, gap in worst.items():
-        assert gap < 1e-3 * measure.DRIVE_PREDICT_MARGIN, kind
 
 
 @pytest.mark.parametrize("name, args", cli_artifacts.STEPS,

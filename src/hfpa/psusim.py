@@ -30,6 +30,7 @@ import math
 import numbers
 import socket
 import struct
+import time
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Union
 
@@ -59,10 +60,10 @@ U32_MAX = 0xFFFFFFFF
 #: Default output slew of the simulated supply, volts per second.
 SLEW_V_PER_S = 50.0
 
-#: Seconds ``serve`` waits in one ``recv`` on a connected client's next bytes
-#: before it drops the client and accepts the next one; well inside
-#: ``request``'s 5 s. It bounds each ``recv``, not a frame: a client that
-#: sends a byte more often than this holds the server.
+#: Seconds ``serve`` waits for a connected client's next whole frame before
+#: it drops the client and accepts the next one; well inside ``request``'s
+#: 5 s. It bounds the frame, not each ``recv``: a client that sends a byte at
+#: a time is dropped once this has passed.
 CONN_TIMEOUT_S = 1.0
 
 
@@ -323,15 +324,13 @@ def serve(host: str, port: int, slew_v_per_s: float = SLEW_V_PER_S,
     """Serve the supply protocol on a local TCP socket.
 
     Output voltage slews against wall-clock time between frames. Accepts one
-    client at a time and drops a client that resets the connection or sends
-    nothing for ``CONN_TIMEOUT_S``; returns after max_frames (None = run
-    until the client side closes and then keep listening for the next one).
-    The timeout bounds each ``recv``, not a frame: a client that sends a
-    byte more often than once per ``CONN_TIMEOUT_S`` holds the server, and
-    every other client waits.
+    client at a time and drops a client that resets the connection or whose
+    next frame has not arrived whole ``CONN_TIMEOUT_S`` after the server
+    began to wait for it, however its bytes trickle in; returns after
+    max_frames (None = run until the client side closes and then keep
+    listening for the next one). A client that keeps sending whole frames
+    still holds the server, and every other client waits.
     """
-    import time
-
     sim = PsuSim(PsuState(slew_v_per_s=slew_v_per_s))
     handled = 0
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
@@ -358,12 +357,29 @@ def serve(host: str, port: int, slew_v_per_s: float = SLEW_V_PER_S,
 
 
 def _recv_exact(conn: socket.socket, count: int):
+    """``count`` bytes from ``conn``, or None when the peer closes first.
+
+    The socket's timeout bounds the whole read, not each ``recv``: each
+    ``recv`` waits only for what is left of it, TimeoutError ends the read
+    once it has passed, and the socket keeps its timeout afterwards.
+    """
+    timeout = conn.gettimeout()
+    deadline = None if timeout is None else time.monotonic() + timeout
     buf = b""
-    while len(buf) < count:
-        chunk = conn.recv(count - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
+    try:
+        while len(buf) < count:
+            if deadline is not None:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError(
+                        f"{len(buf)} of {count} bytes within {timeout} s")
+                conn.settimeout(left)
+            chunk = conn.recv(count - len(buf))
+            if not chunk:
+                return None
+            buf += chunk
+    finally:
+        conn.settimeout(timeout)
     return buf
 
 

@@ -642,3 +642,44 @@ class TestSocketTransport:
         assert elapsed < 2 * psusim.CONN_TIMEOUT_S
         server.join(timeout=5.0)
         assert not server.is_alive()
+
+    def test_a_client_sending_a_byte_at_a_time_is_dropped_in_time(self):
+        # a byte every 0.3 s never lets one recv wait CONN_TIMEOUT_S (1 s),
+        # yet the frame is due whole 1 s after the server waits for it, so
+        # the next client's READ is answered within 2 * CONN_TIMEOUT_S
+        host, port = "127.0.0.1", 29155
+        server = threading.Thread(target=serve, args=(host, port),
+                                  kwargs={"max_frames": 1}, daemon=True)
+        server.start()
+        deadline = time.time() + 5.0
+        while True:
+            try:
+                first = socket.create_connection((host, port), timeout=5.0)
+                break
+            except OSError:
+                if time.time() > deadline:
+                    raise
+                time.sleep(0.02)
+        stop = threading.Event()
+
+        def drip():
+            with first:
+                for byte in encode(SetVoltage(41.0)):
+                    try:
+                        first.sendall(bytes([byte]))
+                    except OSError:
+                        return
+                    if stop.wait(0.3):
+                        return
+
+        dripper = threading.Thread(target=drip, daemon=True)
+        dripper.start()
+        t0 = time.monotonic()
+        reply = request(host, port, ReadRequest(REG_VOLTAGE))
+        elapsed = time.monotonic() - t0
+        stop.set()
+        dripper.join(timeout=5.0)
+        assert isinstance(reply, Reply) and reply.register == REG_VOLTAGE
+        assert elapsed < 2 * psusim.CONN_TIMEOUT_S
+        server.join(timeout=5.0)
+        assert not server.is_alive()

@@ -22,8 +22,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .spec import (_BAND_EDGES, _FLOAT_FIELDS, _SHAPE_FIELDS, InvalidSpec,
-                   Kind, WaveformSpec, _check_sample_rate, _shape)
+from .spec import (_SHAPE_FIELDS, InvalidSpec, Kind, WaveformSpec,
+                   _check_sample_rate, _shape)
 
 
 @dataclass(frozen=True)

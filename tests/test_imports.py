@@ -115,7 +115,7 @@ def test_psu_sim_leaves_numpy_unloaded():
 
 @pytest.mark.parametrize("module, names", [
     ("signalgen", ["Kind", "WaveformSpec", "InvalidSpec", "_check_sample_rate",
-                   "_SHAPE_FIELDS", "_shape", "_FLOAT_FIELDS", "_BAND_EDGES"]),
+                   "_SHAPE_FIELDS", "_shape"]),
     ("pamodel", ["VDD_MIN", "VDD_MAX", "VDD_REF", "IDQ_REF"]),
     ("biasctl", ["WINDOW_S", "VDD_MIN", "VDD_MAX"]),
     ("calibrate", ["VDD_REF", "IDQ_REF"]),

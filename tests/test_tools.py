@@ -26,6 +26,34 @@ cli_artifacts = load_tool("cli_artifacts")
 bench_snapshot = load_tool("bench_snapshot")
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_artifacts.json"
+
+
+def test_cli_artifacts_match_the_golden_manifest(tmp_path, monkeypatch,
+                                                 capsys):
+    # the walkthrough of tools/cli_artifacts.py, in process: its bits are
+    # the round's fixed behaviour, pinned on the host that wrote them
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    host = cli_artifacts.host_key()
+    if host != golden["host"]:
+        pytest.skip(f"manifest pinned on {golden['host']}, this host is {host}")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", cli_artifacts.HELP_COLUMNS)
+    cli_artifacts.write_inputs(tmp_path)
+    for name, args in cli_artifacts.STEPS:
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        cli_artifacts.record(tmp_path, name, code, out, err)
+    got = cli_artifacts.manifest(tmp_path)
+    assert got["exit"] == golden["exit"]
+    differ = sorted(name for name in golden["files"].keys() | got["files"]
+                    if golden["files"].get(name) != got["files"].get(name))
+    assert not differ, f"{len(differ)} files differ, first {differ[:5]}"
+
+
 @pytest.mark.parametrize("name, args", cli_artifacts.STEPS,
                          ids=[name for name, _ in cli_artifacts.STEPS])
 def test_cli_artifact_step_parses(name, args, capsys):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the README's CLI walkthrough and collect everything it writes.
 
-Usage: ``python tools/cli_artifacts.py OUTDIR``
+Usage: ``python tools/cli_artifacts.py OUTDIR [MANIFEST]``
 
 Each step is a ``python -m hfpa`` subprocess that inherits the caller's
 environment, so ``PYTHONPATH`` picks the checkout under test; relative
@@ -31,10 +31,18 @@ entries are taken from the caller's working directory. The steps are:
 
 With these, every CSV the CLI writes or reads is covered. Every file a
 step writes lands in OUTDIR, next to ``<step>.stdout``, ``<step>.stderr``
-and ``<step>.exit`` for each step. No step opens a socket. The script
-exits 1 when a step's exit code is not the one ``EXPECTED_EXIT`` gives it
-(0 unless listed). Two
-checkouts are compared with::
+and ``<step>.exit`` for each step. No step opens a socket, and the help
+text is ``HELP_COLUMNS`` wide whatever the terminal. The script exits 1
+when a step's exit code is not the one ``EXPECTED_EXIT`` gives it (0
+unless listed); otherwise, given MANIFEST, it writes there the sha256 of
+every file in OUTDIR, each step's exit code and the ``host_key`` the bits
+depend on. ``tests/test_tools.py`` runs the same steps in process and
+compares them with ``tests/golden/cli_artifacts.json``, written so::
+
+    PYTHONPATH=src python tools/cli_artifacts.py /tmp/art \
+        tests/golden/cli_artifacts.json
+
+Two checkouts are compared with::
 
     PYTHONPATH=old/src python tools/cli_artifacts.py /tmp/old
     PYTHONPATH=new/src python tools/cli_artifacts.py /tmp/new
@@ -49,6 +57,8 @@ one environment.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -153,17 +163,33 @@ STEPS += (("help", ["--help"]),) + tuple(
 #: Steps that must fail: step name -> exit code.
 EXPECTED_EXIT = {"sweep_bias_unreachable": 1}
 
+#: ``COLUMNS`` of every step: argparse wraps the help text to it.
+HELP_COLUMNS = "80"
 
-def run_steps(out: Path, environ):
-    """Write the walkthrough's input files into ``out`` and run STEPS there
-    in order, in the environment ``environ``; yields each step's name,
-    completed process and wall seconds. Relative ``PYTHONPATH`` entries are
-    made absolute, since the steps run from ``out``."""
+
+def write_inputs(out: Path) -> None:
+    """The walkthrough's input files, written into ``out``."""
     (out / "scenario.txt").write_text(README_SCENARIO, encoding="utf-8")
     (out / "scenario_all_kinds.txt").write_text(ALL_KINDS_SCENARIO,
                                                 encoding="utf-8")
     (out / "anchors.csv").write_text(ANCHORS_CSV, encoding="utf-8")
-    env = dict(environ)
+
+
+def record(out: Path, name: str, code: int, stdout: str, stderr: str) -> None:
+    """A step's stdout, stderr and exit code, as files in ``out``."""
+    (out / f"{name}.stdout").write_text(stdout, encoding="utf-8")
+    (out / f"{name}.stderr").write_text(stderr, encoding="utf-8")
+    (out / f"{name}.exit").write_text(f"{code}\n", encoding="utf-8")
+
+
+def run_steps(out: Path, environ):
+    """Write the input files into ``out`` and run STEPS there in order, in
+    the environment ``environ`` with ``COLUMNS`` at ``HELP_COLUMNS``; yields
+    each step's name, completed process and wall seconds. Relative
+    ``PYTHONPATH`` entries are made absolute, since the steps run from
+    ``out``."""
+    write_inputs(out)
+    env = dict(environ, COLUMNS=HELP_COLUMNS)
     if env.get("PYTHONPATH"):
         env["PYTHONPATH"] = os.pathsep.join(
             os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
@@ -174,10 +200,50 @@ def run_steps(out: Path, environ):
         yield name, proc, time.perf_counter() - t0
 
 
+def host_key() -> dict:
+    """What the artifacts' last bits depend on: numpy's version, its
+    highest dispatched SIMD target and the core OpenBLAS picked (None when
+    numpy's BLAS does not export ``scipy_openblas_get_corename64_``)."""
+    import ctypes
+
+    import numpy as np
+    from numpy._core import _multiarray_umath as umath
+
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    try:
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        core = None
+    else:
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return {"numpy": np.__version__, "simd": simd[-1] if simd else None,
+            "openblas_core": core}
+
+
+def manifest(out: Path) -> dict:
+    """The host key, each step's exit code and the sha256 of every file in
+    ``out``, a directory the steps have written."""
+    return {
+        "host": host_key(),
+        "exit": {name: int((out / f"{name}.exit").read_text())
+                 for name, _ in STEPS},
+        "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(out.iterdir())},
+    }
+
+
+def write_manifest(out: Path, path: Path) -> None:
+    """``manifest(out)`` as JSON at ``path``."""
+    path.write_text(json.dumps(manifest(out), indent=1) + "\n",
+                    encoding="utf-8")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python tools/cli_artifacts.py OUTDIR", file=sys.stderr)
+    if len(argv) not in (1, 2):
+        print("usage: python tools/cli_artifacts.py OUTDIR [MANIFEST]",
+              file=sys.stderr)
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
@@ -186,13 +252,14 @@ def main(argv=None) -> int:
         return 1
     failed = 0
     for name, proc, _ in run_steps(out, os.environ):
-        (out / f"{name}.stdout").write_text(proc.stdout, encoding="utf-8")
-        (out / f"{name}.stderr").write_text(proc.stderr, encoding="utf-8")
-        (out / f"{name}.exit").write_text(f"{proc.returncode}\n",
-                                          encoding="utf-8")
+        record(out, name, proc.returncode, proc.stdout, proc.stderr)
         print(f"{name}: exit {proc.returncode}")
         failed += proc.returncode != EXPECTED_EXIT.get(name, 0)
-    return 1 if failed else 0
+    if failed:
+        return 1
+    if len(argv) == 2:
+        write_manifest(out, Path(argv[1]))
+    return 0
 
 
 if __name__ == "__main__":

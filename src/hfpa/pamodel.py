@@ -131,7 +131,7 @@ class PaParams:
         object.__setattr__(self, "ripple", dict(self.ripple))
 
     def ripple_db(self, band: Optional[str]) -> float:
-        """Ripple in dB, 0 for None; the one check of a band: UnknownBand."""
+        """Ripple in dB (0 for None); a band not in BANDS raises UnknownBand."""
         if band is None:
             return 0.0
         if band not in BANDS:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hfpa
-from hfpa import kernels, measure
+from hfpa import bands, biasctl, kernels, measure
 from hfpa.biasctl import classify_envelope, compression_drive, equalize_gains
 from hfpa.measure import (CSV_HEADER, MeasRow, TargetUnreachable,
                           TonesUnresolvable, UnknownBand, drive_for_pout,
@@ -867,6 +867,10 @@ BAND_CALLS = {
     "equalize_gains": lambda b: equalize_gains(BAND_PARAMS, ["40M", b], 30.0,
                                                2.0),
 }
+
+
+def test_unknown_band_has_one_definition():
+    assert measure.UnknownBand is bands.UnknownBand is biasctl.UnknownBand
 
 
 @pytest.mark.parametrize("band", ["40m", "41M", ""])

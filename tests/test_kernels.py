@@ -5,6 +5,7 @@ one caller at a time, and a fresh worker after ``os.fork``; a two-tone
 ``simulate`` whose bits do not depend on the BLAS build; the retention
 rule of ``kernels.workspace``; and the one-pass Rapp limiter, with the bits
 of the trap-and-redo form it replaced."""
+import json
 import os
 import subprocess
 import sys
@@ -292,14 +293,17 @@ def child_env(**extra):
     src = str(Path(hfpa.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for key in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE",
-                "OPENBLAS_VERBOSE"):
+    for key in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE"):
         env.pop(key, None)
-    env.update(extra, OPENBLAS_VERBOSE="2")
+    env.update(extra)
     return env
 
 
-CHILD_STATS = """\
+#: The child's core comes from the golden check's host key.
+CHILD_STATS = f"""\
+import json, sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / "tools")!r})
+from cli_artifacts import host_key
 from hfpa.pamodel import BiasPoint, PaParams, simulate
 from hfpa.signalgen import Kind, WaveformSpec, generate
 block = generate(WaveformSpec(kind=Kind.TWO_TONE, amplitude=0.8,
@@ -309,17 +313,17 @@ _, s = simulate(block, BiasPoint(vdd=58.0, idq=2.0),
                 PaParams(g0=40.0, rload=0.4, shape_beta=3.0, shape_exp=8.0,
                          shape_sat=20.0))
 print(*(v.hex() for v in (s.pout_w, s.pdc_w, s.eff, s.pdiss_w, s.gain_db)))
+print(json.dumps(host_key()["openblas_core"]))
 """
 
 
 def run_child(**extra):
-    """The child's ``PaStats`` as hex, and OpenBLAS's core line or None."""
+    """The child's ``PaStats`` as hex, and OpenBLAS's core name or None."""
     done = subprocess.run([sys.executable, "-c", CHILD_STATS], check=True,
                           env=child_env(**extra), capture_output=True,
                           text=True, timeout=120)
-    core = [line for line in done.stderr.splitlines()
-            if line.startswith("Core:")]
-    return done.stdout.split(), core[0] if core else None
+    stats, core = done.stdout.splitlines()
+    return stats.split(), json.loads(core)
 
 
 @pytest.mark.parametrize("setting", [{"OPENBLAS_NUM_THREADS": "1"},

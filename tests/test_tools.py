@@ -74,10 +74,23 @@ def test_cli_artifacts_take_the_help_of_every_subcommand():
     assert cli_artifacts.SUBCOMMANDS == tuple(action.choices)
 
 
-def test_bench_snapshot_records_the_environment():
+def test_bench_snapshot_records_the_environment(monkeypatch):
+    # the host is named by the golden check's key, read in process: the
+    # only children are git's, for the tree identity
+    commands = []
+    run = subprocess.run
+
+    def recorded(cmd, *args, **kwargs):
+        commands.append(cmd)
+        return run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", recorded)
     env = bench_snapshot.environment(bench_snapshot.ROOT)
+    host = cli_artifacts.host_key()
+    assert {key: env[key] for key in host} == host
     assert env["numpy"] == np.__version__
     assert env["nproc"] >= 1 and env["python"]
+    assert commands and all(cmd[0] == "git" for cmd in commands)
 
 
 def fake_paired_runner(calls, before_root):

@@ -34,10 +34,12 @@ file holds, for its tree:
   ``import hfpa``, the model's modules and ``python -m hfpa psu-read
   --help``, each run's wall seconds with their median and min, 10 runs;
 * the wall time of the tier-1 suite and its summary line;
-* the environment: CPU, Python, numpy, and OpenBLAS's core type (from a
-  child run with ``OPENBLAS_VERBOSE=2``) and thread count; and the tree:
-  the git commit and dirty flag, when the tree is a git checkout, and a
-  sha256 over its ``src/`` and ``perfbench/`` files.
+* the environment: CPU, core count, Python, and the host key that
+  ``tools/cli_artifacts.py``'s golden check is pinned on (numpy's version,
+  its highest dispatched SIMD target and OpenBLAS's core type, from
+  ``host_key``); and the tree: the git commit and dirty flag, when the tree
+  is a git checkout, and a sha256 over its ``src/`` and ``perfbench/``
+  files.
 
 The two trees take turns under one rule: in each repeat both run, and the
 side that leads runs first in the even repeats and second in the odd ones.
@@ -99,25 +101,6 @@ TREE_DIRS = ("src", "perfbench")
 #: The two sides of a paired snapshot: this tree, and the one it is run
 #: against.
 AFTER, BEFORE = "after", "before"
-
-#: Printed by the environment child: OpenBLAS's thread count, through the
-#: first of its known entry points that the loaded library exports.
-ENV_PROBE = """\
-import ctypes, json, numpy
-threads = None
-with open("/proc/self/maps", encoding="utf-8") as fh:
-    libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-for path in sorted(libs):
-    lib = ctypes.CDLL(path)
-    for name in ("scipy_openblas_get_num_threads64_",
-                 "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
-        fn = getattr(lib, name, None)
-        if fn is not None and threads is None:
-            fn.restype = ctypes.c_int
-            threads = fn()
-print(json.dumps({"numpy": numpy.__version__, "openblas_threads": threads}))
-"""
-
 
 def load_cli_artifacts():
     spec = importlib.util.spec_from_file_location(
@@ -356,13 +339,7 @@ def tree_identity(root):
 
 
 def environment(root):
-    proc = subprocess.run([sys.executable, "-c", ENV_PROBE], cwd=root,
-                          env=dict(os.environ, OPENBLAS_VERBOSE="2"),
-                          capture_output=True, text=True, check=True)
-    lines = (proc.stdout + proc.stderr).splitlines()
-    core = next((line.split(":", 1)[1].strip() for line in lines
-                 if line.startswith("Core:")), None)
-    probe = json.loads(next(line for line in lines if line.startswith("{")))
+    """The host this process runs on and the tree at ``root``."""
     cpu = None
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -374,9 +351,7 @@ def environment(root):
         "cpu_model": cpu or platform.processor() or None,
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
-        "numpy": probe["numpy"],
-        "openblas_core": core,
-        "openblas_threads": probe["openblas_threads"],
+        **load_cli_artifacts().host_key(),
         **tree_identity(root),
     }
 

@@ -29,14 +29,21 @@ bench_snapshot = load_tool("bench_snapshot")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_artifacts.json"
 
 
-def test_cli_artifacts_match_the_golden_manifest(tmp_path, monkeypatch,
-                                                 capsys):
-    # the walkthrough of tools/cli_artifacts.py, in process: its bits are
-    # the round's fixed behaviour, pinned on the host that wrote them
+@pytest.fixture
+def golden():
+    """The golden manifest; the test skips on a host with another key,
+    where the bits may differ."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     host = cli_artifacts.host_key()
     if host != golden["host"]:
         pytest.skip(f"manifest pinned on {golden['host']}, this host is {host}")
+    return golden
+
+
+def test_cli_artifacts_match_the_golden_manifest(golden, tmp_path,
+                                                 monkeypatch, capsys):
+    # the walkthrough of tools/cli_artifacts.py, in process: its bits are
+    # the round's fixed behaviour, pinned on the host that wrote them
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", cli_artifacts.HELP_COLUMNS)
     cli_artifacts.write_inputs(tmp_path)
@@ -47,11 +54,20 @@ def test_cli_artifacts_match_the_golden_manifest(tmp_path, monkeypatch,
             code = exc.code
         out, err = capsys.readouterr()
         cli_artifacts.record(tmp_path, name, code, out, err)
-    got = cli_artifacts.manifest(tmp_path)
+    got = cli_artifacts.artifact_hashes(tmp_path)
     assert got["exit"] == golden["exit"]
     differ = sorted(name for name in golden["files"].keys() | got["files"]
                     if golden["files"].get(name) != got["files"].get(name))
     assert not differ, f"{len(differ)} files differ, first {differ[:5]}"
+
+
+def test_workload_digests_match_the_golden_manifest(golden):
+    # the first ops of each perfbench workload on seeds 1-3, in process:
+    # the benchmark's outputs, held fixed like the artifacts
+    got = cli_artifacts.workload_digests()
+    differ = [key for key in {**golden["digests"], **got}
+              if golden["digests"].get(key) != got.get(key)]
+    assert not differ, f"{len(differ)} digest streams differ, first {differ[0]}"
 
 
 @pytest.mark.parametrize("name, args", cli_artifacts.STEPS,

@@ -58,6 +58,8 @@ one environment.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -166,6 +168,12 @@ EXPECTED_EXIT = {"sweep_bias_unreachable": 1}
 #: ``COLUMNS`` of every step: argparse wraps the help text to it.
 HELP_COLUMNS = "80"
 
+ROOT = Path(__file__).resolve().parent.parent
+#: Ops hashed per workload of ``perfbench/workloads.py``, on each of
+#: ``DIGEST_SEEDS``.
+DIGEST_OPS = {"imd": 40, "controller": 600, "calibrate": 6}
+DIGEST_SEEDS = (1, 2, 3)
+
 
 def write_inputs(out: Path) -> None:
     """The walkthrough's input files, written into ``out``."""
@@ -221,16 +229,43 @@ def host_key() -> dict:
             "openblas_core": core}
 
 
-def manifest(out: Path) -> dict:
-    """The host key, each step's exit code and the sha256 of every file in
-    ``out``, a directory the steps have written."""
+def workload_digests() -> dict:
+    """Per ``"<workload>/<seed>"``, the sha256 over the ``repr`` of each op
+    digest, one a line, of the first ``DIGEST_OPS`` ops that
+    ``perfbench/workloads.py`` runs on that seed from a fresh session. The
+    ops run in this process, on the ``hfpa`` it imports."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    digests = {}
+    for name, count in DIGEST_OPS.items():
+        workload = workloads.WORKLOADS[name]
+        for seed in DIGEST_SEEDS:
+            session = workload.session()
+            sha = hashlib.sha256()
+            for inp in itertools.islice(workload.inputs(seed), count):
+                sha.update(f"{workload.op(session, inp)!r}\n".encode())
+            digests[f"{name}/{seed}"] = sha.hexdigest()
+    return digests
+
+
+def artifact_hashes(out: Path) -> dict:
+    """Each step's exit code and the sha256 of every file in ``out``, a
+    directory the steps have written."""
     return {
-        "host": host_key(),
         "exit": {name: int((out / f"{name}.exit").read_text())
                  for name, _ in STEPS},
         "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in sorted(out.iterdir())},
     }
+
+
+def manifest(out: Path) -> dict:
+    """The host key, ``artifact_hashes(out)`` and the workload digests."""
+    return {"host": host_key(), **artifact_hashes(out),
+            "digests": workload_digests()}
 
 
 def write_manifest(out: Path, path: Path) -> None:

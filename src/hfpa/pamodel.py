@@ -412,7 +412,10 @@ def load_params(path) -> PaParams:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if "g0" not in scalars:
         raise ValueError(f"{path}: missing required key 'g0'")
-    return PaParams(ripple=ripple, **scalars)
+    try:
+        return PaParams(ripple=ripple, **scalars)
+    except ValueError as exc:  # UnknownBand stays UnknownBand
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def with_ripple(params: PaParams, ripple: Mapping[str, float]) -> PaParams:

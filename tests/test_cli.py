@@ -110,9 +110,27 @@ def test_sweep_bias_rejects_a_ripple_for_an_unknown_band(tmp_path,
     rc = main(["sweep-bias", "--vdd", "58", "--pout", "100",
                "--params", str(params), "--out", str(out)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "'41M'" in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"error: {params}: unknown band '41M' in ripple\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("g0 = 40\nrload\n", ":2: expected 'key = value'"),
+    ("g0 = 40\nrload = x\n", ":2: bad number 'x'"),
+    ("rload = 0.4\n", ": missing required key 'g0'"),
+    ("g0 = 40\nrload = -1\n", ": rload must be > 0, got -1.0"),
+], ids=["no-equals", "bad-number", "no-g0", "negative-rload"])
+def test_a_bad_params_file_is_named_in_its_error(tmp_path, capsys, text,
+                                                 message):
+    params = tmp_path / "p.cfg"
+    params.write_text(text)
+    out = tmp_path / "s.csv"
+    rc, err = run_without_traceback(
+        ["sweep-bias", "--vdd", "58", "--pout", "100",
+         "--params", str(params), "--out", str(out)], capsys)
+    assert rc == 1
+    assert err == f"error: {params}{message}\n"
     assert not out.exists()
 
 
@@ -257,6 +275,28 @@ def test_scenario_rejects_non_finite_fields(tmp_path, params_file, capsys, line)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# header\n0.0 cw 40M\n", ":2: expected 't_s kind band setpoint_W'"),
+    ("# header\nsoon cw 40M 600\n",
+     ":2: could not convert string to float: 'soon'"),
+    ("# header\n0.0 sine 40M 600\n", ":2: unknown kind 'sine'"),
+    ("# header\n0.0 cw 41M 600\n", ":2: unknown band '41M'"),
+    ("# header\n\n# nothing else\n", ": empty scenario"),
+], ids=["three-fields", "time-not-a-number", "unknown-kind", "unknown-band",
+        "comments-only"])
+def test_scenario_rejects_a_malformed_file(tmp_path, params_file, capsys,
+                                           text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    out = tmp_path / "log.csv"
+    rc, err = run_without_traceback(
+        ["run-controller", "--scenario", str(bad), "--params", params_file,
+         "--out", str(out)], capsys)
+    assert rc == 1
+    assert err == f"error: {bad}{message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row, message", [
     ("58,32,60,0,0", "pout_w must be > 0"),
     ("58,32,60,nan,0", "pout_w must be finite"),
@@ -273,6 +313,41 @@ def test_calibrate_rejects_bad_anchor_rows(tmp_path, capsys, row, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {anchors}:3: ")
     assert message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vdd,gain\n58,32\n", "expected header "
+     "'vdd_V,gain_dB,eff_pct,pout_W,pdiss_W', got 'vdd,gain'"),
+    ("vdd_V,gain_dB,eff_pct,pout_W,pdiss_W\n\n", "{path}: no anchor rows"),
+], ids=["wrong-header", "no-rows"])
+def test_calibrate_rejects_a_bad_anchor_file(tmp_path, capsys, text, message):
+    anchors = tmp_path / "anchors.csv"
+    anchors.write_text(text)
+    params = tmp_path / "fit.cfg"
+    rc, err = run_without_traceback(
+        ["calibrate", "--anchors", str(anchors), "--budget", "5",
+         "--out-params", str(params)], capsys)
+    assert rc == 1
+    assert err == f"error: {message.format(path=anchors)}\n"
+    assert not params.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "40"])
+def test_calibrate_from_an_anchor_past_the_float_range_diverges(
+        tmp_path, capsys, budget):
+    # the one route to calibrate.Diverged: a 1e308 dB gain makes the
+    # residual at the start non-finite
+    anchors = tmp_path / "anchors.csv"
+    anchors.write_text("vdd_V,gain_dB,eff_pct,pout_W,pdiss_W\n"
+                       "58,1e308,58,900,651.7\n53,30,66,900,463.6\n"
+                       "48,28,75,900,300\n")
+    params = tmp_path / "fit.cfg"
+    rc, err = run_without_traceback(
+        ["calibrate", "--anchors", str(anchors), "--budget", budget,
+         "--out-params", str(params)], capsys)
+    assert rc == 1
+    assert err == "error: non-finite objective at init\n"
+    assert not params.exists()
 
 
 @pytest.mark.parametrize("argv", [

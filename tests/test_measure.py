@@ -480,12 +480,13 @@ class TestMeasureImd:
             prev = level
 
     def test_bin_location_fuzz(self):
-        # random tone spacings >= 10 bins never misidentify the products
+        # random tone spacings >= 20 bins, the least measure_imd resolves,
+        # never misidentify the products
         rng = np.random.default_rng(99)
         n = 1 << 14
         bin_hz = FS / n
         for _ in range(25):
-            spacing = float(rng.integers(10, 400)) * bin_hz
+            spacing = float(rng.integers(20, 400)) * bin_hz
             f1, f2 = -spacing / 2, spacing / 2
             block = generate(WaveformSpec(kind=Kind.TWO_TONE, amplitude=1.0,
                                           duration_s=n / FS, f1_hz=f1,
@@ -513,9 +514,13 @@ class TestMeasureImd:
     def test_unresolvable_spacing_raises(self):
         with pytest.raises(TonesUnresolvable):
             measure_imd(two_tone(duration=0.002), -1000.0, 1000.0)
+        # 4 Hz on 131072 samples is 0.52 bins: the block spans 0.52 beat
+        # periods, so the 20-period rule trips here too
         block = two_tone(duration=0.131072, spacing=4.0)
-        with pytest.raises(TonesUnresolvable):
+        with pytest.raises(TonesUnresolvable, match="spans 0.5 beat periods"):
             measure_imd(block, -2.0, 2.0)
+        with pytest.raises(ValueError, match="^tones must differ$"):
+            measure_imd(block, 1000.0, 1000.0)
 
 
 CLASS_A_BIAS = BiasPoint(vdd=58.0, idq=3.0)

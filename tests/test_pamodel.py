@@ -634,8 +634,10 @@ class TestParamsConfig:
     def test_load_rejects_a_ripple_for_an_unknown_band(self, tmp_path):
         path = tmp_path / "pa.cfg"
         path.write_text("g0 = 40\nripple.41M = 1\n")
-        with pytest.raises(ValueError, match="unknown band '41M'"):
+        # the constructor's error, with the file's path and its type
+        with pytest.raises(UnknownBand) as err:
             load_params(path)
+        assert str(err.value) == f"{path}: unknown band '41M' in ripple"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -644,6 +646,11 @@ class TestParamsConfig:
             PaParams(g0=10.0, vknee=30.0)
         with pytest.raises(ValueError):
             PaParams(g0=10.0, smoothness=0.4)
+        with pytest.raises(ValueError, match="^rload must be > 0, got 0$"):
+            PaParams(g0=10.0, rload=0)
+        for shape in ("shape_beta", "shape_exp", "shape_sat"):
+            with pytest.raises(ValueError, match="^shape parameters must be"):
+                PaParams(g0=10.0, **{shape: -1.0})
         with pytest.raises(InvalidBias):
             BiasPoint(vdd=29.0, idq=2.0)
         with pytest.raises(InvalidBias):

@@ -41,6 +41,10 @@ class TestFrameCodec:
         with pytest.raises(BadLength):
             decode_frame(b"\x00" * 14)
 
+    def test_payload_past_the_dlc_rejected(self):
+        with pytest.raises(BadLength, match="^payload 9 bytes exceeds 8$"):
+            CanFrame(1, bytes(9))
+
     def test_bad_dlc_rejected(self):
         wire = bytearray(encode_frame(CanFrame(ID_READ, b"\x01")))
         wire[4] = 7

@@ -35,8 +35,9 @@ and ``<step>.exit`` for each step. No step opens a socket, and the help
 text is ``HELP_COLUMNS`` wide whatever the terminal. The script exits 1
 when a step's exit code is not the one ``EXPECTED_EXIT`` gives it (0
 unless listed); otherwise, given MANIFEST, it writes there the sha256 of
-every file in OUTDIR, each step's exit code and the ``host_key`` the bits
-depend on. ``tests/test_tools.py`` runs the same steps in process and
+every file in OUTDIR, each step's exit code, the ``host_key`` the bits
+depend on and the benchmark's workload digests (``workload_digests``).
+``tests/test_tools.py`` runs the same steps and workloads in process and
 compares them with ``tests/golden/cli_artifacts.json``, written so::
 
     PYTHONPATH=src python tools/cli_artifacts.py /tmp/art \
@@ -231,7 +232,7 @@ def host_key() -> dict:
 
 def workload_digests() -> dict:
     """Per ``"<workload>/<seed>"``, the sha256 over the ``repr`` of each op
-    digest, one a line, of the first ``DIGEST_OPS`` ops that
+    digest, one line each, of the first ``DIGEST_OPS`` ops that
     ``perfbench/workloads.py`` runs on that seed from a fresh session. The
     ops run in this process, on the ``hfpa`` it imports."""
     spec = importlib.util.spec_from_file_location(

@@ -19,6 +19,7 @@ from .measure import MeasRow, TargetUnreachable, sweep_bias, write_csv
 from .pamodel import (_SCALAR_KEYS, IDQ_REF, VDD_REF, BiasPoint, PaParams,
                       bisect, conduction_currents, small_signal_gain_db,
                       swing_for_pout)
+from .spec import number, records
 
 
 class Diverged(RuntimeError):
@@ -410,23 +411,22 @@ ANCHOR_HEADER = "vdd_V,gain_dB,eff_pct,pout_W,pdiss_W"
 
 
 def read_anchors_csv(path) -> List[AnchorRow]:
+    lines = records(path)
+    where, header = next(lines, (path, ""))
+    if header != ANCHOR_HEADER:
+        raise ValueError(
+            f"{where}: expected header {ANCHOR_HEADER!r}, got {header!r}")
     anchors = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ANCHOR_HEADER:
-            raise ValueError(f"expected header {ANCHOR_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields "
-                                 f"({ANCHOR_HEADER}), got {len(fields)}")
-            try:
-                anchors.append(AnchorRow(*(float(x) for x in fields)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    for where, line in lines:
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"{where}: expected 5 fields "
+                             f"({ANCHOR_HEADER}), got {len(fields)}")
+        values = [number(x, where) for x in fields]
+        try:
+            anchors.append(AnchorRow(*values))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     if not anchors:
         raise ValueError(f"{path}: no anchor rows")
     return anchors

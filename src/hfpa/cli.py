@@ -13,7 +13,8 @@ from typing import List, Optional
 
 from . import psusim
 from .bands import BANDS
-from .spec import IDQ_REF, VDD_MAX, WINDOW_S, Kind, WaveformSpec
+from .spec import (IDQ_REF, VDD_MAX, WINDOW_S, Kind, WaveformSpec, number,
+                   records)
 
 _KINDS = {kind.value: kind for kind in Kind}
 _KINDS["two-tone"] = Kind.TWO_TONE
@@ -233,29 +234,22 @@ def _read_scenario(path) -> List[tuple]:
     """Scenario lines: `t_s kind band setpoint_W`, times strictly increasing."""
     events = []
     last_t = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 't_s kind band setpoint_W'")
-            try:
-                t_s, setpoint = float(parts[0]), float(parts[3])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(t_s) and math.isfinite(setpoint)):
-                raise ValueError(f"{path}:{lineno}: t_s and setpoint_W must be finite")
-            kind, band = parts[1].lower(), parts[2]
-            if kind not in _KINDS:
-                raise ValueError(f"{path}:{lineno}: unknown kind {kind!r}")
-            if band not in BANDS:
-                raise ValueError(f"{path}:{lineno}: unknown band {band!r}")
-            if last_t is not None and t_s <= last_t:
-                raise ValueError(f"{path}:{lineno}: times must strictly increase")
-            last_t = t_s
-            events.append((t_s, kind, band, setpoint))
+    for where, line in records(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(f"{where}: expected 't_s kind band setpoint_W'")
+        t_s, setpoint = number(parts[0], where), number(parts[3], where)
+        if not (math.isfinite(t_s) and math.isfinite(setpoint)):
+            raise ValueError(f"{where}: t_s and setpoint_W must be finite")
+        kind, band = parts[1].lower(), parts[2]
+        if kind not in _KINDS:
+            raise ValueError(f"{where}: unknown kind {kind!r}")
+        if band not in BANDS:
+            raise ValueError(f"{where}: unknown band {band!r}")
+        if last_t is not None and t_s <= last_t:
+            raise ValueError(f"{where}: times must strictly increase")
+        last_t = t_s
+        events.append((t_s, kind, band, setpoint))
     if not events:
         raise ValueError(f"{path}: empty scenario")
     return events

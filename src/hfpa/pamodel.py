@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .bands import BANDS, UnknownBand
 from .signalgen import IqBlock
-from .spec import IDQ_REF, VDD_MAX, VDD_MIN, VDD_REF
+from .spec import IDQ_REF, VDD_MAX, VDD_MIN, VDD_REF, number, records
 
 TWO_PI = 2.0 * math.pi
 
@@ -392,24 +392,17 @@ def save_params(params: PaParams, path) -> None:
 def load_params(path) -> PaParams:
     scalars = {}
     ripple = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = (p.strip() for p in line.partition("="))
-            try:
-                num = float(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad number {value!r}") from exc
-            if key.startswith("ripple."):
-                ripple[key[len("ripple."):]] = num
-            elif key in _SCALAR_KEYS:
-                scalars[key] = num
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+    for where, line in records(path):
+        if "=" not in line:
+            raise ValueError(f"{where}: expected 'key = value'")
+        key, _, value = (p.strip() for p in line.partition("="))
+        num = number(value, where)
+        if key.startswith("ripple."):
+            ripple[key[len("ripple."):]] = num
+        elif key in _SCALAR_KEYS:
+            scalars[key] = num
+        else:
+            raise ValueError(f"{where}: unknown key {key!r}")
     if "g0" not in scalars:
         raise ValueError(f"{path}: missing required key 'g0'")
     try:

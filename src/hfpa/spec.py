@@ -1,11 +1,16 @@
 """Numpy-free definitions for the CLI parser and the supply: the waveform
-spec, the supply window, the reference bias and the classification window."""
+spec, the supply window, the reference bias and the classification window,
+and the line rule of the three input files (params config, anchor CSV,
+scenario): ``records`` yields a file's lines without blanks and ``#``
+comments, each with its ``path:lineno``, and ``number`` parses one field or
+names it in a ``bad number`` error at that place."""
 from __future__ import annotations
 
 import enum
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterator, Tuple
 
 #: Drain-supply window, volts: every bias point's vdd lies in it.
 VDD_MIN, VDD_MAX = 30.0, 58.0
@@ -15,6 +20,25 @@ VDD_REF, IDQ_REF = 58.0, 2.0
 
 #: Default classification window, seconds.
 WINDOW_S = 0.01
+
+
+def records(path) -> Iterator[Tuple[str, str]]:
+    """``(where, line)`` for each stripped line of the UTF-8 file ``path``
+    that is neither blank nor a ``#`` comment; ``where`` is
+    ``f"{path}:{lineno}"``, the prefix of every error about that line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield f"{path}:{lineno}", line
+
+
+def number(text: str, where: str) -> float:
+    """``float(text)``, or ValueError ``f"{where}: bad number {text!r}"``."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad number {text!r}") from exc
 
 
 class InvalidSpec(ValueError):

@@ -340,6 +340,16 @@ class TestDecideBias:
             min(58.0, peak * 1.1 + self.params.vknee), rel=1e-9)
 
 
+def test_predict_peak_envelope_rejects_a_setpoint_past_the_widest_swing():
+    # not reachable from the CLI: command_for_mode's full-supply drive check
+    # refuses such a setpoint first, the 58 V swing being below SWING_MAX
+    params = PaParams(g0=40.0)
+    widest = fundamental_pout(SWING_MAX, 0.5, params.rload)
+    assert predict_peak_envelope(widest, 0.5, params) > 0
+    with pytest.raises(SetpointUnreachable, match="beyond model range"):
+        predict_peak_envelope(math.nextafter(widest, math.inf), 0.5, params)
+
+
 @pytest.mark.parametrize("setpoint", [math.nan, math.inf, -math.inf])
 def test_predict_peak_envelope_rejects_non_finite_setpoint(monkeypatch,
                                                            setpoint):

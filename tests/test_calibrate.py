@@ -13,6 +13,7 @@ from hfpa.calibrate import (ANCHOR_HEADER, AnchorRow, FitReport,
                             read_anchors_csv, write_report_csv)
 from hfpa.measure import sweep_bias, write_csv
 from hfpa.pamodel import _SCALAR_KEYS, PaParams, swing_for_pout
+from test_tools import cli_artifacts
 
 TRUE_PARAMS = PaParams(g0=39.77, kv=0.39, rload=0.4, vknee=4.1,
                        smoothness=8.0, shape_beta=3.82, shape_exp=8.16,
@@ -453,6 +454,23 @@ class TestDefaultInit:
         assert init.rload == pytest.approx(0.5356125)
         assert init.smoothness == 2.0
 
+    def test_a_gain_refinement_with_an_unreachable_row_gives_none(self):
+        # a point in the box whose 48 V row cannot reach 1 kW: rload at the
+        # top of its range and the knee at 10 V leave a 38 V swing, 760 W
+        vec = [30.0, 0.0, 0.95, 10.0, 2.0, 0.0, 4.0, 0.0]
+        assert calibrate._clamp_vec(vec) == vec
+        assert calibrate._gain_lstsq(REFERENCE_ANCHORS, vec,
+                                     PaParams(g0=1.0), {}) is None
+
+    def test_candidates_without_a_gain_refinement_are_skipped(
+            self, monkeypatch):
+        # no table of the benchmark's seeds makes a candidate unreachable,
+        # so the refinement is stubbed: with none, the scout keeps the base
+        # start, which a fourth anchor row also gets (no pre-solve)
+        monkeypatch.setattr(calibrate, "_gain_lstsq", lambda *args: None)
+        assert default_init(REFERENCE_ANCHORS) == default_init(
+            REFERENCE_ANCHORS + REFERENCE_ANCHORS[:1])
+
 
 #: Tables as the benchmark perturbs the reference one, from fixed seeds. With
 #: the class-A base and unclamped pre-solve candidates, 4 of them started
@@ -538,6 +556,17 @@ class TestAnchorIo:
         assert AnchorRow(**{**fields, "pdiss_w": 0.0}).pdiss_w == 0.0
         with pytest.raises(ValueError, match="pdiss_w must be >= 0"):
             AnchorRow(**{**fields, "pdiss_w": -5.0})
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        # the artifacts' 900 W table, with blank and # lines before its
+        # header and between its rows
+        plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+        plain.write_text(cli_artifacts.ANCHORS_CSV)
+        header, *rows = cli_artifacts.ANCHORS_CSV.splitlines()
+        commented.write_text("# bench table\n\n" + header + "\n  \n"
+                             + "\n# next row\n".join(rows) + "\n\n")
+        assert read_anchors_csv(commented) == read_anchors_csv(plain)
+        assert len(read_anchors_csv(plain)) == 3
 
     def test_short_row_reports_its_line(self, tmp_path):
         path = tmp_path / "anchors.csv"

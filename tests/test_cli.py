@@ -17,6 +17,7 @@ from hfpa.cli import build_parser, main
 from hfpa.measure import CSV_HEADER
 from hfpa.pamodel import GAIN_DB_MAX, PaParams, save_params
 from hfpa.signalgen import MAX_SAMPLES
+from test_tools import cli_artifacts
 
 
 @pytest.fixture()
@@ -118,9 +119,11 @@ def test_sweep_bias_rejects_a_ripple_for_an_unknown_band(tmp_path,
 @pytest.mark.parametrize("text, message", [
     ("g0 = 40\nrload\n", ":2: expected 'key = value'"),
     ("g0 = 40\nrload = x\n", ":2: bad number 'x'"),
+    ("# fitted\n\ng0 = 40\nrload = x\n", ":4: bad number 'x'"),
     ("rload = 0.4\n", ": missing required key 'g0'"),
     ("g0 = 40\nrload = -1\n", ": rload must be > 0, got -1.0"),
-], ids=["no-equals", "bad-number", "no-g0", "negative-rload"])
+], ids=["no-equals", "bad-number", "bad-number-after-comments", "no-g0",
+        "negative-rload"])
 def test_a_bad_params_file_is_named_in_its_error(tmp_path, capsys, text,
                                                  message):
     params = tmp_path / "p.cfg"
@@ -277,13 +280,13 @@ def test_scenario_rejects_non_finite_fields(tmp_path, params_file, capsys, line)
 
 @pytest.mark.parametrize("text, message", [
     ("# header\n0.0 cw 40M\n", ":2: expected 't_s kind band setpoint_W'"),
-    ("# header\nsoon cw 40M 600\n",
-     ":2: could not convert string to float: 'soon'"),
+    ("# header\nsoon cw 40M 600\n", ":2: bad number 'soon'"),
+    ("# header\n0.0 cw 40M lots\n", ":2: bad number 'lots'"),
     ("# header\n0.0 sine 40M 600\n", ":2: unknown kind 'sine'"),
     ("# header\n0.0 cw 41M 600\n", ":2: unknown band '41M'"),
     ("# header\n\n# nothing else\n", ": empty scenario"),
-], ids=["three-fields", "time-not-a-number", "unknown-kind", "unknown-band",
-        "comments-only"])
+], ids=["three-fields", "time-not-a-number", "setpoint-not-a-number",
+        "unknown-kind", "unknown-band", "comments-only"])
 def test_scenario_rejects_a_malformed_file(tmp_path, params_file, capsys,
                                            text, message):
     bad = tmp_path / "bad.txt"
@@ -302,6 +305,9 @@ def test_scenario_rejects_a_malformed_file(tmp_path, params_file, capsys,
     ("58,32,60,nan,0", "pout_w must be finite"),
     ("58,32,60,1000,-5", "pdiss_w must be >= 0"),
     ("58,32,60", "expected 5 fields"),
+    ("58,x,60,1000,0", "bad number 'x'"),
+    ("58,32,0,1000,0", "eff_pct must be in (0, 100], got 0.0"),
+    ("58,32,100.5,1000,0", "eff_pct must be in (0, 100], got 100.5"),
 ])
 def test_calibrate_rejects_bad_anchor_rows(tmp_path, capsys, row, message):
     anchors = tmp_path / "anchors.csv"
@@ -316,10 +322,14 @@ def test_calibrate_rejects_bad_anchor_rows(tmp_path, capsys, row, message):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("vdd,gain\n58,32\n", "expected header "
+    ("vdd,gain\n58,32\n", "{path}:1: expected header "
      "'vdd_V,gain_dB,eff_pct,pout_W,pdiss_W', got 'vdd,gain'"),
+    ("# bench table\n\nvdd,gain\n58,32\n", "{path}:3: expected header "
+     "'vdd_V,gain_dB,eff_pct,pout_W,pdiss_W', got 'vdd,gain'"),
+    ("", "{path}: expected header "
+     "'vdd_V,gain_dB,eff_pct,pout_W,pdiss_W', got ''"),
     ("vdd_V,gain_dB,eff_pct,pout_W,pdiss_W\n\n", "{path}: no anchor rows"),
-], ids=["wrong-header", "no-rows"])
+], ids=["wrong-header", "wrong-header-after-comments", "empty", "no-rows"])
 def test_calibrate_rejects_a_bad_anchor_file(tmp_path, capsys, text, message):
     anchors = tmp_path / "anchors.csv"
     anchors.write_text(text)
@@ -531,6 +541,36 @@ def test_psu_set_out_of_range_exits_1(capsys):
                  "--register", "voltage"]) == 0
     server.join(timeout=5.0)
     assert not server.is_alive()
+
+
+@pytest.mark.parametrize("argv", [["psu-set", "--vdd", "48"], ["psu-read"]])
+def test_a_supply_nack_exits_1(monkeypatch, capsys, argv):
+    monkeypatch.setattr(psusim, "request", lambda *args: psusim.Nack(code=3))
+    assert run_without_traceback(argv, capsys) == (
+        1, "error: supply answered Nack(code=3)\n")
+
+
+def test_a_supply_that_closes_before_replying_exits_1(capsys):
+    # one in-process server: it reads the request frame whole, so its close
+    # reaches the client as an end of stream, not a reset, then replies nothing
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(5.0)
+
+        def read_and_close():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5.0)
+                psusim._recv_exact(conn, psusim.FRAME_LEN)
+
+        server = threading.Thread(target=read_and_close, daemon=True)
+        server.start()
+        result = run_without_traceback(
+            ["psu-read", "--port", str(listener.getsockname()[1])], capsys)
+        server.join(timeout=5.0)
+    assert not server.is_alive()
+    assert result == (1, "error: supply closed the connection\n")
 
 
 # --- every numeric flag of every subcommand, at values past its range --------
@@ -809,6 +849,87 @@ def test_params_fuzz_draws_gains_inside_and_past_both_bounds():
     gains = [20.0 * math.log10(f["g0"]) for f in params_fuzz_fields()]
     assert min(gains) < -GAIN_DB_MAX and max(gains) > GAIN_DB_MAX
     assert sum(abs(g) < GAIN_DB_MAX for g in gains) >= len(gains) // 4
+
+
+# --- a seeded text fuzz of the three input files -----------------------------
+
+#: What a fuzzed token becomes: nothing, not a number, non-finite, negative,
+#: past the float range, and each file's own comment and field separators.
+FILE_FUZZ_TOKENS = ("", "x", "nan", "inf", "-1", "1e309", "#", "=", ",")
+
+#: The edits of one fuzzed file, a token replacement four times as often as
+#: each line edit.
+FILE_FUZZ_EDITS = ("token",) * 4 + ("drop", "duplicate", "blank", "comment")
+
+#: Each input file's command; ``{file}`` is the fuzzed file. The scenario
+#: is replayed with the fitted params.
+FILE_FUZZ_COMMANDS = {
+    "params": ["sweep-bias", "--vdd", "58", "--pout", "100",
+               "--params", "{file}", "--out", "{out}"],
+    "anchors": ["calibrate", "--anchors", "{file}", "--budget", "0",
+                "--out-params", "{out}"],
+    "scenario": ["run-controller", "--scenario", "{file}",
+                 "--params", "{params}", "--out", "{out}"],
+}
+
+
+def file_fuzz_edits(count=40, seed=39):
+    """``count`` seeded edits ``(edit, token, pick)``: ``pick`` in [0, 1)
+    chooses the token or line that ``edit`` acts on, in any file."""
+    rng = random.Random(seed)
+    return [(rng.choice(FILE_FUZZ_EDITS), rng.choice(FILE_FUZZ_TOKENS),
+             rng.random()) for _ in range(count)]
+
+
+def fuzz_file(text, edit, token, pick):
+    """``text`` with one edit: one token (a run of characters other than
+    whitespace, ``=`` and ``,``) replaced by ``token``, or one line dropped,
+    duplicated, or preceded by a blank or ``#`` line."""
+    if edit == "token":
+        spans = [m.span() for m in re.finditer(r"[^\s=,]+", text)]
+        start, end = spans[int(pick * len(spans))]
+        return text[:start] + token + text[end:]
+    lines = text.splitlines()
+    i = int(pick * len(lines))
+    if edit == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, {"duplicate": lines[i], "blank": "",
+                         "comment": "# note"}[edit])
+    return "".join(line + "\n" for line in lines)
+
+
+def file_fuzz_id(edit):
+    name, token, pick = edit
+    return (f"{name}-{token!r}" if name == "token" else name) + f"-{pick:.3f}"
+
+
+@pytest.mark.parametrize("edit", file_fuzz_edits(), ids=file_fuzz_id)
+@pytest.mark.parametrize("kind", FILE_FUZZ_COMMANDS)
+def test_seeded_input_file_fuzz_ends_in_an_exit_code(
+        tmp_path, fitted_params, capsys, kind, edit):
+    save_params(fitted_params, tmp_path / "p.cfg")
+    seed = {"params": (tmp_path / "p.cfg").read_text(encoding="utf-8"),
+            "anchors": cli_artifacts.ANCHORS_CSV,
+            "scenario": cli_artifacts.README_SCENARIO}[kind]
+    path = tmp_path / "fuzzed.txt"
+    path.write_text(fuzz_file(seed, *edit), encoding="utf-8")
+    fill = dict(file=str(path), params=str(tmp_path / "p.cfg"),
+                out=str(tmp_path / "o"))
+    run_without_traceback([arg.format(**fill)
+                           for arg in FILE_FUZZ_COMMANDS[kind]], capsys)
+
+
+def test_file_fuzz_draws_every_edit_and_token():
+    edits = file_fuzz_edits()
+    assert {e for e, _, _ in edits} == set(FILE_FUZZ_EDITS)
+    assert {t for e, t, _ in edits if e == "token"} == set(FILE_FUZZ_TOKENS)
+    text = "a = 1\nb,c\n"
+    assert fuzz_file(text, "token", "x", 0.99) == "a = 1\nb,x\n"
+    assert fuzz_file(text, "drop", "", 0.0) == "b,c\n"
+    assert fuzz_file(text, "duplicate", "", 0.5) == "a = 1\nb,c\nb,c\n"
+    assert fuzz_file(text, "blank", "", 0.5) == "a = 1\n\nb,c\n"
+    assert fuzz_file(text, "comment", "", 0.0) == "# note\na = 1\nb,c\n"
 
 
 #: Gain laws past the float range, and the commands that ended in a

@@ -855,8 +855,9 @@ BAND_PARAMS = PaParams(g0=40.0, rload=0.4, ripple={"40M": 3.0})
 #: Every public call that takes a band, as a function of the band.
 BAND_CALLS = {
     "gain_and_swing": lambda b: gain_and_swing(BAND_BIAS, BAND_PARAMS, b),
-    "simulate": lambda b: simulate(measure._cw_block(0.01), BAND_BIAS,
-                                   BAND_PARAMS, b),
+    "simulate": lambda b: simulate(
+        IqBlock(np.full(64, 0.01, np.complex128), 1e6), BAND_BIAS,
+        BAND_PARAMS, b),
     "am_am": lambda b: am_am(0.01, BAND_BIAS, BAND_PARAMS, b),
     "compression_level": lambda b: compression_level(BAND_BIAS, BAND_PARAMS,
                                                      1.0, b),

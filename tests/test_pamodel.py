@@ -13,7 +13,6 @@ from scipy.integrate import romb
 
 from hfpa import kernels
 from hfpa.bands import UnknownBand
-from hfpa.measure import _cw_block
 from hfpa.pamodel import (GAIN_DB_MAX, IDQ_MAX, IDQ_REF, BiasPoint,
                           GainOutOfRange, InvalidBias, NonPositiveIdq,
                           OutOfRangeAlpha, PaParams, _fourier_clipped,
@@ -83,6 +82,11 @@ class TestConductionCurrents:
             conduction_currents(0.0, 1.0)
         with pytest.raises(NonPositiveIdq):
             conduction_currents(-1.0, 1.0)
+
+    @pytest.mark.parametrize("ipk", [-1.0, -5e-324, -math.inf])
+    def test_rejects_negative_drive(self, ipk):
+        with pytest.raises(ValueError, match="^ipk must be >= 0, got"):
+            conduction_currents(1.0, ipk)
 
     @pytest.mark.parametrize("idq, ipk", [
         (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
@@ -493,7 +497,7 @@ def test_cw_block_simulate_matches_the_plain_expressions(monkeypatch):
     evaluated = count_constant_evaluations(monkeypatch)
     for params, level in CONSTANT_CASES:
         g, a_sat = gain_and_swing(REF_BIAS, params)
-        block = _cw_block(level)
+        block = IqBlock(np.full(64, level, np.complex128), 1e6)
         out, stats = simulate(block, REF_BIAS, params)
         env = np.abs(block.samples)
         with np.errstate(over="ignore"):
@@ -618,6 +622,14 @@ class TestParamsConfig:
                   "shape_beta", "shape_exp", "shape_sat"):
             assert getattr(q, k) == pytest.approx(getattr(p, k), rel=1e-12)
         assert q.ripple == p.ripple
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, fitted_params):
+        plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+        save_params(fitted_params, plain)
+        lines = plain.read_text().splitlines()
+        commented.write_text("# fitted\n\n" + "\n  \n# next\n".join(lines)
+                             + "\n")
+        assert load_params(commented) == load_params(plain)
 
     def test_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"

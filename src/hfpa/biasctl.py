@@ -294,7 +294,7 @@ def decide_bias(cls: EnvelopeClass, power_setpoint_w: float, band: str,
 
 
 def compression_drive(bias: BiasPoint, params: PaParams,
-                      depth_db: float = 2.5, band: Optional[str] = None) -> float:
+                      depth_db: float = 2.5) -> float:
     """Input level that puts the stage depth_db into gain compression.
 
     The one compression query: depth in dB below small-signal gain (1.0
@@ -302,7 +302,7 @@ def compression_drive(bias: BiasPoint, params: PaParams,
     inverse ``pamodel.compression_level``. Raises ValueError for a depth
     <= 0 dB or one that needs more than 50*a_sat of input drive.
     """
-    level = compression_level(bias, params, depth_db, band)
+    level = compression_level(bias, params, depth_db)
     if level > 50.0 * saturated_swing(bias, params):
         raise ValueError(f"stage cannot reach {depth_db} dB compression")
     return level
@@ -358,7 +358,7 @@ class BiasController:
     params: PaParams
     table: BandTable
     window_s: float = WINDOW_S
-    mode: Mode = Mode.LINEAR
+    mode: Mode = field(default=Mode.LINEAR, init=False)
     _pending_mode: Optional[Mode] = field(default=None, init=False, repr=False)
     _pending_count: int = field(default=0, init=False, repr=False)
 

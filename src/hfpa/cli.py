@@ -239,8 +239,6 @@ def _read_scenario(path) -> List[tuple]:
         if len(parts) != 4:
             raise ValueError(f"{where}: expected 't_s kind band setpoint_W'")
         t_s, setpoint = number(parts[0], where), number(parts[3], where)
-        if not (math.isfinite(t_s) and math.isfinite(setpoint)):
-            raise ValueError(f"{where}: t_s and setpoint_W must be finite")
         kind, band = parts[1].lower(), parts[2]
         if kind not in _KINDS:
             raise ValueError(f"{where}: unknown kind {kind!r}")

@@ -227,21 +227,21 @@ def joined(parts):
     return parts[0] if len(parts) == 1 else parts[0] + parts[1]
 
 
-def rapp(u, a_sat, smooth, out=None):
+def rapp(u, a_sat, smooth, out):
     """Rapp soft limiter ``u / (1 + (u/a_sat)^(2s))^(1/(2s))``, ``s = smooth``.
+
+    The model's AM/AM law on ``u = g*a_in``: monotone, slope at most ``g``
+    in ``a_in``, and below ``a_sat`` up to rounding (in deep saturation,
+    within about ``ln(u/a_sat)/2`` ulp of it on either side).
 
     ``u`` is the linearly amplified envelope, ``>= 0`` and possibly ``inf``.
     A denominator past the float range gives ``a_sat`` (the module
     docstring): one pass, in a scope of its own that ignores the overflow
     and the ``inf/inf`` at ``u = inf``, then ``a_sat`` copied over each
-    ``inf`` denominator's sample. An ``out`` array of ``u``'s shape (not
-    ``u`` itself) receives the result and holds the denominator on the way;
-    without one, a fresh array does, so a 0-d ``u`` gives a 0-d array with
-    a one-lane array's bits.
+    ``inf`` denominator's sample. The ``out`` array of ``u``'s shape (not
+    ``u`` itself) receives the result and holds the denominator on the way.
     """
     s2 = 2.0 * smooth
-    if out is None:
-        out = np.empty(np.shape(u))
     with np.errstate(over="ignore", invalid="ignore"):
         den = np.divide(u, a_sat, out)
         den **= s2

@@ -359,17 +359,16 @@ DRIVE_MAX_ITER = 60
 DRIVE_PREDICT_MARGIN = 1e-9
 
 
-def _cw_pout_law(bias: BiasPoint, params: PaParams,
-                 band: Optional[str] = None
+def _cw_pout_law(bias: BiasPoint, params: PaParams
                  ) -> Tuple[float, Callable[[float], float]]:
     """The drive ceiling ``10*a_sat/g`` and the scalar CW output power
-    ``a -> fundamental_pout(am_am(a), idq, rload)``, both from one
-    ``gain_and_swing`` call.
+    ``a -> fundamental_pout(rapp(g*a, a_sat, s), idq, rload)``, both from
+    one ``gain_and_swing`` call.
 
-    The law is ``am_am``'s in ``math`` arithmetic (``pamodel._rapp_scalar``).
-    It filters decisions only: its value never reaches an output.
+    The limiter is ``pamodel._rapp_scalar``, ``kernels.rapp`` in ``math``
+    arithmetic. It filters decisions only: its value never reaches an output.
     """
-    g, a_sat = gain_and_swing(bias, params, band)
+    g, a_sat = gain_and_swing(bias, params)
     smooth, idq, rload = params.smoothness, bias.idq, params.rload
 
     def pout(a: float) -> float:
@@ -378,17 +377,17 @@ def _cw_pout_law(bias: BiasPoint, params: PaParams,
     return 10.0 * a_sat / g, pout
 
 
-def _capped_law(target_pout_w: float, bias: BiasPoint, params: PaParams,
-                band: Optional[str]) -> Tuple[float, Callable[[float], float]]:
+def _capped_law(target_pout_w: float, bias: BiasPoint, params: PaParams
+                ) -> Tuple[float, Callable[[float], float]]:
     """``drive_cap``'s ceiling and the scalar CW law that decided it;
     ``drive_for_pout`` bisects with the same law."""
     if not (math.isfinite(target_pout_w) and target_pout_w > 0):
         raise ValueError(
             f"target power must be finite and > 0, got {target_pout_w}")
-    hi, predict = _cw_pout_law(bias, params, band)
+    hi, predict = _cw_pout_law(bias, params)
     pred = predict(hi)
     if pred - target_pout_w <= DRIVE_PREDICT_MARGIN * pred:
-        p_hi = simulate_cw(hi, bias, params, band).pout_w
+        p_hi = simulate_cw(hi, bias, params).pout_w
         if p_hi < target_pout_w:
             raise TargetUnreachable(
                 f"saturated output {p_hi:.1f} W below target "
@@ -396,8 +395,8 @@ def _capped_law(target_pout_w: float, bias: BiasPoint, params: PaParams,
     return hi, predict
 
 
-def drive_cap(target_pout_w: float, bias: BiasPoint, params: PaParams,
-              band: Optional[str] = None) -> float:
+def drive_cap(target_pout_w: float, bias: BiasPoint,
+              params: PaParams) -> float:
     """Drive ceiling ``hi = 10*a_sat/g``, once the target is known to be
     reachable there.
 
@@ -409,11 +408,11 @@ def drive_cap(target_pout_w: float, bias: BiasPoint, params: PaParams,
     of the target. The scalar value decides only; it never reaches an output.
     A target that is not finite and > 0 raises ValueError.
     """
-    return _capped_law(target_pout_w, bias, params, band)[0]
+    return _capped_law(target_pout_w, bias, params)[0]
 
 
-def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
-                   band: Optional[str] = None) -> float:
+def drive_for_pout(target_pout_w: float, bias: BiasPoint,
+                   params: PaParams) -> float:
     """CW input level that produces the target output power.
 
     Bisection (``pamodel.bisect``) on ``[0, drive_cap]`` to within
@@ -423,9 +422,9 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
     maximum, from ``simulate_cw`` at the ceiling).
 
     Each decision is a filtered predicate (Shewchuk 1997) on the scalar CW
-    law ``pred = fundamental_pout(am_am(a), idq, rload)``, whose estimate
-    lies within ``DRIVE_PREDICT_MARGIN * pred`` of ``simulate_cw``'s power.
-    A 64-sample ``simulate_cw`` block runs only:
+    law ``pred = fundamental_pout(rapp(g*a, a_sat, s), idq, rload)``, whose
+    estimate lies within ``DRIVE_PREDICT_MARGIN * pred`` of ``simulate_cw``'s
+    power. A 64-sample ``simulate_cw`` block runs only:
 
     * in ``drive_cap``, when the ceiling's predicted power lies within the
       margin of the target, or the target is unreachable;
@@ -440,7 +439,7 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
     bisection on ``simulate_cw`` alone; the scalar value never reaches an
     output.
     """
-    hi, predict = _capped_law(target_pout_w, bias, params, band)
+    hi, predict = _capped_law(target_pout_w, bias, params)
     tol = DRIVE_REL_TOL * target_pout_w
 
     def excess(a: float) -> float:
@@ -448,19 +447,19 @@ def drive_for_pout(target_pout_w: float, bias: BiasPoint, params: PaParams,
         est = pred - target_pout_w
         if abs(abs(est) - tol) > DRIVE_PREDICT_MARGIN * pred:
             return est
-        return simulate_cw(a, bias, params, band).pout_w - target_pout_w
+        return simulate_cw(a, bias, params).pout_w - target_pout_w
 
     level = bisect(excess, 0.0, hi, tol=tol, max_iter=DRIVE_MAX_ITER)
     if level is None:
         raise TargetUnreachable(
             f"bisection failed to reach {target_pout_w} W within "
             f"{DRIVE_MAX_ITER} steps",
-            max_pout_w=simulate_cw(hi, bias, params, band).pout_w)
+            max_pout_w=simulate_cw(hi, bias, params).pout_w)
     return level
 
 
 def sweep_bias(vdd_list: Sequence[float], idq: float, target_pout_w: float,
-               params: PaParams, band: Optional[str] = None) -> List[MeasRow]:
+               params: PaParams) -> List[MeasRow]:
     """CW drive each supply voltage to the target power and record a row.
 
     A zero-watt target records quiescent-only dissipation with gain and
@@ -470,16 +469,16 @@ def sweep_bias(vdd_list: Sequence[float], idq: float, target_pout_w: float,
     for vdd in vdd_list:
         bias = BiasPoint(vdd=vdd, idq=idq)
         if target_pout_w == 0.0:
-            stats = simulate_cw(0.0, bias, params, band)
-            rows.append(MeasRow(vdd_v=vdd, idq_a=idq, band=band, pout_w=0.0,
+            stats = simulate_cw(0.0, bias, params)
+            rows.append(MeasRow(vdd_v=vdd, idq_a=idq, pout_w=0.0,
                                 gain_db=None, eff_pct=None,
                                 pdiss_w=stats.pdiss_w))
             continue
-        level = drive_for_pout(target_pout_w, bias, params, band)
-        stats = simulate_cw(level, bias, params, band)
-        rows.append(MeasRow(vdd_v=vdd, idq_a=idq, band=band,
-                            pout_w=stats.pout_w, gain_db=stats.gain_db,
-                            eff_pct=100.0 * stats.eff, pdiss_w=stats.pdiss_w))
+        level = drive_for_pout(target_pout_w, bias, params)
+        stats = simulate_cw(level, bias, params)
+        rows.append(MeasRow(vdd_v=vdd, idq_a=idq, pout_w=stats.pout_w,
+                            gain_db=stats.gain_db, eff_pct=100.0 * stats.eff,
+                            pdiss_w=stats.pdiss_w))
     return rows
 
 

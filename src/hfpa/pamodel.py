@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import kernels
 from .bands import BANDS, UnknownBand
 from .signalgen import IqBlock
@@ -279,27 +277,8 @@ def gain_and_swing(bias: BiasPoint, params: PaParams,
     return 10.0 ** (gain_db / 20.0), saturated_swing(bias, params)
 
 
-def am_am(a_in, bias: BiasPoint, params: PaParams, band: Optional[str] = None):
-    """Envelope transfer: the Rapp limiter ``kernels.rapp`` applied to g*a_in.
-
-    Monotone nondecreasing, slope bounded by g, and a_out < a_sat, the
-    last only to rounding: in deep saturation the rounded exponent 1/(2s)
-    leaves a_out within about ln(u/a_sat)/2 ulp of a_sat on either side.
-    A denominator past the float range gives a_sat, the one saturation rule
-    of every form of the law. Accepts scalars or arrays; every level must
-    be finite and >= 0. A scalar level takes a one-lane array's bits.
-    """
-    a = np.asarray(a_in, dtype=np.float64)
-    if not np.all(np.isfinite(a) & (a >= 0)):
-        raise ValueError("a_in must be finite and >= 0")
-    g, a_sat = gain_and_swing(bias, params, band)
-    with np.errstate(over="ignore"):  # g*a past the float range saturates
-        out = kernels.rapp(g * a, a_sat, params.smoothness)
-    return float(out) if np.isscalar(a_in) else out
-
-
-def compression_level(bias: BiasPoint, params: PaParams, depth_db: float,
-                      band: Optional[str] = None) -> float:
+def compression_level(bias: BiasPoint, params: PaParams,
+                      depth_db: float) -> float:
     """Input envelope level at which CW gain sits depth_db below small-signal.
 
     The exact inverse of the Rapp law (Rapp 1991):
@@ -308,7 +287,7 @@ def compression_level(bias: BiasPoint, params: PaParams, depth_db: float,
     """
     if not depth_db > 0:
         raise ValueError(f"depth must be > 0 dB, got {depth_db}")
-    g, a_sat = gain_and_swing(bias, params, band)
+    g, a_sat = gain_and_swing(bias, params)
     s2 = 2.0 * params.smoothness
     try:
         excess = math.expm1(s2 * depth_db / 20.0 * math.log(10.0))

@@ -359,21 +359,21 @@ def serve(host: str, port: int, slew_v_per_s: float = SLEW_V_PER_S,
 def _recv_exact(conn: socket.socket, count: int):
     """``count`` bytes from ``conn``, or None when the peer closes first.
 
-    The socket's timeout bounds the whole read, not each ``recv``: each
-    ``recv`` waits only for what is left of it, TimeoutError ends the read
-    once it has passed, and the socket keeps its timeout afterwards.
+    The socket's timeout, which every caller sets, bounds the whole read,
+    not each ``recv``: each ``recv`` waits only for what is left of it,
+    TimeoutError ends the read once it has passed, and the socket keeps its
+    timeout afterwards.
     """
     timeout = conn.gettimeout()
-    deadline = None if timeout is None else time.monotonic() + timeout
+    deadline = time.monotonic() + timeout
     buf = b""
     try:
         while len(buf) < count:
-            if deadline is not None:
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    raise TimeoutError(
-                        f"{len(buf)} of {count} bytes within {timeout} s")
-                conn.settimeout(left)
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(
+                    f"{len(buf)} of {count} bytes within {timeout} s")
+            conn.settimeout(left)
             chunk = conn.recv(count - len(buf))
             if not chunk:
                 return None

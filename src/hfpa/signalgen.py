@@ -66,10 +66,6 @@ class IqBlock:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def _pn9() -> np.ndarray:
     """One period of PN9 (x^9 + x^5 + 1, seed 0x1FF), read-only."""

@@ -2,8 +2,8 @@
 spec, the supply window, the reference bias and the classification window,
 and the line rule of the three input files (params config, anchor CSV,
 scenario): ``records`` yields a file's lines without blanks and ``#``
-comments, each with its ``path:lineno``, and ``number`` parses one field or
-names it in a ``bad number`` error at that place."""
+comments, each with its ``path:lineno``, and ``number`` parses one finite
+field or names it in a ``bad number`` error at that place."""
 from __future__ import annotations
 
 import enum
@@ -34,11 +34,16 @@ def records(path) -> Iterator[Tuple[str, str]]:
 
 
 def number(text: str, where: str) -> float:
-    """``float(text)``, or ValueError ``f"{where}: bad number {text!r}"``."""
+    """``float(text)`` when that is finite, else ValueError
+    ``f"{where}: bad number {text!r}"``: ``nan``, ``inf`` and values past
+    the float range are bad numbers, as non-numbers are."""
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ValueError(f"{where}: bad number {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: bad number {text!r}")
+    return value
 
 
 class InvalidSpec(ValueError):

@@ -85,7 +85,7 @@ class TestClassify:
         # window's count is rounded the same way, so it is the block's
         blk = generate(WaveformSpec(kind=Kind.AM, duration_s=WINDOW), rate)
         assert len(blk) == max(1, round(WINDOW * rate))
-        assert blk.duration_s <= WINDOW
+        assert len(blk) / blk.sample_rate <= WINDOW
         assert classify_envelope(blk, WINDOW).kind is EnvKind.VARYING
 
     @pytest.mark.parametrize("duration", [0.0123454, WINDOW, 1.0 / FS])
@@ -514,8 +514,10 @@ class TestControllerHysteresis:
             BiasController(params=PaParams(g0=40.0),
                            table=default_band_table(), window_s=window)
 
+    # nor is the mode: every controller starts linear
     @pytest.mark.parametrize("private", [{"_pending_mode": Mode.COMPRESSION},
-                                         {"_pending_count": 2}])
+                                         {"_pending_count": 2},
+                                         {"mode": Mode.COMPRESSION}])
     def test_pending_state_is_not_a_constructor_argument(self, private):
         with pytest.raises(TypeError):
             BiasController(params=PaParams(g0=40.0),
@@ -523,7 +525,8 @@ class TestControllerHysteresis:
 
     def test_one_swing_solve_per_setpoint(self, fitted_params):
         ctl = BiasController(params=fitted_params, table=default_band_table(),
-                             window_s=WINDOW, mode=Mode.COMPRESSION)
+                             window_s=WINDOW)
+        ctl.mode = Mode.COMPRESSION
         cw = block_of(Kind.CW)
         pamodel.swing_for_pout.cache_clear()
         for _ in range(20):

@@ -122,8 +122,10 @@ def test_sweep_bias_rejects_a_ripple_for_an_unknown_band(tmp_path,
     ("# fitted\n\ng0 = 40\nrload = x\n", ":4: bad number 'x'"),
     ("rload = 0.4\n", ": missing required key 'g0'"),
     ("g0 = 40\nrload = -1\n", ": rload must be > 0, got -1.0"),
+    ("g0 = 40\nkv = 1e309\n", ":2: bad number '1e309'"),
+    ("g0 = 40\nripple.40M = nan\n", ":2: bad number 'nan'"),
 ], ids=["no-equals", "bad-number", "bad-number-after-comments", "no-g0",
-        "negative-rload"])
+        "negative-rload", "past-the-float-range", "nan-ripple"])
 def test_a_bad_params_file_is_named_in_its_error(tmp_path, capsys, text,
                                                  message):
     params = tmp_path / "p.cfg"
@@ -274,7 +276,9 @@ def test_scenario_rejects_non_finite_fields(tmp_path, params_file, capsys, line)
     rc = main(["run-controller", "--scenario", str(bad),
                "--params", params_file, "--out", str(out)])
     assert rc == 1
-    assert f"{bad}:2:" in capsys.readouterr().err
+    field = next(f for f in line.split() if f in ("nan", "inf"))
+    assert capsys.readouterr().err == (
+        f"error: {bad}:2: bad number '{field}'\n")
     assert not out.exists()
 
 
@@ -302,7 +306,7 @@ def test_scenario_rejects_a_malformed_file(tmp_path, params_file, capsys,
 
 @pytest.mark.parametrize("row, message", [
     ("58,32,60,0,0", "pout_w must be > 0"),
-    ("58,32,60,nan,0", "pout_w must be finite"),
+    ("58,32,60,nan,0", "bad number 'nan'"),
     ("58,32,60,1000,-5", "pdiss_w must be >= 0"),
     ("58,32,60", "expected 5 fields"),
     ("58,x,60,1000,0", "bad number 'x'"),

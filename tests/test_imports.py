@@ -3,8 +3,10 @@ CLI parse load no numpy; a subcommand imports the modules it runs.
 
 Each case is one fresh interpreter that prints, at exit, whether ``numpy``
 is in ``sys.modules``: a count of modules, not a wall time, so it holds on
-any host."""
+any host. A static check beside them keeps code that no program path
+uses from coming back."""
 import argparse
+import ast
 import importlib
 import os
 import subprocess
@@ -125,3 +127,47 @@ def test_each_spec_name_has_one_definition(module, names):
     mod = importlib.import_module(f"hfpa.{module}")
     for name in names:
         assert getattr(mod, name) is getattr(spec, name), name
+
+
+#: What counts as the program: the package, the tools, the benchmark's
+#: non-test modules and the acceptance gate. Unit tests do not count.
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAM = sorted([*ROOT.glob("src/hfpa/*.py"), *ROOT.glob("tools/*.py"),
+                  *(p for p in ROOT.glob("perfbench/*.py")
+                    if not p.name.startswith("test_")),
+                  ROOT / "tests" / "test_acceptance.py"])
+
+
+def top_level_names(tree):
+    """Each top-level ``def``, ``class`` and assigned name of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                yield from (leaf.id for leaf in ast.walk(target)
+                            if isinstance(leaf, ast.Name))
+
+
+def references(tree):
+    """Each name a module loads, reads as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_package_name_has_a_program_reference():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PROGRAM}
+    used = {name for tree in trees.values() for name in references(tree)}
+    unused = [f"{path.stem}.{name}" for path, tree in trees.items()
+              if path.parent.name == "hfpa"
+              for name in top_level_names(tree)
+              if not name.startswith("__") and name not in used]
+    assert unused == []

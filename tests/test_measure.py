@@ -21,11 +21,11 @@ from hfpa.measure import (CSV_HEADER, MeasRow, TargetUnreachable,
                           TonesUnresolvable, UnknownBand, drive_for_pout,
                           flattop, freq_response, measure_imd, simulate_cw,
                           sweep_bias, write_csv, write_rows_csv)
-from hfpa.pamodel import (BiasPoint, PaParams, am_am, bisect,
-                          compression_level, fundamental_pout, gain_and_swing,
-                          saturated_swing, simulate, small_signal_gain_db)
+from hfpa.pamodel import (BiasPoint, PaParams, bisect, fundamental_pout,
+                          gain_and_swing, saturated_swing, simulate,
+                          small_signal_gain_db)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
-from test_pamodel import bias_st, cw_gain_db, params_st, traced_peak
+from test_pamodel import am_am, bias_st, cw_gain_db, params_st, traced_peak
 from test_signalgen import ORACLE_LENGTHS
 
 FS = 1.0e6
@@ -604,9 +604,9 @@ def test_drive_for_pout_rejects_non_finite_target(monkeypatch, target):
     assert calls == []
 
 
-def drive_ceiling(bias, params, band=None):
+def drive_ceiling(bias, params):
     """The drive solve's ceiling ``10*a_sat/g``, as ``drive_for_pout`` forms it."""
-    g, a_sat = gain_and_swing(bias, params, band)
+    g, a_sat = gain_and_swing(bias, params)
     return 10.0 * a_sat / g
 
 
@@ -621,17 +621,17 @@ def test_drive_cap_rejects_a_target_that_is_not_finite_and_positive(
     assert calls == []
 
 
-def exact_drive_for_pout(target, bias, params, band=None):
+def exact_drive_for_pout(target, bias, params):
     """``drive_for_pout`` with the saturation test and every bisection step
     on ``simulate_cw``."""
-    hi = drive_ceiling(bias, params, band)
-    p_hi = simulate_cw(hi, bias, params, band).pout_w
+    hi = drive_ceiling(bias, params)
+    p_hi = simulate_cw(hi, bias, params).pout_w
     if p_hi < target:
         raise TargetUnreachable(
             f"saturated output {p_hi:.1f} W below target {target:.1f} W "
             f"at vdd {bias.vdd} V", max_pout_w=p_hi)
     level = bisect(
-        lambda a: simulate_cw(a, bias, params, band).pout_w - target,
+        lambda a: simulate_cw(a, bias, params).pout_w - target,
         0.0, hi, tol=measure.DRIVE_REL_TOL * target,
         max_iter=measure.DRIVE_MAX_ITER)
     if level is None:
@@ -641,16 +641,16 @@ def exact_drive_for_pout(target, bias, params, band=None):
     return level
 
 
-def solve_outcome(solve, target, bias, params, band):
+def solve_outcome(solve, target, bias, params):
     """The solve's result as bits, or its exception's type, text and bits."""
     try:
-        return float.hex(solve(target, bias, params, band))
+        return float.hex(solve(target, bias, params))
     except TargetUnreachable as exc:
         return type(exc), str(exc), exc.max_pout_w.hex()
 
 
-def saturation_drive(bias, params, band):
-    g = 10.0 ** (small_signal_gain_db(bias, params, band) / 20.0)
+def saturation_drive(bias, params):
+    g = 10.0 ** (small_signal_gain_db(bias, params) / 20.0)
     return saturated_swing(bias, params) / g
 
 
@@ -666,8 +666,8 @@ target_st = st.one_of(
 
 
 @settings(deadline=None, max_examples=200)
-@given(params_st, bias_st, st.sampled_from([None, "40M"]), target_st)
-def test_certified_drive_solve_matches_exact_bisection(params, bias, band, tgt):
+@given(params_st, bias_st, target_st)
+def test_certified_drive_solve_matches_exact_bisection(params, bias, tgt):
     kind, x = tgt
     if kind == "watts":
         target = math.exp(x)
@@ -675,18 +675,17 @@ def test_certified_drive_solve_matches_exact_bisection(params, bias, band, tgt):
         onset = bias.idq * params.rload
         target = fundamental_pout(onset * (1.0 + x), bias.idq, params.rload)
     else:
-        cap = simulate_cw(drive_ceiling(bias, params, band),
-                          bias, params, band).pout_w
+        cap = simulate_cw(drive_ceiling(bias, params), bias, params).pout_w
         target = cap * (1.0 - x) if kind == "deep" else cap * (1.0 + x)
-    assert (solve_outcome(drive_for_pout, target, bias, params, band)
-            == solve_outcome(exact_drive_for_pout, target, bias, params, band))
+    assert (solve_outcome(drive_for_pout, target, bias, params)
+            == solve_outcome(exact_drive_for_pout, target, bias, params))
 
 
-def onset_drive(bias, params, band, delta):
+def onset_drive(bias, params, delta):
     """The drive whose output swing is ``1 + delta`` times the clipping onset
     ``idq*rload``, through the exact Rapp inverse; only onsets below
     ``a_sat`` are reachable."""
-    g, a_sat = gain_and_swing(bias, params, band)
+    g, a_sat = gain_and_swing(bias, params)
     r = bias.idq * params.rload * (1.0 + delta) / a_sat
     assume(0.0 < r < 1.0)
     s2 = 2.0 * params.smoothness
@@ -702,22 +701,22 @@ drive_st = st.one_of(
 
 
 @settings(deadline=None)
-@given(params_st, bias_st, st.sampled_from([None, "40M"]), drive_st)
-def test_scalar_cw_law_is_within_the_margin(params, bias, band, drive):
+@given(params_st, bias_st, drive_st)
+def test_scalar_cw_law_is_within_the_margin(params, bias, drive):
     # a thousandth of the margin: the certified solve's error bound holds
-    # with room to spare, for am_am's numpy law and the math law alike
+    # with room to spare, for kernels.rapp's numpy law and the math law alike
     kind, x = drive
     if kind == "ceiling":
-        a = drive_ceiling(bias, params, band)
+        a = drive_ceiling(bias, params)
     elif kind == "onset":
-        a = onset_drive(bias, params, band, x)
+        a = onset_drive(bias, params, x)
     else:
-        a = x * saturation_drive(bias, params, band)
-    exact = simulate_cw(a, bias, params, band).pout_w
+        a = x * saturation_drive(bias, params)
+    exact = simulate_cw(a, bias, params).pout_w
     bound = 1e-3 * measure.DRIVE_PREDICT_MARGIN
-    for pred in (fundamental_pout(am_am(a, bias, params, band), bias.idq,
+    for pred in (fundamental_pout(am_am([a], bias, params)[0], bias.idq,
                                   params.rload),
-                 measure._cw_pout_law(bias, params, band)[1](a)):
+                 measure._cw_pout_law(bias, params)[1](a)):
         assert abs(pred - exact) <= bound * pred
 
 
@@ -739,12 +738,12 @@ class TestCertifiedFallback:
     def test_all_exact_steps_give_the_same_results(self, monkeypatch,
                                                    fitted_params):
         targets = (1e-3, 0.5, 100.0, 750.0, 1000.0, 1300.0, 5000.0)
-        want = [solve_outcome(drive_for_pout, t, self.BIAS, fitted_params,
-                              None) for t in targets]
+        want = [solve_outcome(drive_for_pout, t, self.BIAS, fitted_params)
+                for t in targets]
         calls = count_simulate_cw(monkeypatch)
         monkeypatch.setattr(measure, "DRIVE_PREDICT_MARGIN", math.inf)
-        got = [solve_outcome(drive_for_pout, t, self.BIAS, fitted_params,
-                             None) for t in targets]
+        got = [solve_outcome(drive_for_pout, t, self.BIAS, fitted_params)
+               for t in targets]
         assert got == want
         assert len(calls) > 3 * len(targets)  # every step ran the block
 
@@ -762,12 +761,11 @@ class TestCertifiedFallback:
         pred = measure._cw_pout_law(self.BIAS, fitted_params)[1](mid)
         target = pred / (1.0 + measure.DRIVE_REL_TOL)
         calls = count_simulate_cw(monkeypatch)
-        got = solve_outcome(drive_for_pout, target, self.BIAS, fitted_params,
-                            None)
+        got = solve_outcome(drive_for_pout, target, self.BIAS, fitted_params)
         assert mid in calls
         monkeypatch.undo()
         assert got == solve_outcome(exact_drive_for_pout, target, self.BIAS,
-                                    fitted_params, None)
+                                    fitted_params)
 
     def test_a_cap_on_the_margin_edge_runs_the_block(self, monkeypatch,
                                                      fitted_params):
@@ -789,10 +787,9 @@ class TestCertifiedFallback:
         assert calls == []
         monkeypatch.undo()
         for t in (target, below):
-            assert (solve_outcome(drive_for_pout, t, self.BIAS, fitted_params,
-                                  None)
+            assert (solve_outcome(drive_for_pout, t, self.BIAS, fitted_params)
                     == solve_outcome(exact_drive_for_pout, t, self.BIAS,
-                                     fitted_params, None))
+                                     fitted_params))
 
     def test_an_unreachable_target_is_one_block_evaluation(self, monkeypatch,
                                                            fitted_params):
@@ -854,22 +851,16 @@ BAND_PARAMS = PaParams(g0=40.0, rload=0.4, ripple={"40M": 3.0})
 
 #: Every public call that takes a band, as a function of the band.
 BAND_CALLS = {
+    "ripple_db": BAND_PARAMS.ripple_db,
+    "small_signal_gain_db": lambda b: small_signal_gain_db(BAND_BIAS,
+                                                           BAND_PARAMS, b),
     "gain_and_swing": lambda b: gain_and_swing(BAND_BIAS, BAND_PARAMS, b),
     "simulate": lambda b: simulate(
         IqBlock(np.full(64, 0.01, np.complex128), 1e6), BAND_BIAS,
         BAND_PARAMS, b),
-    "am_am": lambda b: am_am(0.01, BAND_BIAS, BAND_PARAMS, b),
-    "compression_level": lambda b: compression_level(BAND_BIAS, BAND_PARAMS,
-                                                     1.0, b),
     "simulate_cw": lambda b: simulate_cw(0.01, BAND_BIAS, BAND_PARAMS, b),
-    "drive_cap": lambda b: measure.drive_cap(100.0, BAND_BIAS, BAND_PARAMS, b),
-    "drive_for_pout": lambda b: drive_for_pout(100.0, BAND_BIAS, BAND_PARAMS,
-                                               b),
-    "sweep_bias": lambda b: sweep_bias([58.0], 2.0, 100.0, BAND_PARAMS, b),
     "freq_response": lambda b: freq_response(["40M", b], 0.01, BAND_BIAS,
                                              BAND_PARAMS),
-    "compression_drive": lambda b: compression_drive(BAND_BIAS, BAND_PARAMS,
-                                                     2.5, b),
     "equalize_gains": lambda b: equalize_gains(BAND_PARAMS, ["40M", b], 30.0,
                                                2.0),
 }

@@ -24,7 +24,6 @@ from .pamodel import (IDQ_MAX, SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint,
                       fundamental_pout, saturated_swing, small_signal_gain_db,
                       swing_for_pout)
 from .signalgen import IqBlock
-from .spec import WINDOW_S
 
 
 class WindowTooShort(ValueError):
@@ -65,9 +64,6 @@ DRAIN_MARGIN = 0.1
 #: Consecutive windows a new classification must persist to switch mode.
 HYSTERESIS_WINDOWS = 3
 
-#: An equalized band whose gain misses the target by more is flagged clamped.
-EQ_TOL_DB = 0.1
-
 
 @dataclass(frozen=True)
 class EnvelopeClass:
@@ -91,8 +87,7 @@ class BandEntry:
     [VDD_MIN, VDD_MAX] (else InvalidBias, as ``BiasPoint`` raises)."""
 
     eq_vdd: float
-    ripple_db: float = 0.0
-    clamped: bool = False
+    ripple_db: float
 
     def __post_init__(self):
         if not (math.isfinite(self.eq_vdd) and VDD_MIN <= self.eq_vdd <= VDD_MAX):
@@ -149,8 +144,7 @@ def _check_window(window_s: float) -> None:
         raise ValueError(f"window_s must be finite and > 0, got {window_s}")
 
 
-def classify_envelope(block: IqBlock,
-                      window_s: float = WINDOW_S) -> EnvelopeClass:
+def classify_envelope(block: IqBlock, window_s: float) -> EnvelopeClass:
     """Constant/varying verdict from envelope ripple and PAPR.
 
     ripple_ratio = (p99 - p1)/median of the envelope over the window;
@@ -171,7 +165,8 @@ def classify_envelope(block: IqBlock,
     span = window_s * block.sample_rate  # inf past the float range
     n = max(1, round(span)) if span < math.inf else math.inf
     if len(block) < n:
-        raise WindowTooShort(f"block spans {len(block)} < {n} window samples")
+        raise WindowTooShort(f"block spans {len(block)} < {n:.15g} window "
+                             f"samples ({window_s:g} s)")
     samples = block.samples[:n]
     env, ordered = kernels.workspace(n)[:2]
     np.abs(samples, env)
@@ -222,7 +217,7 @@ GATE_STEP_COMPRESSION = gate_step_for(IDQ_COMPRESSION)
 _FULL_SUPPLY_COMPRESSION = BiasPoint(vdd=VDD_MAX, idq=IDQ_COMPRESSION)
 
 
-def track_drain(peak_envelope_v: float, vknee: float = 0.0) -> float:
+def track_drain(peak_envelope_v: float, vknee: float) -> float:
     """Drain voltage just above the output envelope.
 
     ``peak*(1 + DRAIN_MARGIN) + vknee``, clamped into [VDD_MIN, VDD_MAX].
@@ -294,7 +289,7 @@ def decide_bias(cls: EnvelopeClass, power_setpoint_w: float, band: str,
 
 
 def compression_drive(bias: BiasPoint, params: PaParams,
-                      depth_db: float = 2.5) -> float:
+                      depth_db: float) -> float:
     """Input level that puts the stage depth_db into gain compression.
 
     The one compression query: depth in dB below small-signal gain (1.0
@@ -314,9 +309,8 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
 
     The gain law plus the band's ripple is linear in vdd, so the voltage is
     solved directly within [VDD_MIN, VDD_MAX]; a band whose target lies
-    outside the reachable range is pinned at the nearer endpoint, and
-    flagged when it misses the target by more than EQ_TOL_DB. The target
-    must be finite.
+    outside the reachable range is pinned at the nearer endpoint. The
+    target must be finite.
     """
     if not math.isfinite(target_gain_db):
         raise ValueError(f"target gain must be finite, got {target_gain_db}")
@@ -333,12 +327,10 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
             g_lo, g_hi = g_hi, g_lo
             lo_v, hi_v = VDD_MAX, VDD_MIN
         if target_gain_db <= g_lo:
-            table[band] = BandEntry(lo_v, ripple,
-                                    clamped=abs(g_lo - target_gain_db) > EQ_TOL_DB)
+            table[band] = BandEntry(lo_v, ripple)
             continue
         if target_gain_db >= g_hi:
-            table[band] = BandEntry(hi_v, ripple,
-                                    clamped=abs(g_hi - target_gain_db) > EQ_TOL_DB)
+            table[band] = BandEntry(hi_v, ripple)
             continue
         vdd = VDD_MAX + (target_gain_db - gain_at(VDD_MAX)) / params.kv
         table[band] = BandEntry(min(max(vdd, VDD_MIN), VDD_MAX), ripple)
@@ -357,7 +349,7 @@ class BiasController:
 
     params: PaParams
     table: BandTable
-    window_s: float = WINDOW_S
+    window_s: float
     mode: Mode = field(default=Mode.LINEAR, init=False)
     _pending_mode: Optional[Mode] = field(default=None, init=False, repr=False)
     _pending_count: int = field(default=0, init=False, repr=False)

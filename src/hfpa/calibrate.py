@@ -75,11 +75,11 @@ class FitReport:
 
 
 def _sweep(a: AnchorRow, params: PaParams,
-           rows: Optional[dict] = None) -> Union[MeasRow, float]:
+           rows: Optional[dict]) -> Union[MeasRow, float]:
     """``a``'s row swept under ``params``, or the ``max_pout_w`` of the
     TargetUnreachable that the sweep raised.
 
-    ``rows``, when given, holds the outcomes already swept, keyed by the
+    ``rows``, when not None, holds the outcomes already swept, keyed by the
     anchor's vdd and power and the nine scalar params; a repeated key is
     not swept again.
     """
@@ -174,7 +174,7 @@ def _vec_to_params(v: Sequence[float], template: PaParams) -> PaParams:
 
 
 def fit(anchors: Sequence[AnchorRow], init: PaParams,
-        budget: int = 3000) -> FitReport:
+        budget: int) -> FitReport:
     """Bounded Nelder-Mead descent from ``init``.
 
     Deterministic: fixed reflection/expansion/contraction/shrink coefficients
@@ -345,6 +345,9 @@ def _gain_lstsq(anchors: Sequence[AnchorRow], vec: List[float],
     for a in anchors:
         row = _sweep(a, params, rows)
         if not isinstance(row, MeasRow):
+            # reachable: the drive ceiling 10*a_sat/g caps the swing at
+            # 10/(1 + 10^(2s))^(1/(2s)) of a_sat (0.999975 at s = 2, within
+            # 2e-7 of a_sat from s = 3); a pre-solve may need any swing < a_sat
             return None
         measured.append(row.gain_db)
     # measured gain = g0_db + kv*(vdd - VDD_REF) + compression(vdd); solve
@@ -357,7 +360,7 @@ def _gain_lstsq(anchors: Sequence[AnchorRow], vec: List[float],
     return _clamp_vec([float(sol[0]), float(sol[1]), *vec[2:]])
 
 
-def default_init(anchors: Sequence[AnchorRow] = REFERENCE_ANCHORS) -> PaParams:
+def default_init(anchors: Sequence[AnchorRow]) -> PaParams:
     """Documented default starting point for ``fit``.
 
     Base values: g0 at 30 dB, kv = ki = 0, vknee 4 V, smoothness 2, no

@@ -27,7 +27,8 @@ class TonesUnresolvable(ValueError):
 
 
 class TargetUnreachable(ValueError):
-    """Output power saturates below the requested target."""
+    """Output power saturates below the requested target. ``max_pout_w``
+    has a default: pickle and ``copy`` rebuild from ``args``, the message."""
 
     def __init__(self, message: str, max_pout_w: float = 0.0):
         super().__init__(message)

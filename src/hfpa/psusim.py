@@ -319,8 +319,8 @@ class PsuSim:
 
 # --- socket transport (CLI) ---------------------------------------------------
 
-def serve(host: str, port: int, slew_v_per_s: float = SLEW_V_PER_S,
-          max_frames: int | None = None) -> None:
+def serve(host: str, port: int, slew_v_per_s: float,
+          max_frames: int | None) -> None:
     """Serve the supply protocol on a local TCP socket.
 
     Output voltage slews against wall-clock time between frames. Accepts one

@@ -12,7 +12,8 @@ from hfpa.calibrate import (ANCHOR_HEADER, AnchorRow, FitReport,
                             REFERENCE_ANCHORS, default_init, fit, objective,
                             read_anchors_csv, write_report_csv)
 from hfpa.measure import sweep_bias, write_csv
-from hfpa.pamodel import _SCALAR_KEYS, PaParams, swing_for_pout
+from hfpa.pamodel import (_SCALAR_KEYS, IDQ_REF, PaParams, conduction_currents,
+                          fundamental_pout, swing_for_pout)
 from test_tools import cli_artifacts
 
 TRUE_PARAMS = PaParams(g0=39.77, kv=0.39, rload=0.4, vknee=4.1,
@@ -471,6 +472,38 @@ class TestDefaultInit:
         assert default_init(REFERENCE_ANCHORS) == default_init(
             REFERENCE_ANCHORS + REFERENCE_ANCHORS[:1])
 
+    def test_a_candidate_past_the_drive_ceiling_is_skipped(self, monkeypatch):
+        # an equal-power table from the model, shape (beta, p, c) = (3, 8,
+        # 20): at rload 0.30 its 48 V row needs a swing of 0.99999 of a_sat,
+        # past the 10/(1 + 10^4)^(1/4) = 0.999975 that the drive ceiling
+        # 10*a_sat/g allows at smoothness 2; smoothness 3 reaches it
+        rload, vknee = 0.30, 4.0
+        a_out = 0.99999 * (48.0 - vknee)
+        pout = fundamental_pout(a_out, IDQ_REF, rload)
+        _, idc, _ = conduction_currents(IDQ_REF, a_out / rload)
+        anchors = []
+        for vdd, gain in ((58.0, 32.0), (53.0, 30.0), (48.0, 28.0)):
+            rp = (a_out / (vdd - vknee)) ** 8.0
+            pdc = vdd * idc * (1.0 - 3.0 * rp / (1.0 + 20.0 * rp))
+            anchors.append(AnchorRow(vdd, gain, 100.0 * pout / pdc, pout,
+                                     pdc - pout))
+        assert pout == pytest.approx(1641.31, abs=0.01)
+        assert [round(a.eff_pct, 3) for a in anchors] == [67.377, 74.997,
+                                                          83.652]
+        refine, calls = calibrate._gain_lstsq, []
+
+        def recorded(anchors, vec, *args):
+            out = refine(anchors, vec, *args)
+            calls.append((vec[2], vec[4], out is None))
+            return out
+
+        monkeypatch.setattr(calibrate, "_gain_lstsq", recorded)
+        init = default_init(anchors)
+        assert len(calls) == 9
+        assert [(r, s) for r, s, unreachable in calls if unreachable] == [
+            (rload, 2.0)]
+        assert (init.rload, init.smoothness) == (rload, 3.0)
+
 
 #: Tables as the benchmark perturbs the reference one, from fixed seeds. With
 #: the class-A base and unclamped pre-solve candidates, 4 of them started
@@ -493,7 +526,7 @@ class TestStarts:
     def test_every_start_reaches_every_anchor(self, starts):
         for seed, init in starts.items():
             for a in START_TABLES[seed]:
-                row = calibrate._sweep(a, init)
+                row = calibrate._sweep(a, init, None)
                 assert isinstance(row, calibrate.MeasRow), (seed, a.vdd)
 
     @pytest.mark.parametrize("budget", [0, 40, 150])

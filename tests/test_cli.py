@@ -12,11 +12,12 @@ import pytest
 
 from hfpa import psusim
 from hfpa.bands import BANDS
-from hfpa.biasctl import HYSTERESIS_WINDOWS, WINDOW_S
+from hfpa.biasctl import HYSTERESIS_WINDOWS
 from hfpa.cli import build_parser, main
 from hfpa.measure import CSV_HEADER
 from hfpa.pamodel import GAIN_DB_MAX, PaParams, save_params
 from hfpa.signalgen import MAX_SAMPLES
+from hfpa.spec import WINDOW_S
 from test_tools import cli_artifacts
 
 
@@ -478,8 +479,9 @@ def test_module_error_exits_1(tmp_path):
 def test_psu_cli_round_trip(capsys):
     from hfpa.psusim import serve
     host, port = "127.0.0.1", 29252
-    server = threading.Thread(target=serve, args=(host, port),
-                              kwargs={"max_frames": 3}, daemon=True)
+    server = threading.Thread(
+        target=serve, args=(host, port, psusim.SLEW_V_PER_S),
+        kwargs={"max_frames": 3}, daemon=True)
     server.start()
     import time
     deadline = time.time() + 5.0
@@ -521,8 +523,9 @@ def test_psu_set_past_the_u32_field_exits_1_before_connecting(
 def test_psu_set_out_of_range_exits_1(capsys):
     from hfpa.psusim import serve
     host, port = "127.0.0.1", 29253
-    server = threading.Thread(target=serve, args=(host, port),
-                              kwargs={"max_frames": 2}, daemon=True)
+    server = threading.Thread(
+        target=serve, args=(host, port, psusim.SLEW_V_PER_S),
+        kwargs={"max_frames": 2}, daemon=True)
     server.start()
     import time
     deadline = time.time() + 5.0

@@ -90,8 +90,9 @@ def read_when_listening(port, timeout_s):
 def test_psu_set_and_read_leave_numpy_unloaded():
     # an in-process server for three frames: the first READ waits for it
     port = 29254
-    server = threading.Thread(target=psusim.serve, args=("127.0.0.1", port),
-                              kwargs={"max_frames": 3}, daemon=True)
+    server = threading.Thread(
+        target=psusim.serve, args=("127.0.0.1", port, psusim.SLEW_V_PER_S),
+        kwargs={"max_frames": 3}, daemon=True)
     server.start()
     read_when_listening(port, 5.0)
     assert numpy_loaded("psu-set", "--port", str(port),
@@ -119,7 +120,7 @@ def test_psu_sim_leaves_numpy_unloaded():
     ("signalgen", ["Kind", "WaveformSpec", "InvalidSpec", "_check_sample_rate",
                    "_SHAPE_FIELDS", "_shape"]),
     ("pamodel", ["VDD_MIN", "VDD_MAX", "VDD_REF", "IDQ_REF"]),
-    ("biasctl", ["WINDOW_S", "VDD_MIN", "VDD_MAX"]),
+    ("biasctl", ["VDD_MIN", "VDD_MAX"]),
     ("calibrate", ["VDD_REF", "IDQ_REF"]),
     ("psusim", ["VDD_MIN", "VDD_MAX"]),
 ])
@@ -138,9 +139,9 @@ PROGRAM = sorted([*ROOT.glob("src/hfpa/*.py"), *ROOT.glob("tools/*.py"),
                   ROOT / "tests" / "test_acceptance.py"])
 
 
-def top_level_names(tree):
-    """Each top-level ``def``, ``class`` and assigned name of a module."""
-    for node in tree.body:
+def defined_names(body):
+    """Each ``def``, ``class`` and assigned name of a module or class body."""
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -162,12 +163,134 @@ def references(tree):
             yield node.name
 
 
-def test_every_package_name_has_a_program_reference():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in PROGRAM}
+def member_reads(tree):
+    """Each attribute a module loads, and each string constant: the
+    ``getattr`` tables name members as strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def callee(call):
+    """A call's callee name: a ``Name``, or the last ``Attribute``."""
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def calls(tree):
+    """(callee name, positional count, keyword names) of each call of a
+    module; only the positional arguments before a ``*args`` count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            count = next((i for i, arg in enumerate(node.args)
+                          if isinstance(arg, ast.Starred)), len(node.args))
+            yield callee(node), count, {kw.arg for kw in node.keywords}
+
+
+def init_fields(cls):
+    """A dataclass's constructor fields in order: (name, has a default)."""
+    for node in cls.body:
+        if not isinstance(node, ast.AnnAssign):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and callee(value) == "field":
+            kwargs = {kw.arg: kw.value for kw in value.keywords}
+            if "init" not in kwargs or kwargs["init"].value:
+                yield node.target.id, bool(
+                    {"default", "default_factory"} & kwargs.keys())
+        else:
+            yield node.target.id, value is not None
+
+
+def function_defaults(func, dotted, name, self_args):
+    """(dotted name, callee name, parameter, position) of each defaulted
+    parameter of ``func``; a keyword-only one has position None, and
+    ``self_args`` leading parameters are bound, not passed."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield f"{dotted}.{arg.arg}", name, arg.arg, i - self_args
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{dotted}.{arg.arg}", name, arg.arg, None
+
+
+def parameter_defaults(tree, module):
+    """Each default of a module's functions and methods, of its plain
+    classes' ``__init__`` and of its dataclasses' constructor fields; a
+    class is called by its name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from function_defaults(node, f"{module}.{node.name}",
+                                         node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            owner = f"{module}.{node.name}"
+            if any(ast.unparse(d).split("(")[0] == "dataclass"
+                   for d in node.decorator_list):
+                for i, (name, default) in enumerate(init_fields(node)):
+                    if default:
+                        yield f"{owner}.{name}", node.name, name, i
+            for meth in node.body:
+                if isinstance(meth, ast.FunctionDef):
+                    init = meth.name == "__init__"
+                    yield from function_defaults(
+                        meth, owner if init else f"{owner}.{meth.name}",
+                        node.name if init else meth.name, 1)
+
+
+#: Defaults that stay though no program call relies on them, each with
+#: its reason.
+ALLOWED = {
+    "measure.TargetUnreachable.max_pout_w":
+        "pickle and copy rebuild the exception from args, (message,) alone",
+}
+
+
+@pytest.fixture(scope="module")
+def trees():
+    """Each program module's syntax tree, by path."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in PROGRAM}
+
+
+def package(trees):
+    """(module name, syntax tree) of each ``src/hfpa`` module."""
+    return [(path.stem, tree) for path, tree in trees.items()
+            if path.parent.name == "hfpa"]
+
+
+def test_every_package_name_has_a_program_reference(trees):
     used = {name for tree in trees.values() for name in references(tree)}
-    unused = [f"{path.stem}.{name}" for path, tree in trees.items()
-              if path.parent.name == "hfpa"
-              for name in top_level_names(tree)
+    unused = [f"{module}.{name}" for module, tree in package(trees)
+              for name in defined_names(tree.body)
               if not name.startswith("__") and name not in used]
     assert unused == []
+
+
+def test_every_class_member_has_a_program_read(trees):
+    # a field or method of a class: read as an attribute or named by a string
+    read = {name for tree in trees.values() for name in member_reads(tree)}
+    unread = [f"{module}.{cls.name}.{name}" for module, tree in package(trees)
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for name in defined_names(cls.body)
+              if not name.startswith("__") and name not in read]
+    assert unread == []
+
+
+def test_every_default_has_a_program_call_that_relies_on_it(trees):
+    # a call relies on a default that it passes neither by position nor by
+    # keyword; a call matched by name only can hide a finding, not make one
+    passed = {}
+    for tree in trees.values():
+        for name, count, keywords in calls(tree):
+            passed.setdefault(name, []).append((count, keywords))
+    unrelied = [dotted for module, tree in package(trees)
+                for dotted, name, param, pos in parameter_defaults(tree, module)
+                if not any(param not in keywords
+                           and (pos is None or pos >= count)
+                           for count, keywords in passed.get(name, ()))]
+    assert unrelied == list(ALLOWED)

@@ -1,8 +1,10 @@
 """Measurement-harness tests: IMD against the trigonometric oracle, the
 P1dB query, and the bias/band sweeps."""
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import hfpa
 from hfpa import bands, biasctl, kernels, measure
@@ -594,6 +596,17 @@ class TestSweepBias:
             750.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)),
+                                   copy.copy], ids=["pickle", "copy"])
+def test_target_unreachable_survives_pickle_and_copy(clone):
+    # both rebuild the exception from args, (message,) alone, then restore
+    # max_pout_w from its __dict__: the default is what lets them call it
+    back = clone(TargetUnreachable("m", max_pout_w=5.0))
+    assert type(back) is TargetUnreachable
+    assert back.args == ("m",)
+    assert back.max_pout_w == 5.0
+
+
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
 def test_drive_for_pout_rejects_non_finite_target(monkeypatch, target):
     calls = []
@@ -702,9 +715,13 @@ drive_st = st.one_of(
 
 @settings(deadline=None)
 @given(params_st, bias_st, drive_st)
+# a subnormal swing: -idq/ipk overflows, silently on Python floats only
+@example(PaParams(g0=1.0, rload=0.5, vknee=0.0, smoothness=1.0),
+         BiasPoint(vdd=30.0, idq=1.0), ("saturation", 2.225073858507e-311))
 def test_scalar_cw_law_is_within_the_margin(params, bias, drive):
     # a thousandth of the margin: the certified solve's error bound holds
-    # with room to spare, for kernels.rapp's numpy law and the math law alike
+    # with room to spare, for kernels.rapp's numpy law and the math law alike;
+    # the scalar law takes Python floats, as its program callers pass
     kind, x = drive
     if kind == "ceiling":
         a = drive_ceiling(bias, params)
@@ -714,8 +731,8 @@ def test_scalar_cw_law_is_within_the_margin(params, bias, drive):
         a = x * saturation_drive(bias, params)
     exact = simulate_cw(a, bias, params).pout_w
     bound = 1e-3 * measure.DRIVE_PREDICT_MARGIN
-    for pred in (fundamental_pout(am_am([a], bias, params)[0], bias.idq,
-                                  params.rload),
+    for pred in (fundamental_pout(float(am_am([a], bias, params)[0]),
+                                  bias.idq, params.rload),
                  measure._cw_pout_law(bias, params)[1](a)):
         assert abs(pred - exact) <= bound * pred
 

@@ -569,8 +569,9 @@ class TestPsuDynamics:
 class TestSocketTransport:
     def test_set_then_read_over_socket(self):
         host, port = "127.0.0.1", 29151
-        server = threading.Thread(target=serve, args=(host, port),
-                                  kwargs={"max_frames": 2}, daemon=True)
+        server = threading.Thread(
+            target=serve, args=(host, port, psusim.SLEW_V_PER_S),
+            kwargs={"max_frames": 2}, daemon=True)
         server.start()
         import time
         deadline = time.time() + 5.0
@@ -591,8 +592,9 @@ class TestSocketTransport:
     def test_stalled_client_is_dropped(self, monkeypatch):
         monkeypatch.setattr(psusim, "CONN_TIMEOUT_S", 0.2)
         host, port = "127.0.0.1", 29152
-        server = threading.Thread(target=serve, args=(host, port),
-                                  kwargs={"max_frames": 1}, daemon=True)
+        server = threading.Thread(
+            target=serve, args=(host, port, psusim.SLEW_V_PER_S),
+            kwargs={"max_frames": 1}, daemon=True)
         server.start()
         deadline = time.time() + 5.0
         while True:
@@ -620,8 +622,9 @@ class TestSocketTransport:
         # one recv timeout
         monkeypatch.setattr(psusim, "CONN_TIMEOUT_S", 0.2)
         host = "127.0.0.1"
-        server = threading.Thread(target=serve, args=(host, port),
-                                  kwargs={"max_frames": 1}, daemon=True)
+        server = threading.Thread(
+            target=serve, args=(host, port, psusim.SLEW_V_PER_S),
+            kwargs={"max_frames": 1}, daemon=True)
         server.start()
         deadline = time.time() + 5.0
         while True:
@@ -652,8 +655,9 @@ class TestSocketTransport:
         # yet the frame is due whole 1 s after the server waits for it, so
         # the next client's READ is answered within 2 * CONN_TIMEOUT_S
         host, port = "127.0.0.1", 29155
-        server = threading.Thread(target=serve, args=(host, port),
-                                  kwargs={"max_frames": 1}, daemon=True)
+        server = threading.Thread(
+            target=serve, args=(host, port, psusim.SLEW_V_PER_S),
+            kwargs={"max_frames": 1}, daemon=True)
         server.start()
         deadline = time.time() + 5.0
         while True:

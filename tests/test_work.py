@@ -188,7 +188,8 @@ def test_a_warm_controller_window_allocates_no_sample_array(kind):
     # of a length seen before allocates only Python objects. Measured: a
     # tracemalloc peak of 2760 bytes per 10000-sample window of every kind,
     # against 80000 bytes for one float64 row of the window
-    ctl = BiasController(params=PARAMS, table=default_band_table())
+    ctl = BiasController(params=PARAMS, table=default_band_table(),
+                         window_s=0.01)
     block = generate(WaveformSpec(kind=kind, duration_s=0.01), 1e6)
     ctl.process(block, "20M", 500.0)
     tracemalloc.start()

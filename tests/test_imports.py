@@ -3,8 +3,9 @@ CLI parse load no numpy; a subcommand imports the modules it runs.
 
 Each case is one fresh interpreter that prints, at exit, whether ``numpy``
 is in ``sys.modules``: a count of modules, not a wall time, so it holds on
-any host. A static check beside them keeps code that no program path
-uses from coming back."""
+any host. Static checks beside them keep code that no program path uses
+from coming back: a top-level name, a class member or a parameter default
+(``ALLOWED`` keeps the defaults that must stay)."""
 import argparse
 import ast
 import importlib

@@ -164,8 +164,9 @@ def _vec_to_params(v: Sequence[float], template: PaParams) -> PaParams:
 
     ``v`` must already lie in ``_SPACE``: every point that ``fit`` and
     ``default_init`` pass is a ``_clamp_vec`` result, and clamping one
-    again changes no bit. The params are built by the checked constructor,
-    so a box that strayed outside ``PaParams``' ranges would still raise.
+    again changes no bit. Each box of ``_SPACE`` lies inside its field's
+    ``pamodel.PARAM_RULES`` range (``g0`` through its dB form), which
+    ``tests/test_calibrate.py`` checks.
     """
     return PaParams(g0=10.0 ** (v[0] / 20.0), kv=v[1], ki=template.ki,
                     rload=v[2], vknee=v[3], smoothness=v[4],

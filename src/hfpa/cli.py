@@ -231,7 +231,8 @@ def _cmd_run_controller(args) -> int:
 
 
 def _read_scenario(path) -> List[tuple]:
-    """Scenario lines: `t_s kind band setpoint_W`, times strictly increasing."""
+    """Scenario lines: `t_s kind band setpoint_W`, times strictly increasing
+    and each setpoint > 0."""
     events = []
     last_t = None
     for where, line in records(path):
@@ -244,6 +245,8 @@ def _read_scenario(path) -> List[tuple]:
             raise ValueError(f"{where}: unknown kind {kind!r}")
         if band not in BANDS:
             raise ValueError(f"{where}: unknown band {band!r}")
+        if not setpoint > 0:
+            raise ValueError(f"{where}: setpoint_W must be > 0, got {setpoint}")
         if last_t is not None and t_s <= last_t:
             raise ValueError(f"{where}: times must strictly increase")
         last_t = t_s

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import kernels
@@ -75,9 +76,55 @@ class BiasPoint:
             raise InvalidBias(f"gate_step must be 0..4, got {self.gate_step}")
 
 
+#: Each ``PaParams`` scalar field's rule, in config-file order, checked by
+#: the constructor and line by line by ``load_params``: ``(field, low, high,
+#: low_open, high_open)``, the value lying between ``low`` and ``high``, each
+#: end open or closed. Every field must also be finite; each end at +/-inf
+#: is open, so the comparisons alone reject inf and nan.
+PARAM_RULES = (
+    ("g0", 0.0, math.inf, True, True),
+    ("kv", -math.inf, math.inf, True, True),
+    ("ki", -math.inf, math.inf, True, True),
+    ("rload", 0.0, math.inf, True, True),
+    ("vknee", 0.0, VDD_MIN, False, True),  # a_sat = vdd - vknee stays > 0
+    ("smoothness", 0.5, 20.0, False, False),
+    ("shape_beta", 0.0, math.inf, False, True),
+    ("shape_exp", 0.0, math.inf, True, True),
+    ("shape_sat", 0.0, math.inf, False, True),
+)
+
 #: PaParams' scalar fields, in config-file order.
-_SCALAR_KEYS = ("g0", "kv", "ki", "rload", "vknee", "smoothness",
-                "shape_beta", "shape_exp", "shape_sat")
+_SCALAR_KEYS = tuple(rule[0] for rule in PARAM_RULES)
+
+
+def _check_fields(fields, prefix: str) -> None:
+    """Raise for the first attribute of ``fields`` that breaks its rule: a
+    scalar outside its ``PARAM_RULES`` range (ValueError), a ``ripple``
+    band outside ``BANDS`` (UnknownBand) or a ripple value that is not
+    finite (ValueError). The message names the field after ``prefix``. An
+    attribute that ``fields`` lacks is not checked: ``PaParams`` passes
+    itself, and ``load_params`` a namespace of one line's field."""
+    for key, low, high, low_open, high_open in PARAM_RULES:
+        try:
+            value = getattr(fields, key)
+        except AttributeError:
+            continue
+        if low < value < high or (value == low and not low_open
+                                  or value == high and not high_open):
+            continue
+        if not math.isfinite(value):
+            rule = "finite"
+        elif high == math.inf:
+            rule = f"{'>' if low_open else '>='} {low:g}"
+        else:
+            rule = (f"in {'(' if low_open else '['}{low:g}, "
+                    f"{high:g}{')' if high_open else ']'}")
+        raise ValueError(f"{prefix}{key} must be {rule}, got {value}")
+    for band, db in getattr(fields, "ripple", {}).items():
+        if band not in BANDS:
+            raise UnknownBand(f"{prefix}unknown band {band!r} in ripple")
+        if not math.isfinite(db):
+            raise ValueError(f"{prefix}ripple.{band} must be finite, got {db}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +141,9 @@ class PaParams:
                overdrive shaping: DC draw scaled by
                1 - beta*r^p/(1 + c*r^p); beta = 0 disables
     ripple     per-band small-signal gain deviation in dB, keyed by BANDS
+
+    Each scalar field must lie in its ``PARAM_RULES`` range, and every
+    value must be finite; an error names the field.
     """
 
     g0: float
@@ -108,24 +158,7 @@ class PaParams:
     ripple: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for key in _SCALAR_KEYS:
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        for band, db in self.ripple.items():
-            if band not in BANDS:
-                raise UnknownBand(f"unknown band {band!r} in ripple")
-            if not math.isfinite(db):
-                raise ValueError(f"ripple.{band} must be finite, got {db}")
-        if self.g0 <= 0:
-            raise ValueError(f"g0 must be > 0, got {self.g0}")
-        if self.rload <= 0:
-            raise ValueError(f"rload must be > 0, got {self.rload}")
-        if not 0.0 <= self.vknee < VDD_MIN:
-            raise ValueError(f"vknee must be in [0, {VDD_MIN:g}), got {self.vknee}")
-        if not 0.5 <= self.smoothness <= 20.0:
-            raise ValueError(f"smoothness must be in [0.5, 20], got {self.smoothness}")
-        if self.shape_beta < 0 or self.shape_exp <= 0 or self.shape_sat < 0:
-            raise ValueError("shape parameters must be nonnegative (exp > 0)")
+        _check_fields(self, "")
         object.__setattr__(self, "ripple", dict(self.ripple))
 
     def ripple_db(self, band: Optional[str]) -> float:
@@ -369,25 +402,34 @@ def save_params(params: PaParams, path) -> None:
 
 
 def load_params(path) -> PaParams:
+    """The params of a config file. Each line is checked through
+    ``PARAM_RULES`` as it is read, so an error about a value, a key or a
+    repeated key starts ``path:lineno:``; only a file without ``g0`` is
+    named by its path alone."""
     scalars = {}
     ripple = {}
+    first = {}  # each key's first line
     for where, line in records(path):
         if "=" not in line:
             raise ValueError(f"{where}: expected 'key = value'")
         key, _, value = (p.strip() for p in line.partition("="))
         num = number(value, where)
+        if key in first:
+            raise ValueError(f"{where}: repeated key {key!r}, first at "
+                             f"{first[key]}")
+        first[key] = where
         if key.startswith("ripple."):
-            ripple[key[len("ripple."):]] = num
+            band = key[len("ripple."):]
+            _check_fields(SimpleNamespace(ripple={band: num}), f"{where}: ")
+            ripple[band] = num
         elif key in _SCALAR_KEYS:
+            _check_fields(SimpleNamespace(**{key: num}), f"{where}: ")
             scalars[key] = num
         else:
             raise ValueError(f"{where}: unknown key {key!r}")
     if "g0" not in scalars:
         raise ValueError(f"{path}: missing required key 'g0'")
-    try:
-        return PaParams(ripple=ripple, **scalars)
-    except ValueError as exc:  # UnknownBand stays UnknownBand
-        raise type(exc)(f"{path}: {exc}") from exc
+    return PaParams(ripple=ripple, **scalars)
 
 
 def with_ripple(params: PaParams, ripple: Mapping[str, float]) -> PaParams:

@@ -2,9 +2,16 @@ import threading
 import time
 
 import pytest
+from hypothesis import settings
 
 from hfpa import kernels
 from hfpa.calibrate import REFERENCE_ANCHORS, default_init, fit
+
+# Every run draws the same examples and keeps no example database, so a
+# test's outcome depends on the code alone; each test's own example count
+# and deadline still apply.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

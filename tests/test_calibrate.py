@@ -12,8 +12,9 @@ from hfpa.calibrate import (ANCHOR_HEADER, AnchorRow, FitReport,
                             REFERENCE_ANCHORS, default_init, fit, objective,
                             read_anchors_csv, write_report_csv)
 from hfpa.measure import sweep_bias, write_csv
-from hfpa.pamodel import (_SCALAR_KEYS, IDQ_REF, PaParams, conduction_currents,
-                          fundamental_pout, swing_for_pout)
+from hfpa.pamodel import (_SCALAR_KEYS, IDQ_REF, PARAM_RULES, PaParams,
+                          conduction_currents, fundamental_pout,
+                          swing_for_pout)
 from test_tools import cli_artifacts
 
 TRUE_PARAMS = PaParams(g0=39.77, kv=0.39, rload=0.4, vknee=4.1,
@@ -205,6 +206,24 @@ def test_float_search_has_the_array_search_bits(name, budget, oracle_inits):
     anchors, init = ORACLE_TABLES[name], oracle_inits[name]
     assert report_bits(fit(anchors, init, budget)) == report_bits(
         reference_fit(anchors, init, budget))
+
+
+def test_each_search_box_lies_inside_its_field_rule():
+    """Each ``_SPACE`` box, ``g0`` through its dB form, lies inside its
+    field's ``PARAM_RULES`` range, so no clamped search point can raise;
+    ``ki``, which the search leaves out, is the only field without a box."""
+    rules = {rule[0]: rule[1:] for rule in PARAM_RULES}
+    fields = []
+    for name, lo, hi, _ in calibrate._SPACE:
+        field, ends = name, (lo, hi)
+        if name == "g0_db":
+            field, ends = "g0", (10.0 ** (lo / 20.0), 10.0 ** (hi / 20.0))
+        low, high, low_open, high_open = rules[field]
+        for end in ends:
+            assert (low < end if low_open else low <= end), (field, end)
+            assert (end < high if high_open else end <= high), (field, end)
+        fields.append(field)
+    assert sorted(fields + ["ki"]) == sorted(_SCALAR_KEYS)
 
 
 # --- fit's points are clamped once: the clamp is idempotent bit for bit ------

@@ -108,12 +108,13 @@ def test_sweep_bias_rejects_a_ripple_for_an_unknown_band(tmp_path,
     save_params(fitted_params, params)
     with open(params, "a", encoding="utf-8") as fh:
         fh.write("ripple.41M = 1.5\n")
+    lineno = len(params.read_text().splitlines())
     out = tmp_path / "s.csv"
     rc = main(["sweep-bias", "--vdd", "58", "--pout", "100",
                "--params", str(params), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: {params}: unknown band '41M' in ripple\n")
+        f"error: {params}:{lineno}: unknown band '41M' in ripple\n")
     assert not out.exists()
 
 
@@ -122,11 +123,19 @@ def test_sweep_bias_rejects_a_ripple_for_an_unknown_band(tmp_path,
     ("g0 = 40\nrload = x\n", ":2: bad number 'x'"),
     ("# fitted\n\ng0 = 40\nrload = x\n", ":4: bad number 'x'"),
     ("rload = 0.4\n", ": missing required key 'g0'"),
-    ("g0 = 40\nrload = -1\n", ": rload must be > 0, got -1.0"),
+    ("g0 = 40\nrload = -1\n", ":2: rload must be > 0, got -1.0"),
+    ("g0 = 40\nshape_exp = 0\n", ":2: shape_exp must be > 0, got 0.0"),
+    ("g0 = 40\nvknee = 30\n", ":2: vknee must be in [0, 30), got 30.0"),
     ("g0 = 40\nkv = 1e309\n", ":2: bad number '1e309'"),
     ("g0 = 40\nripple.40M = nan\n", ":2: bad number 'nan'"),
+    ("g0 = 40\nripple.41M = 1\n", ":2: unknown band '41M' in ripple"),
+    ("g0 = 40\ng0 = 30\n", ":2: repeated key 'g0', first at {path}:1"),
+    ("g0 = 40\nripple.40M = 1\n# again\nripple.40M = 2\n",
+     ":4: repeated key 'ripple.40M', first at {path}:2"),
 ], ids=["no-equals", "bad-number", "bad-number-after-comments", "no-g0",
-        "negative-rload", "past-the-float-range", "nan-ripple"])
+        "negative-rload", "zero-shape-exp", "vknee-at-its-open-end",
+        "past-the-float-range", "nan-ripple", "unknown-ripple-band",
+        "repeated-key", "repeated-ripple-band"])
 def test_a_bad_params_file_is_named_in_its_error(tmp_path, capsys, text,
                                                  message):
     params = tmp_path / "p.cfg"
@@ -136,7 +145,7 @@ def test_a_bad_params_file_is_named_in_its_error(tmp_path, capsys, text,
         ["sweep-bias", "--vdd", "58", "--pout", "100",
          "--params", str(params), "--out", str(out)], capsys)
     assert rc == 1
-    assert err == f"error: {params}{message}\n"
+    assert err == f"error: {params}{message.format(path=params)}\n"
     assert not out.exists()
 
 
@@ -289,9 +298,10 @@ def test_scenario_rejects_non_finite_fields(tmp_path, params_file, capsys, line)
     ("# header\n0.0 cw 40M lots\n", ":2: bad number 'lots'"),
     ("# header\n0.0 sine 40M 600\n", ":2: unknown kind 'sine'"),
     ("# header\n0.0 cw 41M 600\n", ":2: unknown band '41M'"),
+    ("# header\n0.0 cw 40M -5\n", ":2: setpoint_W must be > 0, got -5.0"),
     ("# header\n\n# nothing else\n", ": empty scenario"),
 ], ids=["three-fields", "time-not-a-number", "setpoint-not-a-number",
-        "unknown-kind", "unknown-band", "comments-only"])
+        "unknown-kind", "unknown-band", "negative-setpoint", "comments-only"])
 def test_scenario_rejects_a_malformed_file(tmp_path, params_file, capsys,
                                            text, message):
     bad = tmp_path / "bad.txt"

@@ -13,14 +13,15 @@ from scipy.integrate import romb
 
 from hfpa import kernels
 from hfpa.bands import UnknownBand
-from hfpa.pamodel import (GAIN_DB_MAX, IDQ_MAX, IDQ_REF, BiasPoint,
-                          GainOutOfRange, InvalidBias, NonPositiveIdq,
-                          OutOfRangeAlpha, PaParams, _fourier_clipped,
-                          _rapp_scalar, bisect, compression_level,
-                          conduction_currents, efficiency_curve,
-                          fundamental_pout, gain_and_swing, load_params,
-                          saturated_swing, save_params, simulate,
-                          small_signal_gain_db, swing_for_pout, with_ripple)
+from hfpa.pamodel import (GAIN_DB_MAX, IDQ_MAX, IDQ_REF, PARAM_RULES,
+                          BiasPoint, GainOutOfRange, InvalidBias,
+                          NonPositiveIdq, OutOfRangeAlpha, PaParams,
+                          _fourier_clipped, _rapp_scalar, bisect,
+                          compression_level, conduction_currents,
+                          efficiency_curve, fundamental_pout, gain_and_swing,
+                          load_params, saturated_swing, save_params,
+                          simulate, small_signal_gain_db, swing_for_pout,
+                          with_ripple)
 from hfpa.signalgen import IqBlock
 
 TWO_PI = 2.0 * math.pi
@@ -604,6 +605,40 @@ def test_warm_large_block_simulate_allocates_only_its_results():
     assert traced_peak(lambda: simulate(block, bias, p)) <= 4.5 * n * 8
 
 
+def rule_values(field):
+    """Values on each finite end of ``field``'s rule, one ulp either side of
+    it, and any finite float."""
+    _, low, high, _, _ = next(r for r in PARAM_RULES if r[0] == field)
+    edges = [0.0] + [math.nextafter(end, toward) for end in (low, high)
+                     if math.isfinite(end)
+                     for toward in (-math.inf, end, math.inf)]
+    return st.one_of(st.sampled_from(edges),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_the_constructor_and_the_reader_share_each_rule(tmp_path_factory,
+                                                        data):
+    """``PaParams(g0=40, field=v)`` and the two-line file that sets ``v``
+    on its second line both accept, or both reject with one message, the
+    file's after ``path:2:``."""
+    field = data.draw(st.sampled_from([r[0] for r in PARAM_RULES]))
+    value = data.draw(rule_values(field))
+    path = tmp_path_factory.getbasetemp() / "rules.cfg"
+    first = "kv = 0" if field == "g0" else "g0 = 40"
+    path.write_text(f"{first}\n{field} = {value!r}\n")
+    try:
+        built = PaParams(**{"g0": 40.0, field: value})
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as err:
+            load_params(path)
+        assert str(err.value) == f"{path}:2: {exc}"
+        assert str(exc).startswith(f"{field} must be ")
+    else:
+        assert load_params(path) == built
+
+
 class TestParamsConfig:
     def test_round_trip(self, tmp_path):
         p = make_params(ki=0.3, shape_beta=3.84, shape_exp=8.16,
@@ -639,10 +674,10 @@ class TestParamsConfig:
     def test_load_rejects_a_ripple_for_an_unknown_band(self, tmp_path):
         path = tmp_path / "pa.cfg"
         path.write_text("g0 = 40\nripple.41M = 1\n")
-        # the constructor's error, with the file's path and its type
+        # the constructor's error and type, at the line that holds it
         with pytest.raises(UnknownBand) as err:
             load_params(path)
-        assert str(err.value) == f"{path}: unknown band '41M' in ripple"
+        assert str(err.value) == f"{path}:2: unknown band '41M' in ripple"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -654,7 +689,7 @@ class TestParamsConfig:
         with pytest.raises(ValueError, match="^rload must be > 0, got 0$"):
             PaParams(g0=10.0, rload=0)
         for shape in ("shape_beta", "shape_exp", "shape_sat"):
-            with pytest.raises(ValueError, match="^shape parameters must be"):
+            with pytest.raises(ValueError, match=f"^{shape} must be"):
                 PaParams(g0=10.0, **{shape: -1.0})
         with pytest.raises(InvalidBias):
             BiasPoint(vdd=29.0, idq=2.0)

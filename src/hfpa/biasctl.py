@@ -19,10 +19,9 @@ import numpy as np
 from . import kernels
 from .bands import BANDS, UnknownBand
 from .measure import TargetUnreachable, drive_cap
-from .pamodel import (IDQ_MAX, SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint,
-                      InvalidBias, PaParams, compression_level,
-                      fundamental_pout, saturated_swing, small_signal_gain_db,
-                      swing_for_pout)
+from .pamodel import (SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint, InvalidBias,
+                      PaParams, compression_level, fundamental_pout,
+                      saturated_swing, small_signal_gain_db, swing_for_pout)
 from .signalgen import IqBlock
 
 
@@ -47,9 +46,6 @@ class Mode(enum.Enum):
 #: Constant envelope runs compressed, varying envelope runs linear.
 MODE_FOR_KIND = {EnvKind.CONSTANT: Mode.COMPRESSION, EnvKind.VARYING: Mode.LINEAR}
 
-
-#: Quiescent-current presets selectable by the 5-step gate bias ladder (A).
-GATE_STEP_IDQ = (0.25, 0.5, 1.0, 1.5, 2.0)
 
 IDQ_COMPRESSION = 0.5
 IDQ_LINEAR = 2.0
@@ -192,27 +188,6 @@ def classify_envelope(block: IqBlock, window_s: float) -> EnvelopeClass:
                          papr_db=papr_db, ripple_ratio=ripple_ratio)
 
 
-def gate_step_for(idq_target: float) -> int:
-    """Nearest entry in the 5-step gate ladder; ties resolve to the lower step.
-
-    ``idq_target`` must lie in (0, IDQ_MAX], the range ``BiasPoint`` takes.
-    """
-    if not 0 < idq_target <= IDQ_MAX:
-        raise ValueError(
-            f"idq_target must be in (0, {IDQ_MAX:g}] A, got {idq_target}")
-    best = 0
-    best_err = abs(GATE_STEP_IDQ[0] - idq_target)
-    for i, val in enumerate(GATE_STEP_IDQ[1:], start=1):
-        err = abs(val - idq_target)
-        if err < best_err:  # strict: equal error keeps the lower step
-            best, best_err = i, err
-    return best
-
-
-#: The gate steps of the two modes' quiescent currents.
-GATE_STEP_LINEAR = gate_step_for(IDQ_LINEAR)
-GATE_STEP_COMPRESSION = gate_step_for(IDQ_COMPRESSION)
-
 #: Compression bias at full supply, where a setpoint must be deliverable.
 _FULL_SUPPLY_COMPRESSION = BiasPoint(vdd=VDD_MAX, idq=IDQ_COMPRESSION)
 
@@ -262,8 +237,7 @@ def command_for_mode(mode: Mode, reason: EnvelopeClass,
     if band not in table:
         raise UnknownBand(f"unknown band {band!r}")
     if mode is Mode.LINEAR:
-        bias = BiasPoint(vdd=table[band].eq_vdd, idq=IDQ_LINEAR,
-                         gate_step=GATE_STEP_LINEAR)
+        bias = BiasPoint(vdd=table[band].eq_vdd, idq=IDQ_LINEAR)
         return BiasCommand(target=bias, mode=Mode.LINEAR, reason=reason)
     try:  # the setpoint must be deliverable at full supply before tracking down
         drive_cap(power_setpoint_w, _FULL_SUPPLY_COMPRESSION, params)
@@ -272,8 +246,7 @@ def command_for_mode(mode: Mode, reason: EnvelopeClass,
             f"setpoint {power_setpoint_w} W unreachable: {exc}") from exc
     peak = predict_peak_envelope(power_setpoint_w, IDQ_COMPRESSION, params)
     vdd = track_drain(peak, vknee=params.vknee)
-    bias = BiasPoint(vdd=vdd, idq=IDQ_COMPRESSION,
-                     gate_step=GATE_STEP_COMPRESSION)
+    bias = BiasPoint(vdd=vdd, idq=IDQ_COMPRESSION)
     return BiasCommand(target=bias, mode=Mode.COMPRESSION, reason=reason)
 
 

@@ -291,12 +291,19 @@ def fit(anchors: Sequence[AnchorRow], init: PaParams,
 
 # --- default starting point -------------------------------------------------
 
-def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float):
-    """Exact overdrive-shaping parameters through three equal-power anchors.
+#: Knee voltage of every start ``default_init`` builds, volts.
+_START_VKNEE = 4.0
+
+
+def _shape_presolve(anchors: Sequence[AnchorRow], rload: float):
+    """Exact overdrive-shaping parameters through three equal-power anchors,
+    at the start knee ``_START_VKNEE``.
 
     At fixed output power the quasi-sine DC draw is the same at every vdd, so
     the measured efficiencies pin the per-row shaping factors; a saturating
     power law 1/(A*r^-p + B) is fitted through the three implied deficits.
+    A row's DC power is output plus dissipation, or ``pout*100/eff`` when
+    the dissipation is not given (0).
     Returns (shape_beta, shape_exp, shape_sat) or None when infeasible.
     """
     a_out = swing_for_pout(anchors[0].pout_w, IDQ_REF, rload)
@@ -304,9 +311,10 @@ def _shape_presolve(anchors: Sequence[AnchorRow], rload: float, vknee: float):
 
     ys, rs = [], []
     for a in anchors:
-        pdc = a.pout_w + a.pdiss_w
+        pdc = (a.pout_w + a.pdiss_w if a.pdiss_w > 0
+               else a.pout_w * 100.0 / a.eff_pct)
         y = 1.0 - pdc / (a.vdd * idc)
-        r = a_out / (a.vdd - vknee)
+        r = a_out / (a.vdd - _START_VKNEE)
         if y <= 0.0 or not 0.0 < r < 1.0:
             return None
         ys.append(y)
@@ -364,15 +372,16 @@ def _gain_lstsq(anchors: Sequence[AnchorRow], vec: List[float],
 def default_init(anchors: Sequence[AnchorRow]) -> PaParams:
     """Documented default starting point for ``fit``.
 
-    Base values: g0 at 30 dB, kv = ki = 0, vknee 4 V, smoothness 2, no
-    shaping, and rload from the class-AB load line a^2/(4*pout) with
-    a = 0.9*(vdd - vknee), at the lowest anchor vdd and the highest anchor
-    power. When the anchor set is the standard three-row equal-power table,
-    a deterministic scout refines rload and the shaping parameters by the
-    algebraic pre-solve and a small fixed ladder of knee sharpness values,
-    refines each candidate's (g0, kv) twice by least squares, and keeps
-    whichever scores best. Every start (base, candidate or refinement) is
-    clamped into ``_SPACE`` by ``_clamp_vec``, as ``fit``'s points are.
+    Base values: g0 at 30 dB, kv = ki = 0, vknee ``_START_VKNEE`` (4 V),
+    smoothness 2, no shaping, and rload from the class-AB load line
+    a^2/(4*pout) with a = 0.9*(vdd - vknee), at the lowest anchor vdd and
+    the highest anchor power. When the anchor set is the standard three-row
+    equal-power table, a deterministic scout refines rload and the shaping
+    parameters by the algebraic pre-solve and a small fixed ladder of knee
+    sharpness values, refines each candidate's (g0, kv) twice by least
+    squares, and keeps whichever scores best. Every start (base, candidate
+    or refinement) is clamped into ``_SPACE`` by ``_clamp_vec``, as
+    ``fit``'s points are.
 
     Each distinct row (anchor, params) is swept once per call: the scout's
     two gain refinements and its scoring share one call-local table of the
@@ -381,8 +390,9 @@ def default_init(anchors: Sequence[AnchorRow]) -> PaParams:
     """
     vdd, pout = min(a.vdd for a in anchors), max(a.pout_w for a in anchors)
     template = PaParams(g0=1.0)  # every start's ki = 0 and empty ripple
-    base = _clamp_vec([30.0, 0.0, (0.9 * (vdd - 4.0)) ** 2 / (4.0 * pout),
-                       4.0, 2.0, 0.0, 4.0, 0.0])
+    base = _clamp_vec([30.0, 0.0,
+                       (0.9 * (vdd - _START_VKNEE)) ** 2 / (4.0 * pout),
+                       _START_VKNEE, 2.0, 0.0, 4.0, 0.0])
 
     equal_power = (len(anchors) == 3
                    and len({a.pout_w for a in anchors}) == 1
@@ -393,12 +403,13 @@ def default_init(anchors: Sequence[AnchorRow]) -> PaParams:
     rows = {}  # every candidate's sweeps, for this call only
     best = (_score(_vec_to_params(base, template), anchors, rows)[0], base)
     for rload in np.arange(0.30, 0.521, 0.02):
-        pre = _shape_presolve(anchors, float(rload), 4.0)
+        pre = _shape_presolve(anchors, float(rload))
         if pre is None:
             continue
         beta, p, sat = pre
         for s in (2.0, 3.0, 4.0, 6.0, 8.0):
-            cand = _clamp_vec([30.0, 0.0, float(rload), 4.0, s, beta, p, sat])
+            cand = _clamp_vec([30.0, 0.0, float(rload), _START_VKNEE, s,
+                               beta, p, sat])
             refined = _gain_lstsq(anchors, cand, template, rows)
             if refined is None:
                 continue

@@ -15,7 +15,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .bands import UnknownBand  # noqa: F401  (measure.UnknownBand)
 from .pamodel import (BiasPoint, PaParams, PaStats, _rapp_scalar, bisect,
                       fundamental_pout, gain_and_swing, simulate)
 from .signalgen import CACHE_MAX_SAMPLES, IqBlock

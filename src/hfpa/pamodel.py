@@ -37,7 +37,7 @@ class NonPositiveIdq(ValueError):
 
 
 class InvalidBias(ValueError):
-    """Bias point outside the supply/gate operating range."""
+    """Bias point outside the supply voltage or quiescent-current range."""
 
 
 class OutOfRangeAlpha(ValueError):
@@ -54,14 +54,39 @@ class GainOutOfRange(ValueError):
 #: output, so no bias point of this amplifier lies above it.
 IDQ_MAX = 10.0
 
+#: Quiescent-current presets selectable by the 5-step gate bias ladder (A).
+GATE_STEP_IDQ = (0.25, 0.5, 1.0, 1.5, 2.0)
+
+
+def gate_step_for(idq_target: float) -> int:
+    """Nearest entry in the 5-step gate ladder; ties resolve to the lower step.
+
+    ``idq_target`` must lie in (0, IDQ_MAX], the range ``BiasPoint`` takes.
+    """
+    if not 0 < idq_target <= IDQ_MAX:
+        raise ValueError(
+            f"idq_target must be in (0, {IDQ_MAX:g}] A, got {idq_target}")
+    best = 0
+    best_err = abs(GATE_STEP_IDQ[0] - idq_target)
+    for i, val in enumerate(GATE_STEP_IDQ[1:], start=1):
+        err = abs(val - idq_target)
+        if err < best_err:  # strict: equal error keeps the lower step
+            best, best_err = i, err
+    return best
+
 
 @dataclass(frozen=True)
 class BiasPoint:
-    """Drain supply voltage, quiescent current, and gate-step index."""
+    """Drain supply voltage and quiescent current; the gate ladder step
+    that sets the current follows from it."""
 
     vdd: float
     idq: float
-    gate_step: int = 0
+
+    @property
+    def gate_step(self) -> int:
+        """The gate ladder step of ``idq`` (``gate_step_for``)."""
+        return gate_step_for(self.idq)
 
     def __post_init__(self):
         if not (math.isfinite(self.vdd) and math.isfinite(self.idq)):
@@ -72,8 +97,6 @@ class BiasPoint:
         if not 0 < self.idq <= IDQ_MAX:
             raise InvalidBias(f"idq must be in (0, {IDQ_MAX:g}] A, "
                               f"got {self.idq}")
-        if self.gate_step not in range(5):
-            raise InvalidBias(f"gate_step must be 0..4, got {self.gate_step}")
 
 
 #: Each ``PaParams`` scalar field's rule, in config-file order, checked by

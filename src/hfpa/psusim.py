@@ -194,7 +194,7 @@ def encode(command: Command) -> bytes:
     if isinstance(command, Reply):
         _check_register(command.register)
         return _FRAME.pack(ID_REPLY, DLC, command.register,
-                           _u32(command.milli_value, "milli_value"))
+                           _u32(command.milli_value))
     if isinstance(command, Nack):
         code = command.code
         if not (isinstance(code, numbers.Integral) and 0 <= code <= 0xFF):
@@ -203,10 +203,11 @@ def encode(command: Command) -> bytes:
     raise TypeError(f"not a protocol command: {command!r}")
 
 
-def _u32(milli, what: str):
-    """An integer milli-unit count that fits the u32 field, range-checked."""
+def _u32(milli):
+    """A reply's integer milli-unit count that fits the u32 field,
+    range-checked."""
     if not (isinstance(milli, numbers.Integral) and 0 <= milli <= U32_MAX):
-        raise ValueOutOfRange(f"{what} {milli!r} is not a u32")
+        raise ValueOutOfRange(f"milli_value {milli!r} is not a u32")
     return milli
 
 
@@ -344,7 +345,7 @@ def serve(host: str, port: int, slew_v_per_s: float,
             with conn:
                 try:
                     while max_frames is None or handled < max_frames:
-                        data = _recv_exact(conn, FRAME_LEN)
+                        data = _recv_exact(conn)
                         if data is None:
                             break
                         now = time.monotonic()
@@ -356,8 +357,9 @@ def serve(host: str, port: int, slew_v_per_s: float,
                     pass  # drop a stalled or vanished client
 
 
-def _recv_exact(conn: socket.socket, count: int):
-    """``count`` bytes from ``conn``, or None when the peer closes first.
+def _recv_exact(conn: socket.socket):
+    """One frame, ``FRAME_LEN`` bytes, from ``conn``, or None when the peer
+    closes first.
 
     The socket's timeout, which every caller sets, bounds the whole read,
     not each ``recv``: each ``recv`` waits only for what is left of it,
@@ -368,13 +370,13 @@ def _recv_exact(conn: socket.socket, count: int):
     deadline = time.monotonic() + timeout
     buf = b""
     try:
-        while len(buf) < count:
+        while len(buf) < FRAME_LEN:
             left = deadline - time.monotonic()
             if left <= 0:
                 raise TimeoutError(
-                    f"{len(buf)} of {count} bytes within {timeout} s")
+                    f"{len(buf)} of {FRAME_LEN} bytes within {timeout} s")
             conn.settimeout(left)
-            chunk = conn.recv(count - len(buf))
+            chunk = conn.recv(FRAME_LEN - len(buf))
             if not chunk:
                 return None
             buf += chunk
@@ -388,7 +390,7 @@ def request(host: str, port: int, command: Command) -> Command:
     wire = encode(command)  # before connecting: a bad command never reaches the wire
     with socket.create_connection((host, port), timeout=5.0) as conn:
         conn.sendall(wire)
-        data = _recv_exact(conn, FRAME_LEN)
+        data = _recv_exact(conn)
         if data is None:
             raise ConnectionError("supply closed the connection")
         return decode(data)

@@ -12,12 +12,13 @@ from hfpa.biasctl import (BandEntry, BiasController, EnvKind, EnvelopeClass, Mod
                           SetpointUnreachable, WindowTooShort,
                           classify_envelope, command_for_mode,
                           compression_drive, decide_bias, default_band_table,
-                          equalize_gains, gate_step_for, predict_peak_envelope,
-                          track_drain, GATE_STEP_IDQ, HYSTERESIS_WINDOWS)
-from hfpa.bands import BANDS
-from hfpa.measure import UnknownBand, simulate_cw
-from hfpa.pamodel import (SWING_MAX, BiasPoint, PaParams, fundamental_pout,
-                          saturated_swing, small_signal_gain_db, with_ripple)
+                          equalize_gains, predict_peak_envelope, track_drain,
+                          HYSTERESIS_WINDOWS)
+from hfpa.bands import BANDS, UnknownBand
+from hfpa.measure import simulate_cw
+from hfpa.pamodel import (GATE_STEP_IDQ, SWING_MAX, BiasPoint, PaParams,
+                          fundamental_pout, gate_step_for, saturated_swing,
+                          small_signal_gain_db, with_ripple)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
 from test_pamodel import cw_gain_db
 

@@ -466,6 +466,21 @@ class TestDefaultInit:
             "0x1.0000000000000p+3", "0x1.e914ef988f4f3p+1",
             "0x1.050d51be46a22p+3", "0x1.490c14f507ca3p+4"]
 
+    def test_a_missing_dissipation_takes_dc_power_from_the_efficiency(self):
+        # a dissipation of 0 means "not given": the pre-solve takes DC power
+        # as pout*100/eff, so the start is the one of the table that gives
+        # the implied dissipation, not the base start
+        given = [dataclasses.replace(a, pdiss_w=a.pout_w
+                                     * (100.0 / a.eff_pct - 1.0))
+                 for a in REFERENCE_ANCHORS]
+        missing = [dataclasses.replace(a, pdiss_w=0.0)
+                   for a in REFERENCE_ANCHORS]
+        start, expected = default_init(missing), default_init(given)
+        for key in _SCALAR_KEYS:
+            assert getattr(start, key) == pytest.approx(
+                getattr(expected, key), rel=1e-9, abs=0.0), key
+        assert objective(start, missing) < 0.01
+
     def test_generic_anchors_fall_back_to_base(self):
         anchors = synthetic_anchors(TRUE_PARAMS, vdds=(58.0, 50.0),
                                     pout=800.0)

@@ -579,7 +579,7 @@ def test_a_supply_that_closes_before_replying_exits_1(capsys):
             conn, _ = listener.accept()
             with conn:
                 conn.settimeout(5.0)
-                psusim._recv_exact(conn, psusim.FRAME_LEN)
+                psusim._recv_exact(conn)
 
         server = threading.Thread(target=read_and_close, daemon=True)
         server.start()

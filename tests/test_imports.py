@@ -181,14 +181,20 @@ def callee(call):
             func.attr if isinstance(func, ast.Attribute) else None)
 
 
-def calls(tree):
-    """(callee name, positional count, keyword names) of each call of a
-    module; only the positional arguments before a ``*args`` count."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            count = next((i for i, arg in enumerate(node.args)
-                          if isinstance(arg, ast.Starred)), len(node.args))
-            yield callee(node), count, {kw.arg for kw in node.keywords}
+def program_calls(trees):
+    """Each call of the program, by callee name."""
+    by_name = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                by_name.setdefault(callee(node), []).append(node)
+    return by_name
+
+
+def starred(call):
+    """Whether a call passes ``*args`` or ``**kwargs``."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords))
 
 
 def init_fields(cls):
@@ -285,13 +291,85 @@ def test_every_class_member_has_a_program_read(trees):
 def test_every_default_has_a_program_call_that_relies_on_it(trees):
     # a call relies on a default that it passes neither by position nor by
     # keyword; a call matched by name only can hide a finding, not make one
-    passed = {}
-    for tree in trees.values():
-        for name, count, keywords in calls(tree):
-            passed.setdefault(name, []).append((count, keywords))
+    by_name = program_calls(trees)
+
+    def relies(call, param, pos):
+        # only the positional arguments before a *args count
+        count = next((i for i, arg in enumerate(call.args)
+                      if isinstance(arg, ast.Starred)), len(call.args))
+        return (param not in {kw.arg for kw in call.keywords}
+                and (pos is None or pos >= count))
+
     unrelied = [dotted for module, tree in package(trees)
                 for dotted, name, param, pos in parameter_defaults(tree, module)
-                if not any(param not in keywords
-                           and (pos is None or pos >= count)
-                           for count, keywords in passed.get(name, ()))]
+                if not any(relies(call, param, pos)
+                           for call in by_name.get(name, ()))]
     assert unrelied == list(ALLOWED)
+
+
+def constant(node):
+    """A literal's or an UPPER_CASE name's text, None for anything else."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else "")
+        return name if name.isupper() else None
+
+
+def private_functions(tree, module):
+    """(dotted name, function, bound leading parameters) of each private
+    function and method of a module, one whose name has a single leading
+    underscore; a method's ``self`` or ``cls`` is bound."""
+    def private(node):
+        return (isinstance(node, ast.FunctionDef) and node.name[:1] == "_"
+                and node.name[:2] != "__")
+
+    for node in tree.body:
+        if private(node):
+            yield f"{module}.{node.name}", node, 0
+        elif isinstance(node, ast.ClassDef):
+            for meth in filter(private, node.body):
+                static = "staticmethod" in map(ast.unparse,
+                                               meth.decorator_list)
+                yield (f"{module}.{node.name}.{meth.name}", meth,
+                       0 if static else 1)
+
+
+def argument_values(call, func, bound):
+    """Each parameter's value in ``call``, as ``constant`` gives it: a
+    missing argument takes its default, and a call that passes ``*args``
+    or ``**kwargs`` passes no constant."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    given = {**{arg.arg: default for arg, default in zip(
+                 positional[len(positional) - len(args.defaults):],
+                 args.defaults)},
+             **{arg.arg: default for arg, default in zip(
+                 args.kwonlyargs, args.kw_defaults) if default is not None},
+             **{arg.arg: value for arg, value in zip(positional[bound:],
+                                                     call.args)},
+             **{kw.arg: kw.value for kw in call.keywords}}
+    return {arg.arg: None if starred(call) or arg.arg not in given
+            else constant(given[arg.arg])
+            for arg in positional[bound:] + args.kwonlyargs}
+
+
+def test_every_private_parameter_takes_two_values(trees):
+    # a parameter that every direct call passes the same constant is a
+    # constant; a call matched by name only can hide a finding, not make
+    # one, and a function only passed as a value has no direct call
+    by_name = program_calls(trees)
+    one_value = []
+    for path, tree in trees.items():
+        if path.parent.name not in ("hfpa", "tools"):
+            continue
+        for dotted, func, bound in private_functions(tree, path.stem):
+            values = [argument_values(call, func, bound)
+                      for call in by_name.get(func.name, ())]
+            if not values:
+                continue
+            one_value += [f"{dotted}.{param}" for param in values[0]
+                          if None not in {v[param] for v in values}
+                          and len({v[param] for v in values}) == 1]
+    assert one_value == []

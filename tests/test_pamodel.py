@@ -13,15 +13,15 @@ from scipy.integrate import romb
 
 from hfpa import kernels
 from hfpa.bands import UnknownBand
-from hfpa.pamodel import (GAIN_DB_MAX, IDQ_MAX, IDQ_REF, PARAM_RULES,
-                          BiasPoint, GainOutOfRange, InvalidBias,
+from hfpa.pamodel import (GAIN_DB_MAX, GATE_STEP_IDQ, IDQ_MAX, IDQ_REF,
+                          PARAM_RULES, BiasPoint, GainOutOfRange, InvalidBias,
                           NonPositiveIdq, OutOfRangeAlpha, PaParams,
                           _fourier_clipped, _rapp_scalar, bisect,
                           compression_level, conduction_currents,
                           efficiency_curve, fundamental_pout, gain_and_swing,
-                          load_params, saturated_swing, save_params,
-                          simulate, small_signal_gain_db, swing_for_pout,
-                          with_ripple)
+                          gate_step_for, load_params, saturated_swing,
+                          save_params, simulate, small_signal_gain_db,
+                          swing_for_pout, with_ripple)
 from hfpa.signalgen import IqBlock
 
 TWO_PI = 2.0 * math.pi
@@ -693,8 +693,8 @@ class TestParamsConfig:
                 PaParams(g0=10.0, **{shape: -1.0})
         with pytest.raises(InvalidBias):
             BiasPoint(vdd=29.0, idq=2.0)
-        with pytest.raises(InvalidBias):
-            BiasPoint(vdd=58.0, idq=2.0, gate_step=5)
+        with pytest.raises(TypeError):  # the step follows from idq
+            BiasPoint(vdd=58.0, idq=2.0, gate_step=4)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["g0", "kv", "ki", "rload", "vknee",
@@ -705,7 +705,7 @@ class TestParamsConfig:
         save_params(make_params(), path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f"{key} = {value}\n")
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r":\d+: bad number"):
             load_params(path)
         if key.startswith("ripple."):
             kwargs = {"ripple": {key[len("ripple."):]: value}}
@@ -725,6 +725,15 @@ class TestParamsConfig:
     def test_bias_rejects_non_finite(self, vdd, idq):
         with pytest.raises(InvalidBias):
             BiasPoint(vdd=vdd, idq=idq)
+
+
+@given(vdd=st.floats(30.0, 58.0),
+       idq=st.floats(0.0, IDQ_MAX, exclude_min=True))
+def test_the_gate_step_is_the_ladder_step_of_idq(vdd, idq):
+    step = BiasPoint(vdd=vdd, idq=idq).gate_step
+    assert step == gate_step_for(idq)
+    assert abs(GATE_STEP_IDQ[step] - idq) == min(abs(preset - idq)
+                                                  for preset in GATE_STEP_IDQ)
 
 
 # --- closed-form inverses and the shared root helper ------------------------

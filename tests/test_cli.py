@@ -9,6 +9,7 @@ import threading
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hfpa import psusim
 from hfpa.bands import BANDS
@@ -245,6 +246,38 @@ def test_run_controller_scenario(tmp_path, params_file):
     main(["run-controller", "--scenario", str(scenario),
           "--params", params_file, "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+#: A run of one to three scenario events alike: kind, band and a setpoint
+#: from 100 to 1000 W. Runs of three trip the mode hysteresis.
+SCENARIO_RUNS = st.tuples(
+    st.sampled_from(["cw", "fm", "psk", "am", "two-tone"]),
+    st.sampled_from(BANDS), st.floats(min_value=100.0, max_value=1000.0),
+    st.integers(min_value=1, max_value=HYSTERESIS_WINDOWS))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(runs=st.lists(SCENARIO_RUNS, min_size=1, max_size=4))
+def test_each_scenario_prefix_logs_a_prefix_of_the_rows(tmp_path, params_file,
+                                                        runs):
+    # metamorphic relation: a window's row depends on the events up to it
+    # only, never on what a run before it left behind in the process
+    events = [event[:3] for event in runs for _ in range(event[3])]
+    lines = [f"{i / 10:.1f} {kind} {band} {setpoint!r}\n"
+             for i, (kind, band, setpoint) in enumerate(events)]
+
+    def rows(count):
+        scenario, out = tmp_path / "prefix.txt", tmp_path / "prefix.csv"
+        scenario.write_text("".join(lines[:count]))
+        assert main(["run-controller", "--scenario", str(scenario),
+                     "--params", params_file, "--out", str(out)]) == 0
+        return out.read_text().splitlines()
+
+    full = rows(len(lines))
+    assert len(full) == len(lines) + 1
+    for count in range(1, len(lines)):
+        assert rows(count) == full[:count + 1]
 
 
 @pytest.mark.parametrize("rate", ["22050", "33333", "44100", "12345.6"])

@@ -19,9 +19,8 @@ import numpy as np
 from . import kernels
 from .bands import BANDS, UnknownBand
 from .measure import TargetUnreachable, drive_cap
-from .pamodel import (SWING_MAX, VDD_MAX, VDD_MIN, BiasPoint, InvalidBias,
-                      PaParams, compression_level, fundamental_pout,
-                      saturated_swing, small_signal_gain_db, swing_for_pout)
+from .pamodel import (VDD_MAX, VDD_MIN, BiasPoint, InvalidBias, PaParams,
+                      gain_and_swing, small_signal_gain_db, swing_for_pout)
 from .signalgen import IqBlock
 
 
@@ -192,33 +191,20 @@ def classify_envelope(block: IqBlock, window_s: float) -> EnvelopeClass:
 _FULL_SUPPLY_COMPRESSION = BiasPoint(vdd=VDD_MAX, idq=IDQ_COMPRESSION)
 
 
-def track_drain(peak_envelope_v: float, vknee: float) -> float:
-    """Drain voltage just above the output envelope.
+def predict_peak_envelope(setpoint_w: float, params: PaParams) -> float:
+    """Output-envelope peak that delivers the setpoint in compression mode.
 
-    ``peak*(1 + DRAIN_MARGIN) + vknee``, clamped into [VDD_MIN, VDD_MAX].
-    The peak must be finite and >= 0, and vknee finite.
+    The setpoint must be deliverable at full supply (``measure.drive_cap``
+    at VDD_MAX and ``IDQ_COMPRESSION``), else SetpointUnreachable; the peak is
+    then the CW swing whose fundamental delivers it, from the conduction
+    model (``pamodel.swing_for_pout``).
     """
-    if not (math.isfinite(peak_envelope_v) and peak_envelope_v >= 0):
-        raise ValueError(
-            f"peak envelope must be finite and >= 0, got {peak_envelope_v}")
-    if not math.isfinite(vknee):
-        raise ValueError(f"vknee must be finite, got {vknee}")
-    return min(max(peak_envelope_v * (1.0 + DRAIN_MARGIN) + vknee, VDD_MIN),
-               VDD_MAX)
-
-
-def predict_peak_envelope(setpoint_w: float, idq: float,
-                          params: PaParams) -> float:
-    """Output-envelope peak needed to deliver the setpoint.
-
-    The CW swing whose fundamental delivers the setpoint, from the
-    conduction model (``pamodel.swing_for_pout``).
-    """
-    if not (math.isfinite(setpoint_w) and setpoint_w > 0):
-        raise ValueError(f"setpoint must be finite and > 0, got {setpoint_w}")
-    if fundamental_pout(SWING_MAX, idq, params.rload) < setpoint_w:
-        raise SetpointUnreachable(f"setpoint {setpoint_w} W beyond model range")
-    return swing_for_pout(setpoint_w, idq, params.rload)
+    try:
+        drive_cap(setpoint_w, _FULL_SUPPLY_COMPRESSION, params)
+    except TargetUnreachable as exc:
+        raise SetpointUnreachable(
+            f"setpoint {setpoint_w} W unreachable: {exc}") from exc
+    return swing_for_pout(setpoint_w, IDQ_COMPRESSION, params.rload)
 
 
 def command_for_mode(mode: Mode, reason: EnvelopeClass,
@@ -227,9 +213,10 @@ def command_for_mode(mode: Mode, reason: EnvelopeClass,
     """Operating point for an already-chosen mode.
 
     Linear: 2 A quiescent at the band's equalization voltage. Compression:
-    500 mA quiescent, drain tracked just above the predicted output envelope
-    peak for the setpoint, which must be deliverable at full supply
-    (SetpointUnreachable otherwise).
+    500 mA quiescent, drain tracked just above the output envelope peak for
+    the setpoint (``predict_peak_envelope``, which raises
+    SetpointUnreachable), at ``peak*(1 + DRAIN_MARGIN) + vknee`` clamped
+    into [VDD_MIN, VDD_MAX].
     """
     if not (math.isfinite(power_setpoint_w) and power_setpoint_w > 0):
         raise ValueError(
@@ -239,13 +226,9 @@ def command_for_mode(mode: Mode, reason: EnvelopeClass,
     if mode is Mode.LINEAR:
         bias = BiasPoint(vdd=table[band].eq_vdd, idq=IDQ_LINEAR)
         return BiasCommand(target=bias, mode=Mode.LINEAR, reason=reason)
-    try:  # the setpoint must be deliverable at full supply before tracking down
-        drive_cap(power_setpoint_w, _FULL_SUPPLY_COMPRESSION, params)
-    except TargetUnreachable as exc:
-        raise SetpointUnreachable(
-            f"setpoint {power_setpoint_w} W unreachable: {exc}") from exc
-    peak = predict_peak_envelope(power_setpoint_w, IDQ_COMPRESSION, params)
-    vdd = track_drain(peak, vknee=params.vknee)
+    peak = predict_peak_envelope(power_setpoint_w, params)
+    vdd = min(max(peak * (1.0 + DRAIN_MARGIN) + params.vknee, VDD_MIN),
+              VDD_MAX)
     bias = BiasPoint(vdd=vdd, idq=IDQ_COMPRESSION)
     return BiasCommand(target=bias, mode=Mode.COMPRESSION, reason=reason)
 
@@ -266,12 +249,21 @@ def compression_drive(bias: BiasPoint, params: PaParams,
     """Input level that puts the stage depth_db into gain compression.
 
     The one compression query: depth in dB below small-signal gain (1.0
-    gives P1dB; the acceptance gate asks 2.5), from the closed-form Rapp
-    inverse ``pamodel.compression_level``. Raises ValueError for a depth
-    <= 0 dB or one that needs more than 50*a_sat of input drive.
+    gives P1dB; the acceptance gate asks 2.5), from the exact inverse of the
+    Rapp law (Rapp 1991): ``(a_sat/g) * (10^(2s*d/20) - 1)^(1/(2s))``.
+    Raises ValueError for a depth <= 0 dB or one that needs more than
+    50*a_sat of input drive, a depth past the float range included.
     """
-    level = compression_level(bias, params, depth_db)
-    if level > 50.0 * saturated_swing(bias, params):
+    if not depth_db > 0:
+        raise ValueError(f"depth must be > 0 dB, got {depth_db}")
+    g, a_sat = gain_and_swing(bias, params)
+    s2 = 2.0 * params.smoothness
+    try:
+        excess = math.expm1(s2 * depth_db / 20.0 * math.log(10.0))
+    except OverflowError:
+        excess = math.inf
+    level = a_sat / g * excess ** (1.0 / s2)
+    if level > 50.0 * a_sat:
         raise ValueError(f"stage cannot reach {depth_db} dB compression")
     return level
 

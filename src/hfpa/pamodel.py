@@ -333,25 +333,6 @@ def gain_and_swing(bias: BiasPoint, params: PaParams,
     return 10.0 ** (gain_db / 20.0), saturated_swing(bias, params)
 
 
-def compression_level(bias: BiasPoint, params: PaParams,
-                      depth_db: float) -> float:
-    """Input envelope level at which CW gain sits depth_db below small-signal.
-
-    The exact inverse of the Rapp law (Rapp 1991):
-    ``(a_sat/g) * (10^(2s*d/20) - 1)^(1/(2s))``. A depth beyond the float
-    range gives ``inf``.
-    """
-    if not depth_db > 0:
-        raise ValueError(f"depth must be > 0 dB, got {depth_db}")
-    g, a_sat = gain_and_swing(bias, params)
-    s2 = 2.0 * params.smoothness
-    try:
-        excess = math.expm1(s2 * depth_db / 20.0 * math.log(10.0))
-    except OverflowError:
-        return math.inf
-    return a_sat / g * excess ** (1.0 / s2)
-
-
 def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
              band: Optional[str] = None):
     """Amplify a block and report steady-state power statistics.

@@ -12,15 +12,15 @@ from hfpa.biasctl import (BandEntry, BiasController, EnvKind, EnvelopeClass, Mod
                           SetpointUnreachable, WindowTooShort,
                           classify_envelope, command_for_mode,
                           compression_drive, decide_bias, default_band_table,
-                          equalize_gains, predict_peak_envelope, track_drain,
+                          equalize_gains, predict_peak_envelope,
                           HYSTERESIS_WINDOWS)
 from hfpa.bands import BANDS, UnknownBand
 from hfpa.measure import simulate_cw
-from hfpa.pamodel import (GATE_STEP_IDQ, SWING_MAX, BiasPoint, PaParams,
-                          fundamental_pout, gate_step_for, saturated_swing,
-                          small_signal_gain_db, with_ripple)
+from hfpa.pamodel import (GATE_STEP_IDQ, VDD_MAX, VDD_MIN, BiasPoint,
+                          PaParams, gain_and_swing, gate_step_for,
+                          saturated_swing, small_signal_gain_db, with_ripple)
 from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
-from test_pamodel import cw_gain_db
+from test_pamodel import bias_st, cw_gain_db, params_st
 
 FS = 1.0e6
 WINDOW = 0.01
@@ -236,29 +236,41 @@ class TestGateSteps:
 
 
 class TestTrackDrain:
+    """The drain a compression command tracks: ``peak*(1 + DRAIN_MARGIN) +
+    vknee`` over the predicted envelope peak, clamped into [VDD_MIN,
+    VDD_MAX]."""
+
+    @pytest.fixture(autouse=True)
+    def _setup(self, fitted_params):
+        self.params = fitted_params
+        self.p_sat = full_supply_saturated_pout(fitted_params)
+
+    def vdd(self, setpoint):
+        return command_for_mode(
+            Mode.COMPRESSION, EnvelopeClass(EnvKind.CONSTANT, 0.0, 0.0),
+            setpoint, "40M", self.params, default_band_table()).target.vdd
+
     def test_floor_clamp(self):
-        assert track_drain(0.0, 0.0) == 30.0
+        assert self.vdd(1.0) == 30.0
 
     def test_ceiling_clamp(self):
-        assert track_drain(70.0, 0.0) == 58.0
+        assert self.vdd(0.95 * self.p_sat) == 58.0
 
-    def test_arithmetic(self):
-        assert track_drain(45.0, vknee=4.0) == pytest.approx(53.5)
-
-    def test_example_peak_40(self):
-        for vknee in (0.0, 4.0):
-            assert track_drain(40.0, vknee=vknee) == pytest.approx(
-                min(44.0 + vknee, 58.0))
-
-    @pytest.mark.parametrize("peak", [math.nan, math.inf, -1.0])
-    def test_rejects_bad_peak(self, peak):
-        with pytest.raises(ValueError, match="peak envelope"):
-            track_drain(peak, 0.0)
-
-    @pytest.mark.parametrize("vknee", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_vknee(self, vknee):
-        with pytest.raises(ValueError, match="vknee"):
-            track_drain(1.0, vknee=vknee)
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0))
+    def test_drain_follows_the_peak_and_never_falls(self, u, v):
+        lo, hi = sorted((u * self.p_sat, v * self.p_sat))
+        drains = []
+        for setpoint in (lo, hi):
+            peak = pamodel.swing_for_pout(setpoint, biasctl.IDQ_COMPRESSION,
+                                          self.params.rload)
+            want = min(max(peak * (1.0 + biasctl.DRAIN_MARGIN)
+                           + self.params.vknee, VDD_MIN), VDD_MAX)
+            vdd = self.vdd(setpoint)
+            assert vdd.hex() == want.hex()
+            assert VDD_MIN <= vdd <= VDD_MAX
+            drains.append(vdd)
+        assert drains[0] <= drains[1]
 
 
 class TestDecideBias:
@@ -324,48 +336,53 @@ class TestDecideBias:
         assert len(calls) == 0  # the scalar CW law decides a reachable setpoint
 
     def test_setpoint_past_full_supply_saturation_is_unreachable(self):
-        # 2000 W lies above the 58 V saturated output but below what the
-        # conduction model's widest swing would deliver, so only the
-        # full-supply saturation test can reject it
-        bias = BiasPoint(vdd=58.0, idq=0.5)
-        g = 10.0 ** (small_signal_gain_db(bias, self.params) / 20.0)
-        p_sat = simulate_cw(10.0 * saturated_swing(bias, self.params) / g,
-                            bias, self.params).pout_w
-        assert p_sat < 2000.0 < fundamental_pout(SWING_MAX, 0.5,
-                                                 self.params.rload)
-        message = (f"setpoint 2000.0 W unreachable: saturated output "
-                   f"{p_sat:.1f} W below target 2000.0 W at vdd 58.0 V")
+        p_sat = full_supply_saturated_pout(self.params)
+        assert p_sat < 2000.0
         with pytest.raises(SetpointUnreachable) as err:
             command_for_mode(Mode.COMPRESSION, self.constant, 2000.0, "40M",
                              self.params, self.table)
-        assert str(err.value) == message
+        assert str(err.value) == full_supply_message(2000.0, p_sat)
 
     def test_tracked_drain_sits_just_above_envelope(self):
         cmd = decide_bias(self.constant, 1000.0, "40M", self.params, self.table)
-        peak = predict_peak_envelope(1000.0, 0.5, self.params)
+        peak = predict_peak_envelope(1000.0, self.params)
         assert cmd.target.vdd == pytest.approx(
             min(58.0, peak * 1.1 + self.params.vknee), rel=1e-9)
 
 
-def test_predict_peak_envelope_rejects_a_setpoint_past_the_widest_swing():
-    # not reachable from the CLI: command_for_mode's full-supply drive check
-    # refuses such a setpoint first, the 58 V swing being below SWING_MAX
+def full_supply_saturated_pout(params):
+    """CW output at the drive ceiling of the 58 V compression bias."""
+    bias = BiasPoint(vdd=58.0, idq=0.5)
+    g = 10.0 ** (small_signal_gain_db(bias, params) / 20.0)
+    return simulate_cw(10.0 * saturated_swing(bias, params) / g, bias,
+                       params).pout_w
+
+
+def full_supply_message(setpoint, p_sat):
+    return (f"setpoint {setpoint} W unreachable: saturated output "
+            f"{p_sat:.1f} W below target {setpoint:.1f} W at vdd 58.0 V")
+
+
+def test_predict_peak_envelope_refuses_a_setpoint_past_full_supply():
+    # reachability is decided once, at full supply, whoever asks
     params = PaParams(g0=40.0)
-    widest = fundamental_pout(SWING_MAX, 0.5, params.rload)
-    assert predict_peak_envelope(widest, 0.5, params) > 0
-    with pytest.raises(SetpointUnreachable, match="beyond model range"):
-        predict_peak_envelope(math.nextafter(widest, math.inf), 0.5, params)
+    p_sat = full_supply_saturated_pout(params)
+    assert predict_peak_envelope(p_sat, params) > 0
+    with pytest.raises(SetpointUnreachable) as err:
+        predict_peak_envelope(math.nextafter(p_sat, math.inf), params)
+    assert str(err.value) == full_supply_message(
+        math.nextafter(p_sat, math.inf), p_sat)
 
 
 @pytest.mark.parametrize("setpoint", [math.nan, math.inf, -math.inf])
 def test_predict_peak_envelope_rejects_non_finite_setpoint(monkeypatch,
                                                            setpoint):
     calls = []
-    for module, name in ((biasctl, "fundamental_pout"),
-                         (biasctl, "swing_for_pout"), (measure, "simulate_cw")):
+    for module, name in ((biasctl, "swing_for_pout"),
+                         (measure, "_cw_pout_law"), (measure, "simulate_cw")):
         monkeypatch.setattr(module, name, lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="must be finite and > 0, got"):
-        predict_peak_envelope(setpoint, 0.5, PaParams(g0=40.0))
+        predict_peak_envelope(setpoint, PaParams(g0=40.0))
     assert calls == []
 
 
@@ -378,6 +395,31 @@ class TestCompressionDrive:
             assert cw_gain_db(level, bias, fitted_params) == pytest.approx(
                 g_ss - depth, abs=0.01)
 
+    @settings(deadline=None)
+    @given(params_st, bias_st, st.floats(0.01, 200.0))
+    def test_is_the_rapp_inverse_up_to_fifty_times_a_sat(self, params, bias,
+                                                         depth):
+        # the closed form (a_sat/g) * (10^(2s*d/20) - 1)^(1/(2s)) (Rapp 1991)
+        g, a_sat = gain_and_swing(bias, params)
+        s2 = 2.0 * params.smoothness
+        try:
+            closed = a_sat / g * math.expm1(
+                s2 * depth / 20.0 * math.log(10.0)) ** (1.0 / s2)
+        except OverflowError:
+            closed = math.inf
+        if closed > 50.0 * a_sat:
+            with pytest.raises(ValueError, match="cannot reach"):
+                compression_drive(bias, params, depth)
+            return
+        level = compression_drive(bias, params, depth)
+        assert level == closed
+        assert cw_gain_db(level, bias, params) == pytest.approx(
+            small_signal_gain_db(bias, params) - depth, abs=1e-9)
+
+    def test_a_depth_past_the_float_range_cannot_be_reached(self):
+        with pytest.raises(ValueError, match="cannot reach 1000000.0 dB"):
+            compression_drive(BiasPoint(vdd=58.0, idq=2.0),
+                              PaParams(g0=40.0), 1e6)
 
     @pytest.mark.parametrize("depth", [0.0, -2.5, math.nan, 1e4])
     def test_rejects_unreachable_or_non_positive_depth(self, fitted_params,

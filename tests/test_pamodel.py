@@ -17,7 +17,7 @@ from hfpa.pamodel import (GAIN_DB_MAX, GATE_STEP_IDQ, IDQ_MAX, IDQ_REF,
                           PARAM_RULES, BiasPoint, GainOutOfRange, InvalidBias,
                           NonPositiveIdq, OutOfRangeAlpha, PaParams,
                           _fourier_clipped, _rapp_scalar, bisect,
-                          compression_level, conduction_currents,
+                          conduction_currents,
                           efficiency_curve, fundamental_pout, gain_and_swing,
                           gate_step_for, load_params, saturated_swing,
                           save_params, simulate, small_signal_gain_db,
@@ -750,25 +750,6 @@ bias_st = st.builds(BiasPoint, vdd=st.floats(30.0, 58.0),
 def cw_gain_db(a_in, bias, params):
     """CW gain in dB at input envelope level ``a_in``, from ``am_am``."""
     return 20.0 * math.log10(am_am([a_in], bias, params)[0] / a_in)
-
-
-@settings(deadline=None)
-@given(params_st, bias_st, st.floats(0.01, 30.0))
-def test_compression_level_inverts_the_gain_law(params, bias, depth):
-    level = compression_level(bias, params, depth)
-    g_ss = small_signal_gain_db(bias, params)
-    assert cw_gain_db(level, bias, params) == pytest.approx(
-        g_ss - depth, abs=1e-9)
-
-
-@pytest.mark.parametrize("depth", [0.0, -1.0, math.nan])
-def test_compression_level_rejects_non_positive_depth(depth):
-    with pytest.raises(ValueError, match="depth"):
-        compression_level(REF_BIAS, make_params(), depth)
-
-
-def test_compression_level_beyond_float_range_is_infinite():
-    assert compression_level(REF_BIAS, make_params(), 1e6) == math.inf
 
 
 @settings(deadline=None)

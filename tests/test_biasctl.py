@@ -1,5 +1,6 @@
 """Controller tests: envelope classification, bias decisions, drain tracking,
 gate ladder, gain equalization, and switch hysteresis."""
+import dataclasses
 import math
 import re
 
@@ -255,6 +256,21 @@ class TestTrackDrain:
 
     def test_ceiling_clamp(self):
         assert self.vdd(0.95 * self.p_sat) == 58.0
+
+    def vdd_at_peak(self, peak, vknee):
+        """Drain commanded for the setpoint whose envelope peak is ``peak``."""
+        self.params = dataclasses.replace(self.params, vknee=vknee)
+        setpoint = pamodel.fundamental_pout(peak, biasctl.IDQ_COMPRESSION,
+                                            self.params.rload)
+        return self.vdd(setpoint)
+
+    def test_arithmetic(self):
+        assert self.vdd_at_peak(45.0, vknee=4.0) == pytest.approx(53.5)
+
+    def test_example_peak_40(self):
+        for vknee in (0.0, 4.0):
+            assert self.vdd_at_peak(40.0, vknee=vknee) == pytest.approx(
+                min(44.0 + vknee, 58.0))
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0))

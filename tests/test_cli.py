@@ -9,7 +9,7 @@ import threading
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hfpa import psusim
 from hfpa.bands import BANDS
@@ -18,7 +18,7 @@ from hfpa.cli import build_parser, main
 from hfpa.measure import CSV_HEADER
 from hfpa.pamodel import GAIN_DB_MAX, PaParams, save_params
 from hfpa.signalgen import MAX_SAMPLES
-from hfpa.spec import WINDOW_S
+from hfpa.spec import VDD_MAX, VDD_MIN, WINDOW_S
 from test_tools import cli_artifacts
 
 
@@ -63,6 +63,27 @@ def test_classify_rejects_non_finite_input(capsys, flag, value):
     rc = main(["classify", "--kind", "cw", flag, value])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["cw", "fm", "psk", "am", "two-tone"]),
+       exponent=st.floats(min_value=-300.0, max_value=300.0))
+@example(kind="am", exponent=-300.0)
+@example(kind="two-tone", exponent=300.0)
+@example(kind="cw", exponent=-300.0)
+@example(kind="fm", exponent=300.0)
+def test_each_kind_gets_one_verdict_at_every_amplitude(capsys, kind,
+                                                       exponent):
+    # metamorphic relation: the verdict is a ratio test, so scaling the
+    # waveform leaves it; at both ends the squares leave the normal float
+    # range and classify_envelope rescales the window by its peak
+    def verdict(amplitude):
+        assert main(["classify", "--kind", kind,
+                     "--amplitude", repr(amplitude)]) == 0
+        return capsys.readouterr().out
+
+    assert verdict(10.0 ** exponent) == verdict(1.0)
 
 
 def test_sweep_bias_reproduces_reference_rows(tmp_path, params_file):
@@ -169,6 +190,37 @@ def test_sweep_bias_is_byte_identical_across_runs(tmp_path, params_file):
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vdds=st.lists(st.floats(min_value=VDD_MIN, max_value=VDD_MAX),
+                     min_size=1, max_size=6),
+       pout=st.one_of(st.just(0.0), st.floats(min_value=1.0,
+                                              max_value=1200.0)))
+@example(vdds=[58.0, 30.0, 40.0], pout=600.0)
+@example(vdds=[58.0, 53.0, 48.0, 40.0, 30.0], pout=1000.0)
+def test_each_sweep_row_is_the_one_voltage_sweep(tmp_path, params_file,
+                                                 capsys, vdds, pout):
+    # metamorphic relation: row i of a sweep is the sweep of its voltage
+    # alone, never shaped by the rows before it; past saturation the whole
+    # command fails as its first unreachable voltage fails alone
+    out = tmp_path / "sweep.csv"
+
+    def sweep(volts):
+        out.unlink(missing_ok=True)
+        rc = main(["sweep-bias", "--vdd", ",".join(map(repr, volts)),
+                   "--pout", repr(pout), "--params", params_file,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        return rc, (out.read_text().splitlines()[1:] if rc == 0 else err)
+
+    alone = [sweep([vdd]) for vdd in vdds]
+    failed = [result for result in alone if result[0] != 0]
+    if failed:
+        assert sweep(vdds) == failed[0]
+        assert failed[0][0] == 1 and not out.exists()
+    else:
+        assert sweep(vdds) == (0, [row for _, rows in alone for row in rows])
+
 
 def test_freq_response_all_bands(tmp_path, params_file):
     out = tmp_path / "bands.csv"
@@ -212,6 +264,32 @@ def test_freq_response_unknown_band_exits_1(tmp_path, params_file, capsys,
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: unknown band ")
     assert not out.exists()
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bands=st.lists(st.sampled_from(BANDS), min_size=1, max_size=4),
+       ripple=st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                       min_size=len(BANDS), max_size=len(BANDS)),
+       drive=st.floats(min_value=0.0, max_value=1.0),
+       vdd=st.floats(min_value=VDD_MIN, max_value=VDD_MAX))
+def test_each_band_row_is_the_same_alone_as_in_all(tmp_path, fitted_params,
+                                                   bands, ripple, drive, vdd):
+    # metamorphic relation: a band's row depends on that band and its
+    # ripple alone, never on which bands the command names or in what order
+    params, out = tmp_path / "rippled.cfg", tmp_path / "f.csv"
+    save_params(dataclasses.replace(fitted_params,
+                                    ripple=dict(zip(BANDS, ripple))), params)
+
+    def rows(names):
+        assert main(["freq-response", "--bands", names, "--drive",
+                     repr(drive), "--vdd", repr(vdd), "--params", str(params),
+                     "--out", str(out)]) == 0
+        return out.read_text().splitlines()[1:]
+
+    every = dict(zip(BANDS, rows("all")))
+    assert [rows(band) for band in bands] == [[every[b]] for b in bands]
+    assert rows(",".join(bands)) == [every[b] for b in bands]
 
 
 def test_calibrate_subcommand(tmp_path, capsys):

@@ -16,7 +16,6 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
 from .bands import BANDS, UnknownBand
 from .measure import TargetUnreachable, drive_cap
 from .pamodel import (VDD_MAX, VDD_MIN, BiasPoint, InvalidBias, PaParams,
@@ -148,13 +147,11 @@ def classify_envelope(block: IqBlock, window_s: float) -> EnvelopeClass:
     metrics are ratios. ``window_s`` must be finite and > 0; the window is
     the block's first ``max(1, round(window_s * rate))`` samples.
 
-    The window's envelope, its sorted copy and its squares go into rows 0
-    and 1 of this thread's ``kernels.workspace``, so a window allocates no
-    per-sample array. Each step is the plain form's ufunc, in place: the
-    rescale divides both rows by the peak as ``env / peak`` does, and the
-    mean square is ``np.add.reduce`` of the squares over ``n``, the sum and
-    division of ``np.mean(env ** 2)``, so every bit is the plain form's. The
-    verdict holds Python floats only, never a view of the workspace.
+    A window allocates two float rows, its envelope and its sorted copy.
+    The rescale divides both in place by the peak as ``env / peak`` does,
+    and the mean square is ``np.add.reduce`` of the squares over ``n``, the
+    sum and division of ``np.mean(env ** 2)``, so every bit is the plain
+    form's.
     """
     _check_window(window_s)
     span = window_s * block.sample_rate  # inf past the float range
@@ -162,11 +159,8 @@ def classify_envelope(block: IqBlock, window_s: float) -> EnvelopeClass:
     if len(block) < n:
         raise WindowTooShort(f"block spans {len(block)} < {n:.15g} window "
                              f"samples ({window_s:g} s)")
-    samples = block.samples[:n]
-    env, ordered = kernels.workspace(n)[:2]
-    np.abs(samples, env)
-    np.copyto(ordered, env)
-    ordered.sort()
+    env = np.abs(block.samples[:n])
+    ordered = np.sort(env)
     peak = float(ordered[-1])
     if peak == 0.0:
         return EnvelopeClass(EnvKind.CONSTANT, papr_db=0.0, ripple_ratio=0.0)

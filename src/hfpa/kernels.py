@@ -11,10 +11,8 @@ faults (and the zero-filling) of mapping new temporaries on every call.
 ``pa_pipeline``'s law needs five scratch rows: the workspace's three and
 its own fresh complex output block, viewed as two float rows until the
 output samples, written last, overwrite them. No returned array is a view
-of the workspace. ``biasctl.classify_envelope`` takes rows 0-1 for a
-window's envelope and its sorted copy; it is never called inside
-``pamodel.simulate`` or ``measure.measure_imd``, so no two users hold the
-rows at once.
+of the workspace. The model's two stages, ``pamodel.simulate`` and
+``measure.measure_imd``, are its only users, one after the other.
 
 Each block sum is one ``np.add.reduce`` over a contiguous row of per-sample
 products: numpy sums a contiguous row of a 2-D reduction along its rows as
@@ -92,15 +90,12 @@ def workspace(n):
     """This thread's three float64 scratch rows of length ``n``: a tuple of
     the row views of one C-ordered ``(3, n)`` array, contents undefined.
 
-    ``pa_pipeline`` uses all three: the envelope in row 0, then the output
-    scale in row 1 and the law's products in rows 0 and 2, beside the two
-    float rows of its output block. ``biasctl.classify_envelope`` uses rows
-    0-1 and is never
-    called inside ``pamodel.simulate`` or ``measure.measure_imd`` (rows
-    0-2), whose rows it shares. The rows of the most recent length are
-    kept, and returned again for that length, while ``n <=
-    CACHE_MAX_SAMPLES``; a longer ``n`` gets fresh rows on every call,
-    freed with their last view.
+    The model's two stages alone use them: ``measure.measure_imd``, and
+    ``pa_pipeline`` for ``pamodel.simulate``, with the envelope in row 0,
+    then the output scale in row 1 and the law's products in rows 0 and 2.
+    The rows of the most recent length are kept, and returned again for
+    that length, while ``n <= CACHE_MAX_SAMPLES``; a longer ``n`` gets
+    fresh rows on every call, freed with their last view.
     """
     rows = getattr(_local, "rows", ())
     if rows and rows[0].size == n:

@@ -254,9 +254,9 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     length and bins at any length, at most 18*128 complex values. Building
     them at a new length peaks at 32 bytes per sample (4 MiB at 131072
     samples, ``_analysis_constants``).
-    The analysis runs in the calling thread's ``kernels.workspace``, which
-    ``pamodel.simulate`` shares and which adds 24 bytes per sample per
-    thread, 3 MiB at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
+    The analysis runs in the calling thread's ``kernels.workspace``, shared
+    with ``pamodel.simulate`` alone: 24 bytes per sample per thread, 3 MiB
+    at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
     On a long block its ``|x|^2`` pass with its sum, its noise and window
     pass and its column FFT each run as two halves (``kernels.halves``;
     ``kernels.SPLIT_MIN`` gives the timings); the halves' sums join to the

@@ -353,8 +353,9 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     opens none, and a CW block enters one scope per call. Beyond the output
     block, a call allocates one float row, the swing, and works in the
     calling thread's three ``kernels.workspace`` rows, 24 bytes per sample
-    kept up to ``signalgen.CACHE_MAX_SAMPLES``; the law's other scratch rows
-    are the output block's own memory.
+    kept up to ``signalgen.CACHE_MAX_SAMPLES``, which ``measure.measure_imd``
+    alone shares; the law's other scratch rows are the output block's own
+    memory.
     """
     if not isinstance(bias, BiasPoint):
         raise InvalidBias(f"expected BiasPoint, got {type(bias).__name__}")

@@ -196,8 +196,8 @@ def test_classify_metrics_match_the_percentile_reference(kind, scale):
 @example(n=1, tied=False, seed=0, scale=1e-300, frac=1.0)
 def test_classify_metrics_match_the_reference_on_random_blocks(
         n, tied, seed, scale, frac):
-    # the window's rows live in the workspace; the verdict must be the plain
-    # form's, and at 1e-300 and 1e300 the rows are rescaled in place
+    # the verdict must be the plain form's, and at 1e-300 and 1e300 the
+    # envelope and its sorted copy are rescaled in place
     rng = np.random.default_rng(seed)
     if tied:  # a few complex levels: ties in the envelope, or a constant one
         k = int(rng.integers(1, 5))

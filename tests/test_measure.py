@@ -262,11 +262,19 @@ class TestWorkspaceSharing:
         for result in (out.samples, scaled):
             assert not np.shares_memory(result, base)
 
+    def test_classify_leaves_the_model_rows_in_place(self):
+        # a 10000-sample window in the thread that holds the 131072-sample
+        # rows; were they dropped, the next simulate would map 3 MiB again
+        rows = kernels.workspace(131072)
+        classify_envelope(generate(WaveformSpec(kind=Kind.AM,
+                                                duration_s=0.01), FS), 0.01)
+        assert kernels.workspace(131072) is rows
+
     def test_classify_and_simulate_interleave_in_two_threads(self,
                                                              monkeypatch):
-        # classify_envelope takes rows 0-1 of the workspace whose row 0 holds
-        # pa_pipeline's envelope; at 64 and 10000 samples both reuse one
-        # array
+        # classify_envelope works on its own arrays, between simulate calls
+        # that reuse one workspace at 64 and at 10000 samples; interleaved
+        # in threads, each call still gets its sequential bits
         calls = []
         for n in (64, 10000):
             for kind, amplitude in ((Kind.AM, 0.8), (Kind.TWO_TONE, 1.5),

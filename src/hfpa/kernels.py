@@ -52,10 +52,9 @@ the first part of the rows and a worker thread the second, in slices of
 the caller's workspace rows and preallocated results. Each split step works
 on each leading row alone and the worker runs under the caller's
 ``np.geterr()``, so each sample gets the bits and error handling of one
-pass. The worker is one daemon thread per process, handed each part with
-two locks, and used by one caller at a time; it is started on the first
-long block (importing this module starts none) and again in a child after
-``os.fork``.
+pass. The worker is the one thread of a ``ThreadPoolExecutor`` that every
+caller shares, made on the first long block (importing this module starts
+none) and again in a child after ``os.fork``.
 """
 import math
 import os
@@ -67,20 +66,20 @@ from .signalgen import CACHE_MAX_SAMPLES
 
 _local = threading.local()
 
-#: Shortest block, in samples, whose passes ``halves`` splits. A handoff
-#: to the worker with nothing to do took 35-41 us p50 on a 2-core VM,
-#: against 61 us through a ``ThreadPoolExecutor`` (interleaved in one
-#: process). Split over serial time, median of 6 interleaved rounds, per
-#: caller at 16384 / 32768 / 49152 / 65536 / 131072 samples: the law with
-#: ``|x|`` 1.19 / 0.77 / 0.62 / 0.58 / 0.49; ``measure_imd``'s ``|x|^2`` and
-#: sum 2.09 / 1.29 / 1.07 / 0.92 / 0.66, its noise and window pass 2.38 /
-#: 1.18 / 0.92 / 0.85 / 0.49 and its column FFT 1.35 / 0.88 / 0.86 / 0.74 /
-#: 0.60. ``|x|^2`` still loses below 65536, so the bound stays there.
+#: Shortest block, in samples, whose passes ``halves`` splits. A split with
+#: nothing to do takes 22-33 us p50 on a 2-core VM, 13-20 us through the
+#: two-lock thread that the executor replaced, which these ratios were taken
+#: with. Split over serial time, median of 6 interleaved rounds, per caller
+#: at 16384 / 32768 / 49152 / 65536 / 131072 samples: the law with ``|x|``
+#: 1.19 / 0.77 / 0.62 / 0.58 / 0.49; ``measure_imd``'s ``|x|^2`` and sum
+#: 2.09 / 1.29 / 1.07 / 0.92 / 0.66, its noise and window pass 2.38 / 1.18 /
+#: 0.92 / 0.85 / 0.49 and its column FFT 1.35 / 0.88 / 0.86 / 0.74 / 0.60.
+#: ``|x|^2`` still loses below 65536, so the bound stays there.
 SPLIT_MIN = 65536
 
-#: ``(pid, _Worker)`` of this process's worker thread, once started.
-_worker = (None, None)
-_worker_lock = threading.Lock()
+#: ``(pid, ThreadPoolExecutor)`` of this process's worker thread, once made.
+_pool = (None, None)
+_pool_lock = threading.Lock()
 
 #: The smallest positive float, a subnormal.
 _TINY = math.ulp(0.0)
@@ -112,51 +111,17 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-class _Worker:
-    """One daemon thread that runs the second half of a split.
-
-    The caller takes ``busy``, puts the job in ``job`` and releases ``go``;
-    the thread runs it, leaves ``(result, exception)`` in ``result``, drops
-    the job and releases ``done``. ``go`` and ``done`` are held while the
-    thread is idle. Dropping the job drops its views of the caller's rows:
-    kept until the next split, they held a call's output block and swing
-    into the next call, which raised the ``imd`` workload's peak RSS by
-    0.7 MB.
-    """
-
-    def __init__(self):
-        self.busy = threading.Lock()
-        self.go = threading.Lock()
-        self.done = threading.Lock()
-        self.go.acquire()
-        self.done.acquire()
-        self.job = self.result = None
-        threading.Thread(target=self._serve, name="hfpa-halves",
-                         daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self.go.acquire()
-            try:
-                self.result = (_in_errstate(*self.job), None)
-            except BaseException as exc:  # halves raises it in the caller
-                self.result = (None, exc)
-            self.job = None
-            self.done.release()
-
-
-def _the_worker():
-    """This process's worker, created on first use in each process: a child
-    of ``os.fork`` has no copy of its parent's thread."""
-    global _worker
-    pid, worker = _worker
-    if pid != os.getpid():
-        with _worker_lock:
-            pid, worker = _worker
-            if pid != os.getpid():
-                worker = _Worker()
-                _worker = (os.getpid(), worker)
-    return worker
+def _executor():
+    """This process's one-thread executor, made on first use in each
+    process: a child of ``os.fork`` has no copy of its parent's thread."""
+    global _pool
+    if _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor  # 7.7 ms to import
+        with _pool_lock:
+            if _pool[0] != os.getpid():
+                _pool = (os.getpid(), ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="hfpa-halves"))
+    return _pool[1]
 
 
 def _in_errstate(err, fn, rows, args):
@@ -178,10 +143,11 @@ def halves(fn, rows, *args):
     the first part of every row along the first axis and the process's
     worker thread on the second, under this thread's ``np.geterr()``;
     otherwise ``fn`` runs once on the whole rows and the list has one
-    result. One caller at a time uses the worker: a second thread that
-    finds it busy runs its block in one part, with the same bits. The
-    worker has finished its part when this returns or raises; an exception
-    of this thread's part wins over the worker's.
+    result. A second caller's part queues behind the first's: no pass that
+    runs inside a split calls ``halves``, so no part waits on its own
+    thread. The worker has finished its part, and keeps no view of the
+    rows, when this returns or raises; an exception of this thread's part
+    wins over the worker's.
 
     1-D rows split at numpy's pairwise point, ``h = n//2 - (n//2) % 8``:
     numpy sums more than 128 terms as the sum of the first ``h`` plus the
@@ -190,30 +156,24 @@ def halves(fn, rows, *args):
 
     It has four callers: ``pa_pipeline``'s law with ``|x|`` and the block
     sums, and ``measure_imd``'s ``|x|^2`` with its sum, its noise and window
-    pass and its column FFT. ``SPLIT_MIN`` gives their timings.
+    pass and its column FFT. ``SPLIT_MIN`` gives their timings and a handoff's.
     """
     first = rows[0]
     if first.size < SPLIT_MIN or len(first) < 2 or _cpu_count() < 2:
         return [fn(*rows, *args)]
-    worker = _the_worker()
-    if not worker.busy.acquire(blocking=False):
-        return [fn(*rows, *args)]
     h = len(first) // 2
     if first.ndim == 1:
         h -= h % 8
-    worker.job = (np.geterr(), fn, [r[h:] for r in rows], args)
-    worker.go.release()
+    theirs = _executor().submit(_in_errstate, np.geterr(), fn,
+                                [r[h:] for r in rows], args)
     try:
         mine = fn(*[r[:h] for r in rows], *args)
     finally:
-        # waits for the worker's part; if this wait is interrupted, the
-        # worker stays busy and later splits run in one part
-        worker.done.acquire()
-        (theirs, exc), worker.result = worker.result, None
-        worker.busy.release()
-    if exc is not None:
-        raise exc
-    return [mine, theirs]
+        theirs.exception()  # waits for the worker's part
+    try:
+        return [mine, theirs.result()]
+    finally:
+        del theirs  # a raised exception's traceback holds this frame
 
 
 def joined(parts):

@@ -1,7 +1,8 @@
 """The two-thread split of long blocks (``kernels.halves``): the same bits as
 one pass, part sums that join to the bits of one reduction, the caller's
 floating-point error handling in the worker, a joined worker on every exit,
-one caller at a time, and a fresh worker after ``os.fork``; a two-tone
+a second caller's part queued behind the first's, no view of the rows kept
+after a split, and a fresh worker after ``os.fork``; a two-tone
 ``simulate`` whose bits do not depend on the BLAS build; the retention
 rule of ``kernels.workspace``; and the one-pass Rapp limiter, with the bits
 of the trap-and-redo form it replaced."""
@@ -139,16 +140,12 @@ def test_long_blocks_split_and_give_the_serial_bits(kind, two_cpus,
 
 
 def test_two_callers_at_once_give_the_serial_bits(two_cpus, monkeypatch):
-    # one caller holds the worker; the others run their blocks in one part
+    # more callers than the host's two cores, switching often: their parts
+    # queue for the one worker thread and each gets the serial bits
     blocks = [two_tone(131072, a) for a in (0.4, 0.9, 1.3)]
     want = [serial_bits(b, monkeypatch) for b in blocks]
-    point_bits(blocks[0])  # starts the worker
-    worker = kernels._worker[1]
-    with worker.busy:  # as while another thread's block is split
-        del two_cpus[:]
-        assert point_bits(blocks[1]) == want[1]
-        assert two_cpus == []
-    # more callers than the host's two cores, switching often
+    point_bits(blocks[0])  # makes the pool
+    del two_cpus[:]
     got = [[] for _ in blocks]
     start = threading.Barrier(len(blocks))
 
@@ -170,7 +167,75 @@ def test_two_callers_at_once_give_the_serial_bits(two_cpus, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[w] * 4 for w in want]
-    assert not worker.busy.locked()
+    # every long block split (4 handoffs a point), and one thread ran all
+    # the worker's parts
+    assert len(two_cpus) == 3 * 4 * 4
+    pool_threads = [t.name for t in threading.enumerate()
+                    if t.name.startswith("hfpa-halves")]
+    assert len(pool_threads) == 1 and set(two_cpus) == set(pool_threads)
+
+
+def test_a_second_caller_hands_over_its_part_while_the_worker_is_busy(
+        two_cpus):
+    # A's worker part blocks until B's own part runs: B's worker part queues
+    # behind A's, and B still gets two parts and the serial bits
+    busy, release = threading.Event(), threading.Event()
+    first = threading.Thread(target=lambda: kernels.halves(hold, (held,)))
+    caller = threading.current_thread()
+
+    def hold(row):
+        if threading.current_thread() is not first:
+            busy.set()
+            assert release.wait(60)
+        row[:] = 1.0
+
+    def squares(x, out):
+        if threading.current_thread() is caller:
+            release.set()
+        return np.add.reduce(np.multiply(x, x, out))
+
+    held = np.zeros(SPLIT_MIN)
+    x = np.random.default_rng(7).standard_normal(SPLIT_MIN + 5)
+    out = np.empty_like(x)
+    first.start()
+    try:
+        assert busy.wait(60)
+        parts = kernels.halves(squares, (x, out))
+    finally:
+        release.set()
+        first.join(timeout=60)
+    assert not first.is_alive()
+    assert len(parts) == 2 and len(two_cpus) == 2
+    assert kernels.joined(parts).hex() == np.add.reduce(x * x).hex()
+    assert out.tobytes() == (x * x).tobytes()
+    assert np.all(held == 1.0)
+
+
+@pytest.mark.parametrize("raiser", [None, "caller", "worker"])
+def test_a_split_keeps_no_view_of_its_rows(raiser, two_cpus):
+    # a view kept past the call would hold the block into the next one
+    caller = threading.current_thread()
+
+    def fn(row):
+        part = "caller" if threading.current_thread() is caller else "worker"
+        if part == raiser:
+            raise ValueError(part)
+        row[:] = 1.0
+        return float(row[0])
+
+    base = np.zeros(2 * SPLIT_MIN)
+    ref = weakref.ref(base)
+    raised = []
+    try:
+        parts = kernels.halves(fn, (base[::2],))
+    except ValueError as exc:
+        raised.append(str(exc))
+    else:
+        assert parts == [1.0, 1.0]
+    assert raised == ([] if raiser is None else [raiser])
+    assert len(two_cpus) == 1
+    del base
+    assert ref() is None
 
 
 def test_the_worker_is_one_thread_of_its_own(two_cpus):
@@ -260,15 +325,15 @@ def test_the_worker_exception_surfaces(two_cpus):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_completes_a_large_simulate(two_cpus):
     block = two_tone(131072, 0.8)
-    want = point_bits(block)  # the parent's worker now runs
-    assert kernels._worker[0] == os.getpid()
+    want = point_bits(block)  # the parent's pool now runs
+    assert kernels._pool[0] == os.getpid()
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: report, then leave without pytest's teardown
         status = 1
         try:
             ok = (point_bits(block) == want
-                  and kernels._worker[0] == os.getpid() and len(two_cpus) > 2)
+                  and kernels._pool[0] == os.getpid() and len(two_cpus) > 2)
             os.write(write, b"ok" if ok else b"differs")
             status = 0
         finally:

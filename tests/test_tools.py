@@ -90,6 +90,42 @@ def test_cli_artifacts_take_the_help_of_every_subcommand():
     assert cli_artifacts.SUBCOMMANDS == tuple(action.choices)
 
 
+def test_cli_artifacts_help_makes_no_directory(capsys, tmp_path,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        cli_artifacts.main(["--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: python tools/cli_artifacts.py OUTDIR [MANIFEST]")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-x"], ["-1"], ["out", "-"], ["out", "m.json", "extra"],
+    ["--", "-out"]], ids=["none", "option", "negative", "dash-manifest",
+                          "three", "after-double-dash"])
+def test_cli_artifacts_refuses_a_bad_command_line(argv, capsys, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_artifacts, "run_steps", None)  # never reached
+    with pytest.raises(SystemExit) as err:
+        cli_artifacts.main(argv)
+    assert err.value.code == 2
+    assert "usage: python tools/cli_artifacts.py" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_snapshot_takes_seed_1_by_default(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(bench_snapshot, "paired",
+                        lambda args, seeds, workloads, better: calls.append(
+                            (seeds, workloads)))
+    against = make_tree(tmp_path / "parent")
+    assert bench_snapshot.main(["--tag", "T", "--against", str(against)]) == 0
+    assert calls == [([1], ["calibrate", "controller", "imd"])]
+
+
 def test_bench_snapshot_records_the_environment(monkeypatch):
     # the host is named by the golden check's key, read in process: the
     # only children are git's, for the tree identity

@@ -116,7 +116,7 @@ def test_overflow_saturates_under_a_raising_caller(n, monkeypatch):
 
 
 def test_worker_handoffs_per_call(two_cpus):
-    # a handoff costs 35-41 us on a 2-core VM (kernels.SPLIT_MIN): a long
+    # a handoff costs 22-33 us on a 2-core VM (kernels.SPLIT_MIN): a long
     # varying simulate hands over 1 (|x|, law and sums in one split), a CW
     # row none, and a two-tone point at 131072 samples 4: simulate's, and
     # measure_imd's |x|^2, noise and window pass and column FFT

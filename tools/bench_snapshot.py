@@ -5,7 +5,7 @@
 Usage::
 
     python tools/bench_snapshot.py --tag T --against DIR [--pairs N] \
-        [--seeds 1,2,3] [--workloads W,...]
+        [--seeds 1] [--workloads W,...]
     python tools/bench_snapshot.py --table bench/BENCH_T.json ...
 
 ``--table`` prints the Markdown evidence table of paired files already
@@ -493,7 +493,8 @@ def main(argv=None) -> int:
                         help="print the evidence rows of these pair files "
                              "and run nothing")
     parser.add_argument("--tag")
-    parser.add_argument("--seeds", default="1,2,3")
+    parser.add_argument("--seeds", default="1",
+                        help="comma-separated workload seeds (default: 1)")
     parser.add_argument("--workloads", default=None,
                         help="comma-separated subset of BENCHMARK.json's "
                              "workloads (default: all)")

@@ -58,6 +58,7 @@ one environment.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import itertools
@@ -276,12 +277,18 @@ def write_manifest(out: Path, path: Path) -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) not in (1, 2):
-        print("usage: python tools/cli_artifacts.py OUTDIR [MANIFEST]",
-              file=sys.stderr)
-        return 2
-    out = Path(argv[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n")[0],
+        usage="python tools/cli_artifacts.py OUTDIR [MANIFEST]")
+    parser.add_argument("outdir", metavar="OUTDIR", type=Path,
+                        help="an empty or new directory for the artifacts")
+    parser.add_argument("manifest", metavar="MANIFEST", type=Path,
+                        nargs="?", help="where to write their manifest")
+    args = parser.parse_args(argv)
+    for path in (args.outdir, args.manifest):
+        if str(path).startswith("-"):
+            parser.error(f"unrecognized option: {path}")
+    out = args.outdir
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         print(f"error: {out} is not empty", file=sys.stderr)
@@ -293,8 +300,8 @@ def main(argv=None) -> int:
         failed += proc.returncode != EXPECTED_EXIT.get(name, 0)
     if failed:
         return 1
-    if len(argv) == 2:
-        write_manifest(out, Path(argv[1]))
+    if args.manifest is not None:
+        write_manifest(out, args.manifest)
     return 0
 
 

@@ -54,7 +54,8 @@ on each leading row alone and the worker runs under the caller's
 ``np.geterr()``, so each sample gets the bits and error handling of one
 pass. The worker is the one thread of a ``ThreadPoolExecutor`` that every
 caller shares, made on the first long block (importing this module starts
-none) and again in a child after ``os.fork``.
+none) and again in a child after ``os.fork``. It takes no part once the
+interpreter shuts down: a long block in an ``atexit`` handler raises.
 """
 import math
 import os
@@ -112,8 +113,7 @@ def _cpu_count():
 
 
 def _executor():
-    """This process's one-thread executor, made on first use in each
-    process: a child of ``os.fork`` has no copy of its parent's thread."""
+    """This process's one-thread executor; a forked child makes its own."""
     global _pool
     if _pool[0] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor  # 7.7 ms to import

@@ -180,7 +180,6 @@ def test_a_second_caller_hands_over_its_part_while_the_worker_is_busy(
     # A's worker part blocks until B's own part runs: B's worker part queues
     # behind A's, and B still gets two parts and the serial bits
     busy, release = threading.Event(), threading.Event()
-    first = threading.Thread(target=lambda: kernels.halves(hold, (held,)))
     caller = threading.current_thread()
 
     def hold(row):
@@ -197,6 +196,7 @@ def test_a_second_caller_hands_over_its_part_while_the_worker_is_busy(
     held = np.zeros(SPLIT_MIN)
     x = np.random.default_rng(7).standard_normal(SPLIT_MIN + 5)
     out = np.empty_like(x)
+    first = threading.Thread(target=kernels.halves, args=(hold, (held,)))
     first.start()
     try:
         assert busy.wait(60)

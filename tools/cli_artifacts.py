@@ -285,10 +285,10 @@ def main(argv=None) -> int:
     parser.add_argument("manifest", metavar="MANIFEST", type=Path,
                         nargs="?", help="where to write their manifest")
     args = parser.parse_args(argv)
-    for path in (args.outdir, args.manifest):
+    out = args.outdir
+    for path in filter(None, (out, args.manifest)):
         if str(path).startswith("-"):
             parser.error(f"unrecognized option: {path}")
-    out = args.outdir
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         print(f"error: {out} is not empty", file=sys.stderr)

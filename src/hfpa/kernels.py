@@ -43,13 +43,11 @@ numpy, on one-lane arrays: numpy's SIMD ``pow`` and ``arccos`` differ from
 libm's in the last bits for a few percent of arguments, and ``**`` takes
 numpy's exponent-2 and exponent-0.5 fast paths, as it does for a block.
 
-Four passes over a long block run as two halves at once through
-``halves``: ``pa_pipeline``'s law with ``|x|``, the output scale and the
-block sums, and ``measure.measure_imd``'s ``|x|^2`` with its sum, its noise
-and window pass and its column FFT. ``SPLIT_MIN`` gives the timings. From
-``SPLIT_MIN`` samples up, with more than one CPU, the calling thread runs
-the first part of the rows and a worker thread the second, in slices of
-the caller's workspace rows and preallocated results. Each split step works
+The passes that ``SPLIT_MIN`` names run over a long block as two halves
+at once through ``halves``. From ``SPLIT_MIN`` samples up, with more than
+one CPU, the calling thread runs the first part of the rows and a worker
+thread the second, in slices of the caller's workspace rows and
+preallocated results. Each split step works
 on each leading row alone and the worker runs under the caller's
 ``np.geterr()``, so each sample gets the bits and error handling of one
 pass. The worker is the one thread of a ``ThreadPoolExecutor`` that every
@@ -67,15 +65,23 @@ from .signalgen import CACHE_MAX_SAMPLES
 
 _local = threading.local()
 
-#: Shortest block, in samples, whose passes ``halves`` splits. A split with
-#: nothing to do takes 22-33 us p50 on a 2-core VM, 13-20 us through the
-#: two-lock thread that the executor replaced, which these ratios were taken
-#: with. Split over serial time, median of 6 interleaved rounds, per caller
-#: at 16384 / 32768 / 49152 / 65536 / 131072 samples: the law with ``|x|``
-#: 1.19 / 0.77 / 0.62 / 0.58 / 0.49; ``measure_imd``'s ``|x|^2`` and sum
-#: 2.09 / 1.29 / 1.07 / 0.92 / 0.66, its noise and window pass 2.38 / 1.18 /
-#: 0.92 / 0.85 / 0.49 and its column FFT 1.35 / 0.88 / 0.86 / 0.74 / 0.60.
-#: ``|x|^2`` still loses below 65536, so the bound stays there.
+#: Shortest block, in samples, whose passes ``halves`` splits. Three passes
+#: split, and this is the one place that names them: ``pa_pipeline``'s law
+#: with ``|x|``, the output scale and the block sums, and
+#: ``measure.measure_imd``'s noise and window pass and its column FFT. A
+#: split with nothing to do takes 22-33 us p50 on a 2-core VM. Each pass
+#: stays split on an op-level read on that VM: ``perfbench`` ``imd``
+#: (131072-sample points, seed 1, 10 s runs, alternating order), a tree
+#: with that pass alone made serial against one with all three split. The
+#: serial/split ratio of the median ``op_p50_ms``, scaled then raw, with
+#: the pairs in which the serial tree was slower: the law 1.48 (7/8) and
+#: 1.43 (8/8); the column FFT 1.10 (11/16) and 1.09 (14/16); the noise and
+#: window pass 0.99 (8/16) and 1.08 (14/16); all of ``measure_imd`` serial
+#: 1.21 (6/8) and 1.12 (5/8).
+#: ``measure_imd``'s ``|x|^2`` and its sum run serially: split, they took
+#: 1.11-1.19 times the serial time at 131072 samples through the executor.
+#: No workload runs a block between 10000 and 131072 samples, so the
+#: bound itself is not re-measured.
 SPLIT_MIN = 65536
 
 #: ``(pid, ThreadPoolExecutor)`` of this process's worker thread, once made.
@@ -154,9 +160,7 @@ def halves(fn, rows, *args):
     sum of the rest, so ``joined`` of the parts' ``np.add.reduce`` has the
     bits of the whole row's. Columns split at ``n//2``.
 
-    It has four callers: ``pa_pipeline``'s law with ``|x|`` and the block
-    sums, and ``measure_imd``'s ``|x|^2`` with its sum, its noise and window
-    pass and its column FFT. ``SPLIT_MIN`` gives their timings and a handoff's.
+    ``SPLIT_MIN`` names its callers and gives their timings and a handoff's.
     """
     first = rows[0]
     if first.size < SPLIT_MIN or len(first) < 2 or _cpu_count() < 2:
@@ -178,7 +182,8 @@ def halves(fn, rows, *args):
 
 def joined(parts):
     """The sum of the part results of ``halves``: with its pairwise split
-    point, the bits of one ``np.add.reduce`` over the whole rows."""
+    point, the bits of one ``np.add.reduce`` over the whole rows. Of the
+    split passes (``SPLIT_MIN``), ``pa_pipeline``'s alone returns sums."""
     return parts[0] if len(parts) == 1 else parts[0] + parts[1]
 
 
@@ -282,7 +287,7 @@ def pa_pipeline(x, g, a_sat, idq, params):
     for the calibration's bits. Every other block's four sums are one
     reduction, with no BLAS call. A block of ``SPLIT_MIN`` samples or more,
     constant or not, runs its ``|x|``, law, output scale and sums as two
-    halves (``halves``; the timings are at ``SPLIT_MIN``), and ``joined``
+    halves (``halves``, one of the passes ``SPLIT_MIN`` names), and ``joined``
     adds the halves' sums with the bits of one reduction.
 
     One ``np.errstate(over="ignore")`` covers both paths, the block sums

@@ -161,13 +161,6 @@ def _pairs(c):
     return c[:, None].view(np.float64)
 
 
-def _squared_sum(x, mag2):
-    """``sum(|x|^2)``, ``|x|^2`` left in ``mag2``."""
-    np.abs(x, mag2)
-    mag2 **= 2
-    return np.add.reduce(mag2)
-
-
 def _noisy_windowed(x, unit, win, z, floor):
     """``z = (x + floor*unit/sqrt(2)) * win``, for any floor, 0.0 included.
 
@@ -227,7 +220,7 @@ def _dft_bins(z: np.ndarray, ks: np.ndarray) -> np.ndarray:
     holds the l-point DFTs of the m columns ``z[c::m]``. ``F`` is computed
     in place in ``z``. The columns transform independently, so on a long
     block the two halves of the columns run at once (``kernels.halves``,
-    which splits columns at ``m//2``; timings at ``kernels.SPLIT_MIN``),
+    which splits columns at ``m//2``; see ``kernels.SPLIT_MIN``),
     with the bits of one pass. The twiddle phases are reduced mod n as
     integers before the division, and the twiddle block is cached
     (``_twiddles``).
@@ -257,11 +250,10 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     The analysis runs in the calling thread's ``kernels.workspace``, shared
     with ``pamodel.simulate`` alone: 24 bytes per sample per thread, 3 MiB
     at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
-    On a long block its ``|x|^2`` pass with its sum, its noise and window
-    pass and its column FFT each run as two halves (``kernels.halves``;
-    ``kernels.SPLIT_MIN`` gives the timings); the halves' sums join to the
-    bits of ``np.mean``'s sum (``kernels.joined``). A tone that is not
-    finite, or not below Nyquist, raises ValueError.
+    On a long block the passes of this function that ``kernels.SPLIT_MIN``
+    names run as two halves (``kernels.halves``); its ``|x|^2`` and their
+    sum, in the order of ``np.mean``'s, run in the calling thread. A tone
+    that is not finite, or not below Nyquist, raises ValueError.
 
     Only the three bins around each tone and product are computed, at most
     18 (``_dft_bins``): ``n = l*m`` with ``m`` the largest divisor of ``n``
@@ -290,8 +282,9 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     ws = kernels.workspace(n)
     x = block.samples
     # the sum of np.mean, divided by n as np.mean divides it
-    rms = math.sqrt(float(kernels.joined(
-        kernels.halves(_squared_sum, (x, ws[2])))) / n)
+    mag2 = np.abs(x, ws[2])
+    mag2 **= 2
+    rms = math.sqrt(float(np.add.reduce(mag2)) / n)
     floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0)
     # rows 0 and 1 are adjacent in the workspace: one complex128 row
     z = ws[0].base[:2].reshape(-1).view(np.complex128)

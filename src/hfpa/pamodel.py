@@ -347,7 +347,7 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     envelope, the output samples and every block sum, ``sum(|x|^2)``
     included, come from ``kernels.pa_pipeline``, which runs a long block's
     ``|x|``, law, output scale and sums as two halves, one handoff to the
-    worker thread per call (``kernels.halves``; timings at
+    worker thread per call (``kernels.halves``; see
     ``kernels.SPLIT_MIN``). ``pa_pipeline`` also holds the overflow policy:
     it ignores overflow in its own one ``np.errstate``, so this function
     opens none, and a CW block enters one scope per call. Beyond the output

@@ -69,10 +69,9 @@ def test_split_and_serial_give_the_same_bits(n, two_cpus, monkeypatch):
             monkeypatch.setattr(kernels, "SPLIT_MIN", split_min)
             del two_cpus[:]
             got[split_min] = point_bits(block)
-            # pa_pipeline's law with |x| and the block sums, and
-            # measure_imd's |x|^2 with its sum, its noise and window pass
-            # and its column FFT, unless there is one column
-            split = 4 if dft_columns(n) > 1 else 3
+            # the passes kernels.SPLIT_MIN names: the column FFT splits
+            # unless there is one column
+            split = 3 if dft_columns(n) > 1 else 2
             assert len(two_cpus) == (split if n >= split_min else 0)
         assert got[SPLIT_MIN] == got[n + 1]
         assert got[2] == got[n + 1]
@@ -167,9 +166,9 @@ def test_two_callers_at_once_give_the_serial_bits(two_cpus, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[w] * 4 for w in want]
-    # every long block split (4 handoffs a point), and one thread ran all
+    # every long block split (3 handoffs a point), and one thread ran all
     # the worker's parts
-    assert len(two_cpus) == 3 * 4 * 4
+    assert len(two_cpus) == 3 * 4 * 3
     pool_threads = [t.name for t in threading.enumerate()
                     if t.name.startswith("hfpa-halves")]
     assert len(pool_threads) == 1 and set(two_cpus) == set(pool_threads)

@@ -118,8 +118,8 @@ def test_overflow_saturates_under_a_raising_caller(n, monkeypatch):
 def test_worker_handoffs_per_call(two_cpus):
     # a handoff costs 22-33 us on a 2-core VM (kernels.SPLIT_MIN): a long
     # varying simulate hands over 1 (|x|, law and sums in one split), a CW
-    # row none, and a two-tone point at 131072 samples 4: simulate's, and
-    # measure_imd's |x|^2, noise and window pass and column FFT
+    # row none, and a two-tone point at 131072 samples 3: simulate's, and
+    # measure_imd's noise and window pass and column FFT
     n = 1 << 17
     block = generate(WaveformSpec(kind=Kind.TWO_TONE, amplitude=0.8,
                                   duration_s=n / 1e6, f1_hz=-1000.0,
@@ -129,7 +129,7 @@ def test_worker_handoffs_per_call(two_cpus):
     measure.simulate_cw(0.8, BIAS, PARAMS)
     assert len(two_cpus) == 1
     measure.measure_imd(out, -1000.0, 1000.0)
-    assert len(two_cpus) == 4
+    assert len(two_cpus) == 3
 
 
 def logged_calls(monkeypatch, module, name):

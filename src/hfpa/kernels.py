@@ -47,13 +47,13 @@ The passes that ``SPLIT_MIN`` names run over a long block as two halves
 at once through ``halves``. From ``SPLIT_MIN`` samples up, with more than
 one CPU, the calling thread runs the first part of the rows and a worker
 thread the second, in slices of the caller's workspace rows and
-preallocated results. Each split step works
-on each leading row alone and the worker runs under the caller's
-``np.geterr()``, so each sample gets the bits and error handling of one
-pass. The worker is the one thread of a ``ThreadPoolExecutor`` that every
-caller shares, made on the first long block (importing this module starts
-none) and again in a child after ``os.fork``. It takes no part once the
-interpreter shuts down: a long block in an ``atexit`` handler raises.
+preallocated results. Each split step works on each leading row alone and
+the worker runs under the caller's ``np.geterr()``, so each sample gets
+the bits and error handling of one pass. The worker is the one thread of
+a ``ThreadPoolExecutor`` that every caller shares, made on the first long
+block (importing this module starts none) and again in a child after
+``os.fork``. It takes no part once the interpreter shuts down: a long
+block in an ``atexit`` handler raises.
 """
 import math
 import os
@@ -287,8 +287,8 @@ def pa_pipeline(x, g, a_sat, idq, params):
     for the calibration's bits. Every other block's four sums are one
     reduction, with no BLAS call. A block of ``SPLIT_MIN`` samples or more,
     constant or not, runs its ``|x|``, law, output scale and sums as two
-    halves (``halves``, one of the passes ``SPLIT_MIN`` names), and ``joined``
-    adds the halves' sums with the bits of one reduction.
+    halves (``halves``; see ``SPLIT_MIN``), and ``joined`` adds the halves'
+    sums with the bits of one reduction.
 
     One ``np.errstate(over="ignore")`` covers both paths, the block sums
     included: a finite sample whose envelope, amplified envelope, power or

@@ -15,15 +15,15 @@ of the workspace. The model's two stages, ``pamodel.simulate`` and
 ``measure.measure_imd``, are its only users, one after the other.
 
 Each block sum is one ``np.add.reduce`` over a contiguous row of per-sample
-products: numpy sums a contiguous row of a 2-D reduction along its rows as
-it sums the row alone (a column-wise reduction adds in another order), so
-the constant path's ``(3, n)`` block reduction and the array form's 1-D
-rows give the same bits. A split block's halves each reduce their part of
-the rows, and one float add per sum joins them (``joined``), with the same
-bits: ``halves`` splits at numpy's pairwise point.
+products. A split block's halves each reduce their part of the rows, and
+one float add per sum joins them (``joined``), with the same bits:
+``halves`` splits at numpy's pairwise point. The constant path adds its
+``n`` equal terms as Python floats in numpy's pairwise order
+(``_sums_of_copies``), so its sums are the block reduction's too.
 
 The Rapp limiter has three forms: ``rapp`` on arrays, its one-lane steps
-in ``_constant_pipeline`` and the ``math`` form ``pamodel._rapp_scalar``.
+in ``_constant_pipeline``, and the ``math`` form inside the drive solve's
+scalar CW law (``measure._cw_pout_law``), which filters decisions only.
 They share one saturation rule: a denominator past the float range gives
 ``a_sat``. ``pa_pipeline`` holds the model's overflow policy: one
 ``np.errstate(over="ignore")`` around both its paths, so that an envelope
@@ -34,14 +34,16 @@ every other block also enters ``rapp``'s own, once per part.
 
 A block shorter than ``SPLIT_MIN`` with a constant envelope (every sample
 has the first one's bits: a CW drive, and so every calibration anchor) is
-evaluated once: its swing is one float, and its three products fill a fresh
-``(3, n)`` block that the same reduction sums, so its sums are the block
-form's by construction. Its correctly rounded steps (``*``, ``/``, ``+``,
-``-``, ``max``, ``sqrt``) run on Python floats, where ufunc dispatch would
-cost more than the arithmetic. Its three powers and ``arccos`` stay in
-numpy, on one-lane arrays: numpy's SIMD ``pow`` and ``arccos`` differ from
-libm's in the last bits for a few percent of arguments, and ``**`` takes
-numpy's exponent-2 and exponent-0.5 fast paths, as it does for a block.
+evaluated once: its swing is one float, and each of its three sums adds
+``n`` copies of one product in the order ``np.add.reduce`` adds a row,
+with no block (``_sums_of_copies``; 0.8 against 3.3 us for a filled and
+reduced ``(3, 64)`` block, timeit, 2-core host). Its correctly rounded
+steps (``*``, ``/``, ``+``, ``-``, ``max``, ``sqrt``) run on Python
+floats, where ufunc dispatch would cost more than the arithmetic. Its
+three powers and ``arccos`` stay in numpy, on one-lane arrays: numpy's
+SIMD ``pow`` and ``arccos`` differ from libm's in the last bits for a few
+percent of arguments, and ``**`` takes numpy's exponent-2 and
+exponent-0.5 fast paths, as it does for a block.
 
 The passes that ``SPLIT_MIN`` names run over a long block as two halves
 at once through ``halves``. From ``SPLIT_MIN`` samples up, with more than
@@ -238,8 +240,9 @@ def _constant_pipeline(e, n, g, a_sat, idq, params):
     ``errstate`` of its own: it runs under its caller's, which must ignore
     overflow, so that a denominator past the float range gives ``a_sat``,
     as in ``rapp``, with no warning. ``pa_pipeline`` opens that scope;
-    any other caller has to open one too. The sums are those of a fresh
-    ``(3, n)`` block.
+    any other caller has to open one too. The sums have the bits of
+    ``np.add.reduce`` over a ``(3, n)`` block of the three products, rows
+    along its axis 1 (``_sums_of_copies``).
     """
     s2 = 2.0 * params.smoothness
     u = g * e
@@ -253,9 +256,51 @@ def _constant_pipeline(e, n, g, a_sat, idq, params):
     i1 = (2.0 * idq * sin_thc + ipk * (thc + sin_thc * x)) / math.pi
     rp = (np.array([a / a_sat]) ** params.shape_exp).item()
     shape = 1.0 - params.shape_beta * rp / (1.0 + params.shape_sat * rp)
-    rows = np.empty((3, n))
-    rows.T[...] = (a * a, a * i1, idc * shape)
-    return (a, *np.add.reduce(rows, axis=1).tolist())
+    return (a, *_sums_of_copies(a * a, a * i1, idc * shape, n))
+
+
+def _sums_of_copies(x, y, z, n):
+    """The sums of ``n`` copies of each of ``x``, ``y`` and ``z``, with the
+    bits of ``np.add.reduce`` over the ``(3, n)`` block of those rows along
+    axis 1: the reduction starts from add's identity, ``0.0`` (so a
+    ``-0.0`` sum reads ``0.0``), and adds each row's pairwise sum."""
+    p, q, r = _pairwise_copies(x, y, z, n)
+    return 0.0 + p, 0.0 + q, 0.0 + r
+
+
+def _pairwise_copies(x, y, z, n):
+    """numpy's pairwise sum of ``n`` copies of each of ``x``, ``y``, ``z``,
+    term by term, in the order ``np.add.reduce`` adds a contiguous row
+    (numpy 2.x ``pairwise_sum``): under 8 terms in sequence from -0.0; up
+    to 128 in 8 accumulators, which here all hold the sum of ``n//8``
+    copies in sequence, so their tree sum is that times 8.0, exactly, and
+    then the ``n % 8`` remaining terms in sequence; above 128, the sums of
+    the first ``h = n//2 - (n//2) % 8`` terms and of the rest, added."""
+    if n < 8:
+        p = q = r = -0.0
+        for _ in range(n):
+            p += x
+            q += y
+            r += z
+        return p, q, r
+    if n <= 128:
+        p, q, r = x, y, z
+        for _ in range(n // 8 - 1):
+            p += x
+            q += y
+            r += z
+        p *= 8.0
+        q *= 8.0
+        r *= 8.0
+        for _ in range(n % 8):
+            p += x
+            q += y
+            r += z
+        return p, q, r
+    h = n // 2 - (n // 2) % 8
+    p, q, r = _pairwise_copies(x, y, z, h)
+    p2, q2, r2 = _pairwise_copies(x, y, z, n - h)
+    return p + p2, q + q2, r + r2
 
 
 def pa_pipeline(x, g, a_sat, idq, params):

@@ -15,8 +15,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .pamodel import (BiasPoint, PaParams, PaStats, _rapp_scalar, bisect,
-                      fundamental_pout, gain_and_swing, simulate)
+from .pamodel import (BiasPoint, PaParams, PaStats, bisect, gain_and_swing,
+                      simulate)
 from .signalgen import CACHE_MAX_SAMPLES, IqBlock
 
 
@@ -340,15 +340,18 @@ DRIVE_REL_TOL = 1e-3
 DRIVE_MAX_ITER = 60
 
 #: ``drive_for_pout`` decides a bisection step, and ``drive_cap`` its
-#: saturation test, from the scalar CW law unless the predicted power lies
-#: within this fraction of itself of the decision's edge. The law and
-#: ``simulate_cw`` differed by at most 5.7e-14 of the power in four scans of
-#: 40 000 cases (random params, bias points and bands; drives uniform up to
-#: 10x saturation, at the clipping onset ``a_out ~ idq*rload``, where the
-#: worst case lies, and at the ceiling ``10*a_sat/g``): a safety factor
-#: above 10^4. ``tests/test_measure.py::
-#: test_scalar_cw_law_is_within_the_margin`` draws the same three kinds of
-#: drive and holds the gap under a thousandth of the margin.
+#: saturation test, from the scalar CW law (``_cw_pout_law``, one frame
+#: with the bits of ``fundamental_pout`` of the ``math`` Rapp form) unless
+#: the predicted power lies within this fraction of itself of the
+#: decision's edge. The law and ``simulate_cw`` differed by at most
+#: 5.7e-14 of the power in four scans of 40 000 cases (random params, bias
+#: points and bands; drives uniform up to 10x saturation, at the clipping
+#: onset ``a_out ~ idq*rload``, where the worst case lies, and at the
+#: ceiling ``10*a_sat/g``): a safety factor above 10^4. Folding the law
+#: into one frame kept every value's bits, so the figure stands.
+#: ``tests/test_measure.py::test_scalar_cw_law_is_within_the_margin`` draws
+#: the same three kinds of drive and holds the gap under a thousandth of
+#: the margin.
 DRIVE_PREDICT_MARGIN = 1e-9
 
 
@@ -358,14 +361,44 @@ def _cw_pout_law(bias: BiasPoint, params: PaParams
     ``a -> fundamental_pout(rapp(g*a, a_sat, s), idq, rload)``, both from
     one ``gain_and_swing`` call.
 
-    The limiter is ``pamodel._rapp_scalar``, ``kernels.rapp`` in ``math``
-    arithmetic. It filters decisions only: its value never reaches an output.
+    The power is one frame: the Rapp limiter in ``math`` arithmetic (the
+    ``kernels`` docstring's third form), then ``pamodel._fourier_clipped``'s
+    branches and expressions for ``i1`` alone, each step the expression
+    that ``fundamental_pout`` of the limiter evaluates, so each value has
+    its bits: 0.40 against 0.60 us per value through the three calls
+    (timeit, 2-core host), about 13 values per drive solve. Its libm
+    ``pow`` may differ from numpy's in the last bits, so it filters
+    decisions only: its value never reaches an output. It keeps the
+    limiter's one saturation rule: a denominator past the float range,
+    here an ``OverflowError``, gives ``a_sat``.
     """
     g, a_sat = gain_and_swing(bias, params)
-    smooth, idq, rload = params.smoothness, bias.idq, params.rload
+    idq, rload = bias.idq, params.rload
+    s2 = 2.0 * params.smoothness
+    inv_s2, two_idq = 1.0 / s2, 2.0 * idq
+    acos, sin, cos, pi = math.acos, math.sin, math.cos, math.pi
 
     def pout(a: float) -> float:
-        return fundamental_pout(_rapp_scalar(g * a, a_sat, smooth), idq, rload)
+        u = g * a
+        try:
+            a_out = u / (1.0 + (u / a_sat) ** s2) ** inv_s2
+        except OverflowError:
+            a_out = a_sat
+        ipk = a_out / rload
+        if ipk <= 0.0:
+            i1 = 0.0
+        else:
+            x = -idq / ipk
+            if x <= -1.0:  # never clips
+                i1 = ipk
+            elif x >= 1.0:  # never conducts
+                i1 = 0.0
+            else:
+                thc = acos(x)
+                sin_thc = sin(thc)
+                i1 = (two_idq * sin_thc
+                      + ipk * (thc + sin_thc * cos(thc))) / pi
+        return a_out * i1 / 2.0
 
     return 10.0 * a_sat / g, pout
 

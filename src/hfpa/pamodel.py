@@ -220,24 +220,6 @@ def _fourier_clipped(idq: float, ipk: float):
     return 2.0 * thc, idc, i1
 
 
-def _rapp_scalar(u: float, a_sat: float, smooth: float) -> float:
-    """``kernels.rapp`` on one Python float.
-
-    It exists beside the numpy form only to filter decisions: the drive
-    solve takes a step's direction from it thousands of times per fit, and
-    a one-lane numpy call costs about 14x as much (5.0 vs 0.36 us).
-    Its libm ``pow`` may differ from numpy's in the last bits, so its value
-    never reaches an output. It keeps the law's one saturation rule (the
-    ``kernels`` docstring): a denominator past the float range, here an
-    ``OverflowError``, gives ``a_sat``.
-    """
-    s2 = 2.0 * smooth
-    try:
-        return u / (1.0 + (u / a_sat) ** s2) ** (1.0 / s2)
-    except OverflowError:
-        return a_sat
-
-
 def conduction_currents(idq: float, ipk: float):
     """DC and fundamental components of the clipped drain-current quasi-sine.
 

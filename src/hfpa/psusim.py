@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import socket
 import struct
 import time
 from dataclasses import dataclass, field
@@ -332,6 +331,8 @@ def serve(host: str, port: int, slew_v_per_s: float,
     listening for the next one). A client that keeps sending whole frames
     still holds the server, and every other client waits.
     """
+    import socket  # the socket commands alone load it (3-4 ms)
+
     sim = PsuSim(PsuState(slew_v_per_s=slew_v_per_s))
     handled = 0
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
@@ -387,6 +388,8 @@ def _recv_exact(conn: socket.socket):
 
 def request(host: str, port: int, command: Command) -> Command:
     """Send one command over a socket and decode the reply."""
+    import socket
+
     wire = encode(command)  # before connecting: a bad command never reaches the wire
     with socket.create_connection((host, port), timeout=5.0) as conn:
         conn.sendall(wire)

@@ -635,7 +635,7 @@ def test_psu_set_past_the_u32_field_exits_1_before_connecting(
     def no_socket(*args, **kwargs):
         raise AssertionError("psu-set opened a socket")
 
-    monkeypatch.setattr(psusim.socket, "create_connection", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
     assert main(["psu-set", "--port", "1", f"--vdd={vdd}"]) == 1
     assert capsys.readouterr().err == (
         f"error: {float(vdd)} V does not fit the u32 milli-unit field\n")

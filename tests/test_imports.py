@@ -75,6 +75,41 @@ def test_help_leaves_numpy_unloaded(argv):
     assert numpy_loaded(*argv) == (0, "False")
 
 
+#: What the socket commands alone load: 3.1-3.9 ms under ``-X importtime``.
+SOCKET_MODULES = ("array", "selectors", "socket")
+
+#: Like ``PROBE``, printing which of ``SOCKET_MODULES`` were loaded.
+SOCKET_PROBE = ("import atexit, runpy, sys; "
+                f"atexit.register(lambda: print(sorted(set({SOCKET_MODULES!r})"
+                " & set(sys.modules)))); "
+                "runpy.run_module('hfpa', run_name='__main__')")
+
+
+@pytest.mark.parametrize("code", [
+    "import hfpa.psusim, hfpa.cli",
+    "import hfpa.biasctl, hfpa.calibrate, hfpa.measure"])
+def test_import_leaves_the_socket_modules_unloaded(code):
+    proc = run("-c", f"import sys; {code}; print(sorted(set("
+                     f"{SOCKET_MODULES!r}) & set(sys.modules)))")
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["classify", "--kind", "fm"],
+                                  ["psu-set", "--help"], ["--help"]],
+                         ids=lambda argv: " ".join(argv))
+def test_a_command_without_a_socket_leaves_the_socket_modules_unloaded(argv):
+    proc = run("-c", SOCKET_PROBE, *argv)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_the_socket_commands_load_the_socket_module():
+    # the probe sees socket when a command does use it: psu-read opens one,
+    # and finds nothing listening on port 1
+    proc = run("-c", SOCKET_PROBE, "psu-read", "--port", "1")
+    assert "'socket'" in proc.stdout.splitlines()[-1]
+
+
 def read_when_listening(port, timeout_s):
     """One READ from the supply on ``port``, retried until it listens."""
     deadline = time.monotonic() + timeout_s

@@ -4,8 +4,9 @@ floating-point error handling in the worker, a joined worker on every exit,
 a second caller's part queued behind the first's, no view of the rows kept
 after a split, and a fresh worker after ``os.fork``; a two-tone
 ``simulate`` whose bits do not depend on the BLAS build; the retention
-rule of ``kernels.workspace``; and the one-pass Rapp limiter, with the bits
-of the trap-and-redo form it replaced."""
+rule of ``kernels.workspace``; the one-pass Rapp limiter, with the bits
+of the trap-and-redo form it replaced; and the constant path's sums of
+copies, with the bits of a block reduction."""
 import json
 import os
 import subprocess
@@ -502,3 +503,31 @@ def test_a_block_whose_worker_half_saturates_has_the_trap_and_redo_bits(
     assert np.mean(np.isclose(swing[n // 2:], a_sat, rtol=1e-12)) > 0.9
     assert got[0].tobytes() == want[0].tobytes()
     assert [v.hex() for v in got[1:]] == [v.hex() for v in want[1:]]
+
+
+#: Exact, subnormal, huge, overflowing and inexact terms, of both signs.
+COPY_TERMS = [v for t in (0.0, 5e-324, 2.5e-310, 1e308, sys.float_info.max,
+                          float("inf"), 0.1, 1 / 3)
+              for v in (t, -t)]
+
+
+def copy_sum_lengths():
+    """1-1200, the lengths at which each branch of numpy's pairwise sum and
+    its first splits apply, and 60 sampled lengths below ``SPLIT_MIN``."""
+    rng = np.random.default_rng(49)
+    return list(range(1, 1201)) + [SPLIT_MIN - 1] + sorted(
+        rng.integers(1201, SPLIT_MIN - 1, 59).tolist())
+
+
+def test_sums_of_copies_have_the_bits_of_a_block_reduction():
+    trios = [COPY_TERMS[i:i + 3] for i in range(0, len(COPY_TERMS), 3)]
+    trios[-1] += COPY_TERMS[:2]
+    for n in copy_sum_lengths():
+        for trio in trios:
+            block = np.empty((3, n))
+            block.T[...] = trio
+            with np.errstate(over="ignore"):
+                want = np.add.reduce(block, axis=1).tolist()
+            got = kernels._sums_of_copies(*trio, n)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (n, trio)
+

@@ -746,6 +746,92 @@ def test_scalar_cw_law_is_within_the_margin(params, bias, drive):
         assert abs(pred - exact) <= bound * pred
 
 
+def two_call_cw_pout(a, bias, params):
+    """The oracle of ``_cw_pout_law``'s power: the retired two-call form,
+    the ``math`` Rapp limiter (its ``OverflowError`` gives ``a_sat``) fed
+    to ``pamodel.fundamental_pout``."""
+    g, a_sat = gain_and_swing(bias, params)
+    u, s2 = g * a, 2.0 * params.smoothness
+    try:
+        a_out = u / (1.0 + (u / a_sat) ** s2) ** (1.0 / s2)
+    except OverflowError:
+        a_out = a_sat
+    return fundamental_pout(a_out, bias.idq, params.rload)
+
+
+@settings(deadline=None)
+@given(params_st, bias_st, drive_st)
+def test_one_frame_cw_law_has_the_two_call_bits(params, bias, drive):
+    # the drive solve's decisions follow from these values, so any bit
+    # moved could move a bisection step or the saturation test
+    kind, x = drive
+    if kind == "ceiling":
+        a = drive_ceiling(bias, params)
+    elif kind == "onset":
+        a = onset_drive(bias, params, x)
+    else:
+        a = x * saturation_drive(bias, params)
+    law = measure._cw_pout_law(bias, params)[1]
+    assert law(a).hex() == two_call_cw_pout(a, bias, params).hex()
+
+
+ONE_FRAME_CASES = [
+    (PaParams(g0=40.0), BiasPoint(vdd=58.0, idq=2.0)),
+    (PaParams(g0=5.0, rload=0.9, smoothness=20.0), BiasPoint(vdd=30.0,
+                                                             idq=0.1)),
+    (PaParams(g0=900.0, rload=0.05, smoothness=0.5), BiasPoint(vdd=44.0,
+                                                               idq=3.0)),
+]
+
+
+@pytest.mark.parametrize("params, bias", ONE_FRAME_CASES)
+def test_one_frame_cw_law_on_each_branch(params, bias):
+    g, a_sat = gain_and_swing(bias, params)
+    s2 = 2.0 * params.smoothness
+    law = measure._cw_pout_law(bias, params)[1]
+
+    def onset_x(delta):
+        # the drive at 1 + delta times the clipping onset, and its
+        # -idq/ipk on the math limiter's swing
+        r = bias.idq * params.rload * (1.0 + delta) / a_sat
+        assert 0.0 < r < 1.0
+        a = a_sat / g * r / (1.0 - r ** s2) ** (1.0 / s2)
+        a_out = g * a / (1.0 + (g * a / a_sat) ** s2) ** (1.0 / s2)
+        return a, -bias.idq / (a_out / params.rload), a_out
+
+    for delta in (-0.9, -0.5, -1e-6, 1e-6, 1e-3, 0.5):
+        a, x, a_out = onset_x(delta)
+        assert (x <= -1.0) == (delta < 0)  # never clips below the onset
+        assert law(a).hex() == two_call_cw_pout(a, bias, params).hex()
+        if delta < 0:  # the fundamental is the whole demand a_out/rload
+            assert law(a) == a_out * (a_out / params.rload) / 2.0
+    for delta in (-1e-15, 0.0, 1e-15):  # either branch, by rounding
+        a = onset_x(delta)[0]
+        assert law(a).hex() == two_call_cw_pout(a, bias, params).hex()
+    hi = drive_ceiling(bias, params)
+    assert law(hi).hex() == two_call_cw_pout(hi, bias, params).hex()
+    # zero drive: ipk <= 0, with the sign of the zero kept
+    assert law(0.0).hex() == two_call_cw_pout(0.0, bias, params).hex() == (
+        "0x0.0p+0")
+    assert law(-0.0).hex() == two_call_cw_pout(-0.0, bias, params).hex() == (
+        "-0x0.0p+0")
+
+
+@pytest.mark.parametrize("u", [1e9, 1e300])
+def test_one_frame_cw_law_saturates_past_the_float_range(u):
+    # (u/a_sat)^40 overflows here; the limit is a_sat, as kernels.rapp's
+    # (tests/test_pamodel.py::test_rapp_saturates_past_the_float_range)
+    params, bias = ONE_FRAME_CASES[1]
+    g, a_sat = gain_and_swing(bias, params)
+    a = u * a_sat / g
+    with pytest.raises(OverflowError):
+        (g * a / a_sat) ** (2.0 * params.smoothness)
+    law = measure._cw_pout_law(bias, params)[1]
+    assert law(a) == fundamental_pout(a_sat, bias.idq, params.rload)
+    assert law(a).hex() == two_call_cw_pout(a, bias, params).hex()
+    assert law(0.0) == 0.0
+
+
 def count_simulate_cw(monkeypatch):
     calls = []
     exact = measure.simulate_cw

@@ -16,7 +16,7 @@ from hfpa.bands import UnknownBand
 from hfpa.pamodel import (GAIN_DB_MAX, GATE_STEP_IDQ, IDQ_MAX, IDQ_REF,
                           PARAM_RULES, BiasPoint, GainOutOfRange, InvalidBias,
                           NonPositiveIdq, OutOfRangeAlpha, PaParams,
-                          _fourier_clipped, _rapp_scalar, bisect,
+                          _fourier_clipped, bisect,
                           conduction_currents,
                           efficiency_curve, fundamental_pout, gain_and_swing,
                           gate_step_for, load_params, saturated_swing,
@@ -846,8 +846,6 @@ def test_rapp_saturates_past_the_float_range(u):
     out = kernels.rapp(np.array([u, 0.5, 0.0]), 1.0, 20.0, np.empty(3))
     assert out.tolist() == [
         1.0, kernels.rapp(np.array([0.5]), 1.0, 20.0, np.empty(1))[0], 0.0]
-    assert _rapp_scalar(u, 1.0, 20.0) == 1.0  # the same limit
-    assert _rapp_scalar(0.0, 1.0, 20.0) == 0.0
 
 
 def reference_swing(pout, idq, rload):

@@ -151,13 +151,27 @@ def test_drive_solves_decide_from_the_scalar_law(monkeypatch):
     # (measure.DRIVE_PREDICT_MARGIN); a 64-sample simulate_cw block runs
     # only near an edge. Measured: 95 scalar-law calls and 6 simulate_cw
     # calls, one per recorded row, for the six rows of the 1 kW sweep at
-    # 2 A and the 5 W sweep at 0.25 A near the clipping onset
-    law = logged_calls(monkeypatch, measure, "_rapp_scalar")
+    # 2 A and the 5 W sweep at 0.25 A near the clipping onset. The law is
+    # the function that _cw_pout_law returns; a hook it does not reach
+    # logs no call
+    law = []
+    cw_pout_law = measure._cw_pout_law
+
+    def logged_law(*args):
+        hi, pout = cw_pout_law(*args)
+
+        def logged(a):
+            law.append(a)
+            return pout(a)
+
+        return hi, logged
+
+    monkeypatch.setattr(measure, "_cw_pout_law", logged_law)
     blocks = logged_calls(monkeypatch, measure, "simulate_cw")
     rows = (measure.sweep_bias([58.0, 53.0, 48.0], 2.0, 1000.0, PARAMS)
             + measure.sweep_bias([58.0, 44.0, 30.0], 0.25, 5.0, PARAMS))
     assert len(rows) == 6
-    assert len(law) <= 95
+    assert 0 < len(law) <= 95
     assert len(blocks) <= 6
 
 

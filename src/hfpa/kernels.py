@@ -50,13 +50,16 @@ at once through ``halves``. From ``SPLIT_MIN`` samples up, with more than
 one CPU, the calling thread runs the first part of the rows and a worker
 thread the second, in slices of the caller's workspace rows and
 preallocated results. Each split step works on each leading row alone and
-the worker runs under the caller's ``np.geterr()``, so each sample gets
-the bits and error handling of one pass. The worker is the one thread of
-a ``ThreadPoolExecutor`` that every caller shares, made on the first long
-block (importing this module starts none) and again in a child after
-``os.fork``. It takes no part once the interpreter shuts down: a long
-block in an ``atexit`` handler raises.
+the worker runs its part in a copy of the caller's ``contextvars``
+context, which holds numpy's (>= 2.0) error state, error callback and
+buffer size, so each sample gets the bits and error handling of one pass,
+under the caller's scopes, with none entered to rebuild them. The worker
+is the one thread of a ``ThreadPoolExecutor`` that every caller shares,
+made on the first long block (importing this module starts none) and
+again in a child after ``os.fork``. It takes no part once the interpreter
+shuts down: a long block in an ``atexit`` handler raises.
 """
+import contextvars
 import math
 import os
 import threading
@@ -132,13 +135,6 @@ def _executor():
     return _pool[1]
 
 
-def _in_errstate(err, fn, rows, args):
-    """The worker's half: ``fn(*rows, *args)`` under the caller's error
-    state ``err``."""
-    with np.errstate(**err):
-        return fn(*rows, *args)
-
-
 def halves(fn, rows, *args):
     """``fn(*rows, *args)``, over the two halves of a long block at once; a
     list of the part results, one per part.
@@ -149,13 +145,14 @@ def halves(fn, rows, *args):
     either way. From ``SPLIT_MIN`` samples (``rows[0].size``) up, with more
     than one CPU and at least two leading rows, this thread runs ``fn`` on
     the first part of every row along the first axis and the process's
-    worker thread on the second, under this thread's ``np.geterr()``;
-    otherwise ``fn`` runs once on the whole rows and the list has one
-    result. A second caller's part queues behind the first's: no pass that
-    runs inside a split calls ``halves``, so no part waits on its own
-    thread. The worker has finished its part, and keeps no view of the
-    rows, when this returns or raises; an exception of this thread's part
-    wins over the worker's.
+    worker thread on the second, in a copy of this thread's context
+    (``contextvars.copy_context``), where numpy >= 2.0 keeps its error
+    state and callback; otherwise ``fn`` runs once on the whole rows and
+    the list has one result. A second caller's part queues behind the
+    first's: no pass that runs inside a split calls ``halves``, so no part
+    waits on its own thread. The worker has finished its part, and keeps no
+    view of the rows, when this returns or raises; an exception of this
+    thread's part wins over the worker's.
 
     1-D rows split at numpy's pairwise point, ``h = n//2 - (n//2) % 8``:
     numpy sums more than 128 terms as the sum of the first ``h`` plus the
@@ -170,8 +167,8 @@ def halves(fn, rows, *args):
     h = len(first) // 2
     if first.ndim == 1:
         h -= h % 8
-    theirs = _executor().submit(_in_errstate, np.geterr(), fn,
-                                [r[h:] for r in rows], args)
+    theirs = _executor().submit(contextvars.copy_context().run, fn,
+                                *[r[h:] for r in rows], *args)
     try:
         mine = fn(*[r[:h] for r in rows], *args)
     finally:

@@ -1,5 +1,6 @@
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import settings
@@ -37,14 +38,16 @@ def fitted_params(fitted):
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Split as on a multi-core host, and list the name of the thread that
-    runs each part handed to the worker (``kernels._in_errstate``)."""
+    runs each part submitted to the worker (``kernels._executor()``)."""
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
-    worker_halves = []
-    in_errstate = kernels._in_errstate
+    worker_parts = []
+    executor = kernels._executor
 
-    def counted(*args):
-        worker_halves.append(threading.current_thread().name)
-        return in_errstate(*args)
+    def named(fn, *args):
+        worker_parts.append(threading.current_thread().name)
+        return fn(*args)
 
-    monkeypatch.setattr(kernels, "_in_errstate", counted)
-    return worker_halves
+    counting = types.SimpleNamespace(
+        submit=lambda fn, *args: executor().submit(named, fn, *args))
+    monkeypatch.setattr(kernels, "_executor", lambda: counting)
+    return worker_parts

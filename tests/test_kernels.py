@@ -1,12 +1,12 @@
 """The two-thread split of long blocks (``kernels.halves``): the same bits as
 one pass, part sums that join to the bits of one reduction, the caller's
-floating-point error handling in the worker, a joined worker on every exit,
-a second caller's part queued behind the first's, no view of the rows kept
-after a split, and a fresh worker after ``os.fork``; a two-tone
-``simulate`` whose bits do not depend on the BLAS build; the retention
-rule of ``kernels.workspace``; the one-pass Rapp limiter, with the bits
-of the trap-and-redo form it replaced; and the constant path's sums of
-copies, with the bits of a block reduction."""
+floating-point error handling in the worker, its error callback included,
+a joined worker on every exit, a second caller's part queued behind the
+first's, no view of the rows kept after a split, and a fresh worker after
+``os.fork``; a two-tone ``simulate`` whose bits do not depend on the BLAS
+build; the retention rule of ``kernels.workspace``; the one-pass Rapp
+limiter, with the bits of the trap-and-redo form it replaced; and the
+constant path's sums of copies, with the bits of a block reduction."""
 import json
 import os
 import subprocess
@@ -246,9 +246,14 @@ def test_the_worker_is_one_thread_of_its_own(two_cpus):
 
 def test_one_cpu_runs_serially(monkeypatch):
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
+    executor = kernels._executor
     calls = []
-    monkeypatch.setattr(kernels, "_in_errstate",
-                        lambda *args: calls.append(args))
+
+    def counted():  # called once per part submitted
+        calls.append("submitted")
+        return executor()
+
+    monkeypatch.setattr(kernels, "_executor", counted)
     point_bits(two_tone(131072, 0.5))
     assert calls == []
 
@@ -288,6 +293,52 @@ def test_the_caller_errstate_reaches_the_worker(two_cpus):
     assert np.all(out[:SPLIT_MIN // 2] == 1.0)
     assert np.all(out[SPLIT_MIN // 2:] == np.inf)
     assert len(two_cpus) == 2
+
+
+def multiply_overflowing_in_the_worker_part():
+    row = np.ones(SPLIT_MIN)
+    row[SPLIT_MIN // 2:] = 1e300
+    out = np.empty_like(row)
+    kernels.halves(np.multiply, (row, row, out))
+    return out.tobytes()
+
+
+def simulate_underflowing_in_the_worker_part():
+    # Rapp's power underflows at 1e-30; the worker's part starts 64 samples
+    # before it, at the 1-D split point n//2
+    n = 131072
+    x = np.full(n, 1e-30 + 0j)
+    x[:n // 2 + 64] = 0.5
+    params = PaParams(g0=39.77, kv=0.39, rload=0.4, vknee=4.1,
+                      smoothness=8.0, shape_beta=3.82, shape_exp=8.16,
+                      shape_sat=20.6)
+    out, stats = simulate(IqBlock(x, FS), BiasPoint(53.0, 2.0), params)
+    fields = (stats.pout_w, stats.pdc_w, stats.eff, stats.pdiss_w)
+    return out.samples.tobytes(), [v.hex() for v in fields]
+
+
+@pytest.mark.parametrize("run, kind", [
+    (multiply_overflowing_in_the_worker_part, "over"),
+    (simulate_underflowing_in_the_worker_part, "under"),
+])
+def test_a_call_mode_handler_reaches_the_worker(run, kind, two_cpus,
+                                                monkeypatch):
+    # the error callback is part of the caller's numpy state: a split
+    # calls it as one pass does, where a copy of np.geterr() alone named a
+    # callback that the worker did not have and raised NameError
+    def on(cpus):
+        monkeypatch.setattr(kernels, "_cpu_count", lambda: cpus)
+        kinds = []
+        with np.errstate(**{kind: "call"},
+                         call=lambda err, flag: kinds.append(err)):
+            bits = run()
+        return bits, sorted(kinds)
+
+    serial = on(1)
+    assert two_cpus == []
+    assert on(2) == serial
+    assert len(two_cpus) == 1
+    assert serial[1] == [kind + "flow"]
 
 
 def test_the_worker_has_finished_when_the_caller_raises(two_cpus):

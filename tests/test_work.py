@@ -50,19 +50,31 @@ def test_a_cw_evaluation_enters_one_errstate(level, errstate_entries):
 
 
 @pytest.mark.parametrize("amplitude", [0.5, 1e300])
-@pytest.mark.parametrize("n, scopes", [(1000, 2), (1 << 17, 4)])
+@pytest.mark.parametrize("n, scopes", [(1000, 2), (1 << 17, 3)])
 def test_a_varying_block_enters_as_many_errstates_saturated_or_not(
         n, scopes, amplitude, two_cpus, errstate_entries):
-    # pa_pipeline's scope and rapp's one pass, plus the worker's copy of the
-    # caller's state and its half's rapp on a split block; at 1e300 every
-    # sample's Rapp denominator passes the float range. The trap-and-redo
-    # limiter entered one more scope per part that saturated.
+    # pa_pipeline's scope and rapp's one pass, plus its worker part's rapp
+    # on a split block, which runs in a copy of the caller's context and so
+    # under pa_pipeline's scope; at 1e300 every sample's Rapp denominator
+    # passes the float range. The trap-and-redo limiter entered one more
+    # scope per part that saturated, and a worker part that re-entered the
+    # caller's np.geterr() one more per handoff.
     ramp = np.linspace(0.1, 1.0, n)
     x = amplitude * ramp * np.exp(1j * 40.0 * ramp)
     _, stats = simulate(IqBlock(x, 1e6), BIAS, PARAMS)
     assert len(errstate_entries) == scopes
     assert len(two_cpus) == (n >= kernels.SPLIT_MIN)
     assert np.isfinite(stats.pout_w)
+
+
+def test_a_two_tone_point_enters_three_errstates(two_cpus,
+                                                 errstate_entries):
+    # simulate's three (above); measure_imd opens none, and its two
+    # handoffs enter none. A worker part that re-entered the caller's
+    # np.geterr() made this 6
+    two_tone_point(1 << 17)
+    assert len(errstate_entries) == 3
+    assert len(two_cpus) == 3
 
 
 def test_fit_builds_its_params_without_replace():

@@ -201,38 +201,50 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_run_controller(args) -> int:
-    from . import biasctl, measure, pamodel, signalgen
-    params = pamodel.load_params(args.params)
-    table = biasctl.default_band_table(ripple=params.ripple)
-    controller = biasctl.BiasController(params=params, table=table,
-                                        window_s=args.window)
+def _replay(events, params, window_s: float, rate: float):
+    """Yield ``(t_s, command)`` for each scenario event, in order.
+
+    The supply first slews across the gap since the previous event; then
+    one ``max(window_s, 1 ms)`` window of the kind's unit-amplitude
+    waveform goes through the controller, and the commanded drain voltage
+    is SET through the supply codec (a rejected SET raises RuntimeError).
+    """
+    from . import biasctl, signalgen
+    controller = biasctl.BiasController(params=params,
+                                        table=biasctl.default_band_table(),
+                                        window_s=window_s)
     psu = psusim.PsuSim()
-    events = _read_scenario(args.scenario)
-    rows = []
-    prev_t = None
+    prev_t = events[0][0]
     for t_s, kind, band, setpoint in events:
-        if prev_t is not None:
-            psu.advance(t_s - prev_t)  # supply slews across the event gap
+        psu.advance(t_s - prev_t)  # supply slews across the event gap
         prev_t = t_s
-        spec = signalgen.WaveformSpec(kind=_KINDS[kind], amplitude=1.0,
-                                      duration_s=max(args.window, 1e-3))
-        block = signalgen.generate(spec, args.rate)
-        command = controller.process(block, band, setpoint)
-        wire = psu.handle_wire(psusim.encode(
-            psusim.SetVoltage(command.target.vdd)))
-        reply = psusim.decode(wire)
+        spec = signalgen.WaveformSpec(kind=kind, amplitude=1.0,
+                                      duration_s=max(window_s, 1e-3))
+        command = controller.process(signalgen.generate(spec, rate), band,
+                                     setpoint)
+        reply = psusim.decode(psu.handle_wire(psusim.encode(
+            psusim.SetVoltage(command.target.vdd))))
         if not isinstance(reply, psusim.Reply):
             raise RuntimeError(f"supply rejected SET at t={t_s}: {reply}")
-        rows.append((t_s, command.mode.value, command.target.vdd,
-                     command.target.idq, command.target.gate_step))
+        yield t_s, command
+
+
+def _cmd_run_controller(args) -> int:
+    from . import measure, pamodel
+    params = pamodel.load_params(args.params)
+    events = _read_scenario(args.scenario)
+    # every window runs before the log is opened: one that fails leaves none
+    rows = [(t_s, command.mode.value, command.target.vdd, command.target.idq,
+             command.target.gate_step)
+            for t_s, command in _replay(events, params, args.window,
+                                        args.rate)]
     measure.write_csv(args.out, "t_s,mode,vdd_V,idq_A,gate_step", rows)
     return 0
 
 
 def _read_scenario(path) -> List[tuple]:
     """Scenario lines: `t_s kind band setpoint_W`, times strictly increasing
-    and each setpoint > 0."""
+    and each setpoint > 0; each event as ``(t_s, Kind, band, setpoint)``."""
     events = []
     last_t = None
     for where, line in records(path):
@@ -250,7 +262,7 @@ def _read_scenario(path) -> List[tuple]:
         if last_t is not None and t_s <= last_t:
             raise ValueError(f"{where}: times must strictly increase")
         last_t = t_s
-        events.append((t_s, kind, band, setpoint))
+        events.append((t_s, _KINDS[kind], band, setpoint))
     if not events:
         raise ValueError(f"{path}: empty scenario")
     return events

@@ -3,6 +3,7 @@ gate ladder, gain equalization, and switch hysteresis."""
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,36 @@ class TestClassify:
         blk = IqBlock(np.zeros(20000, dtype=complex), FS)
         assert classify_envelope(blk, WINDOW).kind is EnvKind.CONSTANT
 
+    def test_a_zero_median_gives_an_infinite_ripple(self):
+        # a silent majority with a keyed minority: no division by zero
+        env = np.array([0.0] * 60 + [1.0] * 40)
+        cls = classify_envelope(IqBlock(env.astype(complex), FS), 100 / FS)
+        assert cls.kind is EnvKind.VARYING
+        assert cls.ripple_ratio == math.inf
+
+    def test_a_ripple_of_exactly_the_limit_is_varying(self):
+        # p1 19.5, median 20 and p99 20.5: the ripple rounds to exactly
+        # RIPPLE_LIMIT, while the PAPR sits far under its own limit
+        env = np.array([19.5] * 2 + [20.0] * 97 + [20.5] * 2)
+        cls = classify_envelope(IqBlock(env.astype(complex), FS), 101 / FS)
+        assert cls.ripple_ratio == biasctl.RIPPLE_LIMIT
+        assert cls.papr_db < biasctl.PAPR_LIMIT_DB
+        assert cls.kind is EnvKind.VARYING
+
+    def test_a_peak_squaring_to_the_smallest_normal_is_not_rescaled(self):
+        # peak**2 is the smallest normal float, inside the range the squares
+        # are kept in, so papr_db is the plain form's; 0.7*peak squares to a
+        # subnormal, so the unit-peak form has other bits
+        peak = 2.0 ** -511
+        assert peak * peak == biasctl._SQUARE_MIN
+        unit_env = np.array([1.0, 0.7])
+        env = unit_env * peak
+        cls = classify_envelope(IqBlock(env.astype(complex), FS), 2 / FS)
+        plain = 10.0 * math.log10(peak ** 2 / float(np.mean(env ** 2)))
+        unit = 10.0 * math.log10(1.0 / float(np.mean(unit_env ** 2)))
+        assert plain != unit
+        assert cls.papr_db == plain
+
 
 def hexes(values):
     return [float(v).hex() for v in values]
@@ -155,6 +186,7 @@ def _with_kind_envelopes(test):
 @given(env=envelopes)
 @example(env=[0.7])
 @example(env=[0.7, 0.2])
+@example(env=[0.3, 1.0])  # median at t = 0.5, where numpy's two lerps differ
 @example(env=[3.0, 1.0, 2.0])
 @example(env=[0.5] * 10000)
 @example(env=list(np.linspace(0.0, 1.0, 10000)))   # ascending ramp
@@ -170,16 +202,17 @@ def test_percentiles_match_numpy_bit_for_bit(env):
 def reference_metrics(env):
     """(papr_db, ripple_ratio) from np.max and np.percentile on the window,
     which is first divided by its peak where the squares leave the normal
-    float range."""
+    float range: the peak's square under the smallest normal, or the sum
+    of the squares possibly past the largest float."""
     peak = float(np.max(env))
-    if not 1e-150 < peak < 1e150:
+    if not sys.float_info.min <= peak * peak <= sys.float_info.max / env.size:
         env, peak = env / peak, 1.0
     p1, med, p99 = (float(p) for p in np.percentile(env, [1.0, 50.0, 99.0]))
     papr_db = 10.0 * math.log10(peak ** 2 / float(np.mean(env ** 2)))
     return papr_db, (p99 - p1) / med
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-152, 1e300])
 @pytest.mark.parametrize("kind", list(Kind))
 def test_classify_metrics_match_the_percentile_reference(kind, scale):
     blk = block_of(kind)
@@ -191,7 +224,8 @@ def test_classify_metrics_match_the_percentile_reference(kind, scale):
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 20000), tied=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1),
-       scale=st.sampled_from([1.0, 1e-300, 1e300]), frac=st.floats(0.0, 1.0))
+       scale=st.sampled_from([1.0, 1e-300, 1e-152, 1e300]),
+       frac=st.floats(0.0, 1.0))
 @example(n=20000, tied=True, seed=0, scale=1e300, frac=1.0)
 @example(n=1, tied=False, seed=0, scale=1e-300, frac=1.0)
 def test_classify_metrics_match_the_reference_on_random_blocks(
@@ -332,6 +366,13 @@ class TestDecideBias:
             decide_bias(self.constant, 1e7, "40M", self.params, self.table)
 
     @pytest.mark.parametrize("mode", list(Mode))
+    def test_zero_setpoint_rejected(self, mode):
+        # linear mode asks the model nothing, so the check is its only guard
+        with pytest.raises(ValueError, match="> 0, got 0.0"):
+            command_for_mode(mode, self.varying, 0.0, "40M", self.params,
+                             self.table)
+
+    @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("setpoint", [math.nan, math.inf, -math.inf])
     def test_non_finite_setpoint_rejected(self, mode, setpoint):
         with pytest.raises(ValueError, match="finite"):
@@ -413,6 +454,9 @@ class TestCompressionDrive:
 
     @settings(deadline=None)
     @given(params_st, bias_st, st.floats(0.01, 200.0))
+    # g = 1 and s = 0.5: the closed form is exactly 50*a_sat = 2700 V here
+    @example(PaParams(g0=1.0, smoothness=0.5), BiasPoint(vdd=58.0, idq=2.0),
+             float.fromhex("0x1.1136130cba7eep+5"))
     def test_is_the_rapp_inverse_up_to_fifty_times_a_sat(self, params, bias,
                                                          depth):
         # the closed form (a_sat/g) * (10^(2s*d/20) - 1)^(1/(2s)) (Rapp 1991)
@@ -513,6 +557,15 @@ class TestEqualizeGains:
                                       fitted_params)
         table = equalize_gains(rippled, BANDS, target, idq=2.0)
         assert table["10M"].eq_vdd in (30.0, 58.0)
+
+    @pytest.mark.parametrize("kv", [0.03, -0.03])
+    @pytest.mark.parametrize("vdd", [VDD_MIN, VDD_MAX])
+    def test_a_target_on_an_end_gain_gets_that_end(self, kv, vdd):
+        # solved from the gain law, the VDD_MIN end reads 30.000000000000004
+        params = PaParams(g0=10.0, kv=kv)
+        target = small_signal_gain_db(BiasPoint(vdd=vdd, idq=2.0), params)
+        table = equalize_gains(params, ["40M"], target, idq=2.0)
+        assert table["40M"].eq_vdd == vdd
 
     @pytest.mark.parametrize("kv", [0.0, 0.3])
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])

@@ -326,6 +326,25 @@ def test_run_controller_scenario(tmp_path, params_file):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_an_unreachable_setpoint_mid_scenario_exits_1_and_writes_no_log(
+        tmp_path, params_file, capsys):
+    # two windows run linear, where no setpoint is checked against the
+    # model; the third trips compression mode above the full-supply
+    # saturation of the fixture's fit
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("".join(f"0.{i} cw 40M 2000\n"
+                                for i in range(HYSTERESIS_WINDOWS)))
+    out = tmp_path / "log.csv"
+    rc, err = run_without_traceback(
+        ["run-controller", "--scenario", str(scenario), "--params",
+         params_file, "--out", str(out)], capsys)
+    assert rc == 1
+    assert re.fullmatch(
+        r"error: setpoint 2000\.0 W unreachable: saturated output "
+        r"1\d{3}\.\d W below target 2000\.0 W at vdd 58\.0 V\n", err), err
+    assert not out.exists()
+
+
 #: A run of one to three scenario events alike: kind, band and a setpoint
 #: from 100 to 1000 W. Runs of three trip the mode hysteresis.
 SCENARIO_RUNS = st.tuples(

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -145,14 +146,30 @@ def test_bench_snapshot_records_the_environment(monkeypatch):
     assert commands and all(cmd[0] == "git" for cmd in commands)
 
 
-def fake_paired_runner(calls, before_root):
+def test_child_clock_counts_a_waited_for_child():
+    # a one-thread child that spins for 0.2 s of CPU time: its CPU time is
+    # read once the child is waited for, and no more than its wall time
+    spin = ("import time\nt = time.process_time()\n"
+            "while time.process_time() - t < 0.2: pass")
+    cpu0, wall0 = bench_snapshot.child_clock()
+    subprocess.run([sys.executable, "-c", spin], check=True)
+    cpu1, wall1 = bench_snapshot.child_clock()
+    assert 0.2 <= cpu1 - cpu0 <= wall1 - wall0
+
+
+def fake_paired_runner(calls, before_root, monkeypatch):
     """A ``run_json`` stub for two trees: the tree is read from the run.py
     path; the before tree's op_p50_ms is 2.0 scaled and 3.0 raw, the after
     tree's 1.5 and 2.7 except in its fourth run (the third after its
     warm-up), where it is 2.5 and 3.3;
     peak_rss_mb is 40 + seed scaled and 30 + seed raw on both trees, and
-    setup_s has no raw value. Every run must last 20 s."""
+    setup_s has no raw value. Every run must last 20 s, and does on the
+    stubbed ``child_clock``, with 30 s of CPU time on the after tree and
+    20 s on the before tree."""
     counts = {"after": 0, "before": 0}
+    clock = {"cpu": 0.0, "wall": 0.0}
+    monkeypatch.setattr(bench_snapshot, "child_clock",
+                        lambda: (clock["cpu"], clock["wall"]))
 
     def run_json(cmd):
         side = ("before" if Path(cmd[1]).parent.parent == before_root
@@ -160,6 +177,8 @@ def fake_paired_runner(calls, before_root):
         seed, trace = int(cmd[cmd.index("--seed") + 1]), cmd[-1]
         assert cmd[cmd.index("--seconds") + 1] == "20"
         calls.append((side, seed, trace))
+        clock["wall"] += 20.0
+        clock["cpu"] += 30.0 if side == "after" else 20.0
         if trace == "1":
             return ({"tracing": {"overhead": 1.2}},
                     {"correct": True, "attempted": 5, "failed": 0,
@@ -181,7 +200,7 @@ def fake_paired_runner(calls, before_root):
 def test_paired_runs_alternate_and_give_the_ratios(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr(bench_snapshot, "run_json",
-                        fake_paired_runner(calls, tmp_path))
+                        fake_paired_runner(calls, tmp_path, monkeypatch))
     trees = {"after": bench_snapshot.ROOT, "before": tmp_path}
     sides, log = bench_snapshot.paired_bench("controller", [1, 7], 2, trees)
     runs = [(side, seed) for side, seed, trace in calls if trace == "0"]
@@ -194,8 +213,13 @@ def test_paired_runs_alternate_and_give_the_ratios(monkeypatch, tmp_path):
     assert [c for c in calls if c[2] == "1"] == [("after", 1, "1"),
                                                  ("before", 1, "1")]
 
+    usage = {"after": {"cpu_s": 30.0, "wall_s": 20.0},
+             "before": {"cpu_s": 20.0, "wall_s": 20.0}}
     for side in ("after", "before"):
         assert [r["seed"] for r in sides[side]["runs"]] == [1, 1, 7, 7]
+        # the child's CPU and wall seconds of each run, read around it
+        assert all({k: r[k] for k in usage[side]} == usage[side]
+                   for r in sides[side]["runs"])
         summary = sides[side]["summary"]
         assert (summary["attempted"], summary["failed"]) == (16, 4)
         assert summary["metrics"]["peak_rss_mb"] == {"median": 44.0,
@@ -204,7 +228,7 @@ def test_paired_runs_alternate_and_give_the_ratios(monkeypatch, tmp_path):
         assert "setup_s" not in summary["raw"]  # no run has a value
         assert sides[side]["trace"] == {"seed": 1, "correct": True,
                                         "metrics": {"trace.ops": 5},
-                                        "overhead": 1.2}
+                                        "overhead": 1.2, **usage[side]}
 
     calls.clear()
     bench_snapshot.paired_bench("controller", [1], 2, trees, 1)
@@ -253,8 +277,6 @@ def test_tree_identity_hashes_the_sources(tmp_path):
     (tree / "src" / "pkg" / "mod.py").write_text("x = 2\n")
     assert bench_snapshot.tree_identity(tree)["tree_sha256"] != (
         first["tree_sha256"])
-    here = bench_snapshot.tree_identity(bench_snapshot.ROOT)
-    assert here["git_commit"] and isinstance(here["git_dirty"], bool)
 
 
 def test_tree_identity_is_dirty_only_for_the_sources(tmp_path):
@@ -262,14 +284,16 @@ def test_tree_identity_is_dirty_only_for_the_sources(tmp_path):
     (tree / "NOTES.md").write_text("text\n")
 
     def git(*args):
-        subprocess.run(["git", "-C", str(tree), "-c", "user.name=t",
-                        "-c", "user.email=t@t", *args], check=True,
-                       capture_output=True)
+        return subprocess.run(["git", "-C", str(tree), "-c", "user.name=t",
+                               "-c", "user.email=t@t", *args], check=True,
+                              capture_output=True, text=True).stdout
 
     git("init", "-q")
     git("add", "-A")
     git("commit", "-q", "-m", "tree")
-    assert bench_snapshot.tree_identity(tree)["git_dirty"] is False
+    identity = bench_snapshot.tree_identity(tree)
+    assert identity["git_commit"] == git("rev-parse", "HEAD").strip()
+    assert identity["git_dirty"] is False
     (tree / "NOTES.md").write_text("edited\n")
     assert bench_snapshot.tree_identity(tree)["git_dirty"] is False
     (tree / "perfbench" / "run.py").write_text("pass  # edited\n")
@@ -282,7 +306,7 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     (before / "src" / "pkg" / "mod.py").write_text("x = 0\n")
     monkeypatch.setattr(bench_snapshot, "ROOT", after)
     monkeypatch.setattr(bench_snapshot, "run_json",
-                        fake_paired_runner([], before))
+                        fake_paired_runner([], before, monkeypatch))
     env = {"python": "3", "numpy": "2"}
     monkeypatch.setattr(bench_snapshot, "environment",
                         lambda root: {**env, **bench_snapshot.tree_identity(
@@ -326,6 +350,7 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     assert block["pairs_per_seed"] == 3
     imd = block["workloads"]["imd"]
     assert [o["first"] for o in imd["order"]] == ["after", "before", "after"]
+    assert imd["cpu_per_wall"] == {"after": 1.5, "before": 1.0}
     assert imd["metrics"]["op_p50_ms"]["scaled"]["ratios"] == [0.75, 0.75, 1.25]
     # the second workload is led by the other tree
     ctl = block["workloads"]["controller"]
@@ -397,8 +422,10 @@ def test_cli_steps_and_startup_take_turns_per_repeat(monkeypatch, tmp_path):
 
 def stub_pair_file(path):
     """A pair file with only what ``--table`` reads: two workloads, the
-    first with two metrics, the second with one and no raw ratio, and one
-    start-up row, against a clean parent from a dirty change."""
+    first with two metrics and its CPU/wall medians, the second with one
+    metric, no raw ratio and no CPU/wall (as in files written before it
+    was recorded), and one start-up row, against a clean parent from a
+    dirty change."""
     def metric(before, after, scaled, raw, spread=2.0):
         entry = {"better": "lower",
                  "before": {"median": before, "q1": before - spread / 2,
@@ -423,7 +450,8 @@ def stub_pair_file(path):
                         "op_p50_ms": metric(53.7, 48.25, ratio, dict(
                             ratio, median=0.912, wins=8)),
                         "peak_rss_mb": metric(57.61, 54.7, dict(
-                            ratio, median=0.9495, wins=10), None)}},
+                            ratio, median=0.9495, wins=10), None)},
+                    "cpu_per_wall": {"before": 1.9, "after": 0.98}},
                 "imd": {"order": [{"seed": 1, "first": "before"}],
                         "metrics": {"op_p50_ms": metric(8.1234, 8.2, dict(
                             ratio, ratios=[1.0126], median=1.0126, q1=1.0,
@@ -455,9 +483,13 @@ def test_table_prints_a_row_per_workload_of_a_pair_file(monkeypatch, capsys,
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | calibrate, 2,7, 3 "
         "| peak_rss_mb | 57.61 → 54.7 | 0.950 [0.850, 0.950] | — "
         "| 10/10, — | resolved better |",
+        "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | calibrate, 2,7, 3 "
+        "| cpu/wall | 1.90 → 0.98 | — | — | —, — | — |",
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | imd, 1, 1 "
         "| op_p50_ms | 8.123 → 8.2 | 1.013 [1.000, 1.025] | — | 0/1, — "
         "| resolved worse |",
+        "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | imd, 1, 1 "
+        "| cpu/wall | — → — | — | — | —, — | — |",
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | startup, —, 10 "
         "| python -m hfpa psu-read --help | 0.25 → 0.08 | — "
         "| 0.320 [0.300, 0.340] | —, 8/10 | not resolved |"]
@@ -499,7 +531,7 @@ def test_table_gives_the_verdict_of_a_stubbed_paired_run(monkeypatch,
     (after / "bench").mkdir()
     monkeypatch.setattr(bench_snapshot, "ROOT", after)
     monkeypatch.setattr(bench_snapshot, "run_json",
-                        fake_paired_runner([], before))
+                        fake_paired_runner([], before, monkeypatch))
     monkeypatch.setattr(bench_snapshot, "environment",
                         bench_snapshot.tree_identity)
     for name in ("cli_steps", "startup"):
@@ -513,7 +545,10 @@ def test_table_gives_the_verdict_of_a_stubbed_paired_run(monkeypatch,
     assert [row.rsplit(" | ", 2)[-2:] for row in rows] == [
         ["9/10, 9/10", "resolved better |"],
         ["0/10, 0/10", "not resolved |"],
+        ["—, —", "— |"],
         ["—, 0/10", "not resolved |"]]
+    assert rows[2].endswith(" | imd, 1, 10 | cpu/wall | 1.00 → 1.50 "
+                            "| — | — | —, — | — |")
 
 
 def test_table_refuses_a_file_without_pairs(capsys, tmp_path):
@@ -538,7 +573,7 @@ def test_every_committed_pair_file_prints_its_rows(path):
     block = json.loads(path.read_text(encoding="utf-8"))["pairs"]
     cells = [(workload, metric)
              for workload, record in block["workloads"].items()
-             for metric in record["metrics"]]
+             for metric in [*record["metrics"], "cpu/wall"]]
     cells += [("startup", label) for label in block.get("startup", {})]
     rows = bench_snapshot.table_rows(path)
     assert len(rows) == len(cells) >= 1

@@ -21,9 +21,10 @@ itself: the A/A pair records the host's spread beside the figures. Each
 file holds, for its tree:
 
 * each ``BENCHMARK.json`` workload, run N times per seed as a subprocess of
-  ``perfbench/run.py --seconds 20 --trace 0``: every run's result, and per
-  metric the median and min over runs of the scaled and the raw values,
-  with ``attempted`` and ``failed`` summed;
+  ``perfbench/run.py --seconds 20 --trace 0``: every run's result with the
+  child's CPU seconds (user + system, from ``getrusage(RUSAGE_CHILDREN)``)
+  and wall seconds, and per metric the median and min over runs of the
+  scaled and the raw values, with ``attempted`` and ``failed`` summed;
 * before each workload's first pair, one discarded run of each tree on
   the first seed, so that neither side takes the host's first-run cost;
 * one ``--trace 1`` run per workload, on the first seed: the layer table
@@ -50,8 +51,10 @@ by this tree; the tier-1 suite runs once per tree. ``BENCH_<T>.json`` adds
 a ``pairs`` block: for each workload and end-to-end metric, the
 after/before ratio of the scaled and of the raw values in every pair, their
 median and quartiles, the count of pairs in which this tree is better, and
-the medians and quartiles of both trees' scaled values; its ``startup``
-entry gives the same per start-up row, from the raw wall times. Two snapshots
+the medians and quartiles of both trees' scaled values, and both trees'
+median CPU/wall ratio (``cpu_per_wall``: near 1 when a run used one core,
+near 2 when its split overlapped on two); its ``startup`` entry gives the
+same per start-up row, from the raw wall times. Two snapshots
 taken apart, even minutes apart, do not resolve a change smaller than the
 host's drift; a paired one does.
 
@@ -70,6 +73,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -124,27 +128,37 @@ def run_json(cmd):
     return json.loads(report), json.loads(result)
 
 
+def child_clock():
+    """The CPU seconds (user + system) of this process's waited-for
+    children, and the wall clock in seconds."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime, time.perf_counter()
+
+
 def seeded_run(workload, seed, trace, root):
-    """One ``perfbench/run.py`` run of the tree at ``root``: its report and
-    its result."""
-    return run_json([
+    """One ``perfbench/run.py`` run of the tree at ``root``: its report, its
+    result, and the CPU and wall seconds it took (``cpu_s``, ``wall_s``)."""
+    cpu0, wall0 = child_clock()
+    report, result = run_json([
         sys.executable, str(root / "perfbench" / "run.py"), "--workload",
         workload, "--seed", str(seed), "--seconds", str(RUN_SECONDS),
         "--trace", str(trace)])
+    cpu1, wall1 = child_clock()
+    return report, result, {"cpu_s": cpu1 - cpu0, "wall_s": wall1 - wall0}
 
 
-def run_record(seed, report, result):
+def run_record(seed, report, result, usage):
     return {"seed": seed, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "raw": report["raw"], "slowdown": report["slowdown"],
-            "problems": report["problems"]}
+            "problems": report["problems"], **usage}
 
 
-def trace_record(seed, report, result):
+def trace_record(seed, report, result, usage):
     return {"seed": seed, "correct": result["correct"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "overhead": report["tracing"]["overhead"]}
+            "overhead": report["tracing"]["overhead"], **usage}
 
 
 def summarize(runs):
@@ -392,7 +406,10 @@ def paired(args, seeds, workloads, better):
         block["workloads"][workload] = {
             "order": log,
             "metrics": pair_stats(sides[AFTER]["runs"],
-                                  sides[BEFORE]["runs"], better)}
+                                  sides[BEFORE]["runs"], better),
+            "cpu_per_wall": {side: statistics.median(
+                r["cpu_s"] / r["wall_s"] for r in record["runs"])
+                for side, record in sides.items()}}
     print("cli steps ...", flush=True)
     for key, measure in (("cli_steps", cli_steps), ("startup", startup)):
         for side, record in measure(trees).items():
@@ -451,39 +468,52 @@ def verdict(entry, key):
     return "not resolved"
 
 
+def _usage(record):
+    """A workload's ``cpu/wall`` medians cell, ``—`` for a tree without
+    one (pair files written before CPU time was recorded)."""
+    usage = record.get("cpu_per_wall", {})
+    return " → ".join(f"{usage[side]:.2f}" if side in usage else "—"
+                      for side in (BEFORE, AFTER))
+
+
 def table_rows(path):
     """One Markdown row per workload and end-to-end metric of the pair file
-    at ``path``, in the file's order, then one per start-up row if the file
-    pairs them: the trees, the workload (``startup``), its seeds and pairs,
-    the metric, both trees' medians, the scaled and raw after/before ratios
-    with their quartiles, the change's wins, and the verdict on the scaled
-    ratio (the raw one for start-up rows). Everything comes from the file's
-    ``pairs`` block, except the change's own commit, which the file's
-    ``environment`` records."""
+    at ``path``, in the file's order, each workload's closed by a
+    ``cpu/wall`` row, then one per start-up row if the file pairs them: the
+    trees, the workload (``startup``), its seeds and pairs, the metric, both
+    trees' medians, the scaled and raw after/before ratios with their
+    quartiles, the change's wins, and the verdict on the scaled ratio (the
+    raw one for start-up rows). A ``cpu/wall`` row gives both trees' median
+    CPU/wall ratio and no ratio, wins or verdict. Everything comes from the
+    file's ``pairs`` block, except the change's own commit, which the
+    file's ``environment`` records."""
     snapshot = json.loads(Path(path).read_text(encoding="utf-8"))
     block = snapshot.get("pairs")
     if block is None:
         raise ValueError("no pairs block: not the change's file of a "
                          "paired snapshot")
     trees = f"{_tree(block['against'])} → {_tree(snapshot['environment'])}"
-    cells = []
-    for workload, record in block["workloads"].items():
-        seeds = ",".join(str(s) for s in sorted({o["seed"]
-                                                 for o in record["order"]}))
-        cells += [(f"{workload}, {seeds}, {len(record['order'])}", metric,
-                   entry, "scaled")
-                  for metric, entry in record["metrics"].items()]
-    cells += [(f"startup, —, {entry['raw']['pairs']}", label, entry, "raw")
-              for label, entry in block.get("startup", {}).items()]
+    head = f"| `{Path(path).name}` | {trees} | "
     rows = []
-    for run, metric, entry, key in cells:
+
+    def add(run, metric, entry, key):
         medians = (f"{entry['before']['median']:.4g} → "
                    f"{entry['after']['median']:.4g}")
         scaled, scaled_wins = _ratio(entry.get("scaled"))
         raw, raw_wins = _ratio(entry.get("raw"))
-        rows.append(f"| `{Path(path).name}` | {trees} | {run} | {metric} "
-                    f"| {medians} | {scaled} | {raw} "
+        rows.append(f"{head}{run} | {metric} | {medians} | {scaled} | {raw} "
                     f"| {scaled_wins}, {raw_wins} | {verdict(entry, key)} |")
+
+    for workload, record in block["workloads"].items():
+        seeds = ",".join(str(s) for s in sorted({o["seed"]
+                                                 for o in record["order"]}))
+        run = f"{workload}, {seeds}, {len(record['order'])}"
+        for metric, entry in record["metrics"].items():
+            add(run, metric, entry, "scaled")
+        rows.append(f"{head}{run} | cpu/wall | {_usage(record)} | — | — "
+                    f"| —, — | — |")
+    for label, entry in block.get("startup", {}).items():
+        add(f"startup, —, {entry['raw']['pairs']}", label, entry, "raw")
     return rows
 
 

@@ -268,8 +268,10 @@ def equalize_gains(params: PaParams, bands: Sequence[str],
 
     The gain law plus the band's ripple is linear in vdd, so the voltage is
     solved directly within [VDD_MIN, VDD_MAX]; a band whose target lies
-    outside the reachable range is pinned at the nearer endpoint. The
-    target must be finite.
+    outside the reachable range is pinned at the nearer endpoint. Where the
+    law is flat in vdd (both ends give one gain, as with ``kv == 0``), a
+    target at or below that gain pins at VDD_MIN and one above it at
+    VDD_MAX. The target must be finite.
     """
     if not math.isfinite(target_gain_db):
         raise ValueError(f"target gain must be finite, got {target_gain_db}")

@@ -567,6 +567,17 @@ class TestEqualizeGains:
         table = equalize_gains(params, ["40M"], target, idq=2.0)
         assert table["40M"].eq_vdd == vdd
 
+    @pytest.mark.parametrize("offset,vdd", [(-1.0, VDD_MIN), (0.0, VDD_MIN),
+                                            (1.0, VDD_MAX)])
+    def test_a_flat_gain_law_pins_at_vdd_min_unless_the_target_is_above(
+            self, offset, vdd):
+        # kv == 0: both ends give one gain, so "the nearer endpoint" names
+        # neither; the rule is the unswapped endpoints'
+        params = PaParams(g0=10.0, kv=0.0)
+        gain = small_signal_gain_db(BiasPoint(vdd=44.0, idq=2.0), params)
+        table = equalize_gains(params, ["40M"], gain + offset, idq=2.0)
+        assert table["40M"].eq_vdd == vdd
+
     @pytest.mark.parametrize("kv", [0.0, 0.3])
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_target(self, kv, target):

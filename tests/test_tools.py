@@ -148,13 +148,15 @@ def test_bench_snapshot_records_the_environment(monkeypatch):
 
 def test_child_clock_counts_a_waited_for_child():
     # a one-thread child that spins for 0.2 s of CPU time: its CPU time is
-    # read once the child is waited for, and no more than its wall time
+    # read once the child is waited for, and no more than its wall time;
+    # starting an interpreter faults in pages
     spin = ("import time\nt = time.process_time()\n"
             "while time.process_time() - t < 0.2: pass")
-    cpu0, wall0 = bench_snapshot.child_clock()
+    cpu0, wall0, flt0 = bench_snapshot.child_clock()
     subprocess.run([sys.executable, "-c", spin], check=True)
-    cpu1, wall1 = bench_snapshot.child_clock()
+    cpu1, wall1, flt1 = bench_snapshot.child_clock()
     assert 0.2 <= cpu1 - cpu0 <= wall1 - wall0
+    assert flt1 > flt0
 
 
 def fake_paired_runner(calls, before_root, monkeypatch):
@@ -164,12 +166,12 @@ def fake_paired_runner(calls, before_root, monkeypatch):
     warm-up), where it is 2.5 and 3.3;
     peak_rss_mb is 40 + seed scaled and 30 + seed raw on both trees, and
     setup_s has no raw value. Every run must last 20 s, and does on the
-    stubbed ``child_clock``, with 30 s of CPU time on the after tree and
-    20 s on the before tree."""
+    stubbed ``child_clock``, with 30 s of CPU time and 1000 minor page
+    faults on the after tree and 20 s and 1200 on the before tree."""
     counts = {"after": 0, "before": 0}
-    clock = {"cpu": 0.0, "wall": 0.0}
+    clock = {"cpu": 0.0, "wall": 0.0, "minflt": 0}
     monkeypatch.setattr(bench_snapshot, "child_clock",
-                        lambda: (clock["cpu"], clock["wall"]))
+                        lambda: (clock["cpu"], clock["wall"], clock["minflt"]))
 
     def run_json(cmd):
         side = ("before" if Path(cmd[1]).parent.parent == before_root
@@ -179,6 +181,7 @@ def fake_paired_runner(calls, before_root, monkeypatch):
         calls.append((side, seed, trace))
         clock["wall"] += 20.0
         clock["cpu"] += 30.0 if side == "after" else 20.0
+        clock["minflt"] += 1000 if side == "after" else 1200
         if trace == "1":
             return ({"tracing": {"overhead": 1.2}},
                     {"correct": True, "attempted": 5, "failed": 0,
@@ -213,11 +216,12 @@ def test_paired_runs_alternate_and_give_the_ratios(monkeypatch, tmp_path):
     assert [c for c in calls if c[2] == "1"] == [("after", 1, "1"),
                                                  ("before", 1, "1")]
 
-    usage = {"after": {"cpu_s": 30.0, "wall_s": 20.0},
-             "before": {"cpu_s": 20.0, "wall_s": 20.0}}
+    usage = {"after": {"cpu_s": 30.0, "wall_s": 20.0, "minflt": 1000},
+             "before": {"cpu_s": 20.0, "wall_s": 20.0, "minflt": 1200}}
     for side in ("after", "before"):
         assert [r["seed"] for r in sides[side]["runs"]] == [1, 1, 7, 7]
-        # the child's CPU and wall seconds of each run, read around it
+        # the child's CPU and wall seconds and minor page faults of each
+        # run, read around it
         assert all({k: r[k] for k in usage[side]} == usage[side]
                    for r in sides[side]["runs"])
         summary = sides[side]["summary"]
@@ -351,6 +355,7 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     imd = block["workloads"]["imd"]
     assert [o["first"] for o in imd["order"]] == ["after", "before", "after"]
     assert imd["cpu_per_wall"] == {"after": 1.5, "before": 1.0}
+    assert imd["minflt"] == {"after": 1000, "before": 1200}
     assert imd["metrics"]["op_p50_ms"]["scaled"]["ratios"] == [0.75, 0.75, 1.25]
     # the second workload is led by the other tree
     ctl = block["workloads"]["controller"]
@@ -422,10 +427,10 @@ def test_cli_steps_and_startup_take_turns_per_repeat(monkeypatch, tmp_path):
 
 def stub_pair_file(path):
     """A pair file with only what ``--table`` reads: two workloads, the
-    first with two metrics and its CPU/wall medians, the second with one
-    metric, no raw ratio and no CPU/wall (as in files written before it
-    was recorded), and one start-up row, against a clean parent from a
-    dirty change."""
+    first with two metrics and its CPU/wall and minor-fault medians, the
+    second with one metric, no raw ratio and neither median (as in files
+    written before they were recorded), and one start-up row, against a
+    clean parent from a dirty change."""
     def metric(before, after, scaled, raw, spread=2.0):
         entry = {"better": "lower",
                  "before": {"median": before, "q1": before - spread / 2,
@@ -451,7 +456,8 @@ def stub_pair_file(path):
                             ratio, median=0.912, wins=8)),
                         "peak_rss_mb": metric(57.61, 54.7, dict(
                             ratio, median=0.9495, wins=10), None)},
-                    "cpu_per_wall": {"before": 1.9, "after": 0.98}},
+                    "cpu_per_wall": {"before": 1.9, "after": 0.98},
+                    "minflt": {"before": 40617.5, "after": 40905}},
                 "imd": {"order": [{"seed": 1, "first": "before"}],
                         "metrics": {"op_p50_ms": metric(8.1234, 8.2, dict(
                             ratio, ratios=[1.0126], median=1.0126, q1=1.0,
@@ -485,11 +491,15 @@ def test_table_prints_a_row_per_workload_of_a_pair_file(monkeypatch, capsys,
         "| 10/10, — | resolved better |",
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | calibrate, 2,7, 3 "
         "| cpu/wall | 1.90 → 0.98 | — | — | —, — | — |",
+        "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | calibrate, 2,7, 3 "
+        "| minflt | 40618 → 40905 | — | — | —, — | — |",
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | imd, 1, 1 "
         "| op_p50_ms | 8.123 → 8.2 | 1.013 [1.000, 1.025] | — | 0/1, — "
         "| resolved worse |",
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | imd, 1, 1 "
         "| cpu/wall | — → — | — | — | —, — | — |",
+        "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | imd, 1, 1 "
+        "| minflt | — → — | — | — | —, — | — |",
         "| `BENCH_x.json` | aaaaaaa → bbbbbbb* | startup, —, 10 "
         "| python -m hfpa psu-read --help | 0.25 → 0.08 | — "
         "| 0.320 [0.300, 0.340] | —, 8/10 | not resolved |"]
@@ -546,8 +556,11 @@ def test_table_gives_the_verdict_of_a_stubbed_paired_run(monkeypatch,
         ["9/10, 9/10", "resolved better |"],
         ["0/10, 0/10", "not resolved |"],
         ["—, —", "— |"],
+        ["—, —", "— |"],
         ["—, 0/10", "not resolved |"]]
     assert rows[2].endswith(" | imd, 1, 10 | cpu/wall | 1.00 → 1.50 "
+                            "| — | — | —, — | — |")
+    assert rows[3].endswith(" | imd, 1, 10 | minflt | 1200 → 1000 "
                             "| — | — | —, — | — |")
 
 
@@ -573,7 +586,7 @@ def test_every_committed_pair_file_prints_its_rows(path):
     block = json.loads(path.read_text(encoding="utf-8"))["pairs"]
     cells = [(workload, metric)
              for workload, record in block["workloads"].items()
-             for metric in [*record["metrics"], "cpu/wall"]]
+             for metric in [*record["metrics"], "cpu/wall", "minflt"]]
     cells += [("startup", label) for label in block.get("startup", {})]
     rows = bench_snapshot.table_rows(path)
     assert len(rows) == len(cells) >= 1

@@ -22,8 +22,8 @@ file holds, for its tree:
 
 * each ``BENCHMARK.json`` workload, run N times per seed as a subprocess of
   ``perfbench/run.py --seconds 20 --trace 0``: every run's result with the
-  child's CPU seconds (user + system, from ``getrusage(RUSAGE_CHILDREN)``)
-  and wall seconds, and per metric the median and min over runs of the
+  child's CPU seconds (user + system, from ``getrusage(RUSAGE_CHILDREN)``),
+  wall seconds and minor page faults (``ru_minflt``), and per metric the median and min over runs of the
   scaled and the raw values, with ``attempted`` and ``failed`` summed;
 * before each workload's first pair, one discarded run of each tree on
   the first seed, so that neither side takes the host's first-run cost;
@@ -53,10 +53,11 @@ after/before ratio of the scaled and of the raw values in every pair, their
 median and quartiles, the count of pairs in which this tree is better, and
 the medians and quartiles of both trees' scaled values, and both trees'
 median CPU/wall ratio (``cpu_per_wall``: near 1 when a run used one core,
-near 2 when its split overlapped on two); its ``startup`` entry gives the
-same per start-up row, from the raw wall times. Two snapshots
-taken apart, even minutes apart, do not resolve a change smaller than the
-host's drift; a paired one does.
+near 2 when its split overlapped on two) and median minor page faults
+per run (``minflt``); its ``startup`` entry gives the same per start-up
+row, from the raw wall times. Two snapshots taken apart, even minutes
+apart, do not resolve a change smaller than the host's drift; a paired
+one does.
 
 It edits nothing under ``perfbench/``. The host's speed moves between runs
 (see ``perfbench/README.md``), so read the ratios against their quartiles.
@@ -130,21 +131,25 @@ def run_json(cmd):
 
 def child_clock():
     """The CPU seconds (user + system) of this process's waited-for
-    children, and the wall clock in seconds."""
+    children, the wall clock in seconds, and those children's minor page
+    faults."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime, time.perf_counter()
+    return (usage.ru_utime + usage.ru_stime, time.perf_counter(),
+            usage.ru_minflt)
 
 
 def seeded_run(workload, seed, trace, root):
     """One ``perfbench/run.py`` run of the tree at ``root``: its report, its
-    result, and the CPU and wall seconds it took (``cpu_s``, ``wall_s``)."""
-    cpu0, wall0 = child_clock()
+    result, and the CPU and wall seconds it took and its minor page faults
+    (``cpu_s``, ``wall_s``, ``minflt``)."""
+    cpu0, wall0, flt0 = child_clock()
     report, result = run_json([
         sys.executable, str(root / "perfbench" / "run.py"), "--workload",
         workload, "--seed", str(seed), "--seconds", str(RUN_SECONDS),
         "--trace", str(trace)])
-    cpu1, wall1 = child_clock()
-    return report, result, {"cpu_s": cpu1 - cpu0, "wall_s": wall1 - wall0}
+    cpu1, wall1, flt1 = child_clock()
+    return report, result, {"cpu_s": cpu1 - cpu0, "wall_s": wall1 - wall0,
+                            "minflt": flt1 - flt0}
 
 
 def run_record(seed, report, result, usage):
@@ -409,6 +414,9 @@ def paired(args, seeds, workloads, better):
                                   sides[BEFORE]["runs"], better),
             "cpu_per_wall": {side: statistics.median(
                 r["cpu_s"] / r["wall_s"] for r in record["runs"])
+                for side, record in sides.items()},
+            "minflt": {side: statistics.median(
+                r["minflt"] for r in record["runs"])
                 for side, record in sides.items()}}
     print("cli steps ...", flush=True)
     for key, measure in (("cli_steps", cli_steps), ("startup", startup)):
@@ -468,23 +476,30 @@ def verdict(entry, key):
     return "not resolved"
 
 
-def _usage(record):
-    """A workload's ``cpu/wall`` medians cell, ``—`` for a tree without
-    one (pair files written before CPU time was recorded)."""
-    usage = record.get("cpu_per_wall", {})
-    return " → ".join(f"{usage[side]:.2f}" if side in usage else "—"
+#: (row label, pair block key, format) of the rows that close a workload:
+#: both trees' medians, with no ratio, wins or verdict.
+USAGE_ROWS = (("cpu/wall", "cpu_per_wall", ".2f"), ("minflt", "minflt", ".0f"))
+
+
+def _usage(record, key, spec):
+    """A workload's medians cell of ``key``, ``—`` for a tree without one
+    (pair files written before the figure was recorded)."""
+    usage = record.get(key, {})
+    return " → ".join(format(usage[side], spec) if side in usage else "—"
                       for side in (BEFORE, AFTER))
 
 
 def table_rows(path):
     """One Markdown row per workload and end-to-end metric of the pair file
     at ``path``, in the file's order, each workload's closed by a
-    ``cpu/wall`` row, then one per start-up row if the file pairs them: the
+    ``cpu/wall`` and a ``minflt`` row (``USAGE_ROWS``), then one per
+    start-up row if the file pairs them: the
     trees, the workload (``startup``), its seeds and pairs, the metric, both
     trees' medians, the scaled and raw after/before ratios with their
     quartiles, the change's wins, and the verdict on the scaled ratio (the
     raw one for start-up rows). A ``cpu/wall`` row gives both trees' median
-    CPU/wall ratio and no ratio, wins or verdict. Everything comes from the
+    CPU/wall ratio, a ``minflt`` row their median minor page faults per
+    run, and neither a ratio, wins or verdict. Everything comes from the
     file's ``pairs`` block, except the change's own commit, which the
     file's ``environment`` records."""
     snapshot = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -510,8 +525,9 @@ def table_rows(path):
         run = f"{workload}, {seeds}, {len(record['order'])}"
         for metric, entry in record["metrics"].items():
             add(run, metric, entry, "scaled")
-        rows.append(f"{head}{run} | cpu/wall | {_usage(record)} | — | — "
-                    f"| —, — | — |")
+        for label, key, spec in USAGE_ROWS:
+            rows.append(f"{head}{run} | {label} | {_usage(record, key, spec)} "
+                        f"| — | — | —, — | — |")
     for label, entry in block.get("startup", {}).items():
         add(f"startup, —, {entry['raw']['pairs']}", label, entry, "raw")
     return rows

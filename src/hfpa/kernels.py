@@ -1,8 +1,18 @@
 """The per-sample envelope pipeline of the amplifier model, in numpy.
 
-Each model call allocates its own block-sized scratch rows, which each
-stage fills through its ufunc's ``out`` with the bits of the plain form,
-and keeps none of them once the call returns.
+Block-sized temporaries go into one per-thread workspace (``workspace``): a
+``(3, n)`` float64 array for the most recent block length ``n``, kept while
+``n <= signalgen.CACHE_MAX_SAMPLES``, so at most 3 MiB per thread. A longer
+block gets fresh rows on every call, freed with the caller's last view. Each
+stage writes its result into a workspace row with the ufunc's ``out``, in
+the same expression, operand order and reduction as the plain form, so the
+bits are those of freshly allocated temporaries; what goes is the page
+faults (and the zero-filling) of mapping new temporaries on every call.
+``pa_pipeline``'s law needs five scratch rows: the workspace's three and
+its own fresh complex output block, viewed as two float rows until the
+output samples, written last, overwrite them. No returned array is a view
+of the workspace. The model's two stages, ``pamodel.simulate`` and
+``measure.measure_imd``, are its only users, one after the other.
 
 Each block sum is one ``np.add.reduce`` over a contiguous row of per-sample
 products. A split block's halves each reduce their part of the rows, and
@@ -38,11 +48,11 @@ exponent-0.5 fast paths, as it does for a block.
 The passes that ``SPLIT_MIN`` names run over a long block as two halves
 at once through ``halves``. From ``SPLIT_MIN`` samples up, with more than
 one CPU, the calling thread runs the first part of the rows and a worker
-thread the second, in slices of the caller's preallocated rows and
-results. Each split step works on each leading row alone and the worker
-runs its part in a copy of the caller's ``contextvars`` context, which
-holds numpy's (>= 2.0) error state, error callback and buffer size, so
-each sample gets the bits and error handling of one pass,
+thread the second, in slices of the caller's workspace rows and
+preallocated results. Each split step works on each leading row alone and
+the worker runs its part in a copy of the caller's ``contextvars``
+context, which holds numpy's (>= 2.0) error state, error callback and
+buffer size, so each sample gets the bits and error handling of one pass,
 under the caller's scopes, with none entered to rebuild them. The worker
 is the one thread of a ``ThreadPoolExecutor`` that every caller shares,
 made on the first long block (importing this module starts none) and
@@ -55,6 +65,10 @@ import os
 import threading
 
 import numpy as np
+
+from .signalgen import CACHE_MAX_SAMPLES
+
+_local = threading.local()
 
 #: Shortest block, in samples, whose passes ``halves`` splits. Three passes
 #: split, and this is the one place that names them: ``pa_pipeline``'s law
@@ -81,6 +95,25 @@ _pool_lock = threading.Lock()
 
 #: The smallest positive float, a subnormal.
 _TINY = math.ulp(0.0)
+
+
+def workspace(n):
+    """This thread's three float64 scratch rows of length ``n``: a tuple of
+    the row views of one C-ordered ``(3, n)`` array, contents undefined.
+
+    The model's two stages alone use them: ``measure.measure_imd``, and
+    ``pa_pipeline`` for ``pamodel.simulate``, with the envelope in row 0,
+    then the output scale in row 1 and the law's products in rows 0 and 2.
+    The rows of the most recent length are kept, and returned again for
+    that length, while ``n <= CACHE_MAX_SAMPLES``; a longer ``n`` gets
+    fresh rows on every call, freed with their last view.
+    """
+    rows = getattr(_local, "rows", ())
+    if rows and rows[0].size == n:
+        return rows
+    rows = tuple(np.empty((3, n)))
+    _local.rows = rows if n <= CACHE_MAX_SAMPLES else ()
+    return rows
 
 
 def _cpu_count():
@@ -281,12 +314,12 @@ def pa_pipeline(x, g, a_sat, idq, params):
       Fourier components (DC ``idc`` and fundamental ``i1``)
     * overdrive shaping factor ``1 - beta*r^p / (1 + c*r^p)``, ``r = a/a_sat``
 
-    Returns the output samples and
-    ``(sum(a^2), sum(a*i1), sum(idc*shape), sum(e^2))``. Each call
-    allocates its own rows: the envelope and, past the constant path, the
-    swing ``a``, two float scratch rows and the complex output block;
-    until the output samples are written last, the output block serves the
-    law as two more float scratch rows.
+    Returns the output samples (fresh memory, never the workspace) and
+    ``(sum(a^2), sum(a*i1), sum(idc*shape), sum(e^2))``. The rows of
+    ``workspace(x.size)`` are overwritten. Besides the three workspace rows,
+    the law takes two fresh rows per call, the swing ``a`` and the complex
+    output block; until the output samples are written last, the output
+    block serves the law as two more float scratch rows.
 
     The block's length alone picks its path. A block shorter than
     ``SPLIT_MIN`` takes the serial ``|x|`` and ``_is_constant``, which a
@@ -307,11 +340,11 @@ def pa_pipeline(x, g, a_sat, idq, params):
     enters ``rapp``'s own, once per part, saturated or not.
     """
     with np.errstate(over="ignore"):
+        ws = workspace(x.size)
+        env = ws[0]
         long_block = x.size >= SPLIT_MIN
-        if long_block:
-            env = np.empty(x.size)
-        else:
-            env = np.abs(x)
+        if not long_block:
+            np.abs(x, env)
             if _is_constant(env):
                 e = env.item(0)
                 a, *sums = _constant_pipeline(e, env.size, g, a_sat, idq,
@@ -322,8 +355,7 @@ def pa_pipeline(x, g, a_sat, idq, params):
                         float(np.dot(env, env)))
         aout = np.empty(env.size)
         out = np.empty(env.size, dtype=np.complex128)
-        scale, scr = np.empty((2, env.size))
-        parts = halves(_pipeline_rows, (x, out, env, aout, scale, scr),
+        parts = halves(_pipeline_rows, (x, out, env, aout, ws[1], ws[2]),
                        long_block, g, a_sat, idq, params)
         return (out, *joined(parts).tolist())
 
@@ -335,7 +367,7 @@ def _pipeline_rows(x, out, env, aout, scale, scr, with_abs, g, a_sat, idq,
     ``out``, last; returns the sums of ``aout^2``, ``aout*i1``,
     ``idc*shape`` and ``env^2``.
 
-    ``scale`` and ``scr`` are scratch rows. The law's last two scratch
+    ``scale`` and ``scr`` are workspace rows. The law's last two scratch
     rows are ``out`` itself, viewed as two float rows of the span's length,
     until the output samples overwrite them. Each product is reduced alone,
     as a contiguous 1-D row: the bits of the row in a block reduction."""

@@ -247,8 +247,9 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     length and bins at any length, at most 18*128 complex values. Building
     them at a new length peaks at 32 bytes per sample (4 MiB at 131072
     samples, ``_analysis_constants``).
-    The analysis allocates its own rows, ``|x|^2`` and the complex noisy
-    windowed block, 24 bytes per sample, and keeps neither.
+    The analysis runs in the calling thread's ``kernels.workspace``, shared
+    with ``pamodel.simulate`` alone: 24 bytes per sample per thread, 3 MiB
+    at 131072 samples (not kept above ``CACHE_MAX_SAMPLES``).
     On a long block the passes of this function that ``kernels.SPLIT_MIN``
     names run as two halves (``kernels.halves``); its ``|x|^2`` and their
     sum, in the order of ``np.mean``'s, run in the calling thread. A tone
@@ -278,13 +279,15 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
 
     win, unit = (_analysis_constants if n <= CACHE_MAX_SAMPLES
                  else _analysis_constants.__wrapped__)(n)
+    ws = kernels.workspace(n)
     x = block.samples
     # the sum of np.mean, divided by n as np.mean divides it
-    mag2 = np.abs(x)
+    mag2 = np.abs(x, ws[2])
     mag2 **= 2
     rms = math.sqrt(float(np.add.reduce(mag2)) / n)
     floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0)
-    z = np.empty(n, np.complex128)
+    # rows 0 and 1 are adjacent in the workspace: one complex128 row
+    z = ws[0].base[:2].reshape(-1).view(np.complex128)
     kernels.halves(_noisy_windowed, (x, unit, win, z), floor)
 
     offsets = {3: (2 * f1 - f2, 2 * f2 - f1),

@@ -333,9 +333,11 @@ def simulate(block: IqBlock, bias: BiasPoint, params: PaParams,
     ``kernels.SPLIT_MIN``). ``pa_pipeline`` also holds the overflow policy:
     it ignores overflow in its own one ``np.errstate``, so this function
     opens none, and a CW block enters one scope per call. Beyond the output
-    block, a call allocates the envelope and, past the constant path, the
-    swing and two scratch rows, and keeps none of them; the law's other
-    scratch rows are the output block's own memory.
+    block, a call allocates one float row, the swing, and works in the
+    calling thread's three ``kernels.workspace`` rows, 24 bytes per sample
+    kept up to ``signalgen.CACHE_MAX_SAMPLES``, which ``measure.measure_imd``
+    alone shares; the law's other scratch rows are the output block's own
+    memory.
     """
     if not isinstance(bias, BiasPoint):
         raise InvalidBias(f"expected BiasPoint, got {type(bias).__name__}")

@@ -4,9 +4,9 @@ floating-point error handling in the worker, its error callback included,
 a joined worker on every exit, a second caller's part queued behind the
 first's, no view of the rows kept after a split, and a fresh worker after
 ``os.fork``; a two-tone ``simulate`` whose bits do not depend on the BLAS
-build; the one-pass Rapp limiter, with the bits of the trap-and-redo form
-it replaced; and the constant path's sums of copies, with the bits of a
-block reduction."""
+build; the retention rule of ``kernels.workspace``; the one-pass Rapp
+limiter, with the bits of the trap-and-redo form it replaced; and the
+constant path's sums of copies, with the bits of a block reduction."""
 import json
 import os
 import subprocess
@@ -25,7 +25,8 @@ from hfpa import kernels, measure
 from hfpa.measure import measure_imd
 from hfpa.pamodel import (BiasPoint, PaParams, gain_and_swing,
                           saturated_swing, simulate)
-from hfpa.signalgen import IqBlock, Kind, WaveformSpec, generate
+from hfpa.signalgen import (CACHE_MAX_SAMPLES, IqBlock, Kind, WaveformSpec,
+                            generate)
 
 FS = 1.0e6
 BIAS = BiasPoint(vdd=58.0, idq=2.0)
@@ -465,6 +466,27 @@ def test_import_starts_no_thread():
                          env=child_env(), capture_output=True, text=True,
                          timeout=120).stdout
     assert out.split() == ["False", "1"]
+
+
+@pytest.mark.parametrize("n", [1, 64, CACHE_MAX_SAMPLES])
+def test_workspace_keeps_the_rows_of_a_cached_length(n):
+    rows = kernels.workspace(n)
+    assert len(rows) == 3 and all(row.shape == (n,) for row in rows)
+    assert rows[0].base.flags.c_contiguous and rows[0].base.shape == (3, n)
+    assert kernels.workspace(n) is rows
+
+
+def test_a_long_block_gets_fresh_rows_on_every_call():
+    first = kernels.workspace(CACHE_MAX_SAMPLES + 1)
+    second = kernels.workspace(CACHE_MAX_SAMPLES + 1)
+    assert not np.shares_memory(first[0].base, second[0].base)
+
+
+def test_a_long_blocks_rows_are_freed_with_their_last_view():
+    rows = kernels.workspace(CACHE_MAX_SAMPLES + 1)
+    base = weakref.ref(rows[0].base)
+    del rows
+    assert base() is None
 
 
 def _rapp_den(u, a_sat, s2, out):

@@ -209,13 +209,12 @@ def two_tone_point(block):
     return out, stats, [p.level_dbc for p in imd.products]
 
 
-class TestConcurrentCallers:
-    """Model calls in several threads get their sequential bits, and no
-    two returned output blocks share memory."""
+class TestWorkspaceSharing:
+    """``kernels.workspace`` is per thread, and no result is a view of it."""
 
     def test_two_threads_get_the_sequential_results(self):
         # cached lengths and one past signalgen.CACHE_MAX_SAMPLES, linear to
-        # saturated drive, so each thread keeps changing length
+        # saturated drive, so each thread's workspace keeps changing length
         blocks = [two_tone(amplitude=a, duration=n / FS) for n, a in
                   ((131072, 0.3), (16384, 2.0), (131073, 0.8), (65536, 1.2))]
         want = []
@@ -252,24 +251,30 @@ class TestConcurrentCallers:
         scaled = kernels.pa_pipeline(first.samples, g, a_sat, WS_BIAS.idq,
                                      WS_PARAMS)[0]
         kept = (out.samples.copy(), scaled.copy(), list(levels))
-        # the same length again
-        out2 = two_tone_point(second)[0]
-        scaled2 = kernels.pa_pipeline(second.samples, g, a_sat, WS_BIAS.idq,
-                                      WS_PARAMS)[0]
+        # the same length again: the same workspace, overwritten
+        two_tone_point(second)
+        kernels.pa_pipeline(second.samples, g, a_sat, WS_BIAS.idq, WS_PARAMS)
         assert out.samples.tobytes() == kept[0].tobytes()
         assert scaled.tobytes() == kept[1].tobytes()
         assert levels == kept[2]
         assert first.samples.tobytes() == kept_input.tobytes()
-        results = (out.samples, scaled, out2.samples, scaled2)
-        for i, result in enumerate(results):
-            for other in results[i + 1:]:
-                assert not np.shares_memory(result, other)
+        base = kernels.workspace(len(first))[0].base
+        for result in (out.samples, scaled):
+            assert not np.shares_memory(result, base)
+
+    def test_classify_leaves_the_model_rows_in_place(self):
+        # a 10000-sample window in the thread that holds the 131072-sample
+        # rows; were they dropped, the next simulate would map 3 MiB again
+        rows = kernels.workspace(131072)
+        classify_envelope(generate(WaveformSpec(kind=Kind.AM,
+                                                duration_s=0.01), FS), 0.01)
+        assert kernels.workspace(131072) is rows
 
     def test_classify_and_simulate_interleave_in_two_threads(self,
                                                              monkeypatch):
         # classify_envelope works on its own arrays, between simulate calls
-        # at 64 and at 10000 samples; interleaved in threads, each call
-        # still gets its sequential bits
+        # that reuse one workspace at 64 and at 10000 samples; interleaved
+        # in threads, each call still gets its sequential bits
         calls = []
         for n in (64, 10000):
             for kind, amplitude in ((Kind.AM, 0.8), (Kind.TWO_TONE, 1.5),
@@ -329,6 +334,19 @@ class TestConcurrentCallers:
             assert len(got) == 5 * len(calls)
             for i, result in got:
                 assert result == want[i]
+
+
+def test_warm_large_block_imd_allocates_only_the_spectrum():
+    # with the workspace at this length and the twiddle block cached, what
+    # remains is the 18 rows of the column spectrum that the bins read and
+    # their twiddled products, 0.07 arrays of the block's length; numpy's
+    # 128 KiB cast buffer of a complex-by-float multiply would add 0.13,
+    # and a fresh (l, m) column spectrum two arrays
+    n = 1 << 17
+    out, _ = simulate(two_tone(amplitude=0.5, duration=n / FS), WS_BIAS,
+                      WS_PARAMS)
+    measure_imd(out, -1000.0, 1000.0)
+    assert traced_peak(lambda: measure_imd(out, -1000.0, 1000.0)) <= 0.5 * n * 8
 
 
 @pytest.mark.parametrize("n", [131072, 65536, 131073])

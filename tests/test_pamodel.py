@@ -298,7 +298,7 @@ def test_pipeline_zero_drive_semantics():
 
 def reference_pipeline(x, g, a_sat, idq, params):
     """``kernels.pa_pipeline`` as plain expressions on fresh temporaries:
-    the oracle that its ``out=`` row form must match bit for bit.
+    the oracle that its workspace form must match bit for bit.
 
     The output is ``x * (aout/max(env, tiny))``, ``tiny`` the smallest
     subnormal. The ``env^2`` sum is a dot product for a constant envelope
@@ -330,8 +330,8 @@ def reference_gain_db(sum_a2, sum_e2):
             if 0.0 < sum_e2 < math.inf else None)
 
 
-#: Block lengths in an order that switches length on every call; 131073 is
-#: past ``signalgen.CACHE_MAX_SAMPLES``.
+#: Block lengths in an order that switches the workspace's length on every
+#: call; 131073 is past ``signalgen.CACHE_MAX_SAMPLES``, the uncached path.
 #: 65535 is one sample short of ``kernels.SPLIT_MIN``, and 65537 and 131071
 #: split into uneven halves, so the output block's halves that the law
 #: borrows as scratch rows have odd lengths.
@@ -373,9 +373,13 @@ def test_workspace_pipeline_matches_the_plain_expressions(two_cpus):
         out, *sums = kernels.pa_pipeline(x, g, a_sat, bias.idq, params)
         assert out.tobytes() == want[0].tobytes()
         assert [v.hex() for v in sums] == [v.hex() for v in want[1:]]
+        base = kernels.workspace(n)[0].base
+        assert base.shape == (3, n)
+        assert not np.shares_memory(out, base)
         # and simulate's output block against an oracle that scales a zero
         # envelope by g
         out, stats = simulate(IqBlock(x, 1e6), bias, params)
+        assert not np.shares_memory(out.samples, base)
         env_x = np.abs(x)
         aout = kernels.rapp(g * env_x, a_sat, params.smoothness,
                             np.empty_like(env_x))
@@ -577,10 +581,10 @@ def traced_peak(call):
 
 
 def test_large_block_simulate_peak_memory():
-    # the envelope and two scratch rows, the output swing, the complex
-    # output block (two rows, the law's last scratch rows) and numpy's
-    # 128 KiB cast buffer of the complex-by-float output multiply in each
-    # thread's half.
+    # a cold call, once a 64-sample block has moved the workspace to another
+    # length: its three rows, the output swing, the complex output block
+    # (two rows, the law's last scratch rows) and numpy's 128 KiB cast
+    # buffer of the complex-by-float output multiply in each thread's half.
     # Measured: 6.13 arrays of the block's length, whether or not this call
     # also starts the worker thread of ``kernels.halves``
     n = 1 << 17
@@ -590,20 +594,15 @@ def test_large_block_simulate_peak_memory():
     assert traced_peak(lambda: simulate(block, bias, p)) <= 6.5 * n * 8
 
 
-def test_simulate_keeps_nothing_of_a_block():
-    # after a 64-sample call at another length, one 131072-sample call
-    # leaves only its output block allocated
+def test_warm_large_block_simulate_allocates_only_its_results():
+    # with the workspace at this length, what remains is the output swing,
+    # the complex output block and numpy's 128 KiB cast buffer of the
+    # complex-by-float output multiply in each thread's half, 3.3 arrays
     n = 1 << 17
     block = large_two_tone_block(n)
     bias, p = BiasPoint(vdd=58.0, idq=2.0), make_params(shape_beta=0.2)
-    simulate(IqBlock(np.ones(64, dtype=complex), 1e6), bias, p)
-    tracemalloc.start()
-    try:
-        out, _ = simulate(block, bias, p)
-        kept = tracemalloc.get_traced_memory()[0] - out.samples.nbytes
-    finally:
-        tracemalloc.stop()
-    assert kept < 0.1 * 2**20
+    simulate(block, bias, p)
+    assert traced_peak(lambda: simulate(block, bias, p)) <= 4.5 * n * 8
 
 
 def rule_values(field):

@@ -235,13 +235,32 @@ def two_tone_point(n):
     measure.measure_imd(out, spec.f1_hz, spec.f2_hz)
 
 
+def test_a_warm_two_tone_point_allocates_only_its_results():
+    # generate, simulate and measure_imd on a 131072-sample two-tone block
+    # whose unit waveform, window, noise draw and workspace rows are cached:
+    # the block, the output block and the float swing row, 5 float rows,
+    # and small change below half a row (numpy's 128 KiB cast buffer of the
+    # output multiply). Measured: 5 rows and 136 KB
+    n = 131072
+    two_tone_point(n)
+    tracemalloc.start()
+    try:
+        two_tone_point(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * n * 8
+
+
 def test_two_cold_two_tone_points_peak_under_thirteen_and_a_half_rows():
     # every cache cold: the unit waveform, the analysis constants and the
-    # twiddle block cleared. numpy.random and numpy.fft are imported first,
-    # so the figure does not depend on the order the tests run in. Held
-    # after the points: the unit waveform's 2 rows and the window and noise
-    # draw's 3. The high-water is a point's own rows on top of those, and
-    # numpy's cast buffers. Measured: 13.34 rows
+    # twiddle block cleared, and the workspace moved to another length.
+    # numpy.random and numpy.fft are imported first, so the figure does not
+    # depend on the order the tests run in. Held after the points: the
+    # workspace's 3 rows, the unit waveform's 2 and the window and noise
+    # draw's 3. The high-water is a point's own 5 rows on top of those, and
+    # numpy's cast buffers. Measured: 13.30 rows; 15.3 with a five-row
+    # workspace
     import numpy.fft  # noqa: F401
     import numpy.random  # noqa: F401
 
@@ -249,6 +268,7 @@ def test_two_cold_two_tone_points_peak_under_thirteen_and_a_half_rows():
     signalgen._cached_unit_waveform.cache_clear()
     measure._analysis_constants.cache_clear()
     measure._twiddles.cache_clear()
+    kernels.workspace(64)
     tracemalloc.start()
     try:
         two_tone_point(n)

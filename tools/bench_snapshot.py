@@ -23,8 +23,9 @@ file holds, for its tree:
 * each ``BENCHMARK.json`` workload, run N times per seed as a subprocess of
   ``perfbench/run.py --seconds 20 --trace 0``: every run's result with the
   child's CPU seconds (user + system, from ``getrusage(RUSAGE_CHILDREN)``),
-  wall seconds and minor page faults (``ru_minflt``), and per metric the median and min over runs of the
-  scaled and the raw values, with ``attempted`` and ``failed`` summed;
+  wall seconds and minor page faults (``ru_minflt``), and per metric the
+  median and min over runs of the scaled and the raw values, with
+  ``attempted`` and ``failed`` summed;
 * before each workload's first pair, one discarded run of each tree on
   the first seed, so that neither side takes the host's first-run cost;
 * one ``--trace 1`` run per workload, on the first seed: the layer table
@@ -493,11 +494,11 @@ def table_rows(path):
     """One Markdown row per workload and end-to-end metric of the pair file
     at ``path``, in the file's order, each workload's closed by a
     ``cpu/wall`` and a ``minflt`` row (``USAGE_ROWS``), then one per
-    start-up row if the file pairs them: the
-    trees, the workload (``startup``), its seeds and pairs, the metric, both
-    trees' medians, the scaled and raw after/before ratios with their
-    quartiles, the change's wins, and the verdict on the scaled ratio (the
-    raw one for start-up rows). A ``cpu/wall`` row gives both trees' median
+    start-up row if the file pairs them: the trees, the workload
+    (``startup``), its seeds and pairs, the metric, both trees' medians,
+    the scaled and raw after/before ratios with their quartiles, the
+    change's wins, and the verdict on the scaled ratio (the raw one for
+    start-up rows). A ``cpu/wall`` row gives both trees' median
     CPU/wall ratio, a ``minflt`` row their median minor page faults per
     run, and neither a ratio, wins or verdict. Everything comes from the
     file's ``pairs`` block, except the change's own commit, which the

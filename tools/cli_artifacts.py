@@ -14,7 +14,7 @@ entries are taken from the caller's working directory. The steps are:
 * two-tones on 100000 samples, whose 125 DFT columns split into uneven
   halves, and on the prime 131071, whose one column is the full FFT;
 * a two-tone on 262144 samples, past ``signalgen.CACHE_MAX_SAMPLES``: an
-  uncached unit waveform and analysis constants;
+  uncached unit waveform and fresh workspace rows;
 * a two-tone driven at 400 dBFS, whose Rapp denominator passes the float
   range on both halves of the block: the limiter's saturated samples;
 * a budget-600 calibration;

@@ -82,7 +82,8 @@ _local = threading.local()
 #: the pairs in which the serial tree was slower: the law 1.48 (7/8) and
 #: 1.43 (8/8); the column FFT 1.10 (11/16) and 1.09 (14/16); the noise and
 #: window pass 0.99 (8/16) and 1.08 (14/16); all of ``measure_imd`` serial
-#: 1.21 (6/8) and 1.12 (5/8).
+#: 1.21 (6/8) and 1.12 (5/8). The noise and window pass's figures predate
+#: its four in-place complex steps: they were read on float-pair views.
 #: ``measure_imd``'s ``|x|^2`` and its sum run serially: split, they took
 #: 1.11-1.19 times the serial time at 131072 samples through the executor.
 #: No workload runs a block between 10000 and 131072 samples, so the
@@ -375,8 +376,9 @@ def _pipeline_rows(x, out, env, aout, scale, scr, with_abs, g, a_sat, idq,
         np.abs(x, env)
     o1, o2 = out.view(np.float64).reshape(2, -1)
     # a ufunc's third positional argument is its out row: an ``out=``
-    # keyword costs about 0.25 us more per call, which a 64-sample block
-    # feels (np.maximum takes only the keyword)
+    # keyword costs about 0.25 us more per call, which only a short varying
+    # block feels; no program path sends one here, since a CW block takes
+    # the constant path (np.maximum takes only the keyword)
     rapp(np.multiply(g, env, scale), a_sat, params.smoothness, aout)
     sum_e2 = np.add.reduce(np.multiply(env, env, scale))
     # out = x * aout/env, written last. env is floored at the smallest

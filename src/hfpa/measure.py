@@ -156,32 +156,12 @@ def _analysis_constants(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return win, unit
 
 
-def _pairs(c):
-    """The complex row ``c`` as a ``(k, 2)`` float64 view of its memory."""
-    return c[:, None].view(np.float64)
-
-
 def _noisy_windowed(x, unit, win, z, floor):
-    """``z = (x + floor*unit/sqrt(2)) * win``, for any floor, 0.0 included.
-
-    The steps run as real operations on ``(k, 2)`` float views of the
-    complex rows, with no complex divide and no float-to-complex cast of the
-    window (numpy's 128 KiB cast buffer). For ``a + bj``, numpy's complex
-    divide by ``c + 0j`` computes ``((a + b*0) * (1/c), (b - a*0) * (1/c))``
-    and its product with ``w + 0j`` computes ``(a*w - b*0, a*0 + b*w)``, so
-    each component has the bits of the complex form wherever
-    ``measure_imd``'s ``|x|^2`` stays finite, except that the sign of an
-    exactly zero component can differ (as where a zero floor adds ``±0``),
-    which no ``|bin|`` shows. The window multiplies each component's column
-    on its own: numpy runs a broadcast of ``win[:, None]`` over the pairs
-    with a buffered inner loop of two, as slow as the complex form.
-    """
-    zf = _pairs(z)
-    np.multiply(_pairs(unit), floor, zf)
-    zf *= 1.0 / math.sqrt(2)
-    np.add(zf, _pairs(x), zf)
-    for part in (0, 1):
-        np.multiply(zf[:, part], win, zf[:, part])
+    """``z = (x + floor*unit/sqrt(2)) * win``, for any floor, 0.0 included."""
+    np.multiply(unit, floor, z)
+    z *= 1.0 / math.sqrt(2)
+    z += x
+    z *= win
 
 
 #: Upper bound on the column count ``m`` of ``_dft_bins``' decimation. A
@@ -253,7 +233,8 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     On a long block the passes of this function that ``kernels.SPLIT_MIN``
     names run as two halves (``kernels.halves``); its ``|x|^2`` and their
     sum, in the order of ``np.mean``'s, run in the calling thread. A tone
-    that is not finite, or not below Nyquist, raises ValueError.
+    that is not finite, or not below Nyquist, raises ValueError; so does a
+    block whose power, the mean of ``|x|^2``, is past the float range.
 
     Only the three bins around each tone and product are computed, at most
     18 (``_dft_bins``): ``n = l*m`` with ``m`` the largest divisor of ``n``
@@ -282,9 +263,14 @@ def measure_imd(block: IqBlock, f1: float, f2: float) -> ImdResult:
     ws = kernels.workspace(n)
     x = block.samples
     # the sum of np.mean, divided by n as np.mean divides it
-    mag2 = np.abs(x, ws[2])
-    mag2 **= 2
-    rms = math.sqrt(float(np.add.reduce(mag2)) / n)
+    with np.errstate(over="ignore"):
+        mag2 = np.abs(x, ws[2])
+        mag2 **= 2
+        power = float(np.add.reduce(mag2)) / n
+    if not math.isfinite(power):
+        raise ValueError(f"block power mean(|x|^2) = {power} is past the "
+                         f"float range")
+    rms = math.sqrt(power)
     floor = rms * 10.0 ** (NOISE_FLOOR_DBC / 20.0)
     # rows 0 and 1 are adjacent in the workspace: one complex128 row
     z = ws[0].base[:2].reshape(-1).view(np.complex128)

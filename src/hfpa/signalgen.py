@@ -119,10 +119,10 @@ def _unit_waveform(spec: WaveformSpec, sample_rate: float,
     and operand order are those of ``exp(2j*pi*f1*t) + exp(2j*pi*f2*t)``,
     so its bits are too.
     """
+    if spec.kind is Kind.CW:
+        return np.ones(n, np.complex128)
     t = np.arange(n, dtype=np.float64)
     t /= sample_rate
-    if spec.kind is Kind.CW:
-        return np.exp(2j * np.pi * spec.tone_hz * t)
     if spec.kind is Kind.TWO_TONE:
         u = np.multiply(2j * np.pi * spec.f1_hz, t)
         np.exp(u, u)

@@ -67,8 +67,8 @@ def _check_sample_rate(sample_rate: float) -> None:
 #: Fields equal as numbers give equal blocks: a -0.0 field can flip the sign
 #: of a zero in the unit waveform, but the amplitude multiply, done against
 #: a + 0j, turns every such zero into +0.0.
-_SHAPE_FIELDS = ("tone_hz", "f1_hz", "f2_hz", "fm_dev_hz", "fm_rate_hz",
-                 "am_index", "am_rate_hz", "psk_rate_hz")
+_SHAPE_FIELDS = ("f1_hz", "f2_hz", "fm_dev_hz", "fm_rate_hz", "am_index",
+                 "am_rate_hz", "psk_rate_hz")
 _shape = operator.attrgetter(*_SHAPE_FIELDS)
 
 #: WaveformSpec's float fields; validate rejects a non-finite value in any.
@@ -79,7 +79,8 @@ _FLOAT_FIELDS = ("amplitude", "duration_s") + _SHAPE_FIELDS
 class WaveformSpec:
     """Generator parameters for one emission kind.
 
-    Frequencies are baseband offsets in Hz; amplitude is the peak envelope.
+    Frequencies are baseband offsets in Hz, and CW is the carrier itself, at
+    offset 0; amplitude is the peak envelope.
     Only the fields relevant to ``kind`` shape the waveform, but ``validate``
     requires every float field to be finite.
     """
@@ -87,7 +88,6 @@ class WaveformSpec:
     kind: Kind
     amplitude: float = 1.0
     duration_s: float = 1e-3
-    tone_hz: float = 0.0            # CW offset
     f1_hz: float = -1000.0          # two-tone offsets
     f2_hz: float = 1000.0
     fm_dev_hz: float = 5000.0       # FM peak deviation
@@ -133,7 +133,7 @@ class WaveformSpec:
 
 #: Per kind, the frequencies of a spec that must lie below Nyquist.
 _BAND_EDGES = {
-    Kind.CW: lambda s: (abs(s.tone_hz),),
+    Kind.CW: lambda s: (),
     Kind.TWO_TONE: lambda s: (abs(s.f1_hz), abs(s.f2_hz)),
     Kind.FM: lambda s: (abs(s.fm_dev_hz) + abs(s.fm_rate_hz),),
     Kind.AM: lambda s: (abs(s.am_rate_hz),),

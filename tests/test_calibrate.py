@@ -429,6 +429,17 @@ class TestFit:
         assert 0.5 <= p.smoothness <= 20.0
 
 
+#: ``default_init(REFERENCE_ANCHORS)``'s ``g0`` and ``kv`` per OpenBLAS core
+#: (``host_key()["openblas_core"]``): the gain refinements' ``lstsq`` and
+#: ``dot`` follow the core in their last bits. A core not listed takes
+#: SkylakeX's, the default's.
+REFERENCE_START_G0_KV = {
+    "SkylakeX": ("0x1.3e2ac58146ccep+5", "0x1.8f2eed0134d36p-2"),
+    "Haswell": ("0x1.3e2ac58146ccep+5", "0x1.8f2eed0134d36p-2"),
+    "Nehalem": ("0x1.3e2ac58146cdcp+5", "0x1.8f2eed0134d3ep-2"),
+    "Katmai": ("0x1.3e2ac58146cdcp+5", "0x1.8f2eed0134d3ep-2")}
+
+
 class TestDefaultInit:
     def test_reference_warm_start_is_reasonable(self):
         init = default_init(REFERENCE_ANCHORS)
@@ -460,8 +471,10 @@ class TestDefaultInit:
     def test_reference_start_keeps_its_bits(self):
         # its best candidate lies in the box, so clamping changes no bit
         init = default_init(REFERENCE_ANCHORS)
+        g0_kv = REFERENCE_START_G0_KV.get(cli_artifacts.host_key()[
+            "openblas_core"], REFERENCE_START_G0_KV["SkylakeX"])
         assert [getattr(init, k).hex() for k in _SCALAR_KEYS] == [
-            "0x1.3e2ac58146ccep+5", "0x1.8f2eed0134d36p-2", "0x0.0p+0",
+            *g0_kv, "0x0.0p+0",
             "0x1.999999999999bp-2", "0x1.0000000000000p+2",
             "0x1.0000000000000p+3", "0x1.e914ef988f4f3p+1",
             "0x1.050d51be46a22p+3", "0x1.490c14f507ca3p+4"]

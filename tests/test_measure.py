@@ -66,6 +66,26 @@ def test_noise_and_window_pass_keeps_the_complex_forms_bits():
     assert np.abs(z).tobytes() == np.abs(want.view(complex)).tobytes()
 
 
+@pytest.mark.parametrize("amplitude", [1e154, 1e155])
+def test_a_block_whose_power_overflows_is_refused_before_the_noise_pass(
+        amplitude, monkeypatch):
+    # finite samples whose mean |x|^2 is not: at 1e154 each |x|^2 is finite
+    # and their sum overflows, at 1e155 the square does. The analysis warned
+    # and reported nan levels; RuntimeWarning is an error in this suite
+    block = two_tone(amplitude=amplitude)
+    assert np.isfinite(block.samples).all()
+    monkeypatch.setattr(measure, "_noisy_windowed", None)  # never reached
+    with pytest.raises(ValueError, match=r"^block power mean\(\|x\|\^2\) "
+                       r"= inf is past the float range$"):
+        measure_imd(block, -1000.0, 1000.0)
+
+
+def test_a_block_of_large_finite_power_gives_finite_levels():
+    imd = measure_imd(two_tone(amplitude=1e150), -1000.0, 1000.0)
+    assert all(math.isfinite(p.level_dbc) for p in imd.products)
+    assert imd.worst(3) < -100.0
+
+
 def test_the_twiddle_block_is_cached_read_only_with_the_fresh_bits():
     measure._twiddles.cache_clear()
     n, m, ks = 131072, 128, (0, 1, 999, 43690, 131071)
@@ -338,10 +358,10 @@ class TestWorkspaceSharing:
 
 def test_warm_large_block_imd_allocates_only_the_spectrum():
     # with the workspace at this length and the twiddle block cached, what
-    # remains is the 18 rows of the column spectrum that the bins read and
-    # their twiddled products, 0.07 arrays of the block's length; numpy's
-    # 128 KiB cast buffer of a complex-by-float multiply would add 0.13,
-    # and a fresh (l, m) column spectrum two arrays
+    # remains is numpy's 128 KiB cast buffer of the window's complex-by-float
+    # multiply, or the 18 rows of the column spectrum that the bins read and
+    # their twiddled products: measured 0.13 arrays of the block's length; a
+    # fresh (l, m) column spectrum would add two arrays
     n = 1 << 17
     out, _ = simulate(two_tone(amplitude=0.5, duration=n / FS), WS_BIAS,
                       WS_PARAMS)

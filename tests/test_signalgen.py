@@ -30,8 +30,8 @@ def test_cw_block_shape_and_envelope():
 def test_am_zero_index_degenerates_to_carrier():
     am = generate(WaveformSpec(kind=Kind.AM, amplitude=1.0, am_index=0.0,
                                duration_s=1e-3), FS)
-    cw = generate(WaveformSpec(kind=Kind.CW, amplitude=1.0, duration_s=1e-3,
-                               tone_hz=0.0), FS)
+    cw = generate(WaveformSpec(kind=Kind.CW, amplitude=1.0, duration_s=1e-3),
+                  FS)
     np.testing.assert_allclose(np.abs(am.samples), np.abs(cw.samples),
                                rtol=0, atol=1e-15)
 
@@ -108,7 +108,7 @@ def reference_waveform(spec, fs):
     t = np.arange(n) / fs
     a = spec.amplitude
     if spec.kind is Kind.CW:
-        return a * np.exp(2j * np.pi * spec.tone_hz * t)
+        return a * np.exp(2j * np.pi * 0.0 * t)
     if spec.kind is Kind.TWO_TONE:
         return (a / 2.0) * (np.exp(2j * np.pi * spec.f1_hz * t)
                             + np.exp(2j * np.pi * spec.f2_hz * t))
@@ -164,9 +164,9 @@ def test_psk_symbol_longer_than_the_block_is_one_symbol(psk_order,
 
 
 CACHE_SPECS = [
-    WaveformSpec(kind=Kind.CW, tone_hz=0.0, duration_s=1e-3),
-    WaveformSpec(kind=Kind.CW, tone_hz=-0.0, duration_s=1e-3),
-    WaveformSpec(kind=Kind.CW, tone_hz=12.5e3, duration_s=1e-3),
+    WaveformSpec(kind=Kind.CW, duration_s=1e-3),
+    WaveformSpec(kind=Kind.CW, f1_hz=0.0, duration_s=1e-3),
+    WaveformSpec(kind=Kind.CW, f1_hz=-0.0, duration_s=1e-3),
     WaveformSpec(kind=Kind.TWO_TONE, duration_s=1e-3),
     WaveformSpec(kind=Kind.TWO_TONE, f1_hz=-0.0, f2_hz=3e3, duration_s=1e-3),
     WaveformSpec(kind=Kind.FM, duration_s=1e-3),
@@ -227,17 +227,18 @@ class TestUnitWaveformCache:
 
     def test_cache_stays_within_its_bound(self):
         for i in range(3 * CACHE_SIZE):
-            generate(WaveformSpec(kind=Kind.CW, tone_hz=100.0 * i,
+            generate(WaveformSpec(kind=Kind.AM, am_rate_hz=100.0 * i,
                                   duration_s=1e-4), FS)
             assert (signalgen._cached_unit_waveform.cache_info().currsize
                     <= CACHE_SIZE)
 
 
 def reference_unit_waveform(spec, fs, n):
-    """``_unit_waveform`` as chains of fresh temporaries, its earlier form."""
+    """``_unit_waveform`` as chains of fresh temporaries, its earlier form
+    (CW: a tone at offset 0)."""
     t = np.arange(n) / fs
     if spec.kind is Kind.CW:
-        return np.exp(2j * np.pi * spec.tone_hz * t)
+        return np.exp(2j * np.pi * 0.0 * t)
     if spec.kind is Kind.TWO_TONE:
         return (np.exp(2j * np.pi * spec.f1_hz * t)
                 + np.exp(2j * np.pi * spec.f2_hz * t))
@@ -265,8 +266,8 @@ ORACLE_LENGTHS = [1, 7, 10000, CACHE_MAX_SAMPLES, 2 * CACHE_MAX_SAMPLES]
 @pytest.mark.parametrize("n", ORACLE_LENGTHS)
 @pytest.mark.parametrize("fs", [FS, 12345.6])
 @pytest.mark.parametrize("spec", [
-    WaveformSpec(kind=Kind.CW, tone_hz=12.5e3),
-    WaveformSpec(kind=Kind.CW, tone_hz=-0.0),
+    WaveformSpec(kind=Kind.CW),
+    WaveformSpec(kind=Kind.CW, f1_hz=-0.0, fm_dev_hz=-0.0),
     WaveformSpec(kind=Kind.TWO_TONE),
     WaveformSpec(kind=Kind.TWO_TONE, f1_hz=-0.0, f2_hz=3e3),
     WaveformSpec(kind=Kind.FM), WaveformSpec(kind=Kind.AM),
@@ -311,7 +312,7 @@ def test_pn_bits_follow_the_lfsr(n):
 class TestValidation:
     def test_rejects_frequency_at_or_above_nyquist(self):
         with pytest.raises(InvalidSpec):
-            generate(WaveformSpec(kind=Kind.CW, tone_hz=FS / 2), FS)
+            generate(WaveformSpec(kind=Kind.AM, am_rate_hz=FS / 2), FS)
         with pytest.raises(InvalidSpec):
             generate(WaveformSpec(kind=Kind.TWO_TONE, f2_hz=FS), FS)
 
@@ -396,7 +397,7 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kind, field", [
-        (Kind.CW, "amplitude"), (Kind.CW, "duration_s"), (Kind.CW, "tone_hz"),
+        (Kind.CW, "amplitude"), (Kind.CW, "duration_s"), (Kind.CW, "f1_hz"),
         (Kind.TWO_TONE, "f1_hz"), (Kind.TWO_TONE, "f2_hz"),
         (Kind.FM, "fm_dev_hz"), (Kind.FM, "fm_rate_hz"),
         (Kind.AM, "am_index"), (Kind.AM, "am_rate_hz"),

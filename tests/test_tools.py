@@ -120,11 +120,13 @@ def test_cli_artifacts_refuses_a_bad_command_line(argv, capsys, tmp_path,
 def test_bench_snapshot_takes_seed_1_by_default(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr(bench_snapshot, "paired",
-                        lambda args, seeds, workloads, better: calls.append(
-                            (seeds, workloads)))
+                        lambda args, seed, workloads, better: calls.append(
+                            (seed, workloads)))
     against = make_tree(tmp_path / "parent")
     assert bench_snapshot.main(["--tag", "T", "--against", str(against)]) == 0
-    assert calls == [([1], ["calibrate", "controller", "imd"])]
+    assert bench_snapshot.main(["--tag", "T", "--against", str(against),
+                                "--seed", "90001", "--workloads", "imd"]) == 0
+    assert calls == [(1, ["calibrate", "controller", "imd"]), (90001, ["imd"])]
 
 
 def test_bench_snapshot_records_the_environment(monkeypatch):
@@ -164,7 +166,8 @@ def fake_paired_runner(calls, before_root, monkeypatch):
     path; the before tree's op_p50_ms is 2.0 scaled and 3.0 raw, the after
     tree's 1.5 and 2.7 except in its fourth run (the third after its
     warm-up), where it is 2.5 and 3.3;
-    peak_rss_mb is 40 + seed scaled and 30 + seed raw on both trees, and
+    peak_rss_mb is 40 + k scaled and 30 + k raw in a tree's k-th run on
+    both trees, its warm-up run the first, and
     setup_s has no raw value. Every run must last 20 s, and does on the
     stubbed ``child_clock``, with 30 s of CPU time and 1000 minor page
     faults on the after tree and 20 s and 1200 on the before tree."""
@@ -191,11 +194,11 @@ def fake_paired_runner(calls, before_root, monkeypatch):
         scaled, raw = ((2.0, 3.0) if side == "before"
                        else (2.5, 3.3) if slow else (1.5, 2.7))
         return ({"raw": {"op_p50_ms": raw, "setup_s": None,
-                         "peak_rss_mb": 30.0 + seed},
+                         "peak_rss_mb": 30.0 + counts[side]},
                  "slowdown": 1.0, "problems": []},
                 {"correct": True, "attempted": 4, "failed": 1,
                  "metrics": {"op_p50_ms": {"value": scaled, "unit": "ms"},
-                             "peak_rss_mb": {"value": 40.0 + seed,
+                             "peak_rss_mb": {"value": 40.0 + counts[side],
                                              "unit": "MB"}}})
     return run_json
 
@@ -205,37 +208,38 @@ def test_paired_runs_alternate_and_give_the_ratios(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_snapshot, "run_json",
                         fake_paired_runner(calls, tmp_path, monkeypatch))
     trees = {"after": bench_snapshot.ROOT, "before": tmp_path}
-    sides, log = bench_snapshot.paired_bench("controller", [1, 7], 2, trees)
-    runs = [(side, seed) for side, seed, trace in calls if trace == "0"]
-    # a discarded warm-up run of each tree, on the first seed, then the pairs
-    assert runs == [("after", 1), ("before", 1),
-                    ("after", 1), ("before", 1), ("before", 1), ("after", 1),
-                    ("after", 7), ("before", 7), ("before", 7), ("after", 7)]
-    assert log == [{"seed": 1, "first": "after"}, {"seed": 1, "first": "before"},
-                   {"seed": 7, "first": "after"}, {"seed": 7, "first": "before"}]
-    assert [c for c in calls if c[2] == "1"] == [("after", 1, "1"),
-                                                 ("before", 1, "1")]
+    sides, log = bench_snapshot.paired_bench("controller", 7, 4, trees)
+    runs = [side for side, seed, trace in calls if trace == "0"]
+    # a discarded warm-up run of each tree, then the pairs, all on the seed
+    assert runs == ["after", "before", "after", "before", "before", "after",
+                    "after", "before", "before", "after"]
+    assert {seed for _, seed, _ in calls} == {7}
+    assert log == [{"seed": 7, "first": first}
+                   for first in ("after", "before", "after", "before")]
+    assert [c for c in calls if c[2] == "1"] == [("after", 7, "1"),
+                                                 ("before", 7, "1")]
 
     usage = {"after": {"cpu_s": 30.0, "wall_s": 20.0, "minflt": 1000},
              "before": {"cpu_s": 20.0, "wall_s": 20.0, "minflt": 1200}}
     for side in ("after", "before"):
-        assert [r["seed"] for r in sides[side]["runs"]] == [1, 1, 7, 7]
+        assert [r["seed"] for r in sides[side]["runs"]] == [7] * 4
         # the child's CPU and wall seconds and minor page faults of each
         # run, read around it
         assert all({k: r[k] for k in usage[side]} == usage[side]
                    for r in sides[side]["runs"])
         summary = sides[side]["summary"]
         assert (summary["attempted"], summary["failed"]) == (16, 4)
-        assert summary["metrics"]["peak_rss_mb"] == {"median": 44.0,
-                                                     "min": 41.0}
-        assert summary["raw"]["peak_rss_mb"] == {"median": 34.0, "min": 31.0}
+        # runs 2-5, after the warm-up
+        assert summary["metrics"]["peak_rss_mb"] == {"median": 43.5,
+                                                     "min": 42.0}
+        assert summary["raw"]["peak_rss_mb"] == {"median": 33.5, "min": 32.0}
         assert "setup_s" not in summary["raw"]  # no run has a value
-        assert sides[side]["trace"] == {"seed": 1, "correct": True,
+        assert sides[side]["trace"] == {"seed": 7, "correct": True,
                                         "metrics": {"trace.ops": 5},
                                         "overhead": 1.2, **usage[side]}
 
     calls.clear()
-    bench_snapshot.paired_bench("controller", [1], 2, trees, 1)
+    bench_snapshot.paired_bench("controller", 1, 2, trees, 1)
     assert [c[0] for c in calls] == ["before", "after", "before", "after",
                                      "after", "before", "before", "after"]
     assert [c[2] for c in calls] == ["0"] * 6 + ["1", "1"]
@@ -324,11 +328,12 @@ def test_paired_snapshot_writes_both_files(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_snapshot, "tier1", lambda root: {"root": str(root)})
     (after / "bench").mkdir()
     args = argparse.Namespace(tag="T", against=before, pairs=3)
-    bench_snapshot.paired(args, [1], ["imd", "controller"],
+    bench_snapshot.paired(args, 1, ["imd", "controller"],
                           {"op_p50_ms": "lower"})
     new = json.loads((after / "bench" / "BENCH_T.json").read_text())
     old = json.loads((after / "bench" / "BENCH_Tparent.json").read_text())
     assert new["tag"] == "T" and old["tag"] == "Tparent"
+    assert new["seeds"] == old["seeds"] == [1]
     assert new["environment"]["tree_sha256"] == (
         bench_snapshot.tree_identity(after)["tree_sha256"])
     assert old["environment"]["tree_sha256"] == (
@@ -549,7 +554,7 @@ def test_table_gives_the_verdict_of_a_stubbed_paired_run(monkeypatch,
             s: {"row": {"runs": [1.0] * 10}} for s in trees})
     monkeypatch.setattr(bench_snapshot, "tier1", lambda root: {})
     args = argparse.Namespace(tag="T", against=before, pairs=10)
-    bench_snapshot.paired(args, [1], ["imd"], {"op_p50_ms": "lower",
+    bench_snapshot.paired(args, 1, ["imd"], {"op_p50_ms": "lower",
                                                "peak_rss_mb": "lower"})
     rows = bench_snapshot.table_rows(after / "bench" / "BENCH_T.json")
     assert [row.rsplit(" | ", 2)[-2:] for row in rows] == [

@@ -5,7 +5,7 @@
 Usage::
 
     python tools/bench_snapshot.py --tag T --against DIR [--pairs N] \
-        [--seeds 1] [--workloads W,...]
+        [--seed 1] [--workloads W,...]
     python tools/bench_snapshot.py --table bench/BENCH_T.json ...
 
 ``--table`` prints the Markdown evidence table of paired files already
@@ -20,16 +20,15 @@ be this checkout. To snapshot one commit alone, pair it against a clone of
 itself: the A/A pair records the host's spread beside the figures. Each
 file holds, for its tree:
 
-* each ``BENCHMARK.json`` workload, run N times per seed as a subprocess of
+* each ``BENCHMARK.json`` workload, run N times on one seed as a subprocess of
   ``perfbench/run.py --seconds 20 --trace 0``: every run's result with the
   child's CPU seconds (user + system, from ``getrusage(RUSAGE_CHILDREN)``),
   wall seconds and minor page faults (``ru_minflt``), and per metric the
   median and min over runs of the scaled and the raw values, with
   ``attempted`` and ``failed`` summed;
-* before each workload's first pair, one discarded run of each tree on
-  the first seed, so that neither side takes the host's first-run cost;
-* one ``--trace 1`` run per workload, on the first seed: the layer table
-  and the work counts;
+* before each workload's first pair, one discarded run of each tree, so
+  that neither side takes the host's first-run cost;
+* one ``--trace 1`` run per workload: the layer table and the work counts;
 * each step of ``tools/cli_artifacts.py``'s walkthrough (its ``STEPS``),
   timed as a subprocess in a temporary directory, median and min of 3;
 * the start-up floor (``STARTUP``): a bare interpreter, ``import numpy``,
@@ -194,9 +193,9 @@ def turns(rep):
     return (AFTER, BEFORE) if rep % 2 == 0 else (BEFORE, AFTER)
 
 
-def paired_bench(workload, seeds, pairs, trees, lead=0):
-    """Both trees' seeded runs of one workload, ``pairs`` per seed, the
-    pairs taking repeats ``lead``, ``lead + 1``, ... of ``turns``; the two
+def paired_bench(workload, seed, pairs, trees, lead=0):
+    """Both trees' ``pairs`` runs of one workload on ``seed``, the pairs
+    taking repeats ``lead``, ``lead + 1``, ... of ``turns``; the two
     discarded warm-up runs before them and the two ``--trace 1`` runs after
     them go in repeat ``lead``'s order.
 
@@ -204,18 +203,18 @@ def paired_bench(workload, seeds, pairs, trees, lead=0):
     and the order of the pairs.
     """
     for side in turns(lead):  # warm-up, discarded
-        seeded_run(workload, seeds[0], 0, trees[side])
+        seeded_run(workload, seed, 0, trees[side])
     runs = {side: [] for side in trees}
     log = []
-    for i, seed in enumerate(s for s in seeds for _ in range(pairs)):
+    for i in range(pairs):
         order = turns(lead + i)
         for side in order:
             runs[side].append(run_record(
                 seed, *seeded_run(workload, seed, 0, trees[side])))
         log.append({"seed": seed, "first": order[0]})
     sides = {side: {"runs": runs[side], "summary": summarize(runs[side]),
-                    "trace": trace_record(seeds[0], *seeded_run(
-                        workload, seeds[0], 1, trees[side]))}
+                    "trace": trace_record(seed, *seeded_run(
+                        workload, seed, 1, trees[side]))}
              for side in turns(lead)}
     return sides, log
 
@@ -376,13 +375,13 @@ def environment(root):
     }
 
 
-def snapshot_head(tag, root, seeds):
+def snapshot_head(tag, root, seed):
     return {
         "tag": tag,
         "taken_utc": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
         "environment": environment(root),
-        "seeds": seeds,
+        "seeds": [seed],
         "run_seconds": RUN_SECONDS,
         "workloads": {},
     }
@@ -394,19 +393,19 @@ def write(snapshot):
     print(path)
 
 
-def paired(args, seeds, workloads, better):
+def paired(args, seed, workloads, better):
     """Write ``BENCH_<tag>parent.json`` for the other tree and
     ``BENCH_<tag>.json``, with the ``pairs`` block, for this one. The tree
     that leads the pairs alternates from one workload to the next."""
     trees = {AFTER: ROOT, BEFORE: args.against}
     tags = {AFTER: args.tag, BEFORE: f"{args.tag}parent"}
-    snaps = {side: snapshot_head(tags[side], trees[side], seeds)
+    snaps = {side: snapshot_head(tags[side], trees[side], seed)
              for side in trees}
     block = {"against": {"tag": tags[BEFORE], **tree_identity(args.against)},
              "pairs_per_seed": args.pairs, "workloads": {}}
     for k, workload in enumerate(workloads):
-        print(f"{workload} ({args.pairs} pairs per seed) ...", flush=True)
-        sides, log = paired_bench(workload, seeds, args.pairs, trees, k)
+        print(f"{workload} ({args.pairs} pairs) ...", flush=True)
+        sides, log = paired_bench(workload, seed, args.pairs, trees, k)
         for side, record in sides.items():
             snaps[side]["workloads"][workload] = record
         block["workloads"][workload] = {
@@ -540,8 +539,8 @@ def main(argv=None) -> int:
                         help="print the evidence rows of these pair files "
                              "and run nothing")
     parser.add_argument("--tag")
-    parser.add_argument("--seeds", default="1",
-                        help="comma-separated workload seeds (default: 1)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="the workload seed (default: 1)")
     parser.add_argument("--workloads", default=None,
                         help="comma-separated subset of BENCHMARK.json's "
                              "workloads (default: all)")
@@ -563,11 +562,6 @@ def main(argv=None) -> int:
         parser.error("a snapshot needs --tag and --against")
     if not args.tag.replace("-", "").replace("_", "").isalnum():
         parser.error("tags take letters, digits, '-' and '_'")
-    try:
-        seeds = [int(s) for s in args.seeds.split(",")]
-    except ValueError:
-        parser.error(f"--seeds must be comma-separated integers, "
-                     f"got {args.seeds!r}")
     bench_spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     known = [w["name"] for w in bench_spec["workloads"]]
     workloads = known if args.workloads is None else args.workloads.split(",")
@@ -581,7 +575,7 @@ def main(argv=None) -> int:
                      "checkout: the directory moves peak_rss_mb")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    paired(args, seeds, workloads,
+    paired(args, args.seed, workloads,
            {m["name"]: m["better"] for m in bench_spec["end_to_end"]})
     return 0
 

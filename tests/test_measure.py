@@ -357,11 +357,11 @@ class TestWorkspaceSharing:
 
 
 def test_warm_large_block_imd_allocates_only_the_spectrum():
-    # with the workspace at this length and the twiddle block cached, what
-    # remains is numpy's 128 KiB cast buffer of the window's complex-by-float
-    # multiply, or the 18 rows of the column spectrum that the bins read and
-    # their twiddled products: measured 0.13 arrays of the block's length; a
-    # fresh (l, m) column spectrum would add two arrays
+    # with the workspace at this length and the twiddle block cached, the
+    # peak is numpy's 128 KiB cast buffer of the window's complex-by-float
+    # multiply, 0.13 arrays of the block's length (measured); the 18 rows of
+    # the column spectrum that the bins read and their twiddled products
+    # take 0.07, and a fresh (l, m) column spectrum would add two arrays
     n = 1 << 17
     out, _ = simulate(two_tone(amplitude=0.5, duration=n / FS), WS_BIAS,
                       WS_PARAMS)
